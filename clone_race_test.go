@@ -21,7 +21,7 @@ func TestConcurrentSimulateOnClones(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	algs := []Algorithm{Sequential, EventDriven, Compiled, Async, DistAsync, TimeWarp, ChandyMisra, Vector}
+	algs := []Algorithm{Sequential, EventDriven, Compiled, Async, DistAsync, TimeWarp, ChandyMisra, Vector, JIT}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*len(algs))
 	diffs := make(chan string, 2*len(algs))

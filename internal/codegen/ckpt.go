@@ -15,9 +15,8 @@ import (
 // node planes (all lanes), every stateful kernel's private planes and
 // per-lane scalar state (the fused gate batches are stateless by
 // construction), the per-worker counters and the recorded probe history.
-// Kernel states walk in (worker, level slot, position) order — the
-// compiled program is deterministic, so the restore side walks the same
-// sequence.
+// Kernel states walk in program.kernels order — the compiled program is
+// deterministic, so the restore side walks the same sequence.
 
 // checkpointDue reports whether the gang snapshots at the top of step t.
 func (s *sim) checkpointDue(t circuit.Time) bool {
@@ -47,20 +46,15 @@ func (s *sim) saveCheckpoint(step circuit.Time) error {
 	for i, p := range side {
 		snap.Planes[i] = packPlane(p)
 	}
-	for w := range s.prog.work {
-		for sl := range s.prog.work[w] {
-			for i := range s.prog.work[w][sl].kerns {
-				k := &s.prog.work[w][sl].kerns[i]
-				var ks checkpoint.KernelState
-				for _, st := range k.State {
-					ks.Planes = append(ks.Planes, packPlane(st))
-				}
-				for _, lane := range k.LaneState {
-					ks.Lanes = append(ks.Lanes, checkpoint.PackValues(lane))
-				}
-				snap.Kernels = append(snap.Kernels, ks)
-			}
+	for _, k := range s.prog.kernels() {
+		var ks checkpoint.KernelState
+		for _, st := range k.State {
+			ks.Planes = append(ks.Planes, packPlane(st))
 		}
+		for _, lane := range k.LaneState {
+			ks.Lanes = append(ks.Lanes, checkpoint.PackValues(lane))
+		}
+		snap.Kernels = append(snap.Kernels, ks)
 	}
 	if rec, ok := s.opts.Probe.(*trace.Recorder); ok {
 		snap.HasTrace = true
@@ -90,58 +84,54 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 			return bad("plane %d has %d/%d words, want %d", i, len(p.V), len(p.U), s.words)
 		}
 	}
-	nk := 0
-	for w := range s.prog.work {
-		for sl := range s.prog.work[w] {
-			nk += len(s.prog.work[w][sl].kerns)
-		}
-	}
-	if len(snap.Kernels) != nk {
-		return bad("snapshot has %d kernel states for %d kernels", len(snap.Kernels), nk)
+	kerns := s.prog.kernels()
+	if len(snap.Kernels) != len(kerns) {
+		return bad("snapshot has %d kernel states for %d kernels", len(snap.Kernels), len(kerns))
 	}
 	// Validate every kernel state before committing anything.
-	laneVals := make([][][]logic.Value, nk)
-	idx := 0
-	for w := range s.prog.work {
-		for sl := range s.prog.work[w] {
-			for i := range s.prog.work[w][sl].kerns {
-				k := &s.prog.work[w][sl].kerns[i]
-				ks := &snap.Kernels[idx]
-				if len(ks.Planes) != len(k.State) {
-					return bad("kernel %d has %d state planes, want %d", idx, len(ks.Planes), len(k.State))
+	laneVals := make([][][]logic.Value, len(kerns))
+	for idx, k := range kerns {
+		ks := &snap.Kernels[idx]
+		if len(ks.Planes) != len(k.State) {
+			return bad("kernel %d has %d state planes, want %d", idx, len(ks.Planes), len(k.State))
+		}
+		for j, p := range ks.Planes {
+			if len(p.V) != s.words || len(p.U) != s.words {
+				return bad("kernel %d state plane %d has %d/%d words, want %d", idx, j, len(p.V), len(p.U), s.words)
+			}
+		}
+		if len(ks.Lanes) != len(k.LaneState) {
+			return bad("kernel %d has %d lane states, want %d", idx, len(ks.Lanes), len(k.LaneState))
+		}
+		if len(ks.Lanes) > 0 {
+			laneVals[idx] = make([][]logic.Value, len(ks.Lanes))
+			for l := range ks.Lanes {
+				if len(ks.Lanes[l]) != len(k.LaneState[l]) {
+					return bad("kernel %d lane %d has %d state values, want %d", idx, l, len(ks.Lanes[l]), len(k.LaneState[l]))
 				}
-				for j, p := range ks.Planes {
-					if len(p.V) != s.words || len(p.U) != s.words {
-						return bad("kernel %d state plane %d has %d/%d words, want %d", idx, j, len(p.V), len(p.U), s.words)
+				vals, err := checkpoint.UnpackValues(ks.Lanes[l])
+				if err != nil {
+					return bad("kernel %d lane %d: %v", idx, l, err)
+				}
+				for j := range vals {
+					if vals[j].Width() != k.LaneState[l][j].Width() {
+						return bad("kernel %d lane %d state %d width mismatch", idx, l, j)
 					}
 				}
-				if len(ks.Lanes) != len(k.LaneState) {
-					return bad("kernel %d has %d lane states, want %d", idx, len(ks.Lanes), len(k.LaneState))
-				}
-				if len(ks.Lanes) > 0 {
-					laneVals[idx] = make([][]logic.Value, len(ks.Lanes))
-					for l := range ks.Lanes {
-						if len(ks.Lanes[l]) != len(k.LaneState[l]) {
-							return bad("kernel %d lane %d has %d state values, want %d", idx, l, len(ks.Lanes[l]), len(k.LaneState[l]))
-						}
-						vals, err := checkpoint.UnpackValues(ks.Lanes[l])
-						if err != nil {
-							return bad("kernel %d lane %d: %v", idx, l, err)
-						}
-						for j := range vals {
-							if vals[j].Width() != k.LaneState[l][j].Width() {
-								return bad("kernel %d lane %d state %d width mismatch", idx, l, j)
-							}
-						}
-						laneVals[idx][l] = vals
-					}
-				}
-				idx++
+				laneVals[idx][l] = vals
 			}
 		}
 	}
 	if len(snap.Workers) != s.p {
 		return bad("snapshot has %d worker counter rows, want %d", len(snap.Workers), s.p)
+	}
+	for w := range snap.Workers {
+		// One barrier per step is an invariant of every snapshot this
+		// schedule writes; one taken under per-level barriers also numbered
+		// its planes differently, so it must not be committed.
+		if bw := snap.Workers[w].BarrierWaits; bw != snap.Step {
+			return bad("worker %d crossed %d barriers in %d steps; the snapshot predates the one-barrier-per-step plane layout", w, bw, snap.Step)
+		}
 	}
 	if snap.Fault != nil {
 		return bad("snapshot carries fault-simulation state the jit engine cannot resume")
@@ -156,20 +146,13 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 			copy(s.buf[side].planes[i].U, snap.Planes[i].U)
 		}
 	}
-	idx = 0
-	for w := range s.prog.work {
-		for sl := range s.prog.work[w] {
-			for i := range s.prog.work[w][sl].kerns {
-				k := &s.prog.work[w][sl].kerns[i]
-				for j := range k.State {
-					copy(k.State[j].V, snap.Kernels[idx].Planes[j].V)
-					copy(k.State[j].U, snap.Kernels[idx].Planes[j].U)
-				}
-				for l := range k.LaneState {
-					copy(k.LaneState[l], laneVals[idx][l])
-				}
-				idx++
-			}
+	for idx, k := range kerns {
+		for j := range k.State {
+			copy(k.State[j].V, snap.Kernels[idx].Planes[j].V)
+			copy(k.State[j].U, snap.Kernels[idx].Planes[j].U)
+		}
+		for l := range k.LaneState {
+			copy(k.LaneState[l], laneVals[idx][l])
 		}
 	}
 	copy(s.wc, snap.Workers)

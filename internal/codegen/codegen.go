@@ -2,20 +2,22 @@
 // the circuit's levelized schedule is lowered once, at run start, into a
 // per-level program of branch-free word-op batches over a struct-of-arrays
 // state layout, and the step loop then executes that program with one
-// sense-reversing barrier per level across the workers — Manticore's
-// static bulk-synchronous schedule on a general-purpose machine.
+// sense-reversing barrier per unit-delay step across the workers —
+// Manticore's static bulk-synchronous schedule on a general-purpose
+// machine, with its super-step grown to the whole step.
 //
 // Node state lives in two flat []uint64 slabs per buffer side (value and
 // unknown planes), indexed by a compile-time node numbering ordered by
-// schedule level so each level reads and writes dense stripes. The 1- and
-// 2-input gates — the bulk of every gate-level netlist — run as fused
-// batch loops with no per-element dispatch at all; every other kind runs
-// through the batched engine's proven plane-op kernels (bit-sliced
-// mul/alu/rom/ram included) devirtualized into the level sequence. Like
-// the vector engine, N stimulus lanes advance together (default 1, the
-// scalar-identical lane), and the unit-delay double buffer makes levels a
-// pure batching device: the per-level barriers order memory traffic, not
-// values, so a one-worker run skips them entirely.
+// owning worker and then by schedule level, so each worker writes one dense
+// stripe and each level a dense run inside it. The 1- and 2-input gates —
+// the bulk of every gate-level netlist — run as fused batch loops with no
+// per-element dispatch at all; every other kind runs through the batched
+// engine's proven plane-op kernels (bit-sliced mul/alu/rom/ram included)
+// devirtualized into the level sequence. Like the vector engine, N stimulus
+// lanes advance together (default 1, the scalar-identical lane), and the
+// unit-delay double buffer makes levels a pure batching and locality
+// device: nothing inside a step reads that step's writes, so no barrier
+// separates them at any worker count.
 package codegen
 
 import (
@@ -31,7 +33,6 @@ import (
 	"parsim/internal/engine"
 	"parsim/internal/guard"
 	"parsim/internal/logic"
-	"parsim/internal/partition"
 	"parsim/internal/stats"
 	"parsim/internal/trace"
 	"parsim/internal/vector"
@@ -43,7 +44,6 @@ type Options struct {
 	Horizon  circuit.Time // simulate unit-delay steps t in [0, Horizon)
 	Probe    trace.Probe  // optional observer of lane ProbeLane; concurrency-safe
 	CostSpin int64        // if > 0, burn CostSpin x element Cost per evaluation
-	Strategy partition.Strategy
 	Guard    *guard.Supervisor
 
 	// Lanes is the number of live stimulus lanes (1..logic.MaxWideLanes;
@@ -145,7 +145,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		c:        c,
 		opts:     opts,
 		p:        p,
-		prog:     compileProgram(c, p, opts.Strategy, opts.Lanes, opts.LaneStride),
+		prog:     compileProgram(c, p, opts.Lanes, opts.LaneStride),
 		words:    logic.PlaneWords(opts.Lanes),
 		laneMask: logic.LaneMasks(opts.Lanes),
 		bar:      barrier.New(p),
@@ -262,7 +262,7 @@ func (s *sim) finish(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 		res.LaneFinal[l] = s.extractLane(planes, l)
 	}
 	res.Run = stats.Run{
-		Algorithm: fmt.Sprintf("jit(%s)x%d", opts.Strategy, opts.Lanes),
+		Algorithm: fmt.Sprintf("jitx%d", opts.Lanes),
 		Circuit:   c.Name,
 		Horizon:   opts.Horizon,
 		Workers:   p,
@@ -300,23 +300,26 @@ func (s *sim) extractLane(planes []logic.WidePlane, lane int) []logic.Value {
 
 func (s *sim) worker(id int) {
 	var sense barrier.Sense
+	// Per-step accounting stays in a local: adjacent workers' counter rows
+	// share cache lines. The row is published where someone reads it —
+	// before the barrier a checkpoint capture follows, and at exit.
+	acc := s.wc[id]
 	var idle time.Duration
-	defer func() { s.wc[id].Idle += idle }()
+	defer func() {
+		acc.Idle += idle
+		s.wc[id] = acc
+	}()
 
 	gens := s.prog.gens[id]
 	work := s.prog.work[id]
-	// One worker needs no per-level ordering at all: the unit-delay double
-	// buffer means levels never read this step's writes, so the barriers
-	// are pure lockstep. They exist (at p > 1) to keep the gang sweeping
-	// the same dense level stripe at the same time — the bulk-synchronous
-	// schedule — not for correctness.
-	multi := s.p > 1
 	// With one plane word and no probe the per-span scan collapses to
 	// noteLevel's single flat loop over the level's (offset, width) pairs.
 	fastNote := s.opts.Probe == nil && s.words == 1
 
 	// Step t computes node planes for t+1: read side t&1, write side
-	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1.
+	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1. Nothing
+	// inside a step reads this step's writes, so each worker sweeps its own
+	// run of the schedule unordered and one barrier closes the step.
 	for t := s.startT; t < s.opts.Horizon-1; t++ {
 		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
 			return
@@ -348,50 +351,43 @@ func (s *sim) worker(id int) {
 		for i := range gens {
 			g := &gens[i]
 			g.Write(t+1, next.planes)
-			s.noteSpan(id, g.Out, t+1, cur, next)
+			if s.noteSpan(g.Out, t+1, cur, next) {
+				acc.NodeUpdates++
+			}
 		}
 		for sl := range work {
 			lw := &work[sl]
-			if lw.elems > 0 {
-				s.wc[id].Evals += lw.elems
-				if s.chaos != nil {
-					for e := int64(0); e < lw.elems; e++ {
-						s.chaos.Eval()
-					}
-				}
-				for i := range lw.batches {
-					lw.batches[i].run(cur.v, cur.u, next.v, next.u)
-				}
-				for i := range lw.kerns {
-					lw.kerns[i].Run(cur.planes, next.planes)
-				}
-				if s.opts.CostSpin > 0 {
-					circuit.Spin(lw.cost * s.opts.CostSpin)
-				}
-				if fastNote {
-					s.wc[id].NodeUpdates += noteLevel(lw.noteOffs, cur.v, cur.u, next.v, next.u, s.laneMask[0])
-				} else {
-					for _, sp := range lw.spans {
-						s.noteSpan(id, sp, t+1, cur, next)
-					}
+			acc.Evals += lw.elems
+			if s.chaos != nil {
+				for e := int64(0); e < lw.elems; e++ {
+					s.chaos.Eval()
 				}
 			}
-			if multi && sl < len(work)-1 {
-				// Per-level bulk-synchronous barrier; the last level's is
-				// the end-of-step barrier below. Every worker holds the
-				// same slot count, so the gang always agrees.
-				t0 := time.Now()
-				s.wc[id].BarrierWaits++
-				ok := s.bar.Wait(&sense)
-				idle += time.Since(t0)
-				if !ok {
-					return
+			for i := range lw.batches {
+				lw.batches[i].run(cur.v, cur.u, next.v, next.u)
+			}
+			for i := range lw.kerns {
+				lw.kerns[i].Run(cur.planes, next.planes)
+			}
+			if s.opts.CostSpin > 0 {
+				circuit.Spin(lw.cost * s.opts.CostSpin)
+			}
+			if fastNote {
+				acc.NodeUpdates += noteLevel(lw.noteOffs, cur.v, cur.u, next.v, next.u, s.laneMask[0])
+				continue
+			}
+			for _, sp := range lw.spans {
+				if s.noteSpan(sp, t+1, cur, next) {
+					acc.NodeUpdates++
 				}
 			}
 		}
 
+		acc.BarrierWaits++
+		if s.checkpointDue(t + 1) {
+			s.wc[id] = acc
+		}
 		t0 := time.Now()
-		s.wc[id].BarrierWaits++
 		ok := s.bar.Wait(&sense)
 		idle += time.Since(t0)
 		if !ok {
@@ -419,12 +415,11 @@ func noteLevel(offs []int32, cv, cu, nv, nu []uint64, mask uint64) int64 {
 }
 
 // noteSpan compares one output node's planes across the buffer sides,
-// counting a node update when any live lane changed and firing the probe
+// reporting a node update when any live lane changed and firing the probe
 // when the observed lane did. It scans the flat slabs directly — this runs
 // once per element per step, so the plane-struct indirection would cost as
-// much as a small kernel. Only the node's single driver calls this for a
-// given span, so the counters race with nobody.
-func (s *sim) noteSpan(id int, sp vector.OutSpan, t circuit.Time, cur, next *planeBuf) {
+// much as a small kernel.
+func (s *sim) noteSpan(sp vector.OutSpan, t circuit.Time, cur, next *planeBuf) bool {
 	o, w := int(sp.Off), int(sp.W)
 	words := s.words
 	var changed uint64
@@ -439,11 +434,10 @@ scan:
 		}
 	}
 	if changed == 0 {
-		return
+		return false
 	}
-	s.wc[id].NodeUpdates++
 	if s.opts.Probe == nil {
-		return
+		return true
 	}
 	lw, lb := s.opts.ProbeLane>>6, uint(s.opts.ProbeLane&63)
 	var probeChanged uint64
@@ -455,4 +449,5 @@ scan:
 		s.opts.Probe.OnChange(sp.Node, t,
 			logic.ExtractLaneWide(next.planes[o:o+w], s.opts.ProbeLane, w))
 	}
+	return true
 }

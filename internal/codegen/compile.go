@@ -6,7 +6,6 @@ import (
 	"parsim/internal/analyze"
 	"parsim/internal/circuit"
 	"parsim/internal/logic"
-	"parsim/internal/partition"
 	"parsim/internal/vector"
 )
 
@@ -14,21 +13,39 @@ import (
 // program — a per-(worker, level) sequence of fused gate batches and
 // devirtualized element kernels over a struct-of-arrays plane numbering.
 // Compilation happens once per run; the step loop then executes
-// straight-line batch loops with one barrier per level.
+// straight-line batch loops with one barrier per step. The compiler owns
+// the parallel split: the (level, element)-ordered schedule is cut into one
+// cost-balanced contiguous run per worker.
 
 // program is one circuit compiled for p workers at a lane width.
 type program struct {
-	// off maps node -> first plane index. Nodes are numbered in (driver
-	// level, node) order so each level's outputs land contiguously in the
-	// slabs — the struct-of-arrays layout PARSIR argues for: a level's
-	// write set is one dense stripe, not a scatter over the whole state.
+	// off maps node -> first plane index. Nodes are numbered owner-major,
+	// then in (driver level, node) order: each worker's write set on a
+	// buffer side is one dense slab range disjoint from every other
+	// worker's — the per-worker state stripe PARSIR argues for — and inside
+	// it each level's outputs land contiguously. Undriven nodes (constant
+	// inputs everyone reads, nobody writes) come first.
 	off   []int32
 	total int // plane count
-	slots int // level slots: slot 0 = cycle-fed (-1), slot l+1 = level l
-	// work[w][slot] is worker w's slice of one level.
+	// work[w] is worker w's contiguous run of the schedule, one entry per
+	// level it touches, in level order.
 	work [][]levelWork
 	// gens[w] are worker w's stimulus generators (round-robin).
 	gens [][]vector.GenExec
+}
+
+// kernels lists every compiled kernel in (worker, level, position) order,
+// the walk the checkpoint codec saves and restores kernel state in.
+func (p *program) kernels() []*vector.ElemKernel {
+	var ks []*vector.ElemKernel
+	for w := range p.work {
+		for sl := range p.work[w] {
+			for i := range p.work[w][sl].kerns {
+				ks = append(ks, &p.work[w][sl].kerns[i])
+			}
+		}
+	}
+	return ks
 }
 
 // levelWork is one worker's compiled slice of one level: the fused gate
@@ -46,9 +63,6 @@ type levelWork struct {
 	cost     int64 // summed element Cost (CostSpin accounting)
 }
 
-// slotOf maps an analyze level to its slot index.
-func slotOf(level int) int { return level + 1 }
-
 // tableKind reports the table-driven functional kinds whose bit-sliced
 // kernels pay off only with multiple live lanes; at one lane the scalar
 // registry evaluation is faster, so the compiler picks it.
@@ -62,40 +76,68 @@ func tableKind(k circuit.Kind) bool {
 
 // compileProgram lowers c for p workers. lanes and stride follow the
 // batched engine's lane semantics (lane 0 replays the scalar stimulus).
-func compileProgram(c *circuit.Circuit, p int, strat partition.Strategy, lanes int, stride int64) *program {
+func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program {
 	words := logic.PlaneWords(lanes)
 	levels := analyze.LevelSchedule(c)
-	maxLevel := -1
-	for _, l := range levels {
-		if l > maxLevel {
-			maxLevel = l
+
+	// The schedule: every non-generator element in (level, id) order, the
+	// cycle-fed level -1 first.
+	var sched []circuit.ElemID
+	var totalCost int64
+	for i := range c.Elems {
+		if el := &c.Elems[i]; !el.IsGenerator() {
+			sched = append(sched, el.ID)
+			totalCost += el.Cost
 		}
 	}
-	slots := slotOf(maxLevel) + 1
-	if slots < 1 {
-		slots = 1
+	sort.Slice(sched, func(i, j int) bool {
+		if li, lj := levels[sched[i]], levels[sched[j]]; li != lj {
+			return li < lj
+		}
+		return sched[i] < sched[j]
+	})
+
+	// Ownership: cut the schedule into p contiguous runs of near-equal
+	// summed Cost — an element goes to the worker its cost midpoint falls
+	// in. Generators deal round-robin.
+	owner := make([]int32, len(c.Elems))
+	var before int64
+	for _, eid := range sched {
+		cost := c.Elems[eid].Cost
+		if totalCost > 0 {
+			owner[eid] = int32((2*before + cost) * int64(p) / (2 * totalCost))
+		}
+		before += cost
+	}
+	gens := c.Generators()
+	for i, g := range gens {
+		owner[g] = int32(i % p)
 	}
 
-	// Node numbering: stable sort all nodes by their driver's level slot
-	// (undriven nodes first — they are constant inputs every level reads),
-	// then assign plane offsets in that order.
+	// Node numbering: sort by (owner, driver level, node) — undriven nodes
+	// first — then assign plane offsets in that order. At one worker this
+	// is plain level-major order.
 	type nodeKey struct {
-		slot int
-		n    circuit.NodeID
+		owner, level int32
+		n            circuit.NodeID
 	}
 	keys := make([]nodeKey, len(c.Nodes))
 	for n := range c.Nodes {
-		k := nodeKey{slot: -1, n: circuit.NodeID(n)}
+		k := nodeKey{owner: -1, n: circuit.NodeID(n)}
 		if d := c.Nodes[n].Driver; d != circuit.NoElem {
-			k.slot = slotOf(levels[d])
+			k.owner, k.level = owner[d], int32(levels[d])
 		}
 		keys[n] = k
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].slot != keys[j].slot {
-			return keys[i].slot < keys[j].slot
+		a, b := keys[i], keys[j]
+		if a.owner != b.owner {
+			return a.owner < b.owner
 		}
-		return keys[i].n < keys[j].n
+		if a.level != b.level {
+			return a.level < b.level
+		}
+		return a.n < b.n
 	})
 	off := make([]int32, len(c.Nodes))
 	total := int32(0)
@@ -104,93 +146,74 @@ func compileProgram(c *circuit.Circuit, p int, strat partition.Strategy, lanes i
 		total += int32(c.Nodes[k.n].Width)
 	}
 
-	prog := &program{off: off, total: int(total), slots: slots}
-
-	// Partition ownership is the same static split every synchronous
-	// engine uses; within a worker, elements group by level and, inside a
-	// level, fused gates batch by shape in element order.
-	parts := partition.Split(c, p, strat)
-	prog.work = make([][]levelWork, p)
-	for w := range prog.work {
-		prog.work[w] = make([]levelWork, slots)
+	prog := &program{
+		off:   off,
+		total: int(total),
+		work:  make([][]levelWork, p),
+		gens:  make([][]vector.GenExec, p),
 	}
-	for w, part := range parts {
-		eids := append([]circuit.ElemID(nil), part...)
-		sort.Slice(eids, func(i, j int) bool {
-			si, sj := slotOf(levels[eids[i]]), slotOf(levels[eids[j]])
-			if si != sj {
-				return si < sj
-			}
-			return eids[i] < eids[j]
-		})
-		// Per-slot, per-shape offset accumulators, flushed slot by slot.
-		var pend [numShapes][]int32
-		flush := func(sl int) {
-			lw := &prog.work[w][sl]
-			for sh := gateShape(0); sh < numShapes; sh++ {
-				if len(pend[sh]) == 0 {
-					continue
-				}
+
+	// Lowering walks the schedule once: a new levelWork opens whenever the
+	// owner or the level changes, and inside one, fused gates batch by
+	// shape in element order.
+	var pend [numShapes][]int32
+	var lw *levelWork
+	flush := func() {
+		for sh := gateShape(0); sh < numShapes; sh++ {
+			if len(pend[sh]) > 0 {
 				lw.batches = append(lw.batches, compileBatch(sh, pend[sh], words))
 				pend[sh] = nil
 			}
 		}
-		cur := -1
-		for _, eid := range eids {
-			el := &c.Elems[eid]
-			sl := slotOf(levels[eid])
-			if sl != cur {
-				if cur >= 0 {
-					flush(cur)
-				}
-				cur = sl
-			}
-			lw := &prog.work[w][sl]
-			lw.elems++
-			lw.cost += el.Cost
-			if sh, ok := fusedShape(el); ok {
-				out := el.Out[0]
-				oo, ww := off[out], int32(c.Nodes[out].Width)
-				wd := int32(words)
-				for i := int32(0); i < ww; i++ {
-					switch sh.arity() {
-					case 2:
-						pend[sh] = append(pend[sh],
-							(off[el.In[0]]+i)*wd, (oo+i)*wd)
-					case 3:
-						pend[sh] = append(pend[sh],
-							(off[el.In[0]]+i)*wd, (off[el.In[1]]+i)*wd, (oo+i)*wd)
-					case 4:
-						// mux2: the width-1 select column broadcasts.
-						pend[sh] = append(pend[sh],
-							off[el.In[0]]*wd, (off[el.In[1]]+i)*wd, (off[el.In[2]]+i)*wd, (oo+i)*wd)
-					}
-				}
-				lw.spans = append(lw.spans, vector.OutSpan{Node: out, Off: oo, W: ww})
-				lw.noteOffs = append(lw.noteOffs, oo, ww)
-				continue
-			}
-			var k vector.ElemKernel
-			if lanes == 1 && tableKind(el.Kind) {
-				k = vector.CompileScalarElemKernel(c, el, off, lanes)
-			} else {
-				k = vector.CompileElemKernel(c, el, off, lanes)
-			}
-			lw.kerns = append(lw.kerns, k)
-			lw.spans = append(lw.spans, k.Outs...)
-			for _, sp := range k.Outs {
-				lw.noteOffs = append(lw.noteOffs, sp.Off, sp.W)
-			}
+	}
+	for si, eid := range sched {
+		el := &c.Elems[eid]
+		w := owner[eid]
+		if si == 0 || owner[sched[si-1]] != w || levels[sched[si-1]] != levels[eid] {
+			flush()
+			prog.work[w] = append(prog.work[w], levelWork{})
+			lw = &prog.work[w][len(prog.work[w])-1]
 		}
-		if cur >= 0 {
-			flush(cur)
+		lw.elems++
+		lw.cost += el.Cost
+		if sh, ok := fusedShape(el); ok {
+			out := el.Out[0]
+			oo, ww := off[out], int32(c.Nodes[out].Width)
+			wd := int32(words)
+			for i := int32(0); i < ww; i++ {
+				switch sh.arity() {
+				case 2:
+					pend[sh] = append(pend[sh],
+						(off[el.In[0]]+i)*wd, (oo+i)*wd)
+				case 3:
+					pend[sh] = append(pend[sh],
+						(off[el.In[0]]+i)*wd, (off[el.In[1]]+i)*wd, (oo+i)*wd)
+				case 4:
+					// mux2: the width-1 select column broadcasts.
+					pend[sh] = append(pend[sh],
+						off[el.In[0]]*wd, (off[el.In[1]]+i)*wd, (off[el.In[2]]+i)*wd, (oo+i)*wd)
+				}
+			}
+			lw.spans = append(lw.spans, vector.OutSpan{Node: out, Off: oo, W: ww})
+			lw.noteOffs = append(lw.noteOffs, oo, ww)
+			continue
+		}
+		var k vector.ElemKernel
+		if lanes == 1 && tableKind(el.Kind) {
+			k = vector.CompileScalarElemKernel(c, el, off, lanes)
+		} else {
+			k = vector.CompileElemKernel(c, el, off, lanes)
+		}
+		lw.kerns = append(lw.kerns, k)
+		lw.spans = append(lw.spans, k.Outs...)
+		for _, sp := range k.Outs {
+			lw.noteOffs = append(lw.noteOffs, sp.Off, sp.W)
 		}
 	}
+	flush()
 
-	prog.gens = make([][]vector.GenExec, p)
-	for i, g := range c.Generators() {
-		w := i % p
-		prog.gens[w] = append(prog.gens[w], vector.CompileGenExec(c, &c.Elems[g], off, lanes, stride))
+	for i, g := range gens {
+		prog.gens[i%p] = append(prog.gens[i%p], vector.CompileGenExec(c, &c.Elems[g], off, lanes, stride))
 	}
 	return prog
 }

@@ -17,7 +17,6 @@ func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 		Horizon:    cfg.Horizon,
 		Probe:      cfg.Probe,
 		CostSpin:   cfg.CostSpin,
-		Strategy:   cfg.Strategy,
 		Guard:      cfg.Guard,
 		Lanes:      cfg.Lanes,
 		LaneStride: cfg.LaneStride,

@@ -177,7 +177,7 @@ func TestCodegenLoweringsComplete(t *testing.T) {
 		}
 		for si, sh := range shapes {
 			c, el := buildShape(t, kind, sh)
-			prog := compileProgram(c, 1, 0, 64, 1)
+			prog := compileProgram(c, 1, 64, 1)
 			var batches, kerns, spans int
 			var elems int64
 			for sl := range prog.work[0] {
@@ -249,7 +249,7 @@ func proveAllAtWidth(t *testing.T, lanes int) {
 // next side — against the per-lane scalar oracle.
 func proveLowering(t *testing.T, kind circuit.Kind, sh codegenShape, lanes int) {
 	c, el := buildShape(t, kind, sh)
-	prog := compileProgram(c, 1, 0, lanes, 1)
+	prog := compileProgram(c, 1, lanes, 1)
 	words := logic.PlaneWords(lanes)
 
 	totalBits := 0

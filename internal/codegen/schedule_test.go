@@ -1,0 +1,163 @@
+package codegen
+
+import (
+	"fmt"
+	"testing"
+
+	"parsim/internal/circuit"
+	"parsim/internal/compiled"
+	"parsim/internal/gen"
+	"parsim/internal/logic"
+	"parsim/internal/vector"
+)
+
+// dffRing is a Johnson-style feedback ring of width-4 resettable
+// flip-flops: every stage sits on one sequential loop (schedule level -1 or
+// just above it), and a random operand XORed into the loop makes the lanes
+// of a batched run diverge.
+func dffRing(stages int) *circuit.Circuit {
+	b := circuit.NewBuilder(fmt.Sprintf("dff-ring-%d", stages))
+	clk, rst := b.Bit("clk"), b.Bit("rst")
+	b.Clock("osc", clk, 4, 0, 0)
+	b.Wave("rstgen", rst, []circuit.Time{0, 6}, []logic.Value{logic.V(1, 1), logic.V(1, 0)})
+	rnd := b.Node("rnd", 4)
+	b.Rand("rndgen", rnd, 8, 3)
+	d := b.Node("d0", 4)
+	prev := d
+	for i := 0; i < stages; i++ {
+		q := b.Node(fmt.Sprintf("q%d", i), 4)
+		b.AddElement(circuit.KindDFFR, fmt.Sprintf("ff%d", i), 1, []circuit.NodeID{q},
+			[]circuit.NodeID{clk, rst, prev}, circuit.Params{Init: logic.V(4, uint64(i)&15)})
+		prev = q
+	}
+	inv := b.Node("inv", 4)
+	b.Gate(circuit.KindNot, "loopinv", 1, inv, prev)
+	b.Gate(circuit.KindXor, "mix", 1, d, inv, rnd)
+	return b.MustBuild()
+}
+
+type scheduleCircuit struct {
+	build   func() *circuit.Circuit
+	horizon circuit.Time
+}
+
+func scheduleCircuits() map[string]scheduleCircuit {
+	mult := gen.DefaultMultiplier()
+	mult.InPeriod = 24
+	return map[string]scheduleCircuit{
+		"mult16-gate":    {func() *circuit.Circuit { return gen.GateMultiplier(mult) }, 80},
+		"microprocessor": {func() *circuit.Circuit { return gen.CPU(gen.DefaultCPU()) }, 200},
+		"dff-ring":       {func() *circuit.Circuit { return dffRing(9) }, 120},
+	}
+}
+
+func sameValues(a, b []logic.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGangScheduleMatchesCompiled pins the one-barrier-per-step schedule:
+// at every worker count and lane width jit produces the scalar compiled
+// engine's final values in lane 0 and the same evaluation count, the
+// one-worker batched reference's every lane and update count, and each
+// worker row crosses exactly one barrier per step.
+func TestGangScheduleMatchesCompiled(t *testing.T) {
+	for name, sc := range scheduleCircuits() {
+		scalar := compiled.Run(sc.build(), compiled.Options{Workers: 1, Horizon: sc.horizon})
+		for _, lanes := range []int{1, 64, 256} {
+			ref, err := vector.Run(sc.build(), vector.Options{Workers: 1, Horizon: sc.horizon, Lanes: lanes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lanes == 1 && ref.Run.NodeUpdates != scalar.Run.NodeUpdates {
+				t.Fatalf("%s: reference engines disagree on updates: %d vs %d", name, ref.Run.NodeUpdates, scalar.Run.NodeUpdates)
+			}
+			for workers := 1; workers <= 4; workers++ {
+				res, err := Run(sc.build(), Options{Workers: workers, Horizon: sc.horizon, Lanes: lanes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("%s workers %d lanes %d", name, workers, lanes)
+				if !sameValues(res.Final, scalar.Final) {
+					t.Errorf("%s: lane 0 final values differ from compiled", tag)
+				}
+				if res.Run.Evals != scalar.Run.Evals {
+					t.Errorf("%s: evals %d, compiled %d", tag, res.Run.Evals, scalar.Run.Evals)
+				}
+				if res.Run.NodeUpdates != ref.Run.NodeUpdates {
+					t.Errorf("%s: node updates %d, want %d", tag, res.Run.NodeUpdates, ref.Run.NodeUpdates)
+				}
+				for l := range ref.LaneFinal {
+					if !sameValues(res.LaneFinal[l], ref.LaneFinal[l]) {
+						t.Errorf("%s: lane %d final values differ from the batched reference", tag, l)
+						break
+					}
+				}
+				for w, row := range res.Run.PerWorker {
+					if row.BarrierWaits != res.Run.TimeSteps-1 {
+						t.Errorf("%s: worker %d crossed %d barriers in %d steps, want one per step",
+							tag, w, row.BarrierWaits, res.Run.TimeSteps)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWorkerStripesContiguous is the layout property the schedule rests on:
+// the planes a worker writes (its elements' and generators' outputs) form
+// one contiguous range of program.off, disjoint from every other worker's,
+// and the cost-balanced cut leaves no worker without work on the circuits
+// big enough to split.
+func TestWorkerStripesContiguous(t *testing.T) {
+	for name, sc := range scheduleCircuits() {
+		c := sc.build()
+		for p := 1; p <= 4; p++ {
+			prog := compileProgram(c, p, 64, 1)
+			type stripe struct{ lo, hi, planes int32 }
+			stripes := make([]stripe, p)
+			for w := range stripes {
+				stripes[w].lo = int32(prog.total)
+			}
+			note := func(w int, sp vector.OutSpan) {
+				s := &stripes[w]
+				s.lo, s.hi = min(s.lo, sp.Off), max(s.hi, sp.Off+sp.W)
+				s.planes += sp.W
+			}
+			for w := 0; w < p; w++ {
+				for i := range prog.gens[w] {
+					note(w, prog.gens[w][i].Out)
+				}
+				for sl := range prog.work[w] {
+					for _, sp := range prog.work[w][sl].spans {
+						note(w, sp)
+					}
+				}
+			}
+			prevHi := int32(0)
+			for w, s := range stripes {
+				if s.planes == 0 {
+					if c.NumGates() >= 4*p {
+						t.Errorf("%s p=%d: worker %d owns nothing", name, p, w)
+					}
+					continue
+				}
+				if s.hi-s.lo != s.planes {
+					t.Errorf("%s p=%d: worker %d writes %d planes spread over [%d,%d)", name, p, w, s.planes, s.lo, s.hi)
+				}
+				if s.lo < prevHi {
+					t.Errorf("%s p=%d: worker %d stripe [%d,%d) overlaps a lower worker's, which ends at %d",
+						name, p, w, s.lo, s.hi, prevHi)
+				}
+				prevHi = s.hi
+			}
+		}
+	}
+}

@@ -88,7 +88,8 @@ type Config struct {
 	// per evaluation, restoring the paper's gate-vs-functional evaluation
 	// cost spread for benchmarking.
 	CostSpin int64
-	// Strategy selects the static partitioner (compiled, dist, timewarp).
+	// Strategy selects the static partitioner (compiled, vector, dist,
+	// timewarp; jit cuts its own schedule and ignores it).
 	Strategy partition.Strategy
 	// CollectAvail records the elements-available-per-step histogram
 	// (sequential and event-driven engines).
@@ -111,8 +112,9 @@ type Config struct {
 
 	// Checkpoint asks the engine to write periodic snapshots at quiescent
 	// points (see CheckpointSpec). Only the synchronous engines
-	// (sequential, compiled, vector) support it; RunEngine rejects the
-	// request for every other engine with checkpoint.ErrUnsupported.
+	// (sequential, compiled, vector, jit — the checkpointable table) support
+	// it; RunEngine rejects the request for every other engine with
+	// checkpoint.ErrUnsupported.
 	Checkpoint CheckpointSpec
 	// ResumeFrom names a snapshot file to continue from instead of
 	// starting at t=0. The snapshot must have been written by the same

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"parsim/internal/engine"
 
@@ -16,7 +17,9 @@ import (
 // raw kernel throughput (CostSpin 0, scalar lanes) on the two structured
 // paper circuits — the gate-level multiplier and the microprocessor — at
 // 1, 2 and 4 workers, and reports the jit/compiled speed-up per worker
-// count. Acceptance: >= 1.5x over compiled at one worker on both circuits.
+// count. Acceptance: >= 1.5x over compiled at one worker on both circuits,
+// and >= 1.0x at every worker count the host has cores for (jit crosses one
+// barrier per step, like compiled, so it must not lose by adding workers).
 //
 // Like v1/v2/f1/a1/c1, j1 is not part of IDs(): it always measures real
 // wall-clock, so `make bench-jit` regenerates the tracked BENCH_jit.json
@@ -63,8 +66,9 @@ func j1(cfg Config) *Figure {
 		f.Series = append(f.Series, s)
 	}
 	f.Notes = append(f.Notes,
+		fmt.Sprintf("host has %d cores; worker counts above that oversubscribe it", runtime.NumCPU()),
 		"CostSpin 0, one stimulus lane: the ratio is raw schedule-walk throughput,",
 		"fused batch loops + SoA slabs vs per-element closures over plane structs",
-		"acceptance: >=1.5x over compiled at 1 worker on both circuits")
+		"acceptance: >= 1.5x compiled at one worker, >= 1.0x at every worker count the host has cores for")
 	return f
 }

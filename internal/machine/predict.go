@@ -32,10 +32,10 @@ type PredictOptions struct {
 
 // Prediction is one engine's best predicted configuration.
 type Prediction struct {
-	Engine   string  `json:"engine"`
-	Workers  int     `json:"workers"`
-	Strategy string  `json:"strategy,omitempty"`
-	Lanes    int     `json:"lanes,omitempty"`
+	Engine   string `json:"engine"`
+	Workers  int    `json:"workers"`
+	Strategy string `json:"strategy,omitempty"`
+	Lanes    int    `json:"lanes,omitempty"`
 	// Span is the predicted cost of simulating one tick, abstract units.
 	Span     float64 `json:"span"`
 	Eligible bool    `json:"eligible"`
@@ -257,26 +257,23 @@ func (m *predictor) vector() Prediction {
 }
 
 // jit models the statically compiled codegen engine: the compiled curve
-// with the per-element dispatch term compiled away, paid for by one
-// barrier per schedule level (instead of one per tick) when parallel, and
-// the same lane amortisation as vector for batched jobs. Like every
+// with the per-element dispatch term compiled away and one barrier per tick
+// when parallel, and the same lane amortisation as vector for batched jobs.
+// Its compiler cuts the schedule into cost-balanced contiguous runs itself,
+// so no partition strategy (and no imbalance factor) applies. Like every
 // rank-order engine it is gated on unit delays.
 func (m *predictor) jit() Prediction {
 	cm := m.opts.Cost
 	n := float64(m.p.Elements - m.p.Generators)
 	work := n*jitOverhead + float64(m.p.TotalCost)*m.spin()
-	// One sense-reversing barrier per level slot per tick (the unlevelized
-	// slot and the end-of-step barrier included).
-	levels := float64(m.p.MaxLevel + 2)
 	best := Prediction{Engine: "jit", Eligible: true, Span: math.MaxFloat64}
 	for _, p := range m.workerSweep() {
-		cq := m.bestStrategy(p)
-		span := cm.dilation(p) * work / float64(p) * cq.Imbalance
+		span := cm.dilation(p) * work / float64(p)
 		if p > 1 {
-			span += levels * (cm.BarrierBase + cm.BarrierPerP*float64(p))
+			span += cm.BarrierBase + cm.BarrierPerP*float64(p)
 		}
 		if span < best.Span {
-			best.Span, best.Workers, best.Strategy = span, p, cq.Strategy
+			best.Span, best.Workers = span, p
 		}
 	}
 	best.Lanes = m.opts.Lanes

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parsim/internal/analyze"
+	"parsim/internal/circuit"
 	"parsim/internal/gen"
 )
 
@@ -106,6 +107,35 @@ func TestPredictNonUnitDelayGatesCompiled(t *testing.T) {
 	}
 	if seen != 3 {
 		t.Fatalf("compiled/vector/jit predictions missing (%d found)", seen)
+	}
+}
+
+// TestPredictJITGainsFromSecondWorker: jit crosses one barrier per tick and
+// its compiler balances the split itself, so on the structured circuits a
+// second worker must be predicted to help, with no partition strategy.
+func TestPredictJITGainsFromSecondWorker(t *testing.T) {
+	for _, c := range []*circuit.Circuit{
+		gen.GateMultiplier(gen.DefaultMultiplier()),
+		gen.CPU(gen.DefaultCPU()),
+	} {
+		p := analyze.Profile(c)
+		jit := func(budget int) Prediction {
+			for _, pr := range Predict(p, PredictOptions{MaxWorkers: budget}) {
+				if pr.Engine == "jit" {
+					return pr
+				}
+			}
+			t.Fatal("no jit prediction")
+			return Prediction{}
+		}
+		one, two := jit(1), jit(2)
+		if two.Workers != 2 || two.Span >= one.Span {
+			t.Errorf("%s: jit span %v at %d workers (budget 2), want below the one-worker span %v",
+				c.Name, two.Span, two.Workers, one.Span)
+		}
+		if two.Strategy != "" {
+			t.Errorf("%s: jit prediction names strategy %q; its compiler owns the split", c.Name, two.Strategy)
+		}
 	}
 }
 

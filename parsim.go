@@ -234,12 +234,19 @@ const (
 	// levelized schedule is lowered once, at run start, into per-level
 	// batches of branch-free word kernels over a struct-of-arrays state
 	// layout — fused 1/2-input gate loops with no per-element dispatch,
-	// devirtualized plane-op kernels for everything else — executed with
-	// one barrier per level across the workers. Semantically it is the
-	// Compiled algorithm (unit-delay, every element every step) run
-	// through a compiler instead of an interpreter; Options.Lanes widens
-	// it to N stimulus lanes exactly as Vector (default 1).
+	// devirtualized plane-op kernels for everything else. The compiler also
+	// owns the parallel split: each worker runs one cost-balanced contiguous
+	// run of the schedule over its own dense slab stripe, and the gang
+	// crosses one barrier per step (Options.Strategy is not consulted).
+	// Semantically it is the Compiled algorithm (unit-delay, every element
+	// every step) run through a compiler instead of an interpreter;
+	// Options.Lanes widens it to N stimulus lanes exactly as Vector
+	// (default 1).
 	JIT
+
+	// numAlgorithms is one past the last constant; ParseAlgorithm scans up
+	// to it, so a constant added above is found without touching the scan.
+	numAlgorithms
 )
 
 // String returns the algorithm name.

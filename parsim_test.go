@@ -81,11 +81,45 @@ func TestAlgorithmNames(t *testing.T) {
 		Sequential: "sequential", EventDriven: "event-driven",
 		Compiled: "compiled", Async: "asynchronous",
 		DistAsync: "distributed-async", TimeWarp: "time-warp",
-		ChandyMisra: "chandy-misra", Vector: "vector", Algorithm(99): "unknown",
+		ChandyMisra: "chandy-misra", Vector: "vector", JIT: "jit", Algorithm(99): "unknown",
 	}
 	for a, want := range names {
 		if a.String() != want {
 			t.Errorf("%d.String() = %q", a, a.String())
+		}
+	}
+}
+
+// TestParseAlgorithmCoversRegistry walks the engine registry: every
+// canonical name and every alias must resolve to the facade constant whose
+// String() is the engine's canonical name. Only "auto" (alias "select") is
+// exempt — it is a selector over the other engines, reached through
+// Options.Engine, and deliberately has no Algorithm constant.
+func TestParseAlgorithmCoversRegistry(t *testing.T) {
+	aliases := map[string]string{
+		"seq": "sequential", "event": "event-driven", "parallel-event-driven": "event-driven",
+		"compiled-mode": "compiled", "async": "asynchronous", "semi-chaotic": "asynchronous",
+		"cm": "chandy-misra", "deadlock-recovery": "chandy-misra",
+		"dist": "distributed-async", "distributed": "distributed-async",
+		"timewarp": "time-warp", "tw": "time-warp", "optimistic": "time-warp",
+		"batched": "vector", "bit-parallel": "vector", "codegen": "jit", "JIT": "jit",
+		"select": "auto",
+	}
+	for _, name := range Algorithms() {
+		aliases[name] = name
+	}
+	for name, canonical := range aliases {
+		a, err := ParseAlgorithm(name)
+		if canonical == "auto" {
+			if err == nil {
+				t.Errorf("ParseAlgorithm(%q) = %v; auto has no Algorithm constant", name, a)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseAlgorithm(%q): %v", name, err)
+		} else if a.String() != canonical {
+			t.Errorf("ParseAlgorithm(%q) = %v, want %s", name, a, canonical)
 		}
 	}
 }

@@ -22,7 +22,7 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	if err != nil {
 		return Sequential, err
 	}
-	for a := Sequential; a <= Vector; a++ {
+	for a := Sequential; a < numAlgorithms; a++ {
 		if a.String() == e.Name() {
 			return a, nil
 		}
