@@ -33,9 +33,12 @@ chaos:
 	$(GO) test -race -timeout 5m -count=1 ./internal/guard
 
 ## serve-test runs the simulation-service end-to-end suite (submit, poll,
-## admission control, scheduler budget, drain) under the race detector.
+## admission control, scheduler budget, drain, the parse-free dedup path)
+## under the race detector, with the netlist parser's suite — exact error
+## texts, the allocation budget, the FuzzNetlist seeds — beside it, since
+## the parser is the front of every submission.
 serve-test:
-	$(GO) test -race -timeout 5m -count=1 ./internal/server
+	$(GO) test -race -timeout 5m -count=1 ./internal/server ./internal/netlist
 
 ## auto-test runs the engine-selection suite under the race detector: the
 ## static profiler's golden fingerprints, the cost-model predictions, and
@@ -55,9 +58,11 @@ ckpt-test:
 	$(GO) test -race -timeout 5m -count=1 ./cmd/parsimd
 
 ## fleet-test runs the cluster suite under the race detector: the
-## consistent-hash ring and content-addressed key units, the coordinator
+## consistent-hash ring and content-addressed key units (golden keys, the
+## key writer's allocation budget), the coordinator's key memo and its
 ## multi-node end-to-end tests (including the mid-run node-kill requeue
-## drill and fleet-wide backpressure), and the single-node dedup layer.
+## drill and fleet-wide backpressure), and the single-node dedup layer
+## with its parse-free body-digest path.
 fleet-test:
 	$(GO) test -race -timeout 10m -count=1 ./internal/cluster
 	$(GO) test -race -timeout 5m -count=1 -run 'TestDedup' ./internal/server
@@ -159,9 +164,12 @@ wide-test:
 fuzz:
 	$(GO) test -fuzz=FuzzEngines -fuzztime=5m -run '^$$' .
 
-## fuzz-smoke is the CI-sized fuzz budget.
+## fuzz-smoke is the CI-sized fuzz budget: the cross-engine differential
+## harness, then the netlist parser (never panics, limit errors stay typed,
+## parse -> Write -> parse is the identity).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzEngines -fuzztime=30s -run '^$$' .
+	$(GO) test -fuzz=FuzzNetlist -fuzztime=15s -run '^$$' ./internal/netlist
 
 clean:
 	$(GO) clean ./...

@@ -1,10 +1,14 @@
 package analyze
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"parsim/internal/circuit"
@@ -117,7 +121,76 @@ var cutWorkerSweep = []int{2, 4, 8}
 
 // Profile computes the static fingerprint of c. It never runs simulation
 // and is deterministic: no map iteration reaches the output.
+//
+// Like LevelSchedule the fingerprint is memoized, under a digest of
+// everything it reads, so a daemon that is sent the same design again and
+// again profiles it once. The returned profile is the caller's own copy,
+// under the caller's circuit name.
 func Profile(c *circuit.Circuit) *CircuitProfile {
+	p := profCache.get(profileKey(c), func() *CircuitProfile { return computeProfile(c) }).clone()
+	p.Circuit = c.Name
+	return p
+}
+
+const profCacheCap = 128
+
+var profCache = newMemo[*CircuitProfile](profCacheCap)
+
+// profileKey extends the structure digest with the rest of what
+// computeProfile reads: per element the delay, the cost (which callers may
+// adjust on a built circuit) and, for generators, the parameters their
+// event rate derives from; per node the width.
+func profileKey(c *circuit.Circuit) [sha256.Size]byte {
+	structure := c.StructureDigest()
+	h := sha256.New()
+	w := bufio.NewWriter(h)
+	w.Write(structure[:])
+	var word [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(word[:], uint64(v))
+		w.Write(word[:])
+	}
+	for i := range c.Elems {
+		el := &c.Elems[i]
+		put(int64(el.Delay))
+		put(el.Cost)
+		if circuit.IsGenerator(el.Kind) {
+			p := &el.Params
+			put(int64(p.Period))
+			put(int64(p.Phase))
+			put(int64(p.Duty))
+			put(p.Seed)
+			w.Write(p.Init.Append(w.AvailableBuffer()))
+			put(int64(len(p.Times)))
+			for _, t := range p.Times {
+				put(int64(t))
+			}
+			for _, v := range p.Values {
+				w.Write(v.Append(w.AvailableBuffer()))
+			}
+		}
+	}
+	for i := range c.Nodes {
+		put(int64(c.Nodes[i].Width))
+	}
+	w.Flush()
+	var k [sha256.Size]byte
+	h.Sum(k[:0])
+	return k
+}
+
+// clone returns a copy that shares no slice with p.
+func (p *CircuitProfile) clone() *CircuitProfile {
+	cp := *p
+	cp.LevelWidths = slices.Clone(p.LevelWidths)
+	cp.FanoutHist = slices.Clone(p.FanoutHist)
+	cp.LevelActivity = slices.Clone(p.LevelActivity)
+	cp.Cuts = slices.Clone(p.Cuts)
+	return &cp
+}
+
+// computeProfile is Profile without the memo.
+func computeProfile(c *circuit.Circuit) *CircuitProfile {
 	p := &CircuitProfile{
 		Circuit:  c.Name,
 		Nodes:    len(c.Nodes),

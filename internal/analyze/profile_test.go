@@ -3,8 +3,13 @@ package analyze
 import (
 	"bytes"
 	"flag"
+	"go/constant"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +80,72 @@ func TestProfileDeterministic(t *testing.T) {
 	}
 }
 
+// fuzzCorpusCircuits rebuilds the circuit of every checked-in FuzzEngines
+// corpus entry: the entry's first two values are the seed and size byte
+// the harness hands to RandomUnitCircuit.
+func fuzzCorpusCircuits(t *testing.T) []*circuit.Circuit {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "fuzz", "FuzzEngines", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no FuzzEngines corpus found (%v)", err)
+	}
+	var out []*circuit.Circuit
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(data), "\n")
+		if len(lines) < 3 {
+			t.Fatalf("%s: not a fuzz corpus entry", f)
+		}
+		var vals [2]int64
+		for i := range vals {
+			tv, err := types.Eval(token.NewFileSet(), nil, token.NoPos, lines[1+i])
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			vals[i], _ = constant.Int64Val(tv.Value)
+		}
+		out = append(out, gen.RandomUnitCircuit(vals[0], int(vals[1])%120+4))
+	}
+	return out
+}
+
+// TestProfileMemoized: a memoized profile is the fresh one, field for
+// field, and comes back under the caller's name as a copy the caller may
+// scribble on.
+func TestProfileMemoized(t *testing.T) {
+	circuits := fuzzCorpusCircuits(t)
+	for _, build := range paperCircuits() {
+		circuits = append(circuits, build())
+	}
+	for _, c := range circuits {
+		fresh := computeProfile(c)
+		Profile(c)
+		memoized := Profile(c)
+		if !reflect.DeepEqual(memoized, fresh) {
+			t.Errorf("%s: memoized profile differs from a fresh one:\n memo  %+v\n fresh %+v", c.Name, memoized, fresh)
+		}
+		memoized.Cuts[0].Workers = -1
+		memoized.FanoutHist[0].Count = -1
+		renamed := c.Clone()
+		renamed.Name = c.Name + "-twin"
+		twin := Profile(renamed)
+		fresh.Circuit = renamed.Name
+		if !reflect.DeepEqual(twin, fresh) {
+			t.Errorf("%s: renamed twin did not get a clean copy under its own name: %+v", c.Name, twin)
+		}
+	}
+	// What a profile reads and the structure digest leaves out must miss.
+	c := gen.InverterArray(gen.DefaultInverterArray())
+	before := Profile(c)
+	c.Elems[len(c.Elems)-1].Cost += 7
+	if after := Profile(c); after.TotalCost != before.TotalCost+7 {
+		t.Errorf("cost change served from the memo: total cost %d, want %d", after.TotalCost, before.TotalCost+7)
+	}
+}
+
 // TestProfileScales guards the O(elements) promise: profiling an 8x larger
 // random unit-delay circuit must cost well under the 64x a quadratic pass
 // would. Wall-clock ratios are noisy on shared hosts, so the bound is
@@ -89,7 +160,7 @@ func TestProfileScales(t *testing.T) {
 		best := time.Duration(0)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			p := Profile(c)
+			p := computeProfile(c)
 			d := time.Since(start)
 			if p.Elements == 0 {
 				t.Fatal("empty profile")

@@ -1,8 +1,6 @@
 package analyze
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,67 +55,55 @@ type schedEntry struct {
 	maxLevel int
 }
 
+// memo caches values derived from a circuit under a digest of exactly what
+// they depend on. Bounded FIFO: long-running processes (parsimd replaying
+// a journal of distinct circuits) cannot grow it without limit, and
+// eviction order does not matter for correctness — a miss just recomputes.
+// The mutex also single-flights concurrent misses on the same circuit.
+type memo[V any] struct {
+	sync.Mutex
+	cap   int
+	byKey map[[32]byte]V
+	fifo  [][32]byte
+}
+
+func newMemo[V any](capacity int) *memo[V] {
+	return &memo[V]{cap: capacity, byKey: make(map[[32]byte]V)}
+}
+
+// get returns the value cached under key, computing and storing it on a
+// miss.
+func (m *memo[V]) get(key [32]byte, compute func() V) V {
+	m.Lock()
+	defer m.Unlock()
+	if v, ok := m.byKey[key]; ok {
+		return v
+	}
+	v := compute()
+	if len(m.fifo) >= m.cap {
+		delete(m.byKey, m.fifo[0])
+		m.fifo = m.fifo[1:]
+	}
+	m.byKey[key] = v
+	m.fifo = append(m.fifo, key)
+	return v
+}
+
 const schedCacheCap = 128
 
-// schedCache memoizes levelizations by structural digest. Bounded FIFO:
-// long-running processes (parsimd replaying a journal of distinct
-// circuits) cannot grow it without limit, and eviction order does not
-// matter for correctness — a miss just re-levelizes. The mutex also
-// single-flights concurrent misses on the same circuit.
-var schedCache = struct {
-	sync.Mutex
-	byKey map[[32]byte]*schedEntry
-	fifo  [][32]byte
-}{byKey: make(map[[32]byte]*schedEntry)}
-
-// scheduleKey digests exactly the structure levelization depends on:
+// schedCache memoizes levelizations by the circuit's structure digest:
 // element kinds (combPort consults trigger ports by kind), their input and
 // output node lists (buildGraph's edges), and the node count. Names,
-// delays, costs and generator parameters do not influence levels and are
-// deliberately excluded, so renamed or re-parameterized clones still hit.
-func scheduleKey(c *circuit.Circuit) [32]byte {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	put(int64(len(c.Nodes)))
-	put(int64(len(c.Elems)))
-	for i := range c.Elems {
-		el := &c.Elems[i]
-		put(int64(el.Kind))
-		put(int64(len(el.In)))
-		for _, n := range el.In {
-			put(int64(n))
-		}
-		put(int64(len(el.Out)))
-		for _, n := range el.Out {
-			put(int64(n))
-		}
-	}
-	var k [32]byte
-	h.Sum(k[:0])
-	return k
-}
+// delays, costs and generator parameters do not influence levels, so
+// renamed or re-parameterized clones still hit.
+var schedCache = newMemo[*schedEntry](schedCacheCap)
 
 // levelsFor returns the memoized levelization for c, running the Kahn pass
 // on a cache miss.
 func levelsFor(c *circuit.Circuit) *schedEntry {
-	key := scheduleKey(c)
-	schedCache.Lock()
-	defer schedCache.Unlock()
-	if e, ok := schedCache.byKey[key]; ok {
-		return e
-	}
-	levelizeRuns.Add(1)
-	levels, maxLevel := levelize(buildGraph(c))
-	e := &schedEntry{levels: levels, maxLevel: maxLevel}
-	if len(schedCache.fifo) >= schedCacheCap {
-		delete(schedCache.byKey, schedCache.fifo[0])
-		schedCache.fifo = schedCache.fifo[1:]
-	}
-	schedCache.byKey[key] = e
-	schedCache.fifo = append(schedCache.fifo, key)
-	return e
+	return schedCache.get(c.StructureDigest(), func() *schedEntry {
+		levelizeRuns.Add(1)
+		levels, maxLevel := levelize(buildGraph(c))
+		return &schedEntry{levels: levels, maxLevel: maxLevel}
+	})
 }

@@ -2,6 +2,7 @@ package auto
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"parsim/internal/circuit"
@@ -131,5 +132,35 @@ func TestRunScalarJobOnVector(t *testing.T) {
 	}
 	if len(rep.LaneFinal) != 16 {
 		t.Errorf("batched job produced %d lanes, want 16", len(rep.LaneFinal))
+	}
+}
+
+// TestChoosePaperCircuits pins what auto picks on the paper's circuits at
+// one and four workers, asked twice: the second answer comes through the
+// profile memo and must be the first one.
+func TestChoosePaperCircuits(t *testing.T) {
+	cases := []struct {
+		c        *circuit.Circuit
+		at1, at4 string
+	}{
+		{gen.GateMultiplier(gen.DefaultMultiplier()), "asynchronous", "asynchronous"},
+		{gen.FuncMultiplier(gen.DefaultMultiplier()), "event-driven", "asynchronous"},
+		{gen.InverterArray(gen.DefaultInverterArray()), "asynchronous", "asynchronous"},
+		{gen.CPU(gen.DefaultCPU()), "event-driven", "event-driven"},
+	}
+	for _, tc := range cases {
+		for workers, want := range map[int]string{1: tc.at1, 4: tc.at4} {
+			cfg := engine.Config{Workers: workers, Horizon: 512}
+			first, _ := Choose(tc.c, cfg)
+			again, _ := Choose(tc.c.Clone(), cfg)
+			if first.Engine != want || first.Workers != workers {
+				t.Errorf("%s at %d workers: selected %s x%d, want %s x%d",
+					tc.c.Name, workers, first.Engine, first.Workers, want, workers)
+			}
+			if !reflect.DeepEqual(first, again) {
+				t.Errorf("%s at %d workers: memoized selection differs:\n first %+v\n again %+v",
+					tc.c.Name, workers, first, again)
+			}
+		}
 	}
 }

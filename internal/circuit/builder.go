@@ -17,6 +17,9 @@ type Builder struct {
 	byN   map[string]NodeID
 	byE   map[string]ElemID
 	errs  []error
+	// ports is the tail of the chunk element port lists are cut from, so
+	// declaring an element allocates no slice of its own.
+	ports []NodeID
 }
 
 // NewBuilder returns an empty builder for a circuit with the given name.
@@ -25,6 +28,19 @@ func NewBuilder(name string) *Builder {
 		name: name,
 		byN:  make(map[string]NodeID),
 		byE:  make(map[string]ElemID),
+	}
+}
+
+// Grow sizes the builder for a circuit of about the given numbers of nodes
+// and elements, so a caller that knows them up front (the netlist parser)
+// does not pay for regrowing slices of large structs. Call it before the
+// first declaration.
+func (b *Builder) Grow(nodes, elems int) {
+	if len(b.nodes) == 0 && len(b.elems) == 0 {
+		b.nodes = make([]Node, 0, nodes)
+		b.elems = make([]Element, 0, elems)
+		b.byN = make(map[string]NodeID, nodes)
+		b.byE = make(map[string]ElemID, elems)
 	}
 }
 
@@ -64,6 +80,12 @@ func (b *Builder) Lookup(name string) (NodeID, bool) {
 	return id, ok
 }
 
+// LookupElement returns the element with the given name, if declared.
+func (b *Builder) LookupElement(name string) (ElemID, bool) {
+	id, ok := b.byE[name]
+	return id, ok
+}
+
 // AddElement declares an element. Outputs and inputs are node IDs from
 // Node. Delay must be >= 0 ticks; zero-delay elements build but are
 // hazardous (a zero-delay combinational cycle livelocks the asynchronous
@@ -84,8 +106,8 @@ func (b *Builder) AddElement(kind Kind, name string, delay Time, outs, ins []Nod
 		ID:     id,
 		Name:   name,
 		Kind:   kind,
-		In:     append([]NodeID(nil), ins...),
-		Out:    append([]NodeID(nil), outs...),
+		In:     b.copyPorts(ins),
+		Out:    b.copyPorts(outs),
 		Delay:  delay,
 		Cost:   DefaultCost(kind),
 		Params: params,
@@ -103,10 +125,53 @@ func (b *Builder) AddElement(kind Kind, name string, delay Time, outs, ins []Nod
 		nd.Driver = id
 		nd.DriverPort = port
 	}
-	for port, n := range ins {
-		b.nodes[n].Fanout = append(b.nodes[n].Fanout, PortRef{Elem: id, Port: int32(port)})
-	}
 	return id
+}
+
+// portChunk is how many port entries the builder allocates at a time.
+const portChunk = 512
+
+// copyPorts returns a private copy of ids (nil when empty), cut from the
+// builder's current chunk with its capacity clipped so that appending to
+// one element's list cannot reach the next one's.
+func (b *Builder) copyPorts(ids []NodeID) []NodeID {
+	n := len(ids)
+	if n == 0 {
+		return nil
+	}
+	if n > len(b.ports) {
+		b.ports = make([]NodeID, max(n, portChunk))
+	}
+	out := b.ports[:n:n]
+	b.ports = b.ports[n:]
+	copy(out, ids)
+	return out
+}
+
+// wireFanout fills every node's fan-out list, in element then port order,
+// from one backing array sized by a counting pass.
+func (b *Builder) wireFanout() {
+	counts := make([]int32, len(b.nodes))
+	total := 0
+	for i := range b.elems {
+		for _, n := range b.elems[i].In {
+			counts[n]++
+		}
+		total += len(b.elems[i].In)
+	}
+	refs := make([]PortRef, total)
+	for i := range b.nodes {
+		if n := int(counts[i]); n > 0 {
+			b.nodes[i].Fanout = refs[:0:n]
+			refs = refs[n:]
+		}
+	}
+	for i := range b.elems {
+		el := &b.elems[i]
+		for port, n := range el.In {
+			b.nodes[n].Fanout = append(b.nodes[n].Fanout, PortRef{Elem: el.ID, Port: int32(port)})
+		}
+	}
 }
 
 // Gate declares an n-input single-output gate with unit parameters.
@@ -182,6 +247,7 @@ func (e *BuildErrors) Unwrap() []error { return e.Errs }
 // for its kind, or any accumulated construction error occurred; every
 // error is reported, collected in a *BuildErrors.
 func (b *Builder) Build() (*Circuit, error) {
+	ck := &checker{b: b}
 	for i := range b.elems {
 		el := &b.elems[i]
 		ki := info(el.Kind)
@@ -202,7 +268,8 @@ func (b *Builder) Build() (*Circuit, error) {
 			portsOK = false
 		}
 		if portsOK && ki.check != nil {
-			ki.check(el, &checker{b: b, el: el})
+			ck.el = el
+			ki.check(el, ck)
 		}
 	}
 	for i := range b.nodes {
@@ -213,6 +280,7 @@ func (b *Builder) Build() (*Circuit, error) {
 	if len(b.errs) > 0 {
 		return nil, &BuildErrors{Circuit: b.name, Errs: b.errs}
 	}
+	b.wireFanout()
 	c := &Circuit{
 		Name:     b.name,
 		Nodes:    b.nodes,

@@ -1,7 +1,11 @@
 package circuit
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"parsim/internal/logic"
 )
@@ -104,6 +108,47 @@ type Circuit struct {
 
 	generators []ElemID
 	totalCost  int64
+	// structure caches StructureDigest. Nothing it covers changes after
+	// Build, so the first answer stands for the life of the value.
+	structure atomic.Pointer[[sha256.Size]byte]
+}
+
+// StructureDigest is a SHA-256 over the circuit's wiring alone: the node
+// and element counts and every element's kind and ordered input and output
+// node lists. Names, widths, delays, costs and parameters are left out, so
+// renamed or re-parameterized copies of one design share a digest; the
+// analyzer keys its levelization memo by it. It is computed once per
+// Circuit and carried over by Clone.
+func (c *Circuit) StructureDigest() [sha256.Size]byte {
+	if d := c.structure.Load(); d != nil {
+		return *d
+	}
+	h := sha256.New()
+	w := bufio.NewWriter(h)
+	var word [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(word[:], uint64(v))
+		w.Write(word[:])
+	}
+	put(int64(len(c.Nodes)))
+	put(int64(len(c.Elems)))
+	for i := range c.Elems {
+		el := &c.Elems[i]
+		put(int64(el.Kind))
+		put(int64(len(el.In)))
+		for _, n := range el.In {
+			put(int64(n))
+		}
+		put(int64(len(el.Out)))
+		for _, n := range el.Out {
+			put(int64(n))
+		}
+	}
+	w.Flush()
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	c.structure.Store(&d)
+	return d
 }
 
 // Generators returns the IDs of all stimulus-generator elements.

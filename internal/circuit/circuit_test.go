@@ -622,3 +622,47 @@ func TestKindNames(t *testing.T) {
 		t.Error("KindByName(bogus) must fail")
 	}
 }
+
+// TestBuilderSharedBacking: port lists are cut from one chunk and fan-out
+// lists from one array, so each must be clipped — growing one element's or
+// node's list may not reach its neighbour's — and fan-out keeps the order
+// elements were declared in, whatever Grow was told.
+func TestBuilderSharedBacking(t *testing.T) {
+	b := NewBuilder("shared")
+	b.Grow(1, 1) // an underestimate must only cost regrowth
+	clk, a, q, r := b.Bit("clk"), b.Bit("a"), b.Bit("q"), b.Bit("r")
+	b.Clock("osc", clk, 4, 0, 0)
+	b.Gate(KindNot, "n1", 1, a, clk)
+	b.Gate(KindAnd, "g1", 1, q, a, clk)
+	b.Gate(KindOr, "g2", 1, r, clk, a)
+	if _, ok := b.LookupElement("g1"); !ok {
+		t.Error("LookupElement missed a declared element")
+	}
+	if _, ok := b.LookupElement("g9"); ok {
+		t.Error("LookupElement found an undeclared element")
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, g2 := &c.Elems[c.ElByName["g1"]], &c.Elems[c.ElByName["g2"]]
+	if c.Elems[c.ElByName["osc"]].In != nil {
+		t.Error("an element with no inputs should keep a nil list")
+	}
+	g1.In = append(g1.In, q)
+	g1.Out = append(g1.Out, q)
+	if g2.In[0] != clk || g2.In[1] != a || g2.Out[0] != r {
+		t.Errorf("appending to g1's ports changed g2's: in %v out %v", g2.In, g2.Out)
+	}
+	want := []PortRef{{Elem: c.ElByName["n1"], Port: 0}, {Elem: g1.ID, Port: 1}, {Elem: g2.ID, Port: 0}}
+	if got := c.Nodes[clk].Fanout; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Errorf("clk fan-out %v, want %v", got, want)
+	}
+	c.Nodes[clk].Fanout = append(c.Nodes[clk].Fanout, PortRef{Elem: 99})
+	if got := c.Nodes[a].Fanout; len(got) != 2 || got[0].Elem != g1.ID || got[1].Elem != g2.ID {
+		t.Errorf("appending to clk's fan-out changed a's: %v", got)
+	}
+	if c.Nodes[r].Fanout != nil {
+		t.Error("a node nothing reads should keep a nil fan-out")
+	}
+}

@@ -28,6 +28,7 @@ func (c *Circuit) Clone() *Circuit {
 	for name, id := range c.ElByName {
 		cp.ElByName[name] = id
 	}
+	cp.structure.Store(c.structure.Load())
 	if c.generators != nil {
 		cp.generators = append([]ElemID(nil), c.generators...)
 	}

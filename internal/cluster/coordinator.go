@@ -136,10 +136,13 @@ func (cj *clusterJob) terminal() bool {
 // clients talk to one address regardless of fleet size. Create with
 // NewCoordinator, serve via Handler, stop with Close.
 type Coordinator struct {
-	cfg    Config
-	mux    *http.ServeMux
-	ring   *Ring
-	cache  *ResultCache
+	cfg   Config
+	mux   *http.ServeMux
+	ring  *Ring
+	cache *ResultCache
+	// memo maps the SHA-256 of a raw dedupable submission body to its job
+	// key, so a verbatim resubmission is routed without being parsed here.
+	memo   *ResultCache
 	met    *fleetMetrics
 	nextID atomic.Int64
 
@@ -163,6 +166,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		mux:       http.NewServeMux(),
 		ring:      NewRing(cfg.VNodes),
 		cache:     NewResultCache(cfg.CacheEntries),
+		memo:      NewResultCache(cfg.CacheEntries),
 		met:       newFleetMetrics(),
 		nodes:     make(map[string]*member),
 		stateDirs: make(map[string]string),

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -63,7 +64,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c.reject(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	key, sub, err := SubmissionKey(body, c.limits())
+	key, dedupable, err := c.keyFor(body)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, netlist.ErrLimit) {
@@ -72,10 +73,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c.reject(w, status, "%v", err)
 		return
 	}
-
-	// Watch jobs carry node-local VCD state, so they are never deduped and
-	// never satisfy a later identical submission.
-	dedupable := len(sub.Watch) == 0
 
 	if dedupable {
 		if v, ok := c.cache.Get(key); ok {
@@ -129,6 +126,28 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.met.onSubmit()
 	w.Header().Set("Location", "/v1/jobs/"+cj.id)
 	writeJSON(w, http.StatusAccepted, view)
+}
+
+// keyFor returns a submission's job key and whether it may be deduped.
+// Watch jobs carry node-local VCD state, so they are never deduped and
+// never satisfy a later identical submission. A dedupable body is keyed
+// in full once; after that its bytes alone name its key, and only the
+// worker it is routed to parses it.
+func (c *Coordinator) keyFor(body []byte) (key string, dedupable bool, err error) {
+	sum := sha256.Sum256(body)
+	digest := string(sum[:])
+	if v, ok := c.memo.Get(digest); ok {
+		return v.(string), true, nil
+	}
+	key, sub, err := SubmissionKey(body, c.limits())
+	if err != nil {
+		return "", false, err
+	}
+	if len(sub.Watch) > 0 {
+		return key, false, nil
+	}
+	c.memo.Put(digest, key)
+	return key, true, nil
 }
 
 // newJob allocates a cluster job record (not yet registered).

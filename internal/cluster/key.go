@@ -21,10 +21,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
+	"hash"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
@@ -58,83 +59,146 @@ type KeyOptions struct {
 // parameter field in a fixed order, so two netlists that declare the same
 // circuit in different textual orders — the parser assigns IDs by
 // declaration order — hash to the same key.
+//
+// The serialization is a wire contract: every member of a fleet must
+// derive the same key for the same job, whatever version it runs, so its
+// bytes never change (key_test.go pins them).
 func CircuitKey(c *circuit.Circuit, opts KeyOptions) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "parsim-job-key/v1\ncircuit %s\n", c.Name)
+	w := keyWriter{h: sha256.New(), buf: make([]byte, 0, keyChunk+512)}
+	w.str("parsim-job-key/v1\ncircuit ").str(c.Name).str("\n")
 
-	names := make([]string, len(c.Nodes))
-	for i := range c.Nodes {
-		names[i] = c.Nodes[i].Name
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		n := &c.Nodes[c.ByName[name]]
-		fmt.Fprintf(h, "node %s %d\n", n.Name, n.Width)
+	order := make([]int32, max(len(c.Nodes), len(c.Elems)))
+	// Names are unique within a circuit, so each order is total.
+	nodes := iota32(order[:len(c.Nodes)])
+	slices.SortFunc(nodes, func(a, b int32) int { return strings.Compare(c.Nodes[a].Name, c.Nodes[b].Name) })
+	for _, i := range nodes {
+		n := &c.Nodes[i]
+		w.str("node ").str(n.Name).str(" ").int(int64(n.Width)).str("\n")
+		w.flush(keyChunk)
 	}
 
-	elems := make([]string, len(c.Elems))
-	for i := range c.Elems {
-		elems[i] = c.Elems[i].Name
-	}
-	sort.Strings(elems)
-	for _, name := range elems {
-		el := &c.Elems[c.ElByName[name]]
-		fmt.Fprintf(h, "elem %s %s delay=%d out=%s in=%s ",
-			circuit.KindName(el.Kind), el.Name, el.Delay,
-			nodeNames(c, el.Out), nodeNames(c, el.In))
-		writeParams(h, &el.Params)
-		io.WriteString(h, "\n")
+	elems := iota32(order[:len(c.Elems)])
+	slices.SortFunc(elems, func(a, b int32) int { return strings.Compare(c.Elems[a].Name, c.Elems[b].Name) })
+	for _, i := range elems {
+		el := &c.Elems[i]
+		w.str("elem ").str(circuit.KindName(el.Kind)).str(" ").str(el.Name)
+		w.str(" delay=").int(int64(el.Delay))
+		w.str(" out=").nodeNames(c, el.Out)
+		w.str(" in=").nodeNames(c, el.In)
+		w.str(" ").params(&el.Params)
+		w.str("\n")
+		w.flush(keyChunk)
 	}
 
 	if opts.Workers <= 0 {
 		opts.Workers = 1 // a zero request means "one worker" everywhere downstream
 	}
-	fmt.Fprintf(h, "opts engine=%s workers=%d horizon=%d spin=%d lint=%s fallback=%t lanes=%d stride=%d probe=%d faults=%t fpasses=%d fstat=%t\n",
-		opts.Engine, opts.Workers, opts.Horizon, opts.CostSpin, opts.Lint,
-		opts.Fallback, opts.Lanes, opts.LaneStride, opts.ProbeLane,
-		opts.FaultSim, opts.FaultMaxPasses, opts.FaultStatuses)
-	return hex.EncodeToString(h.Sum(nil))
+	w.str("opts engine=").str(opts.Engine)
+	w.str(" workers=").int(int64(opts.Workers))
+	w.str(" horizon=").int(opts.Horizon)
+	w.str(" spin=").int(opts.CostSpin)
+	w.str(" lint=").str(opts.Lint)
+	w.str(" fallback=").bool(opts.Fallback)
+	w.str(" lanes=").int(int64(opts.Lanes))
+	w.str(" stride=").int(opts.LaneStride)
+	w.str(" probe=").int(int64(opts.ProbeLane))
+	w.str(" faults=").bool(opts.FaultSim)
+	w.str(" fpasses=").int(int64(opts.FaultMaxPasses))
+	w.str(" fstat=").bool(opts.FaultStatuses)
+	w.str("\n")
+	w.flush(0)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(w.h.Sum(sum[:0]))
+}
+
+// iota32 fills s with 0, 1, 2, ...
+func iota32(s []int32) []int32 {
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
+// keyChunk is how many serialized bytes keyWriter gathers before it hands
+// them to the hasher.
+const keyChunk = 8 << 10
+
+// keyWriter formats the canonical serialization into one buffer, with no
+// allocation per field, and feeds the hasher a chunk at a time.
+type keyWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// flush hands the buffer to the hasher once it holds more than min bytes.
+func (w *keyWriter) flush(min int) {
+	if len(w.buf) > min {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+func (w *keyWriter) str(s string) *keyWriter {
+	w.buf = append(w.buf, s...)
+	return w
+}
+
+func (w *keyWriter) int(v int64) *keyWriter {
+	w.buf = strconv.AppendInt(w.buf, v, 10)
+	return w
+}
+
+func (w *keyWriter) bool(v bool) *keyWriter {
+	w.buf = strconv.AppendBool(w.buf, v)
+	return w
 }
 
 // nodeNames joins the names behind a port list; port order is semantic
 // and preserved.
-func nodeNames(c *circuit.Circuit, ids []circuit.NodeID) string {
+func (w *keyWriter) nodeNames(c *circuit.Circuit, ids []circuit.NodeID) *keyWriter {
 	if len(ids) == 0 {
-		return "-"
+		return w.str("-")
 	}
-	names := make([]string, len(ids))
 	for i, id := range ids {
-		names[i] = c.Nodes[id].Name
+		if i > 0 {
+			w.str(",")
+		}
+		w.str(c.Nodes[id].Name)
 	}
-	return strings.Join(names, ",")
+	return w
 }
 
-// writeParams emits every Params field in a fixed order. Unused fields
+// params emits every Params field in a fixed order. Unused fields
 // serialize as their zero forms, so the digest never depends on which
 // fields a kind happens to read.
-func writeParams(w io.Writer, p *circuit.Params) {
-	fmt.Fprintf(w, "init=%s period=%d phase=%d duty=%d seed=%d lo=%d shift=%d",
-		p.Init, p.Period, p.Phase, p.Duty, p.Seed, p.Lo, p.Shift)
-	io.WriteString(w, " times=")
+func (w *keyWriter) params(p *circuit.Params) {
+	w.buf = p.Init.Append(append(w.buf, "init="...))
+	w.str(" period=").int(int64(p.Period))
+	w.str(" phase=").int(int64(p.Phase))
+	w.str(" duty=").int(int64(p.Duty))
+	w.str(" seed=").int(p.Seed)
+	w.str(" lo=").int(int64(p.Lo))
+	w.str(" shift=").int(int64(p.Shift))
+	w.str(" times=")
 	for i, t := range p.Times {
 		if i > 0 {
-			io.WriteString(w, ",")
+			w.str(",")
 		}
-		io.WriteString(w, strconv.FormatInt(int64(t), 10))
+		w.int(int64(t))
 	}
-	io.WriteString(w, " values=")
+	w.str(" values=")
 	for i, v := range p.Values {
 		if i > 0 {
-			io.WriteString(w, ",")
+			w.str(",")
 		}
-		io.WriteString(w, v.String())
+		w.buf = v.Append(w.buf)
 	}
-	io.WriteString(w, " mem=")
+	w.str(" mem=")
 	for i, m := range p.Mem {
 		if i > 0 {
-			io.WriteString(w, ",")
+			w.str(",")
 		}
-		io.WriteString(w, strconv.FormatUint(m, 10))
+		w.buf = strconv.AppendUint(w.buf, m, 10)
 	}
 }
 
@@ -145,20 +209,20 @@ func writeParams(w io.Writer, p *circuit.Params) {
 // this mirror omits (deadline_ms, watchdog_ms, watch) still reach the
 // node that runs the job.
 type Submission struct {
-	Netlist        string `json:"netlist"`
-	Engine         string `json:"engine"`
-	Workers        int    `json:"workers,omitempty"`
-	Horizon        int64  `json:"horizon"`
-	Lint           string `json:"lint,omitempty"`
-	Fallback       bool   `json:"fallback,omitempty"`
-	CostSpin       int64  `json:"cost_spin,omitempty"`
+	Netlist        string   `json:"netlist"`
+	Engine         string   `json:"engine"`
+	Workers        int      `json:"workers,omitempty"`
+	Horizon        int64    `json:"horizon"`
+	Lint           string   `json:"lint,omitempty"`
+	Fallback       bool     `json:"fallback,omitempty"`
+	CostSpin       int64    `json:"cost_spin,omitempty"`
 	Watch          []string `json:"watch,omitempty"`
-	Lanes          int    `json:"lanes,omitempty"`
-	LaneStride     int64  `json:"lane_stride,omitempty"`
-	ProbeLane      int    `json:"probe_lane,omitempty"`
-	FaultSim       bool   `json:"fault_sim,omitempty"`
-	FaultMaxPasses int    `json:"fault_max_passes,omitempty"`
-	FaultStatuses  bool   `json:"fault_statuses,omitempty"`
+	Lanes          int      `json:"lanes,omitempty"`
+	LaneStride     int64    `json:"lane_stride,omitempty"`
+	ProbeLane      int      `json:"probe_lane,omitempty"`
+	FaultSim       bool     `json:"fault_sim,omitempty"`
+	FaultMaxPasses int      `json:"fault_max_passes,omitempty"`
+	FaultStatuses  bool     `json:"fault_statuses,omitempty"`
 }
 
 // keyOptions maps the wire fields onto KeyOptions, resolving engine
@@ -202,16 +266,22 @@ func KeyForSubmission(c *circuit.Circuit, s *Submission) string {
 	return CircuitKey(c, s.keyOptions())
 }
 
+// submissionKeyRuns counts SubmissionKey calls. Test hook: the
+// coordinator's promise to key a verbatim resubmission without parsing it
+// is pinned against it.
+var submissionKeyRuns atomic.Int64
+
 // SubmissionKey decodes a raw submission body, parses its netlist under
 // the given limits and returns the content-addressed job key plus the
 // decoded mirror. The error is suitable for a 400 response: a body the
 // coordinator cannot key is one no worker could admit either.
 func SubmissionKey(body []byte, lim netlist.Limits) (string, *Submission, error) {
+	submissionKeyRuns.Add(1)
 	var sub Submission
 	if err := json.Unmarshal(body, &sub); err != nil {
 		return "", nil, fmt.Errorf("malformed JSON body: %v", err)
 	}
-	circ, err := netlist.ReadLimited(strings.NewReader(sub.Netlist), lim)
+	circ, err := netlist.ParseString(sub.Netlist, lim)
 	if err != nil {
 		return "", nil, fmt.Errorf("netlist: %w", err)
 	}

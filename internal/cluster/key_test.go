@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/gen"
 	"parsim/internal/netlist"
 
 	_ "parsim" // registers the engines so key canonicalization resolves aliases
@@ -119,6 +120,81 @@ func TestSubmissionKeyLifecycle(t *testing.T) {
 	}
 	if _, _, err := SubmissionKey([]byte(`{"netlist": 42}`), lim); err == nil {
 		t.Fatal("malformed body accepted")
+	}
+}
+
+// keyNetlistParams carries every parameter field the key serializes, in
+// forms the paper circuits do not use: x/z bits, a negative seed, a wave.
+const keyNetlistParams = `circuit params
+node w 4
+node k 4
+node s 2
+node sh 4
+node addr 2
+node data 8
+node q 4
+node clk 1
+node rst 1
+elem wave wv delay=1 out=w times=0,5,9 values=4'h3,4'b10xz,4'hf
+elem const kc delay=1 out=k init=4'ha
+elem slice sl delay=2 out=s in=w lo=1
+elem shlk sk delay=1 out=sh in=k shift=2
+elem slice as delay=1 out=addr in=k lo=0
+elem rom rm delay=3 out=data in=addr mem=1,2,3,255
+elem clock cg delay=1 out=clk period=10 phase=1 duty=4
+elem rand rg delay=1 out=rst period=7 seed=-42
+elem dffr ff delay=0 out=q in=clk,rst,w init=4'h0
+`
+
+// goldenKeyOptions sets every option to a non-default value.
+var goldenKeyOptions = KeyOptions{Engine: "auto", Workers: 2, Horizon: 512, CostSpin: 3, Lint: "warn",
+	Fallback: true, Lanes: 128, LaneStride: 2, ProbeLane: 1, FaultSim: true, FaultMaxPasses: 4, FaultStatuses: true}
+
+// TestCircuitKeyGolden pins the key bytes. The hex values were computed by
+// the fmt-based writer this package shipped first; a fleet may mix daemon
+// versions, so every later writer must reproduce them.
+func TestCircuitKeyGolden(t *testing.T) {
+	cases := []struct {
+		c              *circuit.Circuit
+		golden, zeroed string // under goldenKeyOptions and under KeyOptions{}
+	}{
+		{gen.GateMultiplier(gen.DefaultMultiplier()),
+			"dbd54c492996444ae496e8b3a1ea25d89649b3f87f1d3acf7377f812a74ad292",
+			"8db77ee6da5b2dff660d6eeedfc65d711640cc7c3b6be70c3f4b59584117e4ed"},
+		{gen.FuncMultiplier(gen.DefaultMultiplier()),
+			"e0c41f4223b2bce294bed48e06caf1fe41e0d9915377fc0b8d23bf570671fa6e",
+			"62e87b70afd29099c5ae053a21d5ed233e5440db3ee2238239ebc21084771c2a"},
+		{gen.InverterArray(gen.DefaultInverterArray()),
+			"048328a3fd420e601f8adaec4905e7456998abcfbee54d50cb594849c067784e",
+			"58db5b1491da193dcfef2493cda49b17ed6415e468c6d259321d85f340daddfc"},
+		{gen.CPU(gen.DefaultCPU()),
+			"76a7b501c9e9a97f380b9cb60d6a076e1493ba478a7a26a6a20d17435c9e6b70",
+			"9b8aaf038ad550d83ca41fa2c187bff408f21a15728c9da0e6159e5663aeb24d"},
+		{parseNetlist(t, keyNetlistParams),
+			"64e9ee8a44ce08c1e7faebce95aba6d5ab4091c0f2f5d4afb93bae53250e981e",
+			"a866d1f874a8267c66724613037cbfcac403d8c3f665ca45af523f754cf84a87"},
+	}
+	for _, tc := range cases {
+		if got := CircuitKey(tc.c, goldenKeyOptions); got != tc.golden {
+			t.Errorf("%s: key %s, want %s", tc.c.Name, got, tc.golden)
+		}
+		if got := CircuitKey(tc.c, KeyOptions{}); got != tc.zeroed {
+			t.Errorf("%s: key under zero options %s, want %s", tc.c.Name, got, tc.zeroed)
+		}
+	}
+}
+
+// TestCircuitKeyAllocs: the key writer formats into one buffer, so what it
+// allocates does not grow with the circuit.
+func TestCircuitKeyAllocs(t *testing.T) {
+	for _, c := range []*circuit.Circuit{
+		gen.FuncMultiplier(gen.DefaultMultiplier()),
+		gen.GateMultiplier(gen.DefaultMultiplier()),
+	} {
+		allocs := testing.AllocsPerRun(5, func() { CircuitKey(c, goldenKeyOptions) })
+		if allocs > 64 {
+			t.Errorf("%s (%d elements): CircuitKey allocates %.0f times, budget 64", c.Name, len(c.Elems), allocs)
+		}
 	}
 }
 

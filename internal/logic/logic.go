@@ -12,7 +12,7 @@ package logic
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // State is the value of a single wire bit.
@@ -194,15 +194,23 @@ func (v Value) MustUint() uint64 {
 // String formats the value Verilog-style, e.g. "4'b10xz", using hex when the
 // value is fully known and wider than 4 bits.
 func (v Value) String() string {
+	var buf [MaxWidth + 8]byte
+	return string(v.Append(buf[:0]))
+}
+
+// Append appends the String form of v to dst, for writers that format
+// many values into one buffer.
+func (v Value) Append(dst []byte) []byte {
+	dst = strconv.AppendUint(dst, uint64(v.width), 10)
 	if v.IsKnown() && v.width > 4 {
-		return fmt.Sprintf("%d'h%x", v.width, v.bits)
+		dst = append(dst, '\'', 'h')
+		return strconv.AppendUint(dst, v.bits, 16)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d'b", v.width)
+	dst = append(dst, '\'', 'b')
 	for i := int(v.width) - 1; i >= 0; i-- {
-		b.WriteString(v.Bit(i).String())
+		dst = append(dst, "01xz"[v.Bit(i)])
 	}
-	return b.String()
+	return dst
 }
 
 // Equal reports whether two values have identical width and per-bit states.

@@ -28,7 +28,8 @@ func ParseValue(s string) (Value, error) {
 		if len(digits) != width {
 			return Value{}, fmt.Errorf("logic: literal %q has %d digits for width %d", s, len(digits), width)
 		}
-		states := make([]State, width)
+		var buf [MaxWidth]State
+		states := buf[:width]
 		for i, ch := range digits {
 			var st State
 			switch ch {

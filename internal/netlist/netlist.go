@@ -12,6 +12,12 @@
 // (integers); init (a value literal such as 8'hff or 4'b10xz); times
 // (comma-separated integers); values (comma-separated value literals); mem
 // (comma-separated unsigned integers).
+//
+// ParseString is the parser: one pass over text held as a single string,
+// cutting lines and fields in place (names in the circuit are substrings
+// of the input) and sizing the builder from a count of declaration lines.
+// Read and ReadLimited are ParseString behind one bounded read of an
+// io.Reader.
 package netlist
 
 import (
@@ -22,6 +28,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"parsim/internal/circuit"
 	"parsim/internal/logic"
@@ -118,19 +126,6 @@ func (e *LimitError) Error() string {
 // Is matches ErrLimit.
 func (e *LimitError) Is(target error) bool { return target == ErrLimit }
 
-// countingReader counts the bytes drawn from the wrapped reader, so the
-// byte cap fires on genuine input size, not on scanner buffering.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // Read parses a circuit. The returned circuit has been validated by
 // circuit.Builder. Input is fully trusted: no size limits apply — use
 // ReadLimited for anything that arrived over a network.
@@ -138,117 +133,234 @@ func Read(r io.Reader) (*circuit.Circuit, error) {
 	return ReadLimited(r, Limits{})
 }
 
-// ReadLimited is Read for untrusted input: parsing stops with a typed
-// *LimitError as soon as the input exceeds any configured limit, so a
-// pathological netlist cannot make the parser allocate unboundedly.
+// ReadLimited is Read for untrusted input: it draws at most one byte past
+// lim.MaxBytes from r and hands the text to ParseString, so a pathological
+// netlist cannot make the parser allocate unboundedly.
 func ReadLimited(r io.Reader, lim Limits) (*circuit.Circuit, error) {
-	cr := &countingReader{r: r}
+	var text strings.Builder
+	if sized, ok := r.(interface{ Len() int }); ok {
+		n := int64(sized.Len())
+		if lim.MaxBytes > 0 && n > lim.MaxBytes {
+			n = lim.MaxBytes + 1
+		}
+		text.Grow(int(n))
+	}
 	if lim.MaxBytes > 0 {
-		// Read one byte past the cap so "exactly at the limit" still parses
-		// while anything larger is detected without draining the input.
-		r = io.LimitReader(cr, lim.MaxBytes+1)
-	} else {
-		r = cr
+		// One byte past the cap: "exactly at the limit" still parses while
+		// anything larger is detected without draining the input.
+		r = io.LimitReader(r, lim.MaxBytes+1)
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var b *circuit.Builder
-	lineNo := 0
-	nodes, elems := 0, 0
-	// The builder merges repeated Node calls and defers element errors to
-	// Build; in the textual format a repeated declaration is a typo, so
-	// track first-declaration lines and fail fast with both locations.
-	nodeLine := map[string]int{}
-	elemLine := map[string]int{}
-	for sc.Scan() {
-		lineNo++
-		if lim.MaxBytes > 0 && cr.n > lim.MaxBytes {
-			return nil, &LimitError{What: "bytes", Limit: lim.MaxBytes}
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "circuit":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("netlist:%d: circuit wants one name", lineNo)
-			}
-			if b != nil {
-				return nil, fmt.Errorf("netlist:%d: duplicate circuit line", lineNo)
-			}
-			b = circuit.NewBuilder(fields[1])
-		case "node":
-			if b == nil {
-				return nil, fmt.Errorf("netlist:%d: node before circuit line", lineNo)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("netlist:%d: node wants name and width", lineNo)
-			}
-			width, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("netlist:%d: bad width %q", lineNo, fields[2])
-			}
-			if first, dup := nodeLine[fields[1]]; dup {
-				return nil, fmt.Errorf("netlist:%d: node %q already declared at line %d", lineNo, fields[1], first)
-			}
-			nodeLine[fields[1]] = lineNo
-			if nodes++; lim.MaxNodes > 0 && nodes > lim.MaxNodes {
-				return nil, &LimitError{What: "nodes", Limit: int64(lim.MaxNodes)}
-			}
-			b.Node(fields[1], width)
-		case "elem":
-			if b == nil {
-				return nil, fmt.Errorf("netlist:%d: elem before circuit line", lineNo)
-			}
-			if len(fields) >= 3 {
-				if first, dup := elemLine[fields[2]]; dup {
-					return nil, fmt.Errorf("netlist:%d: element %q already declared at line %d", lineNo, fields[2], first)
-				}
-				elemLine[fields[2]] = lineNo
-			}
-			if elems++; lim.MaxElems > 0 && elems > lim.MaxElems {
-				return nil, &LimitError{What: "elements", Limit: int64(lim.MaxElems)}
-			}
-			if err := parseElem(b, fields[1:]); err != nil {
-				return nil, fmt.Errorf("netlist:%d: %v", lineNo, err)
-			}
-		default:
-			return nil, fmt.Errorf("netlist:%d: unknown directive %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
+	if _, err := io.Copy(&text, r); err != nil {
 		return nil, err
 	}
-	// The limit reader may have truncated the input mid-line, which the
-	// scanner reports as a clean EOF; the byte count tells the truth.
-	if lim.MaxBytes > 0 && cr.n > lim.MaxBytes {
+	return ParseString(text.String(), lim)
+}
+
+// ParseString parses a circuit from netlist text already in memory; the
+// zero Limits imposes none. It makes one pass over s, cutting lines and
+// fields in place: node and element names in the returned circuit are
+// substrings of s, so the circuit keeps s alive and a caller must not hand
+// in a string backed by a buffer it will reuse.
+func ParseString(s string, lim Limits) (*circuit.Circuit, error) {
+	if lim.MaxBytes > 0 && int64(len(s)) > lim.MaxBytes {
 		return nil, &LimitError{What: "bytes", Limit: lim.MaxBytes}
 	}
-	if b == nil {
+	p := parser{lim: lim}
+	p.wantNodes, p.wantElems = countDecls(s)
+	if lim.MaxNodes > 0 && p.wantNodes > lim.MaxNodes {
+		p.wantNodes = lim.MaxNodes
+	}
+	if lim.MaxElems > 0 && p.wantElems > lim.MaxElems {
+		p.wantElems = lim.MaxElems
+	}
+	for len(s) > 0 {
+		line := s
+		if nl := strings.IndexByte(s, '\n'); nl >= 0 {
+			line, s = s[:nl], s[nl+1:]
+		} else {
+			s = ""
+		}
+		p.lineNo++
+		if err := p.line(line); err != nil {
+			return nil, err
+		}
+	}
+	if p.b == nil {
 		return nil, fmt.Errorf("netlist: no circuit line")
 	}
-	c, err := b.Build()
+	c, err := p.b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("netlist: %w", err)
 	}
 	return c, nil
 }
 
-func parseElem(b *circuit.Builder, fields []string) error {
-	if len(fields) < 2 {
+// countDecls estimates the node and element declarations in s from each
+// line's first letter, so the builder can be sized once. Lines that turn
+// out malformed only make the estimate generous.
+func countDecls(s string) (nodes, elems int) {
+	for len(s) > 0 {
+		i := 0
+		for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+			i++
+		}
+		if i < len(s) {
+			switch s[i] {
+			case 'n':
+				nodes++
+			case 'e':
+				elems++
+			}
+		}
+		nl := strings.IndexByte(s[i:], '\n')
+		if nl < 0 {
+			break
+		}
+		s = s[i+nl+1:]
+	}
+	return nodes, elems
+}
+
+// cutField returns the first whitespace-delimited field of s and what
+// follows it, with the field boundaries strings.Fields would choose.
+func cutField(s string) (field, rest string) {
+	i := 0
+	for i < len(s) {
+		n := 0
+		if c := s[i]; asciiSpace(c) {
+			n = 1
+		} else if c >= utf8.RuneSelf {
+			n = wideSpaceAt(s[i:])
+		}
+		if n == 0 {
+			break
+		}
+		i += n
+	}
+	start := i
+	for i < len(s) {
+		c := s[i]
+		if asciiSpace(c) || (c >= utf8.RuneSelf && wideSpaceAt(s[i:]) > 0) {
+			break
+		}
+		i++
+	}
+	return s[start:i], s[i:]
+}
+
+func asciiSpace(c byte) bool { return c == ' ' || c-'\t' < 5 } // \t \n \v \f \r
+
+// wideSpaceAt returns the byte length of the white-space character s
+// starts with, or 0 when it starts with anything else.
+func wideSpaceAt(s string) int {
+	if r, n := utf8.DecodeRuneInString(s); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
+// parser is the state of one ParseString call.
+type parser struct {
+	lim    Limits
+	lineNo int
+	b      *circuit.Builder
+	// wantNodes and wantElems size the builder when the circuit line
+	// creates it.
+	wantNodes, wantElems int
+	// nodeLine and elemLine hold each declaration's line by ID. The
+	// builder merges repeated Node calls and defers element errors to
+	// Build; in the textual format a repeated declaration is a typo, so it
+	// fails fast with both locations.
+	nodeLine, elemLine []int32
+	// outs and ins are the port lists of the element line being parsed;
+	// the builder copies them.
+	outs, ins []circuit.NodeID
+}
+
+func (p *parser) errorf(format string, args ...any) error {
+	return fmt.Errorf("netlist:%d: %s", p.lineNo, fmt.Sprintf(format, args...))
+}
+
+// line parses one line of input.
+func (p *parser) line(line string) error {
+	directive, rest := cutField(line)
+	if directive == "" || directive[0] == '#' {
+		return nil
+	}
+	switch directive {
+	case "circuit":
+		name, rest := cutField(rest)
+		if extra, _ := cutField(rest); name == "" || extra != "" {
+			return p.errorf("circuit wants one name")
+		}
+		if p.b != nil {
+			return p.errorf("duplicate circuit line")
+		}
+		p.b = circuit.NewBuilder(name)
+		p.b.Grow(p.wantNodes, p.wantElems)
+	case "node":
+		if p.b == nil {
+			return p.errorf("node before circuit line")
+		}
+		name, rest := cutField(rest)
+		widthText, rest := cutField(rest)
+		if extra, _ := cutField(rest); widthText == "" || extra != "" {
+			return p.errorf("node wants name and width")
+		}
+		width, err := strconv.Atoi(widthText)
+		if err != nil {
+			return p.errorf("bad width %q", widthText)
+		}
+		if first, dup := p.b.Lookup(name); dup {
+			return p.errorf("node %q already declared at line %d", name, p.nodeLine[first])
+		}
+		if p.lim.MaxNodes > 0 && len(p.nodeLine) >= p.lim.MaxNodes {
+			return &LimitError{What: "nodes", Limit: int64(p.lim.MaxNodes)}
+		}
+		p.b.Node(name, width)
+		p.nodeLine = append(p.nodeLine, int32(p.lineNo))
+	case "elem":
+		if p.b == nil {
+			return p.errorf("elem before circuit line")
+		}
+		kindName, rest := cutField(rest)
+		name, rest := cutField(rest)
+		if name != "" {
+			if first, dup := p.b.LookupElement(name); dup {
+				return p.errorf("element %q already declared at line %d", name, p.elemLine[first])
+			}
+		}
+		if p.lim.MaxElems > 0 && len(p.elemLine) >= p.lim.MaxElems {
+			return &LimitError{What: "elements", Limit: int64(p.lim.MaxElems)}
+		}
+		if err := p.elem(kindName, name, rest); err != nil {
+			return p.errorf("%v", err)
+		}
+		p.elemLine = append(p.elemLine, int32(p.lineNo))
+	default:
+		return p.errorf("unknown directive %q", directive)
+	}
+	return nil
+}
+
+// elem parses the kind, name and attributes of one elem line and declares
+// the element.
+func (p *parser) elem(kindName, name, attrs string) error {
+	if name == "" {
 		return fmt.Errorf("elem wants kind and name")
 	}
-	kind, ok := circuit.KindByName(fields[0])
+	kind, ok := circuit.KindByName(kindName)
 	if !ok {
-		return fmt.Errorf("unknown element kind %q", fields[0])
+		return fmt.Errorf("unknown element kind %q", kindName)
 	}
-	name := fields[1]
 	delay := circuit.Time(1)
-	var outs, ins []circuit.NodeID
+	p.outs, p.ins = p.outs[:0], p.ins[:0]
 	var params circuit.Params
-	for _, f := range fields[2:] {
+	for {
+		var f string
+		if f, attrs = cutField(attrs); f == "" {
+			break
+		}
 		key, val, found := strings.Cut(f, "=")
 		if !found {
 			return fmt.Errorf("bad attribute %q", f)
@@ -258,9 +370,9 @@ func parseElem(b *circuit.Builder, fields []string) error {
 		case "delay":
 			delay, err = parseTime(val)
 		case "out":
-			outs, err = lookupNodes(b, val)
+			p.outs, err = lookupNodes(p.b, p.outs[:0], val)
 		case "in":
-			ins, err = lookupNodes(b, val)
+			p.ins, err = lookupNodes(p.b, p.ins[:0], val)
 		case "period":
 			params.Period, err = parseTime(val)
 		case "phase":
@@ -276,29 +388,29 @@ func parseElem(b *circuit.Builder, fields []string) error {
 		case "init":
 			params.Init, err = logic.ParseValue(val)
 		case "times":
-			for _, part := range strings.Split(val, ",") {
-				var t circuit.Time
-				if t, err = parseTime(part); err != nil {
-					break
+			err = eachPart(val, func(part string) error {
+				t, err := parseTime(part)
+				if err == nil {
+					params.Times = append(params.Times, t)
 				}
-				params.Times = append(params.Times, t)
-			}
+				return err
+			})
 		case "values":
-			for _, part := range strings.Split(val, ",") {
-				var v logic.Value
-				if v, err = logic.ParseValue(part); err != nil {
-					break
+			err = eachPart(val, func(part string) error {
+				v, err := logic.ParseValue(part)
+				if err == nil {
+					params.Values = append(params.Values, v)
 				}
-				params.Values = append(params.Values, v)
-			}
+				return err
+			})
 		case "mem":
-			for _, part := range strings.Split(val, ",") {
-				var m uint64
-				if m, err = strconv.ParseUint(part, 10, 64); err != nil {
-					break
+			err = eachPart(val, func(part string) error {
+				m, err := strconv.ParseUint(part, 10, 64)
+				if err == nil {
+					params.Mem = append(params.Mem, m)
 				}
-				params.Mem = append(params.Mem, m)
-			}
+				return err
+			})
 		default:
 			return fmt.Errorf("unknown attribute %q", key)
 		}
@@ -306,8 +418,20 @@ func parseElem(b *circuit.Builder, fields []string) error {
 			return fmt.Errorf("attribute %q: %v", f, err)
 		}
 	}
-	b.AddElement(kind, name, delay, outs, ins, params)
+	p.b.AddElement(kind, name, delay, p.outs, p.ins, params)
 	return nil
+}
+
+// eachPart calls f on each comma-separated part of val — the parts
+// strings.Split would return — until f fails.
+func eachPart(val string, f func(part string) error) error {
+	for {
+		part, rest, more := strings.Cut(val, ",")
+		if err := f(part); err != nil || !more {
+			return err
+		}
+		val = rest
+	}
 }
 
 func parseTime(s string) (circuit.Time, error) {
@@ -315,19 +439,18 @@ func parseTime(s string) (circuit.Time, error) {
 	return circuit.Time(v), err
 }
 
-// lookupNodes resolves a comma-separated node-name list; the nodes must
-// have been declared by earlier node lines.
-func lookupNodes(b *circuit.Builder, val string) ([]circuit.NodeID, error) {
-	parts := strings.Split(val, ",")
-	ids := make([]circuit.NodeID, len(parts))
-	for i, p := range parts {
-		id, ok := b.Lookup(p)
+// lookupNodes resolves a comma-separated node-name list into ids; the
+// nodes must have been declared by earlier node lines.
+func lookupNodes(b *circuit.Builder, ids []circuit.NodeID, val string) ([]circuit.NodeID, error) {
+	err := eachPart(val, func(name string) error {
+		id, ok := b.Lookup(name)
 		if !ok {
-			return nil, fmt.Errorf("undeclared node %q", p)
+			return fmt.Errorf("undeclared node %q", name)
 		}
-		ids[i] = id
-	}
-	return ids, nil
+		ids = append(ids, id)
+		return nil
+	})
+	return ids, err
 }
 
 // Summary formats a short human-readable report about a circuit, used by

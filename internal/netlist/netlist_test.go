@@ -81,25 +81,26 @@ elem not inv delay=2 out=q in=clk
 	}
 }
 
+var readErrorCases = []struct {
+	src  string
+	want string
+}{
+	{"node a 1", "before circuit"},
+	{"circuit x\ncircuit y", "duplicate circuit"},
+	{"circuit x\nnode a", "name and width"},
+	{"circuit x\nnode a 1\nelem bogus e out=a", "unknown element kind"},
+	{"circuit x\nnode a 1\nelem not e out=a in=missing", "undeclared node"},
+	{"circuit x\nnode a 1\nelem not e out=a badattr", "bad attribute"},
+	{"circuit x\nnode a 1\nelem not e out=a wat=1", "unknown attribute"},
+	{"circuit x\nnode a 1\nelem const c out=a init=4'b10", "attribute"},
+	{"circuit x\nwat", "unknown directive"},
+	{"", "no circuit"},
+	{"circuit x\nnode a 1\nelem not", "kind and name"},
+	{"circuit x\nnode a 1\nelem clock cg out=a period=ten", "attribute"},
+}
+
 func TestReadErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{"node a 1", "before circuit"},
-		{"circuit x\ncircuit y", "duplicate circuit"},
-		{"circuit x\nnode a", "name and width"},
-		{"circuit x\nnode a 1\nelem bogus e out=a", "unknown element kind"},
-		{"circuit x\nnode a 1\nelem not e out=a in=missing", "undeclared node"},
-		{"circuit x\nnode a 1\nelem not e out=a badattr", "bad attribute"},
-		{"circuit x\nnode a 1\nelem not e out=a wat=1", "unknown attribute"},
-		{"circuit x\nnode a 1\nelem const c out=a init=4'b10", "attribute"},
-		{"circuit x\nwat", "unknown directive"},
-		{"", "no circuit"},
-		{"circuit x\nnode a 1\nelem not", "kind and name"},
-		{"circuit x\nnode a 1\nelem clock cg out=a period=ten", "attribute"},
-	}
-	for _, tc := range cases {
+	for _, tc := range readErrorCases {
 		_, err := Read(strings.NewReader(tc.src))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Read(%q) err = %v, want containing %q", tc.src, err, tc.want)
@@ -276,4 +277,112 @@ func TestReadLimitedParseErrorsStayUntyped(t *testing.T) {
 	if err == nil || errors.Is(err, ErrLimit) {
 		t.Fatalf("parse error misclassified: %v", err)
 	}
+}
+
+// paperCircuits are the paper's four benchmark circuits at full size.
+func paperCircuits() []*circuit.Circuit {
+	return []*circuit.Circuit{
+		gen.GateMultiplier(gen.DefaultMultiplier()),
+		gen.FuncMultiplier(gen.DefaultMultiplier()),
+		gen.InverterArray(gen.DefaultInverterArray()),
+		gen.CPU(gen.DefaultCPU()),
+	}
+}
+
+// TestParseStringExactErrors pins whole error strings, line numbers and
+// wrapped causes included: tools grep for them, and the in-place parser
+// must word them as the scanner-based one did.
+func TestParseStringExactErrors(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"circuit x y\n", "netlist:1: circuit wants one name"},
+		{"\n# c\n  circuit x\r\n\tnode a\r\n", "netlist:4: node wants name and width"},
+		{"circuit x\nnode a one\n", `netlist:2: bad width "one"`},
+		{"circuit x\nnode a 1\nnode b 1\nnode a 2\n", `netlist:4: node "a" already declared at line 2`},
+		{"circuit x\nnode a 1\nelem not g out=a in=a\n\nelem buf g out=a in=a\n", `netlist:5: element "g" already declared at line 3`},
+		{"circuit x\nelem not\n", "netlist:2: elem wants kind and name"},
+		{"circuit x\nelem nope g\n", `netlist:2: unknown element kind "nope"`},
+		{"circuit x\nnode a 1\nelem not g out=a in=a,b\n", `netlist:3: attribute "in=a,b": undeclared node "b"`},
+		{"circuit x\nnode a 1\nelem wave w out=a times=0,,2 values=1'b0\n", `netlist:3: attribute "times=0,,2": strconv.ParseInt: parsing "": invalid syntax`},
+		{"circuit x\nnode a 1\nelem rom r out=a mem=1,-2\n", `netlist:3: attribute "mem=1,-2": strconv.ParseUint: parsing "-2": invalid syntax`},
+		{"circuit x\nnode a 1\nelem not g out=a in=a delay\n", `netlist:3: bad attribute "delay"`},
+		{"circuit x\nnode a 1\nelem not g out=a in=a color=red\n", `netlist:3: unknown attribute "color"`},
+		{"circuit x\nnode a 1\n", "netlist: circuit \"x\": 1 error(s):\n  node \"a\" has no driver"},
+		{"circuit x\n\u00a0frob\u2003a\n", `netlist:2: unknown directive "frob"`},
+	}
+	for _, tc := range cases {
+		_, err := ParseString(tc.src, Limits{})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ParseString(%q)\n err  %v\n want %s", tc.src, err, tc.want)
+		}
+	}
+}
+
+// TestParseStringAllocs: the parser cuts names out of the input and sizes
+// the builder once, so a parse allocates a handful of times per element,
+// not a handful of times per field.
+func TestParseStringAllocs(t *testing.T) {
+	for _, c := range paperCircuits() {
+		var buf bytes.Buffer
+		if err := Write(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ParseString(text, Limits{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if per := allocs / float64(len(c.Elems)); per > 6 {
+			t.Errorf("%s: %.0f allocations for %d elements (%.1f each), budget 6 each", c.Name, allocs, len(c.Elems), per)
+		}
+	}
+}
+
+// FuzzNetlist: whatever the text, the parser returns a circuit or an error
+// and never panics; a limit rejection stays a typed *LimitError; and a
+// circuit that parses survives Write and a second parse unchanged.
+func FuzzNetlist(f *testing.F) {
+	for _, c := range paperCircuits() {
+		var buf bytes.Buffer
+		if err := Write(&buf, c); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String(), 0, 0)
+	}
+	for _, tc := range readErrorCases {
+		f.Add(tc.src, 0, 0)
+	}
+	f.Add(validNet(), len(validNet())-1, 0)
+	f.Add(validNet(), 0, 2)
+	f.Fuzz(func(t *testing.T, src string, maxBytes, maxDecls int) {
+		lim := Limits{MaxBytes: int64(max(maxBytes, 0)), MaxNodes: max(maxDecls, 0), MaxElems: max(maxDecls, 0)}
+		c, err := ParseString(src, lim)
+		if err != nil {
+			var le *LimitError
+			if errors.Is(err, ErrLimit) != errors.As(err, &le) {
+				t.Fatalf("limit rejection lost its type: %v", err)
+			}
+			if lim.MaxBytes > 0 && int64(len(src)) > lim.MaxBytes && (le == nil || le.What != "bytes") {
+				t.Fatalf("%d bytes under a cap of %d: err = %v, want the bytes LimitError", len(src), lim.MaxBytes, err)
+			}
+			return
+		}
+		if lim.MaxNodes > 0 && len(c.Nodes) > lim.MaxNodes || lim.MaxElems > 0 && len(c.Elems) > lim.MaxElems {
+			t.Fatalf("parsed %d nodes and %d elements past caps of %d", len(c.Nodes), len(c.Elems), maxDecls)
+		}
+		var first, second bytes.Buffer
+		if err := Write(&first, c); err != nil {
+			t.Fatal(err)
+		}
+		c2, err := ParseString(first.String(), Limits{})
+		if err != nil {
+			t.Fatalf("written form of a parsed circuit does not parse: %v\n%s", err, first.String())
+		}
+		if err := Write(&second, c2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("parse -> Write -> parse is not the identity:\n%s\nvs\n%s", first.String(), second.String())
+		}
+	})
 }

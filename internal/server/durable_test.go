@@ -23,11 +23,11 @@ func durableConfig(dir string) Config {
 }
 
 // waitTerminal polls a job until it leaves the queued/running states.
-func waitTerminal(t *testing.T, ts *testServer, id string) jobView {
+func waitTerminal(t *testing.T, ts *testServer, id string) jobDoc {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		var v jobView
+		var v jobDoc
 		if code := ts.getJSON(t, "/v1/jobs/"+id, &v); code != http200 {
 			t.Fatalf("GET job: status %d", code)
 		}
@@ -37,7 +37,7 @@ func waitTerminal(t *testing.T, ts *testServer, id string) jobView {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("job never reached a terminal state")
-	return jobView{}
+	return jobDoc{}
 }
 
 const http200 = 200
@@ -59,7 +59,7 @@ func TestJournalRecoveryDoneJob(t *testing.T) {
 	dir := t.TempDir()
 	ts := newTestServer(t, durableConfig(dir))
 
-	var sub jobView
+	var sub jobDoc
 	resp := ts.submit(t, jobRequest{
 		Netlist: testNetlist, Engine: "sequential", Horizon: 400,
 	}, &sub)
@@ -86,7 +86,7 @@ func TestJournalRecoveryDoneJob(t *testing.T) {
 	}
 
 	ts2 := newTestServer(t, durableConfig(dir))
-	var after jobView
+	var after jobDoc
 	if code := ts2.getJSON(t, "/v1/jobs/"+sub.ID, &after); code != http200 {
 		t.Fatalf("recovered job: status %d", code)
 	}
@@ -117,7 +117,7 @@ func TestJournalRecoveryDoneJob(t *testing.T) {
 func TestDrainResume(t *testing.T) {
 	// Reference: the same job run to completion without interruptions.
 	ref := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8})
-	var refSub jobView
+	var refSub jobDoc
 	// The horizon is deliberately long (several seconds of simulation):
 	// the drain below must land while the job is still running, even when
 	// the whole test binary shares one loaded core, so the window between
@@ -133,7 +133,7 @@ func TestDrainResume(t *testing.T) {
 
 	dir := t.TempDir()
 	ts := newTestServer(t, durableConfig(dir))
-	var sub jobView
+	var sub jobDoc
 	resp := ts.submit(t, jobRequest{
 		Netlist: testNetlist, Engine: "sequential", Horizon: 200000, CostSpin: 200,
 	}, &sub)
@@ -248,7 +248,7 @@ func TestJournalCorruptMidFile(t *testing.T) {
 func TestRecoveryPreservesIDCounter(t *testing.T) {
 	dir := t.TempDir()
 	ts := newTestServer(t, durableConfig(dir))
-	var first jobView
+	var first jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 100}, &first)
 	waitTerminal(t, ts, first.ID)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -256,7 +256,7 @@ func TestRecoveryPreservesIDCounter(t *testing.T) {
 	cancel()
 
 	ts2 := newTestServer(t, durableConfig(dir))
-	var second jobView
+	var second jobDoc
 	ts2.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 100}, &second)
 	if second.ID == first.ID {
 		t.Fatalf("restarted server reused job id %s", first.ID)

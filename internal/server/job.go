@@ -1,10 +1,10 @@
 package server
 
 import (
+	"encoding/json"
 	"sync"
 	"time"
 
-	"parsim"
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/trace"
@@ -29,10 +29,15 @@ const (
 // dispatcher; the mutable lifecycle fields below mu are shared between the
 // runner goroutine and status requests.
 type job struct {
-	id       string
-	circ     *circuit.Circuit // template; every run simulates a fresh Clone
-	engine   string           // canonical engine name
-	cores    int              // worker cores reserved from the budget
+	id string
+	// circ is the job's own parsed circuit, which its one run simulates
+	// directly. It is nil on a job that will never run (a remembered body
+	// served by dedup) and released when the run ends, unless a watch
+	// recording still needs the node names.
+	circ     *circuit.Circuit
+	circName string
+	engine   string // canonical engine name
+	cores    int    // worker cores reserved from the budget
 	horizon  circuit.Time
 	deadline time.Duration // per-job wall-clock budget (0 = none)
 	watchdog time.Duration
@@ -64,7 +69,7 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	result    *parsim.Result
+	result    json.RawMessage // the encoded run report, shared read-only
 	errMsg    string
 }
 
@@ -82,7 +87,7 @@ type jobView struct {
 	Error    string   `json:"error,omitempty"`  // terminal failure message
 	// Result is present once the job finished; a job recovered from the
 	// journal serves the result it finished with before the restart.
-	Result *parsim.Result `json:"result,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // view snapshots the job for serialisation.
@@ -93,7 +98,7 @@ func (j *job) view(now time.Time) jobView {
 		ID:      j.id,
 		State:   j.state,
 		Engine:  j.engine,
-		Circuit: j.circ.Name,
+		Circuit: j.circName,
 		Workers: j.cores,
 		Horizon: int64(j.horizon),
 		Error:   j.errMsg,
@@ -132,7 +137,7 @@ func (j *job) setRunning(t time.Time) {
 // done on success, cancelled when the server shut the run down, failed
 // otherwise (deadline, stall, fault, bad config). A partial result — the
 // engines return one on cancellation — is kept either way.
-func (j *job) finish(res *parsim.Result, err error, t time.Time, serverCancelled bool) jobState {
+func (j *job) finish(res json.RawMessage, err error, t time.Time, serverCancelled bool) jobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = t

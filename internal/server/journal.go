@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"parsim"
 	"parsim/internal/checkpoint"
 )
 
@@ -244,17 +243,9 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 		switch p.terminal {
 		case recDone:
 			j.state = jobDone
-			// The journalled result JSON is the Result wire schema; it
-			// round-trips through UnmarshalJSON, so a recovered job's
-			// status response matches the one served before the restart.
-			if len(p.result) > 0 {
-				res := new(parsim.Result)
-				if uerr := json.Unmarshal(p.result, res); uerr == nil {
-					j.result = res
-				} else {
-					log.Printf("parsimd: recovery: job %s result unreadable: %v", id, uerr)
-				}
-			}
+			// The journalled bytes are the ones the job served before the
+			// restart, so its status response does not change.
+			j.result = p.result
 			j.started, j.finished = j.submitted, j.submitted
 		case recFailed:
 			j.state = jobFailed

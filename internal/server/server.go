@@ -1,8 +1,8 @@
 // Package server is the simulation service layer behind the parsimd
 // daemon: an HTTP/JSON API over the engine registry with a bounded FIFO
 // job queue, admission control, a core-budget scheduler that shares
-// GOMAXPROCS across concurrent runs, per-run circuit instancing via
-// Circuit.Clone, and a Prometheus-format /metrics endpoint.
+// GOMAXPROCS across concurrent runs, content-addressed submission dedup,
+// and a Prometheus-format /metrics endpoint.
 //
 // The API surface:
 //
@@ -24,7 +24,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -126,6 +128,11 @@ type Server struct {
 	jobs   *jobStore
 	jnl    *journal             // nil unless Config.StateDir is set
 	dedup  *cluster.ResultCache // nil unless Config.DedupCache > 0
+	// memo maps the SHA-256 of a raw submission body to the memoEntry of
+	// the job it was admitted as, so a verbatim resubmission reaches the
+	// result cache without being decoded, parsed or keyed. Same bound as
+	// dedup; nil with it.
+	memo *cluster.ResultCache
 
 	// dedupMu guards the two dedup indexes: inflight maps a job key to
 	// the primary (first-submitted, actually running) job for that key,
@@ -161,6 +168,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DedupCache > 0 {
 		s.dedup = cluster.NewResultCache(cfg.DedupCache)
+		s.memo = cluster.NewResultCache(cfg.DedupCache)
 		s.inflight = make(map[string]*job)
 		s.waiters = make(map[string][]*job)
 	}
@@ -275,46 +283,120 @@ func (s *Server) reject(w http.ResponseWriter, status int, format string, args .
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// memoEntry is what the daemon remembers about an admitted, keyed
+// submission body: enough to answer a verbatim resubmission from the
+// result cache, or park it on the in-flight run, without the circuit.
+type memoEntry struct {
+	key      string // content-addressed job key
+	circName string
+	engine   string // canonical
+	cores    int
+	horizon  circuit.Time
+}
+
+// submission is one POST body and, once something needs it, its decoded
+// form.
+type submission struct {
+	body   []byte
+	digest string // raw SHA-256 of body; empty when dedup is off
+	req    *jobRequest
+}
+
+// request decodes the body on first use.
+func (sub *submission) request() (*jobRequest, error) {
+	if sub.req == nil {
+		req := new(jobRequest)
+		if err := json.NewDecoder(bytes.NewReader(sub.body)).Decode(req); err != nil {
+			return nil, err
+		}
+		sub.req = req
+	}
+	return sub.req, nil
+}
+
+// readBody reads a request body of at most limit bytes into a buffer sized
+// from Content-Length.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
 // handleSubmit is POST /v1/jobs: validate, admit, enqueue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.reject(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.reject(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
 			return
 		}
-		s.reject(w, http.StatusBadRequest, "malformed JSON body: %v", err)
+		s.reject(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
+	sub := &submission{body: body}
 
-	j, status, err := s.buildJob(&req)
-	if err != nil {
-		s.reject(w, status, "%v", err)
-		return
+	// A body seen before needs no decoding to look its job up: it starts as
+	// a job with no circuit, which a cache hit finishes and an in-flight
+	// twin parks. Everything else is built in full.
+	var j *job
+	if s.dedup != nil {
+		sum := sha256.Sum256(body)
+		sub.digest = string(sum[:])
+		if v, ok := s.memo.Get(sub.digest); ok {
+			e := v.(*memoEntry)
+			j = &job{key: e.key, circName: e.circName, engine: e.engine,
+				cores: e.cores, horizon: e.horizon, state: jobQueued}
+		}
+	}
+	if j == nil {
+		if j = s.admit(w, sub); j == nil {
+			return
+		}
 	}
 	seq := s.nextID.Add(1)
 	j.id = fmt.Sprintf("j-%06d", seq)
 	j.submitted = time.Now()
 	// Journal the acceptance before it becomes externally visible, so a
-	// crash after the 202 never loses the job.
-	s.logJournal(journalRecord{Type: recAccepted, Job: j.id, Seq: seq, Req: &req})
+	// crash after the 202 never loses the job. The record carries the
+	// decoded request, which replay rebuilds the job from.
+	if s.jnl != nil {
+		if req, err := sub.request(); err == nil {
+			s.logJournal(journalRecord{Type: recAccepted, Job: j.id, Seq: seq, Req: req})
+		}
+	}
 
-	if j.key != "" && s.dedupSubmit(j) {
-		// Served without a new simulation: either finished on the spot from
-		// the result cache or coalesced onto an identical in-flight run.
-		s.jobs.add(j)
-		s.met.onSubmit()
-		s.met.onDedupHit()
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusAccepted, j.view(time.Now()))
-		return
+	for j.key != "" {
+		if s.dedupSubmit(j) {
+			// Served without a new simulation: either finished on the spot from
+			// the result cache or coalesced onto an identical in-flight run.
+			s.jobs.add(j)
+			s.met.onSubmit()
+			s.met.onDedupHit()
+			w.Header().Set("Location", "/v1/jobs/"+j.id)
+			writeJSON(w, http.StatusAccepted, j.view(time.Now()))
+			return
+		}
+		if j.circ != nil {
+			break // registered as its key's primary
+		}
+		// The remembered job's result has left the cache and no twin is in
+		// flight: build it in full, under the id already journalled.
+		full := s.admit(w, sub)
+		if full == nil {
+			s.logJournal(journalRecord{Type: recFailed, Job: j.id, Error: "rejected at admission"})
+			return
+		}
+		full.id, full.submitted = j.id, j.submitted
+		j = full
 	}
 
 	if err := s.queue.push(j); err != nil {
@@ -333,22 +415,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.view(time.Now()))
 }
 
+// admit decodes and validates a submission in full and returns its job,
+// remembering the body when the job is keyed. On refusal it answers the
+// request and returns nil.
+func (s *Server) admit(w http.ResponseWriter, sub *submission) *job {
+	req, err := sub.request()
+	if err != nil {
+		s.reject(w, http.StatusBadRequest, "malformed JSON body: %v", err)
+		return nil
+	}
+	j, status, err := s.buildJob(req)
+	if err != nil {
+		s.reject(w, status, "%v", err)
+		return nil
+	}
+	if j.key != "" {
+		s.memo.Put(sub.digest, &memoEntry{key: j.key, circName: j.circName,
+			engine: j.engine, cores: j.cores, horizon: j.horizon})
+	}
+	return j
+}
+
 // dedupSubmit tries to satisfy a keyed submission without simulating.
 // True: the job was finished from the result cache, or parked as a waiter
 // on an identical in-flight run (it reaches a terminal state when that
-// run does). False: no hit; the job was registered as its key's primary
-// and the caller must queue it normally.
+// run does). False: no hit; a job that has its circuit was registered as
+// its key's primary and the caller must queue it, one that has none (a
+// remembered body) was left alone and the caller must build it in full.
 func (s *Server) dedupSubmit(j *job) bool {
 	if v, ok := s.dedup.Get(j.key); ok {
-		res := stripResumed(v.(*parsim.Result))
+		result := v.(json.RawMessage)
 		now := time.Now()
 		j.setRunning(now)
-		j.finish(res, nil, now, false)
-		rec := journalRecord{Type: recDone, Job: j.id}
-		if b, merr := json.Marshal(res); merr == nil {
-			rec.Result = b
-		}
-		s.logJournal(rec)
+		j.finish(result, nil, now, false)
+		s.logJournal(journalRecord{Type: recDone, Job: j.id, Result: result})
 		s.met.onFinish(j.engine, jobDone, false, 0, stats.WorkerCounters{})
 		return true
 	}
@@ -358,7 +458,9 @@ func (s *Server) dedupSubmit(j *job) bool {
 		s.waiters[j.key] = append(s.waiters[j.key], j)
 		return true
 	}
-	s.inflight[j.key] = j
+	if j.circ != nil {
+		s.inflight[j.key] = j
+	}
 	return false
 }
 
@@ -374,6 +476,11 @@ func (s *Server) clearPrimary(j *job) {
 	}
 	s.dedupMu.Unlock()
 }
+
+// parseRuns counts the netlists buildJob has parsed. Test hook: the
+// promise that a verbatim resubmission is served without parsing is
+// pinned against it.
+var parseRuns atomic.Int64
 
 // buildJob validates a submission and assembles the job record; the
 // handler assigns the id and timestamps. On refusal it returns the HTTP
@@ -440,7 +547,8 @@ func (s *Server) buildJob(req *jobRequest) (*job, int, error) {
 		}
 	}
 
-	circ, err := netlist.ReadLimited(strings.NewReader(req.Netlist), netlist.Limits{
+	parseRuns.Add(1)
+	circ, err := netlist.ParseString(req.Netlist, netlist.Limits{
 		MaxBytes: s.cfg.MaxBodyBytes,
 		MaxNodes: s.cfg.MaxNodes,
 		MaxElems: s.cfg.MaxElems,
@@ -486,6 +594,7 @@ func (s *Server) buildJob(req *jobRequest) (*job, int, error) {
 
 	j := &job{
 		circ:       circ,
+		circName:   circ.Name,
 		engine:     eng.Name(),
 		cores:      workers,
 		horizon:    circuit.Time(req.Horizon),
@@ -643,10 +752,10 @@ func (s *Server) dispatch() {
 	}
 }
 
-// runJob executes one admitted job: clone the template circuit so
-// concurrent runs never share mutable state, bound the run with the
-// job's deadline under the server's base context, dispatch through the
-// engine registry, and fold the outcome into the job record and metrics.
+// runJob executes one admitted job: bound the run with the job's deadline
+// under the server's base context, dispatch through the engine registry on
+// the job's own parsed circuit, and fold the outcome into the job record
+// and metrics.
 func (s *Server) runJob(j *job) {
 	defer s.running.Done()
 	defer s.budget.release(j.cores)
@@ -701,29 +810,17 @@ func (s *Server) runJob(j *job) {
 	if j.resumeFrom != "" && engine.SupportsCheckpoint(j.engine) {
 		cfg.ResumeFrom = j.resumeFrom
 	}
-	rep, err := engine.Run(ctx, j.engine, j.circ.Clone(), cfg)
+	rep, err := engine.Run(ctx, j.engine, j.circ, cfg)
+	if j.rec == nil {
+		j.circ = nil // only the VCD endpoint reads it after the run
+	}
 
 	end := time.Now()
 	serverCancelled := s.baseCtx.Err() != nil && errors.Is(err, context.Canceled)
 	res := resultFromReport(rep)
-	state := j.finish(res, err, end, serverCancelled)
-	if s.jnl != nil {
-		switch state {
-		case jobDone:
-			rec := journalRecord{Type: recDone, Job: j.id}
-			if b, merr := json.Marshal(res); merr == nil {
-				rec.Result = b
-			}
-			s.logJournal(rec)
-		case jobCancelled:
-			// Shutdown-cancelled: deliberately no terminal record. The job
-			// stays in-flight in the journal, so the next startup re-queues
-			// it and resumes from the final snapshot the cancel wrote —
-			// a drain interrupts the work, it doesn't lose it.
-		default:
-			s.logJournal(journalRecord{Type: recFailed, Job: j.id, Error: err.Error()})
-		}
-	}
+	result := encodeResult(j.id, res)
+	state := j.finish(result, err, end, serverCancelled)
+	s.logTerminal(j, state, result, err)
 	var tot stats.WorkerCounters
 	degraded := false
 	if rep != nil {
@@ -734,39 +831,58 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	s.met.onFinish(j.engine, state, degraded, end.Sub(start), tot)
-	s.settleDedup(j, res, err, end, serverCancelled, state)
+	if j.key != "" && s.dedup != nil {
+		shared := result
+		if res != nil && res.Resumed {
+			shared = encodeResult(j.id, stripResumed(res))
+		}
+		s.settleDedup(j, shared, err, end, serverCancelled, state)
+	}
+}
+
+// encodeResult renders a finished run's report once; the job record, the
+// journal, the dedup cache and every poll then serve these bytes.
+func encodeResult(id string, res *parsim.Result) json.RawMessage {
+	if res == nil {
+		return nil
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		log.Printf("parsimd: job %s: encoding result: %v", id, err)
+		return nil
+	}
+	return b
+}
+
+// logTerminal journals how a job ended.
+func (s *Server) logTerminal(j *job, state jobState, result json.RawMessage, runErr error) {
+	switch state {
+	case jobDone:
+		s.logJournal(journalRecord{Type: recDone, Job: j.id, Result: result})
+	case jobCancelled:
+		// Shutdown-cancelled: deliberately no terminal record. The job
+		// stays in-flight in the journal, so the next startup re-queues
+		// it and resumes from the final snapshot the cancel wrote —
+		// a drain interrupts the work, it doesn't lose it.
+	default:
+		s.logJournal(journalRecord{Type: recFailed, Job: j.id, Error: runErr.Error()})
+	}
 }
 
 // settleDedup closes out a keyed run: a successful result enters the LRU
 // so the next identical submission skips simulation, and every waiter
-// coalesced onto this run is finished with the same outcome.
-func (s *Server) settleDedup(j *job, res *parsim.Result, runErr error, end time.Time, serverCancelled bool, state jobState) {
-	if j.key == "" || s.dedup == nil {
-		return
-	}
+// coalesced onto this run is finished with the same outcome. shared is
+// the result as a submission that never simulated sees it.
+func (s *Server) settleDedup(j *job, shared json.RawMessage, runErr error, end time.Time, serverCancelled bool, state jobState) {
 	// Publish the result before releasing the in-flight slot, so there is
 	// no window where an identical submission sees neither.
-	if state == jobDone && res != nil {
-		s.dedup.Put(j.key, res)
+	if state == jobDone && shared != nil {
+		s.dedup.Put(j.key, shared)
 	}
-	shared := stripResumed(res)
 	for _, wj := range s.takeWaiters(j) {
 		wj.setRunning(end)
 		wst := wj.finish(shared, runErr, end, serverCancelled)
-		if s.jnl != nil {
-			switch wst {
-			case jobDone:
-				rec := journalRecord{Type: recDone, Job: wj.id}
-				if b, merr := json.Marshal(shared); merr == nil {
-					rec.Result = b
-				}
-				s.logJournal(rec)
-			case jobCancelled:
-				// Like the primary: no terminal record, so restart re-runs it.
-			default:
-				s.logJournal(journalRecord{Type: recFailed, Job: wj.id, Error: runErr.Error()})
-			}
-		}
+		s.logTerminal(wj, wst, shared, runErr)
 		s.met.onFinish(wj.engine, wst, false, 0, stats.WorkerCounters{})
 	}
 }
@@ -776,9 +892,6 @@ func (s *Server) settleDedup(j *job, res *parsim.Result, runErr error, end time.
 // a submission that never simulated at all, so a served copy clears it.
 // Shallow copy — the shared Final/Stats payloads are read-only by then.
 func stripResumed(res *parsim.Result) *parsim.Result {
-	if res == nil || !res.Resumed {
-		return res
-	}
 	cp := *res
 	cp.Resumed = false
 	return &cp

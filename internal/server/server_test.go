@@ -18,7 +18,7 @@ import (
 	"parsim/internal/logic"
 	"parsim/internal/stats"
 
-	_ "parsim" // registers the seven engines via the facade's blank imports
+	"parsim" // also registers the engines via the facade's blank imports
 )
 
 // blockEngine is a controllable engine for scheduler tests: every run
@@ -89,6 +89,21 @@ type testServer struct {
 	ts *httptest.Server
 }
 
+// jobDoc is the job document as a client decodes it: jobView with the
+// result parsed.
+type jobDoc struct {
+	ID       string         `json:"id"`
+	State    jobState       `json:"state"`
+	Engine   string         `json:"engine"`
+	Circuit  string         `json:"circuit"`
+	Workers  int            `json:"workers"`
+	Horizon  int64          `json:"horizon"`
+	QueuedMS int64          `json:"queued_ms"`
+	RunMS    int64          `json:"run_ms"`
+	Error    string         `json:"error"`
+	Result   *parsim.Result `json:"result"`
+}
+
 func newTestServer(t *testing.T, cfg Config) *testServer {
 	t.Helper()
 	s, err := New(cfg)
@@ -143,11 +158,11 @@ func (ts *testServer) getJSON(t *testing.T, path string, out any) int {
 
 // await polls a job until it leaves queued/running, failing the test on
 // timeout.
-func (ts *testServer) await(t *testing.T, id string, timeout time.Duration) jobView {
+func (ts *testServer) await(t *testing.T, id string, timeout time.Duration) jobDoc {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		var v jobView
+		var v jobDoc
 		if code := ts.getJSON(t, "/v1/jobs/"+id, &v); code != http.StatusOK {
 			t.Fatalf("GET job %s: status %d", id, code)
 		}
@@ -173,7 +188,7 @@ func TestEndToEndAllEngines(t *testing.T) {
 		if name == "sequential" {
 			workers = 1
 		}
-		var sub jobView
+		var sub jobDoc
 		resp := ts.submit(t, jobRequest{
 			Netlist: testNetlist, Engine: name, Workers: workers, Horizon: 64,
 		}, &sub)
@@ -210,7 +225,7 @@ func TestSchedulerNeverOversubscribes(t *testing.T) {
 	ids := make([]string, 0, jobs)
 	for i := 0; i < jobs; i++ {
 		workers := 1 + i%budget // mix of narrow and wide jobs
-		var sub jobView
+		var sub jobDoc
 		resp := ts.submit(t, jobRequest{
 			Netlist: testNetlist, Engine: "asynchronous", Workers: workers, Horizon: 128,
 		}, &sub)
@@ -312,7 +327,7 @@ func TestDeadlineFailsJob(t *testing.T) {
 	gate := testBlock.reset(nil)
 	defer close(gate)
 	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 4})
-	var sub jobView
+	var sub jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8, DeadlineMS: 50}, &sub)
 	v := ts.await(t, sub.ID, 10*time.Second)
 	if v.State != jobFailed {
@@ -329,7 +344,7 @@ func TestWatchdogStallSurfaces(t *testing.T) {
 	gate := testBlock.reset(nil)
 	defer close(gate)
 	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 4})
-	var sub jobView
+	var sub jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8,
 		WatchdogMS: 100, DeadlineMS: 30000}, &sub)
 	v := ts.await(t, sub.ID, 10*time.Second)
@@ -349,7 +364,7 @@ func TestGracefulDrain(t *testing.T) {
 	gate := testBlock.reset(started)
 	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 8})
 
-	var first, second jobView
+	var first, second jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &first)
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &second)
 	<-started // first is running; second sits in the queue
@@ -388,7 +403,7 @@ func TestForcedDrainCancelsRunning(t *testing.T) {
 	gate := testBlock.reset(started)
 	defer close(gate)
 	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 4})
-	var sub jobView
+	var sub jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &sub)
 	<-started
 
@@ -406,7 +421,7 @@ func TestForcedDrainCancelsRunning(t *testing.T) {
 // TestVCDEndpoint submits with watch nodes and downloads the waveform.
 func TestVCDEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
-	var sub jobView
+	var sub jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "asynchronous", Workers: 2,
 		Horizon: 64, Watch: []string{"clk", "q"}}, &sub)
 
@@ -434,7 +449,7 @@ func TestVCDEndpoint(t *testing.T) {
 	}
 
 	// A job without watch nodes has no waveform.
-	var plain jobView
+	var plain jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 16}, &plain)
 	ts.await(t, plain.ID, 10*time.Second)
 	if code := ts.getJSON(t, "/v1/jobs/"+plain.ID+"/vcd", nil); code != http.StatusNotFound {
@@ -445,7 +460,7 @@ func TestVCDEndpoint(t *testing.T) {
 // TestMetricsEndpoint checks the Prometheus surface after real traffic.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
-	var sub jobView
+	var sub jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &sub)
 	if v := ts.await(t, sub.ID, 10*time.Second); v.State != jobDone {
 		t.Fatalf("state %s", v.State)
@@ -483,13 +498,13 @@ func TestMetricsEndpoint(t *testing.T) {
 // order.
 func TestListJobs(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8})
-	var first, second jobView
+	var first, second jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 16}, &first)
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "event-driven", Workers: 2, Horizon: 16}, &second)
 	ts.await(t, first.ID, 10*time.Second)
 	ts.await(t, second.ID, 10*time.Second)
 	var list struct {
-		Jobs []jobView `json:"jobs"`
+		Jobs []jobDoc `json:"jobs"`
 	}
 	if code := ts.getJSON(t, "/v1/jobs", &list); code != http.StatusOK {
 		t.Fatalf("list status %d", code)
@@ -506,7 +521,7 @@ func TestListJobs(t *testing.T) {
 // netlist, and the probe lane's view equals the matching row.
 func TestBatchedVectorJob(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
-	var sub jobView
+	var sub jobDoc
 	resp := ts.submit(t, jobRequest{
 		Netlist: testNetlist, Engine: "vector", Workers: 1, Horizon: 64,
 		Lanes: 4, LaneStride: 7, ProbeLane: 2,
@@ -539,7 +554,7 @@ func TestBatchedVectorJob(t *testing.T) {
 	}
 
 	// Scalar engines ignore the batch fields and report no lane rows.
-	var plain jobView
+	var plain jobDoc
 	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "compiled", Workers: 1, Horizon: 64, Lanes: 4}, &plain)
 	pv := ts.await(t, plain.ID, 10*time.Second)
 	if pv.State != jobDone {
@@ -622,7 +637,7 @@ func TestWideLaneAdmission(t *testing.T) {
 // of the inverter ring's collapsed fault list.
 func TestWideFaultJob(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
-	var sub jobView
+	var sub jobDoc
 	resp := ts.submit(t, jobRequest{
 		Netlist: testNetlist, Engine: "vector", Workers: 1, Horizon: 64,
 		Lanes: 64, FaultSim: true, FaultStatuses: true,
