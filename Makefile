@@ -67,15 +67,18 @@ fleet-test:
 	$(GO) test -race -timeout 10m -count=1 ./internal/cluster
 	$(GO) test -race -timeout 5m -count=1 -run 'TestDedup' ./internal/server
 
-## jit-test runs the codegen-engine suite under the race detector: the
-## per-kernel truth-table proofs (scalar, one-word and wide planes), the
-## gang-schedule tests (workers 1-4 x lanes 1/64/256 against compiled, one
-## barrier per step on every worker row, one contiguous slab stripe per
-## worker), the checked-in differential fuzz corpus replay and the
+## jit-test runs the plane-core suite (internal/vector, the engine behind
+## the names vector and jit) under the race detector: the per-lowering
+## truth-table proofs (scalar, one-word and wide planes; white-box in
+## internal/vector, and through the registry from the test-only
+## internal/codegen directory), the gang-schedule tests under both names
+## (workers 1-4 x lanes 1/64/256 against compiled, one barrier per step on
+## every worker row, one contiguous slab stripe per worker), the fault
+## suite, the checked-in differential fuzz corpus replay and the
 ## bit-identical resume tests.
 jit-test:
-	$(GO) test -race -timeout 5m -count=1 ./internal/codegen
-	$(GO) test -race -timeout 5m -count=1 -run 'TestResumeJIT|FuzzEngines|TestFuzzCorpusSeedsReplay' .
+	$(GO) test -race -timeout 5m -count=1 ./internal/vector ./internal/codegen
+	$(GO) test -race -timeout 5m -count=1 -run 'TestResumeJIT|TestResumeVector|FuzzEngines|TestFuzzCorpusSeedsReplay' .
 
 ## bench-smoke compiles and smoke-tests the repository benchmark. bench/
 ## is a module of its own, so the root build/vet/test never see it and an
@@ -106,9 +109,10 @@ bench-diff:
 	$(GO) run ./tools/benchdiff -tol 0.5 -abs 0.5 BENCH_jit.json .bench-current.json
 	rm -f .bench-current.json
 
-## bench-vector regenerates the batched-engine throughput snapshot: the
-## v1 experiment sweeps stimulus lanes on the inverter array and records
-## per-vector speed-up over the scalar compiled engine.
+## bench-vector regenerates the batched throughput snapshot: the v1
+## experiment sweeps stimulus lanes on the inverter array (the plane core
+## under its vector name) and records per-vector speed-up over the scalar
+## compiled engine.
 bench-vector:
 	$(GO) run ./cmd/figures -fig v1 -mode real -json BENCH_vector.json
 
@@ -137,7 +141,7 @@ bench-auto:
 bench-ckpt:
 	$(GO) run ./cmd/figures -fig c1 -mode real -json BENCH_ckpt.json
 
-## bench-jit regenerates the codegen-engine snapshot (j1): jit vs compiled
+## bench-jit regenerates the j1 snapshot: the plane core as jit vs compiled
 ## wall-clock on the gate-level multiplier and the microprocessor at 1-4
 ## workers; acceptance is >=1.5x over compiled at one worker on both and
 ## >=1.0x at every worker count the host has cores for.
@@ -154,7 +158,9 @@ bench-fleet:
 	$(GO) run ./cmd/figures -fig d1 -json BENCH_fleet.json
 
 ## wide-test runs the wide-plane and fault-simulation suites under the
-## race detector — the same leg CI's wide-lane job runs.
+## race detector — the same leg CI's wide-lane job runs. internal/codegen
+## holds tests only (the jit name's truth tables through the registry); the
+## engine is internal/vector.
 wide-test:
 	$(GO) test -race -timeout 5m -count=1 -run Wide ./internal/vector ./internal/codegen ./internal/analyze ./internal/logic ./internal/server .
 

@@ -42,7 +42,7 @@ type CircuitProfile struct {
 	// TotalCost sums non-generator evaluation cost (circuit cost units).
 	TotalCost int64 `json:"total_cost"`
 	// UnitDelay reports every element at delay 1 — the precondition for the
-	// compiled and vector engines to reproduce event-timed histories.
+	// compiled engine and the plane core to reproduce event-timed histories.
 	UnitDelay bool  `json:"unit_delay"`
 	MaxDelay  int64 `json:"max_delay"`
 

@@ -3,6 +3,7 @@ package auto
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parsim/internal/circuit"
@@ -11,7 +12,6 @@ import (
 	"parsim/internal/seq"
 
 	// The candidates the selector must be able to hand a run to.
-	_ "parsim/internal/codegen"
 	_ "parsim/internal/compiled"
 	_ "parsim/internal/core"
 	_ "parsim/internal/dist"
@@ -36,7 +36,8 @@ func TestRegistry(t *testing.T) {
 
 // TestChooseInverterArray pins the selection on the paper's flagship
 // circuit: the asynchronous engine at the full budget, with the complete
-// nine-engine ranking recorded on the selection.
+// eight-entry ranking (the plane core ranks once, as jit) recorded on the
+// selection.
 func TestChooseInverterArray(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	sel, icfg := Choose(c, engine.Config{Workers: 4, Horizon: 96, CostSpin: 300})
@@ -46,8 +47,8 @@ func TestChooseInverterArray(t *testing.T) {
 	if icfg.Workers < 1 || icfg.Workers > 4 {
 		t.Errorf("inner config workers %d outside budget", icfg.Workers)
 	}
-	if len(sel.Ranking) != 9 {
-		t.Errorf("ranking has %d entries, want 9", len(sel.Ranking))
+	if len(sel.Ranking) != 8 {
+		t.Errorf("ranking has %d entries, want 8", len(sel.Ranking))
 	}
 	if sel.Profile == nil || sel.Profile.Elements == 0 {
 		t.Error("selection carries no profile")
@@ -57,13 +58,18 @@ func TestChooseInverterArray(t *testing.T) {
 	}
 }
 
-// TestChooseLanesForceVector: a batched job has no choice — only the
-// vector engine produces LaneFinal.
+// TestChooseLanesForceVector: a batched (stimulus-vector) job has no
+// choice — only the plane core produces LaneFinal, and auto names it jit.
 func TestChooseLanesForceVector(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	sel, icfg := Choose(c, engine.Config{Workers: 2, Horizon: 96, Lanes: 16})
-	if sel.Engine != "vector" {
-		t.Fatalf("lanes=16 selected %q, want vector", sel.Engine)
+	if sel.Engine != "jit" {
+		t.Fatalf("lanes=16 selected %q, want jit", sel.Engine)
+	}
+	for _, ch := range sel.Ranking {
+		if ch.Engine == "jit" && !strings.Contains(ch.Reason, "lane engine") {
+			t.Errorf("forced selection reason %q does not say why", ch.Reason)
+		}
 	}
 	if sel.Confidence != 1 {
 		t.Errorf("forced selection confidence %v, want 1", sel.Confidence)
@@ -117,8 +123,9 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunScalarJobOnVector: if the cost model hands a scalar job to the
-// vector engine it must run with one lane; forced batched jobs keep theirs.
+// TestRunScalarJobOnVector: a forced batched job runs end to end on the
+// plane core and keeps its lanes. (A scalar job the cost model hands to the
+// core runs at jit's default of one lane with no fix-up.)
 func TestRunScalarJobOnVector(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	rep, err := engine.Run(context.Background(), "auto", c, engine.Config{
@@ -127,7 +134,7 @@ func TestRunScalarJobOnVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Selected.Engine != "vector" {
+	if rep.Selected.Engine != "jit" {
 		t.Fatalf("batched job selected %q", rep.Selected.Engine)
 	}
 	if len(rep.LaneFinal) != 16 {

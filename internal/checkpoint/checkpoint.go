@@ -26,9 +26,12 @@ import (
 	"parsim/internal/stats"
 )
 
-// Version is the snapshot format version. Bump on any wire change; Load
-// rejects other versions.
-const Version = 1
+// Version is the snapshot format version. Bump on any wire change — and on
+// any change of meaning the length checks cannot see; Load rejects other
+// versions. Version 2 renumbered the plane engines' node planes from
+// node-id order to the compiled program's owner/level-major order: a
+// version-1 vector snapshot has the right plane count in the wrong nodes.
+const Version = 2
 
 // magic identifies a parsim checkpoint file.
 var magic = [4]byte{'P', 'S', 'C', 'K'}
@@ -146,7 +149,7 @@ type PlaneState struct {
 	V, U []uint64
 }
 
-// KernelState carries the private state of one compiled vector kernel —
+// KernelState carries the private state of one plane-core kernel —
 // plane rows such as a flip-flop's previous clock and held output, or a
 // RAM's memory array — plus per-lane scalar element state for kernels that
 // fall back to scalar evaluation.
@@ -156,7 +159,7 @@ type KernelState struct {
 }
 
 // RunCounters is the gob-safe subset of stats.Run a fault-simulation
-// snapshot accumulates across completed passes (the fields mergeRun sums).
+// snapshot accumulates across completed passes (the fields addRunCounters sums).
 type RunCounters struct {
 	TimeSteps   int64
 	NodeUpdates int64
@@ -198,8 +201,8 @@ type Snapshot struct {
 	QueueCur  int64
 	GenNext   []int64
 
-	// Compiled/vector engines: node values (Values above for compiled) or
-	// node planes, plus per-kernel closure state.
+	// Compiled engine and plane core: node values (Values above for
+	// compiled) or node planes, plus per-kernel closure state.
 	Planes  []PlaneState
 	Kernels []KernelState
 

@@ -171,6 +171,13 @@ func TestLoadWrongMagicAndVersion(t *testing.T) {
 	bad[4] = 99
 	_, derr = decode(path, bad)
 	corruptErr(t, derr, "future version")
+
+	// A version-1 frame: its vector planes are numbered in node-id order,
+	// which no length check downstream could tell from today's.
+	bad = append([]byte(nil), data...)
+	bad[4] = 1
+	_, derr = decode(path, bad)
+	corruptErr(t, derr, "version-1 frame")
 }
 
 func TestLoadMissingFile(t *testing.T) {

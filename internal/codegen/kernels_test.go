@@ -1,30 +1,40 @@
-package codegen
+// Package codegen_test is the registry-level conformance suite of the
+// "jit" name (alias "codegen"). The engine itself is the levelized plane
+// core in internal/vector, whose own tests prove every lowering white-box,
+// lane-parallel; this directory holds no code and drives the same truth
+// tables through the registry instead — stimulus generators, the compiled
+// program, the gang step loop, update accounting and the probe — one input
+// combination per time step.
+package codegen_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/logic"
+	"parsim/internal/trace"
+
+	_ "parsim/internal/vector"
 )
 
 var allStates = []logic.State{logic.L, logic.H, logic.X, logic.Z}
 
 // codegenShape is one port configuration of a kind to prove through the
-// compiler: input node widths, output node widths, params.
+// engine: input node widths, output node widths, params.
 type codegenShape struct {
 	ins    []int
 	outs   []int
 	params circuit.Params
 }
 
-// codegenShapes maps every evaluating kind to the shapes its codegen
-// lowering is proven over. Generator kinds map to nil: they are lowered as
-// stimulus (vector.GenExec), not as level work, and the engine-level
-// differential tests cover them. TestCodegenLoweringsComplete walks
-// circuit.AllKinds(), so a kind added to the registry without a codegen
-// lowering entry here fails the shape check.
+// codegenShapes maps every evaluating kind to the shapes it is proven
+// over. Generator kinds map to nil: they are the stimulus here.
+// proveAllAtWidth walks circuit.AllKinds(), so a kind added to the
+// registry without an entry fails the suite.
 var codegenShapes = map[circuit.Kind][]codegenShape{
 	circuit.KindBuf: {
 		{ins: []int{1}, outs: []int{1}},
@@ -114,37 +124,13 @@ var codegenShapes = map[circuit.Kind][]codegenShape{
 }
 
 // gate2Shapes covers a variadic gate kind's lowering ladder: the fused
-// 2-input single-bit and multi-bit forms and the 3-input fold kernel. (The
-// builder refuses 1-input variadic gates, so fusedShape's 1-input folds
-// can only be reached by Buf/Not, proven above.)
+// 2-input single-bit and multi-bit forms and the 3-input fold kernel.
 func gate2Shapes() []codegenShape {
 	return []codegenShape{
 		{ins: []int{1, 1}, outs: []int{1}},
 		{ins: []int{2, 2}, outs: []int{2}},
 		{ins: []int{1, 1, 1}, outs: []int{1}},
 	}
-}
-
-// buildShape constructs a one-element circuit for the shape, every input
-// driven by a placeholder const so the netlist validates.
-func buildShape(t *testing.T, kind circuit.Kind, sh codegenShape) (*circuit.Circuit, *circuit.Element) {
-	t.Helper()
-	b := circuit.NewBuilder("codegen-" + circuit.KindName(kind))
-	var ins, outs []circuit.NodeID
-	for i, w := range sh.ins {
-		n := b.Node(fmt.Sprintf("in%d", i), w)
-		b.Const(fmt.Sprintf("drv%d", i), n, logic.AllX(w))
-		ins = append(ins, n)
-	}
-	for i, w := range sh.outs {
-		outs = append(outs, b.Node(fmt.Sprintf("out%d", i), w))
-	}
-	b.AddElement(kind, "dut", 1, outs, ins, sh.params)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatalf("build %v %v: %v", kind, sh, err)
-	}
-	return c, &c.Elems[c.ElByName["dut"]]
 }
 
 // valueFromIndex decodes an enumeration index into a width-w four-state
@@ -157,60 +143,10 @@ func valueFromIndex(w int, idx uint64) logic.Value {
 	return logic.FromStates(states)
 }
 
-// TestCodegenLoweringsComplete is the shape check: every kind the registry
-// knows must either be a generator or carry at least one codegen proof
-// shape, and every proof shape must lower into the program as exactly the
-// form fusedShape classifies it as — a fused batch or a devirtualized
-// kernel, never silently dropped.
-func TestCodegenLoweringsComplete(t *testing.T) {
-	for _, kind := range circuit.AllKinds() {
-		shapes, listed := codegenShapes[kind]
-		if !listed {
-			t.Errorf("kind %s has no codegen lowering entry; add one to codegenShapes", circuit.KindName(kind))
-			continue
-		}
-		if shapes == nil {
-			if !circuit.IsGenerator(kind) {
-				t.Errorf("kind %s is not a generator but has no codegen shapes", circuit.KindName(kind))
-			}
-			continue
-		}
-		for si, sh := range shapes {
-			c, el := buildShape(t, kind, sh)
-			prog := compileProgram(c, 1, 64, 1)
-			var batches, kerns, spans int
-			var elems int64
-			for sl := range prog.work[0] {
-				lw := &prog.work[0][sl]
-				batches += len(lw.batches)
-				kerns += len(lw.kerns)
-				spans += len(lw.spans)
-				elems += lw.elems
-			}
-			if elems != 1 {
-				t.Errorf("%s shape %d: program counts %d elements, want the 1 dut", circuit.KindName(kind), si, elems)
-			}
-			if spans == 0 {
-				t.Errorf("%s shape %d: no output spans — updates would go uncounted", circuit.KindName(kind), si)
-			}
-			if _, fused := fusedShape(el); fused {
-				if batches == 0 || kerns != 0 {
-					t.Errorf("%s shape %d: want fused batch lowering, got %d batches / %d kernels",
-						circuit.KindName(kind), si, batches, kerns)
-				}
-			} else if kerns != 1 || batches != 0 {
-				t.Errorf("%s shape %d: want kernel lowering, got %d batches / %d kernels",
-					circuit.KindName(kind), si, batches, kerns)
-			}
-		}
-	}
-}
-
-// TestCodegenKernelsMatchScalarExhaustive proves every codegen lowering
-// against the element's scalar registry evaluation at one machine word (64
-// lanes): all four-state input combinations enumerated lane-parallel, plus
-// random multi-step sequences for stateful kinds, compared per-lane to a
-// scalar oracle carrying its own element state.
+// TestCodegenKernelsMatchScalarExhaustive proves every kind, run as the jit
+// engine at one machine word (64 lanes), against the element's scalar
+// registry evaluation over all four-state input combinations, plus random
+// multi-step sequences for stateful kinds.
 func TestCodegenKernelsMatchScalarExhaustive(t *testing.T) {
 	proveAllAtWidth(t, 64)
 }
@@ -222,101 +158,110 @@ func TestWideCodegenKernelsMatchScalarExhaustive(t *testing.T) {
 	proveAllAtWidth(t, 256)
 }
 
-// TestScalarCodegenKernelsMatchExhaustive pins the lanes == 1 compile
-// path, where the table kinds (mul/alu/rom/ram) lower through the scalar
-// registry kernel instead of their bit-sliced forms.
+// TestScalarCodegenKernelsMatchExhaustive pins the one-lane engine, where
+// the table kinds (mul/alu/rom/ram) lower through the scalar registry
+// kernel instead of their bit-sliced forms.
 func TestScalarCodegenKernelsMatchExhaustive(t *testing.T) {
 	proveAllAtWidth(t, 1)
 }
 
 func proveAllAtWidth(t *testing.T, lanes int) {
 	for _, kind := range circuit.AllKinds() {
-		shapes := codegenShapes[kind]
-		if shapes == nil {
-			continue
+		shapes, listed := codegenShapes[kind]
+		if !listed || (shapes == nil && !circuit.IsGenerator(kind)) {
+			t.Errorf("kind %s has no proof shape; add one to codegenShapes", circuit.KindName(kind))
 		}
 		for si, sh := range shapes {
 			t.Run(fmt.Sprintf("lanes%d/%s/%d", lanes, circuit.KindName(kind), si), func(t *testing.T) {
-				proveLowering(t, kind, sh, lanes)
+				proveThroughEngine(t, kind, sh, lanes)
 			})
 		}
 	}
 }
 
-// proveLowering compiles the one-element circuit through compileProgram
-// and drives the dut's level work directly — inputs packed into the
-// cur-side slabs at the program's node offsets, outputs extracted from the
-// next side — against the per-lane scalar oracle.
-func proveLowering(t *testing.T, kind circuit.Kind, sh codegenShape, lanes int) {
-	c, el := buildShape(t, kind, sh)
-	prog := compileProgram(c, 1, lanes, 1)
-	words := logic.PlaneWords(lanes)
-
+// proveThroughEngine builds the one-element circuit with every input
+// driven by a wave generator that steps through all four-state input
+// combinations, one per time step, followed by random steps so a stateful
+// kind's edges and holds are exercised; runs it as "jit" with the probe on
+// the first and on the last lane; and checks the dut's recorded output at
+// every step against the scalar registry carrying its own element state.
+// Wave stimulus is lane-invariant, so every lane must end where the probed
+// one does.
+func proveThroughEngine(t *testing.T, kind circuit.Kind, sh codegenShape, lanes int) {
 	totalBits := 0
 	for _, w := range sh.ins {
 		totalBits += 2 * w
 	}
-	combos := uint64(1) << uint(totalBits)
-
-	stateful := el.NumStateVals() > 0
-	steps := int((combos + uint64(lanes) - 1) / uint64(lanes))
-	if stateful {
-		steps += 96
-	}
-
-	oracleState := make([][]logic.Value, lanes)
-	if n := el.NumStateVals(); n > 0 {
-		for l := range oracleState {
-			oracleState[l] = make([]logic.Value, n)
-			el.InitState(oracleState[l])
-		}
-	}
-
-	cur := newPlaneBuf(prog.total, words)
-	next := newPlaneBuf(prog.total, words)
+	combos := 1 << uint(totalBits)
+	steps := combos + 96
 	rng := rand.New(rand.NewSource(int64(kind)*7919 + int64(totalBits) + int64(lanes)))
 
-	inVals := make([][]logic.Value, lanes)
-	oracleIn := make([]logic.Value, len(sh.ins))
-	oracleOut := make([]logic.Value, len(sh.outs))
-	for step := 0; step < steps; step++ {
-		for l := 0; l < lanes; l++ {
-			idx := uint64(step*lanes+l) % combos
-			if uint64(step*lanes+l) >= combos {
-				idx = rng.Uint64() % combos
+	// stim[i][s] is input i at step s: combination s, random past the
+	// exhaustive prefix.
+	times := make([]circuit.Time, steps)
+	stim := make([][]logic.Value, len(sh.ins))
+	for s := range times {
+		times[s] = circuit.Time(s)
+		idx := uint64(s)
+		if s >= combos {
+			idx = rng.Uint64() % uint64(combos)
+		}
+		for i, w := range sh.ins {
+			stim[i] = append(stim[i], valueFromIndex(w, idx))
+			idx >>= uint(2 * w)
+		}
+	}
+
+	b := circuit.NewBuilder("codegen-" + circuit.KindName(kind))
+	var ins, outs []circuit.NodeID
+	for i, w := range sh.ins {
+		n := b.Node(fmt.Sprintf("in%d", i), w)
+		b.Wave(fmt.Sprintf("drv%d", i), n, times, stim[i])
+		ins = append(ins, n)
+	}
+	for i, w := range sh.outs {
+		outs = append(outs, b.Node(fmt.Sprintf("out%d", i), w))
+	}
+	b.AddElement(kind, "dut", 1, outs, ins, sh.params)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatalf("build %v %v: %v", kind, sh, err)
+	}
+	el := &c.Elems[c.ElByName["dut"]]
+
+	probeLanes := []int{0}
+	if lanes > 1 {
+		probeLanes = append(probeLanes, lanes-1)
+	}
+	for _, lane := range probeLanes {
+		rec := trace.NewRecorderFor(outs...)
+		rep, err := engine.Run(context.Background(), "jit", c, engine.Config{
+			Workers: 1, Horizon: circuit.Time(steps + 1), Lanes: lanes, ProbeLane: lane, Probe: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := make([]logic.Value, el.NumStateVals())
+		el.InitState(state)
+		in := make([]logic.Value, len(ins))
+		want := make([]logic.Value, len(outs))
+		for s := 0; s < steps; s++ {
+			for i := range in {
+				in[i] = stim[i][s]
 			}
-			vals := make([]logic.Value, len(sh.ins))
-			shift := uint(0)
-			for i, w := range sh.ins {
-				vals[i] = valueFromIndex(w, idx>>shift)
-				shift += uint(2 * w)
-			}
-			inVals[l] = vals
-			for i, n := range el.In {
-				o := int(prog.off[n])
-				logic.PackLaneWide(cur.planes[o:o+sh.ins[i]], l, vals[i])
+			el.Eval(in, state, want)
+			for oi, n := range outs {
+				if got := rec.ValueAt(c, n, circuit.Time(s+1)); got != want[oi] {
+					t.Fatalf("lanes %d lane %d step %d in=%v: out %d = %v, want %v",
+						lanes, lane, s, in, oi, got, want[oi])
+				}
 			}
 		}
-
-		for sl := range prog.work[0] {
-			lw := &prog.work[0][sl]
-			for i := range lw.batches {
-				lw.batches[i].run(cur.v, cur.u, next.v, next.u)
-			}
-			for i := range lw.kerns {
-				lw.kerns[i].Run(cur.planes, next.planes)
-			}
-		}
-
-		for l := 0; l < lanes; l++ {
-			copy(oracleIn, inVals[l])
-			el.Eval(oracleIn, oracleState[l], oracleOut)
-			for oi, n := range el.Out {
-				o, w := int(prog.off[n]), sh.outs[oi]
-				got := logic.ExtractLaneWide(next.planes[o:o+w], l, w)
-				if got != oracleOut[oi] {
-					t.Fatalf("lanes %d step %d lane %d in=%v: out %d = %v, want %v",
-						lanes, step, l, inVals[l], oi, got, oracleOut[oi])
+		for l := range rep.LaneFinal {
+			for n := range c.Nodes {
+				if rep.LaneFinal[l][n] != rep.Final[n] {
+					t.Fatalf("lanes %d: lane %d ends node %q at %v, probe lane %d at %v",
+						lanes, l, c.Nodes[n].Name, rep.LaneFinal[l][n], lane, rep.Final[n])
 				}
 			}
 		}

@@ -88,8 +88,9 @@ type Config struct {
 	// per evaluation, restoring the paper's gate-vs-functional evaluation
 	// cost spread for benchmarking.
 	CostSpin int64
-	// Strategy selects the static partitioner (compiled, vector, dist,
-	// timewarp; jit cuts its own schedule and ignores it).
+	// Strategy selects the static partitioner (compiled, dist, timewarp;
+	// the plane core behind vector and jit cuts its own schedule and
+	// ignores it).
 	Strategy partition.Strategy
 	// CollectAvail records the elements-available-per-step histogram
 	// (sequential and event-driven engines).
@@ -136,12 +137,13 @@ type Config struct {
 	// nil; the fallback run never sees it.
 	Chaos *guard.ChaosProbe
 
-	// Batched-simulation fields, honoured by the vector engine and ignored
-	// by the scalar engines.
+	// Batched-simulation fields, honoured by the lane engines (vector and
+	// jit — see LaneEngine) and ignored by the scalar engines.
 	//
 	// Lanes is the number of independent stimulus vectors simulated at
-	// once (1..logic.MaxWideLanes; 0 defaults to one 64-lane plane word;
-	// larger counts widen every plane to ceil(Lanes/64) words).
+	// once (1..logic.MaxWideLanes; 0 takes the engine's DefaultLanes — 64,
+	// one plane word, for vector and 1 for jit; counts beyond 64 widen
+	// every plane to ceil(Lanes/64) words).
 	Lanes int
 	// LaneStride offsets the Seed of rand/gray stimulus generators per
 	// lane: lane k runs with Seed + k*LaneStride, so lane 0 always replays
@@ -154,8 +156,8 @@ type Config struct {
 	// FaultSim switches the run to concurrent stuck-at fault simulation:
 	// lane 0 simulates the good machine, lanes 1..Lanes-1 each carry one
 	// fault from the analyzer's collapsed stuck-at list, and the Report
-	// carries FaultCoverage. Only the vector engine supports it; RunEngine
-	// rejects the flag for every other engine.
+	// carries FaultCoverage. It rides on lanes, so exactly the lane engines
+	// support it; RunEngine rejects the flag for every other engine.
 	FaultSim bool
 	// FaultMaxPasses caps fault-list chunking (each pass simulates Lanes-1
 	// faults; 0 runs every pass the list needs).
@@ -264,7 +266,7 @@ type Report struct {
 	// GVTRounds counts time-warp synchronisation rounds.
 	GVTRounds int64
 	// LaneFinal holds every stimulus lane's final node values from a
-	// batched vector run, indexed [lane][NodeID]; LaneFinal[ProbeLane]
+	// lane-engine run, indexed [lane][NodeID]; LaneFinal[ProbeLane]
 	// equals Final. Nil for the scalar engines.
 	LaneFinal [][]logic.Value
 	// FaultCoverage reports stuck-at coverage from a fault-simulation run
@@ -318,6 +320,25 @@ type Engine interface {
 	// Name is the canonical registry name (matches Algorithm.String()).
 	Name() string
 	Run(ctx context.Context, c *circuit.Circuit, cfg Config) (*Report, error)
+}
+
+// LaneEngine is an Engine that advances Config.Lanes stimulus lanes at once
+// and reports LaneFinal. Lanes are also what fault simulation injects into,
+// so Config.FaultSim is valid exactly where this interface is implemented.
+type LaneEngine interface {
+	Engine
+	// DefaultLanes is the lane count a run gets when Config.Lanes is 0.
+	DefaultLanes() int
+}
+
+// DefaultLanes returns e's lane count for a run that requests none, or 0
+// when e is a scalar engine that ignores the lane fields — the one
+// predicate admission, validation and the adapters share.
+func DefaultLanes(e Engine) int {
+	if le, ok := e.(LaneEngine); ok {
+		return le.DefaultLanes()
+	}
+	return 0
 }
 
 // ---- registry ----
@@ -408,8 +429,8 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.FaultSim && e.Name() != "vector" {
-		return nil, fmt.Errorf("parsim: fault simulation requires the vector engine, not %q", e.Name())
+	if cfg.FaultSim && DefaultLanes(e) == 0 {
+		return nil, fmt.Errorf("parsim: fault simulation requires a lane engine (vector or jit), not %q", e.Name())
 	}
 	var fb Engine
 	if cfg.Fallback.Enabled() {

@@ -22,9 +22,10 @@ import (
 // selection gives up at most 10% over an oracle that tried everything.
 //
 // Methodology: on circuits with non-unit delays (the functional multiplier's
-// block delay, the microprocessor) the compiled and vector engines are
-// excluded from "best" — their rank-order evaluation computes a different
-// simulation than event timing, so their walls are not comparable results.
+// block delay, the microprocessor) the compiled engine and the plane core
+// (vector, jit) are excluded from "best" — their rank-order evaluation
+// computes a different simulation than event timing, so their walls are not
+// comparable results.
 // The cost model marks them ineligible on the same criterion, so auto never
 // picks what the oracle is not allowed to count.
 //
@@ -72,7 +73,7 @@ func a1(cfg Config) *Figure {
 		bestWall := math.Inf(1)
 		bestEng, bestW := "", 0
 		for _, eng := range engines {
-			if !unitDelay && (eng == "compiled" || eng == "vector") {
+			if !unitDelay && (eng == "compiled" || eng == "vector" || eng == "jit") {
 				continue
 			}
 			ws := sweep
@@ -120,7 +121,7 @@ func a1(cfg Config) *Figure {
 			bestEng, bestW, bestWall/1e6, ratio))
 		if !unitDelay {
 			f.Notes = append(f.Notes, fmt.Sprintf(
-				"%d=%s: compiled/vector excluded from best (non-unit delays diverge from event timing)",
+				"%d=%s: compiled/vector/jit excluded from best (non-unit delays diverge from event timing)",
 				i+1, name))
 		}
 	}

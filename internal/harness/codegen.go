@@ -6,14 +6,12 @@ import (
 	"runtime"
 
 	"parsim/internal/engine"
-
-	// The statically compiled ("jit") engine registers itself too.
-	_ "parsim/internal/codegen"
 )
 
-// j1 — codegen vs compiled wall-clock: the jit engine lowers the levelized
-// schedule into fused batch loops over struct-of-arrays slabs, replacing
-// the compiled engine's per-element closure walk. The experiment measures
+// j1 — codegen vs compiled wall-clock: the plane core (timed here under its
+// jit name, one lane; v1/v2/f1 time the same core under vector) lowers the
+// levelized schedule into fused batch loops over struct-of-arrays slabs,
+// replacing the compiled engine's per-element closure walk. The experiment measures
 // raw kernel throughput (CostSpin 0, scalar lanes) on the two structured
 // paper circuits — the gate-level multiplier and the microprocessor — at
 // 1, 2 and 4 workers, and reports the jit/compiled speed-up per worker

@@ -21,7 +21,8 @@ type PredictOptions struct {
 	// MaxWorkers is the worker budget; each engine is swept over
 	// 1,2,4,... up to this cap and ranked at its best count.
 	MaxWorkers int
-	// Lanes > 1 marks a batched job (only the vector engine applies).
+	// Lanes > 1 marks a batched job (only the plane core, predicted under
+	// its jit name, applies).
 	Lanes int
 	// CostSpin mirrors Config.CostSpin: synthetic per-evaluation work that
 	// shifts the balance from dispatch overhead to evaluation cost.
@@ -65,10 +66,6 @@ const (
 	// element cost (CostSpin=300 roughly triples a cost-1 gate evaluation
 	// relative to its dispatch).
 	spinDiv = 100.0
-	// vectorPenalty is the scalar-job handicap of the vector engine: plane
-	// bookkeeping makes one lane cost more than the compiled engine's
-	// scalar pass, so vector only wins batched jobs.
-	vectorPenalty = 1.3
 	// chandyMisraPenalty scales the conservative null-message machinery.
 	chandyMisraPenalty = 1.35
 	// timeWarpBase/timeWarpSeq model optimistic overhead: state saving on
@@ -89,7 +86,8 @@ const (
 
 // Predict ranks every engine's best configuration for the profiled circuit
 // under the given budget: eligible engines first, ordered by predicted
-// span. The slice always contains one entry per engine.
+// span. The slice always contains one entry per engine — the plane core
+// once, under its jit name.
 func Predict(p *analyze.CircuitProfile, opts PredictOptions) []Prediction {
 	if opts.MaxWorkers < 1 {
 		opts.MaxWorkers = 1
@@ -103,7 +101,6 @@ func Predict(p *analyze.CircuitProfile, opts PredictOptions) []Prediction {
 		m.sequential(),
 		m.eventDriven(),
 		m.compiled(),
-		m.vector(),
 		m.jit(),
 		m.async("asynchronous", 1, 0),
 		m.async("chandy-misra", chandyMisraPenalty, 0),
@@ -237,30 +234,13 @@ func (m *predictor) compiled() Prediction {
 	return best
 }
 
-func (m *predictor) vector() Prediction {
-	best := m.compiled()
-	best.Engine = "vector"
-	best.Span *= vectorPenalty
-	best.Lanes = m.opts.Lanes
-	if best.Lanes < 1 {
-		best.Lanes = 1
-	}
-	if m.opts.Lanes > 1 && best.Eligible {
-		// A batched job amortises the whole pass over every lane; no scalar
-		// engine can compete, and none of them produces LaneFinal at all.
-		best.Span /= float64(m.opts.Lanes)
-	}
-	if !m.p.UnitDelay {
-		best.Reason = "non-unit delays: compiled-mode rank-order results diverge from event timing"
-	}
-	return best
-}
-
-// jit models the statically compiled codegen engine: the compiled curve
-// with the per-element dispatch term compiled away and one barrier per tick
-// when parallel, and the same lane amortisation as vector for batched jobs.
-// Its compiler cuts the schedule into cost-balanced contiguous runs itself,
-// so no partition strategy (and no imbalance factor) applies. Like every
+// jit models the levelized plane core (registered as both jit and vector;
+// one core, so one prediction): the compiled curve with the per-element
+// dispatch term compiled away and one barrier per tick when parallel. A
+// batched job amortises the whole pass over every lane — no scalar engine
+// can compete, and none of them produces LaneFinal at all. Its compiler
+// cuts the schedule into cost-balanced contiguous runs itself, so no
+// partition strategy (and no imbalance factor) applies. Like every
 // rank-order engine it is gated on unit delays.
 func (m *predictor) jit() Prediction {
 	cm := m.opts.Cost

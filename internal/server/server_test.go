@@ -578,6 +578,9 @@ func TestBatchedAdmissionValidation(t *testing.T) {
 		{"negative lanes", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: -1}, "lanes"},
 		{"probe lane out of range", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 4, ProbeLane: 4}, "probe_lane"},
 		{"negative probe lane", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, ProbeLane: -1}, "probe_lane"},
+		// lanes: 0 means the engine's own default, and jit's is 1, not 64.
+		{"probe lane past jit's default lanes", jobRequest{Netlist: testNetlist, Engine: "jit", Horizon: 8, ProbeLane: 3}, "probe_lane"},
+		{"probe lane past auto's scalar lane", jobRequest{Netlist: testNetlist, Engine: "auto", Horizon: 8, ProbeLane: 3}, "probe_lane"},
 		{"fault sim on scalar engine", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, FaultSim: true}, "fault_sim"},
 		{"fault sim single lane", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 1, FaultSim: true}, "fault_sim"},
 	}
@@ -612,6 +615,7 @@ func TestWideLaneAdmission(t *testing.T) {
 		{"three words too big", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 192}, 413, "plane words"},
 		{"max width too big", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: logic.MaxWideLanes}, 413, "plane words"},
 		{"fault sim wide too big", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 1024, FaultSim: true}, 413, "plane words"},
+		{"jit carries fault sim too", jobRequest{Netlist: testNetlist, Engine: "jit", Horizon: 8, Lanes: 64, FaultSim: true}, 202, ""},
 		{"scalar ignores lanes", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, Lanes: logic.MaxWideLanes}, 202, ""},
 	}
 	for _, tc := range cases {

@@ -1,15 +1,15 @@
-package codegen
+package vector
 
-// The fused gate shapes: the 1- and 2-input gates that dominate every
-// gate-level netlist are not compiled one closure per element the way the
-// batched engine does it. Instead the compiler collects all same-shaped
-// gates of one (worker, level) slice into a single batch — a flat offset
-// table over the struct-of-arrays value/unknown slabs — and the whole
-// batch runs as one branch-free loop of word ops: no per-element call, no
-// kind dispatch, no bounds-check chains through plane structs. The algebra
-// is exactly the batched engine's fused compileGate/compileGate2 forms
-// (PlaneAnd/PlaneOr/PlaneXor with the Readable() normalisation folded in),
-// which the truth-table suite proves against the scalar registry.
+// The fused gate shapes: the 1- and 2-input gates and the 2:1 mux that
+// dominate every gate-level netlist are not compiled one closure per
+// element the way every other kind is (kernel.go). Instead the compiler
+// collects all same-shaped gates of one (worker, level) slice into a
+// single batch — a flat offset table over the struct-of-arrays
+// value/unknown slabs — and the whole batch runs as one branch-free loop
+// of word ops: no per-element call, no kind dispatch, no bounds-check
+// chains through plane structs. The algebra is PlaneAnd/PlaneOr/PlaneXor/
+// PlaneMux with the Readable() normalisation folded in, which the
+// truth-table suite proves against the scalar registry.
 
 import "parsim/internal/circuit"
 
@@ -44,10 +44,10 @@ func (sh gateShape) arity() int {
 }
 
 // fusedShape classifies an element into a batch shape, or reports that it
-// needs a real kernel. The mapping mirrors vector.compileGate: 1-input
-// or-family gates reduce to buf/not (fold with the all-L identity), while
-// 1-input and/nand keep the generic fold (its identity differs) and
-// anything with three or more inputs folds in a kernel too.
+// needs a real kernel. 1-input or-family gates reduce to buf/not (fold with
+// the all-L identity), while 1-input and/nand keep compileGate's generic
+// fold (its identity differs) and anything with three or more inputs folds
+// in a kernel too.
 func fusedShape(el *circuit.Element) (gateShape, bool) {
 	switch len(el.In) {
 	case 1:

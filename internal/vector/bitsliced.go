@@ -222,7 +222,7 @@ func compileRam(el *circuit.Element, ins []span, out, w, words int) (func(cur, n
 	// state: previous clock plane + entries x w memory planes, each lane
 	// initialised from Params.Mem then all-X — Element.InitState per lane.
 	prevClk := wideRow(1, words, logic.X)[0]
-	mem := newWidePlanes(entries*w, words)
+	mem := newPlaneBuf(entries*w, words).planes
 	for e := 0; e < entries; e++ {
 		var init logic.Value
 		if e < len(el.Params.Mem) {

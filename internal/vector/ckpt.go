@@ -10,11 +10,14 @@ import (
 	"parsim/internal/trace"
 )
 
-// Checkpoint/resume for the batched engine. A snapshot captures one buffer
-// side's node planes (all lanes), every stateful kernel's private planes and
-// per-lane scalar state, the per-worker counters, the recorded probe history
-// and — in fault-simulation mode — the cross-pass detection state, all at
-// the per-step barrier where the gang is quiescent.
+// Checkpoint/resume for the plane core. A snapshot captures one buffer
+// side's node planes (all lanes), every stateful kernel's private planes
+// and per-lane scalar state (the fused gate batches are stateless by
+// construction), the per-worker counters, the recorded probe history and —
+// in fault-simulation mode — the cross-pass detection state, all at the
+// per-step barrier where the gang is quiescent. Kernel states walk in
+// program.kernels order — the compiled program is deterministic, so the
+// restore side walks the same sequence.
 
 // checkpointDue reports whether the gang snapshots at the top of step t.
 // Every worker evaluates the same pure predicate, so they agree without
@@ -42,25 +45,20 @@ func (s *sim) saveCheckpoint(step circuit.Time) error {
 		Step:    int64(step),
 		Workers: append([]stats.WorkerCounters(nil), s.wc...),
 	}
-	side := s.buf[int(step)&1]
+	side := s.buf[int(step)&1].planes
 	snap.Planes = make([]checkpoint.PlaneState, len(side))
 	for i, p := range side {
 		snap.Planes[i] = packPlane(p)
 	}
-	// Kernels in (worker, position) order — the partition is deterministic,
-	// so the restore side walks the same sequence.
-	for w := range s.parts {
-		for i := range s.parts[w] {
-			k := &s.parts[w][i]
-			var ks checkpoint.KernelState
-			for _, st := range k.state {
-				ks.Planes = append(ks.Planes, packPlane(st))
-			}
-			for _, lane := range k.laneState {
-				ks.Lanes = append(ks.Lanes, checkpoint.PackValues(lane))
-			}
-			snap.Kernels = append(snap.Kernels, ks)
+	for _, k := range s.prog.kernels() {
+		var ks checkpoint.KernelState
+		for _, st := range k.state {
+			ks.Planes = append(ks.Planes, packPlane(st))
 		}
+		for _, lane := range k.laneState {
+			ks.Lanes = append(ks.Lanes, checkpoint.PackValues(lane))
+		}
+		snap.Kernels = append(snap.Kernels, ks)
 	}
 	if rec, ok := s.opts.Probe.(*trace.Recorder); ok {
 		snap.HasTrace = true
@@ -92,68 +90,69 @@ func (s *sim) saveCheckpoint(step circuit.Time) error {
 	return s.ckptW.Save(snap)
 }
 
-// restore rebuilds the simulator from a digest-verified snapshot, validating
-// every structural property so failures are errors, never panics.
+// restore rebuilds the simulator from a digest-verified snapshot,
+// validating every structural property so failures are errors, never
+// panics.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
 	bad := func(format string, args ...any) error {
-		return fmt.Errorf("parsim: resume (vector): %s", fmt.Sprintf(format, args...))
+		return fmt.Errorf("parsim: resume (%s): %s", s.opts.Name, fmt.Sprintf(format, args...))
 	}
-	if len(snap.Planes) != s.lay.total {
-		return bad("snapshot has %d node planes for a %d-plane circuit", len(snap.Planes), s.lay.total)
+	if len(snap.Planes) != s.prog.total {
+		return bad("snapshot has %d node planes for a %d-plane circuit", len(snap.Planes), s.prog.total)
 	}
 	for i, p := range snap.Planes {
 		if len(p.V) != s.words || len(p.U) != s.words {
 			return bad("plane %d has %d/%d words, want %d", i, len(p.V), len(p.U), s.words)
 		}
 	}
-	nk := 0
-	for w := range s.parts {
-		nk += len(s.parts[w])
-	}
-	if len(snap.Kernels) != nk {
-		return bad("snapshot has %d kernel states for %d kernels", len(snap.Kernels), nk)
+	kerns := s.prog.kernels()
+	if len(snap.Kernels) != len(kerns) {
+		return bad("snapshot has %d kernel states for %d kernels", len(snap.Kernels), len(kerns))
 	}
 	// Validate every kernel state before committing anything.
-	laneVals := make([][][]logic.Value, nk)
-	idx := 0
-	for w := range s.parts {
-		for i := range s.parts[w] {
-			k := &s.parts[w][i]
-			ks := &snap.Kernels[idx]
-			if len(ks.Planes) != len(k.state) {
-				return bad("kernel %d has %d state planes, want %d", idx, len(ks.Planes), len(k.state))
+	laneVals := make([][][]logic.Value, len(kerns))
+	for idx, k := range kerns {
+		ks := &snap.Kernels[idx]
+		if len(ks.Planes) != len(k.state) {
+			return bad("kernel %d has %d state planes, want %d", idx, len(ks.Planes), len(k.state))
+		}
+		for j, p := range ks.Planes {
+			if len(p.V) != s.words || len(p.U) != s.words {
+				return bad("kernel %d state plane %d has %d/%d words, want %d", idx, j, len(p.V), len(p.U), s.words)
 			}
-			for j, p := range ks.Planes {
-				if len(p.V) != s.words || len(p.U) != s.words {
-					return bad("kernel %d state plane %d has %d/%d words, want %d", idx, j, len(p.V), len(p.U), s.words)
+		}
+		if len(ks.Lanes) != len(k.laneState) {
+			return bad("kernel %d has %d lane states, want %d", idx, len(ks.Lanes), len(k.laneState))
+		}
+		if len(ks.Lanes) > 0 {
+			laneVals[idx] = make([][]logic.Value, len(ks.Lanes))
+			for l := range ks.Lanes {
+				if len(ks.Lanes[l]) != len(k.laneState[l]) {
+					return bad("kernel %d lane %d has %d state values, want %d", idx, l, len(ks.Lanes[l]), len(k.laneState[l]))
 				}
-			}
-			if len(ks.Lanes) != len(k.laneState) {
-				return bad("kernel %d has %d lane states, want %d", idx, len(ks.Lanes), len(k.laneState))
-			}
-			if len(ks.Lanes) > 0 {
-				laneVals[idx] = make([][]logic.Value, len(ks.Lanes))
-				for l := range ks.Lanes {
-					if len(ks.Lanes[l]) != len(k.laneState[l]) {
-						return bad("kernel %d lane %d has %d state values, want %d", idx, l, len(ks.Lanes[l]), len(k.laneState[l]))
-					}
-					vals, err := checkpoint.UnpackValues(ks.Lanes[l])
-					if err != nil {
-						return bad("kernel %d lane %d: %v", idx, l, err)
-					}
-					for j := range vals {
-						if vals[j].Width() != k.laneState[l][j].Width() {
-							return bad("kernel %d lane %d state %d width mismatch", idx, l, j)
-						}
-					}
-					laneVals[idx][l] = vals
+				vals, err := checkpoint.UnpackValues(ks.Lanes[l])
+				if err != nil {
+					return bad("kernel %d lane %d: %v", idx, l, err)
 				}
+				for j := range vals {
+					if vals[j].Width() != k.laneState[l][j].Width() {
+						return bad("kernel %d lane %d state %d width mismatch", idx, l, j)
+					}
+				}
+				laneVals[idx][l] = vals
 			}
-			idx++
 		}
 	}
 	if len(snap.Workers) != s.p {
 		return bad("snapshot has %d worker counter rows, want %d", len(snap.Workers), s.p)
+	}
+	for w := range snap.Workers {
+		// One barrier per step is an invariant of every snapshot this
+		// schedule writes; the snapshot is outside input, so a row that
+		// breaks it must not be committed.
+		if bw := snap.Workers[w].BarrierWaits; bw != snap.Step {
+			return bad("worker %d crossed %d barriers in %d steps, want one per step", w, bw, snap.Step)
+		}
 	}
 	if (snap.Fault != nil) != (s.fault != nil) {
 		return bad("fault-simulation state presence mismatch")
@@ -177,23 +176,18 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 	// node stays constant, so the resumed double-buffer sequence matches
 	// the uninterrupted one exactly.
 	for side := range s.buf {
-		for i := range s.buf[side] {
-			copy(s.buf[side][i].V, snap.Planes[i].V)
-			copy(s.buf[side][i].U, snap.Planes[i].U)
+		for i := range s.buf[side].planes {
+			copy(s.buf[side].planes[i].V, snap.Planes[i].V)
+			copy(s.buf[side].planes[i].U, snap.Planes[i].U)
 		}
 	}
-	idx = 0
-	for w := range s.parts {
-		for i := range s.parts[w] {
-			k := &s.parts[w][i]
-			for j := range k.state {
-				copy(k.state[j].V, snap.Kernels[idx].Planes[j].V)
-				copy(k.state[j].U, snap.Kernels[idx].Planes[j].U)
-			}
-			for l := range k.laneState {
-				copy(k.laneState[l], laneVals[idx][l])
-			}
-			idx++
+	for idx, k := range kerns {
+		for j := range k.state {
+			copy(k.state[j].V, snap.Kernels[idx].Planes[j].V)
+			copy(k.state[j].U, snap.Kernels[idx].Planes[j].U)
+		}
+		for l := range k.laneState {
+			copy(k.laneState[l], laneVals[idx][l])
 		}
 	}
 	copy(s.wc, snap.Workers)

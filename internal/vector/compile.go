@@ -1,4 +1,4 @@
-package codegen
+package vector
 
 import (
 	"sort"
@@ -6,7 +6,6 @@ import (
 	"parsim/internal/analyze"
 	"parsim/internal/circuit"
 	"parsim/internal/logic"
-	"parsim/internal/vector"
 )
 
 // The static compiler: lower a circuit's levelized schedule into a
@@ -19,25 +18,27 @@ import (
 
 // program is one circuit compiled for p workers at a lane width.
 type program struct {
-	// off maps node -> first plane index. Nodes are numbered owner-major,
-	// then in (driver level, node) order: each worker's write set on a
-	// buffer side is one dense slab range disjoint from every other
-	// worker's — the per-worker state stripe PARSIR argues for — and inside
-	// it each level's outputs land contiguously. Undriven nodes (constant
-	// inputs everyone reads, nobody writes) come first.
-	off   []int32
-	total int // plane count
+	// The layout numbers nodes owner-major, then in (driver level, node)
+	// order: each worker's write set on a buffer side is one dense slab
+	// range disjoint from every other worker's — the per-worker state
+	// stripe PARSIR argues for — and inside it each level's outputs land
+	// contiguously. Undriven nodes (constant inputs everyone reads, nobody
+	// writes) come first.
+	layout
+	// owner maps element -> the worker that evaluates it (generators
+	// included); fault injection follows it.
+	owner []int32
 	// work[w] is worker w's contiguous run of the schedule, one entry per
 	// level it touches, in level order.
 	work [][]levelWork
 	// gens[w] are worker w's stimulus generators (round-robin).
-	gens [][]vector.GenExec
+	gens [][]genKernel
 }
 
 // kernels lists every compiled kernel in (worker, level, position) order,
 // the walk the checkpoint codec saves and restores kernel state in.
-func (p *program) kernels() []*vector.ElemKernel {
-	var ks []*vector.ElemKernel
+func (p *program) kernels() []*kernel {
+	var ks []*kernel
 	for w := range p.work {
 		for sl := range p.work[w] {
 			for i := range p.work[w][sl].kerns {
@@ -53,8 +54,8 @@ func (p *program) kernels() []*vector.ElemKernel {
 // for node-update/probe accounting.
 type levelWork struct {
 	batches []gateBatch
-	kerns   []vector.ElemKernel
-	spans   []vector.OutSpan
+	kerns   []kernel
+	spans   []span
 	// noteOffs mirrors spans as flat (offset, width) pairs for the
 	// one-word, probe-free fast path: the whole level's update scan runs
 	// as one loop over the slabs instead of a call per span.
@@ -63,19 +64,8 @@ type levelWork struct {
 	cost     int64 // summed element Cost (CostSpin accounting)
 }
 
-// tableKind reports the table-driven functional kinds whose bit-sliced
-// kernels pay off only with multiple live lanes; at one lane the scalar
-// registry evaluation is faster, so the compiler picks it.
-func tableKind(k circuit.Kind) bool {
-	switch k {
-	case circuit.KindMul, circuit.KindAlu, circuit.KindRom, circuit.KindRam:
-		return true
-	}
-	return false
-}
-
-// compileProgram lowers c for p workers. lanes and stride follow the
-// batched engine's lane semantics (lane 0 replays the scalar stimulus).
+// compileProgram lowers c for p workers at the given lane count; stride is
+// the per-lane generator seed offset (lane 0 replays the scalar stimulus).
 func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program {
 	words := logic.PlaneWords(lanes)
 	levels := analyze.LevelSchedule(c)
@@ -147,10 +137,10 @@ func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program
 	}
 
 	prog := &program{
-		off:   off,
-		total: int(total),
-		work:  make([][]levelWork, p),
-		gens:  make([][]vector.GenExec, p),
+		layout: layout{off: off, total: int(total)},
+		owner:  owner,
+		work:   make([][]levelWork, p),
+		gens:   make([][]genKernel, p),
 	}
 
 	// Lowering walks the schedule once: a new levelWork opens whenever the
@@ -194,26 +184,21 @@ func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program
 						off[el.In[0]]*wd, (off[el.In[1]]+i)*wd, (off[el.In[2]]+i)*wd, (oo+i)*wd)
 				}
 			}
-			lw.spans = append(lw.spans, vector.OutSpan{Node: out, Off: oo, W: ww})
+			lw.spans = append(lw.spans, span{node: out, off: oo, w: ww})
 			lw.noteOffs = append(lw.noteOffs, oo, ww)
 			continue
 		}
-		var k vector.ElemKernel
-		if lanes == 1 && tableKind(el.Kind) {
-			k = vector.CompileScalarElemKernel(c, el, off, lanes)
-		} else {
-			k = vector.CompileElemKernel(c, el, off, lanes)
-		}
+		k := compileElem(c, el, prog.layout, lanes)
 		lw.kerns = append(lw.kerns, k)
-		lw.spans = append(lw.spans, k.Outs...)
-		for _, sp := range k.Outs {
-			lw.noteOffs = append(lw.noteOffs, sp.Off, sp.W)
+		lw.spans = append(lw.spans, k.outs...)
+		for _, sp := range k.outs {
+			lw.noteOffs = append(lw.noteOffs, sp.off, sp.w)
 		}
 	}
 	flush()
 
 	for i, g := range gens {
-		prog.gens[i%p] = append(prog.gens[i%p], vector.CompileGenExec(c, &c.Elems[g], off, lanes, stride))
+		prog.gens[i%p] = append(prog.gens[i%p], compileGen(c, &c.Elems[g], prog.layout, lanes, stride))
 	}
 	return prog
 }

@@ -5,25 +5,39 @@ import (
 
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
+	"parsim/internal/logic"
 )
 
-type eng struct{}
+// eng is the core's registry adapter. The two registered values differ only
+// in name and in the lane count a run gets when Config.Lanes is 0: "vector"
+// is first a batched engine (one full plane word), "jit" first a scalar
+// replacement for the compiled engine that widens on request.
+type eng struct {
+	name  string
+	lanes int
+}
 
-func (eng) Name() string { return "vector" }
+func (e eng) Name() string { return e.name }
 
-func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+// DefaultLanes makes eng an engine.LaneEngine.
+func (e eng) DefaultLanes() int { return e.lanes }
+
+func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	opts := Options{
+		Name:       e.name,
 		Workers:    cfg.Workers,
 		Horizon:    cfg.Horizon,
 		Probe:      cfg.Probe,
 		CostSpin:   cfg.CostSpin,
-		Strategy:   cfg.Strategy,
 		Guard:      cfg.Guard,
 		Lanes:      cfg.Lanes,
 		LaneStride: cfg.LaneStride,
 		ProbeLane:  cfg.ProbeLane,
 		Checkpoint: cfg.CkptPlan,
 		Resume:     cfg.CkptSnap,
+	}
+	if opts.Lanes == 0 {
+		opts.Lanes = e.lanes
 	}
 	if cfg.FaultSim {
 		opts.FaultSim = &FaultOptions{
@@ -42,5 +56,6 @@ func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 }
 
 func init() {
-	engine.Register(eng{}, "batched", "bit-parallel")
+	engine.Register(eng{name: "vector", lanes: logic.MaxLanes}, "batched", "bit-parallel")
+	engine.Register(eng{name: "jit", lanes: 1}, "codegen")
 }

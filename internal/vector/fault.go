@@ -63,7 +63,7 @@ func ObservationNodes(c *circuit.Circuit) []circuit.NodeID {
 func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
 	fo := *opts.FaultSim
 	if opts.Lanes < 2 {
-		return nil, fmt.Errorf("vector: fault simulation needs >= 2 lanes, have %d", opts.Lanes)
+		return nil, fmt.Errorf("%s: fault simulation needs >= 2 lanes, have %d", opts.Name, opts.Lanes)
 	}
 	// Every lane carries the same stimulus, so divergence from lane 0 is a
 	// fault effect and nothing else; the probe observes the good machine.
@@ -98,14 +98,14 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 	if snap := opts.Resume; snap != nil {
 		fs := snap.Fault
 		if fs == nil {
-			return nil, fmt.Errorf("parsim: resume (vector): snapshot carries no fault-simulation state")
+			return nil, fmt.Errorf("parsim: resume (%s): snapshot carries no fault-simulation state", opts.Name)
 		}
 		if len(fs.Statuses) != len(statuses) {
-			return nil, fmt.Errorf("parsim: resume (vector): snapshot has %d fault statuses, want %d",
-				len(fs.Statuses), len(statuses))
+			return nil, fmt.Errorf("parsim: resume (%s): snapshot has %d fault statuses, want %d",
+				opts.Name, len(fs.Statuses), len(statuses))
 		}
 		if fs.Pass < 0 || fs.Pass >= passes {
-			return nil, fmt.Errorf("parsim: resume (vector): snapshot pass %d outside [0,%d)", fs.Pass, passes)
+			return nil, fmt.Errorf("parsim: resume (%s): snapshot pass %d outside [0,%d)", opts.Name, fs.Pass, passes)
 		}
 		copy(statuses, fs.Statuses)
 		startPass, ran = fs.Pass, fs.Ran
@@ -146,7 +146,7 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 				}
 			} else {
 				total.Final = res.Final
-				mergeRun(&total.Run, &res.Run)
+				addRunCounters(&total.Run, packRun(&res.Run))
 			}
 		}
 		if err != nil {
@@ -182,9 +182,9 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 	return total, runErr
 }
 
-// packRun extracts the accumulating counters of a running total into the
-// snapshot wire form; addRunCounters folds them back in on resume. The two
-// cover exactly the fields mergeRun sums across passes.
+// packRun extracts the accumulating counters of a run into the snapshot
+// wire form; addRunCounters folds such counters into a running total — a
+// finished pass's, or on resume the completed passes' a snapshot carried.
 func packRun(r *stats.Run) checkpoint.RunCounters {
 	return checkpoint.RunCounters{
 		TimeSteps:   r.TimeSteps,
@@ -211,21 +211,6 @@ func addRunCounters(dst *stats.Run, acc checkpoint.RunCounters) {
 	}
 }
 
-// mergeRun accumulates one pass's run stats into the running total.
-func mergeRun(dst, src *stats.Run) {
-	dst.TimeSteps += src.TimeSteps
-	dst.NodeUpdates += src.NodeUpdates
-	dst.Evals += src.Evals
-	dst.ModelCalls += src.ModelCalls
-	dst.EventsUsed += src.EventsUsed
-	dst.Wall += src.Wall
-	for i := range dst.PerWorker {
-		if i < len(src.PerWorker) {
-			dst.PerWorker[i].Accumulate(src.PerWorker[i])
-		}
-	}
-}
-
 // faultInj is one fault's injection site in plane coordinates: set or
 // clear one lane bit of one plane word, forcing the lane known.
 type faultInj struct {
@@ -246,9 +231,9 @@ func (in faultInj) apply(dst []logic.WidePlane) {
 }
 
 // faultPass carries one pass's injection and detection state. Injection
-// ownership follows element ownership — the worker whose kernel drives the
-// faulted node re-asserts the fault after writing it, so no two workers
-// touch the same plane word; undriven nodes belong to worker 0.
+// ownership follows element ownership — the worker that evaluates the
+// faulted node's driver re-asserts the fault after writing it, so no two
+// workers touch the same plane word; undriven nodes belong to worker 0.
 // Observation nodes are split round-robin; each worker records detections
 // in its own masks, merged when the pass finishes.
 type faultPass struct {
@@ -278,28 +263,19 @@ func newFaultPass(c *circuit.Circuit, faults []analyze.Fault, observe []circuit.
 	return &faultPass{c: c, faults: faults, obsNodes: observe}
 }
 
-// bind resolves the pass state against a compiled sim: plane offsets,
-// element ownership and per-worker detection buffers.
-func (fp *faultPass) bind(s *sim) {
-	fp.words = s.words
-	p := s.p
-	own := make([]int, len(fp.c.Elems))
-	for w, ks := range s.parts {
-		for _, k := range ks {
-			own[k.eid] = w
-		}
-	}
-	for w, gs := range s.gens {
-		for _, g := range gs {
-			own[g.el.ID] = w
-		}
-	}
+// bind resolves the pass state against the compiled program: injection
+// sites in its plane numbering, injection ownership from its owner table
+// (so a worker re-asserts faults only inside its own slab stripe) and
+// per-worker detection buffers.
+func (fp *faultPass) bind(prog *program, words int) {
+	fp.words = words
+	p := len(prog.work)
 	fp.all = fp.all[:0]
 	fp.byWorker = make([][]faultInj, p)
 	for i, f := range fp.faults {
 		lane := i + 1
 		inj := faultInj{
-			plane:     int(s.lay.off[f.Node]) + f.Bit,
+			plane:     int(prog.off[f.Node]) + f.Bit,
 			wd:        lane >> 6,
 			mask:      1 << uint(lane&63),
 			stuckHigh: f.StuckHigh,
@@ -307,18 +283,18 @@ func (fp *faultPass) bind(s *sim) {
 		fp.all = append(fp.all, inj)
 		w := 0
 		if d := fp.c.Nodes[f.Node].Driver; d != circuit.NoElem {
-			w = own[d]
+			w = int(prog.owner[d])
 		}
 		fp.byWorker[w] = append(fp.byWorker[w], inj)
 	}
 	fp.obs = make([][]span, p)
 	for i, n := range fp.obsNodes {
-		fp.obs[i%p] = append(fp.obs[i%p], s.lay.span(fp.c, n))
+		fp.obs[i%p] = append(fp.obs[i%p], prog.span(fp.c, n))
 	}
 	fp.det = make([][]uint64, p)
 	fp.first = make([][]int64, p)
 	for w := 0; w < p; w++ {
-		fp.det[w] = make([]uint64, s.words)
+		fp.det[w] = make([]uint64, words)
 		fp.first[w] = make([]int64, len(fp.faults))
 		for i := range fp.first[w] {
 			fp.first[w][i] = -1

@@ -93,16 +93,18 @@ func TestWideFaultGateMultiplierCoverage(t *testing.T) {
 // TestWideFaultMultiPassMatchesSinglePass chunks the same fault list into
 // many narrow passes and checks every fault resolves identically (detected
 // flag and first-detection step) to one wide pass — the pass boundary must
-// be invisible.
+// be invisible. So must the worker count: injection ownership follows the
+// compiled program's slab stripes, and the wide pass at 2 and 4 workers
+// must resolve every fault exactly as one worker does.
 func TestWideFaultMultiPassMatchesSinglePass(t *testing.T) {
 	cfg := gen.DefaultInverterArray()
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 6, 5, 4
 	c := gen.InverterArray(cfg)
 	faults := analyze.FaultList(c, false) // full universe: force several passes
 
-	run := func(lanes int) *Result {
+	run := func(lanes, workers int) *Result {
 		res, err := Run(c, Options{
-			Workers: 1, Horizon: 48, Lanes: lanes,
+			Workers: workers, Horizon: 48, Lanes: lanes,
 			FaultSim: &FaultOptions{Faults: faults, KeepStatuses: true},
 		})
 		if err != nil {
@@ -110,8 +112,8 @@ func TestWideFaultMultiPassMatchesSinglePass(t *testing.T) {
 		}
 		return res
 	}
-	narrow := run(8) // 7 faults per pass
-	wide := run(128) // all faults in one pass
+	narrow := run(8, 1) // 7 faults per pass
+	wide := run(128, 1) // all faults in one pass
 	if narrow.FaultCoverage.Passes <= wide.FaultCoverage.Passes {
 		t.Fatalf("narrow run took %d passes, wide %d; expected chunking",
 			narrow.FaultCoverage.Passes, wide.FaultCoverage.Passes)
@@ -123,6 +125,17 @@ func TestWideFaultMultiPassMatchesSinglePass(t *testing.T) {
 		n, w := narrow.FaultCoverage.Faults[i], wide.FaultCoverage.Faults[i]
 		if n != w {
 			t.Fatalf("fault %d (%s): narrow %+v, wide %+v", i, n.Site, n, w)
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		par := run(128, workers).FaultCoverage
+		if par.Detected != wide.FaultCoverage.Detected {
+			t.Fatalf("detected at %d workers: %d, one worker %d", workers, par.Detected, wide.FaultCoverage.Detected)
+		}
+		for i := range faults {
+			if got, want := par.Faults[i], wide.FaultCoverage.Faults[i]; got != want {
+				t.Fatalf("fault %d (%s) at %d workers: %+v, one worker %+v", i, want.Site, workers, got, want)
+			}
 		}
 	}
 }

@@ -6,22 +6,11 @@ import (
 )
 
 // layout assigns every node a contiguous run of wide planes in the double
-// buffer: node n's bit b lives at off[n]+b. The whole circuit state for N
-// stimulus lanes is two flat []WidePlane arrays swept in levelized order;
-// each plane is `words` machine-word pairs wide.
+// buffer: node n's bit b lives at off[n]+b, and total is the plane count.
+// The compiler (compile.go) owns the numbering.
 type layout struct {
 	off   []int32
 	total int
-}
-
-func newLayout(c *circuit.Circuit) layout {
-	off := make([]int32, len(c.Nodes))
-	n := int32(0)
-	for i := range c.Nodes {
-		off[i] = n
-		n += int32(c.Nodes[i].Width)
-	}
-	return layout{off: off, total: int(n)}
 }
 
 // span locates one node's planes.
@@ -35,24 +24,10 @@ func (l layout) span(c *circuit.Circuit, n circuit.NodeID) span {
 	return span{node: n, off: l.off[n], w: int32(c.Nodes[n].Width)}
 }
 
-// newWidePlanes allocates n standalone planes of the given word width over
-// one struct-of-arrays backing: all value words in one flat []uint64, all
-// undefined words in another, plane p owning words [p*words, (p+1)*words).
-func newWidePlanes(n, words int) []logic.WidePlane {
-	v := make([]uint64, n*words)
-	u := make([]uint64, n*words)
-	ps := make([]logic.WidePlane, n)
-	for p := range ps {
-		lo, hi := p*words, (p+1)*words
-		ps[p] = logic.WidePlane{V: v[lo:hi:hi], U: u[lo:hi:hi]}
-	}
-	return ps
-}
-
 // wideRow allocates w planes of the given word width holding s in every
-// lane — the wide form of broadcastRow, used for kernel-internal state.
+// lane, used for kernel-internal state.
 func wideRow(w, words int, s logic.State) []logic.WidePlane {
-	row := newWidePlanes(w, words)
+	row := newPlaneBuf(w, words).planes
 	for i := range row {
 		row[i].Fill(s)
 	}
@@ -74,11 +49,9 @@ func zeroWide(dst logic.WidePlane) {
 // planes from cur and writes every output plane in next, for all lanes at
 // once, looping the proven single-word plane ops over the plane words.
 // Kernels with internal state (DFF, latch, RAM) own it via closure; each
-// element belongs to exactly one partition, so exactly one worker ever runs
-// its kernel.
+// element belongs to exactly one worker's run of the schedule, so exactly
+// one worker ever runs its kernel.
 type kernel struct {
-	eid  circuit.ElemID
-	cost int64
 	outs []span
 	run  func(cur, next []logic.WidePlane)
 	// state aliases the closure-captured plane rows of stateful kernels —
@@ -90,14 +63,26 @@ type kernel struct {
 	laneState [][]logic.Value
 }
 
-// compileElem translates one element into its plane-op kernel. Gate,
-// mux/register, wiring, comparison, adder and the table-driven functional
-// kinds (mul, alu, rom, ram — see bitsliced.go) all get true bit-parallel
-// kernels; any future kind falls back to per-lane scalar evaluation behind
-// the same interface.
+// tableKind reports the table-driven functional kinds whose bit-sliced
+// kernels (bitsliced.go) pay off only with multiple live lanes: at one lane
+// they would do word-ops-per-bit work for a single stimulus vector, and the
+// scalar registry's native integer evaluation is strictly faster.
+func tableKind(k circuit.Kind) bool {
+	switch k {
+	case circuit.KindMul, circuit.KindAlu, circuit.KindRom, circuit.KindRam:
+		return true
+	}
+	return false
+}
+
+// compileElem translates one element the compiler did not fuse into a gate
+// batch (batch.go) into its plane-op kernel. Wide gates, registers, wiring,
+// comparison, adder and — beyond one lane — the table-driven functional
+// kinds all get true bit-parallel kernels; anything else falls back to
+// per-lane scalar evaluation behind the same interface.
 func compileElem(c *circuit.Circuit, el *circuit.Element, lay layout, lanes int) kernel {
 	words := logic.PlaneWords(lanes)
-	k := kernel{eid: el.ID, cost: el.Cost}
+	var k kernel
 	for _, n := range el.Out {
 		k.outs = append(k.outs, lay.span(c, n))
 	}
@@ -105,14 +90,14 @@ func compileElem(c *circuit.Circuit, el *circuit.Element, lay layout, lanes int)
 	for i, n := range el.In {
 		ins[i] = lay.span(c, n)
 	}
+	if lanes == 1 && tableKind(el.Kind) {
+		k.run, k.laneState = compileScalar(el, ins, k.outs, lanes)
+		return k
+	}
 	out := int(lay.off[el.Out[0]])
 	w := c.Nodes[el.Out[0]].Width
 
 	switch el.Kind {
-	case circuit.KindBuf:
-		k.run = compileGate(ins, out, w, words, opOr, false)
-	case circuit.KindNot:
-		k.run = compileGate(ins, out, w, words, opOr, true)
 	case circuit.KindAnd:
 		k.run = compileGate(ins, out, w, words, opAnd, false)
 	case circuit.KindNand:
@@ -125,17 +110,6 @@ func compileElem(c *circuit.Circuit, el *circuit.Element, lay layout, lanes int)
 		k.run = compileGate(ins, out, w, words, opXor, false)
 	case circuit.KindXnor:
 		k.run = compileGate(ins, out, w, words, opXor, true)
-
-	case circuit.KindMux2:
-		sel, a, b := int(ins[0].off), int(ins[1].off), int(ins[2].off)
-		k.run = func(cur, next []logic.WidePlane) {
-			for wd := 0; wd < words; wd++ {
-				s := cur[sel].Word(wd)
-				for i := 0; i < w; i++ {
-					next[out+i].SetWord(wd, logic.PlaneMux(s, cur[a+i].Word(wd), cur[b+i].Word(wd)))
-				}
-			}
-		}
 
 	case circuit.KindDFF:
 		clk, d := int(ins[0].off), int(ins[1].off)
@@ -385,8 +359,7 @@ func copyPlanes(src, dst, w int) func(cur, next []logic.WidePlane) {
 	}
 }
 
-// gateOp names the fold operation of a logic gate; an enum rather than a
-// func value so compileGate can pick the fused fast path per shape.
+// gateOp names the fold operation of a logic gate.
 type gateOp int
 
 const (
@@ -406,39 +379,11 @@ func (op gateOp) plane(a, b logic.Plane) logic.Plane {
 }
 
 // compileGate folds a binary plane op across the inputs per bit column and
-// plane word, exactly as circuit.evalFold does with scalar values:
-// single-input gates fold with an all-L operand (the Or identity) so buf
-// and not normalise X/Z the same way the scalar registry does.
-//
-// The 1- and 2-input shapes — the bulk of every gate-level benchmark — get
-// fused kernels that stream the V/U plane words directly instead of going
-// through the Plane struct per word; the algebra below is the PlaneOr /
-// PlaneAnd / PlaneXor definitions with the Readable() normalisation folded
-// in (the parametric truth-table suite proves them against the scalar
-// registry at every tested width).
+// plane word, exactly as circuit.evalFold does with scalar values; a
+// single-input gate folds with an all-L operand so X/Z normalise the way
+// the scalar registry does. Only the shapes the compiler does not fuse
+// reach it: three or more inputs, and the one-input and/nand.
 func compileGate(ins []span, out, w, words int, op gateOp, invert bool) func(cur, next []logic.WidePlane) {
-	switch {
-	case len(ins) == 1 && op != opAnd:
-		// Or/Xor folded with the all-L identity reduce to buf (or not):
-		// V' = V&^U (known-H lanes), inverted V' = ^(V|U), U' = U.
-		a := int(ins[0].off)
-		return func(cur, next []logic.WidePlane) {
-			for i := 0; i < w; i++ {
-				src, dst := cur[a+i], next[out+i]
-				for wd := 0; wd < words; wd++ {
-					av, au := src.V[wd], src.U[wd]
-					if invert {
-						dst.V[wd] = ^(av | au)
-					} else {
-						dst.V[wd] = av &^ au
-					}
-					dst.U[wd] = au
-				}
-			}
-		}
-	case len(ins) == 2:
-		return compileGate2(ins, out, w, words, op, invert)
-	}
 	offs := make([]int, len(ins))
 	for i, sp := range ins {
 		offs[i] = int(sp.off)
@@ -459,41 +404,6 @@ func compileGate(ins []span, out, w, words int, op gateOp, invert bool) func(cur
 					acc = logic.PlaneNot(acc)
 				}
 				dst.SetWord(wd, acc)
-			}
-		}
-	}
-}
-
-// compileGate2 fuses a two-input gate into one pass over the plane words.
-// Per word: one = lanes where the op yields a known H, zero = known L, and
-// U' = everything else; the inverted forms swap one and zero (PlaneNot of
-// a canonical plane keeps U and complements V into the remaining lanes).
-func compileGate2(ins []span, out, w, words int, op gateOp, invert bool) func(cur, next []logic.WidePlane) {
-	a, b := int(ins[0].off), int(ins[1].off)
-	return func(cur, next []logic.WidePlane) {
-		for i := 0; i < w; i++ {
-			sa, sb, dst := cur[a+i], cur[b+i], next[out+i]
-			for wd := 0; wd < words; wd++ {
-				av, au := sa.V[wd], sa.U[wd]
-				bv, bu := sb.V[wd], sb.U[wd]
-				var one, zero uint64
-				switch op {
-				case opAnd:
-					one = (av &^ au) & (bv &^ bu)
-					zero = ^(av | au) | ^(bv | bu)
-				case opOr:
-					one = (av &^ au) | (bv &^ bu)
-					zero = ^(av | au) & ^(bv | bu)
-				default: // opXor
-					u := au | bu
-					one = (av ^ bv) &^ u
-					zero = ^(av ^ bv) &^ u
-				}
-				if invert {
-					one, zero = zero, one
-				}
-				dst.V[wd] = one
-				dst.U[wd] = ^(one | zero)
 			}
 		}
 	}

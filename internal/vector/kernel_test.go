@@ -19,19 +19,22 @@ type kernelShape struct {
 	params circuit.Params
 }
 
-// kernelShapes maps every evaluating kind to the shapes its kernel is
-// proven over. Generator kinds map to nil: they have no inputs to
-// enumerate and are covered by the engine-level differential tests.
-// TestKernelsMatchScalarExhaustive walks circuit.AllKinds(), so adding a
-// kind to the registry without adding a shape here fails the test.
+// kernelShapes maps every evaluating kind to the shapes its lowering — a
+// fused gate batch or a plane-op kernel — is proven over. Generator kinds
+// map to nil: they are lowered as stimulus (genKernel), not as level work,
+// and the engine-level differential tests cover them. The proofs walk
+// circuit.AllKinds(), so adding a kind to the registry without adding a
+// shape here fails them.
 var kernelShapes = map[circuit.Kind][]kernelShape{
 	circuit.KindBuf: {
 		{ins: []int{1}, outs: []int{1}},
 		{ins: []int{2}, outs: []int{2}},
+		{ins: []int{3}, outs: []int{3}},
 	},
 	circuit.KindNot: {
 		{ins: []int{1}, outs: []int{1}},
 		{ins: []int{2}, outs: []int{2}},
+		{ins: []int{3}, outs: []int{3}},
 	},
 	circuit.KindAnd:  gateShapes(),
 	circuit.KindOr:   gateShapes(),
@@ -119,8 +122,10 @@ var kernelShapes = map[circuit.Kind][]kernelShape{
 	circuit.KindGray:  nil, // generator
 }
 
-// gateShapes covers the two-input, three-input (fold) and multi-bit forms
-// of the variadic gate kinds.
+// gateShapes covers a variadic gate kind's lowering ladder: the fused
+// 2-input single-bit and multi-bit forms and the 3-input fold kernel. (The
+// builder refuses 1-input variadic gates, so fusedShape's 1-input folds
+// can only be reached by Buf/Not, proven above.)
 func gateShapes() []kernelShape {
 	return []kernelShape{
 		{ins: []int{1, 1}, outs: []int{1}},
@@ -161,32 +166,12 @@ func valueFromIndex(w int, idx uint64) logic.Value {
 	return logic.FromStates(states)
 }
 
-// kernelProofWidths lists the plane widths every kernel is proven at: one
-// word (the PR 5 baseline) and a multi-word plane, so the word loops in
-// every kernel are exercised with cross-word lane populations.
-var kernelProofWidths = []int{logic.MaxLanes, 4 * logic.MaxLanes}
-
-// TestKernelsMatchScalarExhaustive proves every compiled kernel against the
-// element's scalar registry evaluation, at every width in
-// kernelProofWidths. For every kind in the registry and every shape: all
-// four-state input combinations are enumerated (lanes per step, one per
-// lane) and, for stateful kinds, extended with random multi-step sequences
-// so capture/hold behaviour is compared against a per-lane scalar oracle
-// carrying its own element state.
-func TestKernelsMatchScalarExhaustive(t *testing.T) {
-	testKernelsAtWidth(t, kernelProofWidths[0])
-}
-
-// TestWideKernelsMatchScalarExhaustive is the multi-word run of the same
-// proof; a separate test function so the CI wide-lane job (-run Wide)
-// exercises it in isolation.
-func TestWideKernelsMatchScalarExhaustive(t *testing.T) {
-	for _, lanes := range kernelProofWidths[1:] {
-		testKernelsAtWidth(t, lanes)
-	}
-}
-
-func testKernelsAtWidth(t *testing.T, lanes int) {
+// TestLoweringsComplete is the shape check: every kind the registry knows
+// must either be a generator or carry at least one proof shape, and every
+// proof shape must lower into the program as exactly the form fusedShape
+// classifies it as — a fused batch or a devirtualized kernel, never
+// silently dropped.
+func TestLoweringsComplete(t *testing.T) {
 	for _, kind := range circuit.AllKinds() {
 		shapes, listed := kernelShapes[kind]
 		if !listed {
@@ -200,17 +185,79 @@ func testKernelsAtWidth(t *testing.T, lanes int) {
 			continue
 		}
 		for si, sh := range shapes {
+			c, el := buildShape(t, kind, sh)
+			prog := compileProgram(c, 1, 64, 1)
+			var batches, kerns, spans int
+			var elems int64
+			for sl := range prog.work[0] {
+				lw := &prog.work[0][sl]
+				batches += len(lw.batches)
+				kerns += len(lw.kerns)
+				spans += len(lw.spans)
+				elems += lw.elems
+			}
+			if elems != 1 {
+				t.Errorf("%s shape %d: program counts %d elements, want the 1 dut", circuit.KindName(kind), si, elems)
+			}
+			if spans == 0 {
+				t.Errorf("%s shape %d: no output spans — updates would go uncounted", circuit.KindName(kind), si)
+			}
+			if _, fused := fusedShape(el); fused {
+				if batches == 0 || kerns != 0 {
+					t.Errorf("%s shape %d: want fused batch lowering, got %d batches / %d kernels",
+						circuit.KindName(kind), si, batches, kerns)
+				}
+			} else if kerns != 1 || batches != 0 {
+				t.Errorf("%s shape %d: want kernel lowering, got %d batches / %d kernels",
+					circuit.KindName(kind), si, batches, kerns)
+			}
+		}
+	}
+}
+
+// TestKernelsMatchScalarExhaustive proves every lowering against the
+// element's scalar registry evaluation at one machine word (64 lanes). For
+// every kind in the registry and every shape: all four-state input
+// combinations are enumerated (lanes per step, one per lane) and, for
+// stateful kinds, extended with random multi-step sequences so capture/hold
+// behaviour is compared against a per-lane scalar oracle carrying its own
+// element state.
+func TestKernelsMatchScalarExhaustive(t *testing.T) {
+	proveAllAtWidth(t, logic.MaxLanes)
+}
+
+// TestWideKernelsMatchScalarExhaustive is the multi-word (256-lane) run of
+// the same proof, so the word loops in every kernel and batch are exercised
+// with cross-word lane populations; a separate test function so the CI
+// wide-lane job (-run Wide) exercises it in isolation.
+func TestWideKernelsMatchScalarExhaustive(t *testing.T) {
+	proveAllAtWidth(t, 4*logic.MaxLanes)
+}
+
+// TestScalarKernelsMatchExhaustive pins the lanes == 1 compile path, where
+// the table kinds (mul/alu/rom/ram) lower through the scalar registry
+// kernel instead of their bit-sliced forms.
+func TestScalarKernelsMatchExhaustive(t *testing.T) {
+	proveAllAtWidth(t, 1)
+}
+
+func proveAllAtWidth(t *testing.T, lanes int) {
+	for _, kind := range circuit.AllKinds() {
+		for si, sh := range kernelShapes[kind] {
 			t.Run(fmt.Sprintf("lanes%d/%s/%d", lanes, circuit.KindName(kind), si), func(t *testing.T) {
-				proveKernel(t, kind, sh, lanes)
+				proveLowering(t, kind, sh, lanes)
 			})
 		}
 	}
 }
 
-func proveKernel(t *testing.T, kind circuit.Kind, sh kernelShape, lanes int) {
+// proveLowering compiles the one-element circuit through compileProgram
+// and drives the dut's level work directly — inputs packed into the
+// cur-side slabs at the program's node offsets, outputs extracted from the
+// next side — against the per-lane scalar oracle.
+func proveLowering(t *testing.T, kind circuit.Kind, sh kernelShape, lanes int) {
 	c, el := buildShape(t, kind, sh)
-	lay := newLayout(c)
-	kern := compileElem(c, el, lay, lanes)
+	prog := compileProgram(c, 1, lanes, 1)
 	words := logic.PlaneWords(lanes)
 
 	// Total input combination count: 4^w options per input.
@@ -237,8 +284,8 @@ func proveKernel(t *testing.T, kind circuit.Kind, sh kernelShape, lanes int) {
 		}
 	}
 
-	cur := newWidePlanes(lay.total, words)
-	next := newWidePlanes(lay.total, words)
+	cur := newPlaneBuf(prog.total, words)
+	next := newPlaneBuf(prog.total, words)
 	rng := rand.New(rand.NewSource(int64(kind)*7919 + int64(totalBits) + int64(lanes)))
 
 	inVals := make([][]logic.Value, lanes)
@@ -259,19 +306,27 @@ func proveKernel(t *testing.T, kind circuit.Kind, sh kernelShape, lanes int) {
 			}
 			inVals[l] = vals
 			for i, n := range el.In {
-				o := int(lay.off[n])
-				logic.PackLaneWide(cur[o:o+sh.ins[i]], l, vals[i])
+				o := int(prog.off[n])
+				logic.PackLaneWide(cur.planes[o:o+sh.ins[i]], l, vals[i])
 			}
 		}
 
-		kern.run(cur, next)
+		for sl := range prog.work[0] {
+			lw := &prog.work[0][sl]
+			for i := range lw.batches {
+				lw.batches[i].run(cur.v, cur.u, next.v, next.u)
+			}
+			for i := range lw.kerns {
+				lw.kerns[i].run(cur.planes, next.planes)
+			}
+		}
 
 		for l := 0; l < lanes; l++ {
 			copy(oracleIn, inVals[l])
 			el.Eval(oracleIn, oracleState[l], oracleOut)
 			for oi, n := range el.Out {
-				o, w := int(lay.off[n]), sh.outs[oi]
-				got := logic.ExtractLaneWide(next[o:o+w], l, w)
+				o, w := int(prog.off[n]), sh.outs[oi]
+				got := logic.ExtractLaneWide(next.planes[o:o+w], l, w)
 				if got != oracleOut[oi] {
 					t.Fatalf("lanes %d step %d lane %d in=%v: out %d = %v, want %v",
 						lanes, step, l, inVals[l], oi, got, oracleOut[oi])

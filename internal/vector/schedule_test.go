@@ -1,14 +1,15 @@
-package codegen
+package vector
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"parsim/internal/circuit"
 	"parsim/internal/compiled"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/logic"
-	"parsim/internal/vector"
 )
 
 // dffRing is a Johnson-style feedback ring of width-4 resettable
@@ -63,47 +64,51 @@ func sameValues(a, b []logic.Value) bool {
 	return true
 }
 
-// TestGangScheduleMatchesCompiled pins the one-barrier-per-step schedule:
-// at every worker count and lane width jit produces the scalar compiled
-// engine's final values in lane 0 and the same evaluation count, the
-// one-worker batched reference's every lane and update count, and each
-// worker row crosses exactly one barrier per step.
+// TestGangScheduleMatchesCompiled pins the one-barrier-per-step schedule
+// under both registry names: at every worker count and lane width the core
+// produces the scalar compiled engine's final values in lane 0 and the same
+// evaluation count, the one-worker run's every lane and update count, and
+// each worker row crosses exactly one barrier per step.
 func TestGangScheduleMatchesCompiled(t *testing.T) {
 	for name, sc := range scheduleCircuits() {
 		scalar := compiled.Run(sc.build(), compiled.Options{Workers: 1, Horizon: sc.horizon})
 		for _, lanes := range []int{1, 64, 256} {
-			ref, err := vector.Run(sc.build(), vector.Options{Workers: 1, Horizon: sc.horizon, Lanes: lanes})
+			ref, err := Run(sc.build(), Options{Workers: 1, Horizon: sc.horizon, Lanes: lanes})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if lanes == 1 && ref.Run.NodeUpdates != scalar.Run.NodeUpdates {
 				t.Fatalf("%s: reference engines disagree on updates: %d vs %d", name, ref.Run.NodeUpdates, scalar.Run.NodeUpdates)
 			}
-			for workers := 1; workers <= 4; workers++ {
-				res, err := Run(sc.build(), Options{Workers: workers, Horizon: sc.horizon, Lanes: lanes})
-				if err != nil {
-					t.Fatal(err)
-				}
-				tag := fmt.Sprintf("%s workers %d lanes %d", name, workers, lanes)
-				if !sameValues(res.Final, scalar.Final) {
-					t.Errorf("%s: lane 0 final values differ from compiled", tag)
-				}
-				if res.Run.Evals != scalar.Run.Evals {
-					t.Errorf("%s: evals %d, compiled %d", tag, res.Run.Evals, scalar.Run.Evals)
-				}
-				if res.Run.NodeUpdates != ref.Run.NodeUpdates {
-					t.Errorf("%s: node updates %d, want %d", tag, res.Run.NodeUpdates, ref.Run.NodeUpdates)
-				}
-				for l := range ref.LaneFinal {
-					if !sameValues(res.LaneFinal[l], ref.LaneFinal[l]) {
-						t.Errorf("%s: lane %d final values differ from the batched reference", tag, l)
-						break
+			for _, eng := range []string{"vector", "jit"} {
+				for workers := 1; workers <= 4; workers++ {
+					res, err := engine.Run(context.Background(), eng, sc.build(), engine.Config{
+						Workers: workers, Horizon: sc.horizon, Lanes: lanes,
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				for w, row := range res.Run.PerWorker {
-					if row.BarrierWaits != res.Run.TimeSteps-1 {
-						t.Errorf("%s: worker %d crossed %d barriers in %d steps, want one per step",
-							tag, w, row.BarrierWaits, res.Run.TimeSteps)
+					tag := fmt.Sprintf("%s %s workers %d lanes %d", name, eng, workers, lanes)
+					if !sameValues(res.Final, scalar.Final) {
+						t.Errorf("%s: lane 0 final values differ from compiled", tag)
+					}
+					if res.Run.Evals != scalar.Run.Evals {
+						t.Errorf("%s: evals %d, compiled %d", tag, res.Run.Evals, scalar.Run.Evals)
+					}
+					if res.Run.NodeUpdates != ref.Run.NodeUpdates {
+						t.Errorf("%s: node updates %d, want %d", tag, res.Run.NodeUpdates, ref.Run.NodeUpdates)
+					}
+					for l := range ref.LaneFinal {
+						if !sameValues(res.LaneFinal[l], ref.LaneFinal[l]) {
+							t.Errorf("%s: lane %d final values differ from the one-worker run", tag, l)
+							break
+						}
+					}
+					for w, row := range res.Run.PerWorker {
+						if row.BarrierWaits != res.Run.TimeSteps-1 {
+							t.Errorf("%s: worker %d crossed %d barriers in %d steps, want one per step",
+								tag, w, row.BarrierWaits, res.Run.TimeSteps)
+						}
 					}
 				}
 			}
@@ -113,7 +118,7 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 
 // TestWorkerStripesContiguous is the layout property the schedule rests on:
 // the planes a worker writes (its elements' and generators' outputs) form
-// one contiguous range of program.off, disjoint from every other worker's,
+// one contiguous range of the program layout, disjoint from every other worker's,
 // and the cost-balanced cut leaves no worker without work on the circuits
 // big enough to split.
 func TestWorkerStripesContiguous(t *testing.T) {
@@ -126,14 +131,14 @@ func TestWorkerStripesContiguous(t *testing.T) {
 			for w := range stripes {
 				stripes[w].lo = int32(prog.total)
 			}
-			note := func(w int, sp vector.OutSpan) {
+			note := func(w int, sp span) {
 				s := &stripes[w]
-				s.lo, s.hi = min(s.lo, sp.Off), max(s.hi, sp.Off+sp.W)
-				s.planes += sp.W
+				s.lo, s.hi = min(s.lo, sp.off), max(s.hi, sp.off+sp.w)
+				s.planes += sp.w
 			}
 			for w := 0; w < p; w++ {
 				for i := range prog.gens[w] {
-					note(w, prog.gens[w][i].Out)
+					note(w, prog.gens[w][i].out)
 				}
 				for sl := range prog.work[w] {
 					for _, sp := range prog.work[w][sl].spans {

@@ -1,15 +1,30 @@
-// Package vector implements a bit-parallel batched compiled-mode simulator:
-// N independent stimulus lanes advance through the same circuit
-// simultaneously, 64 lanes per machine word and as many words per plane as
-// the run requests. Node state is a pair of bit planes (value/unknown),
-// every element is compiled to a plane-op kernel that evaluates all lanes
-// with word-wide boolean instructions looped over the plane words, and the
-// step loop is the same statically partitioned, barrier-per-step structure
-// as the scalar compiled engine — so the lane axis and the worker axis
-// multiply. Lane 0 replays the scalar stimulus bit for bit; the remaining
-// lanes carry seed-shifted variants (or, in fault-simulation mode, injected
-// stuck-at faults), so one run answers "what do N stimulus vectors do" for
-// roughly the cost of one scalar run.
+// Package vector is the levelized plane core: the paper's unit-delay
+// compiled-mode algorithm (every element every step, double buffer, one
+// barrier per step) over N independent stimulus lanes, 64 lanes per machine
+// word and as many words per plane as the run requests. The registry names
+// "vector" and "jit" both run it; they differ only in the lane count a run
+// gets when it asks for none (64 and 1).
+//
+// The circuit's levelized schedule is lowered once, at run start, into a
+// per-level program of branch-free word-op batches over a struct-of-arrays
+// state layout, and the step loop then executes that program with one
+// sense-reversing barrier per unit-delay step across the workers —
+// Manticore's static bulk-synchronous schedule on a general-purpose
+// machine, with its super-step grown to the whole step.
+//
+// Node state lives in two flat []uint64 slabs per buffer side (value and
+// unknown planes), indexed by a compile-time node numbering ordered by
+// owning worker and then by schedule level, so each worker writes one dense
+// stripe and each level a dense run inside it. The 1- and 2-input gates and
+// the 2:1 mux — the bulk of every gate-level netlist — run as fused batch
+// loops with no per-element dispatch at all (batch.go); every other kind
+// runs through a plane-op kernel (kernel.go, bitsliced.go) devirtualized
+// into the level sequence. Lane 0 replays the scalar stimulus bit for bit;
+// the remaining lanes carry seed-shifted variants or, in fault-simulation
+// mode, injected stuck-at faults (fault.go). The unit-delay double buffer
+// makes levels a pure batching and locality device: nothing inside a step
+// reads that step's writes, so no barrier separates them at any worker
+// count.
 package vector
 
 import (
@@ -19,25 +34,26 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parsim/internal/analyze"
 	"parsim/internal/barrier"
 	"parsim/internal/checkpoint"
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/guard"
 	"parsim/internal/logic"
-	"parsim/internal/partition"
 	"parsim/internal/stats"
 	"parsim/internal/trace"
 )
 
-// Options configures a batched run.
+// Options configures a run of the core.
 type Options struct {
+	// Name is the registry name the run reports itself under (the
+	// Algorithm string, supervision labels, resume errors); "" means
+	// "vector".
+	Name     string
 	Workers  int          // parallel workers; >= 1
 	Horizon  circuit.Time // simulate unit-delay steps t in [0, Horizon)
 	Probe    trace.Probe  // optional observer of lane ProbeLane; concurrency-safe
 	CostSpin int64        // if > 0, burn CostSpin x element Cost per evaluation
-	Strategy partition.Strategy
 	Guard    *guard.Supervisor
 
 	// Lanes is the number of live stimulus lanes (1..logic.MaxWideLanes;
@@ -68,7 +84,7 @@ type Options struct {
 	Resume *checkpoint.Snapshot
 }
 
-// Result is the outcome of a batched run.
+// Result is the outcome of a run.
 type Result struct {
 	Run stats.Run
 	// Final holds lane ProbeLane's node values after the last step — the
@@ -82,19 +98,37 @@ type Result struct {
 	FaultCoverage *stats.FaultCoverage
 }
 
+// planeBuf is one buffer side: the flat struct-of-arrays slabs plus the
+// per-plane views the kernels and generators run over. planes[p] aliases
+// v[p*words:(p+1)*words] / u[...], so batch loops and kernels see the same
+// memory.
+type planeBuf struct {
+	v, u   []uint64
+	planes []logic.WidePlane
+}
+
+func newPlaneBuf(n, words int) planeBuf {
+	v := make([]uint64, n*words)
+	u := make([]uint64, n*words)
+	ps := make([]logic.WidePlane, n)
+	for p := range ps {
+		lo, hi := p*words, (p+1)*words
+		ps[p] = logic.WidePlane{V: v[lo:hi:hi], U: u[lo:hi:hi]}
+	}
+	return planeBuf{v: v, u: u, planes: ps}
+}
+
 type sim struct {
 	c    *circuit.Circuit
 	opts Options
 	p    int
 
-	lay      layout
+	prog     *program
 	words    int
 	laneMask []uint64
 
-	buf   [2][]logic.WidePlane // double-buffered node planes
-	parts [][]kernel           // per-worker kernels in level order
-	gens  [][]genKernel        // per-worker generator kernels
-	bar   *barrier.Barrier
+	buf [2]planeBuf // double-buffered node planes
+	bar *barrier.Barrier
 
 	wc     []stats.WorkerCounters
 	cancel *engine.CancelFlag
@@ -115,7 +149,7 @@ type sim struct {
 	fault *faultPass
 }
 
-// Run simulates the circuit in batched compiled mode.
+// Run simulates the circuit on the plane core.
 func Run(c *circuit.Circuit, opts Options) (*Result, error) {
 	return RunContext(context.Background(), c, opts)
 }
@@ -127,17 +161,20 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 	if err := engine.ValidateWorkers(opts.Workers); err != nil {
 		return nil, err
 	}
+	if opts.Name == "" {
+		opts.Name = "vector"
+	}
 	if opts.Lanes == 0 {
 		opts.Lanes = logic.MaxLanes
 	}
 	if opts.Lanes < 1 || opts.Lanes > logic.MaxWideLanes {
-		return nil, fmt.Errorf("vector: lanes %d out of range [1,%d]", opts.Lanes, logic.MaxWideLanes)
+		return nil, fmt.Errorf("%s: lanes %d out of range [1,%d]", opts.Name, opts.Lanes, logic.MaxWideLanes)
 	}
 	if opts.LaneStride == 0 {
 		opts.LaneStride = 1
 	}
 	if opts.ProbeLane < 0 || opts.ProbeLane >= opts.Lanes {
-		return nil, fmt.Errorf("vector: probe lane %d outside [0,%d)", opts.ProbeLane, opts.Lanes)
+		return nil, fmt.Errorf("%s: probe lane %d outside [0,%d)", opts.Name, opts.ProbeLane, opts.Lanes)
 	}
 	if opts.FaultSim != nil {
 		return runFaultSim(ctx, c, opts)
@@ -145,15 +182,15 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 	return runPass(ctx, c, opts, nil)
 }
 
-// runPass runs one batched simulation pass. fp, when non-nil, carries the
-// fault-injection state of one fault-simulation pass.
+// runPass compiles the circuit and runs one pass over it. fp, when
+// non-nil, carries the fault-injection state of one fault-simulation pass.
 func runPass(ctx context.Context, c *circuit.Circuit, opts Options, fp *faultPass) (*Result, error) {
 	p := opts.Workers
 	s := &sim{
 		c:        c,
 		opts:     opts,
 		p:        p,
-		lay:      newLayout(c),
+		prog:     compileProgram(c, p, opts.Lanes, opts.LaneStride),
 		words:    logic.PlaneWords(opts.Lanes),
 		laneMask: logic.LaneMasks(opts.Lanes),
 		bar:      barrier.New(p),
@@ -164,32 +201,14 @@ func runPass(ctx context.Context, c *circuit.Circuit, opts Options, fp *faultPas
 	}
 	defer s.cancel.Release()
 	opts.Guard.OnTrip(s.bar.Abort)
-
-	// The same static partitions every scalar engine uses, swept in
-	// levelized order so each worker's kernel list walks the node arrays
-	// in dependency depth order.
-	parts := partition.Split(c, p, opts.Strategy)
-	analyze.OrderByLevel(parts, analyze.LevelSchedule(c))
-	s.parts = make([][]kernel, p)
-	for w, part := range parts {
-		s.parts[w] = make([]kernel, 0, len(part))
-		for _, eid := range part {
-			s.parts[w] = append(s.parts[w], compileElem(c, &c.Elems[eid], s.lay, opts.Lanes))
-		}
-	}
-	s.gens = make([][]genKernel, p)
-	for i, g := range c.Generators() {
-		w := i % p
-		s.gens[w] = append(s.gens[w], compileGen(c, &c.Elems[g], s.lay, opts.Lanes, opts.LaneStride))
-	}
 	if fp != nil {
-		fp.bind(s)
+		fp.bind(s.prog, s.words)
 	}
 
 	for side := range s.buf {
-		s.buf[side] = newWidePlanes(s.lay.total, s.words)
-		for i := range s.buf[side] {
-			s.buf[side][i].Fill(logic.X)
+		s.buf[side] = newPlaneBuf(s.prog.total, s.words)
+		for i := range s.buf[side].planes {
+			s.buf[side].planes[i].Fill(logic.X)
 		}
 	}
 	if opts.Resume != nil {
@@ -202,65 +221,69 @@ func runPass(ctx context.Context, c *circuit.Circuit, opts Options, fp *faultPas
 		if err := s.restore(opts.Resume); err != nil {
 			return nil, err
 		}
-		if fp != nil {
-			// The restored planes already carry the injected faults;
-			// re-asserting them is idempotent and guards the undriven sites.
-			fp.inject(s.buf[0])
-			fp.inject(s.buf[1])
-		}
-		return s.finish(ctx, c, opts)
+	} else {
+		s.initGenerators()
 	}
-	// Generators assume their t=0 values before the first step, mirroring
-	// the scalar engine: both buffer sides start consistent, the probe sees
-	// lane ProbeLane, and a change in any live lane counts one update.
-	for w := range s.gens {
-		for i := range s.gens[w] {
-			g := &s.gens[w][i]
-			g.write(0, s.buf[0])
-			o, wd := int(g.out.off), int(g.out.w)
+	// Faults present from t=0 must be in both buffer sides so the first
+	// step already reads the faulty machine state. Restored planes carry
+	// them already; re-asserting is idempotent and guards the undriven
+	// sites.
+	if fp != nil {
+		fp.inject(s.buf[0].planes)
+		fp.inject(s.buf[1].planes)
+	}
+	return s.finish(ctx)
+}
+
+// initGenerators gives the generators their t=0 values before the first
+// step, mirroring the scalar engine: both buffer sides start consistent,
+// the probe sees lane ProbeLane, and a change in any live lane counts one
+// update.
+func (s *sim) initGenerators() {
+	lw, lb := s.opts.ProbeLane>>6, uint(s.opts.ProbeLane&63)
+	for w := range s.prog.gens {
+		for i := range s.prog.gens[w] {
+			g := &s.prog.gens[w][i]
+			g.write(0, s.buf[0].planes)
+			// Against the all-X reset (V=0, U=all ones) a lane changed
+			// where a V bit is set or a U bit is clear.
 			var changed uint64
-			for b := 0; b < wd; b++ {
-				cv, nv := s.buf[1][o+b], s.buf[0][o+b]
+			probed := false
+			o, wd := int(g.out.off), int(g.out.w)
+			for b := o; b < o+wd; b++ {
+				nv := s.buf[0].planes[b]
 				for ww := 0; ww < s.words; ww++ {
-					changed |= ((cv.V[ww] ^ nv.V[ww]) | (cv.U[ww] ^ nv.U[ww])) & s.laneMask[ww]
+					changed |= (nv.V[ww] | ^nv.U[ww]) & s.laneMask[ww]
 				}
+				probed = probed || (nv.V[lw]|^nv.U[lw])>>lb&1 != 0
+				copyWide(s.buf[1].planes[b], nv)
 			}
 			if changed == 0 {
 				continue
 			}
-			for b := 0; b < wd; b++ {
-				copyWide(s.buf[1][o+b], s.buf[0][o+b])
-			}
 			s.wc[0].NodeUpdates++
-			if opts.Probe != nil && s.probeLaneChangedInit(o, wd) {
-				opts.Probe.OnChange(g.out.node, 0,
-					logic.ExtractLaneWide(s.buf[0][o:o+wd], opts.ProbeLane, wd))
+			if s.opts.Probe != nil && probed {
+				s.opts.Probe.OnChange(g.out.node, 0,
+					logic.ExtractLaneWide(s.buf[0].planes[o:o+wd], s.opts.ProbeLane, wd))
 			}
 		}
 	}
-	// Faults present from t=0 must be injected into both buffer sides so
-	// the first step already reads the faulty machine state.
-	if fp != nil {
-		fp.inject(s.buf[0])
-		fp.inject(s.buf[1])
-	}
-	return s.finish(ctx, c, opts)
 }
 
 // finish runs the worker gang over the (freshly initialised or restored)
 // state and assembles the pass result.
-func (s *sim) finish(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	p := s.p
+func (s *sim) finish(ctx context.Context) (*Result, error) {
+	opts := s.opts
 	if opts.Checkpoint.Enabled() {
 		s.ckptW = checkpoint.NewWriter(opts.Checkpoint)
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
+	for w := 0; w < s.p; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer opts.Guard.Recover(w, "vector step loop")
+			defer opts.Guard.Recover(w, opts.Name+" step loop")
 			s.worker(w)
 		}(w)
 	}
@@ -268,24 +291,21 @@ func (s *sim) finish(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 	wall := time.Since(start)
 
 	steps := int64(opts.Horizon)
-	planes := s.buf[int(opts.Horizon-1)&1]
+	planes := s.buf[int(opts.Horizon-1)&1].planes
 	if opts.Horizon <= 0 {
-		planes = s.buf[0]
+		planes = s.buf[0].planes
 	}
-	if sa := s.stopAt.Load(); sa > 0 && circuit.Time(sa) < opts.Horizon-1 {
+	sa := s.stopAt.Load()
+	if sa > 0 && circuit.Time(sa) < opts.Horizon-1 {
 		steps = sa + 1
-		planes = s.buf[int(sa)&1]
+		planes = s.buf[int(sa)&1].planes
 	}
-	if opts.Checkpoint.Enabled() && s.ckptErr == nil && s.cancel.Cancelled() {
+	if opts.Checkpoint.Enabled() && s.ckptErr == nil && s.cancel.Cancelled() && sa > 0 {
 		// A clean stop (stopAt published, every worker left at that step
 		// boundary) is a quiescent point; capture it so a drained run can
 		// be resumed. A guard trip aborts the barrier without publishing
 		// stopAt — that state is untrusted and deliberately not saved.
-		if sa := s.stopAt.Load(); sa > 0 {
-			if err := s.saveCheckpoint(circuit.Time(sa)); err != nil {
-				s.ckptErr = err
-			}
-		}
+		s.ckptErr = s.saveCheckpoint(circuit.Time(sa))
 	}
 	if s.ckptW != nil {
 		// Flush the newest pending snapshot before returning, so a drain's
@@ -302,47 +322,30 @@ func (s *sim) finish(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 	if s.ckptErr != nil {
 		return nil, s.ckptErr
 	}
-	res := &Result{
-		Final:     s.extractLane(planes, opts.ProbeLane),
-		LaneFinal: make([][]logic.Value, opts.Lanes),
-	}
-	for l := 0; l < opts.Lanes; l++ {
+	res := &Result{LaneFinal: make([][]logic.Value, opts.Lanes)}
+	for l := range res.LaneFinal {
 		res.LaneFinal[l] = s.extractLane(planes, l)
 	}
+	res.Final = res.LaneFinal[opts.ProbeLane]
 	res.Run = stats.Run{
-		Algorithm: fmt.Sprintf("vector(%s)x%d", opts.Strategy, opts.Lanes),
-		Circuit:   c.Name,
+		Algorithm: fmt.Sprintf("%sx%d", opts.Name, opts.Lanes),
+		Circuit:   s.c.Name,
 		Horizon:   opts.Horizon,
-		Workers:   p,
+		Workers:   s.p,
 		TimeSteps: steps,
 	}
-	for w := 0; w < p; w++ {
+	for w := range s.wc {
 		s.wc[w].ModelCalls = s.wc[w].Evals
 	}
 	res.Run.Aggregate(wall, s.wc)
 	return res, s.cancel.Err(ctx)
 }
 
-// probeLaneChangedInit reports whether the probe lane's value differs from
-// the t=0 write just copied between the buffer sides; used only on the
-// init path where "changed" means "differs from the all-X reset".
-func (s *sim) probeLaneChangedInit(o, w int) bool {
-	lw, lb := s.opts.ProbeLane>>6, uint(s.opts.ProbeLane&63)
-	for b := 0; b < w; b++ {
-		nv := s.buf[0][o+b]
-		// reset state is all-X: V=0, U=all ones
-		if nv.V[lw]>>lb&1 != 0 || nv.U[lw]>>lb&1 == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *sim) extractLane(planes []logic.WidePlane, lane int) []logic.Value {
 	vals := make([]logic.Value, len(s.c.Nodes))
 	for n := range s.c.Nodes {
 		w := s.c.Nodes[n].Width
-		o := int(s.lay.off[n])
+		o := int(s.prog.off[n])
 		vals[n] = logic.ExtractLaneWide(planes[o:o+w], lane, w)
 	}
 	return vals
@@ -350,14 +353,26 @@ func (s *sim) extractLane(planes []logic.WidePlane, lane int) []logic.Value {
 
 func (s *sim) worker(id int) {
 	var sense barrier.Sense
+	// Per-step accounting stays in a local: adjacent workers' counter rows
+	// share cache lines. The row is published where someone reads it —
+	// before the barrier a checkpoint capture follows, and at exit.
+	acc := s.wc[id]
 	var idle time.Duration
-	defer func() { s.wc[id].Idle += idle }()
+	defer func() {
+		acc.Idle += idle
+		s.wc[id] = acc
+	}()
 
-	gens := s.gens[id]
-	kernels := s.parts[id]
+	gens := s.prog.gens[id]
+	work := s.prog.work[id]
+	// With one plane word and no probe the per-span scan collapses to
+	// noteLevel's single flat loop over the level's (offset, width) pairs.
+	fastNote := s.opts.Probe == nil && s.words == 1
 
 	// Step t computes node planes for t+1: read side t&1, write side
-	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1.
+	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1. Nothing
+	// inside a step reads this step's writes, so each worker sweeps its own
+	// run of the schedule unordered and one barrier closes the step.
 	for t := s.startT; t < s.opts.Horizon-1; t++ {
 		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
 			return
@@ -373,9 +388,7 @@ func (s *sim) worker(id int) {
 			// meets here (the predicate is pure), and worker 0 skips packing
 			// a snapshot the throttled writer would only coalesce away.
 			if id == 0 && s.ckptW.Ready() {
-				if err := s.saveCheckpoint(t); err != nil {
-					s.ckptErr = err // published by the barrier release below
-				}
+				s.ckptErr = s.saveCheckpoint(t) // published by the barrier release below
 			}
 			if !s.bar.Wait(&sense) {
 				return
@@ -390,42 +403,59 @@ func (s *sim) worker(id int) {
 				s.stopAt.CompareAndSwap(0, int64(t)+1)
 			}
 		}
-		cur := s.buf[t&1]
-		next := s.buf[(t+1)&1]
+		cur, next := &s.buf[t&1], &s.buf[(t+1)&1]
 
 		// Fault detection observes the settled values of step t before
 		// this step's kernels overwrite the other buffer side.
 		if s.fault != nil {
-			s.fault.observe(id, t, cur)
+			s.fault.observe(id, t, cur.planes)
 		}
 
 		for i := range gens {
 			g := &gens[i]
-			g.write(t+1, next)
-			s.noteSpan(id, g.out, t+1, cur, next)
+			g.write(t+1, next.planes)
+			if s.noteSpan(g.out, t+1, cur, next) {
+				acc.NodeUpdates++
+			}
 		}
-		for i := range kernels {
-			k := &kernels[i]
-			s.wc[id].Evals++
+		for sl := range work {
+			lw := &work[sl]
+			acc.Evals += lw.elems
 			if s.chaos != nil {
-				s.chaos.Eval()
+				for e := int64(0); e < lw.elems; e++ {
+					s.chaos.Eval()
+				}
 			}
-			k.run(cur, next)
+			for i := range lw.batches {
+				lw.batches[i].run(cur.v, cur.u, next.v, next.u)
+			}
+			for i := range lw.kerns {
+				lw.kerns[i].run(cur.planes, next.planes)
+			}
 			if s.opts.CostSpin > 0 {
-				circuit.Spin(k.cost * s.opts.CostSpin)
+				circuit.Spin(lw.cost * s.opts.CostSpin)
 			}
-			for _, sp := range k.outs {
-				s.noteSpan(id, sp, t+1, cur, next)
+			if fastNote {
+				acc.NodeUpdates += noteLevel(lw.noteOffs, cur.v, cur.u, next.v, next.u, s.laneMask[0])
+				continue
+			}
+			for _, sp := range lw.spans {
+				if s.noteSpan(sp, t+1, cur, next) {
+					acc.NodeUpdates++
+				}
 			}
 		}
 		// Re-assert injected faults on the freshly written side: a stuck
 		// node stays stuck no matter what its driver computed.
 		if s.fault != nil {
-			s.fault.injectWorker(id, next)
+			s.fault.injectWorker(id, next.planes)
 		}
 
+		acc.BarrierWaits++
+		if s.checkpointDue(t + 1) {
+			s.wc[id] = acc
+		}
 		t0 := time.Now()
-		s.wc[id].BarrierWaits++
 		ok := s.bar.Wait(&sense)
 		idle += time.Since(t0)
 		if !ok {
@@ -434,38 +464,59 @@ func (s *sim) worker(id int) {
 	}
 }
 
+// noteLevel is noteSpan's one-word, probe-free form: one flat loop over a
+// level's (offset, width) pairs with no call or probe branch per span. At
+// one plane word a node's plane index is its slab index, so the pairs feed
+// the slabs directly.
+func noteLevel(offs []int32, cv, cu, nv, nu []uint64, mask uint64) int64 {
+	var updates int64
+	for i := 0; i < len(offs); i += 2 {
+		o, w := int(offs[i]), int(offs[i+1])
+		for b := 0; b < w; b++ {
+			if ((cv[o+b]^nv[o+b])|(cu[o+b]^nu[o+b]))&mask != 0 {
+				updates++
+				break
+			}
+		}
+	}
+	return updates
+}
+
 // noteSpan compares one output node's planes across the buffer sides,
-// counting a node update when any live lane changed and firing the probe
+// reporting a node update when any live lane changed and firing the probe
 // when the observed lane did. Only the node's single driver calls this for
-// a given span, so the counters race with nobody.
-func (s *sim) noteSpan(id int, sp span, t circuit.Time, cur, next []logic.WidePlane) {
+// a given span. It scans the flat slabs directly — this runs once per
+// element per step, so the plane-struct indirection would cost as much as
+// a small kernel.
+func (s *sim) noteSpan(sp span, t circuit.Time, cur, next *planeBuf) bool {
 	o, w := int(sp.off), int(sp.w)
+	words := s.words
 	var changed uint64
 scan:
 	for b := 0; b < w; b++ {
-		cv, nv := cur[o+b], next[o+b]
-		for ww := 0; ww < s.words; ww++ {
-			changed |= ((cv.V[ww] ^ nv.V[ww]) | (cv.U[ww] ^ nv.U[ww])) & s.laneMask[ww]
+		i0 := (o + b) * words
+		for ww := 0; ww < words; ww++ {
+			changed |= ((cur.v[i0+ww] ^ next.v[i0+ww]) | (cur.u[i0+ww] ^ next.u[i0+ww])) & s.laneMask[ww]
 			if changed != 0 {
 				break scan // one changed live lane counts; no need to scan on
 			}
 		}
 	}
 	if changed == 0 {
-		return
+		return false
 	}
-	s.wc[id].NodeUpdates++
 	if s.opts.Probe == nil {
-		return
+		return true
 	}
 	lw, lb := s.opts.ProbeLane>>6, uint(s.opts.ProbeLane&63)
 	var probeChanged uint64
 	for b := 0; b < w; b++ {
-		cv, nv := cur[o+b], next[o+b]
-		probeChanged |= ((cv.V[lw] ^ nv.V[lw]) | (cv.U[lw] ^ nv.U[lw])) & s.laneMask[lw]
+		i0 := (o+b)*words + lw
+		probeChanged |= ((cur.v[i0] ^ next.v[i0]) | (cur.u[i0] ^ next.u[i0])) & s.laneMask[lw]
 	}
 	if probeChanged>>lb&1 != 0 {
 		s.opts.Probe.OnChange(sp.node, t,
-			logic.ExtractLaneWide(next[o:o+w], s.opts.ProbeLane, w))
+			logic.ExtractLaneWide(next.planes[o:o+w], s.opts.ProbeLane, w))
 	}
+	return true
 }

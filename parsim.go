@@ -18,7 +18,11 @@
 //     of consumed events;
 //
 // plus the Sequential reference simulator every parallel run is
-// cross-checked against.
+// cross-checked against. Vector and JIT name one more engine between them:
+// the levelized plane core, the Compiled algorithm run through a static
+// compiler over N bit-parallel stimulus lanes (Vector defaults to 64
+// lanes, JIT to 1), which also carries concurrent stuck-at fault
+// simulation.
 //
 // Circuits mix representation levels: two-input gates, RTL registers and
 // muxes, and functional blocks (wide adders, multipliers, ALUs, memories)
@@ -60,7 +64,6 @@ import (
 	// internal/engine from init; these imports populate the registry that
 	// Simulate dispatches through.
 	_ "parsim/internal/auto"
-	_ "parsim/internal/codegen"
 	_ "parsim/internal/core"
 	_ "parsim/internal/dist"
 	_ "parsim/internal/parevent"
@@ -117,8 +120,8 @@ const (
 	Z = logic.Z
 )
 
-// MaxLanes is the widest lane count a Vector run accepts: 64 lanes per
-// machine word times the widest supported plane.
+// MaxLanes is the widest lane count a Vector or JIT run accepts: 64 lanes
+// per machine word times the widest supported plane.
 const MaxLanes = logic.MaxWideLanes
 
 // Element kinds, re-exported with friendlier names.
@@ -221,27 +224,29 @@ const (
 	// contribution is exactly the incremental valid-time advancement that
 	// makes these deadlocks impossible; Result.Rounds counts them.
 	ChandyMisra
-	// Vector is the bit-parallel batched compiled-mode algorithm: N
+	// Vector is the levelized plane core under its batched name: N
 	// independent stimulus lanes advance through the circuit simultaneously,
 	// 64 lanes per machine word and as many words per node plane as the run
-	// requests (up to MaxLanes), with every element compiled to a word-wide
-	// plane-op kernel looped over the plane words. Lane 0 replays the scalar
-	// stimulus exactly; Options.Lanes/LaneStride/ProbeLane control the
-	// batch, and Options.FaultSim turns the lane axis into a concurrent
-	// stuck-at fault simulator.
+	// requests (up to MaxLanes; Options.Lanes 0 means 64, one word). Lane 0
+	// replays the scalar stimulus exactly; Options.Lanes/LaneStride/
+	// ProbeLane control the batch, and Options.FaultSim turns the lane axis
+	// into a concurrent stuck-at fault simulator. It is the same engine as
+	// JIT — one compiler, one step loop — and differs from it only in the
+	// default lane count.
 	Vector
-	// JIT is the statically compiled ("codegen") algorithm: the circuit's
-	// levelized schedule is lowered once, at run start, into per-level
-	// batches of branch-free word kernels over a struct-of-arrays state
-	// layout — fused 1/2-input gate loops with no per-element dispatch,
-	// devirtualized plane-op kernels for everything else. The compiler also
-	// owns the parallel split: each worker runs one cost-balanced contiguous
-	// run of the schedule over its own dense slab stripe, and the gang
-	// crosses one barrier per step (Options.Strategy is not consulted).
-	// Semantically it is the Compiled algorithm (unit-delay, every element
-	// every step) run through a compiler instead of an interpreter;
-	// Options.Lanes widens it to N stimulus lanes exactly as Vector
-	// (default 1).
+	// JIT is the levelized plane core under its scalar name (Options.Lanes
+	// 0 means 1; alias "codegen"): the circuit's levelized schedule is
+	// lowered once, at run start, into per-level batches of branch-free
+	// word kernels over a struct-of-arrays state layout — fused 1/2-input
+	// gate and mux loops with no per-element dispatch, devirtualized
+	// plane-op kernels for everything else. The compiler also owns the
+	// parallel split: each worker runs one cost-balanced contiguous run of
+	// the schedule over its own dense slab stripe, and the gang crosses one
+	// barrier per step (Options.Strategy is not consulted, under either
+	// name). Semantically it is the Compiled algorithm (unit-delay, every
+	// element every step) run through a compiler instead of an
+	// interpreter; Options.Lanes and Options.FaultSim apply exactly as for
+	// Vector.
 	JIT
 
 	// numAlgorithms is one past the last constant; ParseAlgorithm scans up
@@ -291,7 +296,9 @@ type Options struct {
 	// per evaluation, restoring the paper's gate-vs-functional evaluation
 	// cost spread for benchmarking.
 	CostSpin int64
-	// Strategy selects the compiled-mode static partitioner.
+	// Strategy selects the static partitioner of the Compiled, DistAsync
+	// and TimeWarp algorithms. Vector and JIT ignore it: the plane core's
+	// compiler cuts its own cost-balanced schedule.
 	Strategy Strategy
 	// NoSteal disables event-driven end-of-phase work stealing;
 	// CentralQueue reverts to the paper's initial contended single-queue
@@ -318,7 +325,7 @@ type Options struct {
 	Lanes      int
 	LaneStride int64
 	ProbeLane  int
-	// FaultSim switches a Vector run to concurrent stuck-at fault
+	// FaultSim switches a Vector or JIT run to concurrent stuck-at fault
 	// simulation: lane 0 simulates the good machine, every other lane
 	// carries the same stimulus plus one injected fault from the circuit's
 	// collapsed single stuck-at list, and a fault is detected when its
@@ -326,7 +333,8 @@ type Options struct {
 	// Fault lists larger than Lanes-1 chunk into multiple passes;
 	// FaultMaxPasses caps the chunk loop (0 = run the whole list) and
 	// FaultStatuses includes the per-fault site/step rows in the coverage
-	// report. Only the Vector algorithm accepts FaultSim.
+	// report. Only the lane algorithms (Vector, JIT) accept FaultSim, and
+	// it needs Lanes >= 2.
 	FaultSim       bool
 	FaultMaxPasses int
 	FaultStatuses  bool
@@ -373,13 +381,13 @@ type Options struct {
 type Result struct {
 	Stats RunStats
 	// Final holds each node's value at the horizon, indexed by NodeID.
-	// For a Vector run this is lane ProbeLane's view.
+	// For a Vector or JIT run this is lane ProbeLane's view.
 	Final []Value
 	// LaneFinal holds every lane's final node values (Vector and JIT
 	// only): LaneFinal[k][n] is node n at the horizon as lane k saw it.
 	LaneFinal [][]Value
 	// FaultCoverage reports concurrent fault-simulation results
-	// (Vector with Options.FaultSim only).
+	// (Vector or JIT with Options.FaultSim only).
 	FaultCoverage *FaultCoverage
 	// Messages counts inter-worker messages (DistAsync only).
 	Messages int64
