@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test race vet lint chaos serve-test auto-test ckpt-test \
-	fleet-test jit-test check figures bench-diff bench-vector bench-vector2 \
+	fleet-test jit-test async-test check figures bench-diff bench-vector bench-vector2 \
 	bench-fault bench-auto bench-ckpt bench-fleet bench-jit bench-smoke \
 	wide-test fuzz fuzz-smoke clean
 
@@ -80,13 +80,24 @@ jit-test:
 	$(GO) test -race -timeout 5m -count=1 ./internal/vector ./internal/codegen
 	$(GO) test -race -timeout 5m -count=1 -run 'TestResumeJIT|TestResumeVector|FuzzEngines|TestFuzzCorpusSeedsReplay' .
 
+## async-test runs the event-list family under the race detector: the
+## asynchronous core (owner routing, the rank-ordered ready set, the
+## wake-up threshold invariant at every quiescence, the 200-seed x 1-4
+## workers x four-mode differential corpus against the sequential oracle,
+## the pinned one-worker activation counts), the SPSC queue it shares with
+## the event-driven engine, that engine and its event queue, and the
+## supervision and cancellation cases of the three registry names they back.
+async-test:
+	$(GO) test -race -timeout 15m -count=1 ./internal/core ./internal/spsc ./internal/parevent ./internal/eventq
+	$(GO) test -race -timeout 5m -count=1 -run '^(TestGuard|TestSimulateContext)/(asynchronous|chandy-misra|event-driven)$$' .
+
 ## bench-smoke compiles and smoke-tests the repository benchmark. bench/
 ## is a module of its own, so the root build/vet/test never see it and an
 ## engine change could otherwise break `bash bench/run.sh` unnoticed.
 bench-smoke:
 	cd bench && $(GO) test -short ./...
 
-check: build vet lint test race chaos serve-test auto-test ckpt-test fleet-test jit-test bench-smoke
+check: build vet lint test race chaos serve-test auto-test ckpt-test fleet-test jit-test async-test bench-smoke
 
 ## figures regenerates the quick machine-readable benchmark snapshot.
 figures:

@@ -16,13 +16,69 @@
 // produced, the Chandy-Misra deadlock ("no more elements have events on all
 // their inputs") never forms, and because only known-valid events are ever
 // consumed there are no Time-Warp rollbacks and no state-restoration
-// storage. Work distribution uses the paper's n-by-n single-reader,
-// single-writer FIFO matrix with round-robin placement; element activation
-// is deduplicated by a lock-free per-element state machine
-// (idle/queued/running/dirty). Storage for consumed events is reclaimed
-// asynchronously: history chunks become unreachable as soon as every
-// fan-out cursor has passed them, which hands the paper's asynchronous
-// garbage collection to the Go runtime.
+// storage. Storage for consumed events is reclaimed asynchronously: history
+// chunks become unreachable as soon as every fan-out cursor has passed
+// them, which hands the paper's asynchronous garbage collection to the Go
+// runtime.
+//
+// # Scheduling
+//
+// An activation should find work to do, so the scheduler is built around
+// three rules.
+//
+// Owner routing. Every non-generator element has one fixed owner: the
+// elements, in id order, are cut into one contiguous, cost-balanced block
+// per worker. Generators lay out rows, columns and functional units with
+// consecutive ids, so a block is a connected piece of the circuit and most
+// fan-out stays on the worker that produced it; cutting the (level, id)
+// order instead, as the levelized plane core does, gives each worker a
+// band of levels and makes the workers a pipeline. An element is only ever
+// evaluated by its owner, so its cursors, state and output histories stay
+// in one cache. Activating an element the worker owns never leaves the
+// worker; activating a foreign one pushes its id on queues[owner][self],
+// the paper's n-by-n single-reader, single-writer FIFO matrix, which is the
+// only cross-worker channel. Activation is deduplicated by a lock-free
+// per-element state machine (idle/queued/running/dirty).
+//
+// Rank-ordered ready set. A worker drains its inbound queues into a private
+// ready set bucketed by combinational depth (analyze.LevelSchedule; elements
+// in or behind a feedback cycle go last) and always runs the shallowest
+// ready element. On a feed-forward cone every input has therefore reached
+// the horizon before its consumer runs, and the consumer runs once and
+// drains all its events. An element marked dirty while running goes back
+// into the ready set at its rank instead of re-running on the spot.
+//
+// Threshold wake-ups. Before an element settles to idle it publishes need:
+// the smallest minimum-input-valid-time at which another activation could
+// do anything. That is minValid+1, one past the minimum it just read — or,
+// for a clocked element whose lookahead stopped at a pending trigger event
+// at T > minValid, T+1, because until that event can be consumed the events
+// on the other inputs cannot reach the outputs. A producer that advances
+// node n from old to new stores validTo first and then wakes an idle
+// fan-out element only if old < need <= new. Inputs on trigger ports (their
+// valid-time alone can extend the lookahead), fan-outs that are not idle,
+// events published without a valid-time advance (the Chandy-Misra
+// discipline), and GateLookahead runs (where a controlling input acts like
+// a trigger) take the unconditional path.
+//
+// Why a skipped wake-up is never lost. An idle element computed need from
+// the validTo values its last activation read, at least one of which was
+// below need, and has nothing to do until every input has passed need.
+// Take the last input to pass: its producer stored new >= need over an old
+// < need and then loaded the element's state. Go's atomics are sequentially
+// consistent, the element stores need before its running->idle CAS and
+// loads validTo after its queued->running CAS. If the producer saw running
+// it marked the element dirty; if it saw queued or dirty, the activation to
+// come reads new. If it saw idle, that idle cannot precede the activation
+// that computed need — that activation would have read new — so it follows
+// it, the producer reads this need (or one from a later activation, which
+// has read new) and the test old < need <= new succeeds. At quiescence
+// every idle element therefore has min(validTo over inputs) < need, which
+// the tests check after every round.
+//
+// Termination. Each worker counts the activations it makes and the
+// elements it settles in words of its own; a starving worker sums them
+// (see quiescent) instead of every activation bumping one shared counter.
 package core
 
 import (
@@ -32,6 +88,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parsim/internal/analyze"
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/guard"
@@ -89,7 +146,13 @@ const (
 	stDirty
 )
 
-const chunkSz = 64
+// History chunk sizes. A node's first chunk comes out of a per-run slab and
+// is small, because most nodes of a gate-level circuit see a handful of
+// events in a run; a node that outgrows it continues in full-size chunks.
+const (
+	firstChunkSz = 8
+	chunkSz      = 64
+)
 
 // event is one node value change.
 type event struct {
@@ -103,8 +166,14 @@ type event struct {
 // of consumed events.
 type hchunk struct {
 	base  int64 // history index of slots[0]
-	slots [chunkSz]event
+	slots []event
 	next  atomic.Pointer[hchunk]
+}
+
+// fullChunk is an hchunk allocated together with its slots.
+type fullChunk struct {
+	hchunk
+	buf [chunkSz]event
 }
 
 // history is one node's behaviour over time. The writer side (tail, last,
@@ -126,21 +195,31 @@ type cursor struct {
 	val   logic.Value // input value at the current position
 }
 
+// elemCtl is what activating an element touches: its place in the
+// idle/queued/running/dirty machine, the wake-up threshold it published,
+// and where it runs. owner, rank and trig are fixed before the workers
+// start.
+type elemCtl struct {
+	state atomic.Int32
+	owner int32        // the one worker that evaluates this element
+	need  atomic.Int64 // see the package comment; written by the owner only
+	rank  int32        // ready-set bucket: combinational depth, cycles last
+	trig  uint8        // bit p set: input port p wakes unconditionally
+}
+
 type sim struct {
 	c    *circuit.Circuit
 	opts Options
-	p    int
 
 	hist    []history
-	first   []*hchunk  // first chunk of every node, for cursor initialisation
 	cursors [][]cursor // [elem][port]
-	estate  []atomic.Int32
 	state   [][]logic.Value
+	ctl     []elemCtl
+	nrank   int // ready-set buckets: one per level, then the cycle-fed
 
-	queues  [][]*spsc.Queue[circuit.ElemID] // [target][source]
-	pending atomic.Int64
+	workers []*worker
+	queues  [][]*spsc.Queue[circuit.ElemID] // [target][source]; no diagonal
 
-	wc     []stats.WorkerCounters
 	cancel *engine.CancelFlag
 	chaos  *guard.ChaosProbe // captured once; nil on production runs
 }
@@ -158,104 +237,15 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 	if err := engine.ValidateWorkers(opts.Workers); err != nil {
 		return nil, err
 	}
-	p := opts.Workers
-	s := &sim{
-		c:       c,
-		opts:    opts,
-		p:       p,
-		hist:    make([]history, len(c.Nodes)),
-		first:   make([]*hchunk, len(c.Nodes)),
-		cursors: make([][]cursor, len(c.Elems)),
-		estate:  make([]atomic.Int32, len(c.Elems)),
-		state:   make([][]logic.Value, len(c.Elems)),
-		queues:  make([][]*spsc.Queue[circuit.ElemID], p),
-		wc:      make([]stats.WorkerCounters, p),
-		cancel:  engine.WatchCancel(ctx),
-		chaos:   opts.Guard.Chaos(),
-	}
+	s := newSim(ctx, c, opts)
 	defer s.cancel.Release()
-	for i := range c.Nodes {
-		ch := &hchunk{}
-		s.first[i] = ch
-		h := &s.hist[i]
-		h.tail = ch
-		x := logic.AllX(c.Nodes[i].Width)
-		h.last = x
-		h.final = x
-	}
-	for i := range c.Elems {
-		el := &c.Elems[i]
-		if n := el.NumStateVals(); n > 0 {
-			s.state[i] = make([]logic.Value, n)
-			el.InitState(s.state[i])
-		}
-		cs := make([]cursor, len(el.In))
-		for port, n := range el.In {
-			cs[port] = cursor{
-				chunk: s.first[n],
-				val:   logic.AllX(c.Nodes[n].Width),
-			}
-		}
-		s.cursors[i] = cs
-	}
-	for w := 0; w < p; w++ {
-		s.queues[w] = make([]*spsc.Queue[circuit.ElemID], p)
-		for src := 0; src < p; src++ {
-			s.queues[w][src] = spsc.New[circuit.ElemID]()
-		}
-	}
-
-	// Initialisation per the paper: "evaluate all generator and constant
-	// nodes for all time", then stimulate their fan-outs. This runs before
-	// any worker starts, so plain pushes into the queue matrix are safe.
-	rr := 0
-	for _, g := range c.Generators() {
-		el := &c.Elems[g]
-		n := el.Out[0]
-		h := &s.hist[n]
-		var t circuit.Time
-		for t < opts.Horizon {
-			if s.cancel.Cancelled() {
-				break // generators can span huge horizons; stop materialising
-			}
-			v := el.GenValueAt(t)
-			if !v.Equal(h.last) {
-				s.appendEvent(0, n, t, v)
-			}
-			next, ok := el.GenNextChange(t)
-			if !ok {
-				break
-			}
-			t = next
-		}
-		h.validTo.Store(int64(opts.Horizon))
-		for _, pr := range c.Nodes[n].Fanout {
-			if s.estate[pr.Elem].CompareAndSwap(stIdle, stQueued) {
-				s.pending.Add(1)
-				s.queues[rr%p][0].Push(pr.Elem)
-				rr++
-			}
-		}
-	}
 
 	start := time.Now()
 	rounds := int64(0)
 	for {
 		rounds++
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer opts.Guard.Recover(w, "asynchronous eval loop")
-				newWorker(s, w).run()
-			}(w)
-		}
-		wg.Wait()
-		if s.cancel.Cancelled() {
-			break
-		}
-		if !s.opts.DeadlockRecovery || !s.recoverDeadlock() {
+		s.runWorkers()
+		if s.cancel.Cancelled() || !opts.DeadlockRecovery || !s.recoverDeadlock() {
 			break
 		}
 	}
@@ -270,9 +260,13 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		Algorithm: "asynchronous",
 		Circuit:   c.Name,
 		Horizon:   opts.Horizon,
-		Workers:   p,
+		Workers:   opts.Workers,
 	}
-	res.Run.Aggregate(wall, s.wc)
+	wc := make([]stats.WorkerCounters, len(s.workers))
+	for i, w := range s.workers {
+		wc[i] = w.wc
+	}
+	res.Run.Aggregate(wall, wc)
 	if err := s.cancel.Err(ctx); err != nil {
 		return res, err
 	}
@@ -286,6 +280,186 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		return res, st
 	}
 	return res, nil
+}
+
+// newSim builds the run state — histories, cursors and element state out of
+// one slab each — materialises the generators and queues their fan-out.
+func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
+	p := opts.Workers
+	s := &sim{
+		c:       c,
+		opts:    opts,
+		hist:    make([]history, len(c.Nodes)),
+		cursors: make([][]cursor, len(c.Elems)),
+		state:   make([][]logic.Value, len(c.Elems)),
+		ctl:     make([]elemCtl, len(c.Elems)),
+		workers: make([]*worker, p),
+		queues:  make([][]*spsc.Queue[circuit.ElemID], p),
+		cancel:  engine.WatchCancel(ctx),
+		chaos:   opts.Guard.Chaos(),
+	}
+	first := make([]hchunk, len(c.Nodes))
+	slots := make([]event, firstChunkSz*len(c.Nodes))
+	for i := range c.Nodes {
+		first[i].slots = slots[i*firstChunkSz : (i+1)*firstChunkSz : (i+1)*firstChunkSz]
+		h := &s.hist[i]
+		h.tail = &first[i]
+		x := logic.AllX(c.Nodes[i].Width)
+		h.last = x
+		h.final = x
+	}
+	var nIn, nState int
+	for i := range c.Elems {
+		nIn += len(c.Elems[i].In)
+		nState += c.Elems[i].NumStateVals()
+	}
+	cursors := make([]cursor, nIn)
+	state := make([]logic.Value, nState)
+	for i := range c.Elems {
+		el := &c.Elems[i]
+		if n := el.NumStateVals(); n > 0 {
+			s.state[i], state = state[:n:n], state[n:]
+			el.InitState(s.state[i])
+		}
+		cs := cursors[:len(el.In):len(el.In)]
+		cursors = cursors[len(el.In):]
+		for port, n := range el.In {
+			cs[port] = cursor{chunk: &first[n], val: logic.AllX(c.Nodes[n].Width)}
+		}
+		s.cursors[i] = cs
+	}
+	s.place()
+	for w := range s.workers {
+		s.workers[w] = newWorker(s, w)
+		s.queues[w] = make([]*spsc.Queue[circuit.ElemID], p)
+		for src := range s.queues[w] {
+			if src != w {
+				q := spsc.New[circuit.ElemID]()
+				s.queues[w][src] = q
+				s.workers[w].inbound = append(s.workers[w].inbound, q)
+			}
+		}
+	}
+
+	// Initialisation per the paper: "evaluate all generator and constant
+	// nodes for all time", then stimulate their fan-outs. This runs before
+	// any worker starts, so the owners' ready sets can be filled directly.
+	for _, g := range c.Generators() {
+		el := &c.Elems[g]
+		n := el.Out[0]
+		h := &s.hist[n]
+		var t circuit.Time
+		for t < opts.Horizon {
+			if s.cancel.Cancelled() {
+				break // generators can span huge horizons; stop materialising
+			}
+			v := el.GenValueAt(t)
+			if !v.Equal(h.last) {
+				s.workers[0].appendEvent(n, t, v)
+			}
+			next, ok := el.GenNextChange(t)
+			if !ok {
+				break
+			}
+			t = next
+		}
+		h.validTo.Store(int64(opts.Horizon))
+		for _, pr := range c.Nodes[n].Fanout {
+			s.enqueue(pr.Elem)
+		}
+	}
+	return s
+}
+
+// place fixes every element's owner, ready-set rank, trigger mask and
+// initial wake-up threshold.
+func (s *sim) place() {
+	c, p := s.c, int64(s.opts.Workers)
+	levels := analyze.LevelSchedule(c)
+	// weight is an element's share of the work; Cost is a public field, so
+	// a zero or negative one must not push a midpoint past the last worker.
+	weight := func(el *circuit.Element) int64 { return max(el.Cost, 1) }
+	cycles := int32(0) // the bucket after the deepest level
+	var total int64
+	for i := range c.Elems {
+		if l := int32(levels[i]) + 1; l > cycles {
+			cycles = l
+		}
+		if !c.Elems[i].IsGenerator() {
+			total += weight(&c.Elems[i])
+		}
+	}
+	s.nrank = int(cycles) + 1
+	var before int64
+	for i := range c.Elems {
+		el := &c.Elems[i]
+		ctl := &s.ctl[i]
+		ctl.rank = int32(levels[i])
+		if ctl.rank < 0 {
+			ctl.rank = cycles
+		}
+		// A never-evaluated element has seen no input behaviour at all, so
+		// the first advance of any input (from valid-time 0) must wake it.
+		ctl.need.Store(1)
+		if el.IsGenerator() {
+			continue
+		}
+		// The element goes to the worker its cost midpoint falls in.
+		ctl.owner = int32((2*before + weight(el)) * p / (2 * total))
+		before += weight(el)
+		if !s.opts.NoLookahead {
+			for _, port := range circuit.TriggerPorts(el.Kind) {
+				ctl.trig |= 1 << port
+			}
+		}
+	}
+}
+
+// enqueue activates an idle element while no worker is running (before the
+// first round and between deadlock-recovery rounds), reporting whether it
+// was idle.
+func (s *sim) enqueue(e circuit.ElemID) bool {
+	ctl := &s.ctl[e]
+	if !ctl.state.CompareAndSwap(stIdle, stQueued) {
+		return false
+	}
+	w := s.workers[ctl.owner]
+	w.created.Add(1)
+	w.ready.push(ctl.rank, e)
+	return true
+}
+
+// quiescent reports whether no element is queued or running anywhere. The
+// workers count the activations they make and the elements they settle in
+// words of their own, so that the hot path shares no counter; settled is
+// summed before created, both only grow, and an element is settled after it
+// is created, so at any instant between the two scans pending <= created -
+// settled as read here: equal sums mean nothing was pending at that instant,
+// and with nothing running nothing can be activated again.
+func (s *sim) quiescent() bool {
+	var created, settled int64
+	for _, w := range s.workers {
+		settled += w.settled.Load()
+	}
+	for _, w := range s.workers {
+		created += w.created.Load()
+	}
+	return created == settled
+}
+
+// runWorkers runs one round: every worker until no activation is pending
+// anywhere (or the run is cancelled).
+func (s *sim) runWorkers() {
+	var wg sync.WaitGroup
+	for _, w := range s.workers {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			defer s.opts.Guard.Recover(w.id, "asynchronous eval loop")
+			w.run()
+		}(w)
+	}
+	wg.Wait()
 }
 
 // stallReport scans node valid-times after the workers have gone passive.
@@ -327,9 +501,161 @@ func (s *sim) stallReport(alg string) *guard.StallError {
 	}
 }
 
+// readySet is a worker's private set of queued elements, bucketed by rank;
+// pop always serves the lowest non-empty bucket, oldest entry first.
+type readySet struct {
+	buckets [][]circuit.ElemID
+	heads   []int // per bucket: entries before it are already popped
+	lowest  int   // no bucket below it has entries
+	n       int
+}
+
+func (r *readySet) push(rank int32, e circuit.ElemID) {
+	r.buckets[rank] = append(r.buckets[rank], e)
+	if int(rank) < r.lowest {
+		r.lowest = int(rank)
+	}
+	r.n++
+}
+
+func (r *readySet) pop() (circuit.ElemID, bool) {
+	if r.n == 0 {
+		return 0, false
+	}
+	for r.heads[r.lowest] == len(r.buckets[r.lowest]) {
+		r.lowest++
+	}
+	b := r.lowest
+	e := r.buckets[b][r.heads[b]]
+	r.heads[b]++
+	if r.heads[b] == len(r.buckets[b]) {
+		r.buckets[b], r.heads[b] = r.buckets[b][:0], 0
+	}
+	r.n--
+	return e, true
+}
+
+// worker is one processor. It lives for the whole run (deadlock-recovery
+// rounds restart its loop, not the worker), so its counters and idle time
+// sum over rounds. wc is worker-local until the run ends: two workers
+// bumping rows of one shared slice would share cache lines on every event.
+type worker struct {
+	s        *sim
+	id       int
+	ready    readySet
+	inbound  []*spsc.Queue[circuit.ElemID] // queues[id][src], src != id
+	inBuf    []logic.Value
+	outBuf   []logic.Value
+	countBuf []int64
+	vtBuf    []int64
+	appBuf   []bool
+	wc       stats.WorkerCounters
+	_        [64]byte     // the words below are read by starving workers
+	created  atomic.Int64 // activations this worker made (idle -> queued)
+	settled  atomic.Int64 // elements this worker settled (running -> idle)
+	_        [64]byte     // keep the next worker's allocation off this line
+}
+
+func newWorker(s *sim, id int) *worker {
+	w := &worker{s: s, id: id}
+	w.ready.buckets = make([][]circuit.ElemID, s.nrank)
+	w.ready.heads = make([]int, s.nrank)
+	w.ready.lowest = s.nrank
+	return w
+}
+
+func (w *worker) run() {
+	s := w.s
+	starved := 0 // polls since this worker last had an element to run
+	for {
+		if s.cancel.Cancelled() {
+			return // every worker polls the flag, so all exit independently
+		}
+		for _, q := range w.inbound {
+			for e, ok := q.Pop(); ok; e, ok = q.Pop() {
+				w.ready.push(s.ctl[e].rank, e)
+			}
+		}
+		if e, ok := w.ready.pop(); ok {
+			w.process(e)
+			starved = 0
+			continue
+		}
+		// Out of local work while others still run: this is the only spin
+		// in the algorithm, and it is starvation, not synchronisation. It is
+		// also the only place the clock is read. The spin watches the
+		// inbound queues, which change only when there is work for this
+		// worker; the termination scan reads words the busy workers are
+		// writing, so it runs on the first poll and every 16th after it.
+		if starved%16 == 0 && s.quiescent() {
+			return
+		}
+		starved++
+		t0 := time.Now()
+		w.wc.IdlePolls++
+		runtime.Gosched()
+		w.wc.Idle += time.Since(t0)
+	}
+}
+
+// activate stimulates an element: schedule it if idle, mark it dirty if it
+// is currently being evaluated so it runs again, and do nothing if it is
+// already waiting. This is the paper's "activate the elements only once".
+func (w *worker) activate(e circuit.ElemID) {
+	s := w.s
+	ctl := &s.ctl[e]
+	for {
+		switch ctl.state.Load() {
+		case stIdle:
+			if ctl.state.CompareAndSwap(stIdle, stQueued) {
+				w.created.Add(1)
+				if s.chaos != nil && s.chaos.DropWakeup() {
+					// Injected lost wakeup: the element stays claimed but is
+					// never delivered, so the run never becomes quiescent and
+					// hangs — the failure the watchdog exists to catch.
+					return
+				}
+				if int(ctl.owner) == w.id {
+					w.ready.push(ctl.rank, e)
+				} else {
+					s.queues[ctl.owner][w.id].Push(e)
+				}
+				return
+			}
+		case stQueued, stDirty:
+			return
+		case stRunning:
+			if ctl.state.CompareAndSwap(stRunning, stDirty) {
+				return
+			}
+		}
+	}
+}
+
+// process evaluates a queued element this worker owns and settles it back
+// to idle — or, if a concurrent activation marked it dirty meanwhile, back
+// into the ready set at its rank.
+func (w *worker) process(e circuit.ElemID) {
+	ctl := &w.s.ctl[e]
+	if !ctl.state.CompareAndSwap(stQueued, stRunning) {
+		panic("core: popped element not in queued state")
+	}
+	w.evalElement(e)
+	if ctl.state.CompareAndSwap(stRunning, stIdle) {
+		w.settled.Add(1)
+		return
+	}
+	// Dirty: new input behaviour arrived while running.
+	if !ctl.state.CompareAndSwap(stDirty, stQueued) {
+		panic("core: unexpected element state after evaluation")
+	}
+	w.ready.push(ctl.rank, e)
+}
+
 // appendEvent publishes one value change on node n at time t. Caller must
 // hold the node's writer side (driving element running, or pre-start).
-func (s *sim) appendEvent(worker int, n circuit.NodeID, t circuit.Time, v logic.Value) {
+func (w *worker) appendEvent(n circuit.NodeID, t circuit.Time, v logic.Value) {
+	s := w.s
 	h := &s.hist[n]
 	h.last = v
 	if t >= s.opts.Horizon {
@@ -339,114 +665,18 @@ func (s *sim) appendEvent(worker int, n circuit.NodeID, t circuit.Time, v logic.
 	c := h.tail
 	idx := h.count.Load()
 	off := idx - c.base
-	if off == chunkSz {
-		nc := &hchunk{base: idx}
-		c.next.Store(nc)
-		h.tail = nc
-		c, off = nc, 0
+	if off == int64(len(c.slots)) {
+		fc := &fullChunk{}
+		fc.base, fc.slots = idx, fc.buf[:]
+		c.next.Store(&fc.hchunk)
+		h.tail = &fc.hchunk
+		c, off = &fc.hchunk, 0
 	}
 	c.slots[off] = event{t: t, v: v}
 	h.count.Store(idx + 1) // publish after the slot write
-	s.wc[worker].NodeUpdates++
+	w.wc.NodeUpdates++
 	if s.opts.Probe != nil {
 		s.opts.Probe.OnChange(n, t, v)
-	}
-}
-
-type worker struct {
-	s        *sim
-	id       int
-	rr       int // round-robin activation target
-	inBuf    []logic.Value
-	outBuf   []logic.Value
-	countBuf []int64
-	vtBuf    []int64
-	appBuf   []bool
-	idle     time.Duration
-}
-
-func newWorker(s *sim, id int) *worker {
-	return &worker{s: s, id: id, rr: id}
-}
-
-func (w *worker) run() {
-	s := w.s
-	defer func() { s.wc[w.id].Idle = w.idle }()
-	for {
-		if s.cancel.Cancelled() {
-			return // every worker polls the flag, so all exit independently
-		}
-		t0 := time.Now()
-		found := false
-		for src := 0; src < s.p; src++ {
-			if e, ok := s.queues[w.id][src].Pop(); ok {
-				found = true
-				w.process(e)
-			}
-		}
-		if found {
-			continue
-		}
-		if s.pending.Load() == 0 {
-			return
-		}
-		// Out of local work while others still run: this is the only spin
-		// in the algorithm, and it is starvation, not synchronisation.
-		s.wc[w.id].IdlePolls++
-		runtime.Gosched()
-		w.idle += time.Since(t0)
-	}
-}
-
-// activate stimulates an element: schedule it if idle, mark it dirty if it
-// is currently being evaluated so it re-runs, and do nothing if it is
-// already waiting. This is the paper's "activate the elements only once".
-func (w *worker) activate(e circuit.ElemID) {
-	s := w.s
-	st := &s.estate[e]
-	for {
-		switch st.Load() {
-		case stIdle:
-			if st.CompareAndSwap(stIdle, stQueued) {
-				s.pending.Add(1)
-				tgt := w.rr % s.p
-				w.rr++
-				if s.chaos != nil && s.chaos.DropWakeup() {
-					// Injected lost wakeup: the element stays claimed but is
-					// never delivered, so pending never drains and the run
-					// hangs — the failure the watchdog exists to catch.
-					return
-				}
-				s.queues[tgt][w.id].Push(e)
-				return
-			}
-		case stQueued, stDirty:
-			return
-		case stRunning:
-			if st.CompareAndSwap(stRunning, stDirty) {
-				return
-			}
-		}
-	}
-}
-
-// process owns the element from queued until it settles back to idle,
-// re-evaluating as long as concurrent activations mark it dirty.
-func (w *worker) process(e circuit.ElemID) {
-	st := &w.s.estate[e]
-	if !st.CompareAndSwap(stQueued, stRunning) {
-		panic("core: popped element not in queued state")
-	}
-	for {
-		w.evalElement(e)
-		if st.CompareAndSwap(stRunning, stIdle) {
-			w.s.pending.Add(-1)
-			return
-		}
-		// Dirty: new input behaviour arrived while running.
-		if !st.CompareAndSwap(stDirty, stRunning) {
-			panic("core: unexpected element state during re-run")
-		}
 	}
 }
 
@@ -456,7 +686,7 @@ func (cu *cursor) peek(count int64) (event, bool) {
 	if cu.pos >= count {
 		return event{}, false
 	}
-	for cu.pos >= cu.chunk.base+chunkSz {
+	for cu.pos >= cu.chunk.base+int64(len(cu.chunk.slots)) {
 		cu.chunk = cu.chunk.next.Load()
 	}
 	return cu.chunk.slots[cu.pos-cu.chunk.base], true
@@ -465,11 +695,12 @@ func (cu *cursor) peek(count int64) (event, bool) {
 // evalElement implements the paper's "get the output behaviour of an
 // element" procedure: consume every input event below min-valid in merged
 // time order, evaluating once per distinct time, then advance the outputs'
-// valid times and stimulate fan-outs that gained behaviour.
+// valid times, publish the wake-up threshold and stimulate fan-outs that
+// gained behaviour they can use.
 func (w *worker) evalElement(e circuit.ElemID) {
 	s := w.s
 	el := &s.c.Elems[e]
-	s.wc[w.id].Evals++
+	w.wc.Evals++
 	s.opts.Guard.Heartbeat(w.id)
 	if s.chaos != nil {
 		s.chaos.Eval()
@@ -548,7 +779,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 						}
 						cs[port].val = ev.v
 						cs[port].pos++
-						s.wc[w.id].EventsUsed++
+						w.wc.EventsUsed++
 					}
 				}
 				effValid = tau
@@ -582,12 +813,12 @@ func (w *worker) evalElement(e circuit.ElemID) {
 			if ev, ok := cs[port].peek(counts[port]); ok && ev.t == tmin {
 				cs[port].val = ev.v
 				cs[port].pos++
-				s.wc[w.id].EventsUsed++
+				w.wc.EventsUsed++
 			}
 			in[port] = cs[port].val
 		}
 		el.Eval(in, s.state[e], out)
-		s.wc[w.id].ModelCalls++
+		w.wc.ModelCalls++
 		if s.opts.CostSpin > 0 {
 			circuit.Spin(el.Cost * s.opts.CostSpin)
 		}
@@ -596,7 +827,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 			if out[p].Equal(h.last) {
 				continue
 			}
-			s.appendEvent(w.id, n, tmin+el.Delay, out[p])
+			w.appendEvent(n, tmin+el.Delay, out[p])
 			appended[p] = true
 		}
 	}
@@ -607,23 +838,34 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// inputs lag. Every event below minValid was consumed above, so a
 	// pending trigger event — or, when none is queued, the trigger node's
 	// valid-time — bounds the first possible output change.
+	//
+	// need is the wake-up threshold (see the package comment): nothing more
+	// can be consumed, and no output valid-time extended, until the minimum
+	// input valid-time passes minValid — or, when the lookahead stopped at a
+	// pending trigger event, passes that event, since the events on the
+	// other inputs before it cannot reach the outputs and wait with it.
+	need := minValid + 1
 	if trig := circuit.TriggerPorts(el.Kind); trig != nil && !s.opts.NoLookahead {
 		bound := int64(s.opts.Horizon)
+		pending := false // bound is an event, not a valid-time
 		for _, port := range trig {
-			var tb int64
-			if ev, ok := cs[port].peek(counts[port]); ok {
+			tb := vts[port]
+			ev, ok := cs[port].peek(counts[port])
+			if ok {
 				tb = int64(ev.t)
-			} else {
-				tb = vts[port]
 			}
 			if tb < bound {
-				bound = tb
+				bound, pending = tb, ok
 			}
 		}
 		if bound > effValid {
 			effValid = bound
+			if pending {
+				need = bound + 1
+			}
 		}
 	}
+	s.ctl[e].need.Store(need) // before the caller's running->idle CAS
 
 	// Step 5: advance output valid times; stimulate fan-out wherever new
 	// behaviour (events or valid-time progress) appeared. Under the
@@ -631,22 +873,43 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// on them until the global deadlock-recovery pass.
 	for p, n := range el.Out {
 		h := &s.hist[n]
-		advanced := false
+		old := h.validTo.Load()
+		newValid := old
 		if !s.opts.DeadlockRecovery {
-			newValid := effValid + int64(el.Delay)
+			newValid = effValid + int64(el.Delay)
 			if newValid > int64(s.opts.Horizon) {
 				newValid = int64(s.opts.Horizon)
 			}
-			if newValid > h.validTo.Load() {
-				h.validTo.Store(newValid)
-				advanced = true
-			}
 		}
-		if advanced || appended[p] {
+		switch {
+		case newValid > old:
+			h.validTo.Store(newValid) // before any fan-out's state is read
+			w.wake(n, old, newValid)
+		case appended[p]:
 			for _, pr := range s.c.Nodes[n].Fanout {
 				w.activate(pr.Elem)
 			}
 		}
+	}
+}
+
+// wake stimulates the fan-out of node n after its valid-time advanced from
+// old to newValid: every element for which that is new usable behaviour.
+// An idle element fed through a non-trigger port is skipped unless the
+// advance crossed the threshold it published.
+func (w *worker) wake(n circuit.NodeID, old, newValid int64) {
+	s := w.s
+	// Under GateLookahead a controlling input acts like a trigger on any
+	// port, so every advance activates the whole fan-out.
+	threshold := !s.opts.GateLookahead
+	for _, pr := range s.c.Nodes[n].Fanout {
+		ctl := &s.ctl[pr.Elem]
+		if threshold && ctl.trig>>uint(pr.Port)&1 == 0 && ctl.state.Load() == stIdle {
+			if need := ctl.need.Load(); need <= old || need > newValid {
+				continue
+			}
+		}
+		w.activate(pr.Elem)
 	}
 }
 
@@ -708,7 +971,6 @@ func (s *sim) recoverDeadlock() bool {
 	// Restart: queue every element that now has a consumable event or a
 	// fresher input horizon than its outputs reflect.
 	queued := false
-	rr := 0
 	for i := range s.c.Elems {
 		el := &s.c.Elems[i]
 		if el.IsGenerator() {
@@ -724,19 +986,15 @@ func (s *sim) recoverDeadlock() bool {
 		for port, n := range el.In {
 			if fp := firstPending(el.ID, port, n); fp < minValid {
 				runnable = true
-				_ = port
 				break
 			}
 		}
 		if !runnable {
 			// Pure valid-time propagation through this element was already
-			// handled by the fixpoint above.
-			continue
-		}
-		if s.estate[el.ID].CompareAndSwap(stIdle, stQueued) {
-			s.pending.Add(1)
-			s.queues[rr%s.p][0].Push(el.ID)
-			rr++
+			// handled by the fixpoint above: that was its activation at
+			// minValid, so the threshold moves as if it had run.
+			s.ctl[i].need.Store(minValid + 1)
+		} else if s.enqueue(el.ID) {
 			queued = true
 		}
 	}

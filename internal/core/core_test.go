@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"parsim/internal/circuit"
 	"parsim/internal/gen"
+	"parsim/internal/guard"
 	"parsim/internal/logic"
 	"parsim/internal/seq"
 	"parsim/internal/trace"
@@ -83,9 +85,59 @@ func TestMatchesSequentialOnFeedbackChain(t *testing.T) {
 }
 
 func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
+	// The differential corpus: every scheduling mode at every worker count
+	// must reproduce the sequential oracle's per-node histories and finals
+	// on circuits with feedback of arbitrary length. The one legal refusal
+	// is the conservative family's typed stall report on a circuit whose
+	// feedback loops never receive events (seeds 78 and 115 here).
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"gate-lookahead", Options{GateLookahead: true}},
+		{"no-lookahead", Options{NoLookahead: true}},
+		{"chandy-misra", Options{DeadlockRecovery: true}},
+	}
+	seeds := int64(200)
+	if testing.Short() {
+		seeds = 40
+	}
+	stalled := map[int64]bool{}
+	defer func() {
+		if len(stalled) > int(seeds)/20 {
+			t.Errorf("%d of %d circuits refused as stalled", len(stalled), seeds)
+		}
+	}()
+	for seed := int64(0); seed < seeds; seed++ {
 		c := gen.RandomCircuit(seed, 80)
-		crossCheck(t, c, 250, Options{Workers: 3})
+		ref := trace.NewRecorder()
+		want := seq.Run(c, seq.Options{Horizon: 250, Probe: ref})
+		for _, m := range modes {
+			for p := 1; p <= 4; p++ {
+				got := trace.NewRecorder()
+				opts := m.opts
+				opts.Workers, opts.Horizon, opts.Probe = p, 250, got
+				res, err := RunContext(context.Background(), c, opts)
+				var stall *guard.StallError
+				if errors.As(err, &stall) {
+					stalled[seed] = true
+					continue
+				}
+				if err != nil {
+					t.Fatalf("seed %d %s P=%d: %v", seed, m.name, p, err)
+				}
+				if d := trace.Diff(c, ref, got); d != "" {
+					t.Fatalf("seed %d %s P=%d: history mismatch: %s", seed, m.name, p, d)
+				}
+				for i := range res.Final {
+					if !res.Final[i].Equal(want.Final[i]) {
+						t.Fatalf("seed %d %s P=%d: final value of node %s differs: %v vs %v",
+							seed, m.name, p, c.Nodes[i].Name, res.Final[i], want.Final[i])
+					}
+				}
+			}
+		}
 	}
 }
 

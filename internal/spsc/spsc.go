@@ -33,9 +33,6 @@ type Queue[T any] struct {
 	// Consumer side.
 	head *chunk[T]
 	rpos int32
-	// Approximate element count maintained with atomic adds; only used for
-	// monitoring, never for synchronisation.
-	size atomic.Int64
 }
 
 // New returns an empty queue.
@@ -54,12 +51,10 @@ func (q *Queue[T]) Push(v T) {
 		nc.wpos.Store(1)
 		c.next.Store(nc) // publish the full link after the slot
 		q.tail = nc
-		q.size.Add(1)
 		return
 	}
 	c.slots[w] = v
 	c.wpos.Store(w + 1) // publish
-	q.size.Add(1)
 }
 
 // Pop removes and returns the oldest element; ok is false if the queue is
@@ -77,7 +72,6 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 			var zero T
 			c.slots[q.rpos] = zero
 			q.rpos++
-			q.size.Add(-1)
 			return v, true
 		}
 		if w < ChunkSize {
@@ -92,6 +86,3 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 		c = next
 	}
 }
-
-// Len returns an approximate number of queued elements, for monitoring.
-func (q *Queue[T]) Len() int { return int(q.size.Load()) }
