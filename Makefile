@@ -84,9 +84,15 @@ jit-test:
 ## asynchronous core (owner routing, the rank-ordered ready set, the
 ## wake-up threshold invariant at every quiescence, the 200-seed x 1-4
 ## workers x four-mode differential corpus against the sequential oracle,
-## the pinned one-worker activation counts), the SPSC queue it shares with
-## the event-driven engine, that engine and its event queue, and the
-## supervision and cancellation cases of the three registry names they back.
+## the pinned one-worker activation counts), the SPSC queue, the
+## event-driven engine (its own 100-seed x 1-4 workers x three-mode corpus
+## on finals and histories, Evals/NodeUpdates/TimeSteps pinned to
+## sequential's on the paper circuits, two barrier crossings per step on
+## every worker row, the skewed-ownership stealing run and the hand-driven
+## proof that a thief's peek carries its stolen updates), its event queue
+## (the lending canary, zero steady-state allocations, the FuzzQueue corpus
+## against a sorted-slice model) and the supervision and cancellation cases
+## of the three registry names they back.
 async-test:
 	$(GO) test -race -timeout 15m -count=1 ./internal/core ./internal/spsc ./internal/parevent ./internal/eventq
 	$(GO) test -race -timeout 5m -count=1 -run '^(TestGuard|TestSimulateContext)/(asynchronous|chandy-misra|event-driven)$$' .
@@ -183,10 +189,12 @@ fuzz:
 
 ## fuzz-smoke is the CI-sized fuzz budget: the cross-engine differential
 ## harness, then the netlist parser (never panics, limit errors stay typed,
-## parse -> Write -> parse is the identity).
+## parse -> Write -> parse is the identity), then the event queue against
+## its sorted-slice model (pop order, Dump -> Restore, the lending rule).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzEngines -fuzztime=30s -run '^$$' .
 	$(GO) test -fuzz=FuzzNetlist -fuzztime=15s -run '^$$' ./internal/netlist
+	$(GO) test -fuzz=FuzzQueue -fuzztime=15s -run '^$$' ./internal/eventq
 
 clean:
 	$(GO) clean ./...

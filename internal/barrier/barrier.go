@@ -61,3 +61,7 @@ func (b *Barrier) Wait(s *Sense) bool {
 // watchdog declares a stall, so no surviving worker is left spinning for
 // a peer that will never arrive.
 func (b *Barrier) Abort() { b.aborted.Store(true) }
+
+// Aborted reports whether Abort was called. A worker that spins on a peer's
+// flag between two Waits polls it so a dead peer cannot strand it there.
+func (b *Barrier) Aborted() bool { return b.aborted.Load() }

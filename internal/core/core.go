@@ -93,6 +93,7 @@ import (
 	"parsim/internal/engine"
 	"parsim/internal/guard"
 	"parsim/internal/logic"
+	"parsim/internal/partition"
 	"parsim/internal/spsc"
 	"parsim/internal/stats"
 	"parsim/internal/trace"
@@ -371,26 +372,19 @@ func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 	return s
 }
 
-// place fixes every element's owner, ready-set rank, trigger mask and
-// initial wake-up threshold.
+// place fixes every element's owner (partition.CostBlocks, shared with the
+// event-driven engine), ready-set rank, trigger mask and wake-up threshold.
 func (s *sim) place() {
-	c, p := s.c, int64(s.opts.Workers)
+	c := s.c
 	levels := analyze.LevelSchedule(c)
-	// weight is an element's share of the work; Cost is a public field, so
-	// a zero or negative one must not push a midpoint past the last worker.
-	weight := func(el *circuit.Element) int64 { return max(el.Cost, 1) }
+	owners := partition.CostBlocks(c, s.opts.Workers)
 	cycles := int32(0) // the bucket after the deepest level
-	var total int64
 	for i := range c.Elems {
 		if l := int32(levels[i]) + 1; l > cycles {
 			cycles = l
 		}
-		if !c.Elems[i].IsGenerator() {
-			total += weight(&c.Elems[i])
-		}
 	}
 	s.nrank = int(cycles) + 1
-	var before int64
 	for i := range c.Elems {
 		el := &c.Elems[i]
 		ctl := &s.ctl[i]
@@ -404,9 +398,7 @@ func (s *sim) place() {
 		if el.IsGenerator() {
 			continue
 		}
-		// The element goes to the worker its cost midpoint falls in.
-		ctl.owner = int32((2*before + weight(el)) * p / (2 * total))
-		before += weight(el)
+		ctl.owner = owners[i]
 		if !s.opts.NoLookahead {
 			for _, port := range circuit.TriggerPorts(el.Kind) {
 				ctl.trig |= 1 << port

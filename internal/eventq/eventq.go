@@ -3,6 +3,12 @@
 // binary-heap overflow for far-future events. This is the classic logic
 // simulator queue — O(1) scheduling for the common case of short gate
 // delays, falling back gracefully for long delays such as clock periods.
+//
+// Buckets are recycled. PopNext lends the popped bucket's array to the
+// caller until the next PopNext, which parks it on a queue-private free
+// list; a slot that becomes occupied takes its array from that list. A run
+// therefore allocates about one array per time that is pending at once and
+// then nothing: a steady schedule/pop cycle is allocation-free.
 package eventq
 
 import (
@@ -51,6 +57,9 @@ type Queue struct {
 	over  []overflowEntry
 	seq   int64 // next overflow insertion sequence number
 	n     int
+
+	free [][]Update // emptied bucket arrays awaiting reuse
+	lent []Update   // the array the last PopNext returned
 }
 
 // New returns an empty queue with the default wheel size.
@@ -79,7 +88,7 @@ func (q *Queue) Schedule(t circuit.Time, up Update) {
 		s := &q.slots[t&q.mask]
 		if len(s.ups) == 0 {
 			s.t = t
-			s.ups = append(s.ups, up)
+			s.ups = append(q.takeFree(), up)
 			q.wheel++
 			return
 		}
@@ -104,7 +113,9 @@ type Entry struct {
 
 // Dump returns the queue's scan cursor and every pending update in the exact
 // order PopNext would deliver them. The receiver is not modified: the drain
-// runs on a deep copy, so Dump is safe at any quiescent point.
+// runs on a deep copy that shares neither the free list nor the lent array,
+// so Dump is safe at any quiescent point and leaves a slice PopNext
+// returned intact.
 func (q *Queue) Dump() (circuit.Time, []Entry) {
 	clone := &Queue{
 		slots: make([]slot, len(q.slots)),
@@ -135,10 +146,13 @@ func (q *Queue) Dump() (circuit.Time, []Entry) {
 // Restore resets the queue to hold exactly the given entries with the scan
 // cursor at cur. Entries must be in Dump order (non-decreasing time);
 // rescheduling them in that order reproduces pop order deterministically.
+// The free list and the lent array are dropped, not reused: a slice an
+// earlier PopNext returned is never written by the restored queue.
 func (q *Queue) Restore(cur circuit.Time, entries []Entry) {
 	for i := range q.slots {
 		q.slots[i] = slot{}
 	}
+	q.free, q.lent = nil, nil
 	q.cur = cur
 	q.wheel = 0
 	q.over = nil
@@ -162,29 +176,43 @@ func (q *Queue) Peek() (circuit.Time, bool) {
 }
 
 // PopNext removes and returns every update scheduled at the earliest pending
-// time. The returned slice is valid until the next call to Schedule or
-// PopNext.
+// time. The returned slice is lent to the caller: it stays valid, and no
+// Schedule writes to it, until the next call to PopNext, which takes the
+// array back for reuse.
 func (q *Queue) PopNext() (circuit.Time, []Update, bool) {
 	t, ok := q.Peek()
 	if !ok {
 		return 0, nil, false
 	}
+	if cap(q.lent) > 0 {
+		q.free = append(q.free, q.lent[:0])
+	}
 	var ups []Update
-	s := &q.slots[t&q.mask]
-	if len(s.ups) > 0 && s.t == t {
-		ups = s.ups
-		s.ups = s.ups[:0]
-		// Hand the caller the backing array and give the slot a fresh one so
-		// the returned slice survives subsequent scheduling into this slot.
-		q.slots[t&q.mask].ups = nil
+	if s := &q.slots[t&q.mask]; len(s.ups) > 0 && s.t == t {
+		ups, s.ups = s.ups, nil
 		q.wheel -= len(ups)
+	} else {
+		ups = q.takeFree()
 	}
 	for len(q.over) > 0 && q.over[0].t == t {
 		ups = append(ups, q.popOverflow().up)
 	}
+	q.lent = ups
 	q.n -= len(ups)
 	q.cur = t + 1
 	return t, ups, true
+}
+
+// takeFree returns an empty recycled bucket array, or nil when none is
+// parked.
+func (q *Queue) takeFree() []Update {
+	n := len(q.free)
+	if n == 0 {
+		return nil
+	}
+	b := q.free[n-1]
+	q.free = q.free[:n-1]
+	return b
 }
 
 // scanWheel returns the earliest resident wheel time, or -1 if the wheel is

@@ -1,23 +1,44 @@
 // Package parevent implements the paper's first algorithm: the synchronous
 // parallel event-driven simulator.
 //
-// Each active time step runs the classic phases — update scheduled nodes,
-// then evaluate activated elements — with all workers synchronising at a
-// barrier between phases. Work distribution follows the paper's fix for
-// central-queue contention: every worker owns one queue per peer, writers
-// schedule round-robin onto their own queue at the target ("splitting up
-// the problem into n parts when adding to the list rather than when
-// removing from the list"), and once a worker drains its own queues it
-// steals from the others' — the load-balancing trick the paper credits with
-// 15-20% better utilisation.
+// Every active time step updates the scheduled nodes and then evaluates the
+// activated elements, all workers in step. The paper's fix for central-queue
+// contention is to split the work "when adding to the list rather than when
+// removing from the list"; here the netlist fixes the split. Every element
+// has one owner (partition.CostBlocks, the asynchronous engine's blocks), so
+// its state, its projected outputs and its output nodes live in one cache:
+//
+//   - an evaluation schedules its changed outputs straight into the owner's
+//     private wheel, and only the owner ever updates those nodes;
+//   - a node update appends each fan-out element to the updating worker's
+//     list for that element's owner, touching no shared word;
+//   - the owner merges the lists addressed to it into one run list,
+//     de-duplicated by a plain per-element stamp, and publishes it; owner
+//     and thieves then claim it claimBatch elements per atomic add. Stealing
+//     once the own list is done is the load balancing the paper credits with
+//     15-20% better utilisation.
+//
+// A step crosses the barrier twice:
+//
+//	[evaluate, publish peek] | [agree on t, fold, update nodes, route] | merge
+//
+// A thief cannot touch its victim's wheel, so it leaves a stolen evaluation's
+// updates in a list the owner folds into its wheel after the next crossing.
+// Until then the owner's peek does not know them, so the thief's peek carries
+// their earliest time. Every pending update is thus covered by the peek of
+// the worker that scheduled it, the minimum over all peeks is the next event
+// time, and no update folded after the agreement is earlier than the agreed
+// t. Merging needs no crossing of its own: a thief that reaches a victim
+// still merging waits for that one publication.
 //
 // Mode selects the paper's ablations: the original central-queue design
-// (which peaked at a speed-up of ~2) and distributed queues without
-// stealing.
+// (which peaked at a speed-up of ~2), kept contended on purpose, and owner
+// routing without stealing.
 package parevent
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +49,7 @@ import (
 	"parsim/internal/eventq"
 	"parsim/internal/guard"
 	"parsim/internal/logic"
+	"parsim/internal/partition"
 	"parsim/internal/stats"
 	"parsim/internal/trace"
 )
@@ -36,8 +58,8 @@ import (
 type Mode int
 
 const (
-	// Distributed uses per-worker-pair queues with round-robin scheduling
-	// and end-of-phase stealing: the paper's final design.
+	// Distributed routes every element's work to its one owner and steals
+	// at the end of the evaluation phase: the paper's final design.
 	Distributed Mode = iota
 	// NoSteal disables the end-of-phase stealing only.
 	NoSteal
@@ -80,50 +102,64 @@ type Result struct {
 	Final []logic.Value
 }
 
-// timedUpdate is a node change scheduled for a future step.
-type timedUpdate struct {
-	t  circuit.Time
-	up eventq.Update
+// claimBatch is how many run-list elements one atomic add claims.
+const claimBatch = 16
+
+// lane is what one worker shows its peers, on cache lines of its own.
+type lane struct {
+	// peek is the earliest time the worker knows of (see publishPeek), or
+	// -1; written before a step's first crossing and read after it.
+	peek circuit.Time
+	// run lists the activated elements the worker owns. The owner rebuilds
+	// it after the second crossing, resets cursor, then stores the step's
+	// number in pub; a thief reads run only once pub shows its own count.
+	run    []circuit.ElemID
+	pub    atomic.Int64
+	cursor atomic.Int64
+	_      [80]byte
 }
 
-// evalList is one (target, source) activation queue: the source appends
-// during the update phase; during the evaluation phase the target — or,
-// when it runs dry, a thief — consumes entries through the atomic cursor.
-type evalList struct {
-	items  []circuit.ElemID
-	cursor atomic.Int64
+// central is the shared state of Central mode: one wheel, one update
+// bucket and one activation list, all behind one lock.
+type central struct {
+	mu      sync.Mutex
+	claimed []atomic.Bool
+	ups     []eventq.Update
+	upCur   int
+	act     []circuit.ElemID
+	cur     int
+}
+
+// next hands out the next index below n through the shared cursor, one
+// lock round-trip per entry, or -1 when the list is used up.
+func (c *central) next(cur *int, n int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if *cur >= n {
+		return -1
+	}
+	*cur++
+	return *cur - 1
 }
 
 type sim struct {
-	c    *circuit.Circuit
-	opts Options
-	p    int
+	c              *circuit.Circuit
+	opts           Options
+	p              int
+	val, projected []logic.Value
+	state          [][]logic.Value
 
-	val       []logic.Value
-	projected []logic.Value
-	state     [][]logic.Value
-	claimed   []atomic.Bool
-
-	wheels []*eventq.Queue
-	inbox  [][][]timedUpdate // [target][source]
-	evalQ  [][]*evalList     // [target][source]
-	peek   []int64           // published per-worker next event time (-1 none)
-
-	// Central-mode shared structures.
-	centralMu    sync.Mutex
-	centralQ     *eventq.Queue
-	centralUps   []eventq.Update
-	centralUpCur int
-	centralAct   []circuit.ElemID
-	centralCur   int
+	owner   []int32 // element -> owning worker
+	stamp   []int64 // element -> number of the last step that listed it; the owner's alone
+	workers []*worker
+	lanes   []lane
+	central *central // nil outside Central mode
 
 	bar     *barrier.Barrier
-	stepN   atomic.Int64
-	wc      []stats.WorkerCounters // per-worker counters
 	avail   stats.Histogram
 	cancel  *engine.CancelFlag
 	chaos   *guard.ChaosProbe // captured once; nil on production runs
-	stopped atomic.Bool       // cancellation agreed; all workers exit in phase B
+	stopped atomic.Bool       // cancellation agreed; all workers exit after the first crossing
 }
 
 // Run simulates the circuit with opts.Workers parallel workers.
@@ -133,14 +169,50 @@ func Run(c *circuit.Circuit, opts Options) *Result {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled all workers
-// stop together at the next time step (the cancellation is observed by
-// worker 0 in the scheduling phase and acted on by everyone after the
-// phase barrier, so no worker is left waiting) and the partial result is
-// returned with ctx.Err().
+// stop together at the next time step (worker 0 observes the cancellation
+// before a step's first crossing and everyone acts on it after, so no worker
+// is left waiting) and the partial result is returned with ctx.Err().
 func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
 	if err := engine.ValidateWorkers(opts.Workers); err != nil {
 		return nil, err
 	}
+	s := newSim(c, opts, partition.CostBlocks(c, opts.Workers))
+	s.cancel = engine.WatchCancel(ctx)
+	defer s.cancel.Release()
+	opts.Guard.OnTrip(s.bar.Abort)
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, w := range s.workers {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			defer opts.Guard.Recover(w.id, "event-driven phase loop")
+			w.run()
+		}(w)
+	}
+	wg.Wait()
+	wall := time.Since(start)
+
+	res := &Result{Final: s.val, Run: stats.Run{
+		Algorithm: "parallel-event-driven(" + opts.Mode.String() + ")",
+		Circuit:   c.Name,
+		Horizon:   opts.Horizon,
+		Workers:   s.p,
+		TimeSteps: s.workers[0].steps,
+		Avail:     s.avail,
+	}}
+	wc := make([]stats.WorkerCounters, s.p)
+	for i, w := range s.workers {
+		w.wc.ModelCalls = w.wc.Evals
+		wc[i] = w.wc
+	}
+	res.Run.Aggregate(wall, wc)
+	return res, s.cancel.Err(ctx)
+}
+
+// newSim builds the run state; owner gives every element's owning worker.
+func newSim(c *circuit.Circuit, opts Options, owner []int32) *sim {
 	p := opts.Workers
 	s := &sim{
 		c:         c,
@@ -149,19 +221,12 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		val:       make([]logic.Value, len(c.Nodes)),
 		projected: make([]logic.Value, len(c.Nodes)),
 		state:     make([][]logic.Value, len(c.Elems)),
-		claimed:   make([]atomic.Bool, len(c.Elems)),
-		wheels:    make([]*eventq.Queue, p),
-		inbox:     make([][][]timedUpdate, p),
-		evalQ:     make([][]*evalList, p),
-		peek:      make([]int64, p),
+		owner:     owner,
+		workers:   make([]*worker, p),
+		lanes:     make([]lane, p),
 		bar:       barrier.New(p),
-		wc:        make([]stats.WorkerCounters, p),
-		centralQ:  eventq.New(),
-		cancel:    engine.WatchCancel(ctx),
 		chaos:     opts.Guard.Chaos(),
 	}
-	defer s.cancel.Release()
-	opts.Guard.OnTrip(s.bar.Abort)
 	for i := range c.Nodes {
 		s.val[i] = logic.AllX(c.Nodes[i].Width)
 		s.projected[i] = s.val[i]
@@ -172,45 +237,35 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 			c.Elems[i].InitState(s.state[i])
 		}
 	}
-	for w := 0; w < p; w++ {
-		s.wheels[w] = eventq.New()
-		s.inbox[w] = make([][]timedUpdate, p)
-		s.evalQ[w] = make([]*evalList, p)
-		for src := 0; src < p; src++ {
-			s.evalQ[w][src] = &evalList{}
+	for id := range s.workers {
+		s.workers[id] = &worker{s: s, id: id, carried: -1}
+		s.lanes[id].peek = -1
+	}
+	gens := c.Generators()
+	if opts.Mode == Central {
+		s.central = &central{claimed: make([]atomic.Bool, len(c.Elems))}
+		q := eventq.New()
+		for _, w := range s.workers {
+			w.wheel = q
 		}
+		s.workers[0].genIDs, s.workers[0].genNext = gens, make([]circuit.Time, len(gens))
+		return s
 	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer opts.Guard.Recover(w, "event-driven phase loop")
-			newWorker(s, w).run()
-		}(w)
+	s.stamp = make([]int64, len(c.Elems))
+	for _, w := range s.workers {
+		w.wheel = eventq.New()
+		w.acts = make([][]circuit.ElemID, p)
+		w.sent = make([][]eventq.Entry, p)
 	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	res := &Result{Final: s.val}
-	res.Run = stats.Run{
-		Algorithm: "parallel-event-driven(" + opts.Mode.String() + ")",
-		Circuit:   c.Name,
-		Horizon:   opts.Horizon,
-		Workers:   p,
-		TimeSteps: s.stepN.Load(),
-		Avail:     s.avail,
+	for i, g := range gens {
+		w := s.workers[i%p]
+		w.genIDs, w.genNext = append(w.genIDs, g), append(w.genNext, 0)
 	}
-	for w := 0; w < p; w++ {
-		s.wc[w].ModelCalls = s.wc[w].Evals
-	}
-	res.Run.Aggregate(wall, s.wc)
-	return res, s.cancel.Err(ctx)
+	return s
 }
 
-// worker is the per-goroutine state.
+// worker is the per-goroutine state. Peers read acts and sent, each in the
+// phase after the one that wrote it.
 type worker struct {
 	s     *sim
 	id    int
@@ -218,236 +273,248 @@ type worker struct {
 
 	genIDs  []circuit.ElemID
 	genNext []circuit.Time
-
-	rrUpdate int // round-robin targets for scheduling updates
-	rrEval   int // round-robin targets for activations
+	// wheel holds the pending updates of the nodes this worker's elements
+	// drive; in Central mode it is the one wheel all workers share.
+	wheel   *eventq.Queue
+	acts    [][]circuit.ElemID // [owner]: elements this step's node updates activated
+	sent    [][]eventq.Entry   // [victim]: updates of stolen evaluations, until folded
+	carried circuit.Time       // earliest time put in sent since the last peek, or -1
 
 	inBuf, outBuf []logic.Value
-	idle          time.Duration
+	wc            stats.WorkerCounters // read by RunContext once the worker has exited
+	steps         int64                // time steps begun; every worker counts the same
 }
 
-func newWorker(s *sim, id int) *worker {
-	w := &worker{s: s, id: id}
-	gens := s.c.Generators()
-	for i, g := range gens {
-		owner := i % s.p
-		if s.opts.Mode == Central {
-			owner = 0
-		}
-		if owner == id {
-			w.genIDs = append(w.genIDs, g)
-			w.genNext = append(w.genNext, 0)
-		}
-	}
-	w.rrUpdate = id
-	w.rrEval = id
-	return w
-}
-
-// wait passes the barrier, accounting blocked time as idle. It returns
-// false when the barrier was aborted by the supervisor (a peer died or
-// the watchdog tripped); the caller must exit its loop.
+// wait passes the barrier, accounting blocked time as idle; one worker
+// cannot block, so it does not read the clock. It returns false when the
+// supervisor aborted the barrier (a peer died or the watchdog tripped); the
+// caller must exit its loop.
 func (w *worker) wait() bool {
+	w.wc.BarrierWaits++
+	if w.s.p == 1 {
+		return w.s.bar.Wait(&w.sense)
+	}
 	t0 := time.Now()
 	ok := w.s.bar.Wait(&w.sense)
-	w.s.wc[w.id].BarrierWaits++
-	w.idle += time.Since(t0)
+	w.wc.Idle += time.Since(t0)
 	return ok
 }
 
 func (w *worker) run() {
 	s := w.s
-	defer func() { s.wc[w.id].Idle = w.idle }()
+	t := circuit.Time(-1)
 	for {
-		// Phase A: fold newly scheduled updates into the local wheel and
-		// publish the earliest pending time. Worker 0 also notes context
-		// cancellation here; the flag is read by everyone in phase B, on
-		// the far side of the barrier, so all workers exit together.
+		// Evaluate the step agreed last time round and publish the earliest
+		// time this worker knows of. Worker 0 also notes cancellation here;
+		// everyone reads the flag past the barrier, so all exit together.
+		if t >= 0 && !w.evalPhase(t) {
+			return
+		}
 		if w.id == 0 && s.cancel.Cancelled() {
 			s.stopped.Store(true)
 		}
-		if s.opts.Mode == Central {
-			if w.id == 0 {
-				s.peek[0] = w.centralPeek()
-			}
-		} else {
-			for src := 0; src < s.p; src++ {
-				box := s.inbox[w.id][src]
-				for _, tu := range box {
-					s.wheels[w.id].Schedule(tu.t, tu.up)
-				}
-				s.inbox[w.id][src] = box[:0]
-			}
-			s.peek[w.id] = w.localPeek()
-		}
+		w.publishPeek()
 		if !w.wait() {
 			return
 		}
-
-		// Phase B: agree on the global time, apply node updates, claim and
-		// distribute activated elements.
+		if t >= 0 && w.id == 0 && s.opts.CollectAvail {
+			s.avail.Observe(s.activated())
+		}
 		if s.stopped.Load() {
 			return
 		}
-		t := circuit.Time(-1)
-		lim := s.p
-		if s.opts.Mode == Central {
-			lim = 1
-		}
-		for i := 0; i < lim; i++ {
-			if pt := s.peek[i]; pt >= 0 && (t < 0 || circuit.Time(pt) < t) {
-				t = circuit.Time(pt)
+		t = -1
+		for i := range s.lanes {
+			if pt := s.lanes[i].peek; pt >= 0 && (t < 0 || pt < t) {
+				t = pt
 			}
 		}
 		if t < 0 || t >= s.opts.Horizon {
 			return
 		}
+		w.steps++
 		if w.id == 0 {
-			s.stepN.Add(1)
 			s.opts.Guard.Progress(int64(t))
 		}
-		if s.opts.Mode == Central {
-			if !w.centralUpdatePhase(t) {
-				return
-			}
-		} else {
-			w.updatePhase(t)
-		}
-		if !w.wait() {
+		if !w.updatePhase(t) || !w.wait() {
 			return
 		}
-
-		if s.opts.CollectAvail && w.id == 0 {
-			n := 0
-			if s.opts.Mode == Central {
-				n = len(s.centralAct)
-			} else {
-				for _, row := range s.evalQ {
-					for _, el := range row {
-						n += len(el.items)
-					}
-				}
-			}
-			s.avail.Observe(n)
-		}
-
-		// Phase C: evaluate claimed elements, scheduling resulting changes.
-		if s.opts.Mode == Central {
-			w.centralEvalPhase(t)
-		} else {
-			w.evalPhase(t)
-		}
-		if !w.wait() {
-			return
-		}
+		w.merge()
 	}
 }
 
-// localPeek returns the earliest time pending in this worker's wheel or
-// generator agenda, or -1.
-func (w *worker) localPeek() int64 {
-	next := int64(-1)
-	if t, ok := w.s.wheels[w.id].Peek(); ok {
-		next = int64(t)
+// activated counts the elements the last step activated.
+func (s *sim) activated() int {
+	if s.central != nil {
+		return len(s.central.act)
+	}
+	n := 0
+	for i := range s.lanes {
+		n += len(s.lanes[i].run)
+	}
+	return n
+}
+
+// publishPeek stores the earliest time pending in this worker's wheel, its
+// generator agenda and the updates it left for victims. In Central mode
+// worker 0 speaks for the shared wheel and the other lanes stay at -1.
+func (w *worker) publishPeek() {
+	if w.s.central != nil && w.id != 0 {
+		return
+	}
+	next := w.carried // the owners fold those updates after the crossing
+	w.carried = -1
+	if t, ok := w.wheel.Peek(); ok && (next < 0 || t < next) {
+		next = t
 	}
 	for _, gt := range w.genNext {
-		if gt >= 0 && (next < 0 || int64(gt) < next) {
-			next = int64(gt)
+		if gt >= 0 && (next < 0 || gt < next) {
+			next = gt
 		}
 	}
-	return next
+	w.s.lanes[w.id].peek = next
 }
 
-func (w *worker) updatePhase(t circuit.Time) {
-	s := w.s
-	// Fresh activation lists for this step. Safe: the previous evaluation
-	// phase ended at a barrier, so no consumer holds them.
-	for tgt := 0; tgt < s.p; tgt++ {
-		q := s.evalQ[tgt][w.id]
-		q.items = q.items[:0]
-		q.cursor.Store(0)
-	}
-	// Generator changes owned by this worker.
+// dueGenerators emits the changes this worker's generators make at t and
+// advances their agenda.
+func (w *worker) dueGenerators(t circuit.Time, emit func(circuit.Time, eventq.Update)) {
 	for i, gt := range w.genNext {
 		if gt != t {
 			continue
 		}
-		el := &s.c.Elems[w.genIDs[i]]
-		w.applyUpdate(el.Out[0], t, el.GenValueAt(t))
-		if next, ok := el.GenNextChange(t); ok && next < s.opts.Horizon {
+		el := &w.s.c.Elems[w.genIDs[i]]
+		emit(t, eventq.Update{Node: el.Out[0], Value: el.GenValueAt(t)})
+		if next, ok := el.GenNextChange(t); ok && next < w.s.opts.Horizon {
 			w.genNext[i] = next
 		} else {
 			w.genNext[i] = -1
 		}
 	}
-	// Scheduled updates that landed on this worker.
-	if pt, ok := s.wheels[w.id].Peek(); ok && pt == t {
-		_, ups, _ := s.wheels[w.id].PopNext()
+}
+
+// updatePhase applies the node updates of time t that this worker holds and
+// routes the activations to their owners; false means the run was aborted.
+func (w *worker) updatePhase(t circuit.Time) bool {
+	s := w.s
+	if s.central != nil {
+		return w.centralUpdatePhase(t)
+	}
+	// Fresh activation lists for this step. Safe: their readers merged them
+	// before they reached the crossing this worker has just left.
+	for o := range w.acts {
+		w.acts[o] = w.acts[o][:0]
+	}
+	// Updates thieves scheduled on this worker's behalf; their peeks carried
+	// the times, so none is earlier than t.
+	for _, thief := range s.workers {
+		if q := thief.sent[w.id]; len(q) > 0 {
+			for _, e := range q {
+				w.wheel.Schedule(e.T, eventq.Update{Node: e.Node, Value: e.Value})
+			}
+			thief.sent[w.id] = q[:0]
+		}
+	}
+	w.dueGenerators(t, w.applyUpdate)
+	if pt, ok := w.wheel.Peek(); ok && pt == t {
+		_, ups, _ := w.wheel.PopNext()
 		for _, u := range ups {
-			w.applyUpdate(u.Node, t, u.Value)
+			w.applyUpdate(t, u)
 		}
 	}
+	return true
 }
 
-// applyUpdate performs one node update and claims the activated fan-out
-// elements, distributing them round-robin across workers.
-func (w *worker) applyUpdate(n circuit.NodeID, t circuit.Time, v logic.Value) {
+// applyUpdate performs one node update and hands each activated fan-out
+// element to its owner — or, in Central mode, claims it for the shared list.
+func (w *worker) applyUpdate(t circuit.Time, u eventq.Update) {
 	s := w.s
-	if v.Equal(s.val[n]) {
+	if u.Value.Equal(s.val[u.Node]) {
 		return
 	}
-	s.val[n] = v
-	w.s.wc[w.id].NodeUpdates++
+	s.val[u.Node] = u.Value
+	w.wc.NodeUpdates++
 	if s.opts.Probe != nil {
-		s.opts.Probe.OnChange(n, t, v)
+		s.opts.Probe.OnChange(u.Node, t, u.Value)
 	}
-	for _, pr := range s.c.Nodes[n].Fanout {
-		if s.claimed[pr.Elem].CompareAndSwap(false, true) {
-			tgt := w.rrEval % s.p
-			w.rrEval++
-			q := s.evalQ[tgt][w.id]
-			q.items = append(q.items, pr.Elem)
+	c := s.central
+	for _, pr := range s.c.Nodes[u.Node].Fanout {
+		if c == nil {
+			o := s.owner[pr.Elem]
+			w.acts[o] = append(w.acts[o], pr.Elem)
+		} else if c.claimed[pr.Elem].CompareAndSwap(false, true) {
+			c.mu.Lock()
+			c.act = append(c.act, pr.Elem)
+			c.mu.Unlock()
 		}
 	}
 }
 
-// evalPhase consumes this worker's activation lists, then steals.
-func (w *worker) evalPhase(t circuit.Time) {
+// merge builds this worker's run list for the step from the activation
+// lists addressed to it and publishes it.
+func (w *worker) merge() {
 	s := w.s
-	for src := 0; src < s.p; src++ {
-		w.drain(t, s.evalQ[w.id][src])
-	}
-	if s.opts.Mode == NoSteal {
+	if s.central != nil {
 		return
 	}
-	for off := 1; off < s.p; off++ {
+	ln := &s.lanes[w.id]
+	run := ln.run[:0]
+	for _, src := range s.workers {
+		for _, e := range src.acts[w.id] {
+			if s.stamp[e] != w.steps {
+				s.stamp[e] = w.steps
+				run = append(run, e)
+			}
+		}
+	}
+	ln.run = run
+	ln.cursor.Store(0)
+	ln.pub.Store(w.steps)
+}
+
+// evalPhase evaluates this worker's run list, then steals from the others';
+// false means the run was aborted.
+func (w *worker) evalPhase(t circuit.Time) bool {
+	s := w.s
+	if s.central != nil {
+		return w.centralEvalPhase(t)
+	}
+	w.drain(t, w.id)
+	for off := 1; off < s.p && s.opts.Mode != NoSteal; off++ {
 		victim := (w.id + off) % s.p
-		for src := 0; src < s.p; src++ {
-			s.wc[w.id].Steals += w.drain(t, s.evalQ[victim][src])
+		for i := 1; s.lanes[victim].pub.Load() != w.steps; i++ { // still merging
+			if s.bar.Aborted() {
+				return false
+			}
+			if i%64 == 0 {
+				runtime.Gosched()
+			}
 		}
+		w.wc.Steals += w.drain(t, victim)
 	}
+	return true
 }
 
-// drain consumes entries through the atomic cursor, returning how many
-// this worker evaluated.
-func (w *worker) drain(t circuit.Time, q *evalList) int64 {
-	var n int64
-	for {
-		idx := q.cursor.Add(1) - 1
-		if idx >= int64(len(q.items)) {
-			return n
+// drain claims batches of the owner's run list until none is left,
+// returning how many elements this worker evaluated.
+func (w *worker) drain(t circuit.Time, owner int) int64 {
+	ln := &w.s.lanes[owner]
+	run, end, n := ln.run, int64(len(ln.run)), int64(0)
+	for ln.cursor.Load() < end {
+		lo := ln.cursor.Add(claimBatch) - claimBatch
+		for _, id := range run[min(lo, end):min(lo+claimBatch, end)] {
+			w.evaluate(t, id, owner)
+			n++
 		}
-		w.evaluate(t, q.items[idx])
-		n++
 	}
+	return n
 }
 
-// evaluate runs one element and schedules its changed outputs round-robin.
-func (w *worker) evaluate(t circuit.Time, id circuit.ElemID) {
+// evaluate runs one element of owner's and schedules its changed outputs: in
+// the own wheel, in the list the victim folds, or in Central's shared wheel.
+func (w *worker) evaluate(t circuit.Time, id circuit.ElemID, owner int) {
 	s := w.s
 	el := &s.c.Elems[id]
-	s.claimed[id].Store(false)
-	s.wc[w.id].Evals++
+	w.wc.Evals++
 	if s.chaos != nil {
 		s.chaos.Eval()
 	}
@@ -471,114 +538,54 @@ func (w *worker) evaluate(t circuit.Time, id circuit.ElemID) {
 			continue
 		}
 		s.projected[n] = out[p]
-		w.schedule(t+el.Delay, eventq.Update{Node: n, Value: out[p]})
+		at, up := t+el.Delay, eventq.Update{Node: n, Value: out[p]}
+		switch c := s.central; {
+		case c != nil:
+			c.mu.Lock()
+			w.wheel.Schedule(at, up)
+			c.mu.Unlock()
+		case owner == w.id:
+			w.wheel.Schedule(at, up)
+		default: // stolen: the owner folds it after the next crossing
+			w.sent[owner] = append(w.sent[owner], eventq.Entry{T: at, Node: n, Value: out[p]})
+			if w.carried < 0 || at < w.carried {
+				w.carried = at
+			}
+		}
 	}
-}
-
-func (w *worker) schedule(t circuit.Time, up eventq.Update) {
-	s := w.s
-	if s.opts.Mode == Central {
-		s.centralMu.Lock()
-		s.centralQ.Schedule(t, up)
-		s.centralMu.Unlock()
-		return
-	}
-	tgt := w.rrUpdate % s.p
-	w.rrUpdate++
-	s.inbox[tgt][w.id] = append(s.inbox[tgt][w.id], timedUpdate{t: t, up: up})
 }
 
 // ---- Central-queue mode (the paper's initial, contended design) ----
 
-func (w *worker) centralPeek() int64 {
-	next := int64(-1)
-	if t, ok := w.s.centralQ.Peek(); ok {
-		next = int64(t)
-	}
-	for _, gt := range w.genNext {
-		if gt >= 0 && (next < 0 || int64(gt) < next) {
-			next = int64(gt)
-		}
-	}
-	return next
-}
-
-// centralUpdatePhase stages and applies the step's update bucket. It
-// returns false when its staging barrier was aborted mid-phase.
+// centralUpdatePhase stages and applies the step's update bucket.
 func (w *worker) centralUpdatePhase(t circuit.Time) bool {
-	s := w.s
+	c := w.s.central
 	if w.id == 0 {
 		// Generator changes and this step's update bucket are staged by
 		// worker 0; all workers then contend for them one at a time.
-		s.centralUps = s.centralUps[:0]
-		s.centralUpCur = 0
-		s.centralAct = s.centralAct[:0]
-		s.centralCur = 0
-		for i, gt := range w.genNext {
-			if gt != t {
-				continue
-			}
-			el := &s.c.Elems[w.genIDs[i]]
-			s.centralUps = append(s.centralUps,
-				eventq.Update{Node: el.Out[0], Value: el.GenValueAt(t)})
-			if next, ok := el.GenNextChange(t); ok && next < s.opts.Horizon {
-				w.genNext[i] = next
-			} else {
-				w.genNext[i] = -1
-			}
-		}
-		if pt, ok := s.centralQ.Peek(); ok && pt == t {
-			_, ups, _ := s.centralQ.PopNext()
-			s.centralUps = append(s.centralUps, ups...)
+		c.ups, c.act, c.upCur, c.cur = c.ups[:0], c.act[:0], 0, 0
+		w.dueGenerators(t, func(_ circuit.Time, u eventq.Update) { c.ups = append(c.ups, u) })
+		if pt, ok := w.wheel.Peek(); ok && pt == t {
+			_, ups, _ := w.wheel.PopNext()
+			c.ups = append(c.ups, ups...)
 		}
 	}
 	if !w.wait() { // staging barrier: everyone sees the bucket
 		return false
 	}
-	for {
-		s.centralMu.Lock()
-		if s.centralUpCur >= len(s.centralUps) {
-			s.centralMu.Unlock()
-			return true
-		}
-		u := s.centralUps[s.centralUpCur]
-		s.centralUpCur++
-		s.centralMu.Unlock()
-		w.centralApply(u.Node, t, u.Value)
+	for i := c.next(&c.upCur, len(c.ups)); i >= 0; i = c.next(&c.upCur, len(c.ups)) {
+		w.applyUpdate(t, c.ups[i])
 	}
+	return true
 }
 
-// centralApply is applyUpdate with activations pushed to the shared list.
-func (w *worker) centralApply(n circuit.NodeID, t circuit.Time, v logic.Value) {
-	s := w.s
-	if v.Equal(s.val[n]) {
-		return
+// centralEvalPhase contends for the shared activation list, then waits for
+// every worker to finish so that worker 0 peeks a settled wheel.
+func (w *worker) centralEvalPhase(t circuit.Time) bool {
+	c := w.s.central
+	for i := c.next(&c.cur, len(c.act)); i >= 0; i = c.next(&c.cur, len(c.act)) {
+		c.claimed[c.act[i]].Store(false)
+		w.evaluate(t, c.act[i], 0)
 	}
-	s.val[n] = v
-	s.wc[w.id].NodeUpdates++
-	if s.opts.Probe != nil {
-		s.opts.Probe.OnChange(n, t, v)
-	}
-	for _, pr := range s.c.Nodes[n].Fanout {
-		if s.claimed[pr.Elem].CompareAndSwap(false, true) {
-			s.centralMu.Lock()
-			s.centralAct = append(s.centralAct, pr.Elem)
-			s.centralMu.Unlock()
-		}
-	}
-}
-
-func (w *worker) centralEvalPhase(t circuit.Time) {
-	s := w.s
-	for {
-		s.centralMu.Lock()
-		if s.centralCur >= len(s.centralAct) {
-			s.centralMu.Unlock()
-			return
-		}
-		id := s.centralAct[s.centralCur]
-		s.centralCur++
-		s.centralMu.Unlock()
-		w.evaluate(t, id)
-	}
+	return w.wait()
 }

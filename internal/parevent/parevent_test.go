@@ -2,42 +2,71 @@ package parevent
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
+	"parsim/internal/logic"
 	"parsim/internal/seq"
+	"parsim/internal/stats"
 	"parsim/internal/trace"
 )
+
+// oracle is the sequential simulator's verdict on one circuit and horizon.
+type oracle struct {
+	c       *circuit.Circuit
+	horizon circuit.Time
+	hist    *trace.Recorder
+	res     *seq.Result
+}
+
+func newOracle(c *circuit.Circuit, horizon circuit.Time) *oracle {
+	o := &oracle{c: c, horizon: horizon, hist: trace.NewRecorder()}
+	o.res = seq.Run(c, seq.Options{Horizon: horizon, Probe: o.hist})
+	return o
+}
+
+// check requires a run's per-node histories, final values and evaluation,
+// update and step counts to equal the sequential simulator's.
+func (o *oracle) check(t *testing.T, what string, hist *trace.Recorder, final []logic.Value, run *stats.Run) {
+	t.Helper()
+	if d := trace.Diff(o.c, o.hist, hist); d != "" {
+		t.Fatalf("%s %s: history mismatch: %s", o.c.Name, what, d)
+	}
+	for i := range final {
+		if !final[i].Equal(o.res.Final[i]) {
+			t.Errorf("%s %s: final value of node %s differs", o.c.Name, what, o.c.Nodes[i].Name)
+		}
+	}
+	want := &o.res.Run
+	if run.Evals != want.Evals || run.NodeUpdates != want.NodeUpdates || run.TimeSteps != want.TimeSteps {
+		t.Errorf("%s %s: evals/updates/steps %d/%d/%d, sequential %d/%d/%d", o.c.Name, what,
+			run.Evals, run.NodeUpdates, run.TimeSteps, want.Evals, want.NodeUpdates, want.TimeSteps)
+	}
+}
+
+// run simulates the oracle's circuit with opts and checks the outcome.
+func (o *oracle) run(t *testing.T, opts Options) *Result {
+	t.Helper()
+	got := trace.NewRecorder()
+	opts.Horizon = o.horizon
+	opts.Probe = got
+	res := Run(o.c, opts)
+	o.check(t, fmt.Sprintf("(P=%d, %v)", opts.Workers, opts.Mode), got, res.Final, &res.Run)
+	return res
+}
 
 // crossCheck runs the circuit under the sequential oracle and under this
 // simulator with the given options, requiring identical node histories.
 func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Options) *Result {
 	t.Helper()
-	ref := trace.NewRecorder()
-	seqRes := seq.Run(c, seq.Options{Horizon: horizon, Probe: ref})
-
-	got := trace.NewRecorder()
-	opts.Horizon = horizon
-	opts.Probe = got
-	res := Run(c, opts)
-
-	if d := trace.Diff(c, ref, got); d != "" {
-		t.Fatalf("%s (P=%d, %v): history mismatch: %s", c.Name, opts.Workers, opts.Mode, d)
-	}
-	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
-		t.Errorf("node updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
-	}
-	if res.Run.Evals == 0 && seqRes.Run.Evals != 0 {
-		t.Error("no evaluations recorded")
-	}
-	for i := range res.Final {
-		if !res.Final[i].Equal(seqRes.Final[i]) {
-			t.Errorf("final value of node %s differs", c.Nodes[i].Name)
-		}
-	}
-	return res
+	return newOracle(c, horizon).run(t, opts)
 }
+
+var allModes = []Mode{Distributed, NoSteal, Central}
 
 func TestMatchesSequentialOnArray(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 8, Cols: 8, ActiveRows: 6, TogglePeriod: 2})
@@ -77,17 +106,170 @@ func TestMatchesSequentialOnFeedback(t *testing.T) {
 	crossCheck(t, c, 600, Options{Workers: 4})
 }
 
+// TestMatchesSequentialOnRandomCircuits is the differential corpus: random
+// circuits with feedback and mixed delays, every mode at one to four
+// workers, finals and per-node histories against the sequential oracle.
 func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		c := gen.RandomCircuit(seed, 80)
-		crossCheck(t, c, 250, Options{Workers: 3})
+	seeds := int64(100)
+	if testing.Short() {
+		seeds = 12
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		o := newOracle(gen.RandomCircuit(seed, 80), 250)
+		for _, m := range allModes {
+			for p := 1; p <= 4; p++ {
+				o.run(t, Options{Workers: p, Mode: m})
+			}
+		}
 	}
 }
 
 func TestAllModesMatch(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 6, Cols: 6, ActiveRows: 6, TogglePeriod: 1})
-	for _, m := range []Mode{Distributed, NoSteal, Central} {
+	for _, m := range allModes {
 		crossCheck(t, c, 200, Options{Workers: 4, Mode: m})
+	}
+}
+
+// paperCircuit is one circuit of the repository benchmark at its horizon,
+// with the evaluation and node-update counts the sequential simulator makes.
+type paperCircuit struct {
+	o              *oracle
+	evals, updates int64
+}
+
+func paperCircuits() []paperCircuit {
+	cpu := gen.DefaultCPU()
+	return []paperCircuit{
+		{newOracle(gen.GateMultiplier(gen.DefaultMultiplier()), 512), 40977, 29838},
+		{newOracle(gen.InverterArray(gen.DefaultInverterArray()), 128), 61696, 65280},
+		{newOracle(gen.CPU(cpu), gen.CPUHorizon(cpu, 16)), 33644, 9482},
+	}
+}
+
+// TestPaperCircuitCounts pins the work counts on the paper circuits: every
+// mode makes exactly the sequential simulator's evaluations, node updates
+// and time steps, whatever the worker count.
+func TestPaperCircuitCounts(t *testing.T) {
+	for _, pc := range paperCircuits() {
+		if got := pc.o.res.Run; got.Evals != pc.evals || got.NodeUpdates != pc.updates {
+			t.Fatalf("%s: sequential evals/updates %d/%d, pinned %d/%d",
+				pc.o.c.Name, got.Evals, got.NodeUpdates, pc.evals, pc.updates)
+		}
+		for _, m := range allModes {
+			for _, p := range []int{1, 2} {
+				pc.o.run(t, Options{Workers: p, Mode: m})
+			}
+		}
+	}
+}
+
+// TestTwoCrossingsPerStep: the owner-routed step crosses the barrier twice,
+// plus the one crossing at which the run ends. A third crossing per step —
+// the round-robin design had one — would show here on every worker's row.
+func TestTwoCrossingsPerStep(t *testing.T) {
+	o := newOracle(gen.RandomCircuit(3, 120), 300)
+	for _, m := range []Mode{Distributed, NoSteal} {
+		for p := 1; p <= 4; p++ {
+			res := o.run(t, Options{Workers: p, Mode: m})
+			for w, row := range res.Run.PerWorker {
+				if want := 2*res.Run.TimeSteps + 1; row.BarrierWaits != want {
+					t.Errorf("%v P=%d worker %d: %d barrier waits, want %d", m, p, w, row.BarrierWaits, want)
+				}
+				if p == 1 && row.Idle != 0 {
+					t.Errorf("%v: one worker reports %v idle", m, row.Idle)
+				}
+				if m == NoSteal && row.Steals != 0 {
+					t.Errorf("no-steal P=%d worker %d stole %d elements", p, w, row.Steals)
+				}
+			}
+		}
+	}
+}
+
+// runOwned is RunContext with a caller-chosen ownership map.
+func runOwned(c *circuit.Circuit, opts Options, owner []int32) *sim {
+	s := newSim(c, opts, owner)
+	s.cancel = engine.WatchCancel(context.Background())
+	defer s.cancel.Release()
+	var wg sync.WaitGroup
+	for _, w := range s.workers {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			w.run()
+		}(w)
+	}
+	wg.Wait()
+	return s
+}
+
+// TestSkewedOwnershipIsStolen gives worker 0 every element, which balanced
+// blocks never do: the other three workers can only work by stealing, every
+// update they schedule travels through the victim's fold, and the result
+// must still be the oracle's.
+func TestSkewedOwnershipIsStolen(t *testing.T) {
+	o := newOracle(gen.InverterArray(gen.InverterArrayConfig{Rows: 16, Cols: 16, ActiveRows: 16, TogglePeriod: 1}), 200)
+	got := trace.NewRecorder()
+	s := runOwned(o.c, Options{Workers: 4, Horizon: o.horizon, Probe: got, CostSpin: 40},
+		make([]int32, len(o.c.Elems)))
+	run := stats.Run{TimeSteps: s.workers[0].steps}
+	var steals int64
+	for _, w := range s.workers {
+		run.Evals += w.wc.Evals
+		run.NodeUpdates += w.wc.NodeUpdates
+		steals += w.wc.Steals
+		if w.id > 0 && w.wc.Steals != w.wc.Evals {
+			t.Errorf("worker %d owns nothing but evaluated %d elements and stole %d", w.id, w.wc.Evals, w.wc.Steals)
+		}
+	}
+	o.check(t, "(all owned by worker 0)", got, s.val, &run)
+	if steals == 0 {
+		t.Error("three idle workers stole nothing from the one owner")
+	}
+}
+
+// TestThiefPeekCarriesStolenUpdates drives the phases of two workers by hand
+// so that the thief deterministically steals every evaluation. The owner's
+// wheel then learns of an update only when it folds it, after the time has
+// been agreed: on the feedback ring the next event time is known to the
+// thief alone in almost every step, and the run is right only if the
+// thief's peek carries it.
+func TestThiefPeekCarriesStolenUpdates(t *testing.T) {
+	o := newOracle(gen.FeedbackChain(13), 600)
+	got := trace.NewRecorder()
+	s := newSim(o.c, Options{Workers: 2, Horizon: o.horizon, Probe: got}, make([]int32, len(o.c.Elems)))
+	owner, thief := s.workers[0], s.workers[1]
+	carried := 0
+	for now := circuit.Time(-1); ; {
+		if now >= 0 {
+			thief.evalPhase(now) // its own list is empty; it takes all of the owner's
+			owner.evalPhase(now)
+		}
+		owner.publishPeek()
+		thief.publishPeek()
+		op, tp := s.lanes[0].peek, s.lanes[1].peek
+		if now = op; tp >= 0 && (op < 0 || tp < op) {
+			now = tp
+			carried++
+		}
+		if now < 0 || now >= o.horizon {
+			break
+		}
+		owner.steps++
+		thief.steps++
+		owner.updatePhase(now)
+		thief.updatePhase(now)
+		owner.merge()
+		thief.merge()
+	}
+	run := stats.Run{TimeSteps: owner.steps, Evals: thief.wc.Evals, NodeUpdates: owner.wc.NodeUpdates + thief.wc.NodeUpdates}
+	o.check(t, "(hand-driven, every evaluation stolen)", got, s.val, &run)
+	if owner.wc.Evals != 0 || thief.wc.Steals != thief.wc.Evals {
+		t.Errorf("owner evaluated %d, thief stole %d of its %d", owner.wc.Evals, thief.wc.Steals, thief.wc.Evals)
+	}
+	if carried < int(run.TimeSteps)/2 {
+		t.Errorf("only %d of %d steps took their time from the thief's carried minimum", carried, run.TimeSteps)
 	}
 }
 
@@ -139,5 +321,18 @@ func TestDeterministicHistories(t *testing.T) {
 	Run(c, Options{Workers: 4, Horizon: 300, Probe: r2})
 	if d := trace.Diff(c, r1, r2); d != "" {
 		t.Fatalf("two runs differ: %s", d)
+	}
+}
+
+func BenchmarkPaperCircuits(b *testing.B) {
+	for _, pc := range paperCircuits() {
+		for _, p := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/p%d", pc.o.c.Name, p), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Run(pc.o.c, Options{Workers: p, Horizon: pc.o.horizon})
+				}
+			})
+		}
 	}
 }

@@ -102,6 +102,35 @@ func Split(c *circuit.Circuit, p int, s Strategy) [][]circuit.ElemID {
 	return parts
 }
 
+// CostBlocks gives every non-generator element of c one of p owners (a
+// generator's entry stays 0): contiguous blocks of element IDs balanced on
+// max(Cost, 1), an element going to the owner its cost midpoint falls in.
+// The asynchronous and the event-driven engines both route an element's
+// work to this owner, so its state and output nodes stay in one cache.
+func CostBlocks(c *circuit.Circuit, p int) []int32 {
+	if p < 1 {
+		panic("partition: need at least one processor")
+	}
+	// Cost is a public field, so a zero or negative one must not push a
+	// midpoint past the last owner.
+	weight := func(el *circuit.Element) int64 { return max(el.Cost, 1) }
+	var total int64
+	for i := range c.Elems {
+		if !c.Elems[i].IsGenerator() {
+			total += weight(&c.Elems[i])
+		}
+	}
+	owners := make([]int32, len(c.Elems))
+	var before int64
+	for i := range c.Elems {
+		if el := &c.Elems[i]; !el.IsGenerator() {
+			owners[i] = int32((2*before + weight(el)) * int64(p) / (2 * total))
+			before += weight(el)
+		}
+	}
+	return owners
+}
+
 // Imbalance returns max partition cost divided by mean partition cost — 1.0
 // is perfect balance. It is the quantity the paper blames for the
 // functional multiplier's poor compiled-mode speed-up.

@@ -148,3 +148,56 @@ func TestImbalanceEdgeCases(t *testing.T) {
 		t.Errorf("all-on-one imbalance = %f, want 2", im)
 	}
 }
+
+// TestCostBlocks: owners are contiguous in element order, every owner is in
+// range, the blocks are balanced to within one element's weight of the ideal
+// share, and costs a caller zeroed or made negative neither panic nor push
+// an element past the last owner.
+func TestCostBlocks(t *testing.T) {
+	for _, c := range []*circuit.Circuit{
+		gen.FuncMultiplier(gen.DefaultMultiplier()),
+		gen.InverterArray(gen.DefaultInverterArray()),
+		gen.CPU(gen.DefaultCPU()),
+	} {
+		for _, p := range []int{1, 2, 3, 7} {
+			owners := CostBlocks(c, p)
+			if len(owners) != len(c.Elems) {
+				t.Fatalf("%s: %d owners for %d elements", c.Name, len(owners), len(c.Elems))
+			}
+			load := make([]int64, p)
+			var total, heaviest int64
+			last := int32(0)
+			for i := range c.Elems {
+				el := &c.Elems[i]
+				if el.IsGenerator() {
+					if owners[i] != 0 {
+						t.Errorf("%s: generator %s owned by %d", c.Name, el.Name, owners[i])
+					}
+					continue
+				}
+				if owners[i] < last || int(owners[i]) >= p {
+					t.Fatalf("%s P=%d: element %d owned by %d after owner %d", c.Name, p, i, owners[i], last)
+				}
+				last = owners[i]
+				w := max(el.Cost, 1)
+				load[owners[i]] += w
+				total += w
+				heaviest = max(heaviest, w)
+			}
+			for o, l := range load {
+				if ideal := total / int64(p); l > ideal+heaviest || l < ideal-heaviest {
+					t.Errorf("%s P=%d: owner %d carries %d, ideal share %d (heaviest element %d)", c.Name, p, o, l, ideal, heaviest)
+				}
+			}
+		}
+	}
+	c := gen.FeedbackChain(5)
+	for i := range c.Elems {
+		c.Elems[i].Cost = int64(i%3) - 1
+	}
+	for _, o := range CostBlocks(c, 4) {
+		if o < 0 || o >= 4 {
+			t.Fatalf("owner %d out of range with non-positive costs", o)
+		}
+	}
+}

@@ -14,7 +14,7 @@ package seq
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"parsim/internal/checkpoint"
@@ -255,7 +255,7 @@ func (s *sim) step(t circuit.Time) {
 	}
 
 	// Phase 2 and 3: evaluate activated elements, schedule changed outputs.
-	sort.Slice(s.activated, func(i, j int) bool { return s.activated[i] < s.activated[j] })
+	slices.Sort(s.activated)
 	for _, id := range s.activated {
 		s.inList[id] = false
 		s.evaluate(t, id)
