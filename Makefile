@@ -91,10 +91,17 @@ jit-test:
 ## proof that a thief's peek carries its stolen updates), its event queue
 ## (the lending canary, zero steady-state allocations, the FuzzQueue corpus
 ## against a sorted-slice model) and the supervision and cancellation cases
-## of the three registry names they back.
+## of the three registry names they back. A last leg rebuilds with the
+## asyncdebug tag, which checks the asynchronous core's in-flight invariants
+## (valid-times only grow; no event is consumed at or past the valid-time
+## its activation loaded; no cursor reads a slot at or past the count it
+## loaded), and runs the internal/core suite and the FuzzEngines corpus
+## replay under it.
 async-test:
 	$(GO) test -race -timeout 15m -count=1 ./internal/core ./internal/spsc ./internal/parevent ./internal/eventq
 	$(GO) test -race -timeout 5m -count=1 -run '^(TestGuard|TestSimulateContext)/(asynchronous|chandy-misra|event-driven)$$' .
+	$(GO) test -race -tags asyncdebug -timeout 15m -count=1 ./internal/core
+	$(GO) test -race -tags asyncdebug -timeout 5m -count=1 -run '^FuzzEngines$$' .
 
 ## bench-smoke compiles and smoke-tests the repository benchmark. bench/
 ## is a module of its own, so the root build/vet/test never see it and an

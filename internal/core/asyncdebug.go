@@ -1,0 +1,29 @@
+//go:build asyncdebug
+
+package core
+
+import "fmt"
+
+// The asyncdebug build checks the engine's in-flight invariants where they
+// could break and panics naming the broken one; the default build
+// (nodebug.go) compiles the checks away. `make async-test` runs the package
+// suite and the FuzzEngines corpus under this tag.
+
+// setValid stores a node's new valid-time, which must not be below the one
+// it replaces: a consumer that loaded the old value may already have
+// consumed events up to it.
+func (h *history) setValid(v int64) {
+	if old := h.validTo.Swap(v); v < old {
+		panic(fmt.Sprintf("core: valid-time moved back from %d to %d", old, v))
+	}
+}
+
+// checkBelow panics unless v < bound. An activation consumes an event only
+// below the valid-time bound it loaded (the minimum over its inputs, or the
+// event's own node's valid-time for the controlling-value skip), and a
+// cursor reads a slot only below the published count it loaded.
+func checkBelow(what string, v, bound int64) {
+	if v >= bound {
+		panic(fmt.Sprintf("core: %s %d at or past the loaded bound %d", what, v, bound))
+	}
+}

@@ -16,10 +16,29 @@
 // produced, the Chandy-Misra deadlock ("no more elements have events on all
 // their inputs") never forms, and because only known-valid events are ever
 // consumed there are no Time-Warp rollbacks and no state-restoration
-// storage. Storage for consumed events is reclaimed asynchronously: history
-// chunks become unreachable as soon as every fan-out cursor has passed
-// them, which hands the paper's asynchronous garbage collection to the Go
-// runtime.
+// storage.
+//
+// # History storage
+//
+// A history is a forward-linked list of chunks with headers of their own;
+// slots are carved from the writing worker's pointer-free block of blockSz
+// events, each chunk as long as the history before it, 4 to chunkSz slots.
+// Only the writer's tail and the cursors point at headers, so a chunk every
+// cursor has passed is unreachable, and a block, holding nothing but its own
+// bytes, is freed once no live chunk points into it: the paper's
+// asynchronous garbage collection of consumed events is the Go collector's.
+// A node's first header starts empty, for the cursors to start from.
+//
+// Publishing. A writer stores count once per output per activation, before
+// the validTo store that makes the new events consumable or, when the
+// valid-time does not move, before activating the fan-out. An activation
+// appends only at or past the output's old valid-time (every input event
+// below the bound that produced it was consumed, and lookahead extends a
+// bound only past times at which the output cannot change), and a consumer
+// loads validTo before count and consumes only below the valid-time it
+// loaded, so if it read the old valid-time it needs none of the new events,
+// and if it read the new one its count covers them all. The count store also
+// orders every slot, header and link write before it.
 //
 // # Scheduling
 //
@@ -83,6 +102,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -147,12 +167,11 @@ const (
 	stDirty
 )
 
-// History chunk sizes. A node's first chunk comes out of a per-run slab and
-// is small, because most nodes of a gate-level circuit see a handful of
-// events in a run; a node that outgrows it continues in full-size chunks.
+// History storage sizes; see the package comment.
 const (
-	firstChunkSz = 8
-	chunkSz      = 64
+	chunkSz = 64
+	blockSz = 1024
+	noEvent = math.MaxInt64 // a cursor's next-event time when none is published
 )
 
 // event is one node value change.
@@ -161,29 +180,22 @@ type event struct {
 	v logic.Value
 }
 
-// hchunk is a block of a node's append-only history. Chunks link forward
-// only, so once every consumer cursor has moved past a chunk nothing
-// references it and it is collected — the asynchronous "garbage collection"
-// of consumed events.
+// hchunk is one chunk of a node's history, written before the count store
+// that publishes its first event and read only below a count loaded after it.
 type hchunk struct {
 	base  int64 // history index of slots[0]
 	slots []event
-	next  atomic.Pointer[hchunk]
+	next  *hchunk
 }
 
-// fullChunk is an hchunk allocated together with its slots.
-type fullChunk struct {
-	hchunk
-	buf [chunkSz]event
-}
-
-// history is one node's behaviour over time. The writer side (tail, last,
-// finalVal) is only ever touched while holding the driving element in the
+// history is one node's behaviour over time. The writer side (n, tail, last,
+// final) is only ever touched while holding the driving element in the
 // running state, which serialises writers across activations; readers go
 // through the atomics.
 type history struct {
 	count   atomic.Int64 // published events
 	validTo atomic.Int64 // behaviour known for all t < validTo
+	n       int64        // appended events, published or not; writer-only
 	tail    *hchunk      // writer-only
 	last    logic.Value  // last appended-or-dropped value (dedup), writer-only
 	final   logic.Value  // last value applied before the horizon, writer-only
@@ -232,8 +244,8 @@ func Run(c *circuit.Circuit, opts Options) *Result {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled every worker
-// stops at its next queue poll (or between events inside a long element
-// activation) and the partial result is returned with ctx.Err().
+// stops at its next queue poll (or within 64 merged time points inside a
+// long element activation) and the partial result is returned with ctx.Err().
 func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
 	if err := engine.ValidateWorkers(opts.Workers); err != nil {
 		return nil, err
@@ -284,7 +296,8 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 }
 
 // newSim builds the run state — histories, cursors and element state out of
-// one slab each — materialises the generators and queues their fan-out.
+// one slab each, and every node's empty first chunk header — materialises the
+// generators and queues their fan-out.
 func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 	p := opts.Workers
 	s := &sim{
@@ -299,15 +312,9 @@ func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 		cancel:  engine.WatchCancel(ctx),
 		chaos:   opts.Guard.Chaos(),
 	}
-	first := make([]hchunk, len(c.Nodes))
-	slots := make([]event, firstChunkSz*len(c.Nodes))
 	for i := range c.Nodes {
-		first[i].slots = slots[i*firstChunkSz : (i+1)*firstChunkSz : (i+1)*firstChunkSz]
-		h := &s.hist[i]
-		h.tail = &first[i]
 		x := logic.AllX(c.Nodes[i].Width)
-		h.last = x
-		h.final = x
+		s.hist[i] = history{tail: new(hchunk), last: x, final: x}
 	}
 	var nIn, nState int
 	for i := range c.Elems {
@@ -325,7 +332,7 @@ func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 		cs := cursors[:len(el.In):len(el.In)]
 		cursors = cursors[len(el.In):]
 		for port, n := range el.In {
-			cs[port] = cursor{chunk: &first[n], val: logic.AllX(c.Nodes[n].Width)}
+			cs[port] = cursor{chunk: s.hist[n].tail, val: logic.AllX(c.Nodes[n].Width)}
 		}
 		s.cursors[i] = cs
 	}
@@ -364,7 +371,9 @@ func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 			}
 			t = next
 		}
-		h.validTo.Store(int64(opts.Horizon))
+		h.count.Store(h.n)
+		h.setValid(int64(opts.Horizon))
+		s.workers[0].release(h)
 		for _, pr := range c.Nodes[n].Fanout {
 			s.enqueue(pr.Elem)
 		}
@@ -380,9 +389,7 @@ func (s *sim) place() {
 	owners := partition.CostBlocks(c, s.opts.Workers)
 	cycles := int32(0) // the bucket after the deepest level
 	for i := range c.Elems {
-		if l := int32(levels[i]) + 1; l > cycles {
-			cycles = l
-		}
+		cycles = max(cycles, int32(levels[i])+1)
 	}
 	s.nrank = int(cycles) + 1
 	for i := range c.Elems {
@@ -473,9 +480,7 @@ func (s *sim) stallReport(alg string) *guard.StallError {
 		if vt >= horizon {
 			continue
 		}
-		if vt < minValid {
-			minValid = vt
-		}
+		minValid = min(minValid, vt)
 		if len(stuck) < 8 {
 			stuck = append(stuck, s.c.Nodes[i].Name)
 		} else {
@@ -504,9 +509,7 @@ type readySet struct {
 
 func (r *readySet) push(rank int32, e circuit.ElemID) {
 	r.buckets[rank] = append(r.buckets[rank], e)
-	if int(rank) < r.lowest {
-		r.lowest = int(rank)
-	}
+	r.lowest = min(r.lowest, int(rank))
 	r.n++
 }
 
@@ -536,10 +539,13 @@ type worker struct {
 	id       int
 	ready    readySet
 	inbound  []*spsc.Queue[circuit.ElemID] // queues[id][src], src != id
+	block    []event                       // the free rest of this worker's current event block
+	carved   *hchunk                       // the chunk whose slots were carved from block last
 	inBuf    []logic.Value
 	outBuf   []logic.Value
 	countBuf []int64
 	vtBuf    []int64
+	nextBuf  []int64
 	appBuf   []bool
 	wc       stats.WorkerCounters
 	_        [64]byte     // the words below are read by starving workers
@@ -644,8 +650,8 @@ func (w *worker) process(e circuit.ElemID) {
 	w.ready.push(ctl.rank, e)
 }
 
-// appendEvent publishes one value change on node n at time t. Caller must
-// hold the node's writer side (driving element running, or pre-start).
+// appendEvent appends, unpublished, one value change on node n at time t;
+// the caller holds the node's writer side (driver running, or pre-start).
 func (w *worker) appendEvent(n circuit.NodeID, t circuit.Time, v logic.Value) {
 	s := w.s
 	h := &s.hist[n]
@@ -655,20 +661,32 @@ func (w *worker) appendEvent(n circuit.NodeID, t circuit.Time, v logic.Value) {
 	}
 	h.final = v
 	c := h.tail
-	idx := h.count.Load()
-	off := idx - c.base
+	off := h.n - c.base
 	if off == int64(len(c.slots)) {
-		fc := &fullChunk{}
-		fc.base, fc.slots = idx, fc.buf[:]
-		c.next.Store(&fc.hchunk)
-		h.tail = &fc.hchunk
-		c, off = &fc.hchunk, 0
+		size := int(min(max(h.n, 4), chunkSz))
+		if off > 0 {
+			nc := &hchunk{base: h.n}
+			c.next, h.tail, c, off = nc, nc, nc, 0
+		}
+		if len(w.block) < size {
+			w.block = make([]event, blockSz)
+		}
+		c.slots, w.block, w.carved = w.block[:size], w.block[size:], c
 	}
 	c.slots[off] = event{t: t, v: v}
-	h.count.Store(idx + 1) // publish after the slot write
+	h.n++
 	w.wc.NodeUpdates++
 	if s.opts.Probe != nil {
 		s.opts.Probe.OnChange(n, t, v)
+	}
+}
+
+// release hands the unused end of a complete history's tail chunk, if it
+// was this worker's latest carve (its capacity runs to the block's end),
+// back to the block: nothing is appended or read there any more.
+func (w *worker) release(h *history) {
+	if c := h.tail; c == w.carved {
+		w.block, w.carved = c.slots[h.n-c.base:cap(c.slots)], nil
 	}
 }
 
@@ -679,9 +697,35 @@ func (cu *cursor) peek(count int64) (event, bool) {
 		return event{}, false
 	}
 	for cu.pos >= cu.chunk.base+int64(len(cu.chunk.slots)) {
-		cu.chunk = cu.chunk.next.Load()
+		cu.chunk = cu.chunk.next
 	}
 	return cu.chunk.slots[cu.pos-cu.chunk.base], true
+}
+
+// nextTime is the time of the cursor's next event below count, or noEvent.
+func (cu *cursor) nextTime(count int64) int64 {
+	if ev, ok := cu.peek(count); ok {
+		return int64(ev.t)
+	}
+	return noEvent
+}
+
+// take consumes the event the last peek returned and returns the time of
+// the one after it.
+func (cu *cursor) take(count int64) int64 {
+	checkBelow("slot read", cu.pos, count)
+	cu.val = cu.chunk.slots[cu.pos-cu.chunk.base].v
+	cu.pos++
+	return cu.nextTime(count)
+}
+
+// changeBound is the earliest time an input can change: its next published
+// event, or its valid-time when none is published.
+func changeBound(next, vt int64) int64 {
+	if next != noEvent {
+		return next
+	}
+	return vt
 }
 
 // evalElement implements the paper's "get the output behaviour of an
@@ -698,42 +742,33 @@ func (w *worker) evalElement(e circuit.ElemID) {
 		s.chaos.Eval()
 	}
 	cs := s.cursors[e]
+	horizon := int64(s.opts.Horizon)
+	if np := len(cs); cap(w.countBuf) < np {
+		w.countBuf, w.vtBuf, w.nextBuf = make([]int64, np), make([]int64, np), make([]int64, np)
+		w.inBuf = make([]logic.Value, np)
+	}
+	if cap(w.outBuf) < len(el.Out) {
+		w.outBuf, w.appBuf = make([]logic.Value, len(el.Out)), make([]bool, len(el.Out))
+	}
+	counts, vts, next, in := w.countBuf[:len(cs)], w.vtBuf[:len(cs)], w.nextBuf[:len(cs)], w.inBuf[:len(cs)]
+	out, appended := w.outBuf[:len(el.Out)], w.appBuf[:len(el.Out)]
+	clear(appended)
 
 	// Step 1-2: min-valid across inputs; load published counts once so the
 	// view is consistent (events published after this point wait for the
-	// next activation).
-	minValid := int64(s.opts.Horizon)
-	if cap(w.countBuf) < len(cs) {
-		w.countBuf = make([]int64, len(cs))
-		w.vtBuf = make([]int64, len(cs))
-	}
-	counts := w.countBuf[:len(cs)]
-	vts := w.vtBuf[:len(cs)]
+	// next activation). next holds each port's next event time, so finding
+	// a merged time point scans it and only the ports at that time touch
+	// their chunks.
+	minValid := horizon
 	for port, n := range el.In {
 		h := &s.hist[n]
-		vt := h.validTo.Load()
-		if vt > int64(s.opts.Horizon) {
-			vt = int64(s.opts.Horizon)
-		}
-		vts[port] = vt
-		if vt < minValid {
-			minValid = vt
-		}
+		vts[port] = min(h.validTo.Load(), horizon)
+		minValid = min(minValid, vts[port])
 		counts[port] = h.count.Load()
+		next[port] = cs[port].nextTime(counts[port])
+		in[port] = cs[port].val
 	}
 
-	if cap(w.inBuf) < len(cs) {
-		w.inBuf = make([]logic.Value, len(cs))
-	}
-	in := w.inBuf[:len(cs)]
-	if cap(w.outBuf) < len(el.Out) {
-		w.outBuf = make([]logic.Value, len(el.Out))
-	}
-	out := w.outBuf[:len(el.Out)]
-
-	if cap(w.appBuf) < len(el.Out) {
-		w.appBuf = make([]bool, len(el.Out))
-	}
 	// Controlling-value lookahead for gates (optional), before any events
 	// are consumed: if inputs holding the controlling value pin the output,
 	// it cannot change before the last of them can — events on the other
@@ -744,70 +779,43 @@ func (w *worker) evalElement(e circuit.ElemID) {
 		if ctrl, ok := circuit.ControllingValue(el.Kind); ok {
 			tau := int64(-1)
 			for port := range cs {
-				if !circuit.Controlled(cs[port].val, ctrl) {
-					continue
-				}
-				var tb int64
-				if ev, ok2 := cs[port].peek(counts[port]); ok2 {
-					tb = int64(ev.t)
-				} else {
-					tb = vts[port]
-				}
-				if tb > tau {
-					tau = tb
+				if circuit.Controlled(cs[port].val, ctrl) {
+					tau = max(tau, changeBound(next[port], vts[port]))
 				}
 			}
 			if tau > effValid {
 				// Skip-consume everything that provably cannot matter.
 				for port := range cs {
-					limit := tau
-					if vts[port] < limit {
-						limit = vts[port]
-					}
-					for {
-						ev, ok2 := cs[port].peek(counts[port])
-						if !ok2 || int64(ev.t) >= limit {
-							break
-						}
-						cs[port].val = ev.v
-						cs[port].pos++
+					for limit := min(tau, vts[port]); next[port] < limit; {
+						checkBelow("consumed event time", next[port], vts[port])
+						next[port] = cs[port].take(counts[port])
 						w.wc.EventsUsed++
 					}
+					in[port] = cs[port].val
 				}
 				effValid = tau
 			}
 		}
 	}
 
-	appended := w.appBuf[:len(el.Out)]
-	for i := range appended {
-		appended[i] = false
-	}
 	// Step 4: consume events before min-valid in merged time order. A
-	// single activation can consume an unbounded number of events, so the
-	// cancellation flag is polled between merged time points too.
-	for {
-		if s.cancel.Cancelled() {
+	// single activation can consume an unbounded number of events, so every
+	// 64th merged time point polls the cancellation flag and heartbeats.
+	for points := 1; ; points++ {
+		tmin := minValid
+		for _, t := range next {
+			tmin = min(tmin, t)
+		}
+		if tmin == minValid {
 			break
 		}
-		tmin := circuit.Time(-1)
-		for port := range cs {
-			if ev, ok := cs[port].peek(counts[port]); ok && ev.t < circuit.Time(minValid) {
-				if tmin < 0 || ev.t < tmin {
-					tmin = ev.t
-				}
-			}
-		}
-		if tmin < 0 {
-			break
-		}
-		for port := range cs {
-			if ev, ok := cs[port].peek(counts[port]); ok && ev.t == tmin {
-				cs[port].val = ev.v
-				cs[port].pos++
+		for port, t := range next {
+			if t == tmin {
+				checkBelow("consumed event time", t, minValid)
+				next[port] = cs[port].take(counts[port])
+				in[port] = cs[port].val
 				w.wc.EventsUsed++
 			}
-			in[port] = cs[port].val
 		}
 		el.Eval(in, s.state[e], out)
 		w.wc.ModelCalls++
@@ -815,12 +823,16 @@ func (w *worker) evalElement(e circuit.ElemID) {
 			circuit.Spin(el.Cost * s.opts.CostSpin)
 		}
 		for p, n := range el.Out {
-			h := &s.hist[n]
-			if out[p].Equal(h.last) {
-				continue
+			if !out[p].Equal(s.hist[n].last) {
+				w.appendEvent(n, circuit.Time(tmin)+el.Delay, out[p])
+				appended[p] = true
 			}
-			w.appendEvent(n, tmin+el.Delay, out[p])
-			appended[p] = true
+		}
+		if points%64 == 0 {
+			if s.cancel.Cancelled() {
+				break
+			}
+			s.opts.Guard.Heartbeat(w.id)
 		}
 	}
 
@@ -838,16 +850,10 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// other inputs before it cannot reach the outputs and wait with it.
 	need := minValid + 1
 	if trig := circuit.TriggerPorts(el.Kind); trig != nil && !s.opts.NoLookahead {
-		bound := int64(s.opts.Horizon)
-		pending := false // bound is an event, not a valid-time
+		bound, pending := horizon, false // pending: bound is an event, not a valid-time
 		for _, port := range trig {
-			tb := vts[port]
-			ev, ok := cs[port].peek(counts[port])
-			if ok {
-				tb = int64(ev.t)
-			}
-			if tb < bound {
-				bound, pending = tb, ok
+			if tb := changeBound(next[port], vts[port]); tb < bound {
+				bound, pending = tb, next[port] != noEvent
 			}
 		}
 		if bound > effValid {
@@ -859,24 +865,27 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	}
 	s.ctl[e].need.Store(need) // before the caller's running->idle CAS
 
-	// Step 5: advance output valid times; stimulate fan-out wherever new
-	// behaviour (events or valid-time progress) appeared. Under the
-	// Chandy-Misra discipline the valid-times stay frozen: consumers block
-	// on them until the global deadlock-recovery pass.
+	// Step 5: publish each output's new events, advance its valid time and
+	// stimulate fan-out wherever new behaviour (events or valid-time progress)
+	// appeared. Under the Chandy-Misra discipline the valid-times stay frozen:
+	// consumers block on them until the global deadlock-recovery pass.
 	for p, n := range el.Out {
 		h := &s.hist[n]
+		if appended[p] {
+			h.count.Store(h.n)
+		}
 		old := h.validTo.Load()
 		newValid := old
 		if !s.opts.DeadlockRecovery {
-			newValid = effValid + int64(el.Delay)
-			if newValid > int64(s.opts.Horizon) {
-				newValid = int64(s.opts.Horizon)
-			}
+			newValid = min(effValid+int64(el.Delay), horizon)
 		}
 		switch {
 		case newValid > old:
-			h.validTo.Store(newValid) // before any fan-out's state is read
+			h.setValid(newValid) // before any fan-out's state is read
 			w.wake(n, old, newValid)
+			if newValid == horizon {
+				w.release(h)
+			}
 		case appended[p]:
 			for _, pr := range s.c.Nodes[n].Fanout {
 				w.activate(pr.Elem)
@@ -916,16 +925,11 @@ func (w *worker) wake(n circuit.NodeID, old, newValid int64) {
 // event), and every element that gained consumable events is re-queued.
 // It reports whether a new round is worth running.
 func (s *sim) recoverDeadlock() bool {
+	horizon := int64(s.opts.Horizon)
 	firstPending := func(e circuit.ElemID, port int, n circuit.NodeID) int64 {
-		h := &s.hist[n]
-		cu := &s.cursors[e][port]
-		if ev, ok := cu.peek(h.count.Load()); ok {
-			return int64(ev.t)
-		}
-		return int64(s.opts.Horizon) + 1
+		return s.cursors[e][port].nextTime(s.hist[n].count.Load())
 	}
-	changed := true
-	anyAdvance := false
+	changed, anyAdvance := true, false
 	for changed {
 		changed = false
 		for i := range s.c.Elems {
@@ -933,26 +937,16 @@ func (s *sim) recoverDeadlock() bool {
 			if el.IsGenerator() {
 				continue
 			}
-			bound := int64(s.opts.Horizon)
+			bound := horizon
 			for port, n := range el.In {
-				b := s.hist[n].validTo.Load()
-				if fp := firstPending(el.ID, port, n); fp < b {
-					b = fp
-				}
-				if b < bound {
-					bound = b
-				}
+				bound = min(bound, s.hist[n].validTo.Load(), firstPending(el.ID, port, n))
 			}
-			newValid := bound + int64(el.Delay)
-			if newValid > int64(s.opts.Horizon) {
-				newValid = int64(s.opts.Horizon)
-			}
+			newValid := min(bound+int64(el.Delay), horizon)
 			for _, n := range el.Out {
 				h := &s.hist[n]
 				if newValid > h.validTo.Load() {
-					h.validTo.Store(newValid)
-					changed = true
-					anyAdvance = true
+					h.setValid(newValid)
+					changed, anyAdvance = true, true
 				}
 			}
 		}
@@ -968,11 +962,9 @@ func (s *sim) recoverDeadlock() bool {
 		if el.IsGenerator() {
 			continue
 		}
-		minValid := int64(s.opts.Horizon)
+		minValid := horizon
 		for _, n := range el.In {
-			if vt := s.hist[n].validTo.Load(); vt < minValid {
-				minValid = vt
-			}
+			minValid = min(minValid, s.hist[n].validTo.Load())
 		}
 		runnable := false
 		for port, n := range el.In {

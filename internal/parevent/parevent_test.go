@@ -3,11 +3,10 @@ package parevent
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"testing"
 
 	"parsim/internal/circuit"
-	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/logic"
 	"parsim/internal/seq"
@@ -187,45 +186,64 @@ func TestTwoCrossingsPerStep(t *testing.T) {
 	}
 }
 
-// runOwned is RunContext with a caller-chosen ownership map.
-func runOwned(c *circuit.Circuit, opts Options, owner []int32) *sim {
-	s := newSim(c, opts, owner)
-	s.cancel = engine.WatchCancel(context.Background())
-	defer s.cancel.Release()
-	var wg sync.WaitGroup
-	for _, w := range s.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.run()
-		}(w)
+// runByHand drives every worker's phases in turn on one goroutine, in the
+// order the barriers impose; order(step) lists the workers in the order
+// their evaluation phases run.
+func runByHand(s *sim, order func(step int64) []*worker) {
+	for now := circuit.Time(-1); ; {
+		if now >= 0 {
+			for _, w := range order(s.workers[0].steps) {
+				w.evalPhase(now)
+			}
+		}
+		now = -1
+		for _, w := range s.workers {
+			w.publishPeek()
+			if pt := s.lanes[w.id].peek; pt >= 0 && (now < 0 || pt < now) {
+				now = pt
+			}
+		}
+		if now < 0 || now >= s.opts.Horizon {
+			return
+		}
+		for _, w := range s.workers {
+			w.steps++
+		}
+		for _, w := range s.workers {
+			w.updatePhase(now)
+		}
+		for _, w := range s.workers {
+			w.merge()
+		}
 	}
-	wg.Wait()
-	return s
 }
 
 // TestSkewedOwnershipIsStolen gives worker 0 every element, which balanced
 // blocks never do: the other three workers can only work by stealing, every
 // update they schedule travels through the victim's fold, and the result
-// must still be the oracle's.
+// must still be the oracle's. The phases are driven by hand so that the
+// steals do not depend on the goroutine scheduler: in each step one worker
+// evaluates first and drains the owner's whole run list, in turn the owner
+// and each of the three thieves.
 func TestSkewedOwnershipIsStolen(t *testing.T) {
 	o := newOracle(gen.InverterArray(gen.InverterArrayConfig{Rows: 16, Cols: 16, ActiveRows: 16, TogglePeriod: 1}), 200)
 	got := trace.NewRecorder()
-	s := runOwned(o.c, Options{Workers: 4, Horizon: o.horizon, Probe: got, CostSpin: 40},
-		make([]int32, len(o.c.Elems)))
+	s := newSim(o.c, Options{Workers: 4, Horizon: o.horizon, Probe: got}, make([]int32, len(o.c.Elems)))
+	runByHand(s, func(step int64) []*worker {
+		first := int(step) % 4
+		return slices.Concat(s.workers[first:], s.workers[:first])
+	})
 	run := stats.Run{TimeSteps: s.workers[0].steps}
-	var steals int64
 	for _, w := range s.workers {
 		run.Evals += w.wc.Evals
 		run.NodeUpdates += w.wc.NodeUpdates
-		steals += w.wc.Steals
-		if w.id > 0 && w.wc.Steals != w.wc.Evals {
-			t.Errorf("worker %d owns nothing but evaluated %d elements and stole %d", w.id, w.wc.Evals, w.wc.Steals)
+		if w.id > 0 && (w.wc.Steals != w.wc.Evals || w.wc.Steals == 0) {
+			t.Errorf("worker %d owns nothing, evaluated %d elements and stole %d", w.id, w.wc.Evals, w.wc.Steals)
 		}
 	}
 	o.check(t, "(all owned by worker 0)", got, s.val, &run)
-	if steals == 0 {
-		t.Error("three idle workers stole nothing from the one owner")
+	if s.workers[0].wc.Evals == 0 {
+		t.Error("the owner evaluated nothing in the steps it went first")
 	}
 }
 
@@ -241,28 +259,13 @@ func TestThiefPeekCarriesStolenUpdates(t *testing.T) {
 	s := newSim(o.c, Options{Workers: 2, Horizon: o.horizon, Probe: got}, make([]int32, len(o.c.Elems)))
 	owner, thief := s.workers[0], s.workers[1]
 	carried := 0
-	for now := circuit.Time(-1); ; {
-		if now >= 0 {
-			thief.evalPhase(now) // its own list is empty; it takes all of the owner's
-			owner.evalPhase(now)
-		}
-		owner.publishPeek()
-		thief.publishPeek()
-		op, tp := s.lanes[0].peek, s.lanes[1].peek
-		if now = op; tp >= 0 && (op < 0 || tp < op) {
-			now = tp
+	runByHand(s, func(int64) []*worker {
+		// The peeks that agreed on this step's time.
+		if op, tp := s.lanes[0].peek, s.lanes[1].peek; tp >= 0 && (op < 0 || tp < op) {
 			carried++
 		}
-		if now < 0 || now >= o.horizon {
-			break
-		}
-		owner.steps++
-		thief.steps++
-		owner.updatePhase(now)
-		thief.updatePhase(now)
-		owner.merge()
-		thief.merge()
-	}
+		return []*worker{thief, owner} // the thief's list is empty; it takes all of the owner's
+	})
 	run := stats.Run{TimeSteps: owner.steps, Evals: thief.wc.Evals, NodeUpdates: owner.wc.NodeUpdates + thief.wc.NodeUpdates}
 	o.check(t, "(hand-driven, every evaluation stolen)", got, s.val, &run)
 	if owner.wc.Evals != 0 || thief.wc.Steals != thief.wc.Evals {
