@@ -162,11 +162,15 @@ fuzz:
 ## fuzz-smoke is the CI-sized fuzz budget: the cross-engine differential
 ## harness, then the netlist parser (never panics, limit errors stay typed,
 ## parse -> Write -> parse is the identity), then the event queue against
-## its sorted-slice model (pop order, Dump -> Restore, the lending rule).
+## its sorted-slice model (pop order, Dump -> Restore, the lending rule),
+## then the parsimd job JSON (the submit handler answers 200/202/400/413/429,
+## never a panic or a 5xx, and refuses as malformed exactly what
+## cluster.DecodeSubmission refuses).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzEngines -fuzztime=30s -run '^$$' .
 	$(GO) test -fuzz=FuzzNetlist -fuzztime=15s -run '^$$' ./internal/netlist
 	$(GO) test -fuzz=FuzzQueue -fuzztime=15s -run '^$$' ./internal/eventq
+	$(GO) test -fuzz=FuzzSubmit -fuzztime=15s -run '^$$' ./internal/server
 
 clean:
 	$(GO) clean ./...

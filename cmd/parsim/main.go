@@ -73,6 +73,7 @@ import (
 
 	"parsim"
 	"parsim/internal/analyze"
+	"parsim/internal/cluster"
 	"parsim/internal/engine"
 	"parsim/internal/machine"
 	"parsim/internal/partition"
@@ -119,6 +120,11 @@ func main() {
 		submitAddr  = flag.String("submit", "", "run remotely: submit the job to a parsimd node or fleet coordinator at this address and poll for the result")
 	)
 	flag.Parse()
+	if *submitAddr != "" {
+		if set := unsubmittable(flag.CommandLine); len(set) > 0 {
+			fatal(fmt.Errorf("-submit cannot carry %s: the job body has no field for them", strings.Join(set, ", ")))
+		}
+	}
 
 	lint, err := engine.ParseLintMode(*lintFlag)
 	if err != nil {
@@ -164,7 +170,7 @@ func main() {
 				watchNames = append(watchNames, strings.TrimSpace(n))
 			}
 		}
-		runSubmit(*submitAddr, c, submitRequest{
+		runSubmit(*submitAddr, c, &cluster.Submission{
 			Engine:         eng.Name(),
 			Workers:        *workers,
 			Horizon:        *horizon,

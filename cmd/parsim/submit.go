@@ -3,35 +3,33 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"parsim"
+	"parsim/internal/cluster"
 )
 
-// submitRequest mirrors the parsimd submission body (the daemon's
-// jobRequest wire format), built from the same flags a local run uses.
-type submitRequest struct {
-	Netlist        string   `json:"netlist"`
-	Engine         string   `json:"engine"`
-	Workers        int      `json:"workers,omitempty"`
-	Horizon        int64    `json:"horizon"`
-	DeadlineMS     int64    `json:"deadline_ms,omitempty"`
-	WatchdogMS     int64    `json:"watchdog_ms,omitempty"`
-	Lint           string   `json:"lint,omitempty"`
-	Fallback       bool     `json:"fallback,omitempty"`
-	CostSpin       int64    `json:"cost_spin,omitempty"`
-	Watch          []string `json:"watch,omitempty"`
-	Lanes          int      `json:"lanes,omitempty"`
-	LaneStride     int64    `json:"lane_stride,omitempty"`
-	ProbeLane      int      `json:"probe_lane,omitempty"`
-	FaultSim       bool     `json:"fault_sim,omitempty"`
-	FaultMaxPasses int      `json:"fault_max_passes,omitempty"`
-	FaultStatuses  bool     `json:"fault_statuses,omitempty"`
+// localOnly lists the run flags the submission body has no field for.
+var localOnly = []string{"no-steal", "central", "fallback-retries", "fallback-delay",
+	"checkpoint", "checkpoint-every", "resume", "vcd"}
+
+// unsubmittable returns the local-only flags set on fs, so -submit can
+// refuse them instead of dropping them silently.
+func unsubmittable(fs *flag.FlagSet) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(localOnly, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 // submitBaseURL normalises -submit into a URL prefix.
@@ -47,7 +45,7 @@ func submitBaseURL(addr string) string {
 // state, then print the result — the JSON view with -json, or the usual
 // text summary. The submission endpoint is the same on both a standalone
 // node and a coordinator, so -submit works against either.
-func runSubmit(addr string, c *parsim.Circuit, req submitRequest, jsonOut bool) {
+func runSubmit(addr string, c *parsim.Circuit, req *cluster.Submission, jsonOut bool) {
 	var netText bytes.Buffer
 	if err := parsim.WriteNetlist(&netText, c); err != nil {
 		fatal(err)

@@ -639,3 +639,47 @@ func TestFleetSpill(t *testing.T) {
 		t.Errorf("spill not counted\n%s", body)
 	}
 }
+
+// TestNodeAndCoordinatorDecodeAlike: a node and a coordinator decode a
+// submission body through the same strict decoder, so for every body the
+// node's status is the coordinator's — 202 for a body the fleet admits,
+// 400 for one neither may silently reinterpret.
+func TestNodeAndCoordinatorDecodeAlike(t *testing.T) {
+	f := newFleet(t, 1, fleetOpts{})
+	node := f.nodes[0].ts.URL
+	post := func(url, body string) int {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	netlistJSON, err := json.Marshal(fleetNetlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		name, tail string
+		want       int
+	}{
+		{"valid", `}`, http.StatusAccepted},
+		{"trailing white space", "}\n\t ", http.StatusAccepted},
+		{"trailing garbage", `} garbage`, http.StatusBadRequest},
+		{"second object", `}{}`, http.StatusBadRequest},
+		{"misspelt field", `,"lane_strid":7}`, http.StatusBadRequest},
+		{"local-only option", `,"no_steal":true}`, http.StatusBadRequest},
+		{"wrong type", `,"workers":"two"}`, http.StatusBadRequest},
+	} {
+		// A horizon per case and per target, so no body dedups onto another.
+		body := func(target int) string {
+			return fmt.Sprintf(`{"netlist":%s,"engine":"sequential","horizon":%d`, netlistJSON, 64+2*i+target) + tc.tail
+		}
+		nodeStatus, coordStatus := post(node, body(0)), post(f.coordTS.URL, body(1))
+		if nodeStatus != tc.want || coordStatus != tc.want {
+			t.Errorf("%s: node %d, coordinator %d, want %d from both", tc.name, nodeStatus, coordStatus, tc.want)
+		}
+	}
+}

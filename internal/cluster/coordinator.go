@@ -380,12 +380,12 @@ func (c *Coordinator) dropInflight(cj *clusterJob) {
 
 // injectResume adds a resume_from field to a submission body.
 func injectResume(body []byte, path string) ([]byte, error) {
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
+	sub, err := DecodeSubmission(body)
+	if err != nil {
 		return nil, err
 	}
-	m["resume_from"] = path
-	return json.Marshal(m)
+	sub.ResumeFrom = path
+	return json.Marshal(sub)
 }
 
 // routeResult is the outcome of one dispatch walk over the ring.

@@ -12,16 +12,20 @@
 // coordinator talks to workers only over their public HTTP API, so any
 // parsimd — in-process in a test, a separate process on one host, or a
 // remote box — is a valid fleet member. internal/server imports this
-// package for the job key and the result cache, which the standalone
-// daemon reuses to dedup identical submissions on a single node.
+// package for the submission schema, the job key and the result cache,
+// which the standalone daemon reuses to dedup identical submissions on a
+// single node.
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -32,38 +36,18 @@ import (
 	"parsim/internal/netlist"
 )
 
-// KeyOptions are the submission options folded into the content-addressed
-// job key: everything that can change the bytes of the run report. Two
-// submissions with equal keys simulate the same circuit the same way and
-// produce identical results, so the second can be served from the first's
-// cached report. Deadlines and watchdog windows are deliberately absent —
-// they bound a run's wall clock without changing its result.
-type KeyOptions struct {
-	Engine         string // canonical engine name (aliases resolved)
-	Workers        int
-	Horizon        int64
-	CostSpin       int64
-	Lint           string
-	Fallback       bool
-	Lanes          int
-	LaneStride     int64
-	ProbeLane      int
-	FaultSim       bool
-	FaultMaxPasses int
-	FaultStatuses  bool
-}
-
-// CircuitKey computes the content-addressed job key: the SHA-256 of a
-// canonical serialization of the circuit plus the option digest. The
-// serialization sorts nodes and elements by name and emits every
-// parameter field in a fixed order, so two netlists that declare the same
-// circuit in different textual orders — the parser assigns IDs by
-// declaration order — hash to the same key.
+// circuitKey computes the content-addressed job key: the SHA-256 of a
+// canonical serialization of the circuit plus the result-affecting
+// submission options, written exactly as s holds them. The serialization
+// sorts nodes and elements by name and emits every parameter field in a
+// fixed order, so two netlists that declare the same circuit in different
+// textual orders — the parser assigns IDs by declaration order — hash to
+// the same key.
 //
 // The serialization is a wire contract: every member of a fleet must
 // derive the same key for the same job, whatever version it runs, so its
 // bytes never change (key_test.go pins them).
-func CircuitKey(c *circuit.Circuit, opts KeyOptions) string {
+func circuitKey(c *circuit.Circuit, s *Submission) string {
 	w := keyWriter{h: sha256.New(), buf: make([]byte, 0, keyChunk+512)}
 	w.str("parsim-job-key/v1\ncircuit ").str(c.Name).str("\n")
 
@@ -90,21 +74,21 @@ func CircuitKey(c *circuit.Circuit, opts KeyOptions) string {
 		w.flush(keyChunk)
 	}
 
-	if opts.Workers <= 0 {
-		opts.Workers = 1 // a zero request means "one worker" everywhere downstream
-	}
-	w.str("opts engine=").str(opts.Engine)
-	w.str(" workers=").int(int64(opts.Workers))
-	w.str(" horizon=").int(opts.Horizon)
-	w.str(" spin=").int(opts.CostSpin)
-	w.str(" lint=").str(opts.Lint)
-	w.str(" fallback=").bool(opts.Fallback)
-	w.str(" lanes=").int(int64(opts.Lanes))
-	w.str(" stride=").int(opts.LaneStride)
-	w.str(" probe=").int(int64(opts.ProbeLane))
-	w.str(" faults=").bool(opts.FaultSim)
-	w.str(" fpasses=").int(int64(opts.FaultMaxPasses))
-	w.str(" fstat=").bool(opts.FaultStatuses)
+	// Deadlines, watchdog windows, watch lists and resume_from are
+	// deliberately absent: they bound or observe a run without changing
+	// its result.
+	w.str("opts engine=").str(s.Engine)
+	w.str(" workers=").int(int64(s.Workers))
+	w.str(" horizon=").int(s.Horizon)
+	w.str(" spin=").int(s.CostSpin)
+	w.str(" lint=").str(s.Lint)
+	w.str(" fallback=").bool(s.Fallback)
+	w.str(" lanes=").int(int64(s.Lanes))
+	w.str(" stride=").int(s.LaneStride)
+	w.str(" probe=").int(int64(s.ProbeLane))
+	w.str(" faults=").bool(s.FaultSim)
+	w.str(" fpasses=").int(int64(s.FaultMaxPasses))
+	w.str(" fstat=").bool(s.FaultStatuses)
 	w.str("\n")
 	w.flush(0)
 	var sum [sha256.Size]byte
@@ -202,68 +186,107 @@ func (w *keyWriter) params(p *circuit.Params) {
 	}
 }
 
-// Submission mirrors the result-affecting fields of the parsimd
-// submission body (internal/server's jobRequest wire format). The
-// coordinator decodes just enough of a submission to compute its key and
-// route it; the full body is forwarded to the worker verbatim, so fields
-// this mirror omits (deadline_ms, watchdog_ms, watch) still reach the
-// node that runs the job.
+// Submission is the body of POST /v1/jobs, on a node and on a
+// coordinator alike — the one declaration of that wire format. The node
+// admits and runs it, the journal records it, `parsim -submit` sends it,
+// and the coordinator decodes it to key and route the job before
+// forwarding the body verbatim.
 type Submission struct {
-	Netlist        string   `json:"netlist"`
-	Engine         string   `json:"engine"`
-	Workers        int      `json:"workers,omitempty"`
-	Horizon        int64    `json:"horizon"`
-	Lint           string   `json:"lint,omitempty"`
-	Fallback       bool     `json:"fallback,omitempty"`
-	CostSpin       int64    `json:"cost_spin,omitempty"`
-	Watch          []string `json:"watch,omitempty"`
-	Lanes          int      `json:"lanes,omitempty"`
-	LaneStride     int64    `json:"lane_stride,omitempty"`
-	ProbeLane      int      `json:"probe_lane,omitempty"`
-	FaultSim       bool     `json:"fault_sim,omitempty"`
-	FaultMaxPasses int      `json:"fault_max_passes,omitempty"`
-	FaultStatuses  bool     `json:"fault_statuses,omitempty"`
+	// Netlist is the circuit in the parsim netlist text format.
+	Netlist string `json:"netlist"`
+	// Engine names the algorithm (canonical name or alias).
+	Engine string `json:"engine"`
+	// Workers is the parallel worker count, which is also the number of
+	// cores the scheduler reserves for the run. Default 1.
+	Workers int `json:"workers,omitempty"`
+	// Horizon is the simulated time bound; required, > 0.
+	Horizon int64 `json:"horizon"`
+	// DeadlineMS bounds the run's wall-clock time (0 = server default).
+	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// WatchdogMS enables the stall watchdog (0 = off).
+	WatchdogMS int64 `json:"watchdog_ms,omitempty"`
+	// Lint selects pre-flight analysis: "off", "warn" or "strict".
+	Lint string `json:"lint,omitempty"`
+	// Fallback retries a faulted run on the sequential engine.
+	Fallback bool `json:"fallback,omitempty"`
+	// CostSpin is the synthetic per-evaluation work multiplier.
+	CostSpin int64 `json:"cost_spin,omitempty"`
+	// Watch lists node names to record; required for the /vcd endpoint.
+	// Watch jobs are never deduped: the waveform is per-job state.
+	Watch []string `json:"watch,omitempty"`
+	// Lanes batches seed-shifted stimulus vectors into one run of a lane
+	// engine (0 = the engine's default: 64, one machine word, for vector
+	// and 1 for jit; larger counts widen every node plane to
+	// ceil(lanes/64) words and are admission-checked against the server's
+	// plane budget; ignored by the scalar engines). One job, one core
+	// reservation, Lanes results: the per-lane final values come back in
+	// the result's lane_final rows.
+	Lanes int `json:"lanes,omitempty"`
+	// LaneStride is the per-lane rand/gray seed offset (0 = 1).
+	LaneStride int64 `json:"lane_stride,omitempty"`
+	// ProbeLane selects the lane the watch recording and the final values
+	// observe (default 0, the scalar-identical lane); it must be below the
+	// lane count the job runs at, which is 1 for a scalar engine.
+	ProbeLane int `json:"probe_lane,omitempty"`
+	// FaultSim switches a lane-engine job (vector or jit) to concurrent
+	// stuck-at fault simulation: lane 0 simulates the good machine, every
+	// other lane injects one fault from the circuit's collapsed stuck-at
+	// list, and the result carries a fault_coverage section. Rejected
+	// (400) on any other engine.
+	FaultSim bool `json:"fault_sim,omitempty"`
+	// FaultMaxPasses caps the chunked fault passes (0 = whole list).
+	FaultMaxPasses int `json:"fault_max_passes,omitempty"`
+	// FaultStatuses includes the per-fault site/step rows in the result.
+	FaultStatuses bool `json:"fault_statuses,omitempty"`
+	// ResumeFrom names a checkpoint snapshot file on the server's
+	// filesystem to continue from instead of starting at t=0. The fleet
+	// coordinator sets it when requeueing a job off a dead node that left
+	// a snapshot behind (state dirs shared between nodes). A snapshot
+	// that is missing, corrupt or on a checkpoint-incapable engine is
+	// dropped and the job runs from scratch — resuming is an optimisation,
+	// never a correctness requirement.
+	ResumeFrom string `json:"resume_from,omitempty"`
 }
 
-// keyOptions maps the wire fields onto KeyOptions, resolving engine
-// aliases through the registry when the engine is known locally (the
-// worker canonicalizes the same way, so "seq" and "sequential" dedup
-// together); an unknown name is hashed as written and rejected by the
-// worker at admission.
-func (s *Submission) keyOptions() KeyOptions {
-	name := s.Engine
-	if eng, err := engine.Get(name); err == nil {
-		name = eng.Name()
+// DecodeSubmission decodes a submission body strictly: a field the schema
+// does not declare, or anything but white space after the JSON object, is
+// an error suitable for a 400 response — a misspelt option is refused, not
+// silently ignored. Node and coordinator both decode through it, so they
+// accept exactly the same bodies.
+func DecodeSubmission(body []byte) (*Submission, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	sub := new(Submission)
+	if err := dec.Decode(sub); err != nil {
+		return nil, fmt.Errorf("malformed JSON body: %v", err)
 	}
-	workers := s.Workers
-	if workers == 0 {
-		workers = 1
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("malformed JSON body: data after the JSON object")
 	}
-	lint := s.Lint
-	if mode, err := engine.ParseLintMode(lint); err == nil {
-		lint = mode.String()
-	}
-	return KeyOptions{
-		Engine:         name,
-		Workers:        workers,
-		Horizon:        s.Horizon,
-		CostSpin:       s.CostSpin,
-		Lint:           lint,
-		Fallback:       s.Fallback,
-		Lanes:          s.Lanes,
-		LaneStride:     s.LaneStride,
-		ProbeLane:      s.ProbeLane,
-		FaultSim:       s.FaultSim,
-		FaultMaxPasses: s.FaultMaxPasses,
-		FaultStatuses:  s.FaultStatuses,
-	}
+	return sub, nil
 }
 
-// KeyForSubmission computes the job key for an already-parsed circuit
-// plus the wire-level submission options — the entry point the daemon
-// uses, since admission control has parsed the netlist anyway.
+// KeyForSubmission computes the content-addressed job key for an
+// already-parsed circuit plus the submission's options. Two submissions
+// with equal keys simulate the same circuit the same way and produce
+// identical reports, so the second can be served from the first's. The
+// options are canonicalized first: engine aliases resolve through the
+// registry when the engine is known locally (the worker canonicalizes the
+// same way, so "seq" and "sequential" dedup together; an unknown name is
+// hashed as written and rejected by the worker at admission), workers 0
+// means one, and lint modes take their canonical spelling.
 func KeyForSubmission(c *circuit.Circuit, s *Submission) string {
-	return CircuitKey(c, s.keyOptions())
+	canon := *s
+	if eng, err := engine.Get(s.Engine); err == nil {
+		canon.Engine = eng.Name()
+	}
+	if canon.Workers <= 0 {
+		canon.Workers = 1 // a zero request means "one worker" everywhere downstream
+	}
+	if mode, err := engine.ParseLintMode(s.Lint); err == nil {
+		canon.Lint = mode.String()
+	}
+	return circuitKey(c, &canon)
 }
 
 // submissionKeyRuns counts SubmissionKey calls. Test hook: the
@@ -273,17 +296,17 @@ var submissionKeyRuns atomic.Int64
 
 // SubmissionKey decodes a raw submission body, parses its netlist under
 // the given limits and returns the content-addressed job key plus the
-// decoded mirror. The error is suitable for a 400 response: a body the
+// decoded submission. The error is suitable for a 400 response: a body the
 // coordinator cannot key is one no worker could admit either.
 func SubmissionKey(body []byte, lim netlist.Limits) (string, *Submission, error) {
 	submissionKeyRuns.Add(1)
-	var sub Submission
-	if err := json.Unmarshal(body, &sub); err != nil {
-		return "", nil, fmt.Errorf("malformed JSON body: %v", err)
+	sub, err := DecodeSubmission(body)
+	if err != nil {
+		return "", nil, err
 	}
 	circ, err := netlist.ParseString(sub.Netlist, lim)
 	if err != nil {
 		return "", nil, fmt.Errorf("netlist: %w", err)
 	}
-	return CircuitKey(circ, sub.keyOptions()), &sub, nil
+	return KeyForSubmission(circ, sub), sub, nil
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,9 +48,9 @@ func parseNetlist(t *testing.T, text string) *circuit.Circuit {
 }
 
 func TestCircuitKeyOrderIndependent(t *testing.T) {
-	opts := KeyOptions{Engine: "event-driven", Workers: 4, Horizon: 100}
-	ka := CircuitKey(parseNetlist(t, keyNetlistA), opts)
-	kb := CircuitKey(parseNetlist(t, keyNetlistB), opts)
+	opts := &Submission{Engine: "event-driven", Workers: 4, Horizon: 100}
+	ka := KeyForSubmission(parseNetlist(t, keyNetlistA), opts)
+	kb := KeyForSubmission(parseNetlist(t, keyNetlistB), opts)
 	if ka != kb {
 		t.Fatalf("same circuit, different textual order: keys differ\n a=%s\n b=%s", ka, kb)
 	}
@@ -59,19 +61,19 @@ func TestCircuitKeyOrderIndependent(t *testing.T) {
 
 func TestCircuitKeySensitivity(t *testing.T) {
 	base := parseNetlist(t, keyNetlistA)
-	opts := KeyOptions{Engine: "event-driven", Workers: 4, Horizon: 100}
-	ref := CircuitKey(base, opts)
+	opts := &Submission{Engine: "event-driven", Workers: 4, Horizon: 100}
+	ref := KeyForSubmission(base, opts)
 
 	// Any result-affecting change must change the key.
 	cases := []struct {
 		name string
 		key  string
 	}{
-		{"different engine", CircuitKey(base, KeyOptions{Engine: "sequential", Workers: 4, Horizon: 100})},
-		{"different horizon", CircuitKey(base, KeyOptions{Engine: "event-driven", Workers: 4, Horizon: 200})},
-		{"fault sim on", CircuitKey(base, KeyOptions{Engine: "event-driven", Workers: 4, Horizon: 100, FaultSim: true})},
-		{"different circuit", CircuitKey(parseNetlist(t, strings.Replace(keyNetlistA, "period=8", "period=6", 1)), opts)},
-		{"renamed element", CircuitKey(parseNetlist(t, strings.Replace(keyNetlistA, "not n3", "not n9", 1)), opts)},
+		{"different engine", KeyForSubmission(base, &Submission{Engine: "sequential", Workers: 4, Horizon: 100})},
+		{"different horizon", KeyForSubmission(base, &Submission{Engine: "event-driven", Workers: 4, Horizon: 200})},
+		{"fault sim on", KeyForSubmission(base, &Submission{Engine: "event-driven", Workers: 4, Horizon: 100, FaultSim: true})},
+		{"different circuit", KeyForSubmission(parseNetlist(t, strings.Replace(keyNetlistA, "period=8", "period=6", 1)), opts)},
+		{"renamed element", KeyForSubmission(parseNetlist(t, strings.Replace(keyNetlistA, "not n3", "not n9", 1)), opts)},
 	}
 	for _, tc := range cases {
 		if tc.key == ref {
@@ -82,8 +84,8 @@ func TestCircuitKeySensitivity(t *testing.T) {
 	// Workers changes the parallel schedule, not the result inputs the
 	// daemon exposes, but it is part of the submission contract — 0 and 1
 	// canonicalize together, other counts differ.
-	if CircuitKey(base, KeyOptions{Engine: "event-driven", Workers: 0, Horizon: 100}) !=
-		CircuitKey(base, KeyOptions{Engine: "event-driven", Workers: 1, Horizon: 100}) {
+	if KeyForSubmission(base, &Submission{Engine: "event-driven", Workers: 0, Horizon: 100}) !=
+		KeyForSubmission(base, &Submission{Engine: "event-driven", Workers: 1, Horizon: 100}) {
 		t.Error("workers 0 and 1 should canonicalize to the same key")
 	}
 }
@@ -118,8 +120,47 @@ func TestSubmissionKeyLifecycle(t *testing.T) {
 	if subA.Engine != "event" || subA.Horizon != 100 {
 		t.Fatalf("parsed submission mangled: %+v", subA)
 	}
-	if _, _, err := SubmissionKey([]byte(`{"netlist": 42}`), lim); err == nil {
-		t.Fatal("malformed body accepted")
+	valid := `{"netlist":` + quoteJSON(keyNetlistA) + `,"engine":"event","horizon":100`
+	if _, _, err := SubmissionKey([]byte(valid+"}\n\t "), lim); err != nil {
+		t.Fatalf("trailing white space refused: %v", err)
+	}
+	for _, bad := range []string{
+		`{"netlist": 42}`,
+		valid + `} garbage`,
+		valid + `}{}`,
+		valid + `,"lane_strid":7}`,
+		valid + `,"no_steal":true}`,
+	} {
+		if _, _, err := SubmissionKey([]byte(bad), lim); err == nil || !strings.HasPrefix(err.Error(), "malformed JSON body: ") {
+			t.Errorf("body ending %q: err %v, want a malformed-body error", bad[max(0, len(bad)-24):], err)
+		}
+	}
+}
+
+// TestSubmissionWireKeys pins the body's JSON names: a fully populated
+// Submission marshals to exactly the documented keys, which journals
+// written by earlier daemons also use.
+func TestSubmissionWireKeys(t *testing.T) {
+	full := goldenSubmission
+	full.Watch = []string{"q"}
+	b, err := json.Marshal(&full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(b, &fields); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"cost_spin", "deadline_ms", "engine", "fallback", "fault_max_passes", "fault_sim",
+		"fault_statuses", "horizon", "lane_stride", "lanes", "lint", "netlist", "probe_lane",
+		"resume_from", "watch", "watchdog_ms", "workers"}
+	var got []string
+	for k := range fields {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("submission keys %v, want %v", got, want)
 	}
 }
 
@@ -146,17 +187,23 @@ elem rand rg delay=1 out=rst period=7 seed=-42
 elem dffr ff delay=0 out=q in=clk,rst,w init=4'h0
 `
 
-// goldenKeyOptions sets every option to a non-default value.
-var goldenKeyOptions = KeyOptions{Engine: "auto", Workers: 2, Horizon: 512, CostSpin: 3, Lint: "warn",
-	Fallback: true, Lanes: 128, LaneStride: 2, ProbeLane: 1, FaultSim: true, FaultMaxPasses: 4, FaultStatuses: true}
+// goldenSubmission sets every keyed option to a non-default value, each
+// already in its canonical spelling. The fields the key leaves out are set
+// too, so the test also proves they stay out.
+var goldenSubmission = Submission{Engine: "auto", Workers: 2, Horizon: 512, CostSpin: 3, Lint: "warn",
+	Fallback: true, Lanes: 128, LaneStride: 2, ProbeLane: 1, FaultSim: true, FaultMaxPasses: 4, FaultStatuses: true,
+	Netlist: "ignored", DeadlineMS: 9, WatchdogMS: 9, ResumeFrom: "ignored"}
 
 // TestCircuitKeyGolden pins the key bytes. The hex values were computed by
 // the fmt-based writer this package shipped first; a fleet may mix daemon
-// versions, so every later writer must reproduce them.
+// versions, so every later writer must reproduce them. The zeroed column
+// is that writer's zero options — no engine, lint unset, workers written
+// as 1 — which no canonicalized submission produces, so it is written
+// through the raw serializer.
 func TestCircuitKeyGolden(t *testing.T) {
 	cases := []struct {
 		c              *circuit.Circuit
-		golden, zeroed string // under goldenKeyOptions and under KeyOptions{}
+		golden, zeroed string // under goldenSubmission and under the zero options
 	}{
 		{gen.GateMultiplier(gen.DefaultMultiplier()),
 			"dbd54c492996444ae496e8b3a1ea25d89649b3f87f1d3acf7377f812a74ad292",
@@ -175,10 +222,10 @@ func TestCircuitKeyGolden(t *testing.T) {
 			"a866d1f874a8267c66724613037cbfcac403d8c3f665ca45af523f754cf84a87"},
 	}
 	for _, tc := range cases {
-		if got := CircuitKey(tc.c, goldenKeyOptions); got != tc.golden {
+		if got := KeyForSubmission(tc.c, &goldenSubmission); got != tc.golden {
 			t.Errorf("%s: key %s, want %s", tc.c.Name, got, tc.golden)
 		}
-		if got := CircuitKey(tc.c, KeyOptions{}); got != tc.zeroed {
+		if got := circuitKey(tc.c, &Submission{Workers: 1}); got != tc.zeroed {
 			t.Errorf("%s: key under zero options %s, want %s", tc.c.Name, got, tc.zeroed)
 		}
 	}
@@ -191,9 +238,9 @@ func TestCircuitKeyAllocs(t *testing.T) {
 		gen.FuncMultiplier(gen.DefaultMultiplier()),
 		gen.GateMultiplier(gen.DefaultMultiplier()),
 	} {
-		allocs := testing.AllocsPerRun(5, func() { CircuitKey(c, goldenKeyOptions) })
+		allocs := testing.AllocsPerRun(5, func() { KeyForSubmission(c, &goldenSubmission) })
 		if allocs > 64 {
-			t.Errorf("%s (%d elements): CircuitKey allocates %.0f times, budget 64", c.Name, len(c.Elems), allocs)
+			t.Errorf("%s (%d elements): KeyForSubmission allocates %.0f times, budget 64", c.Name, len(c.Elems), allocs)
 		}
 	}
 }

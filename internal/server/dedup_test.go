@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"parsim/internal/cluster"
 )
 
 // metricsBody fetches /metrics as text.
@@ -57,7 +59,7 @@ func TestDedupCacheHit(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8, DedupCache: 16})
 
 	var first jobDoc
-	if resp := ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &first); resp.StatusCode != http.StatusAccepted {
+	if resp := ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &first); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit: status %d", resp.StatusCode)
 	}
 	v1 := ts.await(t, first.ID, 10*time.Second)
@@ -66,7 +68,7 @@ func TestDedupCacheHit(t *testing.T) {
 	}
 
 	var second jobDoc
-	if resp := ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &second); resp.StatusCode != http.StatusAccepted {
+	if resp := ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &second); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second submit: status %d", resp.StatusCode)
 	}
 	if second.ID == first.ID {
@@ -110,7 +112,7 @@ func TestDedupInflightCoalesce(t *testing.T) {
 	gate := testBlock.reset(started)
 	ts := newTestServer(t, Config{CoreBudget: 4, MaxQueue: 8, DedupCache: 16})
 
-	req := jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 64}
+	req := cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 64}
 	var primary jobDoc
 	if resp := ts.submit(t, req, &primary); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("primary submit: status %d", resp.StatusCode)
@@ -151,7 +153,7 @@ func TestDedupInflightCoalesce(t *testing.T) {
 // that, and so do benchmarks that replay one circuit.
 func TestDedupOffByDefault(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8})
-	req := jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 64}
+	req := cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 64}
 	for i := 0; i < 2; i++ {
 		var sub jobDoc
 		ts.submit(t, req, &sub)
@@ -172,7 +174,7 @@ func TestDedupOffByDefault(t *testing.T) {
 // (each needs its own recorder), even when byte-identical.
 func TestDedupSkipsWatchJobs(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8, DedupCache: 16})
-	req := jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 64, Watch: []string{"q"}}
+	req := cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 64, Watch: []string{"q"}}
 	for i := 0; i < 2; i++ {
 		var sub jobDoc
 		if n := parsesDuring(func() { ts.submit(t, req, &sub) }); n != 1 {
@@ -196,7 +198,7 @@ func TestDedupSkipsWatchJobs(t *testing.T) {
 // and still reads like any other finished job.
 func TestDedupVerbatimSkipsParse(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8, DedupCache: 16})
-	req := jobRequest{Netlist: testNetlist, Engine: "seq", Horizon: 64}
+	req := cluster.Submission{Netlist: testNetlist, Engine: "seq", Horizon: 64}
 
 	var first jobDoc
 	if n := parsesDuring(func() { ts.submit(t, req, &first) }); n != 1 {
@@ -243,7 +245,7 @@ func TestDedupVerbatimSkipsParse(t *testing.T) {
 func TestDedupReencodedTwinHitsByContent(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8, DedupCache: 16})
 	var first jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &first)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &first)
 	v1 := ts.await(t, first.ID, 10*time.Second)
 
 	lines := strings.Split(strings.TrimSpace(testNetlist), "\n")
@@ -283,7 +285,7 @@ func TestDedupReencodedTwinHitsByContent(t *testing.T) {
 // left the cache is built in full and runs again, under the next id.
 func TestDedupEvictedResultResimulates(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8, DedupCache: 2})
-	req := jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 64}
+	req := cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 64}
 	var first jobDoc
 	ts.submit(t, req, &first)
 	v1 := ts.await(t, first.ID, 10*time.Second)
@@ -321,7 +323,7 @@ func TestDedupEvictedResultResimulates(t *testing.T) {
 // refused afresh every time.
 func TestDedupRefusedBodyNotRemembered(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8, DedupCache: 16})
-	bad := jobRequest{Netlist: testNetlist + "elem bogus e9 out=q\n", Engine: "sequential", Horizon: 64}
+	bad := cluster.Submission{Netlist: testNetlist + "elem bogus e9 out=q\n", Engine: "sequential", Horizon: 64}
 	for i := 0; i < 2; i++ {
 		if n := parsesDuring(func() {
 			if resp := ts.submit(t, bad, nil); resp.StatusCode != http.StatusBadRequest {
@@ -347,7 +349,7 @@ func TestDedupFastPathSurvivesRestart(t *testing.T) {
 	cfg := durableConfig(dir)
 	cfg.DedupCache = 16
 	ts := newTestServer(t, cfg)
-	req := jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 200}
+	req := cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 200}
 
 	var first, second jobDoc
 	ts.submit(t, req, &first)

@@ -5,9 +5,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"parsim/internal/checkpoint"
+	"parsim/internal/cluster"
+	"parsim/internal/engine"
 )
 
 // durableConfig is the base config for the crash-durability tests: one
@@ -60,7 +65,7 @@ func TestJournalRecoveryDoneJob(t *testing.T) {
 	ts := newTestServer(t, durableConfig(dir))
 
 	var sub jobDoc
-	resp := ts.submit(t, jobRequest{
+	resp := ts.submit(t, cluster.Submission{
 		Netlist: testNetlist, Engine: "sequential", Horizon: 400,
 	}, &sub)
 	if resp.StatusCode != 202 {
@@ -123,7 +128,7 @@ func TestDrainResume(t *testing.T) {
 	// the whole test binary shares one loaded core, so the window between
 	// the first durable snapshot and completion has to dwarf scheduling
 	// latency.
-	ref.submit(t, jobRequest{
+	ref.submit(t, cluster.Submission{
 		Netlist: testNetlist, Engine: "sequential", Horizon: 200000, CostSpin: 200,
 	}, &refSub)
 	refView := waitTerminal(t, ref, refSub.ID)
@@ -134,7 +139,7 @@ func TestDrainResume(t *testing.T) {
 	dir := t.TempDir()
 	ts := newTestServer(t, durableConfig(dir))
 	var sub jobDoc
-	resp := ts.submit(t, jobRequest{
+	resp := ts.submit(t, cluster.Submission{
 		Netlist: testNetlist, Engine: "sequential", Horizon: 200000, CostSpin: 200,
 	}, &sub)
 	if resp.StatusCode != 202 {
@@ -205,7 +210,7 @@ func TestDrainResume(t *testing.T) {
 func TestJournalTornFinalLine(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
-	req := jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 100}
+	req := cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 100}
 	accepted, err := json.Marshal(journalRecord{Type: recAccepted, Job: "j-000001", Seq: 1, Req: &req})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +254,7 @@ func TestRecoveryPreservesIDCounter(t *testing.T) {
 	dir := t.TempDir()
 	ts := newTestServer(t, durableConfig(dir))
 	var first jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 100}, &first)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 100}, &first)
 	waitTerminal(t, ts, first.ID)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	ts.Drain(ctx)
@@ -257,8 +262,63 @@ func TestRecoveryPreservesIDCounter(t *testing.T) {
 
 	ts2 := newTestServer(t, durableConfig(dir))
 	var second jobDoc
-	ts2.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 100}, &second)
+	ts2.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 100}, &second)
 	if second.ID == first.ID {
 		t.Fatalf("restarted server reused job id %s", first.ID)
+	}
+}
+
+// TestJournalReplayCarriesEveryField replays an accepted record written in
+// the format earlier daemons journal, with every submission field set, and
+// checks the recovered job runs under an engine.Config carrying each value.
+func TestJournalReplayCarriesEveryField(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "sibling.ckpt")
+	if err := checkpoint.Save(snap, &checkpoint.Snapshot{Engine: "vector"}); err != nil {
+		t.Fatal(err)
+	}
+	quote := func(s string) string {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	content := `{"type":"accepted","job":"j-000001","seq":1,"req":{"netlist":` + quote(testNetlist) +
+		`,"engine":"batched","workers":2,"horizon":64,"deadline_ms":60000,"watchdog_ms":250,` +
+		`"lint":"warn","fallback":true,"cost_spin":3,"watch":["q"],"lanes":4,"lane_stride":5,` +
+		`"probe_lane":1,"fault_sim":true,"fault_max_passes":2,"fault_statuses":true,` +
+		`"resume_from":` + quote(snap) + `},"at":"2026-01-02T03:04:05Z"}` + "\n" +
+		`{"type":"done","job":"j-000001","result":{},"at":"2026-01-02T03:04:06Z"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := newTestServer(t, durableConfig(dir))
+	j, ok := ts.jobs.get("j-000001")
+	if !ok {
+		t.Fatal("journalled job was not recovered")
+	}
+	if j.engine != "vector" || j.deadline != time.Minute || len(j.watch) != 1 || j.rec == nil {
+		t.Fatalf("recovered job: engine %q, deadline %v, watch %v", j.engine, j.deadline, j.watch)
+	}
+	want := engine.Config{
+		Workers:        2,
+		Horizon:        64,
+		Probe:          j.rec,
+		CostSpin:       3,
+		Lint:           engine.LintWarn,
+		Watchdog:       250 * time.Millisecond,
+		Fallback:       engine.FallbackPolicy{Engine: "sequential"},
+		ResumeFrom:     snap,
+		Lanes:          4,
+		LaneStride:     5,
+		ProbeLane:      1,
+		FaultSim:       true,
+		FaultMaxPasses: 2,
+		FaultStatuses:  true,
+	}
+	if !reflect.DeepEqual(j.cfg, want) {
+		t.Fatalf("recovered config\n got %+v\nwant %+v", j.cfg, want)
 	}
 }

@@ -37,29 +37,16 @@ type job struct {
 	circ     *circuit.Circuit
 	circName string
 	engine   string // canonical engine name
-	cores    int    // worker cores reserved from the budget
-	horizon  circuit.Time
-	deadline time.Duration // per-job wall-clock budget (0 = none)
-	watchdog time.Duration
-	lint     engine.LintMode
-	fallback bool
-	costSpin int64
-	// Batched-run fields, passed through to the lane engines (and ignored
-	// by the scalar engines).
-	lanes      int
-	laneStride int64
-	probeLane  int
-	// Fault-simulation fields (lane engines only; validated at admission).
-	faultSim  bool
-	faultCap  int
-	faultStat bool
-	watch     []circuit.NodeID // nodes recorded for the /vcd endpoint
-	rec       *trace.Recorder  // nil unless watch nodes were requested
-	// resumeFrom names the snapshot the job continues from (empty = from
-	// scratch): set during startup recovery from this node's own journal,
-	// or at admission when a fleet requeue passes a dead sibling's
-	// snapshot via resume_from.
-	resumeFrom string
+	// cfg is the run configuration admission resolved from the
+	// submission: Workers is also the core count reserved from the
+	// budget. ResumeFrom names the snapshot the job continues from (empty
+	// = from scratch), set at admission when a fleet requeue passes a dead
+	// sibling's snapshot via resume_from, or during startup recovery from
+	// this node's own journal. runJob adds only the checkpoint spec.
+	cfg      engine.Config
+	deadline time.Duration    // per-job wall-clock budget (0 = none)
+	watch    []circuit.NodeID // nodes recorded for the /vcd endpoint
+	rec      *trace.Recorder  // cfg.Probe; nil unless watch nodes were requested
 	// key is the content-addressed job key when dedup is enabled (empty
 	// for watch jobs and when Config.DedupCache is 0).
 	key string
@@ -99,8 +86,8 @@ func (j *job) view(now time.Time) jobView {
 		State:   j.state,
 		Engine:  j.engine,
 		Circuit: j.circName,
-		Workers: j.cores,
-		Horizon: int64(j.horizon),
+		Workers: j.cfg.Workers,
+		Horizon: int64(j.cfg.Horizon),
 		Error:   j.errMsg,
 	}
 	switch j.state {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"parsim/internal/checkpoint"
+	"parsim/internal/cluster"
 )
 
 // The job journal is the daemon's crash-durability record: one JSON line
@@ -42,7 +43,7 @@ type journalRecord struct {
 	Seq int64 `json:"seq,omitempty"`
 	// Req is the full submission body (accepted records only) — enough to
 	// rebuild and re-run the job from scratch.
-	Req *jobRequest `json:"req,omitempty"`
+	Req *cluster.Submission `json:"req,omitempty"`
 	// Step is the simulated time of the snapshot (checkpointed records).
 	Step int64 `json:"step,omitempty"`
 	// Result is the marshalled run report (done records).
@@ -188,7 +189,7 @@ func (s *Server) logJournal(rec journalRecord) {
 // verifies, from scratch when it is missing or corrupt.
 func (s *Server) recoverJobs(recs []journalRecord) {
 	type pending struct {
-		req          *jobRequest
+		req          *cluster.Submission
 		checkpointed bool
 		terminal     string
 		result       json.RawMessage
@@ -260,7 +261,7 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 			if p.checkpointed {
 				ck := s.ckptPath(id)
 				if _, lerr := checkpoint.Load(ck); lerr == nil {
-					j.resumeFrom = ck
+					j.cfg.ResumeFrom = ck
 				} else {
 					log.Printf("parsimd: recovery: job %s snapshot unusable (%v); restarting from scratch", id, lerr)
 				}

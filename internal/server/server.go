@@ -202,63 +202,6 @@ func (s *Server) CoresPeak() int   { return s.budget.Peak() }
 func (s *Server) QueueDepth() int  { return s.queue.depth() }
 func (s *Server) RunningJobs() int { return int(s.runningJobs.Load()) }
 
-// jobRequest is the submission body for POST /v1/jobs.
-type jobRequest struct {
-	// Netlist is the circuit in the parsim netlist text format.
-	Netlist string `json:"netlist"`
-	// Engine names the algorithm (canonical name or alias).
-	Engine string `json:"engine"`
-	// Workers is the parallel worker count, which is also the number of
-	// cores the scheduler reserves for the run. Default 1.
-	Workers int `json:"workers,omitempty"`
-	// Horizon is the simulated time bound; required, > 0.
-	Horizon int64 `json:"horizon"`
-	// DeadlineMS bounds the run's wall-clock time (0 = server default).
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// WatchdogMS enables the stall watchdog (0 = off).
-	WatchdogMS int64 `json:"watchdog_ms,omitempty"`
-	// Lint selects pre-flight analysis: "off", "warn" or "strict".
-	Lint string `json:"lint,omitempty"`
-	// Fallback retries a faulted run on the sequential engine.
-	Fallback bool `json:"fallback,omitempty"`
-	// CostSpin is the synthetic per-evaluation work multiplier.
-	CostSpin int64 `json:"cost_spin,omitempty"`
-	// Watch lists node names to record; required for the /vcd endpoint.
-	Watch []string `json:"watch,omitempty"`
-	// Lanes batches seed-shifted stimulus vectors into one run of a lane
-	// engine (0 = the engine's default: 64, one machine word, for vector
-	// and 1 for jit; larger counts widen every node plane to
-	// ceil(lanes/64) words and are admission-checked against the server's
-	// plane budget; ignored by the scalar engines). One job, one core
-	// reservation, Lanes results: the per-lane final values come back in
-	// the result's lane_final rows.
-	Lanes int `json:"lanes,omitempty"`
-	// LaneStride is the per-lane rand/gray seed offset (0 = 1).
-	LaneStride int64 `json:"lane_stride,omitempty"`
-	// ProbeLane selects the lane the watch recording and the final values
-	// observe (default 0, the scalar-identical lane); it must be below the
-	// lane count the job runs at, which is 1 for a scalar engine.
-	ProbeLane int `json:"probe_lane,omitempty"`
-	// FaultSim switches a lane-engine job (vector or jit) to concurrent
-	// stuck-at fault simulation: lane 0 simulates the good machine, every
-	// other lane injects one fault from the circuit's collapsed stuck-at
-	// list, and the result carries a fault_coverage section. Rejected
-	// (400) on any other engine.
-	FaultSim bool `json:"fault_sim,omitempty"`
-	// FaultMaxPasses caps the chunked fault passes (0 = whole list).
-	FaultMaxPasses int `json:"fault_max_passes,omitempty"`
-	// FaultStatuses includes the per-fault site/step rows in the result.
-	FaultStatuses bool `json:"fault_statuses,omitempty"`
-	// ResumeFrom names a checkpoint snapshot file on the server's
-	// filesystem to continue from instead of starting at t=0. The fleet
-	// coordinator sets it when requeueing a job off a dead node that left
-	// a snapshot behind (state dirs shared between nodes). A snapshot
-	// that is missing, corrupt or on a checkpoint-incapable engine is
-	// dropped and the job runs from scratch — resuming is an optimisation,
-	// never a correctness requirement.
-	ResumeFrom string `json:"resume_from,omitempty"`
-}
-
 // errorBody is the JSON shape of every non-2xx response.
 type errorBody struct {
 	Error string `json:"error"`
@@ -301,14 +244,14 @@ type memoEntry struct {
 type submission struct {
 	body   []byte
 	digest string // raw SHA-256 of body; empty when dedup is off
-	req    *jobRequest
+	req    *cluster.Submission
 }
 
 // request decodes the body on first use.
-func (sub *submission) request() (*jobRequest, error) {
+func (sub *submission) request() (*cluster.Submission, error) {
 	if sub.req == nil {
-		req := new(jobRequest)
-		if err := json.NewDecoder(bytes.NewReader(sub.body)).Decode(req); err != nil {
+		req, err := cluster.DecodeSubmission(sub.body)
+		if err != nil {
 			return nil, err
 		}
 		sub.req = req
@@ -356,7 +299,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if v, ok := s.memo.Get(sub.digest); ok {
 			e := v.(*memoEntry)
 			j = &job{key: e.key, circName: e.circName, engine: e.engine,
-				cores: e.cores, horizon: e.horizon, state: jobQueued}
+				cfg: engine.Config{Workers: e.cores, Horizon: e.horizon}, state: jobQueued}
 		}
 	}
 	if j == nil {
@@ -423,7 +366,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) admit(w http.ResponseWriter, sub *submission) *job {
 	req, err := sub.request()
 	if err != nil {
-		s.reject(w, http.StatusBadRequest, "malformed JSON body: %v", err)
+		s.reject(w, http.StatusBadRequest, "%v", err)
 		return nil
 	}
 	j, status, err := s.buildJob(req)
@@ -433,7 +376,7 @@ func (s *Server) admit(w http.ResponseWriter, sub *submission) *job {
 	}
 	if j.key != "" {
 		s.memo.Put(sub.digest, &memoEntry{key: j.key, circName: j.circName,
-			engine: j.engine, cores: j.cores, horizon: j.horizon})
+			engine: j.engine, cores: j.cfg.Workers, horizon: j.cfg.Horizon})
 	}
 	return j
 }
@@ -484,11 +427,12 @@ func (s *Server) clearPrimary(j *job) {
 // pinned against it.
 var parseRuns atomic.Int64
 
-// buildJob validates a submission and assembles the job record; the
-// handler assigns the id and timestamps. On refusal it returns the HTTP
-// status the submission deserves. Journal recovery reuses it so a
-// replayed request passes exactly the admission checks a live one does.
-func (s *Server) buildJob(req *jobRequest) (*job, int, error) {
+// buildJob validates a submission and assembles the job record, mapping
+// the wire options onto the engine.Config the job runs under; the handler
+// assigns the id and timestamps. On refusal it returns the HTTP status the
+// submission deserves. Journal recovery reuses it so a replayed request
+// passes exactly the admission checks a live one does.
+func (s *Server) buildJob(req *cluster.Submission) (*job, int, error) {
 	fail := func(status int, format string, args ...any) (*job, int, error) {
 		return nil, status, fmt.Errorf(format, args...)
 	}
@@ -599,47 +543,39 @@ func (s *Server) buildJob(req *jobRequest) (*job, int, error) {
 	}
 
 	j := &job{
-		circ:       circ,
-		circName:   circ.Name,
-		engine:     eng.Name(),
-		cores:      workers,
-		horizon:    circuit.Time(req.Horizon),
-		deadline:   deadline,
-		watchdog:   time.Duration(req.WatchdogMS) * time.Millisecond,
-		lint:       lint,
-		fallback:   req.Fallback,
-		costSpin:   req.CostSpin,
-		watch:      watch,
-		lanes:      req.Lanes,
-		laneStride: req.LaneStride,
-		probeLane:  req.ProbeLane,
-		faultSim:   req.FaultSim,
-		faultCap:   req.FaultMaxPasses,
-		faultStat:  req.FaultStatuses,
-		resumeFrom: resume,
-		state:      jobQueued,
-	}
-	if len(watch) > 0 {
-		j.rec = trace.NewRecorderFor(watch...)
-	}
-	// Content-addressed job key, computed only when dedup is on. Watch
-	// jobs are excluded: their recorded waveform is per-job state a cached
-	// result cannot stand in for.
-	if s.dedup != nil && len(watch) == 0 {
-		j.key = cluster.KeyForSubmission(circ, &cluster.Submission{
-			Engine:         req.Engine,
-			Workers:        req.Workers,
-			Horizon:        req.Horizon,
-			Lint:           req.Lint,
-			Fallback:       req.Fallback,
+		circ:     circ,
+		circName: circ.Name,
+		engine:   eng.Name(),
+		cfg: engine.Config{
+			Workers:        workers,
+			Horizon:        circuit.Time(req.Horizon),
 			CostSpin:       req.CostSpin,
+			Lint:           lint,
+			Watchdog:       time.Duration(req.WatchdogMS) * time.Millisecond,
 			Lanes:          req.Lanes,
 			LaneStride:     req.LaneStride,
 			ProbeLane:      req.ProbeLane,
 			FaultSim:       req.FaultSim,
 			FaultMaxPasses: req.FaultMaxPasses,
 			FaultStatuses:  req.FaultStatuses,
-		})
+			ResumeFrom:     resume,
+		},
+		deadline: deadline,
+		watch:    watch,
+		state:    jobQueued,
+	}
+	if req.Fallback {
+		j.cfg.Fallback = engine.FallbackPolicy{Engine: "sequential"}
+	}
+	if len(watch) > 0 {
+		j.rec = trace.NewRecorderFor(watch...)
+		j.cfg.Probe = j.rec
+	}
+	// Content-addressed job key, computed only when dedup is on. Watch
+	// jobs are excluded: their recorded waveform is per-job state a cached
+	// result cannot stand in for.
+	if s.dedup != nil && len(watch) == 0 {
+		j.key = cluster.KeyForSubmission(circ, req)
 	}
 	return j, http.StatusOK, nil
 }
@@ -696,7 +632,7 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 func serveVCD(w http.ResponseWriter, j *job) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	trace.WriteVCD(w, j.circ, j.rec, j.horizon, j.watch...)
+	trace.WriteVCD(w, j.circ, j.rec, j.cfg.Horizon, j.watch...)
 }
 
 // handleHealthz is GET /healthz: 200 while accepting work, 503 draining.
@@ -741,7 +677,7 @@ func (s *Server) dispatch() {
 		}
 		// Reserve cores while the job is still the counted head of the
 		// queue, so a core-starved head keeps admission control honest.
-		admitted := !s.draining.Load() && s.budget.acquire(j.cores)
+		admitted := !s.draining.Load() && s.budget.acquire(j.cfg.Workers)
 		s.queue.removeHead()
 		if !admitted {
 			now := time.Now()
@@ -764,7 +700,7 @@ func (s *Server) dispatch() {
 // and metrics.
 func (s *Server) runJob(j *job) {
 	defer s.running.Done()
-	defer s.budget.release(j.cores)
+	defer s.budget.release(j.cfg.Workers)
 	start := time.Now()
 	s.met.onStart(start.Sub(j.submitted))
 	j.setRunning(start)
@@ -778,25 +714,7 @@ func (s *Server) runJob(j *job) {
 		ctx, cancel = context.WithTimeout(ctx, j.deadline)
 		defer cancel()
 	}
-	cfg := engine.Config{
-		Workers:        j.cores,
-		Horizon:        j.horizon,
-		CostSpin:       j.costSpin,
-		Lint:           j.lint,
-		Watchdog:       j.watchdog,
-		Lanes:          j.lanes,
-		LaneStride:     j.laneStride,
-		ProbeLane:      j.probeLane,
-		FaultSim:       j.faultSim,
-		FaultMaxPasses: j.faultCap,
-		FaultStatuses:  j.faultStat,
-	}
-	if j.rec != nil {
-		cfg.Probe = j.rec
-	}
-	if j.fallback {
-		cfg.Fallback = engine.FallbackPolicy{Engine: "sequential"}
-	}
+	cfg := j.cfg
 	// Durable jobs on checkpoint-capable engines snapshot periodically —
 	// and once more at the stop boundary if the run is cancelled — so a
 	// crashed or drained daemon resumes them instead of replaying from
@@ -809,12 +727,6 @@ func (s *Server) runJob(j *job) {
 				s.logJournal(journalRecord{Type: recCheckpointed, Job: j.id, Step: step})
 			},
 		}
-	}
-	// Resume applies with or without a local journal: journal recovery
-	// sets resumeFrom to this node's own snapshot, while a fleet requeue
-	// passes a dead sibling's snapshot through the submission body.
-	if j.resumeFrom != "" && engine.SupportsCheckpoint(j.engine) {
-		cfg.ResumeFrom = j.resumeFrom
 	}
 	rep, err := engine.Run(ctx, j.engine, j.circ, cfg)
 	if j.rec == nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"parsim/internal/circuit"
+	"parsim/internal/cluster"
 	"parsim/internal/engine"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
@@ -121,7 +122,7 @@ func newTestServer(t *testing.T, cfg Config) *testServer {
 }
 
 // submit posts a job request and decodes the response body into out.
-func (ts *testServer) submit(t *testing.T, req jobRequest, out any) *http.Response {
+func (ts *testServer) submit(t *testing.T, req cluster.Submission, out any) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -189,7 +190,7 @@ func TestEndToEndAllEngines(t *testing.T) {
 			workers = 1
 		}
 		var sub jobDoc
-		resp := ts.submit(t, jobRequest{
+		resp := ts.submit(t, cluster.Submission{
 			Netlist: testNetlist, Engine: name, Workers: workers, Horizon: 64,
 		}, &sub)
 		if resp.StatusCode != http.StatusAccepted {
@@ -226,7 +227,7 @@ func TestSchedulerNeverOversubscribes(t *testing.T) {
 	for i := 0; i < jobs; i++ {
 		workers := 1 + i%budget // mix of narrow and wide jobs
 		var sub jobDoc
-		resp := ts.submit(t, jobRequest{
+		resp := ts.submit(t, cluster.Submission{
 			Netlist: testNetlist, Engine: "asynchronous", Workers: workers, Horizon: 128,
 		}, &sub)
 		if resp.StatusCode != http.StatusAccepted {
@@ -265,14 +266,14 @@ func TestQueueFullRejects(t *testing.T) {
 
 	// One job runs (reserving the single core), two fill the queue.
 	for i := 0; i < 3; i++ {
-		resp := ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, nil)
+		resp := ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, nil)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("job %d: submit status %d", i, resp.StatusCode)
 		}
 	}
 	<-started // the first job is definitely running, so 2 sit queued
 	var errBody errorBody
-	resp := ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &errBody)
+	resp := ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &errBody)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: status %d, want 429", resp.StatusCode)
 	}
@@ -289,17 +290,17 @@ func TestAdmissionValidation(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4, MaxBodyBytes: 4096, MaxNodes: 3})
 	cases := []struct {
 		name string
-		req  jobRequest
+		req  cluster.Submission
 		want int
 		msg  string
 	}{
-		{"unknown engine", jobRequest{Netlist: testNetlist, Engine: "warp-9", Horizon: 8}, 400, "unknown algorithm"},
-		{"zero horizon", jobRequest{Netlist: testNetlist, Engine: "asynchronous"}, 400, "horizon"},
-		{"too wide", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Workers: 99, Horizon: 8}, 400, "core budget"},
-		{"bad lint", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, Lint: "pedantic"}, 400, "lint"},
-		{"bad netlist", jobRequest{Netlist: "circuit x\nnode", Engine: "asynchronous", Horizon: 8}, 400, "netlist"},
-		{"too many nodes", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8}, 413, "nodes"},
-		{"unknown watch node", jobRequest{Netlist: "circuit x\nnode a 1\nelem clock c delay=1 out=a period=4\n",
+		{"unknown engine", cluster.Submission{Netlist: testNetlist, Engine: "warp-9", Horizon: 8}, 400, "unknown algorithm"},
+		{"zero horizon", cluster.Submission{Netlist: testNetlist, Engine: "asynchronous"}, 400, "horizon"},
+		{"too wide", cluster.Submission{Netlist: testNetlist, Engine: "asynchronous", Workers: 99, Horizon: 8}, 400, "core budget"},
+		{"bad lint", cluster.Submission{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, Lint: "pedantic"}, 400, "lint"},
+		{"bad netlist", cluster.Submission{Netlist: "circuit x\nnode", Engine: "asynchronous", Horizon: 8}, 400, "netlist"},
+		{"too many nodes", cluster.Submission{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8}, 413, "nodes"},
+		{"unknown watch node", cluster.Submission{Netlist: "circuit x\nnode a 1\nelem clock c delay=1 out=a period=4\n",
 			Engine: "asynchronous", Horizon: 8, Watch: []string{"zz"}}, 400, "watch"},
 	}
 	for _, tc := range cases {
@@ -314,7 +315,7 @@ func TestAdmissionValidation(t *testing.T) {
 		}
 	}
 	// Oversized body: bigger than MaxBodyBytes before it even parses.
-	big := jobRequest{Netlist: strings.Repeat("# padding\n", 1024), Engine: "asynchronous", Horizon: 8}
+	big := cluster.Submission{Netlist: strings.Repeat("# padding\n", 1024), Engine: "asynchronous", Horizon: 8}
 	var errBody errorBody
 	if resp := ts.submit(t, big, &errBody); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d, want 413 (%q)", resp.StatusCode, errBody.Error)
@@ -328,7 +329,7 @@ func TestDeadlineFailsJob(t *testing.T) {
 	defer close(gate)
 	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 4})
 	var sub jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8, DeadlineMS: 50}, &sub)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8, DeadlineMS: 50}, &sub)
 	v := ts.await(t, sub.ID, 10*time.Second)
 	if v.State != jobFailed {
 		t.Fatalf("state %s, want failed", v.State)
@@ -345,7 +346,7 @@ func TestWatchdogStallSurfaces(t *testing.T) {
 	defer close(gate)
 	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 4})
 	var sub jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8,
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8,
 		WatchdogMS: 100, DeadlineMS: 30000}, &sub)
 	v := ts.await(t, sub.ID, 10*time.Second)
 	if v.State != jobFailed {
@@ -365,8 +366,8 @@ func TestGracefulDrain(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 8})
 
 	var first, second jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &first)
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &second)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &first)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &second)
 	<-started // first is running; second sits in the queue
 
 	drainErr := make(chan error, 1)
@@ -380,7 +381,7 @@ func TestGracefulDrain(t *testing.T) {
 	waitFor(t, time.Second, func() bool {
 		return ts.getJSON(t, "/healthz", nil) == http.StatusServiceUnavailable
 	})
-	if resp := ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, nil); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp := ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: status %d, want 503", resp.StatusCode)
 	}
 
@@ -404,7 +405,7 @@ func TestForcedDrainCancelsRunning(t *testing.T) {
 	defer close(gate)
 	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 4})
 	var sub jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &sub)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &sub)
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -422,7 +423,7 @@ func TestForcedDrainCancelsRunning(t *testing.T) {
 func TestVCDEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
 	var sub jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "asynchronous", Workers: 2,
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "asynchronous", Workers: 2,
 		Horizon: 64, Watch: []string{"clk", "q"}}, &sub)
 
 	// Before completion the endpoint must refuse with 409 or, if the tiny
@@ -450,7 +451,7 @@ func TestVCDEndpoint(t *testing.T) {
 
 	// A job without watch nodes has no waveform.
 	var plain jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 16}, &plain)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 16}, &plain)
 	ts.await(t, plain.ID, 10*time.Second)
 	if code := ts.getJSON(t, "/v1/jobs/"+plain.ID+"/vcd", nil); code != http.StatusNotFound {
 		t.Errorf("vcd of unwatched job: status %d, want 404", code)
@@ -461,12 +462,12 @@ func TestVCDEndpoint(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
 	var sub jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &sub)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 64}, &sub)
 	if v := ts.await(t, sub.ID, 10*time.Second); v.State != jobDone {
 		t.Fatalf("state %s", v.State)
 	}
 	// One rejection for the by-reason counter.
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "nope", Horizon: 8}, nil)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "nope", Horizon: 8}, nil)
 
 	resp, err := http.Get(ts.ts.URL + "/metrics")
 	if err != nil {
@@ -499,8 +500,8 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestListJobs(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 8})
 	var first, second jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "sequential", Horizon: 16}, &first)
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "event-driven", Workers: 2, Horizon: 16}, &second)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 16}, &first)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "event-driven", Workers: 2, Horizon: 16}, &second)
 	ts.await(t, first.ID, 10*time.Second)
 	ts.await(t, second.ID, 10*time.Second)
 	var list struct {
@@ -522,7 +523,7 @@ func TestListJobs(t *testing.T) {
 func TestBatchedVectorJob(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
 	var sub jobDoc
-	resp := ts.submit(t, jobRequest{
+	resp := ts.submit(t, cluster.Submission{
 		Netlist: testNetlist, Engine: "vector", Workers: 1, Horizon: 64,
 		Lanes: 4, LaneStride: 7, ProbeLane: 2,
 	}, &sub)
@@ -555,7 +556,7 @@ func TestBatchedVectorJob(t *testing.T) {
 
 	// Scalar engines ignore the batch fields and report no lane rows.
 	var plain jobDoc
-	ts.submit(t, jobRequest{Netlist: testNetlist, Engine: "compiled", Workers: 1, Horizon: 64, Lanes: 4}, &plain)
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "compiled", Workers: 1, Horizon: 64, Lanes: 4}, &plain)
 	pv := ts.await(t, plain.ID, 10*time.Second)
 	if pv.State != jobDone {
 		t.Fatalf("compiled state %s (error %q)", pv.State, pv.Error)
@@ -571,18 +572,18 @@ func TestBatchedAdmissionValidation(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
 	cases := []struct {
 		name string
-		req  jobRequest
+		req  cluster.Submission
 		msg  string
 	}{
-		{"lanes too wide", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: logic.MaxWideLanes + 1}, "lanes"},
-		{"negative lanes", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: -1}, "lanes"},
-		{"probe lane out of range", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 4, ProbeLane: 4}, "probe_lane"},
-		{"negative probe lane", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, ProbeLane: -1}, "probe_lane"},
+		{"lanes too wide", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: logic.MaxWideLanes + 1}, "lanes"},
+		{"negative lanes", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: -1}, "lanes"},
+		{"probe lane out of range", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 4, ProbeLane: 4}, "probe_lane"},
+		{"negative probe lane", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, ProbeLane: -1}, "probe_lane"},
 		// lanes: 0 means the engine's own default, and jit's is 1, not 64.
-		{"probe lane past jit's default lanes", jobRequest{Netlist: testNetlist, Engine: "jit", Horizon: 8, ProbeLane: 3}, "probe_lane"},
-		{"probe lane past auto's scalar lane", jobRequest{Netlist: testNetlist, Engine: "auto", Horizon: 8, ProbeLane: 3}, "probe_lane"},
-		{"fault sim on scalar engine", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, FaultSim: true}, "fault_sim"},
-		{"fault sim single lane", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 1, FaultSim: true}, "fault_sim"},
+		{"probe lane past jit's default lanes", cluster.Submission{Netlist: testNetlist, Engine: "jit", Horizon: 8, ProbeLane: 3}, "probe_lane"},
+		{"probe lane past auto's scalar lane", cluster.Submission{Netlist: testNetlist, Engine: "auto", Horizon: 8, ProbeLane: 3}, "probe_lane"},
+		{"fault sim on scalar engine", cluster.Submission{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, FaultSim: true}, "fault_sim"},
+		{"fault sim single lane", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 1, FaultSim: true}, "fault_sim"},
 	}
 	for _, tc := range cases {
 		var errBody errorBody
@@ -606,17 +607,17 @@ func TestWideLaneAdmission(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4, MaxNodes: 8})
 	cases := []struct {
 		name string
-		req  jobRequest
+		req  cluster.Submission
 		want int
 		msg  string
 	}{
-		{"one word fits", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 64}, 202, ""},
-		{"two words fit", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 128}, 202, ""},
-		{"three words too big", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 192}, 413, "plane words"},
-		{"max width too big", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: logic.MaxWideLanes}, 413, "plane words"},
-		{"fault sim wide too big", jobRequest{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 1024, FaultSim: true}, 413, "plane words"},
-		{"jit carries fault sim too", jobRequest{Netlist: testNetlist, Engine: "jit", Horizon: 8, Lanes: 64, FaultSim: true}, 202, ""},
-		{"scalar ignores lanes", jobRequest{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, Lanes: logic.MaxWideLanes}, 202, ""},
+		{"one word fits", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 64}, 202, ""},
+		{"two words fit", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 128}, 202, ""},
+		{"three words too big", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 192}, 413, "plane words"},
+		{"max width too big", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: logic.MaxWideLanes}, 413, "plane words"},
+		{"fault sim wide too big", cluster.Submission{Netlist: testNetlist, Engine: "vector", Horizon: 8, Lanes: 1024, FaultSim: true}, 413, "plane words"},
+		{"jit carries fault sim too", cluster.Submission{Netlist: testNetlist, Engine: "jit", Horizon: 8, Lanes: 64, FaultSim: true}, 202, ""},
+		{"scalar ignores lanes", cluster.Submission{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8, Lanes: logic.MaxWideLanes}, 202, ""},
 	}
 	for _, tc := range cases {
 		var errBody errorBody
@@ -642,7 +643,7 @@ func TestWideLaneAdmission(t *testing.T) {
 func TestWideFaultJob(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
 	var sub jobDoc
-	resp := ts.submit(t, jobRequest{
+	resp := ts.submit(t, cluster.Submission{
 		Netlist: testNetlist, Engine: "vector", Workers: 1, Horizon: 64,
 		Lanes: 64, FaultSim: true, FaultStatuses: true,
 	}, &sub)

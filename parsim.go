@@ -191,39 +191,43 @@ var (
 	HistoryDiff = trace.Diff
 )
 
-// Algorithm selects a simulation algorithm.
-type Algorithm int
+// Algorithm selects a simulation algorithm by its engine registry name:
+// the constants below are the canonical names of the registered
+// simulators, and ParseAlgorithm returns the canonical name of any
+// registered engine or alias ("auto" included). The zero value selects
+// Sequential.
+type Algorithm string
 
-// The four simulators.
+// The registered simulators.
 const (
 	// Sequential is the uniprocessor event-driven reference algorithm.
-	Sequential Algorithm = iota
+	Sequential Algorithm = "sequential"
 	// EventDriven is the synchronous parallel event-driven algorithm.
-	EventDriven
+	EventDriven Algorithm = "event-driven"
 	// Compiled is the parallel unit-delay compiled-mode algorithm. It
 	// ignores element delays (everything behaves unit-delay), so its
 	// histories match the others only on unit-delay circuits.
-	Compiled
+	Compiled Algorithm = "compiled"
 	// Async is the lock-free, barrier-free asynchronous algorithm — the
 	// paper's primary contribution.
-	Async
+	Async Algorithm = "asynchronous"
 	// DistAsync is the asynchronous algorithm restructured for distributed
 	// memory (the paper's stated future work, "porting these algorithms to
 	// a hypercube architecture"): partitioned workers exchanging event
 	// messages over channels, with Safra token-ring termination detection.
-	DistAsync
+	DistAsync Algorithm = "distributed-async"
 	// TimeWarp is the rollback-based optimistic baseline the paper argues
 	// against (Arnold's simulator, built on Jefferson's Virtual Time):
 	// elements execute speculatively; stragglers force state restoration
 	// and anti-message cancellation. Result.Rollbacks and Result.PeakLog
 	// quantify the paper's two criticisms.
-	TimeWarp
+	TimeWarp Algorithm = "time-warp"
 	// ChandyMisra is the conservative baseline the paper refines: node
 	// valid-times stay frozen while the simulation runs, so it repeatedly
 	// deadlocks and a global clock-value update restarts it. The paper's
 	// contribution is exactly the incremental valid-time advancement that
 	// makes these deadlocks impossible; Result.Rounds counts them.
-	ChandyMisra
+	ChandyMisra Algorithm = "chandy-misra"
 	// Vector is the levelized plane core under its batched name: N
 	// independent stimulus lanes advance through the circuit simultaneously,
 	// 64 lanes per machine word and as many words per node plane as the run
@@ -233,7 +237,7 @@ const (
 	// into a concurrent stuck-at fault simulator. It is the same engine as
 	// JIT — one compiler, one step loop — and differs from it only in the
 	// default lane count.
-	Vector
+	Vector Algorithm = "vector"
 	// JIT is the levelized plane core under its scalar name (Options.Lanes
 	// 0 means 1; alias "codegen"): the circuit's levelized schedule is
 	// lowered once, at run start, into per-level batches of branch-free
@@ -247,36 +251,15 @@ const (
 	// element every step) run through a compiler instead of an
 	// interpreter; Options.Lanes and Options.FaultSim apply exactly as for
 	// Vector.
-	JIT
-
-	// numAlgorithms is one past the last constant; ParseAlgorithm scans up
-	// to it, so a constant added above is found without touching the scan.
-	numAlgorithms
+	JIT Algorithm = "jit"
 )
 
-// String returns the algorithm name.
+// String returns the registry name; the zero value names Sequential.
 func (a Algorithm) String() string {
-	switch a {
-	case Sequential:
-		return "sequential"
-	case EventDriven:
-		return "event-driven"
-	case Compiled:
-		return "compiled"
-	case Async:
-		return "asynchronous"
-	case DistAsync:
-		return "distributed-async"
-	case TimeWarp:
-		return "time-warp"
-	case ChandyMisra:
-		return "chandy-misra"
-	case Vector:
-		return "vector"
-	case JIT:
-		return "jit"
+	if a == "" {
+		return string(Sequential)
 	}
-	return "unknown"
+	return string(a)
 }
 
 // Options configures Simulate.

@@ -52,7 +52,7 @@ func TestSimulateErrors(t *testing.T) {
 	cases := []Options{
 		{Algorithm: Sequential, Horizon: 10, Workers: 4}, // seq is single-worker
 		{Algorithm: Async, Horizon: -1},
-		{Algorithm: Algorithm(99), Horizon: 10},
+		{Algorithm: "warp-9", Horizon: 10}, // not a registered name
 		{Algorithm: Async, Horizon: 10, Workers: -3},
 	}
 	for i, opts := range cases {
@@ -81,20 +81,27 @@ func TestAlgorithmNames(t *testing.T) {
 		Sequential: "sequential", EventDriven: "event-driven",
 		Compiled: "compiled", Async: "asynchronous",
 		DistAsync: "distributed-async", TimeWarp: "time-warp",
-		ChandyMisra: "chandy-misra", Vector: "vector", JIT: "jit", Algorithm(99): "unknown",
+		ChandyMisra: "chandy-misra", Vector: "vector", JIT: "jit", "": "sequential",
 	}
 	for a, want := range names {
 		if a.String() != want {
-			t.Errorf("%d.String() = %q", a, a.String())
+			t.Errorf("Algorithm(%q).String() = %q, want %q", string(a), a.String(), want)
 		}
+	}
+	// An unregistered name is the registry's error, at parse and at run.
+	if _, err := ParseAlgorithm("warp-9"); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Errorf("ParseAlgorithm(warp-9): %v, want the registry's unknown-algorithm error", err)
+	}
+	if _, err := Simulate(buildBlinker(t), Options{Algorithm: "warp-9", Horizon: 10}); err == nil ||
+		!strings.Contains(err.Error(), "unknown algorithm") {
+		t.Errorf("Simulate(warp-9): %v, want the registry's unknown-algorithm error", err)
 	}
 }
 
 // TestParseAlgorithmCoversRegistry walks the engine registry: every
-// canonical name and every alias must resolve to the facade constant whose
-// String() is the engine's canonical name. Only "auto" (alias "select") is
-// exempt — it is a selector over the other engines, reached through
-// Options.Engine, and deliberately has no Algorithm constant.
+// canonical name and every alias — "auto" and its alias "select" included
+// — must resolve to the Algorithm whose String() is the engine's canonical
+// name.
 func TestParseAlgorithmCoversRegistry(t *testing.T) {
 	aliases := map[string]string{
 		"seq": "sequential", "event": "event-driven", "parallel-event-driven": "event-driven",
@@ -110,12 +117,6 @@ func TestParseAlgorithmCoversRegistry(t *testing.T) {
 	}
 	for name, canonical := range aliases {
 		a, err := ParseAlgorithm(name)
-		if canonical == "auto" {
-			if err == nil {
-				t.Errorf("ParseAlgorithm(%q) = %v; auto has no Algorithm constant", name, a)
-			}
-			continue
-		}
 		if err != nil {
 			t.Errorf("ParseAlgorithm(%q): %v", name, err)
 		} else if a.String() != canonical {

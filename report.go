@@ -15,19 +15,14 @@ import (
 func Algorithms() []string { return engine.Names() }
 
 // ParseAlgorithm resolves an engine name or alias (case-insensitive,
-// e.g. "async", "tw", "event-driven") to the facade Algorithm constant,
-// through the same registry every other dispatch path uses.
+// e.g. "async", "tw", "event-driven") to the Algorithm carrying its
+// canonical name, through the same registry every other dispatch path uses.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	e, err := engine.Get(name)
 	if err != nil {
 		return Sequential, err
 	}
-	for a := Sequential; a < numAlgorithms; a++ {
-		if a.String() == e.Name() {
-			return a, nil
-		}
-	}
-	return Sequential, fmt.Errorf("parsim: engine %q has no facade Algorithm constant", e.Name())
+	return Algorithm(e.Name()), nil
 }
 
 // resultJSON is the stable wire form of a Result: the run-report schema
