@@ -46,10 +46,11 @@ auto-test:
 	$(GO) test -race -timeout 5m -count=1 ./internal/analyze ./internal/machine ./internal/auto
 
 ## ckpt-test runs the crash-durability suite under the race detector: the
-## snapshot codec (round-trip, corruption, the FuzzCheckpoint corpus), the
-## async coalescing writer, bit-identical resume on every engine, the
-## parsimd job journal + restart recovery, and the end-to-end kill -9
-## daemon test.
+## snapshot codec (round-trip, corruption, the FuzzCheckpoint corpus, Load
+## refusing devices, directories and FIFOs), the async coalescing writer,
+## bit-identical resume on every engine, the typed refusal of malformed
+## snapshots, the parsimd job journal + restart recovery, and the
+## end-to-end kill -9 daemon test.
 ckpt-test:
 	$(GO) test -race -timeout 5m -count=1 -run 'TestResume' .
 	$(GO) test -race -timeout 5m -count=1 ./internal/checkpoint
@@ -165,12 +166,16 @@ fuzz:
 ## its sorted-slice model (pop order, Dump -> Restore, the lending rule),
 ## then the parsimd job JSON (the submit handler answers 200/202/400/413/429,
 ## never a panic or a 5xx, and refuses as malformed exactly what
-## cluster.DecodeSubmission refuses).
+## cluster.DecodeSubmission refuses), then the snapshot decoder (every
+## rejection a typed *CorruptError, every accepted frame round-trips). The
+## decoder leg caps input minimisation at 2s: its mutated ~4 KB snapshots
+## otherwise spend the whole budget minimising (~7k execs instead of ~300k).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzEngines -fuzztime=30s -run '^$$' .
 	$(GO) test -fuzz=FuzzNetlist -fuzztime=15s -run '^$$' ./internal/netlist
 	$(GO) test -fuzz=FuzzQueue -fuzztime=15s -run '^$$' ./internal/eventq
 	$(GO) test -fuzz=FuzzSubmit -fuzztime=15s -run '^$$' ./internal/server
+	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=15s -fuzzminimizetime=2s -run '^$$' ./internal/checkpoint
 
 clean:
 	$(GO) clean ./...

@@ -3,10 +3,13 @@ package parsim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"parsim/internal/checkpoint"
 )
 
 // vcdBytes renders rec as a VCD; resumed runs must reproduce these bytes
@@ -216,14 +219,18 @@ func TestResumeVectorFaultSim(t *testing.T) {
 
 // TestResumeAfterCancel checkpoints a run, cancels it mid-flight (the
 // engine writes a final snapshot at the stop boundary), then resumes and
-// checks the stitched run matches an uninterrupted one.
+// checks the stitched run matches an uninterrupted one. The plane-core rows
+// exercise its drain capture at the stop step under both registry names.
 func TestResumeAfterCancel(t *testing.T) {
-	for _, alg := range []Algorithm{Sequential, Compiled} {
+	for _, base := range []Options{
+		{Algorithm: Sequential},
+		{Algorithm: Compiled, Workers: 2},
+		{Algorithm: JIT, Workers: 2},
+		{Algorithm: Vector, Workers: 2, Lanes: 8},
+	} {
+		alg := base.Algorithm
 		c := RandomUnitCircuit(3, 60)
-		base := Options{Algorithm: alg, Horizon: 2000, CostSpin: 50}
-		if alg != Sequential {
-			base.Workers = 2
-		}
+		base.Horizon, base.CostSpin = 2000, 50
 
 		recA := NewRecorder()
 		oA := base
@@ -238,6 +245,9 @@ func TestResumeAfterCancel(t *testing.T) {
 		oB.Checkpoint = ckpt
 		oB.CheckpointEvery = 100
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		// The timeout is the backstop; the probe cancels at a fixed
+		// simulated time, so the run stops mid-flight on a fast host too.
+		oB.Probe = cancelAtProbe{at: cancelAt, cancel: cancel}
 		_, err = SimulateContext(ctx, c.Clone(), oB)
 		cancel()
 		if err == nil {
@@ -247,6 +257,17 @@ func TestResumeAfterCancel(t *testing.T) {
 		}
 		if _, statErr := os.Stat(ckpt); statErr != nil {
 			t.Fatalf("%v: no snapshot after cancel: %v", alg, statErr)
+		}
+		if errors.Is(err, context.Canceled) {
+			// Periodic captures are every 100 steps and at most one per
+			// write gap; only the drain capture lands past the cancel time.
+			snap, lerr := checkpoint.Load(ckpt)
+			if lerr != nil {
+				t.Fatalf("%v: %v", alg, lerr)
+			}
+			if snap.Step < int64(cancelAt) {
+				t.Errorf("%v: snapshot at step %d, want the drain capture at or after %d", alg, snap.Step, cancelAt)
+			}
 		}
 
 		recC := NewRecorder()
@@ -261,5 +282,20 @@ func TestResumeAfterCancel(t *testing.T) {
 			t.Errorf("%v: resumed run does not report Resumed", alg)
 		}
 		sameFinals(t, alg.String()+" cancel-resume", resA.Final, resC.Final)
+	}
+}
+
+// cancelAt is the simulated time TestResumeAfterCancel stops its run at.
+const cancelAt Time = 1000
+
+// cancelAtProbe cancels a run at its first node change at or after at.
+type cancelAtProbe struct {
+	at     Time
+	cancel context.CancelFunc
+}
+
+func (p cancelAtProbe) OnChange(_ NodeID, t Time, _ Value) {
+	if t >= p.at {
+		p.cancel()
 	}
 }

@@ -47,45 +47,48 @@ const maxPayload = 1 << 32
 // an engine without quiescent-point snapshot support.
 var ErrUnsupported = errors.New("checkpoint: engine does not support checkpoint/resume")
 
-// CorruptError reports a snapshot file that failed structural validation:
-// truncation, bad magic, unknown version, checksum mismatch or an
-// undecodable payload. A corrupt snapshot is never silently resumed.
+// CorruptError reports a snapshot that failed structural validation:
+// truncation, bad magic, unknown version, checksum mismatch, an
+// undecodable payload, a file no snapshot can be — or, with Field set, a
+// section that fails Engine's restore checks. A corrupt snapshot is never
+// silently resumed.
 type CorruptError struct {
 	Path   string
+	Engine string // the engine whose restore refused the snapshot
+	Field  string // the refused snapshot section
 	Reason string
 }
 
 func (e *CorruptError) Error() string {
-	return fmt.Sprintf("checkpoint: %s: corrupt snapshot: %s", e.Path, e.Reason)
+	if e.Field == "" {
+		return fmt.Sprintf("checkpoint: %s: corrupt snapshot: %s", e.Path, e.Reason)
+	}
+	return fmt.Sprintf("checkpoint: %s: corrupt %s snapshot: %s: %s", e.Path, e.Engine, e.Field, e.Reason)
 }
 
 // MismatchError reports a structurally valid snapshot that does not belong
 // to the run being resumed — different netlist, options or engine.
 type MismatchError struct {
-	Path  string
-	Field string
-	Want  string
-	Got   string
+	Path   string
+	Engine string // the engine of the run being resumed
+	Field  string
+	Want   string
+	Got    string
 }
 
 func (e *MismatchError) Error() string {
-	return fmt.Sprintf("checkpoint: %s: %s mismatch: snapshot has %s, run has %s",
-		e.Path, e.Field, e.Got, e.Want)
+	return fmt.Sprintf("checkpoint: %s: %s mismatch resuming %s: snapshot has %s, run has %s",
+		e.Path, e.Field, e.Engine, e.Got, e.Want)
 }
 
-// Plan tells an engine where and how often to snapshot. The zero value
+// Plan tells a run where and how often to snapshot. The zero value
 // disables checkpointing.
 type Plan struct {
 	Path   string           // snapshot file; written atomically in place
-	Every  int64            // capture when step % Every == 0 (at quiescent points)
+	Every  int64            // capture interval in steps (at quiescent points)
 	Gap    time.Duration    // min spacing between durable writes (0: DefaultGap)
-	Engine string           // canonical engine name stamped into snapshots
-	Digest [32]byte         // content digest binding snapshots to this run
 	OnSave func(step int64) // optional notification after each durable save
 }
-
-// Enabled reports whether the plan asks for periodic snapshots.
-func (p Plan) Enabled() bool { return p.Path != "" && p.Every > 0 }
 
 // RawValue is the wire form of a logic.Value: its three bit planes and
 // width. Unpack validates canonical form, so a tampered snapshot cannot
@@ -182,7 +185,8 @@ type FaultState struct {
 }
 
 // Snapshot is everything needed to continue a run from a quiescent point.
-// Engines populate the sections they use and ignore the rest.
+// The header, the worker rows and the probe trace are written and checked
+// by Session; engines populate the sections they use and ignore the rest.
 type Snapshot struct {
 	Engine string   // canonical engine name that wrote the snapshot
 	Digest [32]byte // content digest of (netlist, run options)
@@ -192,8 +196,8 @@ type Snapshot struct {
 
 	Workers []stats.WorkerCounters // cumulative per-worker counters
 
-	// Sequential engine: node values, projected values, per-element state
-	// and the pending event queue.
+	// Values and ElemState are the scalar section sequential and compiled
+	// share; the rest of this block is sequential's own.
 	Values    []RawValue
 	Projected []RawValue
 	ElemState [][]RawValue
@@ -201,8 +205,7 @@ type Snapshot struct {
 	QueueCur  int64
 	GenNext   []int64
 
-	// Compiled engine and plane core: node values (Values above for
-	// compiled) or node planes, plus per-kernel closure state.
+	// Plane core: node planes plus per-kernel state.
 	Planes  []PlaneState
 	Kernels []KernelState
 
@@ -309,33 +312,42 @@ func syncDir(dir string) error {
 }
 
 // Load reads and validates a snapshot. Errors are typed: *CorruptError for
-// any structural damage, wrapped os errors for I/O failures.
+// any structural damage, wrapped os errors for I/O failures. A stranger
+// may name the path (parsimd's resume_from), so anything but a regular
+// file of a size a snapshot can have is refused before it is opened — a
+// FIFO would block the open, a device stream up to the size cap.
 func Load(path string) (*Snapshot, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: load: %w", err)
+	}
+	if !fi.Mode().IsRegular() {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("not a regular file (%v)", fi.Mode().Type())}
+	}
+	if n := fi.Size(); n < headerSize || n > headerSize+maxPayload {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("file size %d outside [%d, %d]", n, headerSize, headerSize+maxPayload)}
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: load: %w", err)
 	}
 	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, maxPayload+headerSize+1))
-	if err != nil {
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, fmt.Errorf("checkpoint: load: %w", err)
 	}
 	return decode(path, data)
 }
 
-// Verify checks that a loaded snapshot belongs to the run described by the
-// plan: same engine, same content digest.
+// Verify checks that a loaded snapshot belongs to the run being resumed:
+// same engine, same content digest.
 func Verify(path string, s *Snapshot, engine string, digest [32]byte) error {
 	if s.Engine != engine {
-		return &MismatchError{Path: path, Field: "engine", Want: engine, Got: s.Engine}
+		return &MismatchError{Path: path, Engine: engine, Field: "engine", Want: engine, Got: s.Engine}
 	}
 	if s.Digest != digest {
-		return &MismatchError{
-			Path:  path,
-			Field: "content digest",
-			Want:  fmt.Sprintf("%x", digest[:8]),
-			Got:   fmt.Sprintf("%x", s.Digest[:8]),
-		}
+		return &MismatchError{Path: path, Engine: engine, Field: "content digest",
+			Want: fmt.Sprintf("%x", digest[:8]), Got: fmt.Sprintf("%x", s.Digest[:8])}
 	}
 	return nil
 }

@@ -209,7 +209,8 @@ type Submission struct {
 	Lint string `json:"lint,omitempty"`
 	// Fallback retries a faulted run on the sequential engine.
 	Fallback bool `json:"fallback,omitempty"`
-	// CostSpin is the synthetic per-evaluation work multiplier.
+	// CostSpin is the synthetic per-evaluation work multiplier; a node
+	// refuses one above 10,000.
 	CostSpin int64 `json:"cost_spin,omitempty"`
 	// Watch lists node names to record; required for the /vcd endpoint.
 	// Watch jobs are never deduped: the waveform is per-job state.

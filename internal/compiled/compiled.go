@@ -8,7 +8,6 @@ package compiled
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,13 +34,11 @@ type Options struct {
 	// worker 0 publishes the current step as progress, and a trip aborts
 	// the step barrier so no survivor spins for a dead peer.
 	Guard *guard.Supervisor
-	// Checkpoint asks for periodic snapshots at the per-step barrier, the
-	// quiescent point where every worker has finished the previous step
-	// and none has started the next.
-	Checkpoint checkpoint.Plan
-	// Resume continues from a verified snapshot; the resumed run replays
-	// bit-identically to an uninterrupted one.
-	Resume *checkpoint.Snapshot
+	// Checkpoint snapshots at the per-step barrier, the quiescent point
+	// where every worker has finished the previous step and none has
+	// started the next, and resumes from its snapshot when it carries one;
+	// the resumed run replays bit-identically to an uninterrupted one.
+	Checkpoint *checkpoint.Session
 }
 
 // Result is the outcome of a run.
@@ -64,12 +61,7 @@ type sim struct {
 	cancel *engine.CancelFlag
 	chaos  *guard.ChaosProbe // captured once; nil on production runs
 
-	startT circuit.Time       // resume step (0 for a fresh run)
-	ckptW  *checkpoint.Writer // background snapshot writer; nil when disabled
-	// ckptErr is worker 0's snapshot failure, published before the
-	// post-save barrier release (an atomic edge), so every worker observes
-	// it right after its uncounted Wait and the gang exits together.
-	ckptErr error
+	startT circuit.Time // resume step (0 for a fresh run)
 	// stopAt, when > 0, is the step at which every worker exits. Worker 0
 	// publishes it during step stopAt-1; the step barrier makes the write
 	// visible to all workers before any of them reaches step stopAt, so the
@@ -120,17 +112,11 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 			c.Elems[i].InitState(s.state[i])
 		}
 	}
-	if opts.Resume != nil {
-		// The snapshot replaces the t=0 initialisation wholesale: both
-		// buffer sides take the checkpointed values (driven nodes are fully
-		// rewritten each step, undriven nodes must stay constant), element
-		// state and counters pick up where they left off, and the generator
-		// init below is skipped — its node update is already counted in the
-		// restored counters.
-		if err := s.restore(opts.Resume); err != nil {
-			return nil, err
-		}
-	} else {
+	resumed, err := opts.Checkpoint.Begin(p, s.restore)
+	if err != nil {
+		return nil, err
+	}
+	if !resumed {
 		// Generators assume their t=0 values before the first step.
 		for _, g := range c.Generators() {
 			el := &c.Elems[g]
@@ -147,9 +133,6 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		}
 	}
 
-	if opts.Checkpoint.Enabled() {
-		s.ckptW = checkpoint.NewWriter(opts.Checkpoint)
-	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
@@ -168,36 +151,14 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 	if opts.Horizon <= 0 {
 		final = s.buf[0]
 	}
-	if sa := s.stopAt.Load(); sa > 0 && circuit.Time(sa) < opts.Horizon-1 {
+	sa := s.stopAt.Load()
+	if sa > 0 && circuit.Time(sa) < opts.Horizon-1 {
 		// Cancelled: the last completed step wrote values for time sa.
 		steps = sa + 1
 		final = s.buf[int(sa)&1]
 	}
-	if opts.Checkpoint.Enabled() && s.ckptErr == nil && s.cancel.Cancelled() {
-		// A clean stop (stopAt published, every worker left at that step
-		// boundary) is a quiescent point; capture it so a drained run can
-		// be resumed. A guard trip aborts the barrier without publishing
-		// stopAt — that state is untrusted and deliberately not saved.
-		if sa := s.stopAt.Load(); sa > 0 {
-			if err := s.saveCheckpoint(circuit.Time(sa)); err != nil {
-				s.ckptErr = err
-			}
-		}
-	}
-	if s.ckptW != nil {
-		// Flush the newest pending snapshot before returning, so a drain's
-		// final capture is durable when the caller proceeds. A run that
-		// completed its horizon has nothing left to resume — drop the
-		// pending capture instead of paying a useless final fsync.
-		if !s.cancel.Cancelled() {
-			s.ckptW.DiscardPending()
-		}
-		if cerr := s.ckptW.Close(); cerr != nil && s.ckptErr == nil {
-			s.ckptErr = cerr
-		}
-	}
-	if s.ckptErr != nil {
-		return nil, s.ckptErr
+	if err := opts.Checkpoint.Drain(sa, s.cancel.Cancelled(), s.wc, s.fill); err != nil {
+		return nil, err
 	}
 	res := &Result{Final: final}
 	res.Run = stats.Run{
@@ -235,27 +196,8 @@ func (s *sim) worker(id int) {
 		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
 			return
 		}
-		// Periodic checkpoint at the step boundary: every worker computes
-		// the same due(t), so the gang meets at one extra (uncounted)
-		// barrier while worker 0 captures the quiesced state. The previous
-		// end-of-step barrier already synchronised everyone, so a single
-		// extra Wait suffices and the counted BarrierWaits total matches an
-		// uninterrupted run's.
-		if s.checkpointDue(t) {
-			// Ready gates the capture, not the barrier: every worker still
-			// meets here (the predicate is pure), and worker 0 skips packing
-			// a snapshot the throttled writer would only coalesce away.
-			if id == 0 && s.ckptW.Ready() {
-				if err := s.saveCheckpoint(t); err != nil {
-					s.ckptErr = err // published by the barrier release below
-				}
-			}
-			if !s.bar.Wait(&sense) {
-				return
-			}
-			if s.ckptErr != nil {
-				return
-			}
+		if ck := s.opts.Checkpoint; ck.Due(int64(t)) && !ck.Cross(id, int64(t), s.bar, &sense, s.wc, s.fill) {
+			return
 		}
 		if id == 0 {
 			s.opts.Guard.Progress(int64(t))
@@ -306,109 +248,26 @@ func (s *sim) worker(id int) {
 	}
 }
 
-// checkpointDue reports whether the gang snapshots at the top of step t.
-// Every worker evaluates the same pure predicate, so they agree without
-// communication.
-func (s *sim) checkpointDue(t circuit.Time) bool {
-	plan := s.opts.Checkpoint
-	return plan.Enabled() && t > s.startT && int64(t)%plan.Every == 0
+// fill writes the engine's own snapshot sections at the top of a step:
+// node values for that step and element state through the step before.
+func (s *sim) fill(snap *checkpoint.Snapshot) {
+	snap.PackScalar(s.buf[int(snap.Step)&1], s.state)
 }
 
-// saveCheckpoint writes a snapshot of the quiesced state at the top of the
-// given step: node values for time step, element state and counters through
-// step-1. Only worker 0 (or the post-run single thread) calls it.
-func (s *sim) saveCheckpoint(step circuit.Time) error {
-	plan := s.opts.Checkpoint
-	snap := &checkpoint.Snapshot{
-		Engine:  plan.Engine,
-		Digest:  plan.Digest,
-		Step:    int64(step),
-		Workers: append([]stats.WorkerCounters(nil), s.wc...),
-		Values:  checkpoint.PackValues(s.buf[int(step)&1]),
-	}
-	snap.ElemState = make([][]checkpoint.RawValue, len(s.state))
-	for i, st := range s.state {
-		if len(st) > 0 {
-			snap.ElemState[i] = checkpoint.PackValues(st)
-		}
-	}
-	if rec, ok := s.opts.Probe.(*trace.Recorder); ok {
-		snap.HasTrace = true
-		for _, ch := range rec.DumpChanges() {
-			snap.Trace = append(snap.Trace, checkpoint.TraceChange{
-				Node:  int32(ch.Node),
-				T:     int64(ch.Time),
-				Value: checkpoint.PackValue(ch.Value),
-			})
-		}
-	}
-	// The snapshot is a deep copy; the background writer makes it durable
-	// (and fires the plan's OnSave) off the gang's critical path.
-	return s.ckptW.Save(snap)
-}
-
-// restore rebuilds the simulator from a digest-verified snapshot, validating
-// every structural property so failures are errors, never panics.
+// restore rebuilds the engine's own state from a digest-verified snapshot.
+// Both buffer sides take the snapshot values: every driven node is fully
+// rewritten each step and every undriven node stays constant, so the
+// resumed double-buffer sequence matches the uninterrupted one exactly.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("parsim: resume (compiled): %s", fmt.Sprintf(format, args...))
-	}
-	if len(snap.Values) != len(s.c.Nodes) {
-		return bad("snapshot has %d node values for a %d-node circuit", len(snap.Values), len(s.c.Nodes))
-	}
-	vals, err := checkpoint.UnpackValues(snap.Values)
+	vals, state, err := s.opts.Checkpoint.UnpackScalar(snap)
 	if err != nil {
-		return bad("node values: %v", err)
+		return err
 	}
-	for i := range s.c.Nodes {
-		if vals[i].Width() != s.c.Nodes[i].Width {
-			return bad("node %d width mismatch", i)
-		}
-	}
-	if len(snap.ElemState) != len(s.c.Elems) {
-		return bad("snapshot has %d element states for %d elements", len(snap.ElemState), len(s.c.Elems))
-	}
-	newState := make([][]logic.Value, len(s.state))
-	for i := range s.state {
-		if len(snap.ElemState[i]) != len(s.state[i]) {
-			return bad("element %d has %d state values, want %d", i, len(snap.ElemState[i]), len(s.state[i]))
-		}
-		if len(s.state[i]) == 0 {
-			continue
-		}
-		st, err := checkpoint.UnpackValues(snap.ElemState[i])
-		if err != nil {
-			return bad("element %d state: %v", i, err)
-		}
-		newState[i] = st
-	}
-	if len(snap.Workers) != s.p {
-		return bad("snapshot has %d worker counter rows, want %d", len(snap.Workers), s.p)
-	}
-	// All validated; commit. Both buffer sides take the snapshot values:
-	// every driven node is fully rewritten each step and every undriven
-	// node stays constant, so the resumed double-buffer sequence matches
-	// the uninterrupted one exactly.
 	copy(s.buf[0], vals)
 	copy(s.buf[1], vals)
-	for i := range newState {
-		if newState[i] != nil {
-			s.state[i] = newState[i]
-		}
-	}
+	s.state = state
 	copy(s.wc, snap.Workers)
 	s.startT = circuit.Time(snap.Step)
-	if rec, ok := s.opts.Probe.(*trace.Recorder); ok && snap.HasTrace {
-		chs := make([]trace.ChangeRecord, len(snap.Trace))
-		for i, tc := range snap.Trace {
-			v, err := tc.Value.Unpack()
-			if err != nil {
-				return bad("trace change %d: %v", i, err)
-			}
-			chs[i] = trace.ChangeRecord{Node: circuit.NodeID(tc.Node), Time: circuit.Time(tc.T), Value: v}
-		}
-		rec.Preload(chs)
-	}
 	return nil
 }
 

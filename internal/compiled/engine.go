@@ -12,6 +12,9 @@ type eng struct{}
 
 func (eng) Name() string { return "compiled" }
 
+// Checkpoints makes eng an engine.Checkpointer.
+func (eng) Checkpoints() {}
+
 func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	res, err := RunContext(ctx, c, Options{
 		Workers:    cfg.Workers,
@@ -20,8 +23,7 @@ func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 		CostSpin:   cfg.CostSpin,
 		Strategy:   cfg.Strategy,
 		Guard:      cfg.Guard,
-		Checkpoint: cfg.CkptPlan,
-		Resume:     cfg.CkptSnap,
+		Checkpoint: cfg.Ckpt,
 	})
 	if res == nil {
 		return nil, err

@@ -112,9 +112,9 @@ type Config struct {
 	Fallback FallbackPolicy
 
 	// Checkpoint asks the engine to write periodic snapshots at quiescent
-	// points (see CheckpointSpec). Only the synchronous engines
-	// (sequential, compiled, vector, jit — the checkpointable table) support
-	// it; RunEngine rejects the request for every other engine with
+	// points (see CheckpointSpec). Only the engines that implement
+	// Checkpointer (sequential, compiled, vector, jit) support it;
+	// RunEngine rejects the request for every other engine with
 	// checkpoint.ErrUnsupported.
 	Checkpoint CheckpointSpec
 	// ResumeFrom names a snapshot file to continue from instead of
@@ -122,12 +122,10 @@ type Config struct {
 	// engine under the same netlist and options (content digest); any
 	// mismatch or corruption is a typed error, never a silent restart.
 	ResumeFrom string
-	// CkptPlan and CkptSnap are the resolved forms of Checkpoint and
-	// ResumeFrom, installed by RunEngine after digest computation and
-	// snapshot verification. Engine adapters read these; callers leave
-	// them zero.
-	CkptPlan checkpoint.Plan
-	CkptSnap *checkpoint.Snapshot
+	// Ckpt is the resolved form of Checkpoint and ResumeFrom (nil when
+	// neither is set), installed by RunEngine after snapshot verification.
+	// Checkpointer adapters pass it to their run; callers leave it nil.
+	Ckpt *checkpoint.Session
 	// Guard is the per-run supervisor, installed by RunEngine. Engines
 	// read it to publish progress and contain worker panics; callers
 	// leave it nil.
@@ -231,25 +229,22 @@ type CheckpointSpec struct {
 // CheckpointSpec.EverySteps is zero.
 const DefaultCheckpointEvery = 256
 
-// checkpointable names the engines with quiescent-point snapshot support:
-// the synchronous family, where the per-step barrier makes global state
+// Checkpointer is an Engine with quiescent-point snapshot support — it
+// runs Config.Ckpt. The synchronous family implements it, where the
+// per-step barrier (or the single goroutine) makes global state
 // well-defined. The async engines would need GVT-coordinated cuts; they
 // report checkpoint.ErrUnsupported instead of pretending.
-var checkpointable = map[string]bool{
-	"sequential": true,
-	"compiled":   true,
-	"vector":     true,
-	"jit":        true,
+type Checkpointer interface {
+	Engine
+	Checkpoints() // a marker; it does nothing
 }
 
 // SupportsCheckpoint reports whether the named engine (or alias) can
 // checkpoint and resume.
 func SupportsCheckpoint(name string) bool {
-	e, err := Get(name)
-	if err != nil {
-		return false
-	}
-	return checkpointable[e.Name()]
+	e, _ := Get(name)
+	_, ok := e.(Checkpointer)
+	return ok
 }
 
 // Report is the uniform outcome of a run. Per-algorithm counters live in
@@ -451,7 +446,7 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 	rep, err := runGuarded(ctx, e, c, cfg)
 	if err == nil || fb == nil || fb.Name() == e.Name() || !guard.Recoverable(err) ||
 		cfg.FaultSim { // a scalar fallback cannot carry a fault-sim run
-		if err == nil && cfg.CkptSnap != nil {
+		if err == nil && cfg.ResumeFrom != "" {
 			rep.Resumed = true
 		}
 		return rep, err
@@ -467,8 +462,7 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 	fbCfg.Lint = LintOff // the circuit was already linted above
 	fbCfg.Checkpoint = CheckpointSpec{}
 	fbCfg.ResumeFrom = ""
-	fbCfg.CkptPlan = checkpoint.Plan{}
-	fbCfg.CkptSnap = nil
+	fbCfg.Ckpt = nil
 	if fb.Name() == "sequential" {
 		fbCfg.Workers = 1
 	}
@@ -527,20 +521,25 @@ func sleepBackoff(ctx context.Context, rng *rand.Rand, base time.Duration, exp i
 }
 
 // resolveCheckpoint turns the user-facing Checkpoint/ResumeFrom fields into
-// the resolved CkptPlan/CkptSnap the engine adapters consume: it gates on
-// engine support, computes the content digest, applies the default
-// interval, and loads + verifies the resume snapshot.
+// the Session the engine adapters consume: it gates on engine support,
+// applies the default interval and binds the run's identity, against which
+// checkpoint.Open verifies the resume snapshot.
 func resolveCheckpoint(c *circuit.Circuit, e Engine, cfg *Config) error {
 	if cfg.Checkpoint.Path == "" && cfg.ResumeFrom == "" {
 		return nil
 	}
-	if !checkpointable[e.Name()] {
+	if _, ok := e.(Checkpointer); !ok {
 		return fmt.Errorf("parsim: engine %q: %w", e.Name(), checkpoint.ErrUnsupported)
 	}
 	if cfg.Checkpoint.EverySteps < 0 {
 		return fmt.Errorf("parsim: negative checkpoint interval %d", cfg.Checkpoint.EverySteps)
 	}
-	digest, err := checkpoint.Digest(c, checkpoint.Identity{
+	every := cfg.Checkpoint.EverySteps
+	if every == 0 {
+		every = DefaultCheckpointEvery
+	}
+	var err error
+	cfg.Ckpt, err = checkpoint.Open(c, checkpoint.Identity{
 		Engine:         e.Name(),
 		Horizon:        int64(cfg.Horizon),
 		Workers:        cfg.Workers,
@@ -553,43 +552,9 @@ func resolveCheckpoint(c *circuit.Circuit, e Engine, cfg *Config) error {
 		FaultMaxPasses: cfg.FaultMaxPasses,
 		FaultStatuses:  cfg.FaultStatuses,
 		CollectAvail:   cfg.CollectAvail,
-	})
-	if err != nil {
-		return err
-	}
-	if cfg.Checkpoint.Path != "" {
-		every := cfg.Checkpoint.EverySteps
-		if every == 0 {
-			every = DefaultCheckpointEvery
-		}
-		cfg.CkptPlan = checkpoint.Plan{
-			Path:   cfg.Checkpoint.Path,
-			Every:  every,
-			Gap:    cfg.Checkpoint.WriteGap,
-			Engine: e.Name(),
-			Digest: digest,
-			OnSave: cfg.Checkpoint.OnSave,
-		}
-	}
-	if cfg.ResumeFrom != "" {
-		snap, err := checkpoint.Load(cfg.ResumeFrom)
-		if err != nil {
-			return err
-		}
-		if err := checkpoint.Verify(cfg.ResumeFrom, snap, e.Name(), digest); err != nil {
-			return err
-		}
-		if snap.Step < 0 || snap.Step >= int64(cfg.Horizon) {
-			return &checkpoint.MismatchError{
-				Path:  cfg.ResumeFrom,
-				Field: "step cursor",
-				Want:  fmt.Sprintf("in [0, %d)", cfg.Horizon),
-				Got:   fmt.Sprintf("%d", snap.Step),
-			}
-		}
-		cfg.CkptSnap = snap
-	}
-	return nil
+	}, checkpoint.Plan{Path: cfg.Checkpoint.Path, Every: every, Gap: cfg.Checkpoint.WriteGap, OnSave: cfg.Checkpoint.OnSave},
+		cfg.ResumeFrom, cfg.Probe)
+	return err
 }
 
 // runGuarded executes one engine run under a fresh supervisor: it derives

@@ -13,6 +13,9 @@ type eng struct{}
 
 func (eng) Name() string { return "sequential" }
 
+// Checkpoints makes eng an engine.Checkpointer.
+func (eng) Checkpoints() {}
+
 func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	if cfg.Workers > 1 {
 		return nil, fmt.Errorf("parsim: the sequential algorithm is single-worker (got %d workers)", cfg.Workers)
@@ -23,8 +26,7 @@ func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 		CostSpin:     cfg.CostSpin,
 		CollectAvail: cfg.CollectAvail,
 		Guard:        cfg.Guard,
-		Checkpoint:   cfg.CkptPlan,
-		Resume:       cfg.CkptSnap,
+		Checkpoint:   cfg.Ckpt,
 	})
 	if res == nil {
 		return nil, err

@@ -13,7 +13,6 @@ package seq
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"time"
 
@@ -45,13 +44,11 @@ type Options struct {
 	// chaos injection); panic containment for this single-goroutine
 	// simulator lives in the engine layer.
 	Guard *guard.Supervisor
-	// Checkpoint asks for periodic snapshots between time steps — every
-	// point of this single-goroutine simulator's step loop is quiescent.
-	Checkpoint checkpoint.Plan
-	// Resume continues from a verified snapshot instead of starting at
-	// t=0. The resumed run replays bit-identically to an uninterrupted
-	// one.
-	Resume *checkpoint.Snapshot
+	// Checkpoint snapshots between time steps — every point of this
+	// single-goroutine simulator's step loop is quiescent — and, when it
+	// carries a resume snapshot, continues from it instead of starting at
+	// t=0. The resumed run replays bit-identically to an uninterrupted one.
+	Checkpoint *checkpoint.Session
 }
 
 // Result is the outcome of a run.
@@ -74,10 +71,8 @@ func Run(c *circuit.Circuit, opts Options) *Result {
 // ctx.Err().
 func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
 	s := newSim(c, opts)
-	if opts.Resume != nil {
-		if err := s.restore(opts.Resume); err != nil {
-			return nil, err
-		}
+	if _, err := opts.Checkpoint.Begin(1, s.restore); err != nil {
+		return nil, err
 	}
 	cancel := engine.WatchCancel(ctx)
 	defer cancel.Release()
@@ -118,10 +113,7 @@ type sim struct {
 
 	chaos *guard.ChaosProbe // captured once; nil on production runs
 
-	start int64        // resume point (0 for a fresh run)
 	lastT circuit.Time // last completed step, -1 before the first
-
-	ckptW *checkpoint.Writer // background snapshot writer; nil when disabled
 
 	co *collector // non-nil when Options.Collect
 }
@@ -174,31 +166,13 @@ func (s *sim) nextGenTime() circuit.Time {
 }
 
 func (s *sim) run(cancel *engine.CancelFlag) (err error) {
-	plan := s.opts.Checkpoint
-	if plan.Enabled() {
-		s.ckptW = checkpoint.NewWriter(plan)
-		// Close flushes the newest pending snapshot, so a drain's final
-		// capture is durable before the engine returns. A run that reached
-		// its horizon has nothing left to resume — drop the pending
-		// capture instead of paying a useless final fsync.
-		defer func() {
-			if err == nil && !cancel.Cancelled() {
-				s.ckptW.DiscardPending()
-			}
-			if cerr := s.ckptW.Close(); err == nil {
-				err = cerr
-			}
-		}()
-	}
-	lastSaved := s.start
+	ck := s.opts.Checkpoint
+	defer func() { err = ck.Finish(err, cancel.Cancelled()) }()
 	for {
 		if cancel.Cancelled() {
 			// The step loop is quiescent here, so a drain can capture the
 			// partial run for later resumption.
-			if plan.Enabled() {
-				return s.saveCheckpoint(int64(s.lastT) + 1)
-			}
-			return nil
+			return s.capture(int64(s.lastT) + 1)
 		}
 		// Earliest pending activity: scheduled events or generator changes.
 		t := s.nextGenTime()
@@ -211,15 +185,10 @@ func (s *sim) run(cancel *engine.CancelFlag) (err error) {
 		s.opts.Guard.Progress(int64(t))
 		s.step(t)
 		s.lastT = t
-		// Event-driven time skips idle steps, so the checkpoint interval is
-		// a sliding threshold over simulated time rather than a modulus.
-		// Ready gates the capture: packing a snapshot the throttled writer
-		// would only coalesce away is wasted work on the critical path.
-		if plan.Enabled() && int64(t)+1-lastSaved >= plan.Every && s.ckptW.Ready() {
-			if err := s.saveCheckpoint(int64(t) + 1); err != nil {
+		if ck.DueSliding(int64(t) + 1) {
+			if err := s.capture(int64(t) + 1); err != nil {
 				return err
 			}
-			lastSaved = int64(t) + 1
 		}
 	}
 }
@@ -263,154 +232,75 @@ func (s *sim) step(t circuit.Time) {
 	s.activated = s.activated[:0]
 }
 
-// saveCheckpoint captures all activity strictly before step and hands the
-// snapshot to the background writer; the durable save (and the plan's
-// OnSave notification) completes off the simulation's critical path.
-func (s *sim) saveCheckpoint(step int64) error {
-	return s.ckptW.Save(s.snapshot(step))
+// capture hands the checkpoint session all activity strictly before step.
+func (s *sim) capture(step int64) error {
+	return s.opts.Checkpoint.Capture(step, []stats.WorkerCounters{s.wc}, s.fill)
 }
 
-// snapshot captures the complete simulator state between steps: node and
-// projected values, per-element state, the pending event queue in pop
-// order, generator cursors, counters and (when the probe is a recorder)
-// the change history needed for bit-identical VCD output after resume.
-func (s *sim) snapshot(step int64) *checkpoint.Snapshot {
-	plan := s.opts.Checkpoint
-	snap := &checkpoint.Snapshot{
-		Engine:    plan.Engine,
-		Digest:    plan.Digest,
-		Step:      step,
-		TimeSteps: s.res.TimeSteps,
-		Workers:   []stats.WorkerCounters{s.wc},
-		Values:    checkpoint.PackValues(s.val),
-		Projected: checkpoint.PackValues(s.projected),
-		GenNext:   make([]int64, len(s.genNext)),
-	}
+// fill writes the simulator's own snapshot sections: node and projected
+// values, per-element state, the pending event queue in pop order,
+// generator cursors and the event-driven step count.
+func (s *sim) fill(snap *checkpoint.Snapshot) {
+	snap.TimeSteps = s.res.TimeSteps
+	snap.PackScalar(s.val, s.state)
+	snap.Projected = checkpoint.PackValues(s.projected)
+	snap.GenNext = make([]int64, len(s.genNext))
 	for i, t := range s.genNext {
 		snap.GenNext[i] = int64(t)
-	}
-	snap.ElemState = make([][]checkpoint.RawValue, len(s.state))
-	for i, st := range s.state {
-		if len(st) > 0 {
-			snap.ElemState[i] = checkpoint.PackValues(st)
-		}
 	}
 	cur, entries := s.q.Dump()
 	snap.QueueCur = int64(cur)
 	snap.Events = make([]checkpoint.Event, len(entries))
 	for i, e := range entries {
-		snap.Events[i] = checkpoint.Event{
-			T:     int64(e.T),
-			Node:  int32(e.Node),
-			Value: checkpoint.PackValue(e.Value),
-		}
+		snap.Events[i] = checkpoint.Event{T: int64(e.T), Node: int32(e.Node), Value: checkpoint.PackValue(e.Value)}
 	}
-	if rec, ok := s.opts.Probe.(*trace.Recorder); ok {
-		snap.HasTrace = true
-		for _, ch := range rec.DumpChanges() {
-			snap.Trace = append(snap.Trace, checkpoint.TraceChange{
-				Node:  int32(ch.Node),
-				T:     int64(ch.Time),
-				Value: checkpoint.PackValue(ch.Value),
-			})
-		}
-	}
-	return snap
 }
 
-// restore rebuilds the simulator from a digest-verified snapshot. Every
-// structural property is still validated — lengths, node widths, event
-// times — so even a hand-crafted snapshot that passed the checksum cannot
-// corrupt the run; failures are errors, never panics.
+// restore rebuilds the simulator's own state from a digest-verified
+// snapshot, validating every structural property — lengths, node widths,
+// event order — so a hand-crafted snapshot that passed the checksum cannot
+// corrupt the run; failures are typed errors, never panics.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("parsim: resume (sequential): %s", fmt.Sprintf(format, args...))
-	}
-	if len(snap.Values) != len(s.c.Nodes) || len(snap.Projected) != len(s.c.Nodes) {
-		return bad("snapshot has %d node values for a %d-node circuit", len(snap.Values), len(s.c.Nodes))
-	}
-	vals, err := checkpoint.UnpackValues(snap.Values)
+	ck := s.opts.Checkpoint
+	vals, state, err := ck.UnpackScalar(snap)
 	if err != nil {
-		return bad("node values: %v", err)
+		return err
 	}
-	proj, err := checkpoint.UnpackValues(snap.Projected)
+	proj, err := ck.UnpackNodes("projected values", snap.Projected)
 	if err != nil {
-		return bad("projected values: %v", err)
-	}
-	for i := range s.c.Nodes {
-		if vals[i].Width() != s.c.Nodes[i].Width || proj[i].Width() != s.c.Nodes[i].Width {
-			return bad("node %d width mismatch", i)
-		}
-	}
-	if len(snap.ElemState) != len(s.c.Elems) {
-		return bad("snapshot has %d element states for %d elements", len(snap.ElemState), len(s.c.Elems))
-	}
-	newState := make([][]logic.Value, len(s.state))
-	for i := range s.state {
-		if len(snap.ElemState[i]) != len(s.state[i]) {
-			return bad("element %d has %d state values, want %d", i, len(snap.ElemState[i]), len(s.state[i]))
-		}
-		if len(s.state[i]) == 0 {
-			continue
-		}
-		st, err := checkpoint.UnpackValues(snap.ElemState[i])
-		if err != nil {
-			return bad("element %d state: %v", i, err)
-		}
-		newState[i] = st
+		return err
 	}
 	if len(snap.GenNext) != len(s.genNext) {
-		return bad("snapshot has %d generator cursors, want %d", len(snap.GenNext), len(s.genNext))
+		return ck.Corrupt("generator cursors", "snapshot has %d generator cursors, want %d", len(snap.GenNext), len(s.genNext))
 	}
 	entries := make([]eventq.Entry, len(snap.Events))
 	prev := snap.QueueCur
 	for i, e := range snap.Events {
 		if e.Node < 0 || int(e.Node) >= len(s.c.Nodes) {
-			return bad("event %d: node %d out of range", i, e.Node)
+			return ck.Corrupt("events", "event %d: node %d out of range", i, e.Node)
 		}
 		if e.T < prev {
-			return bad("event %d: time %d out of order (cursor %d)", i, e.T, prev)
+			return ck.Corrupt("events", "event %d: time %d out of order (cursor %d)", i, e.T, prev)
 		}
 		prev = e.T
 		v, err := e.Value.Unpack()
 		if err != nil {
-			return bad("event %d: %v", i, err)
+			return ck.Corrupt("events", "event %d: %v", i, err)
 		}
 		if v.Width() != s.c.Nodes[e.Node].Width {
-			return bad("event %d: width mismatch on node %d", i, e.Node)
+			return ck.Corrupt("events", "event %d: width mismatch on node %d", i, e.Node)
 		}
 		entries[i] = eventq.Entry{T: circuit.Time(e.T), Node: circuit.NodeID(e.Node), Value: v}
 	}
-	if len(snap.Workers) != 1 {
-		return bad("snapshot has %d worker counter rows, want 1", len(snap.Workers))
-	}
 	// All validated; commit.
-	copy(s.val, vals)
-	copy(s.projected, proj)
-	for i := range newState {
-		if newState[i] != nil {
-			s.state[i] = newState[i]
-		}
-	}
+	s.val, s.projected, s.state = vals, proj, state
 	for i, t := range snap.GenNext {
 		s.genNext[i] = circuit.Time(t)
 	}
 	s.q.Restore(circuit.Time(snap.QueueCur), entries)
 	s.wc = snap.Workers[0]
 	s.res.TimeSteps = snap.TimeSteps
-	s.start = snap.Step
 	s.lastT = circuit.Time(snap.Step) - 1
-	if rec, ok := s.opts.Probe.(*trace.Recorder); ok && snap.HasTrace {
-		chs := make([]trace.ChangeRecord, len(snap.Trace))
-		for i, tc := range snap.Trace {
-			v, err := tc.Value.Unpack()
-			if err != nil {
-				return bad("trace change %d: %v", i, err)
-			}
-			chs[i] = trace.ChangeRecord{Node: circuit.NodeID(tc.Node), Time: circuit.Time(tc.T), Value: v}
-		}
-		rec.Preload(chs)
-	}
 	return nil
 }
 

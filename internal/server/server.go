@@ -422,6 +422,13 @@ func (s *Server) clearPrimary(j *job) {
 	s.dedupMu.Unlock()
 }
 
+// maxCostSpin caps an admitted cost_spin. circuit.Spin does not poll
+// cancellation, so the cap bounds one evaluation — at the dearest kind
+// (mul, Cost 60) 600k rounds, well under a millisecond — and the engines'
+// per-step or per-activation polling bounds the rest: a job's cores come
+// back at its deadline and a drain is not held up.
+const maxCostSpin = 10_000
+
 // parseRuns counts the netlists buildJob has parsed. Test hook: the
 // promise that a verbatim resubmission is served without parsing is
 // pinned against it.
@@ -471,6 +478,9 @@ func (s *Server) buildJob(req *cluster.Submission) (*job, int, error) {
 	}
 	if req.WatchdogMS < 0 || req.DeadlineMS < 0 {
 		return fail(http.StatusBadRequest, "deadline_ms and watchdog_ms must be >= 0")
+	}
+	if req.CostSpin > maxCostSpin {
+		return fail(http.StatusBadRequest, "cost_spin %d exceeds the cap %d", req.CostSpin, maxCostSpin)
 	}
 	if req.Lanes < 0 || req.Lanes > logic.MaxWideLanes {
 		return fail(http.StatusBadRequest, "lanes must be in [0,%d], got %d", logic.MaxWideLanes, req.Lanes)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -302,6 +303,7 @@ func TestAdmissionValidation(t *testing.T) {
 		{"too many nodes", cluster.Submission{Netlist: testNetlist, Engine: "asynchronous", Horizon: 8}, 413, "nodes"},
 		{"unknown watch node", cluster.Submission{Netlist: "circuit x\nnode a 1\nelem clock c delay=1 out=a period=4\n",
 			Engine: "asynchronous", Horizon: 8, Watch: []string{"zz"}}, 400, "watch"},
+		{"cost_spin over the cap", cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 8, CostSpin: 1e15}, 400, "cap 10000"},
 	}
 	for _, tc := range cases {
 		var errBody errorBody
@@ -319,6 +321,33 @@ func TestAdmissionValidation(t *testing.T) {
 	var errBody errorBody
 	if resp := ts.submit(t, big, &errBody); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d, want 413 (%q)", resp.StatusCode, errBody.Error)
+	}
+}
+
+// TestResumeFromDeviceRunsFromScratch: resume_from names a path the
+// submitter chose. A device is no snapshot, so the job is admitted
+// promptly — Load refuses it by stat, without reading it — and runs from
+// t=0 under the daemon's unusable-snapshot policy.
+func TestResumeFromDeviceRunsFromScratch(t *testing.T) {
+	if _, err := os.Stat("/dev/zero"); err != nil {
+		t.Skip("no /dev/zero on this host")
+	}
+	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 4})
+	start := time.Now()
+	var sub jobDoc
+	resp := ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 64, ResumeFrom: "/dev/zero"}, &sub)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("admission took %v", d)
+	}
+	v := ts.await(t, sub.ID, 10*time.Second)
+	if v.State != jobDone || v.Result == nil {
+		t.Fatalf("state %s (error %q)", v.State, v.Error)
+	}
+	if v.Result.Resumed || v.Result.Stats.TimeSteps == 0 {
+		t.Errorf("resumed=%v after %d steps; want a run from scratch", v.Result.Resumed, v.Result.Stats.TimeSteps)
 	}
 }
 

@@ -85,49 +85,6 @@ func (r *Recorder) Nodes() []circuit.NodeID {
 	return ids
 }
 
-// ChangeRecord is one recorded node transition together with its node,
-// exposed for checkpointing.
-type ChangeRecord struct {
-	Node  circuit.NodeID
-	Time  circuit.Time
-	Value logic.Value
-}
-
-// DumpChanges returns every recorded change sorted by (time, node), the same
-// global order WriteVCD emits. The receiver is not modified.
-func (r *Recorder) DumpChanges() []ChangeRecord {
-	r.mu.Lock()
-	var out []ChangeRecord
-	for n, h := range r.hist {
-		for _, ch := range h {
-			out = append(out, ChangeRecord{Node: n, Time: ch.Time, Value: ch.Value})
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
-
-// Preload installs previously dumped changes, honouring the recorder's
-// filter. A resumed run preloads the checkpointed history so its final
-// recorder — and any VCD written from it — is identical to an uninterrupted
-// run's.
-func (r *Recorder) Preload(chs []ChangeRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, ch := range chs {
-		if r.filter != nil && !r.filter[ch.Node] {
-			continue
-		}
-		r.hist[ch.Node] = append(r.hist[ch.Node], Change{Time: ch.Time, Value: ch.Value})
-	}
-}
-
 // ValueAt returns the recorded value of node n at time t, or X if the node
 // has no change at or before t.
 func (r *Recorder) ValueAt(c *circuit.Circuit, n circuit.NodeID, t circuit.Time) logic.Value {

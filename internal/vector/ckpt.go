@@ -1,31 +1,20 @@
 package vector
 
 import (
-	"fmt"
-
 	"parsim/internal/checkpoint"
 	"parsim/internal/circuit"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
-	"parsim/internal/trace"
 )
 
-// Checkpoint/resume for the plane core. A snapshot captures one buffer
-// side's node planes (all lanes), every stateful kernel's private planes
-// and per-lane scalar state (the fused gate batches are stateless by
-// construction), the per-worker counters, the recorded probe history and —
-// in fault-simulation mode — the cross-pass detection state, all at the
+// The plane core's own snapshot sections; checkpoint.Session runs the
+// protocol around them. A snapshot captures one buffer side's node planes
+// (all lanes), every stateful kernel's private planes and per-lane scalar
+// state (the fused gate batches are stateless by construction) and — in
+// fault-simulation mode — the cross-pass detection state, all at the
 // per-step barrier where the gang is quiescent. Kernel states walk in
 // program.kernels order — the compiled program is deterministic, so the
 // restore side walks the same sequence.
-
-// checkpointDue reports whether the gang snapshots at the top of step t.
-// Every worker evaluates the same pure predicate, so they agree without
-// communication.
-func (s *sim) checkpointDue(t circuit.Time) bool {
-	plan := s.opts.Checkpoint
-	return plan.Enabled() && t > s.startT && int64(t)%plan.Every == 0
-}
 
 func packPlane(p logic.WidePlane) checkpoint.PlaneState {
 	return checkpoint.PlaneState{
@@ -34,18 +23,10 @@ func packPlane(p logic.WidePlane) checkpoint.PlaneState {
 	}
 }
 
-// saveCheckpoint writes a snapshot of the quiesced state at the top of the
-// given step: node planes for time step, kernel state and counters through
-// step-1. Only worker 0 (or the post-run single thread) calls it.
-func (s *sim) saveCheckpoint(step circuit.Time) error {
-	plan := s.opts.Checkpoint
-	snap := &checkpoint.Snapshot{
-		Engine:  plan.Engine,
-		Digest:  plan.Digest,
-		Step:    int64(step),
-		Workers: append([]stats.WorkerCounters(nil), s.wc...),
-	}
-	side := s.buf[int(step)&1].planes
+// fill writes the core's sections at the top of a step: node planes for
+// that step, kernel and fault state through the step before.
+func (s *sim) fill(snap *checkpoint.Snapshot) {
+	side := s.buf[int(snap.Step)&1].planes
 	snap.Planes = make([]checkpoint.PlaneState, len(side))
 	for i, p := range side {
 		snap.Planes[i] = packPlane(p)
@@ -59,16 +40,6 @@ func (s *sim) saveCheckpoint(step circuit.Time) error {
 			ks.Lanes = append(ks.Lanes, checkpoint.PackValues(lane))
 		}
 		snap.Kernels = append(snap.Kernels, ks)
-	}
-	if rec, ok := s.opts.Probe.(*trace.Recorder); ok {
-		snap.HasTrace = true
-		for _, ch := range rec.DumpChanges() {
-			snap.Trace = append(snap.Trace, checkpoint.TraceChange{
-				Node:  int32(ch.Node),
-				T:     int64(ch.Time),
-				Value: checkpoint.PackValue(ch.Value),
-			})
-		}
 	}
 	if fp := s.fault; fp != nil {
 		fs := &checkpoint.FaultState{
@@ -85,89 +56,81 @@ func (s *sim) saveCheckpoint(step circuit.Time) error {
 		}
 		snap.Fault = fs
 	}
-	// The snapshot is a deep copy; the background writer makes it durable
-	// (and fires the plan's OnSave) off the gang's critical path.
-	return s.ckptW.Save(snap)
 }
 
-// restore rebuilds the simulator from a digest-verified snapshot,
-// validating every structural property so failures are errors, never
+// restore rebuilds the core's own state from a digest-verified snapshot,
+// validating every structural property so failures are typed errors, never
 // panics.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("parsim: resume (%s): %s", s.opts.Name, fmt.Sprintf(format, args...))
-	}
+	ck := s.opts.Checkpoint
 	if len(snap.Planes) != s.prog.total {
-		return bad("snapshot has %d node planes for a %d-plane circuit", len(snap.Planes), s.prog.total)
+		return ck.Corrupt("node planes", "snapshot has %d node planes for a %d-plane circuit", len(snap.Planes), s.prog.total)
 	}
 	for i, p := range snap.Planes {
 		if len(p.V) != s.words || len(p.U) != s.words {
-			return bad("plane %d has %d/%d words, want %d", i, len(p.V), len(p.U), s.words)
+			return ck.Corrupt("node planes", "plane %d has %d/%d words, want %d", i, len(p.V), len(p.U), s.words)
 		}
 	}
 	kerns := s.prog.kernels()
 	if len(snap.Kernels) != len(kerns) {
-		return bad("snapshot has %d kernel states for %d kernels", len(snap.Kernels), len(kerns))
+		return ck.Corrupt("kernel state", "snapshot has %d kernel states for %d kernels", len(snap.Kernels), len(kerns))
 	}
 	// Validate every kernel state before committing anything.
 	laneVals := make([][][]logic.Value, len(kerns))
 	for idx, k := range kerns {
 		ks := &snap.Kernels[idx]
 		if len(ks.Planes) != len(k.state) {
-			return bad("kernel %d has %d state planes, want %d", idx, len(ks.Planes), len(k.state))
+			return ck.Corrupt("kernel state", "kernel %d has %d state planes, want %d", idx, len(ks.Planes), len(k.state))
 		}
 		for j, p := range ks.Planes {
 			if len(p.V) != s.words || len(p.U) != s.words {
-				return bad("kernel %d state plane %d has %d/%d words, want %d", idx, j, len(p.V), len(p.U), s.words)
+				return ck.Corrupt("kernel state", "kernel %d state plane %d has %d/%d words, want %d", idx, j, len(p.V), len(p.U), s.words)
 			}
 		}
 		if len(ks.Lanes) != len(k.laneState) {
-			return bad("kernel %d has %d lane states, want %d", idx, len(ks.Lanes), len(k.laneState))
+			return ck.Corrupt("kernel state", "kernel %d has %d lane states, want %d", idx, len(ks.Lanes), len(k.laneState))
 		}
 		if len(ks.Lanes) > 0 {
 			laneVals[idx] = make([][]logic.Value, len(ks.Lanes))
 			for l := range ks.Lanes {
 				if len(ks.Lanes[l]) != len(k.laneState[l]) {
-					return bad("kernel %d lane %d has %d state values, want %d", idx, l, len(ks.Lanes[l]), len(k.laneState[l]))
+					return ck.Corrupt("kernel state", "kernel %d lane %d has %d state values, want %d", idx, l, len(ks.Lanes[l]), len(k.laneState[l]))
 				}
 				vals, err := checkpoint.UnpackValues(ks.Lanes[l])
 				if err != nil {
-					return bad("kernel %d lane %d: %v", idx, l, err)
+					return ck.Corrupt("kernel state", "kernel %d lane %d: %v", idx, l, err)
 				}
 				for j := range vals {
 					if vals[j].Width() != k.laneState[l][j].Width() {
-						return bad("kernel %d lane %d state %d width mismatch", idx, l, j)
+						return ck.Corrupt("kernel state", "kernel %d lane %d state %d width mismatch", idx, l, j)
 					}
 				}
 				laneVals[idx][l] = vals
 			}
 		}
 	}
-	if len(snap.Workers) != s.p {
-		return bad("snapshot has %d worker counter rows, want %d", len(snap.Workers), s.p)
-	}
 	for w := range snap.Workers {
 		// One barrier per step is an invariant of every snapshot this
 		// schedule writes; the snapshot is outside input, so a row that
 		// breaks it must not be committed.
 		if bw := snap.Workers[w].BarrierWaits; bw != snap.Step {
-			return bad("worker %d crossed %d barriers in %d steps, want one per step", w, bw, snap.Step)
+			return ck.Corrupt("worker rows", "worker %d crossed %d barriers in %d steps, want one per step", w, bw, snap.Step)
 		}
 	}
 	if (snap.Fault != nil) != (s.fault != nil) {
-		return bad("fault-simulation state presence mismatch")
+		return ck.Corrupt("fault state", "fault-simulation state presence mismatch")
 	}
 	if fp := s.fault; fp != nil {
 		fs := snap.Fault
 		if len(fs.Det) != s.p || len(fs.First) != s.p {
-			return bad("fault state has %d/%d worker rows, want %d", len(fs.Det), len(fs.First), s.p)
+			return ck.Corrupt("fault state", "fault state has %d/%d worker rows, want %d", len(fs.Det), len(fs.First), s.p)
 		}
 		for w := 0; w < s.p; w++ {
 			if len(fs.Det[w]) != s.words {
-				return bad("fault detection mask %d has %d words, want %d", w, len(fs.Det[w]), s.words)
+				return ck.Corrupt("fault state", "fault detection mask %d has %d words, want %d", w, len(fs.Det[w]), s.words)
 			}
 			if len(fs.First[w]) != len(fp.faults) {
-				return bad("fault first-step row %d has %d entries, want %d", w, len(fs.First[w]), len(fp.faults))
+				return ck.Corrupt("fault state", "fault first-step row %d has %d entries, want %d", w, len(fs.First[w]), len(fp.faults))
 			}
 		}
 	}
@@ -197,17 +160,6 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 			copy(fp.det[w], snap.Fault.Det[w])
 			copy(fp.first[w], snap.Fault.First[w])
 		}
-	}
-	if rec, ok := s.opts.Probe.(*trace.Recorder); ok && snap.HasTrace {
-		chs := make([]trace.ChangeRecord, len(snap.Trace))
-		for i, tc := range snap.Trace {
-			v, err := tc.Value.Unpack()
-			if err != nil {
-				return bad("trace change %d: %v", i, err)
-			}
-			chs[i] = trace.ChangeRecord{Node: circuit.NodeID(tc.Node), Time: circuit.Time(tc.T), Value: v}
-		}
-		rec.Preload(chs)
 	}
 	return nil
 }

@@ -22,6 +22,9 @@ func (e eng) Name() string { return e.name }
 // DefaultLanes makes eng an engine.LaneEngine.
 func (e eng) DefaultLanes() int { return e.lanes }
 
+// Checkpoints makes eng an engine.Checkpointer.
+func (eng) Checkpoints() {}
+
 func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	opts := Options{
 		Name:       e.name,
@@ -33,8 +36,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		Lanes:      cfg.Lanes,
 		LaneStride: cfg.LaneStride,
 		ProbeLane:  cfg.ProbeLane,
-		Checkpoint: cfg.CkptPlan,
-		Resume:     cfg.CkptSnap,
+		Checkpoint: cfg.Ckpt,
 	}
 	if opts.Lanes == 0 {
 		opts.Lanes = e.lanes

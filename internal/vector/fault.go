@@ -95,17 +95,16 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 	// pass's plane and detection state is restored inside runPass.
 	startPass, ran := 0, 0
 	var resumeAcc *checkpoint.RunCounters
-	if snap := opts.Resume; snap != nil {
-		fs := snap.Fault
+	if ck := opts.Checkpoint; ck.Resume() != nil {
+		fs := ck.Resume().Fault
 		if fs == nil {
-			return nil, fmt.Errorf("parsim: resume (%s): snapshot carries no fault-simulation state", opts.Name)
+			return nil, ck.Corrupt("fault state", "snapshot carries no fault-simulation state")
 		}
 		if len(fs.Statuses) != len(statuses) {
-			return nil, fmt.Errorf("parsim: resume (%s): snapshot has %d fault statuses, want %d",
-				opts.Name, len(fs.Statuses), len(statuses))
+			return nil, ck.Corrupt("fault state", "snapshot has %d fault statuses, want %d", len(fs.Statuses), len(statuses))
 		}
 		if fs.Pass < 0 || fs.Pass >= passes {
-			return nil, fmt.Errorf("parsim: resume (%s): snapshot pass %d outside [0,%d)", opts.Name, fs.Pass, passes)
+			return nil, ck.Corrupt("fault state", "snapshot pass %d outside [0,%d)", fs.Pass, passes)
 		}
 		copy(statuses, fs.Statuses)
 		startPass, ran = fs.Pass, fs.Ran
@@ -128,11 +127,7 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 		} else if resumeAcc != nil {
 			fp.acc = *resumeAcc
 		}
-		passOpts := opts
-		if p != startPass {
-			passOpts.Resume = nil
-		}
-		res, err := runPass(ctx, c, passOpts, fp)
+		res, err := runPass(ctx, c, opts, fp)
 		if res != nil {
 			fp.record(statuses[lo:hi])
 			ran++

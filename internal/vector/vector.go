@@ -74,14 +74,12 @@ type Options struct {
 	// carry one injected fault each from the list. See fault.go.
 	FaultSim *FaultOptions
 
-	// Checkpoint asks for periodic snapshots at the per-step barrier, the
-	// quiescent point where every worker has finished the previous step
-	// and none has started the next. Fault-simulation runs snapshot
-	// mid-pass, carrying the cross-pass detection state along.
-	Checkpoint checkpoint.Plan
-	// Resume continues from a verified snapshot; the resumed run replays
-	// bit-identically to an uninterrupted one, lane for lane.
-	Resume *checkpoint.Snapshot
+	// Checkpoint snapshots at the per-step barrier, where every worker has
+	// finished the previous step and none has started the next, and
+	// resumes from its snapshot when it carries one, bit-identically lane
+	// for lane. Fault-simulation runs snapshot mid-pass, carrying the
+	// cross-pass detection state along.
+	Checkpoint *checkpoint.Session
 }
 
 // Result is the outcome of a run.
@@ -138,12 +136,7 @@ type sim struct {
 	// visible to all workers before any of them reaches step stopAt.
 	stopAt atomic.Int64
 
-	startT circuit.Time       // resume step (0 for a fresh run)
-	ckptW  *checkpoint.Writer // background snapshot writer; nil when disabled
-	// ckptErr is worker 0's snapshot failure, published before the
-	// post-save barrier release (an atomic edge), so every worker observes
-	// it right after its uncounted Wait and the gang exits together.
-	ckptErr error
+	startT circuit.Time // resume step (0 for a fresh run)
 
 	// fault is the per-pass fault-simulation state, nil outside fault mode.
 	fault *faultPass
@@ -211,17 +204,11 @@ func runPass(ctx context.Context, c *circuit.Circuit, opts Options, fp *faultPas
 			s.buf[side].planes[i].Fill(logic.X)
 		}
 	}
-	if opts.Resume != nil {
-		// The snapshot replaces the t=0 initialisation wholesale: both
-		// buffer sides take the checkpointed planes (driven nodes are fully
-		// rewritten each step, undriven nodes must stay constant), kernel
-		// state and counters pick up where they left off, and the generator
-		// init below is skipped — its node update is already counted in the
-		// restored counters.
-		if err := s.restore(opts.Resume); err != nil {
-			return nil, err
-		}
-	} else {
+	resumed, err := opts.Checkpoint.Begin(p, s.restore)
+	if err != nil {
+		return nil, err
+	}
+	if !resumed {
 		s.initGenerators()
 	}
 	// Faults present from t=0 must be in both buffer sides so the first
@@ -274,9 +261,6 @@ func (s *sim) initGenerators() {
 // state and assembles the pass result.
 func (s *sim) finish(ctx context.Context) (*Result, error) {
 	opts := s.opts
-	if opts.Checkpoint.Enabled() {
-		s.ckptW = checkpoint.NewWriter(opts.Checkpoint)
-	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < s.p; w++ {
@@ -300,27 +284,8 @@ func (s *sim) finish(ctx context.Context) (*Result, error) {
 		steps = sa + 1
 		planes = s.buf[int(sa)&1].planes
 	}
-	if opts.Checkpoint.Enabled() && s.ckptErr == nil && s.cancel.Cancelled() && sa > 0 {
-		// A clean stop (stopAt published, every worker left at that step
-		// boundary) is a quiescent point; capture it so a drained run can
-		// be resumed. A guard trip aborts the barrier without publishing
-		// stopAt — that state is untrusted and deliberately not saved.
-		s.ckptErr = s.saveCheckpoint(circuit.Time(sa))
-	}
-	if s.ckptW != nil {
-		// Flush the newest pending snapshot before returning, so a drain's
-		// final capture is durable when the caller proceeds. A run that
-		// completed its horizon has nothing left to resume — drop the
-		// pending capture instead of paying a useless final fsync.
-		if !s.cancel.Cancelled() {
-			s.ckptW.DiscardPending()
-		}
-		if cerr := s.ckptW.Close(); cerr != nil && s.ckptErr == nil {
-			s.ckptErr = cerr
-		}
-	}
-	if s.ckptErr != nil {
-		return nil, s.ckptErr
+	if err := opts.Checkpoint.Drain(sa, s.cancel.Cancelled(), s.wc, s.fill); err != nil {
+		return nil, err
 	}
 	res := &Result{LaneFinal: make([][]logic.Value, opts.Lanes)}
 	for l := range res.LaneFinal {
@@ -377,25 +342,8 @@ func (s *sim) worker(id int) {
 		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
 			return
 		}
-		// Periodic checkpoint at the step boundary: every worker computes
-		// the same due(t), so the gang meets at one extra (uncounted)
-		// barrier while worker 0 captures the quiesced state. The previous
-		// end-of-step barrier already synchronised everyone, so a single
-		// extra Wait suffices and the counted BarrierWaits total matches an
-		// uninterrupted run's.
-		if s.checkpointDue(t) {
-			// Ready gates the capture, not the barrier: every worker still
-			// meets here (the predicate is pure), and worker 0 skips packing
-			// a snapshot the throttled writer would only coalesce away.
-			if id == 0 && s.ckptW.Ready() {
-				s.ckptErr = s.saveCheckpoint(t) // published by the barrier release below
-			}
-			if !s.bar.Wait(&sense) {
-				return
-			}
-			if s.ckptErr != nil {
-				return
-			}
+		if ck := s.opts.Checkpoint; ck.Due(int64(t)) && !ck.Cross(id, int64(t), s.bar, &sense, s.wc, s.fill) {
+			return
 		}
 		if id == 0 {
 			s.opts.Guard.Progress(int64(t))
@@ -452,7 +400,7 @@ func (s *sim) worker(id int) {
 		}
 
 		acc.BarrierWaits++
-		if s.checkpointDue(t + 1) {
+		if s.opts.Checkpoint.Due(int64(t) + 1) {
 			s.wc[id] = acc
 		}
 		t0 := time.Now()
