@@ -19,9 +19,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-## lint runs the repo's custom vet pass (tools/lint): syntactic checks
-## for sync/atomic misuse around the per-worker counter surface.
+## lint fails when gofmt would reformat any file, then runs the repo's
+## custom vet pass (tools/lint): syntactic checks for sync/atomic misuse
+## around the per-worker counter surface.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./tools/lint ./...
 
 ## chaos runs the supervision-layer fault-injection suite under the race

@@ -12,8 +12,8 @@ import (
 // distributed engines balance, the cut edges that become inter-worker
 // messages, and the fan-out hot spots that broadcast across partitions.
 type PartitionReport struct {
-	Workers   int    `json:"workers"`
-	Strategy  string `json:"strategy"`
+	Workers   int     `json:"workers"`
+	Strategy  string  `json:"strategy"`
 	Imbalance float64 `json:"imbalance"` // max/mean partition cost; 1.0 is perfect
 	// CutEdges counts driver->consumer edges whose endpoints live in
 	// different partitions (generator-driven edges excluded: generators

@@ -9,13 +9,13 @@ import (
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
-	"parsim/internal/seq"
 
 	// The candidates the selector must be able to hand a run to.
 	_ "parsim/internal/compiled"
 	_ "parsim/internal/core"
 	_ "parsim/internal/dist"
 	_ "parsim/internal/parevent"
+	_ "parsim/internal/seq"
 	_ "parsim/internal/timewarp"
 	_ "parsim/internal/vector"
 )
@@ -111,7 +111,10 @@ func TestRunEndToEnd(t *testing.T) {
 	if rep.Run.Evals == 0 && rep.Run.Totals().Evals == 0 {
 		t.Error("selected engine did not run")
 	}
-	ref := seq.Run(c.Clone(), seq.Options{Horizon: horizon})
+	ref, err := engine.Run(context.Background(), "sequential", c.Clone(), engine.Config{Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.Final) != len(ref.Final) {
 		t.Fatalf("final length %d vs sequential %d", len(rep.Final), len(ref.Final))
 	}

@@ -20,37 +20,12 @@ import (
 	"parsim/internal/logic"
 	"parsim/internal/partition"
 	"parsim/internal/stats"
-	"parsim/internal/trace"
 )
 
-// Options configures a run.
-type Options struct {
-	Workers  int          // parallel workers; >= 1
-	Horizon  circuit.Time // simulate unit-delay steps t in [0, Horizon)
-	Probe    trace.Probe  // optional observer; must be concurrency-safe
-	CostSpin int64        // if > 0, burn CostSpin x element Cost per evaluation
-	Strategy partition.Strategy
-	// Guard is the optional run supervisor: worker panics are contained,
-	// worker 0 publishes the current step as progress, and a trip aborts
-	// the step barrier so no survivor spins for a dead peer.
-	Guard *guard.Supervisor
-	// Checkpoint snapshots at the per-step barrier, the quiescent point
-	// where every worker has finished the previous step and none has
-	// started the next, and resumes from its snapshot when it carries one;
-	// the resumed run replays bit-identically to an uninterrupted one.
-	Checkpoint *checkpoint.Session
-}
-
-// Result is the outcome of a run.
-type Result struct {
-	Run   stats.Run
-	Final []logic.Value
-}
-
 type sim struct {
-	c    *circuit.Circuit
-	opts Options
-	p    int
+	c   *circuit.Circuit
+	cfg engine.Config
+	p   int
 
 	buf   [2][]logic.Value // double-buffered node values
 	state [][]logic.Value
@@ -70,33 +45,37 @@ type sim struct {
 	stopAt atomic.Int64
 }
 
-// Run simulates the circuit in compiled mode and returns statistics and the
-// node values after the final step.
-func Run(c *circuit.Circuit, opts Options) *Result {
-	res, _ := RunContext(context.Background(), c, opts)
-	return res
-}
+// eng registers the compiled-mode simulator with the engine layer.
+type eng struct{}
 
-// RunContext is Run with cancellation: when ctx is cancelled all workers
-// stop together at the next time step and the partial result is returned
-// with ctx.Err().
-func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	if err := engine.ValidateWorkers(opts.Workers); err != nil {
-		return nil, err
-	}
-	p := opts.Workers
+func (eng) Name() string { return "compiled" }
+
+// Checkpoints makes eng an engine.Checkpointer: it snapshots at the
+// per-step barrier, the quiescent point where every worker has finished the
+// previous step and none has started the next, and a resumed run replays
+// bit-identically to an uninterrupted one.
+func (eng) Checkpoints() {}
+
+// Run simulates the circuit in compiled mode and reports the node values
+// after the final step. The guard contains worker panics, worker 0
+// publishes the current step as progress, and a trip aborts the step
+// barrier so no survivor spins for a dead peer. When ctx is cancelled all
+// workers stop together at the next time step and the partial Report is
+// returned with ctx.Err().
+func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	p := cfg.Workers
 	s := &sim{
 		c:      c,
-		opts:   opts,
+		cfg:    cfg,
 		p:      p,
-		parts:  partition.Split(c, p, opts.Strategy),
+		parts:  partition.Split(c, p, cfg.Strategy),
 		bar:    barrier.New(p),
 		wc:     make([]stats.WorkerCounters, p),
 		cancel: engine.WatchCancel(ctx),
-		chaos:  opts.Guard.Chaos(),
+		chaos:  cfg.Guard.Chaos(),
 	}
 	defer s.cancel.Release()
-	opts.Guard.OnTrip(s.bar.Abort)
+	cfg.Guard.OnTrip(s.bar.Abort)
 	for side := range s.buf {
 		s.buf[side] = make([]logic.Value, len(c.Nodes))
 	}
@@ -112,7 +91,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 			c.Elems[i].InitState(s.state[i])
 		}
 	}
-	resumed, err := opts.Checkpoint.Begin(p, s.restore)
+	resumed, err := cfg.Ckpt.Begin(p, s.restore)
 	if err != nil {
 		return nil, err
 	}
@@ -125,8 +104,8 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 			if !v.Equal(s.buf[0][n]) {
 				s.buf[0][n] = v
 				s.buf[1][n] = v // both sides start consistent
-				if opts.Probe != nil {
-					opts.Probe.OnChange(n, 0, v)
+				if cfg.Probe != nil {
+					cfg.Probe.OnChange(n, 0, v)
 				}
 				s.wc[0].NodeUpdates++
 			}
@@ -139,41 +118,42 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer opts.Guard.Recover(w, "compiled step loop")
+			defer cfg.Guard.Recover(w, "compiled step loop")
 			s.worker(w)
 		}(w)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	steps := int64(opts.Horizon)
-	final := s.buf[int(opts.Horizon-1)&1]
-	if opts.Horizon <= 0 {
+	steps := int64(cfg.Horizon)
+	final := s.buf[int(cfg.Horizon-1)&1]
+	if cfg.Horizon <= 0 {
 		final = s.buf[0]
 	}
 	sa := s.stopAt.Load()
-	if sa > 0 && circuit.Time(sa) < opts.Horizon-1 {
+	if sa > 0 && circuit.Time(sa) < cfg.Horizon-1 {
 		// Cancelled: the last completed step wrote values for time sa.
 		steps = sa + 1
 		final = s.buf[int(sa)&1]
 	}
-	if err := opts.Checkpoint.Drain(sa, s.cancel.Cancelled(), s.wc, s.fill); err != nil {
+	if err := cfg.Ckpt.Drain(sa, s.cancel.Cancelled(), s.wc, s.fill); err != nil {
 		return nil, err
 	}
-	res := &Result{Final: final}
-	res.Run = stats.Run{
-		Algorithm: "compiled-mode(" + opts.Strategy.String() + ")",
+	rep := &engine.Report{Final: final, Run: stats.Run{
+		Algorithm: e.Name() + "(" + cfg.Strategy.String() + ")",
 		Circuit:   c.Name,
-		Horizon:   opts.Horizon,
+		Horizon:   cfg.Horizon,
 		Workers:   p,
 		TimeSteps: steps,
-	}
+	}}
 	for w := 0; w < p; w++ {
 		s.wc[w].ModelCalls = s.wc[w].Evals
 	}
-	res.Run.Aggregate(wall, s.wc)
-	return res, s.cancel.Err(ctx)
+	rep.Run.Aggregate(wall, s.wc)
+	return rep, s.cancel.Err(ctx)
 }
+
+func init() { engine.Register(eng{}, "compiled-mode") }
 
 func (s *sim) worker(id int) {
 	var sense barrier.Sense
@@ -192,15 +172,15 @@ func (s *sim) worker(id int) {
 
 	// Step t computes node values for t+1: read side t&1, write side
 	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1.
-	for t := s.startT; t < s.opts.Horizon-1; t++ {
+	for t := s.startT; t < s.cfg.Horizon-1; t++ {
 		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
 			return
 		}
-		if ck := s.opts.Checkpoint; ck.Due(int64(t)) && !ck.Cross(id, int64(t), s.bar, &sense, s.wc, s.fill) {
+		if ck := s.cfg.Ckpt; ck.Due(int64(t)) && !ck.Cross(id, int64(t), s.bar, &sense, s.wc, s.fill) {
 			return
 		}
 		if id == 0 {
-			s.opts.Guard.Progress(int64(t))
+			s.cfg.Guard.Progress(int64(t))
 			if s.cancel.Cancelled() {
 				s.stopAt.CompareAndSwap(0, int64(t)+1)
 			}
@@ -230,8 +210,8 @@ func (s *sim) worker(id int) {
 			}
 			out := outBuf[:len(el.Out)]
 			el.Eval(in, s.state[eid], out)
-			if s.opts.CostSpin > 0 {
-				circuit.Spin(el.Cost * s.opts.CostSpin)
+			if s.cfg.CostSpin > 0 {
+				circuit.Spin(el.Cost * s.cfg.CostSpin)
 			}
 			for p, n := range el.Out {
 				s.write(id, n, t+1, out[p], cur, next)
@@ -259,7 +239,7 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 // rewritten each step and every undriven node stays constant, so the
 // resumed double-buffer sequence matches the uninterrupted one exactly.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	vals, state, err := s.opts.Checkpoint.UnpackScalar(snap)
+	vals, state, err := s.cfg.Ckpt.UnpackScalar(snap)
 	if err != nil {
 		return err
 	}
@@ -281,7 +261,7 @@ func (s *sim) write(id int, n circuit.NodeID, t circuit.Time, v logic.Value,
 		return
 	}
 	s.wc[id].NodeUpdates++
-	if s.opts.Probe != nil {
-		s.opts.Probe.OnChange(n, t, v)
+	if s.cfg.Probe != nil {
+		s.cfg.Probe.OnChange(n, t, v)
 	}
 }

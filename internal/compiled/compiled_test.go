@@ -5,29 +5,40 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/partition"
-	"parsim/internal/seq"
+	_ "parsim/internal/seq"
 	"parsim/internal/trace"
 )
 
+// simulate runs c on the named engine through the registry.
+func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
+	t.Helper()
+	rep, err := engine.Run(context.Background(), name, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // crossCheck compares compiled-mode output against the sequential oracle on
 // a unit-delay circuit.
-func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Options) *Result {
+func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engine.Config) *engine.Report {
 	t.Helper()
 	if !c.UnitDelay() {
 		t.Fatalf("%s is not unit-delay; cross-check invalid", c.Name)
 	}
 	ref := trace.NewRecorder()
-	seqRes := seq.Run(c, seq.Options{Horizon: horizon, Probe: ref})
+	seqRes := simulate(t, "sequential", c, engine.Config{Horizon: horizon, Probe: ref})
 
 	got := trace.NewRecorder()
-	opts.Horizon = horizon
-	opts.Probe = got
-	res := Run(c, opts)
+	cfg.Horizon = horizon
+	cfg.Probe = got
+	res := simulate(t, "compiled", c, cfg)
 
 	if d := trace.Diff(c, ref, got); d != "" {
-		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, opts.Workers, d)
+		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, cfg.Workers, d)
 	}
 	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
 		t.Errorf("node updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
@@ -44,7 +55,7 @@ func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Opt
 func TestMatchesSequentialOnArray(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 8, Cols: 8, ActiveRows: 5, TogglePeriod: 3})
 	for _, p := range []int{1, 2, 4} {
-		crossCheck(t, c, 200, Options{Workers: p})
+		crossCheck(t, c, 200, engine.Config{Workers: p})
 	}
 }
 
@@ -53,27 +64,27 @@ func TestMatchesSequentialOnGateMultiplier(t *testing.T) {
 	cfg.N = 8
 	cfg.InPeriod = 128
 	c := gen.GateMultiplier(cfg)
-	crossCheck(t, c, 384, Options{Workers: 4})
+	crossCheck(t, c, 384, engine.Config{Workers: 4})
 }
 
 func TestMatchesSequentialOnRandomUnitCircuits(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		c := gen.RandomUnitCircuit(seed, 70)
-		crossCheck(t, c, 200, Options{Workers: 3})
+		crossCheck(t, c, 200, engine.Config{Workers: 3})
 	}
 }
 
 func TestAllPartitionStrategies(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 6, Cols: 6, ActiveRows: 6, TogglePeriod: 1})
 	for _, st := range []partition.Strategy{partition.RoundRobin, partition.Blocks, partition.CostLPT} {
-		crossCheck(t, c, 150, Options{Workers: 4, Strategy: st})
+		crossCheck(t, c, 150, engine.Config{Workers: 4, Strategy: st})
 	}
 }
 
 func TestEvalsCountEveryElementEveryStep(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 4, Cols: 4, ActiveRows: 1, TogglePeriod: 8})
 	const horizon = 100
-	res := Run(c, Options{Workers: 2, Horizon: horizon})
+	res := simulate(t, "compiled", c, engine.Config{Workers: 2, Horizon: horizon})
 	wantEvals := int64(horizon-1) * int64(c.NumGates())
 	if res.Run.Evals != wantEvals {
 		t.Errorf("evals = %d, want %d (compiled mode evaluates everything)", res.Run.Evals, wantEvals)
@@ -103,9 +114,9 @@ func TestUnitDelayDetector(t *testing.T) {
 }
 
 func TestBadWorkerCountError(t *testing.T) {
-	res, err := RunContext(context.Background(), gen.FeedbackChain(3), Options{Workers: 0, Horizon: 10})
+	res, err := engine.Run(context.Background(), "compiled", gen.FeedbackChain(3), engine.Config{Workers: -1, Horizon: 10})
 	if err == nil {
-		t.Fatal("Workers=0 did not return an error")
+		t.Fatal("Workers=-1 did not return an error")
 	}
 	if res != nil {
 		t.Fatal("bad config must not produce a result")

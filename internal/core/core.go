@@ -116,48 +116,33 @@ import (
 	"parsim/internal/partition"
 	"parsim/internal/spsc"
 	"parsim/internal/stats"
-	"parsim/internal/trace"
 )
 
-// Options configures a run.
-type Options struct {
-	Workers  int          // parallel workers (processors); >= 1
-	Horizon  circuit.Time // simulate t in [0, Horizon)
-	Probe    trace.Probe  // optional observer; must be concurrency-safe
-	CostSpin int64        // if > 0, burn CostSpin x element Cost per evaluation
-	// NoLookahead disables clocked-element lookahead (ablation): without
-	// it, valid-times creep around register feedback loops an element
-	// delay at a time and evaluation counts explode on circuits like the
-	// microprocessor.
-	NoLookahead bool
-	// GateLookahead enables the paper's controlling-value optimisation:
-	// while any input of an AND/NAND (OR/NOR) gate holds 0 (1), the output
-	// is pinned, events on the other inputs are consumed without
-	// evaluation, and the output's valid-time extends to the point where
-	// the last controlling input could change.
-	GateLookahead bool
-	// DeadlockRecovery switches to the Chandy-Misra discipline the paper
+// eng registers the asynchronous simulator with the engine layer. The same
+// package backs two registry entries: the paper's semi-chaotic algorithm and
+// the Chandy-Misra deadlock-recovery discipline it is contrasted with.
+type eng struct {
+	name string
+	// deadlockRecovery switches to the Chandy-Misra discipline the paper
 	// contrasts itself with: valid-times do NOT advance during execution,
 	// so the simulation runs until "no more elements have events on all
 	// their inputs" (deadlock), then a global clock-value update advances
 	// every node's valid-time to the fixpoint and the simulation restarts.
-	// Results are identical; Result.Rounds counts the deadlocks broken.
-	DeadlockRecovery bool
-	// Guard is the optional run supervisor: worker panics are contained,
-	// evaluations heartbeat the watchdog, and a run that goes passive
-	// with node valid-times short of the horizon self-reports the stall
-	// instead of silently returning stale X values.
-	Guard *guard.Supervisor
+	// Results are identical; Report.Rounds counts the deadlocks broken.
+	deadlockRecovery bool
 }
 
-// Result is the outcome of a run.
-type Result struct {
-	Run   stats.Run
-	Final []logic.Value
-	// Rounds counts deadlock-recovery rounds (DeadlockRecovery mode only;
-	// 1 means the run never deadlocked).
-	Rounds int64
+var (
+	async       = eng{name: "asynchronous"}
+	chandyMisra = eng{name: "chandy-misra", deadlockRecovery: true}
+)
+
+func init() {
+	engine.Register(async, "async", "semi-chaotic")
+	engine.Register(chandyMisra, "cm", "deadlock-recovery")
 }
+
+func (e eng) Name() string { return e.name }
 
 // Element activation states.
 const (
@@ -221,8 +206,9 @@ type elemCtl struct {
 }
 
 type sim struct {
-	c    *circuit.Circuit
-	opts Options
+	c   *circuit.Circuit
+	cfg engine.Config
+	eng eng
 
 	hist    []history
 	cursors [][]cursor // [elem][port]
@@ -237,20 +223,15 @@ type sim struct {
 	chaos  *guard.ChaosProbe // captured once; nil on production runs
 }
 
-// Run simulates the circuit with opts.Workers lock-free workers.
-func Run(c *circuit.Circuit, opts Options) *Result {
-	res, _ := RunContext(context.Background(), c, opts)
-	return res
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled every worker
-// stops at its next queue poll (or within 64 merged time points inside a
-// long element activation) and the partial result is returned with ctx.Err().
-func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	if err := engine.ValidateWorkers(opts.Workers); err != nil {
-		return nil, err
-	}
-	s := newSim(ctx, c, opts)
+// Run simulates the circuit with cfg.Workers lock-free workers. The guard
+// contains worker panics, evaluations heartbeat the watchdog, and a run that
+// goes passive with node valid-times short of the horizon self-reports the
+// stall instead of silently returning stale X values. When ctx is cancelled
+// every worker stops at its next queue poll (or within 64 merged time points
+// inside a long element activation) and the partial Report is returned with
+// ctx.Err().
+func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	s := newSim(ctx, c, cfg, e)
 	defer s.cancel.Release()
 
 	start := time.Now()
@@ -258,7 +239,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 	for {
 		rounds++
 		s.runWorkers()
-		if s.cancel.Cancelled() || !opts.DeadlockRecovery || !s.recoverDeadlock() {
+		if s.cancel.Cancelled() || !e.deadlockRecovery || !s.recoverDeadlock() {
 			break
 		}
 	}
@@ -268,41 +249,40 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 	for i := range final {
 		final[i] = s.hist[i].final
 	}
-	res := &Result{Final: final, Rounds: rounds}
-	res.Run = stats.Run{
-		Algorithm: "asynchronous",
+	rep := &engine.Report{Final: final, Run: stats.Run{
+		Algorithm: e.name,
 		Circuit:   c.Name,
-		Horizon:   opts.Horizon,
-		Workers:   opts.Workers,
+		Horizon:   cfg.Horizon,
+		Workers:   cfg.Workers,
+	}}
+	if e.deadlockRecovery {
+		rep.Rounds = rounds
 	}
 	wc := make([]stats.WorkerCounters, len(s.workers))
 	for i, w := range s.workers {
 		wc[i] = w.wc
 	}
-	res.Run.Aggregate(wall, wc)
+	rep.Run.Aggregate(wall, wc)
 	if err := s.cancel.Err(ctx); err != nil {
-		return res, err
+		return rep, err
 	}
 	// The run terminated on its own: every node's behaviour must have
 	// reached the horizon, or the workers went passive around a stall.
-	alg := "asynchronous"
-	if opts.DeadlockRecovery {
-		alg = "chandy-misra"
+	if st := s.stallReport(); st != nil {
+		return rep, st
 	}
-	if st := s.stallReport(alg); st != nil {
-		return res, st
-	}
-	return res, nil
+	return rep, nil
 }
 
 // newSim builds the run state — histories, cursors and element state out of
 // one slab each, and every node's empty first chunk header — materialises the
 // generators and queues their fan-out.
-func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
-	p := opts.Workers
+func newSim(ctx context.Context, c *circuit.Circuit, cfg engine.Config, e eng) *sim {
+	p := cfg.Workers
 	s := &sim{
 		c:       c,
-		opts:    opts,
+		cfg:     cfg,
+		eng:     e,
 		hist:    make([]history, len(c.Nodes)),
 		cursors: make([][]cursor, len(c.Elems)),
 		state:   make([][]logic.Value, len(c.Elems)),
@@ -310,7 +290,7 @@ func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 		workers: make([]*worker, p),
 		queues:  make([][]*spsc.Queue[circuit.ElemID], p),
 		cancel:  engine.WatchCancel(ctx),
-		chaos:   opts.Guard.Chaos(),
+		chaos:   cfg.Guard.Chaos(),
 	}
 	for i := range c.Nodes {
 		x := logic.AllX(c.Nodes[i].Width)
@@ -357,7 +337,7 @@ func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 		n := el.Out[0]
 		h := &s.hist[n]
 		var t circuit.Time
-		for t < opts.Horizon {
+		for t < cfg.Horizon {
 			if s.cancel.Cancelled() {
 				break // generators can span huge horizons; stop materialising
 			}
@@ -372,7 +352,7 @@ func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 			t = next
 		}
 		h.count.Store(h.n)
-		h.setValid(int64(opts.Horizon))
+		h.setValid(int64(cfg.Horizon))
 		s.workers[0].release(h)
 		for _, pr := range c.Nodes[n].Fanout {
 			s.enqueue(pr.Elem)
@@ -386,7 +366,7 @@ func newSim(ctx context.Context, c *circuit.Circuit, opts Options) *sim {
 func (s *sim) place() {
 	c := s.c
 	levels := analyze.LevelSchedule(c)
-	owners := partition.CostBlocks(c, s.opts.Workers)
+	owners := partition.CostBlocks(c, s.cfg.Workers)
 	cycles := int32(0) // the bucket after the deepest level
 	for i := range c.Elems {
 		cycles = max(cycles, int32(levels[i])+1)
@@ -406,7 +386,7 @@ func (s *sim) place() {
 			continue
 		}
 		ctl.owner = owners[i]
-		if !s.opts.NoLookahead {
+		if !s.cfg.NoLookahead {
 			for _, port := range circuit.TriggerPorts(el.Kind) {
 				ctl.trig |= 1 << port
 			}
@@ -454,7 +434,7 @@ func (s *sim) runWorkers() {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			defer s.opts.Guard.Recover(w.id, "asynchronous eval loop")
+			defer s.cfg.Guard.Recover(w.id, "asynchronous eval loop")
 			w.run()
 		}(w)
 	}
@@ -467,11 +447,11 @@ func (s *sim) runWorkers() {
 // — the conservative silent stall-at-X the static analyzer predicts for
 // zero-delay cycles — and the historical behaviour of running to the end
 // with stale X values becomes a typed error naming the stuck nodes.
-func (s *sim) stallReport(alg string) *guard.StallError {
-	if s.opts.Horizon <= 0 {
+func (s *sim) stallReport() *guard.StallError {
+	if s.cfg.Horizon <= 0 {
 		return nil
 	}
-	horizon := int64(s.opts.Horizon)
+	horizon := int64(s.cfg.Horizon)
 	minValid := horizon
 	var stuck []string
 	truncated := 0
@@ -491,7 +471,7 @@ func (s *sim) stallReport(alg string) *guard.StallError {
 		return nil
 	}
 	return &guard.StallError{
-		Engine:       alg,
+		Engine:       s.eng.name,
 		LastProgress: minValid,
 		StuckNodes:   stuck,
 		Truncated:    truncated,
@@ -656,7 +636,7 @@ func (w *worker) appendEvent(n circuit.NodeID, t circuit.Time, v logic.Value) {
 	s := w.s
 	h := &s.hist[n]
 	h.last = v
-	if t >= s.opts.Horizon {
+	if t >= s.cfg.Horizon {
 		return // beyond the simulated window; dedup state still updated
 	}
 	h.final = v
@@ -676,8 +656,8 @@ func (w *worker) appendEvent(n circuit.NodeID, t circuit.Time, v logic.Value) {
 	c.slots[off] = event{t: t, v: v}
 	h.n++
 	w.wc.NodeUpdates++
-	if s.opts.Probe != nil {
-		s.opts.Probe.OnChange(n, t, v)
+	if s.cfg.Probe != nil {
+		s.cfg.Probe.OnChange(n, t, v)
 	}
 }
 
@@ -737,12 +717,12 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	s := w.s
 	el := &s.c.Elems[e]
 	w.wc.Evals++
-	s.opts.Guard.Heartbeat(w.id)
+	s.cfg.Guard.Heartbeat(w.id)
 	if s.chaos != nil {
 		s.chaos.Eval()
 	}
 	cs := s.cursors[e]
-	horizon := int64(s.opts.Horizon)
+	horizon := int64(s.cfg.Horizon)
 	if np := len(cs); cap(w.countBuf) < np {
 		w.countBuf, w.vtBuf, w.nextBuf = make([]int64, np), make([]int64, np), make([]int64, np)
 		w.inBuf = make([]logic.Value, np)
@@ -775,7 +755,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// inputs below that bound are consumed without invoking the model,
 	// exactly as the paper's AND-gate example describes.
 	effValid := minValid
-	if s.opts.GateLookahead {
+	if s.cfg.GateLookahead {
 		if ctrl, ok := circuit.ControllingValue(el.Kind); ok {
 			tau := int64(-1)
 			for port := range cs {
@@ -819,8 +799,8 @@ func (w *worker) evalElement(e circuit.ElemID) {
 		}
 		el.Eval(in, s.state[e], out)
 		w.wc.ModelCalls++
-		if s.opts.CostSpin > 0 {
-			circuit.Spin(el.Cost * s.opts.CostSpin)
+		if s.cfg.CostSpin > 0 {
+			circuit.Spin(el.Cost * s.cfg.CostSpin)
 		}
 		for p, n := range el.Out {
 			if !out[p].Equal(s.hist[n].last) {
@@ -832,7 +812,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 			if s.cancel.Cancelled() {
 				break
 			}
-			s.opts.Guard.Heartbeat(w.id)
+			s.cfg.Guard.Heartbeat(w.id)
 		}
 	}
 
@@ -849,7 +829,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// pending trigger event, passes that event, since the events on the
 	// other inputs before it cannot reach the outputs and wait with it.
 	need := minValid + 1
-	if trig := circuit.TriggerPorts(el.Kind); trig != nil && !s.opts.NoLookahead {
+	if trig := circuit.TriggerPorts(el.Kind); trig != nil && !s.cfg.NoLookahead {
 		bound, pending := horizon, false // pending: bound is an event, not a valid-time
 		for _, port := range trig {
 			if tb := changeBound(next[port], vts[port]); tb < bound {
@@ -876,7 +856,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 		}
 		old := h.validTo.Load()
 		newValid := old
-		if !s.opts.DeadlockRecovery {
+		if !s.eng.deadlockRecovery {
 			newValid = min(effValid+int64(el.Delay), horizon)
 		}
 		switch {
@@ -902,7 +882,7 @@ func (w *worker) wake(n circuit.NodeID, old, newValid int64) {
 	s := w.s
 	// Under GateLookahead a controlling input acts like a trigger on any
 	// port, so every advance activates the whole fan-out.
-	threshold := !s.opts.GateLookahead
+	threshold := !s.cfg.GateLookahead
 	for _, pr := range s.c.Nodes[n].Fanout {
 		ctl := &s.ctl[pr.Elem]
 		if threshold && ctl.trig>>uint(pr.Port)&1 == 0 && ctl.state.Load() == stIdle {
@@ -925,7 +905,7 @@ func (w *worker) wake(n circuit.NodeID, old, newValid int64) {
 // event), and every element that gained consumable events is re-queued.
 // It reports whether a new round is worth running.
 func (s *sim) recoverDeadlock() bool {
-	horizon := int64(s.opts.Horizon)
+	horizon := int64(s.cfg.Horizon)
 	firstPending := func(e circuit.ElemID, port int, n circuit.NodeID) int64 {
 		return s.cursors[e][port].nextTime(s.hist[n].count.Load())
 	}

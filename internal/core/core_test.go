@@ -6,29 +6,40 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/guard"
 	"parsim/internal/logic"
-	"parsim/internal/seq"
+	_ "parsim/internal/seq"
 	"parsim/internal/trace"
 )
+
+// simulate runs c on the named engine through the registry.
+func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
+	t.Helper()
+	rep, err := engine.Run(context.Background(), name, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // crossCheck runs the circuit under the sequential oracle and the
 // asynchronous simulator, requiring identical node histories — the
 // strongest available evidence that chaotic evaluation order preserves
 // simulation semantics.
-func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Options) *Result {
+func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engine.Config) *engine.Report {
 	t.Helper()
 	ref := trace.NewRecorder()
-	seqRes := seq.Run(c, seq.Options{Horizon: horizon, Probe: ref})
+	seqRes := simulate(t, "sequential", c, engine.Config{Horizon: horizon, Probe: ref})
 
 	got := trace.NewRecorder()
-	opts.Horizon = horizon
-	opts.Probe = got
-	res := Run(c, opts)
+	cfg.Horizon = horizon
+	cfg.Probe = got
+	res := simulate(t, "asynchronous", c, cfg)
 
 	if d := trace.Diff(c, ref, got); d != "" {
-		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, opts.Workers, d)
+		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, cfg.Workers, d)
 	}
 	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
 		t.Errorf("node updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
@@ -45,7 +56,7 @@ func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Opt
 func TestMatchesSequentialOnArray(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 8, Cols: 8, ActiveRows: 6, TogglePeriod: 2})
 	for _, p := range []int{1, 2, 3, 4, 8} {
-		crossCheck(t, c, 300, Options{Workers: p})
+		crossCheck(t, c, 300, engine.Config{Workers: p})
 	}
 }
 
@@ -54,7 +65,7 @@ func TestMatchesSequentialOnFuncMultiplier(t *testing.T) {
 	cfg.InPeriod = 64
 	c := gen.FuncMultiplier(cfg)
 	for _, p := range []int{1, 2, 4} {
-		crossCheck(t, c, 512, Options{Workers: p})
+		crossCheck(t, c, 512, engine.Config{Workers: p})
 	}
 }
 
@@ -63,13 +74,13 @@ func TestMatchesSequentialOnGateMultiplier(t *testing.T) {
 	cfg.N = 8
 	cfg.InPeriod = 128
 	c := gen.GateMultiplier(cfg)
-	crossCheck(t, c, 512, Options{Workers: 4})
+	crossCheck(t, c, 512, engine.Config{Workers: 4})
 }
 
 func TestMatchesSequentialOnCPU(t *testing.T) {
 	cfg := gen.DefaultCPU()
 	c := gen.CPU(cfg)
-	res := crossCheck(t, c, gen.CPUHorizon(cfg, 40), Options{Workers: 4})
+	res := crossCheck(t, c, gen.CPUHorizon(cfg, 40), engine.Config{Workers: 4})
 	if res.Run.Evals == 0 {
 		t.Error("no evaluations")
 	}
@@ -80,7 +91,7 @@ func TestMatchesSequentialOnFeedbackChain(t *testing.T) {
 	// progress around the ring, yet results must stay exact.
 	for _, p := range []int{1, 4} {
 		c := gen.FeedbackChain(13)
-		crossCheck(t, c, 600, Options{Workers: p})
+		crossCheck(t, c, 600, engine.Config{Workers: p})
 	}
 }
 
@@ -91,13 +102,13 @@ func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 	// is the conservative family's typed stall report on a circuit whose
 	// feedback loops never receive events (seeds 78 and 115 here).
 	modes := []struct {
-		name string
-		opts Options
+		name, engine string
+		cfg          engine.Config
 	}{
-		{"default", Options{}},
-		{"gate-lookahead", Options{GateLookahead: true}},
-		{"no-lookahead", Options{NoLookahead: true}},
-		{"chandy-misra", Options{DeadlockRecovery: true}},
+		{"default", "asynchronous", engine.Config{}},
+		{"gate-lookahead", "asynchronous", engine.Config{GateLookahead: true}},
+		{"no-lookahead", "asynchronous", engine.Config{NoLookahead: true}},
+		{"chandy-misra", "chandy-misra", engine.Config{}},
 	}
 	seeds := int64(200)
 	if testing.Short() {
@@ -112,13 +123,13 @@ func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		c := gen.RandomCircuit(seed, 80)
 		ref := trace.NewRecorder()
-		want := seq.Run(c, seq.Options{Horizon: 250, Probe: ref})
+		want := simulate(t, "sequential", c, engine.Config{Horizon: 250, Probe: ref})
 		for _, m := range modes {
 			for p := 1; p <= 4; p++ {
 				got := trace.NewRecorder()
-				opts := m.opts
-				opts.Workers, opts.Horizon, opts.Probe = p, 250, got
-				res, err := RunContext(context.Background(), c, opts)
+				cfg := m.cfg
+				cfg.Workers, cfg.Horizon, cfg.Probe = p, 250, got
+				res, err := engine.Run(context.Background(), m.engine, c, cfg)
 				var stall *guard.StallError
 				if errors.As(err, &stall) {
 					stalled[seed] = true
@@ -147,7 +158,7 @@ func TestBatchedEventConsumption(t *testing.T) {
 	// the paper's "very large problem size". Events-used per eval must
 	// comfortably exceed 1 on the inverter array.
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 4, Cols: 8, ActiveRows: 4, TogglePeriod: 1})
-	res := Run(c, Options{Workers: 1, Horizon: 1000})
+	res := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: 1000})
 	perEval := float64(res.Run.EventsUsed) / float64(res.Run.Evals)
 	if perEval < 5 {
 		t.Errorf("events per evaluation = %.2f; batching is not happening", perEval)
@@ -159,7 +170,7 @@ func TestFeedbackSerialisesEvaluation(t *testing.T) {
 	// events-per-eval should sit near 1 — the contrast the paper draws in
 	// section 4.1.
 	c := gen.FeedbackChain(15)
-	res := Run(c, Options{Workers: 1, Horizon: 2000})
+	res := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: 2000})
 	perEval := float64(res.Run.EventsUsed) / float64(res.Run.Evals)
 	if perEval > 2 {
 		t.Errorf("events per evaluation = %.2f; expected near-serial progress", perEval)
@@ -169,9 +180,9 @@ func TestFeedbackSerialisesEvaluation(t *testing.T) {
 func TestDeterministicHistories(t *testing.T) {
 	c := gen.RandomCircuit(11, 100)
 	r1 := trace.NewRecorder()
-	Run(c, Options{Workers: 4, Horizon: 300, Probe: r1})
+	simulate(t, "asynchronous", c, engine.Config{Workers: 4, Horizon: 300, Probe: r1})
 	r2 := trace.NewRecorder()
-	Run(c, Options{Workers: 4, Horizon: 300, Probe: r2})
+	simulate(t, "asynchronous", c, engine.Config{Workers: 4, Horizon: 300, Probe: r2})
 	if d := trace.Diff(c, r1, r2); d != "" {
 		t.Fatalf("two runs differ: %s", d)
 	}
@@ -179,7 +190,7 @@ func TestDeterministicHistories(t *testing.T) {
 
 func TestUtilizationBounded(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
-	res := Run(c, Options{Workers: 2, Horizon: 400})
+	res := simulate(t, "asynchronous", c, engine.Config{Workers: 2, Horizon: 400})
 	u := res.Run.Utilization()
 	if u <= 0 || u > 1.0001 {
 		t.Errorf("utilisation %f out of (0,1]", u)
@@ -187,9 +198,9 @@ func TestUtilizationBounded(t *testing.T) {
 }
 
 func TestBadWorkerCountError(t *testing.T) {
-	res, err := RunContext(context.Background(), gen.FeedbackChain(3), Options{Workers: 0, Horizon: 10})
+	res, err := engine.Run(context.Background(), "asynchronous", gen.FeedbackChain(3), engine.Config{Workers: -1, Horizon: 10})
 	if err == nil {
-		t.Fatal("Workers=0 did not return an error")
+		t.Fatal("Workers=-1 did not return an error")
 	}
 	if res != nil {
 		t.Fatal("bad config must not produce a result")
@@ -198,7 +209,7 @@ func TestBadWorkerCountError(t *testing.T) {
 
 func TestZeroHorizon(t *testing.T) {
 	c := gen.FeedbackChain(3)
-	res := Run(c, Options{Workers: 2, Horizon: 0})
+	res := simulate(t, "asynchronous", c, engine.Config{Workers: 2, Horizon: 0})
 	if res.Run.NodeUpdates != 0 {
 		t.Errorf("updates at zero horizon: %d", res.Run.NodeUpdates)
 	}
@@ -212,8 +223,8 @@ func TestClockedLookaheadBoundsEvals(t *testing.T) {
 	cfg := gen.DefaultCPU()
 	c := gen.CPU(cfg)
 	horizon := gen.CPUHorizon(cfg, 30)
-	asyncRes := Run(c, Options{Workers: 1, Horizon: horizon})
-	seqRes := seq.Run(c, seq.Options{Horizon: horizon})
+	asyncRes := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: horizon})
+	seqRes := simulate(t, "sequential", c, engine.Config{Horizon: horizon})
 	if asyncRes.Run.Evals > 15*seqRes.Run.Evals {
 		t.Errorf("async evals %d vs event-driven %d: lookahead not effective",
 			asyncRes.Run.Evals, seqRes.Run.Evals)
@@ -228,9 +239,9 @@ func TestLookaheadAblation(t *testing.T) {
 	horizon := gen.CPUHorizon(cfg, 12)
 
 	ref := trace.NewRecorder()
-	with := Run(c, Options{Workers: 2, Horizon: horizon, Probe: ref})
+	with := simulate(t, "asynchronous", c, engine.Config{Workers: 2, Horizon: horizon, Probe: ref})
 	got := trace.NewRecorder()
-	without := Run(c, Options{Workers: 2, Horizon: horizon, Probe: got, NoLookahead: true})
+	without := simulate(t, "asynchronous", c, engine.Config{Workers: 2, Horizon: horizon, Probe: got, NoLookahead: true})
 	if d := trace.Diff(c, ref, got); d != "" {
 		t.Fatalf("lookahead changed results: %s", d)
 	}
@@ -250,9 +261,9 @@ func TestGateLookaheadExact(t *testing.T) {
 	horizons := []circuit.Time{300, 400, gen.CPUHorizon(gen.DefaultCPU(), 25)}
 	for i, c := range circuits {
 		ref := trace.NewRecorder()
-		seq.Run(c, seq.Options{Horizon: horizons[i], Probe: ref})
+		simulate(t, "sequential", c, engine.Config{Horizon: horizons[i], Probe: ref})
 		got := trace.NewRecorder()
-		Run(c, Options{Workers: 2, Horizon: horizons[i], Probe: got, GateLookahead: true})
+		simulate(t, "asynchronous", c, engine.Config{Workers: 2, Horizon: horizons[i], Probe: got, GateLookahead: true})
 		if d := trace.Diff(c, ref, got); d != "" {
 			t.Fatalf("%s: gate lookahead changed results: %s", c.Name, d)
 		}
@@ -260,9 +271,9 @@ func TestGateLookaheadExact(t *testing.T) {
 	for seed := int64(20); seed < 32; seed++ {
 		c := gen.RandomCircuit(seed, 80)
 		ref := trace.NewRecorder()
-		seq.Run(c, seq.Options{Horizon: 250, Probe: ref})
+		simulate(t, "sequential", c, engine.Config{Horizon: 250, Probe: ref})
 		got := trace.NewRecorder()
-		Run(c, Options{Workers: 3, Horizon: 250, Probe: got, GateLookahead: true})
+		simulate(t, "asynchronous", c, engine.Config{Workers: 3, Horizon: 250, Probe: got, GateLookahead: true})
 		if d := trace.Diff(c, ref, got); d != "" {
 			t.Fatalf("seed %d: gate lookahead changed results: %s", seed, d)
 		}
@@ -301,8 +312,8 @@ func TestGateLookaheadSkipsWork(t *testing.T) {
 	}
 	c := b.MustBuild()
 
-	with := Run(c, Options{Workers: 1, Horizon: 2000, GateLookahead: true})
-	without := Run(c, Options{Workers: 1, Horizon: 2000})
+	with := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: 2000, GateLookahead: true})
+	without := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: 2000})
 	if with.Run.NodeUpdates != without.Run.NodeUpdates {
 		t.Fatalf("update counts differ: %d vs %d", with.Run.NodeUpdates, without.Run.NodeUpdates)
 	}
@@ -329,9 +340,9 @@ func TestChandyMisraDeadlockRecoveryExact(t *testing.T) {
 	}
 	for _, tc := range circuits {
 		ref := trace.NewRecorder()
-		seq.Run(tc.c, seq.Options{Horizon: tc.horizon, Probe: ref})
+		simulate(t, "sequential", tc.c, engine.Config{Horizon: tc.horizon, Probe: ref})
 		got := trace.NewRecorder()
-		res := Run(tc.c, Options{Workers: 2, Horizon: tc.horizon, Probe: got, DeadlockRecovery: true})
+		res := simulate(t, "chandy-misra", tc.c, engine.Config{Workers: 2, Horizon: tc.horizon, Probe: got})
 		if d := trace.Diff(tc.c, ref, got); d != "" {
 			t.Fatalf("%s: CM mode differs: %s", tc.c.Name, d)
 		}
@@ -347,10 +358,12 @@ func TestFeedbackNeedsManyRecoveryRounds(t *testing.T) {
 	// simulation deadlocks over and over; incremental valid-times (the
 	// default mode) never deadlock at all.
 	c := gen.FeedbackChain(9)
-	cm := Run(c, Options{Workers: 2, Horizon: 400, DeadlockRecovery: true})
-	inc := Run(c, Options{Workers: 2, Horizon: 400})
-	if inc.Rounds != 1 {
-		t.Errorf("incremental mode reported %d rounds", inc.Rounds)
+	cm := simulate(t, "chandy-misra", c, engine.Config{Workers: 2, Horizon: 400})
+	inc := newSim(context.Background(), c, engine.Config{Workers: 2, Horizon: 400}, async)
+	defer inc.cancel.Release()
+	inc.runWorkers()
+	if inc.recoverDeadlock() {
+		t.Error("incremental mode left a deadlock to recover from")
 	}
 	if cm.Rounds < 20 {
 		t.Errorf("CM on a feedback ring broke only %d deadlocks", cm.Rounds)

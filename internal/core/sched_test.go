@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
 )
 
@@ -38,7 +39,7 @@ func TestOneWorkerCountsPinned(t *testing.T) {
 	}
 	for i, bc := range benchCircuits() {
 		elems := int64(len(bc.c.Elems) - len(bc.c.Generators()))
-		r := Run(bc.c, Options{Workers: 1, Horizon: bc.horizon}).Run
+		r := simulate(t, "asynchronous", bc.c, engine.Config{Workers: 1, Horizon: bc.horizon}).Run
 		if w := want[i]; r.ModelCalls != w.model || r.EventsUsed != w.events || r.NodeUpdates != w.nodeUpdate {
 			t.Errorf("%s: model calls/events/updates %d/%d/%d, want %d/%d/%d",
 				bc.c.Name, r.ModelCalls, r.EventsUsed, r.NodeUpdates, w.model, w.events, w.nodeUpdate)
@@ -49,7 +50,7 @@ func TestOneWorkerCountsPinned(t *testing.T) {
 		case max > 0 && (r.Evals < elems || r.Evals > max):
 			t.Errorf("%s: %d activations, want %d..%d", bc.c.Name, r.Evals, elems, max)
 		}
-		if again := Run(bc.c, Options{Workers: 1, Horizon: bc.horizon}).Run; again.Evals != r.Evals {
+		if again := simulate(t, "asynchronous", bc.c, engine.Config{Workers: 1, Horizon: bc.horizon}).Run; again.Evals != r.Evals {
 			t.Errorf("%s: activations differ between two one-worker runs: %d, %d", bc.c.Name, r.Evals, again.Evals)
 		}
 	}
@@ -72,7 +73,7 @@ func checkQuiescent(t *testing.T, s *sim, when string) {
 		if st := s.ctl[i].state.Load(); st != stIdle {
 			t.Fatalf("%s %s: element %s in state %d at quiescence", s.c.Name, when, el.Name, st)
 		}
-		minValid := int64(s.opts.Horizon)
+		minValid := int64(s.cfg.Horizon)
 		for _, n := range el.In {
 			if vt := s.hist[n].validTo.Load(); vt < minValid {
 				minValid = vt
@@ -104,16 +105,19 @@ func TestNoLostWakeups(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		cases = append(cases, simCase{gen.RandomCircuit(seed, 80), 250})
 	}
-	modes := []Options{{}, {NoLookahead: true}, {DeadlockRecovery: true}}
+	modes := []struct {
+		eng eng
+		cfg engine.Config
+	}{{async, engine.Config{}}, {async, engine.Config{NoLookahead: true}}, {chandyMisra, engine.Config{}}}
 	for _, c := range cases {
 		for _, m := range modes {
 			for _, p := range []int{1, 2, 4} {
-				m.Workers, m.Horizon = p, c.horizon
-				s := newSim(context.Background(), c.c, m)
+				m.cfg.Workers, m.cfg.Horizon = p, c.horizon
+				s := newSim(context.Background(), c.c, m.cfg, m.eng)
 				for round := 1; ; round++ {
 					s.runWorkers()
 					checkQuiescent(t, s, "after a round")
-					if !m.DeadlockRecovery || !s.recoverDeadlock() {
+					if !m.eng.deadlockRecovery || !s.recoverDeadlock() {
 						break
 					}
 					if round > 1<<20 {
@@ -134,7 +138,7 @@ func TestRecoveryRoundsSumIdleTime(t *testing.T) {
 	// discipline, and with two workers on a serial ring one of them starves
 	// in most rounds. The report must carry the idle time of all rounds, not
 	// of the last one only.
-	res := Run(gen.FeedbackChain(9), Options{Workers: 2, Horizon: 2000, DeadlockRecovery: true})
+	res := simulate(t, "chandy-misra", gen.FeedbackChain(9), engine.Config{Workers: 2, Horizon: 2000})
 	if res.Rounds < 20 {
 		t.Fatalf("only %d rounds", res.Rounds)
 	}

@@ -8,6 +8,7 @@ import (
 	"weak"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/logic"
 )
@@ -35,7 +36,7 @@ func TestConsumedHistoryIsCollected(t *testing.T) {
 	bld.Const("konst", k, logic.V(1, 0))
 	c := bld.MustBuild()
 
-	s := newSim(context.Background(), c, Options{Workers: 1, Horizon: 1000})
+	s := newSim(context.Background(), c, engine.Config{Workers: 1, Horizon: 1000}, async)
 	defer s.cancel.Release()
 	w := s.workers[0]
 	first := weak.Make(s.cursors[inv2][0].chunk)
@@ -67,7 +68,7 @@ func runAlloc(c *circuit.Circuit, horizon circuit.Time) (bytes uint64, events in
 	var before, after runtime.MemStats
 	for i := 0; i < 3; i++ {
 		runtime.ReadMemStats(&before)
-		r := Run(c, Options{Workers: 1, Horizon: horizon})
+		r, _ := engine.Run(context.Background(), "asynchronous", c, engine.Config{Workers: 1, Horizon: horizon})
 		runtime.ReadMemStats(&after)
 		if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < bytes {
 			bytes = b

@@ -27,29 +27,7 @@ import (
 	"parsim/internal/logic"
 	"parsim/internal/partition"
 	"parsim/internal/stats"
-	"parsim/internal/trace"
 )
-
-// Options configures a run.
-type Options struct {
-	Workers  int          // partitions / virtual hypercube nodes; >= 1
-	Horizon  circuit.Time // simulate t in [0, Horizon)
-	Probe    trace.Probe  // optional observer; must be concurrency-safe
-	CostSpin int64        // if > 0, burn CostSpin x element Cost per evaluation
-	Strategy partition.Strategy
-	// Guard is the optional run supervisor: worker panics are contained,
-	// evaluations heartbeat the watchdog, and a run that terminates with
-	// owned-node valid-times short of the horizon self-reports the stall
-	// instead of silently returning stale X values.
-	Guard *guard.Supervisor
-}
-
-// Result is the outcome of a run.
-type Result struct {
-	Run      stats.Run
-	Final    []logic.Value
-	Messages int64 // inter-worker messages sent
-}
 
 // event is one node value change.
 type event struct {
@@ -85,30 +63,32 @@ type replica struct {
 
 const reclaimThreshold = 256
 
-// Run simulates the circuit on opts.Workers message-passing workers.
-func Run(c *circuit.Circuit, opts Options) *Result {
-	res, _ := RunContext(context.Background(), c, opts)
-	return res
-}
+// eng registers the distributed-memory asynchronous simulator with the
+// engine layer.
+type eng struct{}
 
-// RunContext is Run with cancellation: when ctx is cancelled every worker
-// stops at its next queue poll or blocking wait and the partial result is
-// returned with ctx.Err(). In-flight messages are abandoned; termination
-// detection is bypassed.
-func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	if err := engine.ValidateWorkers(opts.Workers); err != nil {
-		return nil, err
-	}
-	p := opts.Workers
+func (eng) Name() string { return "distributed-async" }
+
+func init() { engine.Register(eng{}, "dist", "distributed") }
+
+// Run simulates the circuit on cfg.Workers message-passing workers. The
+// guard contains worker panics, evaluations heartbeat the watchdog, and a
+// run that terminates with owned-node valid-times short of the horizon
+// self-reports the stall instead of silently returning stale X values. When
+// ctx is cancelled every worker stops at its next queue poll or blocking
+// wait and the partial Report is returned with ctx.Err(). In-flight
+// messages are abandoned; termination detection is bypassed.
+func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	p := cfg.Workers
 	cancel := engine.WatchCancel(ctx)
 	defer cancel.Release()
-	parts := partition.Split(c, p, opts.Strategy)
+	parts := partition.Split(c, p, cfg.Strategy)
 
 	// elemOwner[i] = worker owning element i; nodeOwner likewise via driver.
 	elemOwner := make([]int, len(c.Elems))
 	for w, part := range parts {
-		for _, e := range part {
-			elemOwner[e] = w
+		for _, id := range part {
+			elemOwner[id] = w
 		}
 	}
 	for _, g := range c.Generators() {
@@ -118,7 +98,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 	workers := make([]*worker, p)
 	done := make(chan struct{})
 	for w := 0; w < p; w++ {
-		workers[w] = newWorker(c, opts, w, p, parts[w], elemOwner)
+		workers[w] = newWorker(c, cfg, w, p, parts[w], elemOwner)
 		workers[w].done = done
 		workers[w].cancel = cancel
 		workers[w].ctxDone = ctx.Done()
@@ -149,7 +129,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		n := el.Out[0]
 		r := w.replicaFor(n)
 		var t circuit.Time
-		for t < opts.Horizon {
+		for t < cfg.Horizon {
 			if cancel.Cancelled() {
 				break // generators can span huge horizons; stop materialising
 			}
@@ -163,7 +143,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 			}
 			t = next
 		}
-		w.advanceValidTo(n, opts.Horizon)
+		w.advanceValidTo(n, cfg.Horizon)
 	}
 	// Flush the seeded behaviour as pre-start mail and activations.
 	for _, w := range workers {
@@ -176,50 +156,48 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			defer opts.Guard.Recover(w.id, "distributed eval loop")
+			defer cfg.Guard.Recover(w.id, "distributed eval loop")
 			w.run()
 		}(w)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := &Result{Final: make([]logic.Value, len(c.Nodes))}
+	rep := &engine.Report{Final: make([]logic.Value, len(c.Nodes)), Run: stats.Run{
+		Algorithm: e.Name(),
+		Circuit:   c.Name,
+		Horizon:   cfg.Horizon,
+		Workers:   p,
+	}}
 	for i := range c.Nodes {
 		owner := workers[elemOwner[c.Nodes[i].Driver]]
 		if r, ok := owner.replicas[circuit.NodeID(i)]; ok {
-			res.Final[i] = r.final
+			rep.Final[i] = r.final
 		} else {
-			res.Final[i] = logic.AllX(c.Nodes[i].Width)
+			rep.Final[i] = logic.AllX(c.Nodes[i].Width)
 		}
-	}
-	res.Run = stats.Run{
-		Algorithm: "distributed-async",
-		Circuit:   c.Name,
-		Horizon:   opts.Horizon,
-		Workers:   p,
 	}
 	per := make([]stats.WorkerCounters, p)
 	for w := 0; w < p; w++ {
 		per[w] = workers[w].wc
-		res.Messages += workers[w].wc.Messages
 	}
-	res.Run.Aggregate(wall, per)
+	rep.Run.Aggregate(wall, per)
 	if err := cancel.Err(ctx); err != nil {
-		return res, err
+		return rep, err
 	}
 	// Workers also watch ctx.Done directly, so they can exit before the
 	// flag's watcher goroutine observes the cancellation; consult the
 	// context itself so a cut-short run is never mistaken for a stall.
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return rep, err
 	}
 	// Termination was declared (every worker passive, no mail in flight),
 	// so authoritative valid-times short of the horizon mean the run
 	// stalled rather than completed: self-report with the stuck nodes,
 	// as core does, instead of silently returning stale X values. The
 	// owner replicas are plain fields, safe to read after wg.Wait.
-	if opts.Horizon > 0 {
-		horizon := int64(opts.Horizon)
+	if cfg.Horizon > 0 {
+		horizon := int64(cfg.Horizon)
 		minValid := horizon
 		var stuck []string
 		truncated := 0
@@ -239,13 +217,13 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 			}
 		}
 		if len(stuck) > 0 {
-			return res, &guard.StallError{
-				Engine:       "distributed-async",
+			return rep, &guard.StallError{
+				Engine:       e.Name(),
 				LastProgress: minValid,
 				StuckNodes:   stuck,
 				Truncated:    truncated,
 			}
 		}
 	}
-	return res, nil
+	return rep, nil
 }

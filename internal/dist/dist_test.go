@@ -5,26 +5,37 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/partition"
-	"parsim/internal/seq"
+	_ "parsim/internal/seq"
 	"parsim/internal/trace"
 )
 
+// simulate runs c on the named engine through the registry.
+func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
+	t.Helper()
+	rep, err := engine.Run(context.Background(), name, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // crossCheck compares the distributed simulator against the sequential
 // oracle, event for event.
-func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Options) *Result {
+func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engine.Config) *engine.Report {
 	t.Helper()
 	ref := trace.NewRecorder()
-	seqRes := seq.Run(c, seq.Options{Horizon: horizon, Probe: ref})
+	seqRes := simulate(t, "sequential", c, engine.Config{Horizon: horizon, Probe: ref})
 
 	got := trace.NewRecorder()
-	opts.Horizon = horizon
-	opts.Probe = got
-	res := Run(c, opts)
+	cfg.Horizon = horizon
+	cfg.Probe = got
+	res := simulate(t, "distributed-async", c, cfg)
 
 	if d := trace.Diff(c, ref, got); d != "" {
-		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, opts.Workers, d)
+		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, cfg.Workers, d)
 	}
 	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
 		t.Errorf("node updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
@@ -41,7 +52,7 @@ func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Opt
 func TestMatchesSequentialOnArray(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 8, Cols: 8, ActiveRows: 6, TogglePeriod: 2})
 	for _, p := range []int{1, 2, 3, 5, 8} {
-		crossCheck(t, c, 300, Options{Workers: p})
+		crossCheck(t, c, 300, engine.Config{Workers: p})
 	}
 }
 
@@ -50,7 +61,7 @@ func TestMatchesSequentialOnFuncMultiplier(t *testing.T) {
 	cfg.InPeriod = 64
 	c := gen.FuncMultiplier(cfg)
 	for _, p := range []int{1, 3, 4} {
-		crossCheck(t, c, 512, Options{Workers: p})
+		crossCheck(t, c, 512, engine.Config{Workers: p})
 	}
 }
 
@@ -59,36 +70,36 @@ func TestMatchesSequentialOnGateMultiplier(t *testing.T) {
 	cfg.N = 8
 	cfg.InPeriod = 128
 	c := gen.GateMultiplier(cfg)
-	crossCheck(t, c, 512, Options{Workers: 4})
+	crossCheck(t, c, 512, engine.Config{Workers: 4})
 }
 
 func TestMatchesSequentialOnCPU(t *testing.T) {
 	cfg := gen.DefaultCPU()
 	c := gen.CPU(cfg)
-	crossCheck(t, c, gen.CPUHorizon(cfg, 25), Options{Workers: 4})
+	crossCheck(t, c, gen.CPUHorizon(cfg, 25), engine.Config{Workers: 4})
 }
 
 func TestMatchesSequentialOnFeedback(t *testing.T) {
 	for _, p := range []int{1, 3} {
-		crossCheck(t, gen.FeedbackChain(13), 600, Options{Workers: p})
+		crossCheck(t, gen.FeedbackChain(13), 600, engine.Config{Workers: p})
 	}
 }
 
 func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		c := gen.RandomCircuit(seed, 80)
-		crossCheck(t, c, 250, Options{Workers: 3})
+		crossCheck(t, c, 250, engine.Config{Workers: 3})
 	}
 }
 
 func TestMessagesOnlyWithMultipleWorkers(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 4, Cols: 4, ActiveRows: 4, TogglePeriod: 1})
-	solo := Run(c, Options{Workers: 1, Horizon: 100})
-	if solo.Messages != 0 {
-		t.Errorf("single worker sent %d messages", solo.Messages)
+	solo := simulate(t, "distributed-async", c, engine.Config{Workers: 1, Horizon: 100})
+	if m := solo.Run.Totals().Messages; m != 0 {
+		t.Errorf("single worker sent %d messages", m)
 	}
-	multi := Run(c, Options{Workers: 4, Horizon: 100})
-	if multi.Messages == 0 {
+	multi := simulate(t, "distributed-async", c, engine.Config{Workers: 4, Horizon: 100})
+	if multi.Run.Totals().Messages == 0 {
 		t.Error("four workers exchanged no messages")
 	}
 }
@@ -96,7 +107,7 @@ func TestMessagesOnlyWithMultipleWorkers(t *testing.T) {
 func TestReclamationBoundsMemory(t *testing.T) {
 	// A long run over a small circuit: replicas must stay compact.
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 2, Cols: 4, ActiveRows: 2, TogglePeriod: 1})
-	res := Run(c, Options{Workers: 2, Horizon: 100000})
+	res := simulate(t, "distributed-async", c, engine.Config{Workers: 2, Horizon: 100000})
 	if res.Run.NodeUpdates < 100000 {
 		t.Fatalf("not enough activity: %d", res.Run.NodeUpdates)
 	}
@@ -107,9 +118,9 @@ func TestReclamationBoundsMemory(t *testing.T) {
 func TestDeterministicHistories(t *testing.T) {
 	c := gen.RandomCircuit(11, 100)
 	r1 := trace.NewRecorder()
-	Run(c, Options{Workers: 4, Horizon: 300, Probe: r1})
+	simulate(t, "distributed-async", c, engine.Config{Workers: 4, Horizon: 300, Probe: r1})
 	r2 := trace.NewRecorder()
-	Run(c, Options{Workers: 4, Horizon: 300, Probe: r2})
+	simulate(t, "distributed-async", c, engine.Config{Workers: 4, Horizon: 300, Probe: r2})
 	if d := trace.Diff(c, r1, r2); d != "" {
 		t.Fatalf("two runs differ: %s", d)
 	}
@@ -120,14 +131,14 @@ func TestPartitionStrategies(t *testing.T) {
 	cfg.InPeriod = 64
 	c := gen.FuncMultiplier(cfg)
 	for _, s := range []partition.Strategy{partition.RoundRobin, partition.Blocks, partition.CostLPT} {
-		crossCheck(t, c, 256, Options{Workers: 3, Strategy: s})
+		crossCheck(t, c, 256, engine.Config{Workers: 3, Strategy: s})
 	}
 }
 
 func TestBadWorkerCountError(t *testing.T) {
-	res, err := RunContext(context.Background(), gen.FeedbackChain(3), Options{Workers: 0, Horizon: 10})
+	res, err := engine.Run(context.Background(), "distributed-async", gen.FeedbackChain(3), engine.Config{Workers: -1, Horizon: 10})
 	if err == nil {
-		t.Fatal("Workers=0 did not return an error")
+		t.Fatal("Workers=-1 did not return an error")
 	}
 	if res != nil {
 		t.Fatal("bad config must not produce a result")
@@ -135,7 +146,7 @@ func TestBadWorkerCountError(t *testing.T) {
 }
 
 func TestZeroHorizon(t *testing.T) {
-	res := Run(gen.FeedbackChain(3), Options{Workers: 2, Horizon: 0})
+	res := simulate(t, "distributed-async", gen.FeedbackChain(3), engine.Config{Workers: 2, Horizon: 0})
 	if res.Run.NodeUpdates != 0 {
 		t.Errorf("updates at zero horizon: %d", res.Run.NodeUpdates)
 	}

@@ -21,13 +21,13 @@ func peek(r *replica, cu *cursor) (event, bool) {
 func (w *worker) evalElement(e circuit.ElemID) {
 	el := &w.c.Elems[e]
 	w.wc.Evals++
-	w.opts.Guard.Heartbeat(w.id)
+	w.cfg.Guard.Heartbeat(w.id)
 	if w.chaos != nil {
 		w.chaos.Eval()
 	}
 	cs := w.cursors[e]
 
-	minValid := int64(w.opts.Horizon)
+	minValid := int64(w.cfg.Horizon)
 	for _, n := range el.In {
 		if vt := int64(w.replicas[n].validTo); vt < minValid {
 			minValid = vt
@@ -75,8 +75,8 @@ func (w *worker) evalElement(e circuit.ElemID) {
 		}
 		el.Eval(in, w.state[e], out)
 		w.wc.ModelCalls++
-		if w.opts.CostSpin > 0 {
-			circuit.Spin(el.Cost * w.opts.CostSpin)
+		if w.cfg.CostSpin > 0 {
+			circuit.Spin(el.Cost * w.cfg.CostSpin)
 		}
 		for p, n := range el.Out {
 			r := w.replicas[n]
@@ -85,15 +85,15 @@ func (w *worker) evalElement(e circuit.ElemID) {
 			}
 			t := tmin + el.Delay
 			r.last = out[p]
-			if t >= w.opts.Horizon {
+			if t >= w.cfg.Horizon {
 				continue
 			}
 			r.final = out[p]
 			r.events = append(r.events, event{t: t, v: out[p]})
 			w.staged[n] = append(w.staged[n], event{t: t, v: out[p]})
 			w.wc.NodeUpdates++
-			if w.opts.Probe != nil {
-				w.opts.Probe.OnChange(n, t, out[p])
+			if w.cfg.Probe != nil {
+				w.cfg.Probe.OnChange(n, t, out[p])
 			}
 		}
 	}
@@ -102,7 +102,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// before the next trigger-input event.
 	effValid := minValid
 	if trig := circuit.TriggerPorts(el.Kind); trig != nil {
-		bound := int64(w.opts.Horizon)
+		bound := int64(w.cfg.Horizon)
 		for _, port := range trig {
 			n := el.In[port]
 			var tb int64

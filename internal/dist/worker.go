@@ -19,7 +19,7 @@ type cursor struct {
 
 type worker struct {
 	c     *circuit.Circuit
-	opts  Options
+	cfg   engine.Config
 	id, p int
 	peers []*worker
 
@@ -60,11 +60,11 @@ type worker struct {
 	inBuf, outBuf []logic.Value
 }
 
-func newWorker(c *circuit.Circuit, opts Options, id, p int,
+func newWorker(c *circuit.Circuit, cfg engine.Config, id, p int,
 	elems []circuit.ElemID, elemOwner []int) *worker {
 	w := &worker{
 		c:           c,
-		opts:        opts,
+		cfg:         cfg,
 		id:          id,
 		p:           p,
 		elems:       elems,
@@ -78,7 +78,7 @@ func newWorker(c *circuit.Circuit, opts Options, id, p int,
 		state:       make(map[circuit.ElemID][]logic.Value),
 		inQueue:     make([]bool, len(c.Elems)),
 		staged:      make(map[circuit.NodeID][]event),
-		chaos:       opts.Guard.Chaos(),
+		chaos:       cfg.Guard.Chaos(),
 	}
 	for _, e := range elems {
 		el := &c.Elems[e]
@@ -119,21 +119,21 @@ func (w *worker) replicaFor(n circuit.NodeID) *replica {
 func (w *worker) append(n circuit.NodeID, t circuit.Time, v logic.Value) {
 	r := w.replicas[n]
 	r.last = v
-	if t >= w.opts.Horizon {
+	if t >= w.cfg.Horizon {
 		return
 	}
 	r.final = v
 	r.events = append(r.events, event{t: t, v: v})
 	w.wc.NodeUpdates++
-	if w.opts.Probe != nil {
-		w.opts.Probe.OnChange(n, t, v)
+	if w.cfg.Probe != nil {
+		w.cfg.Probe.OnChange(n, t, v)
 	}
 }
 
 func (w *worker) advanceValidTo(n circuit.NodeID, t circuit.Time) bool {
 	r := w.replicas[n]
-	if t > w.opts.Horizon {
-		t = w.opts.Horizon
+	if t > w.cfg.Horizon {
+		t = w.cfg.Horizon
 	}
 	if t > r.validTo {
 		r.validTo = t

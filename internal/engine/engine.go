@@ -1,16 +1,16 @@
 // Package engine is the unified simulation-engine layer: one interface,
-// one configuration struct and one registry shared by all seven
-// simulators (sequential, event-driven, compiled, asynchronous,
-// Chandy-Misra, distributed-async and Time Warp).
+// one configuration struct, one report and one registry shared by every
+// simulator. Each engine package registers itself from init under a
+// canonical name plus aliases; Names lists what is registered.
 //
 // The paper's point is that the same circuits run under interchangeable
 // algorithms whose only differences are scheduling and synchronisation.
 // This package makes that interchangeability concrete: the facade, the
 // CLIs, the figure harness and the benchmarks all resolve an algorithm by
 // name through the registry instead of hand-rolling per-algorithm
-// dispatch, every engine accepts the same Config, honours context
-// cancellation, and reports the same per-worker counter surface
-// (stats.WorkerCounters).
+// dispatch. Every engine reads the same Config — no engine declares run
+// options of its own — honours context cancellation, and returns a Report
+// with the same per-worker counter surface (stats.WorkerCounters).
 package engine
 
 import (
@@ -93,7 +93,8 @@ type Config struct {
 	// ignores it).
 	Strategy partition.Strategy
 	// CollectAvail records the elements-available-per-step histogram
-	// (sequential and event-driven engines).
+	// (sequential and event-driven engines; experiment T3); it costs one
+	// histogram update per step.
 	CollectAvail bool
 	// Lint selects the pre-flight static-analysis level applied in the
 	// shared validation path before any engine runs (see LintMode).
@@ -124,7 +125,8 @@ type Config struct {
 	ResumeFrom string
 	// Ckpt is the resolved form of Checkpoint and ResumeFrom (nil when
 	// neither is set), installed by RunEngine after snapshot verification.
-	// Checkpointer adapters pass it to their run; callers leave it nil.
+	// A Checkpointer engine runs its snapshot protocol through it; callers
+	// leave it nil.
 	Ckpt *checkpoint.Session
 	// Guard is the per-run supervisor, installed by RunEngine. Engines
 	// read it to publish progress and contain worker panics; callers
@@ -158,17 +160,28 @@ type Config struct {
 	// support it; RunEngine rejects the flag for every other engine.
 	FaultSim bool
 	// FaultMaxPasses caps fault-list chunking (each pass simulates Lanes-1
-	// faults; 0 runs every pass the list needs).
+	// faults; 0 runs every pass the list needs). Faults beyond the cap are
+	// reported undetected.
 	FaultMaxPasses int
-	// FaultStatuses includes the per-fault status rows in FaultCoverage.
+	// FaultStatuses includes the per-fault status rows in FaultCoverage;
+	// they can dominate the report size for large circuits.
 	FaultStatuses bool
 
 	// Ablation flags, honoured by the engine they name.
-	NoSteal       bool // event-driven: disable end-of-phase work stealing
-	CentralQueue  bool // event-driven: the paper's contended single-queue design
-	NoLookahead   bool // asynchronous: disable clocked-element lookahead
-	GateLookahead bool // asynchronous: controlling-value gate lookahead
-	StepsPerRound int  // time-warp: optimistic steps per GVT round (0 = default)
+	NoSteal      bool // event-driven: disable end-of-phase work stealing
+	CentralQueue bool // event-driven: the paper's contended single-queue design
+	// NoLookahead disables the asynchronous engines' clocked-element
+	// lookahead: without it, valid-times creep around register feedback
+	// loops an element delay at a time and evaluation counts explode on
+	// circuits like the microprocessor.
+	NoLookahead bool
+	// GateLookahead enables the asynchronous engine's controlling-value
+	// optimisation: while any input of an AND/NAND (OR/NOR) gate holds 0
+	// (1), the output is pinned, events on the other inputs are consumed
+	// without evaluation, and the output's valid-time extends to the point
+	// where the last controlling input could change.
+	GateLookahead bool
+	StepsPerRound int // time-warp: optimistic element steps per worker per GVT round (0 = 2048)
 }
 
 // FallbackPolicy configures the transparent retry applied after a
@@ -328,12 +341,37 @@ type LaneEngine interface {
 
 // DefaultLanes returns e's lane count for a run that requests none, or 0
 // when e is a scalar engine that ignores the lane fields — the one
-// predicate admission, validation and the adapters share.
+// predicate admission, validation and the lane engines share.
 func DefaultLanes(e Engine) int {
 	if le, ok := e.(LaneEngine); ok {
 		return le.DefaultLanes()
 	}
 	return 0
+}
+
+// CheckLanes is the one rule for the lane fields of a run of e, applied by
+// RunEngine and by the daemon's admission: Lanes within [0, MaxWideLanes],
+// ProbeLane below the lane count the run gets (a scalar engine has one
+// lane), and FaultSim only on a lane engine with at least two lanes — the
+// good machine plus one fault. It returns that lane count.
+func CheckLanes(e Engine, cfg Config) (int, error) {
+	if cfg.Lanes < 0 || cfg.Lanes > logic.MaxWideLanes {
+		return 0, fmt.Errorf("parsim: lanes must be in [0,%d], got %d", logic.MaxWideLanes, cfg.Lanes)
+	}
+	lanes := cfg.Lanes
+	if lanes == 0 {
+		lanes = max(DefaultLanes(e), 1)
+	}
+	if cfg.ProbeLane < 0 || cfg.ProbeLane >= lanes {
+		return 0, fmt.Errorf("parsim: probe_lane %d outside [0,%d)", cfg.ProbeLane, lanes)
+	}
+	switch {
+	case cfg.FaultSim && DefaultLanes(e) == 0:
+		return 0, fmt.Errorf("parsim: fault_sim requires a lane engine (vector or jit), not %q", e.Name())
+	case cfg.FaultSim && lanes < 2:
+		return 0, fmt.Errorf("parsim: fault_sim needs at least 2 lanes (good machine + one fault), got %d", lanes)
+	}
+	return lanes, nil
 }
 
 // ---- registry ----
@@ -392,22 +430,12 @@ func Run(ctx context.Context, name string, c *circuit.Circuit, cfg Config) (*Rep
 	return RunEngine(ctx, e, c, cfg)
 }
 
-// ValidateWorkers is the single worker-count check shared by RunEngine
-// and the engine packages' direct entry points, replacing the historical
-// per-engine "need at least one worker" panics: bad configuration is an
-// error, never a crash.
-func ValidateWorkers(n int) error {
-	if n < 1 {
-		return fmt.Errorf("parsim: invalid worker count %d: Workers must be positive (or 0 for the default of 1)", n)
-	}
-	return nil
-}
-
-// RunEngine validates cfg (the one place worker counts and horizons are
-// checked) and invokes e under the supervision layer: worker panics come
-// back as *guard.WorkerFault, flat-lined runs as guard.ErrStalled when a
-// Watchdog window is set, and either outcome is transparently retried on
-// the Config.Fallback engine when one is named.
+// RunEngine validates cfg (the one place worker counts, horizons and lane
+// fields are checked, so bad configuration is an error and never a crash
+// inside an engine) and invokes e under the supervision layer: worker
+// panics come back as *guard.WorkerFault, flat-lined runs as
+// guard.ErrStalled when a Watchdog window is set, and either outcome is
+// transparently retried on the Config.Fallback engine when one is named.
 func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*Report, error) {
 	if c == nil {
 		return nil, fmt.Errorf("parsim: nil circuit")
@@ -418,14 +446,14 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
-	if err := ValidateWorkers(cfg.Workers); err != nil {
-		return nil, err
+	if cfg.Workers < 1 {
+		return nil, fmt.Errorf("parsim: invalid worker count %d: Workers must be positive (or 0 for the default of 1)", cfg.Workers)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.FaultSim && DefaultLanes(e) == 0 {
-		return nil, fmt.Errorf("parsim: fault simulation requires a lane engine (vector or jit), not %q", e.Name())
+	if _, err := CheckLanes(e, cfg); err != nil {
+		return nil, err
 	}
 	var fb Engine
 	if cfg.Fallback.Enabled() {
@@ -521,7 +549,7 @@ func sleepBackoff(ctx context.Context, rng *rand.Rand, base time.Duration, exp i
 }
 
 // resolveCheckpoint turns the user-facing Checkpoint/ResumeFrom fields into
-// the Session the engine adapters consume: it gates on engine support,
+// the Session the engines consume: it gates on engine support,
 // applies the default interval and binds the run's identity, against which
 // checkpoint.Open verifies the resume snapshot.
 func resolveCheckpoint(c *circuit.Circuit, e Engine, cfg *Config) error {

@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"parsim/internal/core"
-	"parsim/internal/seq"
+	_ "parsim/internal/core"
+	"parsim/internal/engine"
 )
 
 // randomProgram builds a random but well-defined program: registers are
@@ -68,7 +68,7 @@ func TestRandomProgramsAgainstISS(t *testing.T) {
 
 		cfg := CPUConfig{Program: prog, ClockPeriod: 96}
 		c := CPU(cfg)
-		res := seq.Run(c, seq.Options{Horizon: CPUHorizon(cfg, cycles)})
+		res := simulate(t, "sequential", c, engine.Config{Horizon: CPUHorizon(cfg, cycles)})
 		for reg := 0; reg < 16; reg++ {
 			got, ok := CPURegValue(c, res.Final, reg)
 			if !ok {
@@ -94,7 +94,7 @@ func TestRandomProgramOnAsync(t *testing.T) {
 
 	cfg := CPUConfig{Program: prog, ClockPeriod: 96}
 	c := CPU(cfg)
-	res := core.Run(c, core.Options{Workers: 2, Horizon: CPUHorizon(cfg, cycles)})
+	res := simulate(t, "asynchronous", c, engine.Config{Workers: 2, Horizon: CPUHorizon(cfg, cycles)})
 	for reg := 0; reg < 16; reg++ {
 		got, ok := CPURegValue(c, res.Final, reg)
 		if !ok || got != iss.Reg[reg] {
@@ -128,7 +128,7 @@ func TestEveryInstructionAgainstISS(t *testing.T) {
 		iss.Run(cycles)
 		cfg := CPUConfig{Program: prog, ClockPeriod: 96}
 		c := CPU(cfg)
-		res := seq.Run(c, seq.Options{Horizon: CPUHorizon(cfg, cycles)})
+		res := simulate(t, "sequential", c, engine.Config{Horizon: CPUHorizon(cfg, cycles)})
 		for reg := 0; reg < 16; reg++ {
 			got, ok := CPURegValue(c, res.Final, reg)
 			if !ok || got != iss.Reg[reg] {

@@ -1,12 +1,24 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
 	"parsim/internal/circuit"
-	"parsim/internal/seq"
+	"parsim/internal/engine"
+	_ "parsim/internal/seq"
 	"parsim/internal/trace"
 )
+
+// simulate runs c on the named engine through the registry.
+func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
+	t.Helper()
+	rep, err := engine.Run(context.Background(), name, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 func TestInverterArraySize(t *testing.T) {
 	c := InverterArray(DefaultInverterArray())
@@ -32,8 +44,8 @@ func TestInverterArrayEventRate(t *testing.T) {
 		cfg.ActiveRows = tc.active
 		c := InverterArray(cfg)
 		const warm, horizon = 64, 256
-		resAll := seq.Run(c, seq.Options{Horizon: horizon})
-		resWarm := seq.Run(c, seq.Options{Horizon: warm})
+		resAll := simulate(t, "sequential", c, engine.Config{Horizon: horizon})
+		resWarm := simulate(t, "sequential", c, engine.Config{Horizon: warm})
 		perTick := float64(resAll.Run.NodeUpdates-resWarm.Run.NodeUpdates) / float64(horizon-warm)
 		// Each active row contributes cols updates per tick plus its input.
 		want := tc.want + float64(tc.active)
@@ -47,7 +59,7 @@ func TestFeedbackChainOscillates(t *testing.T) {
 	const n = 9
 	c := FeedbackChain(n)
 	rec := trace.NewRecorder()
-	seq.Run(c, seq.Options{Horizon: 500, Probe: rec})
+	simulate(t, "sequential", c, engine.Config{Horizon: 500, Probe: rec})
 	h := rec.History(c.ByName["y"])
 	if len(h) < 10 {
 		t.Fatalf("ring did not oscillate: %d changes", len(h))
@@ -67,7 +79,7 @@ func checkMultiplier(t *testing.T, c *circuit.Circuit, cfg MultiplierConfig, per
 	t.Helper()
 	rec := trace.NewRecorderFor(c.ByName["p"])
 	horizon := cfg.InPeriod * circuit.Time(periods)
-	seq.Run(c, seq.Options{Horizon: horizon, Probe: rec})
+	simulate(t, "sequential", c, engine.Config{Horizon: horizon, Probe: rec})
 	agen := &c.Elems[c.ElByName["agen"]]
 	bgen := &c.Elems[c.ElByName["bgen"]]
 	for k := 0; k < periods; k++ {
@@ -128,7 +140,7 @@ func TestCPUAgainstISS(t *testing.T) {
 	t.Logf("cpu: %v", c)
 
 	const cycles = 150
-	res := seq.Run(c, seq.Options{Horizon: CPUHorizon(cfg, cycles)})
+	res := simulate(t, "sequential", c, engine.Config{Horizon: CPUHorizon(cfg, cycles)})
 
 	iss := NewISS(cfg.Program)
 	iss.Run(cycles)
@@ -190,7 +202,7 @@ func TestCPUBranchAndDelaySlot(t *testing.T) {
 
 	cfg := CPUConfig{Program: prog, ClockPeriod: 96}
 	c := CPU(cfg)
-	res := seq.Run(c, seq.Options{Horizon: CPUHorizon(cfg, 20)})
+	res := simulate(t, "sequential", c, engine.Config{Horizon: CPUHorizon(cfg, 20)})
 	for r := 1; r <= 4; r++ {
 		got, ok := CPURegValue(c, res.Final, r)
 		if !ok || got != iss.Reg[r] {
@@ -202,7 +214,7 @@ func TestCPUBranchAndDelaySlot(t *testing.T) {
 func TestRandomCircuitsBuild(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		c := RandomCircuit(seed, 60)
-		res := seq.Run(c, seq.Options{Horizon: 200})
+		res := simulate(t, "sequential", c, engine.Config{Horizon: 200})
 		if res.Run.Evals == 0 {
 			t.Errorf("seed %d: no activity", seed)
 		}

@@ -38,8 +38,8 @@ func fig1(cfg Config) *Figure {
 		c := b.build()
 		var run func(int) (float64, float64)
 		if cfg.Mode == Model {
-			res := collectFor(c, b.horizon)
-			run = cfg.modelEventDriven(c, res, machine.EDDistributed)
+			steps, _ := seq.Collect(c, b.horizon)
+			run = cfg.modelEventDriven(c, steps, machine.EDDistributed)
 		} else {
 			run = cfg.realEngine("event-driven", c, b.horizon, nil)
 		}
@@ -73,8 +73,8 @@ func fig2(cfg Config) *Figure {
 		c := gen.InverterArray(acfg)
 		var run func(int) (float64, float64)
 		if cfg.Mode == Model {
-			res := collectFor(c, horizon)
-			run = cfg.modelEventDriven(c, res, machine.EDDistributed)
+			steps, _ := seq.Collect(c, horizon)
+			run = cfg.modelEventDriven(c, steps, machine.EDDistributed)
 		} else {
 			run = cfg.realEngine("event-driven", c, horizon, nil)
 		}
@@ -136,8 +136,8 @@ func fig4(cfg Config) *Figure {
 		c := b.build()
 		var run func(int) (float64, float64)
 		if cfg.Mode == Model {
-			res := collectFor(c, b.horizon)
-			run = cfg.modelAsync(c, res)
+			_, g := seq.Collect(c, b.horizon)
+			run = cfg.modelAsync(c, g)
 		} else {
 			run = cfg.realEngine("asynchronous", c, b.horizon, nil)
 		}
@@ -170,9 +170,9 @@ func fig5(cfg Config) *Figure {
 	ps := procSweep(cfg.MaxP)
 	var edRun, asRun func(int) (float64, float64)
 	if cfg.Mode == Model {
-		res := collectFor(c, b.horizon)
-		edRun = cfg.modelEventDriven(c, res, machine.EDDistributed)
-		asRun = cfg.modelAsync(c, res)
+		steps, g := seq.Collect(c, b.horizon)
+		edRun = cfg.modelEventDriven(c, steps, machine.EDDistributed)
+		asRun = cfg.modelAsync(c, g)
 	} else {
 		edRun = cfg.realEngine("event-driven", c, b.horizon, nil)
 		asRun = cfg.realEngine("asynchronous", c, b.horizon, nil)
@@ -206,9 +206,9 @@ func t1(cfg Config) *Figure {
 		c := b.build()
 		var ed, as float64
 		if cfg.Mode == Model {
-			res := collectFor(c, b.horizon)
-			ed, _ = cfg.modelEventDriven(c, res, machine.EDDistributed)(1)
-			as, _ = cfg.modelAsync(c, res)(1)
+			steps, g := seq.Collect(c, b.horizon)
+			ed, _ = cfg.modelEventDriven(c, steps, machine.EDDistributed)(1)
+			as, _ = cfg.modelAsync(c, g)(1)
 		} else {
 			ed, _ = cfg.realEngine("event-driven", c, b.horizon, nil)(1)
 			as, _ = cfg.realEngine("asynchronous", c, b.horizon, nil)(1)
@@ -249,8 +249,8 @@ func t2(cfg Config) *Figure {
 	} {
 		var run func(int) (float64, float64)
 		if cfg.Mode == Model {
-			res := collectFor(c, b.horizon)
-			run = cfg.modelEventDriven(c, res, v.model)
+			steps, _ := seq.Collect(c, b.horizon)
+			run = cfg.modelEventDriven(c, steps, v.model)
 		} else {
 			run = cfg.realEngine("event-driven", c, b.horizon, v.tweak)
 		}
@@ -300,7 +300,10 @@ func t3(cfg Config) *Figure {
 		{"inverter-array", arr.build(), arr.horizon},
 	}
 	for i, r := range rows {
-		res := seq.Run(r.c, seq.Options{Horizon: r.horizon, CollectAvail: true})
+		res, err := engine.Run(context.Background(), "sequential", r.c, engine.Config{Horizon: r.horizon, CollectAvail: true})
+		if err != nil {
+			panic("harness: sequential: " + err.Error())
+		}
 		frac := res.Run.Avail.FractionBelow(5)
 		f.Series = append(f.Series, Series{Name: r.name, X: []float64{float64(i)}, Y: []float64{frac}})
 		f.Notes = append(f.Notes, fmt.Sprintf(
@@ -335,10 +338,10 @@ func t4(cfg Config) *Figure {
 	ps := procSweep(cfg.MaxP)
 	var ringRun, arrRun func(int) (float64, float64)
 	if cfg.Mode == Model {
-		ringRes := collectFor(ring, horizon)
-		arrRes := collectFor(array, arrayHorizon)
-		ringRun = cfg.modelAsync(ring, ringRes)
-		arrRun = cfg.modelAsync(array, arrRes)
+		_, ringGraph := seq.Collect(ring, horizon)
+		_, arrGraph := seq.Collect(array, arrayHorizon)
+		ringRun = cfg.modelAsync(ring, ringGraph)
+		arrRun = cfg.modelAsync(array, arrGraph)
 	} else {
 		ringRun = cfg.realEngine("asynchronous", ring, horizon, nil)
 		arrRun = cfg.realEngine("asynchronous", array, arrayHorizon, nil)

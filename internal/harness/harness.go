@@ -225,16 +225,16 @@ func speedupSeries(name string, ps []int, run func(p int) (float64, float64)) Se
 }
 
 // modelEventDriven builds the model-mode runner for a circuit.
-func (cfg *Config) modelEventDriven(c *circuit.Circuit, res *seq.Result, mode machine.EDMode) func(int) (float64, float64) {
+func (cfg *Config) modelEventDriven(c *circuit.Circuit, steps []seq.StepRecord, mode machine.EDMode) func(int) (float64, float64) {
 	return func(p int) (float64, float64) {
-		m := machine.EventDriven(c, res.Steps, p, mode, cfg.Cost)
+		m := machine.EventDriven(c, steps, p, mode, cfg.Cost)
 		return float64(m.Span), m.Utilization()
 	}
 }
 
-func (cfg *Config) modelAsync(c *circuit.Circuit, res *seq.Result) func(int) (float64, float64) {
+func (cfg *Config) modelAsync(c *circuit.Circuit, g *seq.TaskGraph) func(int) (float64, float64) {
 	return func(p int) (float64, float64) {
-		m := machine.Async(c, res.Graph, p, cfg.Cost)
+		m := machine.Async(c, g, p, cfg.Cost)
 		return float64(m.Span), m.Utilization()
 	}
 }
@@ -277,11 +277,6 @@ func (cfg *Config) realEngine(alg string, c *circuit.Circuit, horizon circuit.Ti
 			return float64(rep.Run.Wall), rep.Run.Utilization()
 		})
 	}
-}
-
-// collectFor runs the sequential simulator with trace collection.
-func collectFor(c *circuit.Circuit, horizon circuit.Time) *seq.Result {
-	return seq.Run(c, seq.Options{Horizon: horizon, Collect: true, CollectAvail: true})
 }
 
 // Format renders the figure as an aligned text table with notes.

@@ -9,10 +9,17 @@ import (
 	"parsim/internal/seq"
 )
 
+// collected is what seq.Collect records for the models.
+type collected struct {
+	Steps []seq.StepRecord
+	Graph *seq.TaskGraph
+}
+
 // collect runs the sequential simulator with collection enabled.
-func collect(t *testing.T, c *circuit.Circuit, horizon circuit.Time) *seq.Result {
+func collect(t *testing.T, c *circuit.Circuit, horizon circuit.Time) *collected {
 	t.Helper()
-	res := seq.Run(c, seq.Options{Horizon: horizon, Collect: true})
+	res := &collected{}
+	res.Steps, res.Graph = seq.Collect(c, horizon)
 	if res.Graph == nil || len(res.Steps) == 0 {
 		t.Fatal("collection produced nothing")
 	}

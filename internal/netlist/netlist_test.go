@@ -2,13 +2,15 @@ package netlist
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
-	"parsim/internal/seq"
+	_ "parsim/internal/seq"
 	"parsim/internal/trace"
 )
 
@@ -32,9 +34,13 @@ func roundTrip(t *testing.T, c *circuit.Circuit, horizon circuit.Time) {
 			len(c2.Nodes), len(c.Nodes), len(c2.Elems), len(c.Elems))
 	}
 	r1 := trace.NewRecorder()
-	seq.Run(c, seq.Options{Horizon: horizon, Probe: r1})
+	if _, err := engine.Run(context.Background(), "sequential", c, engine.Config{Horizon: horizon, Probe: r1}); err != nil {
+		t.Fatal(err)
+	}
 	r2 := trace.NewRecorder()
-	seq.Run(c2, seq.Options{Horizon: horizon, Probe: r2})
+	if _, err := engine.Run(context.Background(), "sequential", c2, engine.Config{Horizon: horizon, Probe: r2}); err != nil {
+		t.Fatal(err)
+	}
 	if d := trace.Diff(c, r1, r2); d != "" {
 		t.Fatalf("round-tripped circuit behaves differently: %s", d)
 	}

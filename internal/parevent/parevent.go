@@ -51,7 +51,6 @@ import (
 	"parsim/internal/logic"
 	"parsim/internal/partition"
 	"parsim/internal/stats"
-	"parsim/internal/trace"
 )
 
 // Mode selects the work-distribution scheme.
@@ -82,24 +81,15 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// Options configures a run.
-type Options struct {
-	Workers      int          // parallel workers (processors); >= 1
-	Horizon      circuit.Time // simulate t in [0, Horizon)
-	Probe        trace.Probe  // optional observer; must be concurrency-safe
-	CostSpin     int64        // if > 0, burn CostSpin x element Cost per evaluation
-	CollectAvail bool         // record activated-elements-per-step histogram
-	Mode         Mode
-	// Guard is the optional run supervisor: worker panics are contained,
-	// worker 0 publishes the current step as progress, and a trip aborts
-	// the phase barrier so no survivor spins for a dead peer.
-	Guard *guard.Supervisor
-}
-
-// Result is the outcome of a run.
-type Result struct {
-	Run   stats.Run
-	Final []logic.Value
+// modeOf is the scheme cfg's ablation flags select.
+func modeOf(cfg engine.Config) Mode {
+	switch {
+	case cfg.CentralQueue:
+		return Central
+	case cfg.NoSteal:
+		return NoSteal
+	}
+	return Distributed
 }
 
 // claimBatch is how many run-list elements one atomic add claims.
@@ -144,7 +134,8 @@ func (c *central) next(cur *int, n int) int {
 
 type sim struct {
 	c              *circuit.Circuit
-	opts           Options
+	cfg            engine.Config
+	mode           Mode
 	p              int
 	val, projected []logic.Value
 	state          [][]logic.Value
@@ -162,24 +153,24 @@ type sim struct {
 	stopped atomic.Bool       // cancellation agreed; all workers exit after the first crossing
 }
 
-// Run simulates the circuit with opts.Workers parallel workers.
-func Run(c *circuit.Circuit, opts Options) *Result {
-	res, _ := RunContext(context.Background(), c, opts)
-	return res
-}
+// eng registers the synchronous parallel event-driven simulator with the
+// engine layer.
+type eng struct{}
 
-// RunContext is Run with cancellation: when ctx is cancelled all workers
-// stop together at the next time step (worker 0 observes the cancellation
-// before a step's first crossing and everyone acts on it after, so no worker
-// is left waiting) and the partial result is returned with ctx.Err().
-func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	if err := engine.ValidateWorkers(opts.Workers); err != nil {
-		return nil, err
-	}
-	s := newSim(c, opts, partition.CostBlocks(c, opts.Workers))
+func (eng) Name() string { return "event-driven" }
+
+// Run simulates the circuit with cfg.Workers parallel workers. The guard
+// contains worker panics, worker 0 publishes the current step as progress,
+// and a trip aborts the phase barrier so no survivor spins for a dead peer.
+// When ctx is cancelled all workers stop together at the next time step
+// (worker 0 observes the cancellation before a step's first crossing and
+// everyone acts on it after, so no worker is left waiting) and the partial
+// Report is returned with ctx.Err().
+func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	s := newSim(c, cfg, partition.CostBlocks(c, cfg.Workers))
 	s.cancel = engine.WatchCancel(ctx)
 	defer s.cancel.Release()
-	opts.Guard.OnTrip(s.bar.Abort)
+	cfg.Guard.OnTrip(s.bar.Abort)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -187,17 +178,17 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			defer opts.Guard.Recover(w.id, "event-driven phase loop")
+			defer cfg.Guard.Recover(w.id, "event-driven phase loop")
 			w.run()
 		}(w)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := &Result{Final: s.val, Run: stats.Run{
-		Algorithm: "parallel-event-driven(" + opts.Mode.String() + ")",
+	rep := &engine.Report{Final: s.val, Run: stats.Run{
+		Algorithm: e.Name() + "(" + s.mode.String() + ")",
 		Circuit:   c.Name,
-		Horizon:   opts.Horizon,
+		Horizon:   cfg.Horizon,
 		Workers:   s.p,
 		TimeSteps: s.workers[0].steps,
 		Avail:     s.avail,
@@ -207,16 +198,19 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		w.wc.ModelCalls = w.wc.Evals
 		wc[i] = w.wc
 	}
-	res.Run.Aggregate(wall, wc)
-	return res, s.cancel.Err(ctx)
+	rep.Run.Aggregate(wall, wc)
+	return rep, s.cancel.Err(ctx)
 }
 
+func init() { engine.Register(eng{}, "event", "parallel-event-driven") }
+
 // newSim builds the run state; owner gives every element's owning worker.
-func newSim(c *circuit.Circuit, opts Options, owner []int32) *sim {
-	p := opts.Workers
+func newSim(c *circuit.Circuit, cfg engine.Config, owner []int32) *sim {
+	p := cfg.Workers
 	s := &sim{
 		c:         c,
-		opts:      opts,
+		cfg:       cfg,
+		mode:      modeOf(cfg),
 		p:         p,
 		val:       make([]logic.Value, len(c.Nodes)),
 		projected: make([]logic.Value, len(c.Nodes)),
@@ -225,7 +219,7 @@ func newSim(c *circuit.Circuit, opts Options, owner []int32) *sim {
 		workers:   make([]*worker, p),
 		lanes:     make([]lane, p),
 		bar:       barrier.New(p),
-		chaos:     opts.Guard.Chaos(),
+		chaos:     cfg.Guard.Chaos(),
 	}
 	for i := range c.Nodes {
 		s.val[i] = logic.AllX(c.Nodes[i].Width)
@@ -242,7 +236,7 @@ func newSim(c *circuit.Circuit, opts Options, owner []int32) *sim {
 		s.lanes[id].peek = -1
 	}
 	gens := c.Generators()
-	if opts.Mode == Central {
+	if s.mode == Central {
 		s.central = &central{claimed: make([]atomic.Bool, len(c.Elems))}
 		q := eventq.New()
 		for _, w := range s.workers {
@@ -317,7 +311,7 @@ func (w *worker) run() {
 		if !w.wait() {
 			return
 		}
-		if t >= 0 && w.id == 0 && s.opts.CollectAvail {
+		if t >= 0 && w.id == 0 && s.cfg.CollectAvail {
 			s.avail.Observe(s.activated())
 		}
 		if s.stopped.Load() {
@@ -329,12 +323,12 @@ func (w *worker) run() {
 				t = pt
 			}
 		}
-		if t < 0 || t >= s.opts.Horizon {
+		if t < 0 || t >= s.cfg.Horizon {
 			return
 		}
 		w.steps++
 		if w.id == 0 {
-			s.opts.Guard.Progress(int64(t))
+			s.cfg.Guard.Progress(int64(t))
 		}
 		if !w.updatePhase(t) || !w.wait() {
 			return
@@ -384,7 +378,7 @@ func (w *worker) dueGenerators(t circuit.Time, emit func(circuit.Time, eventq.Up
 		}
 		el := &w.s.c.Elems[w.genIDs[i]]
 		emit(t, eventq.Update{Node: el.Out[0], Value: el.GenValueAt(t)})
-		if next, ok := el.GenNextChange(t); ok && next < w.s.opts.Horizon {
+		if next, ok := el.GenNextChange(t); ok && next < w.s.cfg.Horizon {
 			w.genNext[i] = next
 		} else {
 			w.genNext[i] = -1
@@ -433,8 +427,8 @@ func (w *worker) applyUpdate(t circuit.Time, u eventq.Update) {
 	}
 	s.val[u.Node] = u.Value
 	w.wc.NodeUpdates++
-	if s.opts.Probe != nil {
-		s.opts.Probe.OnChange(u.Node, t, u.Value)
+	if s.cfg.Probe != nil {
+		s.cfg.Probe.OnChange(u.Node, t, u.Value)
 	}
 	c := s.central
 	for _, pr := range s.c.Nodes[u.Node].Fanout {
@@ -479,7 +473,7 @@ func (w *worker) evalPhase(t circuit.Time) bool {
 		return w.centralEvalPhase(t)
 	}
 	w.drain(t, w.id)
-	for off := 1; off < s.p && s.opts.Mode != NoSteal; off++ {
+	for off := 1; off < s.p && s.mode != NoSteal; off++ {
 		victim := (w.id + off) % s.p
 		for i := 1; s.lanes[victim].pub.Load() != w.steps; i++ { // still merging
 			if s.bar.Aborted() {
@@ -530,8 +524,8 @@ func (w *worker) evaluate(t circuit.Time, id circuit.ElemID, owner int) {
 	}
 	out := w.outBuf[:len(el.Out)]
 	el.Eval(in, s.state[id], out)
-	if s.opts.CostSpin > 0 {
-		circuit.Spin(el.Cost * s.opts.CostSpin)
+	if s.cfg.CostSpin > 0 {
+		circuit.Spin(el.Cost * s.cfg.CostSpin)
 	}
 	for p, n := range el.Out {
 		if out[p].Equal(s.projected[n]) {

@@ -7,24 +7,40 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/logic"
-	"parsim/internal/seq"
+	_ "parsim/internal/seq"
 	"parsim/internal/stats"
 	"parsim/internal/trace"
 )
+
+// simulate runs c on the event-driven engine through the registry.
+func simulate(t testing.TB, c *circuit.Circuit, cfg engine.Config) *engine.Report {
+	t.Helper()
+	rep, err := engine.Run(context.Background(), "event-driven", c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// modeConfig is the Config that selects mode m at p workers.
+func modeConfig(p int, m Mode) engine.Config {
+	return engine.Config{Workers: p, CentralQueue: m == Central, NoSteal: m == NoSteal}
+}
 
 // oracle is the sequential simulator's verdict on one circuit and horizon.
 type oracle struct {
 	c       *circuit.Circuit
 	horizon circuit.Time
 	hist    *trace.Recorder
-	res     *seq.Result
+	res     *engine.Report
 }
 
 func newOracle(c *circuit.Circuit, horizon circuit.Time) *oracle {
 	o := &oracle{c: c, horizon: horizon, hist: trace.NewRecorder()}
-	o.res = seq.Run(c, seq.Options{Horizon: horizon, Probe: o.hist})
+	o.res, _ = engine.Run(context.Background(), "sequential", c, engine.Config{Horizon: horizon, Probe: o.hist})
 	return o
 }
 
@@ -47,22 +63,22 @@ func (o *oracle) check(t *testing.T, what string, hist *trace.Recorder, final []
 	}
 }
 
-// run simulates the oracle's circuit with opts and checks the outcome.
-func (o *oracle) run(t *testing.T, opts Options) *Result {
+// run simulates the oracle's circuit with cfg and checks the outcome.
+func (o *oracle) run(t *testing.T, cfg engine.Config) *engine.Report {
 	t.Helper()
 	got := trace.NewRecorder()
-	opts.Horizon = o.horizon
-	opts.Probe = got
-	res := Run(o.c, opts)
-	o.check(t, fmt.Sprintf("(P=%d, %v)", opts.Workers, opts.Mode), got, res.Final, &res.Run)
+	cfg.Horizon = o.horizon
+	cfg.Probe = got
+	res := simulate(t, o.c, cfg)
+	o.check(t, fmt.Sprintf("(P=%d, %v)", cfg.Workers, modeOf(cfg)), got, res.Final, &res.Run)
 	return res
 }
 
 // crossCheck runs the circuit under the sequential oracle and under this
 // simulator with the given options, requiring identical node histories.
-func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Options) *Result {
+func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engine.Config) *engine.Report {
 	t.Helper()
-	return newOracle(c, horizon).run(t, opts)
+	return newOracle(c, horizon).run(t, cfg)
 }
 
 var allModes = []Mode{Distributed, NoSteal, Central}
@@ -70,7 +86,7 @@ var allModes = []Mode{Distributed, NoSteal, Central}
 func TestMatchesSequentialOnArray(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 8, Cols: 8, ActiveRows: 6, TogglePeriod: 2})
 	for _, p := range []int{1, 2, 3, 4, 8} {
-		crossCheck(t, c, 300, Options{Workers: p})
+		crossCheck(t, c, 300, engine.Config{Workers: p})
 	}
 }
 
@@ -79,7 +95,7 @@ func TestMatchesSequentialOnFuncMultiplier(t *testing.T) {
 	cfg.InPeriod = 64
 	c := gen.FuncMultiplier(cfg)
 	for _, p := range []int{1, 3, 4} {
-		crossCheck(t, c, 512, Options{Workers: p})
+		crossCheck(t, c, 512, engine.Config{Workers: p})
 	}
 }
 
@@ -88,13 +104,13 @@ func TestMatchesSequentialOnGateMultiplier(t *testing.T) {
 	cfg.N = 8
 	cfg.InPeriod = 128
 	c := gen.GateMultiplier(cfg)
-	crossCheck(t, c, 512, Options{Workers: 4})
+	crossCheck(t, c, 512, engine.Config{Workers: 4})
 }
 
 func TestMatchesSequentialOnCPU(t *testing.T) {
 	cfg := gen.DefaultCPU()
 	c := gen.CPU(cfg)
-	res := crossCheck(t, c, gen.CPUHorizon(cfg, 40), Options{Workers: 4})
+	res := crossCheck(t, c, gen.CPUHorizon(cfg, 40), engine.Config{Workers: 4})
 	if res.Run.TimeSteps == 0 {
 		t.Error("no time steps")
 	}
@@ -102,7 +118,7 @@ func TestMatchesSequentialOnCPU(t *testing.T) {
 
 func TestMatchesSequentialOnFeedback(t *testing.T) {
 	c := gen.FeedbackChain(13)
-	crossCheck(t, c, 600, Options{Workers: 4})
+	crossCheck(t, c, 600, engine.Config{Workers: 4})
 }
 
 // TestMatchesSequentialOnRandomCircuits is the differential corpus: random
@@ -117,7 +133,7 @@ func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 		o := newOracle(gen.RandomCircuit(seed, 80), 250)
 		for _, m := range allModes {
 			for p := 1; p <= 4; p++ {
-				o.run(t, Options{Workers: p, Mode: m})
+				o.run(t, modeConfig(p, m))
 			}
 		}
 	}
@@ -126,7 +142,7 @@ func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 func TestAllModesMatch(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 6, Cols: 6, ActiveRows: 6, TogglePeriod: 1})
 	for _, m := range allModes {
-		crossCheck(t, c, 200, Options{Workers: 4, Mode: m})
+		crossCheck(t, c, 200, modeConfig(4, m))
 	}
 }
 
@@ -157,7 +173,7 @@ func TestPaperCircuitCounts(t *testing.T) {
 		}
 		for _, m := range allModes {
 			for _, p := range []int{1, 2} {
-				pc.o.run(t, Options{Workers: p, Mode: m})
+				pc.o.run(t, modeConfig(p, m))
 			}
 		}
 	}
@@ -170,7 +186,7 @@ func TestTwoCrossingsPerStep(t *testing.T) {
 	o := newOracle(gen.RandomCircuit(3, 120), 300)
 	for _, m := range []Mode{Distributed, NoSteal} {
 		for p := 1; p <= 4; p++ {
-			res := o.run(t, Options{Workers: p, Mode: m})
+			res := o.run(t, modeConfig(p, m))
 			for w, row := range res.Run.PerWorker {
 				if want := 2*res.Run.TimeSteps + 1; row.BarrierWaits != want {
 					t.Errorf("%v P=%d worker %d: %d barrier waits, want %d", m, p, w, row.BarrierWaits, want)
@@ -203,7 +219,7 @@ func runByHand(s *sim, order func(step int64) []*worker) {
 				now = pt
 			}
 		}
-		if now < 0 || now >= s.opts.Horizon {
+		if now < 0 || now >= s.cfg.Horizon {
 			return
 		}
 		for _, w := range s.workers {
@@ -228,7 +244,7 @@ func runByHand(s *sim, order func(step int64) []*worker) {
 func TestSkewedOwnershipIsStolen(t *testing.T) {
 	o := newOracle(gen.InverterArray(gen.InverterArrayConfig{Rows: 16, Cols: 16, ActiveRows: 16, TogglePeriod: 1}), 200)
 	got := trace.NewRecorder()
-	s := newSim(o.c, Options{Workers: 4, Horizon: o.horizon, Probe: got}, make([]int32, len(o.c.Elems)))
+	s := newSim(o.c, engine.Config{Workers: 4, Horizon: o.horizon, Probe: got}, make([]int32, len(o.c.Elems)))
 	runByHand(s, func(step int64) []*worker {
 		first := int(step) % 4
 		return slices.Concat(s.workers[first:], s.workers[:first])
@@ -256,7 +272,7 @@ func TestSkewedOwnershipIsStolen(t *testing.T) {
 func TestThiefPeekCarriesStolenUpdates(t *testing.T) {
 	o := newOracle(gen.FeedbackChain(13), 600)
 	got := trace.NewRecorder()
-	s := newSim(o.c, Options{Workers: 2, Horizon: o.horizon, Probe: got}, make([]int32, len(o.c.Elems)))
+	s := newSim(o.c, engine.Config{Workers: 2, Horizon: o.horizon, Probe: got}, make([]int32, len(o.c.Elems)))
 	owner, thief := s.workers[0], s.workers[1]
 	carried := 0
 	runByHand(s, func(int64) []*worker {
@@ -285,7 +301,7 @@ func TestModeNames(t *testing.T) {
 
 func TestAvailabilityCollection(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 4, Cols: 4, ActiveRows: 4, TogglePeriod: 1})
-	res := Run(c, Options{Workers: 2, Horizon: 100, CollectAvail: true})
+	res := simulate(t, c, engine.Config{Workers: 2, Horizon: 100, CollectAvail: true})
 	if res.Run.Avail.N() == 0 {
 		t.Fatal("no availability samples")
 	}
@@ -297,7 +313,7 @@ func TestAvailabilityCollection(t *testing.T) {
 
 func TestUtilizationBounded(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
-	res := Run(c, Options{Workers: 2, Horizon: 400})
+	res := simulate(t, c, engine.Config{Workers: 2, Horizon: 400})
 	u := res.Run.Utilization()
 	if u <= 0 || u > 1.0001 {
 		t.Errorf("utilisation %f out of (0,1]", u)
@@ -306,9 +322,9 @@ func TestUtilizationBounded(t *testing.T) {
 
 func TestBadWorkerCountError(t *testing.T) {
 	c := gen.FeedbackChain(3)
-	res, err := RunContext(context.Background(), c, Options{Workers: 0, Horizon: 10})
+	res, err := engine.Run(context.Background(), "event-driven", c, engine.Config{Workers: -1, Horizon: 10})
 	if err == nil {
-		t.Fatal("Workers=0 did not return an error")
+		t.Fatal("Workers=-1 did not return an error")
 	}
 	if res != nil {
 		t.Fatal("bad config must not produce a result")
@@ -319,9 +335,9 @@ func TestDeterministicHistories(t *testing.T) {
 	// Parallel execution order varies, but histories must not.
 	c := gen.RandomCircuit(5, 100)
 	r1 := trace.NewRecorder()
-	Run(c, Options{Workers: 4, Horizon: 300, Probe: r1})
+	simulate(t, c, engine.Config{Workers: 4, Horizon: 300, Probe: r1})
 	r2 := trace.NewRecorder()
-	Run(c, Options{Workers: 4, Horizon: 300, Probe: r2})
+	simulate(t, c, engine.Config{Workers: 4, Horizon: 300, Probe: r2})
 	if d := trace.Diff(c, r1, r2); d != "" {
 		t.Fatalf("two runs differ: %s", d)
 	}
@@ -333,7 +349,7 @@ func BenchmarkPaperCircuits(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/p%d", pc.o.c.Name, p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					Run(pc.o.c, Options{Workers: p, Horizon: pc.o.horizon})
+					simulate(b, pc.o.c, engine.Config{Workers: p, Horizon: pc.o.horizon})
 				}
 			})
 		}

@@ -1,6 +1,22 @@
 package seq
 
-import "parsim/internal/circuit"
+import (
+	"context"
+
+	"parsim/internal/circuit"
+	"parsim/internal/engine"
+)
+
+// Collect simulates the circuit over [0, horizon) and returns what the
+// machine package's virtual-multiprocessor models consume: one StepRecord
+// per active time step and the evaluation-causality DAG.
+func Collect(c *circuit.Circuit, horizon circuit.Time) ([]StepRecord, *TaskGraph) {
+	s := newSim(c, engine.Config{Horizon: horizon})
+	s.co = newCollector(c)
+	// With no checkpoint session and no cancellable context, run cannot fail.
+	_ = s.run(engine.WatchCancel(context.Background()))
+	return s.co.steps, &s.co.graph
+}
 
 // StepRecord summarises one active time step for the virtual-machine model:
 // how many node updates were applied and which elements were evaluated.

@@ -4,11 +4,20 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/logic"
+	"parsim/internal/stats"
 )
 
+// collected is one collecting run next to the plain run of the same circuit.
+type collected struct {
+	Run   stats.Run
+	Steps []StepRecord
+	Graph *TaskGraph
+}
+
 // chainCollect builds clock -> inv0 -> inv1 and runs with collection.
-func chainCollect(t *testing.T) (*circuit.Circuit, *Result) {
+func chainCollect(t *testing.T) (*circuit.Circuit, *collected) {
 	t.Helper()
 	b := circuit.NewBuilder("collect")
 	clk := b.Bit("clk")
@@ -21,7 +30,9 @@ func chainCollect(t *testing.T) (*circuit.Circuit, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, Run(c, Options{Horizon: 50, Collect: true})
+	res := &collected{Run: simulate(t, c, engine.Config{Horizon: 50}).Run}
+	res.Steps, res.Graph = Collect(c, 50)
+	return c, res
 }
 
 func TestCollectSteps(t *testing.T) {
@@ -101,10 +112,10 @@ func TestCollectDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(c, Options{Horizon: 20})
-	if res.Steps != nil || res.Graph != nil {
+	if newSim(c, engine.Config{Horizon: 20}).co != nil {
 		t.Error("collection data present without Collect")
 	}
+	res := simulate(t, c, engine.Config{Horizon: 20})
 	if res.Final[y].Equal(logic.AllX(1)) {
 		t.Error("no simulation happened")
 	}

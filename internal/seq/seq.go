@@ -13,6 +13,7 @@ package seq
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"time"
 
@@ -23,80 +24,50 @@ import (
 	"parsim/internal/guard"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
-	"parsim/internal/trace"
 )
 
-// Options configures a run.
-type Options struct {
-	Horizon circuit.Time // simulate t in [0, Horizon)
-	Probe   trace.Probe  // optional observer of node changes
-	// CostSpin > 0 makes each evaluation burn CostSpin times the element's
-	// Cost in synthetic work, restoring the paper's 1-100x spread between
-	// gate and functional model evaluation times.
-	CostSpin int64
-	// CollectAvail records the events-available-per-step histogram (used by
-	// experiment T3); it costs a map update per step.
-	CollectAvail bool
-	// Collect records per-step activity and the evaluation-causality DAG
-	// used by the machine package's virtual-multiprocessor models.
-	Collect bool
-	// Guard is the optional run supervisor (progress publication and
-	// chaos injection); panic containment for this single-goroutine
-	// simulator lives in the engine layer.
-	Guard *guard.Supervisor
-	// Checkpoint snapshots between time steps — every point of this
-	// single-goroutine simulator's step loop is quiescent — and, when it
-	// carries a resume snapshot, continues from it instead of starting at
-	// t=0. The resumed run replays bit-identically to an uninterrupted one.
-	Checkpoint *checkpoint.Session
-}
+// eng registers the sequential simulator with the engine layer.
+type eng struct{}
 
-// Result is the outcome of a run.
-type Result struct {
-	Run   stats.Run
-	Final []logic.Value // node values at the horizon, indexed by NodeID
-	// Steps and Graph are populated when Options.Collect is set.
-	Steps []StepRecord
-	Graph *TaskGraph
-}
+func (eng) Name() string { return "sequential" }
 
-// Run simulates the circuit and returns statistics and final node values.
-func Run(c *circuit.Circuit, opts Options) *Result {
-	res, _ := RunContext(context.Background(), c, opts)
-	return res
-}
+// Checkpoints makes eng an engine.Checkpointer: every point of this
+// single-goroutine simulator's step loop is quiescent, so it snapshots
+// between time steps, and a resumed run replays bit-identically to an
+// uninterrupted one.
+func (eng) Checkpoints() {}
 
-// RunContext is Run with cancellation: when ctx is cancelled the simulator
-// stops at the next time step and returns the partial result together with
-// ctx.Err().
-func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	s := newSim(c, opts)
-	if _, err := opts.Checkpoint.Begin(1, s.restore); err != nil {
+// Run simulates the circuit on the calling goroutine. When ctx is cancelled
+// the simulator stops at the next time step and returns the partial Report
+// together with ctx.Err(). Panic containment lives in the engine layer.
+func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	if cfg.Workers > 1 {
+		return nil, fmt.Errorf("parsim: the sequential algorithm is single-worker (got %d workers)", cfg.Workers)
+	}
+	s := newSim(c, cfg)
+	if _, err := cfg.Ckpt.Begin(1, s.restore); err != nil {
 		return nil, err
 	}
 	cancel := engine.WatchCancel(ctx)
 	defer cancel.Release()
 	start := time.Now()
 	runErr := s.run(cancel)
-	wall := time.Since(start)
 	s.wc.ModelCalls = s.wc.Evals
-	s.res.Aggregate(wall, []stats.WorkerCounters{s.wc})
-	res := &Result{Run: s.res, Final: s.val}
-	if s.co != nil {
-		res.Steps = s.co.steps
-		res.Graph = &s.co.graph
-	}
+	s.res.Aggregate(time.Since(start), []stats.WorkerCounters{s.wc})
+	rep := &engine.Report{Run: s.res, Final: s.val}
 	if runErr != nil {
-		return res, runErr
+		return rep, runErr
 	}
-	return res, cancel.Err(ctx)
+	return rep, cancel.Err(ctx)
 }
 
+func init() { engine.Register(eng{}, "seq") }
+
 type sim struct {
-	c    *circuit.Circuit
-	opts Options
-	res  stats.Run
-	wc   stats.WorkerCounters
+	c   *circuit.Circuit
+	cfg engine.Config
+	res stats.Run
+	wc  stats.WorkerCounters
 
 	val       []logic.Value   // current node values
 	projected []logic.Value   // last value scheduled for each node
@@ -115,18 +86,18 @@ type sim struct {
 
 	lastT circuit.Time // last completed step, -1 before the first
 
-	co *collector // non-nil when Options.Collect
+	co *collector // non-nil inside Collect
 }
 
-func newSim(c *circuit.Circuit, opts Options) *sim {
+func newSim(c *circuit.Circuit, cfg engine.Config) *sim {
 	s := &sim{
-		c:    c,
-		opts: opts,
-		q:    eventq.New(),
+		c:   c,
+		cfg: cfg,
+		q:   eventq.New(),
 		res: stats.Run{
-			Algorithm: "event-driven",
+			Algorithm: eng{}.Name(),
 			Circuit:   c.Name,
-			Horizon:   opts.Horizon,
+			Horizon:   cfg.Horizon,
 			Workers:   1,
 		},
 	}
@@ -147,10 +118,7 @@ func newSim(c *circuit.Circuit, opts Options) *sim {
 	s.genNext = make([]circuit.Time, len(s.genIDs))
 	s.inList = make([]bool, len(c.Elems))
 	s.lastT = -1
-	s.chaos = opts.Guard.Chaos()
-	if opts.Collect {
-		s.co = newCollector(c)
-	}
+	s.chaos = cfg.Guard.Chaos()
 	return s
 }
 
@@ -166,7 +134,7 @@ func (s *sim) nextGenTime() circuit.Time {
 }
 
 func (s *sim) run(cancel *engine.CancelFlag) (err error) {
-	ck := s.opts.Checkpoint
+	ck := s.cfg.Ckpt
 	defer func() { err = ck.Finish(err, cancel.Cancelled()) }()
 	for {
 		if cancel.Cancelled() {
@@ -179,10 +147,10 @@ func (s *sim) run(cancel *engine.CancelFlag) (err error) {
 		if qt, ok := s.q.Peek(); ok && (t < 0 || qt < t) {
 			t = qt
 		}
-		if t < 0 || t >= s.opts.Horizon {
+		if t < 0 || t >= s.cfg.Horizon {
 			return nil
 		}
-		s.opts.Guard.Progress(int64(t))
+		s.cfg.Guard.Progress(int64(t))
 		s.step(t)
 		s.lastT = t
 		if ck.DueSliding(int64(t) + 1) {
@@ -206,7 +174,7 @@ func (s *sim) step(t circuit.Time) {
 		}
 		el := &s.c.Elems[s.genIDs[i]]
 		s.applyUpdate(el.Out[0], t, el.GenValueAt(t))
-		if next, ok := el.GenNextChange(t); ok && next < s.opts.Horizon {
+		if next, ok := el.GenNextChange(t); ok && next < s.cfg.Horizon {
 			s.genNext[i] = next
 		} else {
 			s.genNext[i] = -1
@@ -219,7 +187,7 @@ func (s *sim) step(t circuit.Time) {
 		}
 	}
 
-	if s.opts.CollectAvail {
+	if s.cfg.CollectAvail {
 		s.res.Avail.Observe(len(s.activated))
 	}
 
@@ -234,7 +202,7 @@ func (s *sim) step(t circuit.Time) {
 
 // capture hands the checkpoint session all activity strictly before step.
 func (s *sim) capture(step int64) error {
-	return s.opts.Checkpoint.Capture(step, []stats.WorkerCounters{s.wc}, s.fill)
+	return s.cfg.Ckpt.Capture(step, []stats.WorkerCounters{s.wc}, s.fill)
 }
 
 // fill writes the simulator's own snapshot sections: node and projected
@@ -261,7 +229,7 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 // event order — so a hand-crafted snapshot that passed the checksum cannot
 // corrupt the run; failures are typed errors, never panics.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	ck := s.opts.Checkpoint
+	ck := s.cfg.Ckpt
 	vals, state, err := ck.UnpackScalar(snap)
 	if err != nil {
 		return err
@@ -310,8 +278,8 @@ func (s *sim) applyUpdate(n circuit.NodeID, t circuit.Time, v logic.Value) {
 	}
 	s.val[n] = v
 	s.wc.NodeUpdates++
-	if s.opts.Probe != nil {
-		s.opts.Probe.OnChange(n, t, v)
+	if s.cfg.Probe != nil {
+		s.cfg.Probe.OnChange(n, t, v)
 	}
 	producer := int32(-1)
 	if s.co != nil {
@@ -350,8 +318,8 @@ func (s *sim) evaluate(t circuit.Time, id circuit.ElemID) {
 	}
 	out := s.outBuf[:len(el.Out)]
 	el.Eval(in, s.state[id], out)
-	if s.opts.CostSpin > 0 {
-		circuit.Spin(el.Cost * s.opts.CostSpin)
+	if s.cfg.CostSpin > 0 {
+		circuit.Spin(el.Cost * s.cfg.CostSpin)
 	}
 	for p, n := range el.Out {
 		if out[p].Equal(s.projected[n]) {

@@ -1,13 +1,25 @@
 package seq
 
 import (
+	"context"
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
 	"parsim/internal/trace"
 )
+
+// simulate runs c on the sequential engine through the registry.
+func simulate(t *testing.T, c *circuit.Circuit, cfg engine.Config) *engine.Report {
+	t.Helper()
+	rep, err := engine.Run(context.Background(), "sequential", c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // inverterChain builds clock -> inv0 -> inv1 -> ... -> inv{n-1}.
 func inverterChain(n int, period circuit.Time) *circuit.Circuit {
@@ -30,7 +42,7 @@ func name(p string, i int) string {
 func TestInverterChainTiming(t *testing.T) {
 	c := inverterChain(3, 10)
 	rec := trace.NewRecorder()
-	res := Run(c, Options{Horizon: 40, Probe: rec})
+	res := simulate(t, c, engine.Config{Horizon: 40, Probe: rec})
 
 	// clk: rises at 0, falls at 5, rises at 10...
 	clkHist := rec.History(c.ByName["clk"])
@@ -87,7 +99,7 @@ func toggleCounter() *circuit.Circuit {
 func TestToggleCounter(t *testing.T) {
 	c := toggleCounter()
 	rec := trace.NewRecorder()
-	Run(c, Options{Horizon: 100, Probe: rec})
+	simulate(t, c, engine.Config{Horizon: 100, Probe: rec})
 	// Clock rises at 5, 15, 25, ... q toggles 1 tick after each rising edge:
 	// q: X -> 0 (reset at t=1) -> 1 (t=6) -> 0 (t=16) -> ...
 	h := rec.History(c.ByName["q"])
@@ -127,7 +139,7 @@ func muxRingOscillator() *circuit.Circuit {
 func TestFeedbackOscillator(t *testing.T) {
 	c := muxRingOscillator()
 	rec := trace.NewRecorder()
-	Run(c, Options{Horizon: 60, Probe: rec})
+	simulate(t, c, engine.Config{Horizon: 60, Probe: rec})
 	h := rec.History(c.ByName["y"])
 	// y settles to 0 while load=1 (mux sel=1 selects const zero input),
 	// then oscillates after load drops at t=10.
@@ -167,7 +179,7 @@ func TestAdderDatapath(t *testing.T) {
 		[]circuit.NodeID{a, bb}, circuit.Params{})
 	c := b.MustBuild()
 	rec := trace.NewRecorder()
-	Run(c, Options{Horizon: 100, Probe: rec})
+	simulate(t, c, engine.Config{Horizon: 100, Probe: rec})
 
 	agen := &c.Elems[c.ElByName["agen"]]
 	bgen := &c.Elems[c.ElByName["bgen"]]
@@ -187,8 +199,8 @@ func TestAdderDatapath(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	c := inverterChain(8, 6)
-	r1 := Run(c, Options{Horizon: 200})
-	r2 := Run(c, Options{Horizon: 200})
+	r1 := simulate(t, c, engine.Config{Horizon: 200})
+	r2 := simulate(t, c, engine.Config{Horizon: 200})
 	if r1.Run.NodeUpdates != r2.Run.NodeUpdates || r1.Run.Evals != r2.Run.Evals ||
 		r1.Run.TimeSteps != r2.Run.TimeSteps {
 		t.Errorf("non-deterministic stats: %+v vs %+v", r1.Run, r2.Run)
@@ -203,7 +215,7 @@ func TestDeterminism(t *testing.T) {
 func TestHorizonCutoff(t *testing.T) {
 	c := inverterChain(2, 10)
 	rec := trace.NewRecorder()
-	Run(c, Options{Horizon: 7, Probe: rec})
+	simulate(t, c, engine.Config{Horizon: 7, Probe: rec})
 	for _, n := range rec.Nodes() {
 		for _, ch := range rec.History(n) {
 			if ch.Time >= 7 {
@@ -215,7 +227,7 @@ func TestHorizonCutoff(t *testing.T) {
 
 func TestAvailabilityHistogram(t *testing.T) {
 	c := inverterChain(4, 8)
-	res := Run(c, Options{Horizon: 100, CollectAvail: true})
+	res := simulate(t, c, engine.Config{Horizon: 100, CollectAvail: true})
 	if res.Run.Avail.N() != res.Run.TimeSteps {
 		t.Errorf("avail samples %d != steps %d", res.Run.Avail.N(), res.Run.TimeSteps)
 	}
@@ -227,7 +239,7 @@ func TestAvailabilityHistogram(t *testing.T) {
 
 func TestStatsPlausible(t *testing.T) {
 	c := inverterChain(4, 8)
-	res := Run(c, Options{Horizon: 100})
+	res := simulate(t, c, engine.Config{Horizon: 100})
 	r := &res.Run
 	if r.NodeUpdates == 0 || r.Evals == 0 || r.TimeSteps == 0 {
 		t.Fatalf("empty stats: %+v", r)
@@ -250,7 +262,7 @@ func TestNoActivityCircuit(t *testing.T) {
 	b.Const("cgen", cn, logic.V(1, 1))
 	b.Gate(circuit.KindNot, "inv", 1, y, cn)
 	c := b.MustBuild()
-	res := Run(c, Options{Horizon: 1 << 40})
+	res := simulate(t, c, engine.Config{Horizon: 1 << 40})
 	if res.Run.TimeSteps > 3 {
 		t.Errorf("quiet circuit took %d steps", res.Run.TimeSteps)
 	}

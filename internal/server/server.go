@@ -482,29 +482,14 @@ func (s *Server) buildJob(req *cluster.Submission) (*job, int, error) {
 	if req.CostSpin > maxCostSpin {
 		return fail(http.StatusBadRequest, "cost_spin %d exceeds the cap %d", req.CostSpin, maxCostSpin)
 	}
-	if req.Lanes < 0 || req.Lanes > logic.MaxWideLanes {
-		return fail(http.StatusBadRequest, "lanes must be in [0,%d], got %d", logic.MaxWideLanes, req.Lanes)
-	}
 	// The lane count the job will actually run at: the request's, else the
 	// engine's own default (64 for vector, 1 for jit), else the single lane
 	// of an engine that has no lane axis.
-	laneDefault := engine.DefaultLanes(eng)
-	lanes := req.Lanes
-	if lanes == 0 {
-		lanes = max(laneDefault, 1)
-	}
-	if req.ProbeLane < 0 || req.ProbeLane >= lanes {
-		return fail(http.StatusBadRequest, "probe_lane %d outside [0,%d)", req.ProbeLane, lanes)
-	}
-	if req.FaultSim {
-		if laneDefault == 0 {
-			return fail(http.StatusBadRequest,
-				"fault_sim requires a lane engine (vector or jit), not %q", eng.Name())
-		}
-		if lanes < 2 {
-			return fail(http.StatusBadRequest,
-				"fault_sim needs at least 2 lanes (good machine + one fault), got %d", lanes)
-		}
+	lanes, err := engine.CheckLanes(eng, engine.Config{
+		Lanes: req.Lanes, ProbeLane: req.ProbeLane, FaultSim: req.FaultSim,
+	})
+	if err != nil {
+		return fail(http.StatusBadRequest, "%v", err)
 	}
 
 	parseRuns.Add(1)
@@ -524,7 +509,7 @@ func (s *Server) buildJob(req *cluster.Submission) (*job, int, error) {
 	// budget a 64-lane job is held to. The lane engines carry per-lane
 	// planes; scalar engines ignore lanes and carry one machine word per
 	// node either way.
-	if laneDefault > 0 {
+	if engine.DefaultLanes(eng) > 0 {
 		if words := logic.PlaneWords(lanes); len(circ.Nodes)*words > s.cfg.MaxNodes {
 			return fail(http.StatusRequestEntityTooLarge,
 				"circuit nodes (%d) x plane words (%d) exceeds the node budget %d; lower lanes or shrink the netlist",

@@ -282,8 +282,8 @@ func (rt *elemRT) process(s *sim, w int, wk *twWorker) bool {
 	if s.chaos != nil {
 		s.chaos.Eval()
 	}
-	if s.opts.CostSpin > 0 {
-		circuit.Spin(rt.el.Cost * s.opts.CostSpin)
+	if s.cfg.CostSpin > 0 {
+		circuit.Spin(rt.el.Cost * s.cfg.CostSpin)
 	}
 	if rt.id == twTraceElem {
 		fmt.Printf("TRACE elem %d step t=%d in=%v out=%v lvt=%d\n", rt.id, tmin, in, out, rt.lvt)
@@ -294,7 +294,7 @@ func (rt *elemRT) process(s *sim, w int, wk *twWorker) bool {
 		}
 		rt.lastOut[p] = out[p]
 		tOut := tmin + rt.el.Delay
-		if tOut >= s.opts.Horizon {
+		if tOut >= s.cfg.Horizon {
 			continue
 		}
 		id := wk.nextID()
@@ -323,8 +323,8 @@ func (rt *elemRT) commit(s *sim, w int, upTo circuit.Time) {
 		for k < len(lg) && lg[k].t < upTo {
 			s.final[n] = lg[k].v
 			s.wc[w].NodeUpdates++
-			if s.probe != nil {
-				s.probe.OnChange(n, lg[k].t, lg[k].v)
+			if s.cfg.Probe != nil {
+				s.cfg.Probe.OnChange(n, lg[k].t, lg[k].v)
 			}
 			k++
 		}

@@ -5,11 +5,12 @@
 // an element's past forces a rollback that restores a state snapshot and
 // cancels previously sent events with anti-messages.
 //
-// The paper's two criticisms are made measurable here: Result counts
-// rollbacks and cancelled events ("performance primarily limited by
-// detecting and processing the rollbacks"), and PeakLog records the high-
-// water mark of saved state ("the rollback mechanism leads to a major
-// state storage problem").
+// The paper's two criticisms are made measurable here: the per-worker
+// counters record rollbacks and cancelled events ("performance primarily
+// limited by detecting and processing the rollbacks"), and Report.PeakLog
+// records the high-water mark of saved state — log entries plus
+// uncommitted events ("the rollback mechanism leads to a major state
+// storage problem").
 //
 // Execution is windowed: workers process optimistically within a round,
 // then synchronise to exchange cross-partition events, compute the global
@@ -30,36 +31,11 @@ import (
 	"parsim/internal/logic"
 	"parsim/internal/partition"
 	"parsim/internal/stats"
-	"parsim/internal/trace"
 )
 
-// Options configures a run.
-type Options struct {
-	Workers  int          // parallel workers; >= 1
-	Horizon  circuit.Time // simulate t in [0, Horizon)
-	Probe    trace.Probe  // optional observer (committed events only)
-	CostSpin int64        // if > 0, burn CostSpin x element Cost per evaluation
-	Strategy partition.Strategy
-	// StepsPerRound caps optimistic progress between GVT rounds
-	// (default 2048 element steps per worker).
-	StepsPerRound int
-	// Guard is the optional run supervisor: worker panics are contained,
-	// worker 0 publishes the GVT as progress (a pinned GVT — the paper's
-	// livelock — therefore stalls out), and a trip aborts the round
-	// barrier so no survivor spins for a dead peer.
-	Guard *guard.Supervisor
-}
-
-// Result is the outcome of a run.
-type Result struct {
-	Run        stats.Run
-	Final      []logic.Value
-	Rollbacks  int64 // rollback episodes
-	Cancelled  int64 // events annihilated by anti-messages
-	RolledBack int64 // processed element steps undone
-	PeakLog    int64 // peak saved state: log entries + uncommitted events
-	GVTRounds  int64 // synchronisation rounds
-}
+// defaultStepsPerRound caps optimistic progress between GVT rounds, in
+// element steps per worker, when Config.StepsPerRound is 0.
+const defaultStepsPerRound = 2048
 
 // twEvent is a (possibly anti-) message carrying one node change.
 type twEvent struct {
@@ -71,9 +47,9 @@ type twEvent struct {
 }
 
 type sim struct {
-	c    *circuit.Circuit
-	opts Options
-	p    int
+	c   *circuit.Circuit
+	cfg engine.Config
+	p   int
 
 	rts       []*elemRT // indexed by ElemID (nil for generators)
 	elemOwner []int
@@ -88,59 +64,58 @@ type sim struct {
 	cancel    *engine.CancelFlag
 	chaos     *guard.ChaosProbe // captured once; nil on production runs
 
-	probe trace.Probe
 	final []logic.Value
 
 	wc      []stats.WorkerCounters
 	peakLog []int64
 }
 
-// Run simulates the circuit with optimistic rollback-based parallelism.
-func Run(c *circuit.Circuit, opts Options) *Result {
-	res, _ := RunContext(context.Background(), c, opts)
-	return res
-}
+// eng registers the optimistic Time Warp simulator with the engine layer.
+type eng struct{}
 
-// RunContext is Run with cancellation: worker 0 observes the cancelled ctx
-// in the GVT phase and declares the run done, so all workers commit what is
-// behind the GVT and exit together at the end of the round; the partial
-// result is returned with ctx.Err().
-func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	if err := engine.ValidateWorkers(opts.Workers); err != nil {
-		return nil, err
+func (eng) Name() string { return "time-warp" }
+
+func init() { engine.Register(eng{}, "timewarp", "tw", "optimistic") }
+
+// Run simulates the circuit with optimistic rollback-based parallelism. The
+// guard contains worker panics, worker 0 publishes the GVT as progress (a
+// pinned GVT — the paper's livelock — therefore stalls out), and a trip
+// aborts the round barrier so no survivor spins for a dead peer. When ctx is
+// cancelled worker 0 observes it in the GVT phase and declares the run
+// done, so all workers commit what is behind the GVT and exit together at
+// the end of the round; the partial Report is returned with ctx.Err().
+func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	if cfg.StepsPerRound <= 0 {
+		cfg.StepsPerRound = defaultStepsPerRound
 	}
-	if opts.StepsPerRound <= 0 {
-		opts.StepsPerRound = 2048
-	}
-	p := opts.Workers
-	parts := partition.Split(c, p, opts.Strategy)
+	p := cfg.Workers
+	parts := partition.Split(c, p, cfg.Strategy)
 	s := &sim{
 		c:         c,
-		opts:      opts,
+		cfg:       cfg,
 		p:         p,
 		rts:       make([]*elemRT, len(c.Elems)),
 		elemOwner: make([]int, len(c.Elems)),
 		owned:     parts,
 		mailbox:   make([][][]twEvent, p),
 		bar:       barrier.New(p),
-		probe:     opts.Probe,
 		final:     make([]logic.Value, len(c.Nodes)),
 		wc:        make([]stats.WorkerCounters, p),
 		peakLog:   make([]int64, p),
 		cancel:    engine.WatchCancel(ctx),
-		chaos:     opts.Guard.Chaos(),
+		chaos:     cfg.Guard.Chaos(),
 	}
 	defer s.cancel.Release()
-	opts.Guard.OnTrip(s.bar.Abort)
+	cfg.Guard.OnTrip(s.bar.Abort)
 	s.wks = make([]*twWorker, p)
 	for w := range s.mailbox {
 		s.mailbox[w] = make([][]twEvent, p)
 		s.wks[w] = &twWorker{s: s, id: w}
 	}
 	for w, part := range parts {
-		for _, e := range part {
-			s.elemOwner[e] = w
-			s.rts[e] = newElemRT(c, e)
+		for _, id := range part {
+			s.elemOwner[id] = w
+			s.rts[id] = newElemRT(c, id)
 		}
 	}
 	for _, g := range c.Generators() {
@@ -158,7 +133,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		n := el.Out[0]
 		last := logic.AllX(c.Nodes[n].Width)
 		var t circuit.Time
-		for t < opts.Horizon {
+		for t < cfg.Horizon {
 			if s.cancel.Cancelled() {
 				break // generators can span huge horizons; stop materialising
 			}
@@ -169,8 +144,8 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 				seedID--
 				s.final[n] = v
 				s.wc[0].NodeUpdates++
-				if s.probe != nil {
-					s.probe.OnChange(n, t, v)
+				if s.cfg.Probe != nil {
+					s.cfg.Probe.OnChange(n, t, v)
 				}
 				for _, pr := range c.Nodes[n].Fanout {
 					s.rts[pr.Elem].insertPort(s, 0, ev, int(pr.Port))
@@ -190,30 +165,23 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer opts.Guard.Recover(w, "time-warp round loop")
+			defer cfg.Guard.Recover(w, "time-warp round loop")
 			s.worker(w)
 		}(w)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := &Result{Final: s.final, GVTRounds: s.roundsRun}
-	res.Run = stats.Run{
-		Algorithm: "time-warp",
+	rep := &engine.Report{Final: s.final, GVTRounds: s.roundsRun, Run: stats.Run{
+		Algorithm: e.Name(),
 		Circuit:   c.Name,
-		Horizon:   opts.Horizon,
+		Horizon:   cfg.Horizon,
 		Workers:   p,
-	}
+	}}
 	for w := 0; w < p; w++ {
 		s.wc[w].ModelCalls = s.wc[w].Evals
-		if s.peakLog[w] > res.PeakLog {
-			res.PeakLog = s.peakLog[w]
-		}
+		rep.PeakLog = max(rep.PeakLog, s.peakLog[w])
 	}
-	res.Run.Aggregate(wall, s.wc)
-	tot := res.Run.Totals()
-	res.Rollbacks = tot.Rollbacks
-	res.Cancelled = tot.Cancelled
-	res.RolledBack = tot.RolledBack
-	return res, s.cancel.Err(ctx)
+	rep.Run.Aggregate(wall, s.wc)
+	return rep, s.cancel.Err(ctx)
 }

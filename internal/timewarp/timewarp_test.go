@@ -5,27 +5,38 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
-	"parsim/internal/seq"
+	_ "parsim/internal/seq"
 	"parsim/internal/trace"
 )
 
-// crossCheck compares committed Time Warp output against the sequential
-// oracle, event for event.
 func init() { twDebug = true }
 
-func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Options) *Result {
+// simulate runs c on the named engine through the registry.
+func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
+	t.Helper()
+	rep, err := engine.Run(context.Background(), name, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// crossCheck compares committed Time Warp output against the sequential
+// oracle, event for event.
+func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engine.Config) *engine.Report {
 	t.Helper()
 	ref := trace.NewRecorder()
-	seqRes := seq.Run(c, seq.Options{Horizon: horizon, Probe: ref})
+	seqRes := simulate(t, "sequential", c, engine.Config{Horizon: horizon, Probe: ref})
 
 	got := trace.NewRecorder()
-	opts.Horizon = horizon
-	opts.Probe = got
-	res := Run(c, opts)
+	cfg.Horizon = horizon
+	cfg.Probe = got
+	res := simulate(t, "time-warp", c, cfg)
 
 	if d := trace.Diff(c, ref, got); d != "" {
-		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, opts.Workers, d)
+		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, cfg.Workers, d)
 	}
 	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
 		t.Errorf("committed updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
@@ -42,7 +53,7 @@ func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, opts Opt
 func TestMatchesSequentialOnArray(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 8, Cols: 8, ActiveRows: 6, TogglePeriod: 2})
 	for _, p := range []int{1, 2, 3, 4} {
-		crossCheck(t, c, 300, Options{Workers: p})
+		crossCheck(t, c, 300, engine.Config{Workers: p})
 	}
 }
 
@@ -51,7 +62,7 @@ func TestMatchesSequentialOnFuncMultiplier(t *testing.T) {
 	cfg.InPeriod = 64
 	c := gen.FuncMultiplier(cfg)
 	for _, p := range []int{1, 3} {
-		crossCheck(t, c, 512, Options{Workers: p})
+		crossCheck(t, c, 512, engine.Config{Workers: p})
 	}
 }
 
@@ -60,25 +71,25 @@ func TestMatchesSequentialOnGateMultiplier(t *testing.T) {
 	cfg.N = 8
 	cfg.InPeriod = 128
 	c := gen.GateMultiplier(cfg)
-	crossCheck(t, c, 512, Options{Workers: 4})
+	crossCheck(t, c, 512, engine.Config{Workers: 4})
 }
 
 func TestMatchesSequentialOnCPU(t *testing.T) {
 	cfg := gen.DefaultCPU()
 	c := gen.CPU(cfg)
-	crossCheck(t, c, gen.CPUHorizon(cfg, 20), Options{Workers: 3})
+	crossCheck(t, c, gen.CPUHorizon(cfg, 20), engine.Config{Workers: 3})
 }
 
 func TestMatchesSequentialOnFeedback(t *testing.T) {
 	for _, p := range []int{1, 3} {
-		crossCheck(t, gen.FeedbackChain(13), 600, Options{Workers: p})
+		crossCheck(t, gen.FeedbackChain(13), 600, engine.Config{Workers: p})
 	}
 }
 
 func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c := gen.RandomCircuit(seed, 80)
-		crossCheck(t, c, 200, Options{Workers: 3})
+		crossCheck(t, c, 200, engine.Config{Workers: 3})
 	}
 }
 
@@ -90,10 +101,11 @@ func TestSmallWindowForcesRollbacks(t *testing.T) {
 	cfg.N = 8
 	cfg.InPeriod = 64
 	c := gen.GateMultiplier(cfg)
-	res := crossCheck(t, c, 512, Options{Workers: 4, StepsPerRound: 64})
+	res := crossCheck(t, c, 512, engine.Config{Workers: 4, StepsPerRound: 64})
+	tot := res.Run.Totals()
 	t.Logf("rollbacks=%d cancelled=%d rolledBack=%d peakLog=%d rounds=%d",
-		res.Rollbacks, res.Cancelled, res.RolledBack, res.PeakLog, res.GVTRounds)
-	if res.Rollbacks == 0 {
+		tot.Rollbacks, tot.Cancelled, tot.RolledBack, res.PeakLog, res.GVTRounds)
+	if tot.Rollbacks == 0 {
 		t.Log("no rollbacks occurred; optimism never misfired on this host")
 	}
 }
@@ -102,8 +114,8 @@ func TestStateStorageGrowsWithOptimism(t *testing.T) {
 	// The paper's criticism: optimistic execution must keep state to roll
 	// back to. More optimism per round -> more saved state.
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 16, Cols: 16, ActiveRows: 16, TogglePeriod: 1})
-	small := Run(c, Options{Workers: 2, Horizon: 160, StepsPerRound: 64})
-	big := Run(c, Options{Workers: 2, Horizon: 160, StepsPerRound: 4096})
+	small := simulate(t, "time-warp", c, engine.Config{Workers: 2, Horizon: 160, StepsPerRound: 64})
+	big := simulate(t, "time-warp", c, engine.Config{Workers: 2, Horizon: 160, StepsPerRound: 4096})
 	if big.PeakLog <= small.PeakLog {
 		t.Errorf("peak saved state did not grow with optimism: %d vs %d",
 			big.PeakLog, small.PeakLog)
@@ -115,9 +127,9 @@ func TestStateStorageGrowsWithOptimism(t *testing.T) {
 }
 
 func TestBadWorkerCountError(t *testing.T) {
-	res, err := RunContext(context.Background(), gen.FeedbackChain(3), Options{Workers: 0, Horizon: 10})
+	res, err := engine.Run(context.Background(), "time-warp", gen.FeedbackChain(3), engine.Config{Workers: -1, Horizon: 10})
 	if err == nil {
-		t.Fatal("Workers=0 did not return an error")
+		t.Fatal("Workers=-1 did not return an error")
 	}
 	if res != nil {
 		t.Fatal("bad config must not produce a result")
@@ -125,7 +137,7 @@ func TestBadWorkerCountError(t *testing.T) {
 }
 
 func TestZeroHorizon(t *testing.T) {
-	res := Run(gen.FeedbackChain(3), Options{Workers: 2, Horizon: 0})
+	res := simulate(t, "time-warp", gen.FeedbackChain(3), engine.Config{Workers: 2, Horizon: 0})
 	if res.Run.NodeUpdates != 0 {
 		t.Errorf("updates at zero horizon: %d", res.Run.NodeUpdates)
 	}

@@ -132,7 +132,7 @@ func (s *sim) worker(w int) {
 		}
 		wk.staged = wk.staged[:0]
 		steps := 0
-		for steps < s.opts.StepsPerRound && wk.h.Len() > 0 {
+		for steps < s.cfg.StepsPerRound && wk.h.Len() > 0 {
 			top := heap.Pop(&wk.h).(heapEntry)
 			rt := s.rts[top.e]
 			if t := rt.nextTime(); t < 0 || t != top.t {
@@ -169,7 +169,7 @@ func (s *sim) worker(w int) {
 			s.roundsRun++
 			// Publishing the GVT makes livelock observable: rounds that
 			// spin without advancing it never reset the watchdog.
-			s.opts.Guard.Progress(int64(s.gvt))
+			s.cfg.Guard.Progress(int64(s.gvt))
 			if s.cancel.Cancelled() {
 				s.done = true
 			}
@@ -191,8 +191,8 @@ func (s *sim) worker(w int) {
 			s.peakLog[w] = savedNow
 		}
 		upTo := s.gvt
-		if upTo > s.opts.Horizon {
-			upTo = s.opts.Horizon
+		if upTo > s.cfg.Horizon {
+			upTo = s.cfg.Horizon
 		}
 		for _, e := range s.owned[w] {
 			s.rts[e].commit(s, w, upTo)
@@ -232,8 +232,8 @@ func (s *sim) computeGVT() {
 			}
 		}
 	}
-	if min < 0 || min >= s.opts.Horizon {
-		s.gvt = s.opts.Horizon
+	if min < 0 || min >= s.cfg.Horizon {
+		s.gvt = s.cfg.Horizon
 		s.done = true
 		return
 	}

@@ -62,7 +62,7 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 // validating every structural property so failures are typed errors, never
 // panics.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	ck := s.opts.Checkpoint
+	ck := s.cfg.Ckpt
 	if len(snap.Planes) != s.prog.total {
 		return ck.Corrupt("node planes", "snapshot has %d node planes for a %d-plane circuit", len(snap.Planes), s.prog.total)
 	}

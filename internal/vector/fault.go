@@ -2,12 +2,12 @@ package vector
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 
 	"parsim/internal/analyze"
 	"parsim/internal/checkpoint"
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
 )
@@ -20,28 +20,11 @@ import (
 // XOR compares 64 fault machines against the reference at once. Fault
 // lists larger than Lanes-1 chunk into multiple passes.
 
-// FaultOptions configures fault simulation (Options.FaultSim).
-type FaultOptions struct {
-	// Faults is the stuck-at list to inject. Nil generates the collapsed
-	// single stuck-at list for the whole circuit (analyze.FaultList).
-	Faults []analyze.Fault
-	// Observe lists the observation nodes detection compares against the
-	// good machine. Nil defaults to the circuit's sink nodes (no fanout);
-	// a circuit with no sinks observes every node.
-	Observe []circuit.NodeID
-	// MaxPasses caps the number of chunked passes (each pass simulates
-	// Lanes-1 faults). 0 runs as many passes as the list needs; faults
-	// beyond the cap are reported undetected.
-	MaxPasses int
-	// KeepStatuses includes the per-fault status rows in the coverage
-	// report; they can dominate the report size for large circuits.
-	KeepStatuses bool
-}
-
-// ObservationNodes returns the default fault observation points: the
-// circuit's sink nodes (driven or undriven nodes nothing reads — the
-// "primary outputs"), or every node when the circuit has none.
-func ObservationNodes(c *circuit.Circuit) []circuit.NodeID {
+// observationNodes returns the fault observation points detection compares
+// against the good machine: the circuit's sink nodes (driven or undriven
+// nodes nothing reads — the "primary outputs"), or every node when the
+// circuit has none.
+func observationNodes(c *circuit.Circuit) []circuit.NodeID {
 	var sinks []circuit.NodeID
 	for n := range c.Nodes {
 		if len(c.Nodes[n].Fanout) == 0 {
@@ -58,31 +41,21 @@ func ObservationNodes(c *circuit.Circuit) []circuit.NodeID {
 	return all
 }
 
-// runFaultSim chunks the fault list into passes of Lanes-1 faults and runs
-// each pass with lane 0 as the good machine.
-func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	fo := *opts.FaultSim
-	if opts.Lanes < 2 {
-		return nil, fmt.Errorf("%s: fault simulation needs >= 2 lanes, have %d", opts.Name, opts.Lanes)
-	}
+// runFaults chunks the stuck-at list faults (the run path passes the
+// circuit's collapsed list) into passes of Lanes-1 faults and runs each
+// pass with lane 0 as the good machine. Faults beyond Config.FaultMaxPasses
+// passes are reported undetected.
+func (e eng) runFaults(ctx context.Context, c *circuit.Circuit, cfg engine.Config, faults []analyze.Fault) (*engine.Report, error) {
 	// Every lane carries the same stimulus, so divergence from lane 0 is a
 	// fault effect and nothing else; the probe observes the good machine.
-	opts.LaneStride = 0
-	opts.ProbeLane = 0
+	cfg.LaneStride = 0
+	cfg.ProbeLane = 0
+	observe := observationNodes(c)
 
-	faults := fo.Faults
-	if faults == nil {
-		faults = analyze.FaultList(c, true)
-	}
-	observe := fo.Observe
-	if len(observe) == 0 {
-		observe = ObservationNodes(c)
-	}
-
-	perPass := opts.Lanes - 1
+	perPass := cfg.Lanes - 1
 	passes := (len(faults) + perPass - 1) / perPass
-	if fo.MaxPasses > 0 && passes > fo.MaxPasses {
-		passes = fo.MaxPasses
+	if cfg.FaultMaxPasses > 0 && passes > cfg.FaultMaxPasses {
+		passes = cfg.FaultMaxPasses
 	}
 
 	statuses := make([]stats.FaultStatus, len(faults))
@@ -95,7 +68,7 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 	// pass's plane and detection state is restored inside runPass.
 	startPass, ran := 0, 0
 	var resumeAcc *checkpoint.RunCounters
-	if ck := opts.Checkpoint; ck.Resume() != nil {
+	if ck := cfg.Ckpt; ck.Resume() != nil {
 		fs := ck.Resume().Fault
 		if fs == nil {
 			return nil, ck.Corrupt("fault state", "snapshot carries no fault-simulation state")
@@ -112,7 +85,7 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 		resumeAcc = &acc
 	}
 
-	var total *Result
+	var total *engine.Report
 	var runErr error
 	for p := startPass; p < passes; p++ {
 		lo := p * perPass
@@ -127,7 +100,7 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 		} else if resumeAcc != nil {
 			fp.acc = *resumeAcc
 		}
-		res, err := runPass(ctx, c, opts, fp)
+		res, err := e.runPass(ctx, c, cfg, fp)
 		if res != nil {
 			fp.record(statuses[lo:hi])
 			ran++
@@ -164,9 +137,9 @@ func runFaultSim(ctx context.Context, c *circuit.Circuit, opts Options) (*Result
 		Detected:  detected,
 		Collapsed: analyze.TotalFaultSites(c) - len(faults),
 		Passes:    ran,
-		Lanes:     opts.Lanes,
+		Lanes:     cfg.Lanes,
 	}
-	if fo.KeepStatuses {
+	if cfg.FaultStatuses {
 		cov.Faults = statuses
 	}
 	// LaneFinal would expose per-fault machine state — large and not the

@@ -20,9 +20,9 @@ func TestWideFaultInverterArrayFullCoverage(t *testing.T) {
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 8, 8, 8
 	c := gen.InverterArray(cfg)
 
-	res, err := Run(c, Options{
+	res, err := run("vector", c, engine.Config{
 		Workers: 2, Horizon: 64, Lanes: 64,
-		FaultSim: &FaultOptions{KeepStatuses: true},
+		FaultSim: true, FaultStatuses: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +68,9 @@ func TestWideFaultGateMultiplierCoverage(t *testing.T) {
 	if len(faults) <= 64 {
 		t.Fatalf("multiplier fault list has %d faults; want >64 so a 256-lane pass crosses words", len(faults))
 	}
-	res, err := Run(c, Options{
+	res, err := run("vector", c, engine.Config{
 		Workers: 2, Horizon: 1024, Lanes: 256,
-		FaultSim: &FaultOptions{},
+		FaultSim: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +102,11 @@ func TestWideFaultMultiPassMatchesSinglePass(t *testing.T) {
 	c := gen.InverterArray(cfg)
 	faults := analyze.FaultList(c, false) // full universe: force several passes
 
-	run := func(lanes, workers int) *Result {
-		res, err := Run(c, Options{
+	run := func(lanes, workers int) *engine.Report {
+		res, err := vectorEng.runFaults(context.Background(), c, engine.Config{
 			Workers: workers, Horizon: 48, Lanes: lanes,
-			FaultSim: &FaultOptions{Faults: faults, KeepStatuses: true},
-		})
+			FaultSim: true, FaultStatuses: true,
+		}, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,13 +148,13 @@ func TestWideFaultGoodMachineUnperturbed(t *testing.T) {
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 4, 6, 4
 	c := gen.InverterArray(cfg)
 
-	plain, err := Run(c, Options{Workers: 1, Horizon: 50, Lanes: 1})
+	plain, err := run("vector", c, engine.Config{Workers: 1, Horizon: 50, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := Run(c, Options{
+	faulty, err := run("vector", c, engine.Config{
 		Workers: 2, Horizon: 50, Lanes: 64,
-		FaultSim: &FaultOptions{},
+		FaultSim: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +175,10 @@ func TestWideFaultMaxPasses(t *testing.T) {
 	c := gen.InverterArray(cfg)
 	faults := analyze.FaultList(c, true) // 16 faults
 
-	res, err := Run(c, Options{
+	res, err := vectorEng.runFaults(context.Background(), c, engine.Config{
 		Workers: 1, Horizon: 40, Lanes: 8, // 7 faults per pass
-		FaultSim: &FaultOptions{Faults: faults, MaxPasses: 1, KeepStatuses: true},
-	})
+		FaultSim: true, FaultMaxPasses: 1, FaultStatuses: true,
+	}, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestWideFaultMaxPasses(t *testing.T) {
 // plus at least one fault lane.
 func TestWideFaultOptionValidation(t *testing.T) {
 	c := gen.RandomUnitCircuit(3, 20)
-	if _, err := Run(c, Options{Workers: 1, Horizon: 10, Lanes: 1, FaultSim: &FaultOptions{}}); err == nil {
+	if _, err := run("vector", c, engine.Config{Workers: 1, Horizon: 10, Lanes: 1, FaultSim: true}); err == nil {
 		t.Fatal("Lanes=1 fault sim accepted")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
-	"parsim/internal/compiled"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/logic"
@@ -71,12 +70,9 @@ func sameValues(a, b []logic.Value) bool {
 // each worker row crosses exactly one barrier per step.
 func TestGangScheduleMatchesCompiled(t *testing.T) {
 	for name, sc := range scheduleCircuits() {
-		scalar := compiled.Run(sc.build(), compiled.Options{Workers: 1, Horizon: sc.horizon})
+		scalar := mustRun(t, "compiled", sc.build(), engine.Config{Workers: 1, Horizon: sc.horizon})
 		for _, lanes := range []int{1, 64, 256} {
-			ref, err := Run(sc.build(), Options{Workers: 1, Horizon: sc.horizon, Lanes: lanes})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := mustRun(t, "vector", sc.build(), engine.Config{Workers: 1, Horizon: sc.horizon, Lanes: lanes})
 			if lanes == 1 && ref.Run.NodeUpdates != scalar.Run.NodeUpdates {
 				t.Fatalf("%s: reference engines disagree on updates: %d vs %d", name, ref.Run.NodeUpdates, scalar.Run.NodeUpdates)
 			}

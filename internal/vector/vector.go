@@ -34,66 +34,62 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parsim/internal/analyze"
 	"parsim/internal/barrier"
-	"parsim/internal/checkpoint"
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/guard"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
-	"parsim/internal/trace"
 )
 
-// Options configures a run of the core.
-type Options struct {
-	// Name is the registry name the run reports itself under (the
-	// Algorithm string, supervision labels, resume errors); "" means
-	// "vector".
-	Name     string
-	Workers  int          // parallel workers; >= 1
-	Horizon  circuit.Time // simulate unit-delay steps t in [0, Horizon)
-	Probe    trace.Probe  // optional observer of lane ProbeLane; concurrency-safe
-	CostSpin int64        // if > 0, burn CostSpin x element Cost per evaluation
-	Guard    *guard.Supervisor
-
-	// Lanes is the number of live stimulus lanes (1..logic.MaxWideLanes;
-	// 0 defaults to 64, one plane word). Lane counts beyond 64 widen every
-	// plane to ceil(Lanes/64) words.
-	Lanes int
-	// LaneStride offsets rand/gray generator seeds per lane: lane k runs
-	// with Seed + k*LaneStride. 0 defaults to 1. Lane 0 always keeps the
-	// original seed and is bit-identical to a scalar run.
-	LaneStride int64
-	// ProbeLane selects the lane Probe observes and Final reports
-	// (default 0, the scalar-identical lane). Must be < Lanes.
-	ProbeLane int
-
-	// FaultSim, when non-nil, switches the run to concurrent stuck-at
-	// fault simulation: every lane carries the same stimulus (LaneStride
-	// is forced to 0), lane 0 simulates the good machine and lanes 1..N
-	// carry one injected fault each from the list. See fault.go.
-	FaultSim *FaultOptions
-
-	// Checkpoint snapshots at the per-step barrier, where every worker has
-	// finished the previous step and none has started the next, and
-	// resumes from its snapshot when it carries one, bit-identically lane
-	// for lane. Fault-simulation runs snapshot mid-pass, carrying the
-	// cross-pass detection state along.
-	Checkpoint *checkpoint.Session
+// eng is the core's registry adapter. The two registered values differ only
+// in name and in the lane count a run gets when Config.Lanes is 0: "vector"
+// is first a batched engine (one full plane word), "jit" first a scalar
+// replacement for the compiled engine that widens on request.
+type eng struct {
+	name  string
+	lanes int
 }
 
-// Result is the outcome of a run.
-type Result struct {
-	Run stats.Run
-	// Final holds lane ProbeLane's node values after the last step — the
-	// same shape every scalar engine reports.
-	Final []logic.Value
-	// LaneFinal holds every lane's final node values: LaneFinal[k][n] is
-	// node n as lane k saw it.
-	LaneFinal [][]logic.Value
-	// FaultCoverage reports fault-simulation results when Options.FaultSim
-	// was set, nil otherwise.
-	FaultCoverage *stats.FaultCoverage
+var (
+	vectorEng = eng{name: "vector", lanes: logic.MaxLanes}
+	jitEng    = eng{name: "jit", lanes: 1}
+)
+
+func init() {
+	engine.Register(vectorEng, "batched", "bit-parallel")
+	engine.Register(jitEng, "codegen")
+}
+
+func (e eng) Name() string { return e.name }
+
+// DefaultLanes makes eng an engine.LaneEngine.
+func (e eng) DefaultLanes() int { return e.lanes }
+
+// Checkpoints makes eng an engine.Checkpointer: the core snapshots at the
+// per-step barrier, where every worker has finished the previous step and
+// none has started the next, and resumes bit-identically lane for lane.
+// Fault-simulation runs snapshot mid-pass, carrying the cross-pass
+// detection state along.
+func (eng) Checkpoints() {}
+
+// Run simulates the circuit on the plane core; RunEngine has already
+// checked the lane fields (engine.CheckLanes). Lane 0 always keeps the
+// original seeds and is bit-identical to a scalar run. When ctx is
+// cancelled all workers stop together at the next time step and the
+// partial Report is returned with ctx.Err().
+func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	if cfg.Lanes == 0 {
+		cfg.Lanes = e.lanes
+	}
+	if cfg.LaneStride == 0 {
+		cfg.LaneStride = 1
+	}
+	if cfg.FaultSim {
+		return e.runFaults(ctx, c, cfg, analyze.FaultList(c, true))
+	}
+	return e.runPass(ctx, c, cfg, nil)
 }
 
 // planeBuf is one buffer side: the flat struct-of-arrays slabs plus the
@@ -118,7 +114,8 @@ func newPlaneBuf(n, words int) planeBuf {
 
 type sim struct {
 	c    *circuit.Circuit
-	opts Options
+	cfg  engine.Config
+	name string // the registry name the run reports itself under
 	p    int
 
 	prog     *program
@@ -142,58 +139,26 @@ type sim struct {
 	fault *faultPass
 }
 
-// Run simulates the circuit on the plane core.
-func Run(c *circuit.Circuit, opts Options) (*Result, error) {
-	return RunContext(context.Background(), c, opts)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled all workers
-// stop together at the next time step and the partial result is returned
-// with ctx.Err().
-func RunContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	if err := engine.ValidateWorkers(opts.Workers); err != nil {
-		return nil, err
-	}
-	if opts.Name == "" {
-		opts.Name = "vector"
-	}
-	if opts.Lanes == 0 {
-		opts.Lanes = logic.MaxLanes
-	}
-	if opts.Lanes < 1 || opts.Lanes > logic.MaxWideLanes {
-		return nil, fmt.Errorf("%s: lanes %d out of range [1,%d]", opts.Name, opts.Lanes, logic.MaxWideLanes)
-	}
-	if opts.LaneStride == 0 {
-		opts.LaneStride = 1
-	}
-	if opts.ProbeLane < 0 || opts.ProbeLane >= opts.Lanes {
-		return nil, fmt.Errorf("%s: probe lane %d outside [0,%d)", opts.Name, opts.ProbeLane, opts.Lanes)
-	}
-	if opts.FaultSim != nil {
-		return runFaultSim(ctx, c, opts)
-	}
-	return runPass(ctx, c, opts, nil)
-}
-
 // runPass compiles the circuit and runs one pass over it. fp, when
 // non-nil, carries the fault-injection state of one fault-simulation pass.
-func runPass(ctx context.Context, c *circuit.Circuit, opts Options, fp *faultPass) (*Result, error) {
-	p := opts.Workers
+func (e eng) runPass(ctx context.Context, c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
+	p := cfg.Workers
 	s := &sim{
 		c:        c,
-		opts:     opts,
+		cfg:      cfg,
+		name:     e.name,
 		p:        p,
-		prog:     compileProgram(c, p, opts.Lanes, opts.LaneStride),
-		words:    logic.PlaneWords(opts.Lanes),
-		laneMask: logic.LaneMasks(opts.Lanes),
+		prog:     compileProgram(c, p, cfg.Lanes, cfg.LaneStride),
+		words:    logic.PlaneWords(cfg.Lanes),
+		laneMask: logic.LaneMasks(cfg.Lanes),
 		bar:      barrier.New(p),
 		wc:       make([]stats.WorkerCounters, p),
 		cancel:   engine.WatchCancel(ctx),
-		chaos:    opts.Guard.Chaos(),
+		chaos:    cfg.Guard.Chaos(),
 		fault:    fp,
 	}
 	defer s.cancel.Release()
-	opts.Guard.OnTrip(s.bar.Abort)
+	cfg.Guard.OnTrip(s.bar.Abort)
 	if fp != nil {
 		fp.bind(s.prog, s.words)
 	}
@@ -204,7 +169,7 @@ func runPass(ctx context.Context, c *circuit.Circuit, opts Options, fp *faultPas
 			s.buf[side].planes[i].Fill(logic.X)
 		}
 	}
-	resumed, err := opts.Checkpoint.Begin(p, s.restore)
+	resumed, err := cfg.Ckpt.Begin(p, s.restore)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +192,7 @@ func runPass(ctx context.Context, c *circuit.Circuit, opts Options, fp *faultPas
 // the probe sees lane ProbeLane, and a change in any live lane counts one
 // update.
 func (s *sim) initGenerators() {
-	lw, lb := s.opts.ProbeLane>>6, uint(s.opts.ProbeLane&63)
+	lw, lb := s.cfg.ProbeLane>>6, uint(s.cfg.ProbeLane&63)
 	for w := range s.prog.gens {
 		for i := range s.prog.gens[w] {
 			g := &s.prog.gens[w][i]
@@ -249,9 +214,9 @@ func (s *sim) initGenerators() {
 				continue
 			}
 			s.wc[0].NodeUpdates++
-			if s.opts.Probe != nil && probed {
-				s.opts.Probe.OnChange(g.out.node, 0,
-					logic.ExtractLaneWide(s.buf[0].planes[o:o+wd], s.opts.ProbeLane, wd))
+			if s.cfg.Probe != nil && probed {
+				s.cfg.Probe.OnChange(g.out.node, 0,
+					logic.ExtractLaneWide(s.buf[0].planes[o:o+wd], s.cfg.ProbeLane, wd))
 			}
 		}
 	}
@@ -259,51 +224,50 @@ func (s *sim) initGenerators() {
 
 // finish runs the worker gang over the (freshly initialised or restored)
 // state and assembles the pass result.
-func (s *sim) finish(ctx context.Context) (*Result, error) {
-	opts := s.opts
+func (s *sim) finish(ctx context.Context) (*engine.Report, error) {
+	cfg := s.cfg
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < s.p; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer opts.Guard.Recover(w, opts.Name+" step loop")
+			defer cfg.Guard.Recover(w, s.name+" step loop")
 			s.worker(w)
 		}(w)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	steps := int64(opts.Horizon)
-	planes := s.buf[int(opts.Horizon-1)&1].planes
-	if opts.Horizon <= 0 {
+	steps := int64(cfg.Horizon)
+	planes := s.buf[int(cfg.Horizon-1)&1].planes
+	if cfg.Horizon <= 0 {
 		planes = s.buf[0].planes
 	}
 	sa := s.stopAt.Load()
-	if sa > 0 && circuit.Time(sa) < opts.Horizon-1 {
+	if sa > 0 && circuit.Time(sa) < cfg.Horizon-1 {
 		steps = sa + 1
 		planes = s.buf[int(sa)&1].planes
 	}
-	if err := opts.Checkpoint.Drain(sa, s.cancel.Cancelled(), s.wc, s.fill); err != nil {
+	if err := cfg.Ckpt.Drain(sa, s.cancel.Cancelled(), s.wc, s.fill); err != nil {
 		return nil, err
 	}
-	res := &Result{LaneFinal: make([][]logic.Value, opts.Lanes)}
-	for l := range res.LaneFinal {
-		res.LaneFinal[l] = s.extractLane(planes, l)
-	}
-	res.Final = res.LaneFinal[opts.ProbeLane]
-	res.Run = stats.Run{
-		Algorithm: fmt.Sprintf("%sx%d", opts.Name, opts.Lanes),
+	rep := &engine.Report{LaneFinal: make([][]logic.Value, cfg.Lanes), Run: stats.Run{
+		Algorithm: fmt.Sprintf("%sx%d", s.name, cfg.Lanes),
 		Circuit:   s.c.Name,
-		Horizon:   opts.Horizon,
+		Horizon:   cfg.Horizon,
 		Workers:   s.p,
 		TimeSteps: steps,
+	}}
+	for l := range rep.LaneFinal {
+		rep.LaneFinal[l] = s.extractLane(planes, l)
 	}
+	rep.Final = rep.LaneFinal[cfg.ProbeLane]
 	for w := range s.wc {
 		s.wc[w].ModelCalls = s.wc[w].Evals
 	}
-	res.Run.Aggregate(wall, s.wc)
-	return res, s.cancel.Err(ctx)
+	rep.Run.Aggregate(wall, s.wc)
+	return rep, s.cancel.Err(ctx)
 }
 
 func (s *sim) extractLane(planes []logic.WidePlane, lane int) []logic.Value {
@@ -332,21 +296,21 @@ func (s *sim) worker(id int) {
 	work := s.prog.work[id]
 	// With one plane word and no probe the per-span scan collapses to
 	// noteLevel's single flat loop over the level's (offset, width) pairs.
-	fastNote := s.opts.Probe == nil && s.words == 1
+	fastNote := s.cfg.Probe == nil && s.words == 1
 
 	// Step t computes node planes for t+1: read side t&1, write side
 	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1. Nothing
 	// inside a step reads this step's writes, so each worker sweeps its own
 	// run of the schedule unordered and one barrier closes the step.
-	for t := s.startT; t < s.opts.Horizon-1; t++ {
+	for t := s.startT; t < s.cfg.Horizon-1; t++ {
 		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
 			return
 		}
-		if ck := s.opts.Checkpoint; ck.Due(int64(t)) && !ck.Cross(id, int64(t), s.bar, &sense, s.wc, s.fill) {
+		if ck := s.cfg.Ckpt; ck.Due(int64(t)) && !ck.Cross(id, int64(t), s.bar, &sense, s.wc, s.fill) {
 			return
 		}
 		if id == 0 {
-			s.opts.Guard.Progress(int64(t))
+			s.cfg.Guard.Progress(int64(t))
 			if s.cancel.Cancelled() {
 				s.stopAt.CompareAndSwap(0, int64(t)+1)
 			}
@@ -380,8 +344,8 @@ func (s *sim) worker(id int) {
 			for i := range lw.kerns {
 				lw.kerns[i].run(cur.planes, next.planes)
 			}
-			if s.opts.CostSpin > 0 {
-				circuit.Spin(lw.cost * s.opts.CostSpin)
+			if s.cfg.CostSpin > 0 {
+				circuit.Spin(lw.cost * s.cfg.CostSpin)
 			}
 			if fastNote {
 				acc.NodeUpdates += noteLevel(lw.noteOffs, cur.v, cur.u, next.v, next.u, s.laneMask[0])
@@ -400,7 +364,7 @@ func (s *sim) worker(id int) {
 		}
 
 		acc.BarrierWaits++
-		if s.opts.Checkpoint.Due(int64(t) + 1) {
+		if s.cfg.Ckpt.Due(int64(t) + 1) {
 			s.wc[id] = acc
 		}
 		t0 := time.Now()
@@ -453,18 +417,18 @@ scan:
 	if changed == 0 {
 		return false
 	}
-	if s.opts.Probe == nil {
+	if s.cfg.Probe == nil {
 		return true
 	}
-	lw, lb := s.opts.ProbeLane>>6, uint(s.opts.ProbeLane&63)
+	lw, lb := s.cfg.ProbeLane>>6, uint(s.cfg.ProbeLane&63)
 	var probeChanged uint64
 	for b := 0; b < w; b++ {
 		i0 := (o+b)*words + lw
 		probeChanged |= ((cur.v[i0] ^ next.v[i0]) | (cur.u[i0] ^ next.u[i0])) & s.laneMask[lw]
 	}
 	if probeChanged>>lb&1 != 0 {
-		s.opts.Probe.OnChange(sp.node, t,
-			logic.ExtractLaneWide(next.planes[o:o+w], s.opts.ProbeLane, w))
+		s.cfg.Probe.OnChange(sp.node, t,
+			logic.ExtractLaneWide(next.planes[o:o+w], s.cfg.ProbeLane, w))
 	}
 	return true
 }

@@ -7,12 +7,27 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
-	"parsim/internal/compiled"
+	_ "parsim/internal/compiled"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/logic"
 	"parsim/internal/trace"
 )
+
+// run simulates c on the named engine through the registry.
+func run(name string, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	return engine.Run(context.Background(), name, c, cfg)
+}
+
+// mustRun is run for a configuration that has to succeed.
+func mustRun(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
+	t.Helper()
+	rep, err := run(name, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // shiftSeeds clones c with every rand/gray generator's seed offset by
 // delta — the stimulus lane k of a batched run with LaneStride s sees.
@@ -34,7 +49,7 @@ func TestLanesMatchScalarCompiled(t *testing.T) {
 	c := gen.RandomUnitCircuit(11, 80)
 	const lanes, stride, horizon = 8, 3, 150
 
-	res, err := Run(c, Options{
+	res, err := run("vector", c, engine.Config{
 		Workers: 2, Horizon: horizon,
 		Lanes: lanes, LaneStride: stride,
 	})
@@ -45,7 +60,7 @@ func TestLanesMatchScalarCompiled(t *testing.T) {
 		t.Fatalf("LaneFinal rows = %d, want %d", len(res.LaneFinal), lanes)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		sc := compiled.Run(shiftSeeds(c, stride*int64(lane)), compiled.Options{
+		sc := mustRun(t, "compiled", shiftSeeds(c, stride*int64(lane)), engine.Config{
 			Workers: 1, Horizon: horizon,
 		})
 		for n := range c.Nodes {
@@ -71,7 +86,7 @@ func TestGoldenVCDByteMatch(t *testing.T) {
 
 	for lane := 0; lane < lanes; lane++ {
 		vrec := trace.NewRecorder()
-		if _, err := Run(c, Options{
+		if _, err := run("vector", c, engine.Config{
 			Workers: 2, Horizon: horizon, Probe: vrec,
 			Lanes: lanes, LaneStride: stride, ProbeLane: lane,
 		}); err != nil {
@@ -80,7 +95,7 @@ func TestGoldenVCDByteMatch(t *testing.T) {
 
 		srec := trace.NewRecorder()
 		sc := shiftSeeds(c, stride*int64(lane))
-		compiled.Run(sc, compiled.Options{Workers: 1, Horizon: horizon, Probe: srec})
+		mustRun(t, "compiled", sc, engine.Config{Workers: 1, Horizon: horizon, Probe: srec})
 
 		var vvcd, svcd bytes.Buffer
 		if err := trace.WriteVCD(&vvcd, c, vrec, horizon); err != nil {
@@ -106,11 +121,11 @@ func TestLaneZeroMatchesScalarHistory(t *testing.T) {
 	const horizon = 200
 
 	vrec := trace.NewRecorder()
-	if _, err := Run(c, Options{Workers: 3, Horizon: horizon, Probe: vrec}); err != nil {
+	if _, err := run("vector", c, engine.Config{Workers: 3, Horizon: horizon, Probe: vrec}); err != nil {
 		t.Fatal(err)
 	}
 	srec := trace.NewRecorder()
-	compiled.Run(c, compiled.Options{Workers: 1, Horizon: horizon, Probe: srec})
+	mustRun(t, "compiled", c, engine.Config{Workers: 1, Horizon: horizon, Probe: srec})
 	if d := trace.Diff(c, srec, vrec); d != "" {
 		t.Fatalf("lane 0 history diverges from scalar compiled: %s", d)
 	}
@@ -118,15 +133,15 @@ func TestLaneZeroMatchesScalarHistory(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	c := gen.RandomUnitCircuit(1, 20)
-	cases := []Options{
+	cases := []engine.Config{
 		{Workers: 1, Horizon: 10, Lanes: -1},
 		{Workers: 1, Horizon: 10, Lanes: logic.MaxWideLanes + 1},
 		{Workers: 1, Horizon: 10, Lanes: 4, ProbeLane: 4},
 		{Workers: 1, Horizon: 10, ProbeLane: -1},
-		{Workers: 0, Horizon: 10},
+		{Workers: -1, Horizon: 10},
 	}
-	for i, opts := range cases {
-		if _, err := Run(c, opts); err == nil {
+	for i, cfg := range cases {
+		if _, err := run("vector", c, cfg); err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
 	}
@@ -134,11 +149,11 @@ func TestOptionValidation(t *testing.T) {
 
 func TestSingleLane(t *testing.T) {
 	c := gen.RandomUnitCircuit(9, 40)
-	res, err := Run(c, Options{Workers: 1, Horizon: 100, Lanes: 1})
+	res, err := run("vector", c, engine.Config{Workers: 1, Horizon: 100, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := compiled.Run(c, compiled.Options{Workers: 1, Horizon: 100})
+	sc := mustRun(t, "compiled", c, engine.Config{Workers: 1, Horizon: 100})
 	for n := range c.Nodes {
 		if res.Final[n] != sc.Final[n] {
 			t.Fatalf("node %d: %v != %v", n, res.Final[n], sc.Final[n])
@@ -155,7 +170,7 @@ func TestCancellation(t *testing.T) {
 	c := gen.RandomUnitCircuit(2, 60)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, c, Options{Workers: 2, Horizon: 1 << 20})
+	res, err := engine.Run(ctx, "vector", c, engine.Config{Workers: 2, Horizon: 1 << 20})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -191,11 +206,11 @@ func TestInverterArraySanity(t *testing.T) {
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 8, 8, 8
 	c := gen.InverterArray(cfg)
 	vrec := trace.NewRecorder()
-	if _, err := Run(c, Options{Workers: 1, Horizon: 96, Probe: vrec}); err != nil {
+	if _, err := run("vector", c, engine.Config{Workers: 1, Horizon: 96, Probe: vrec}); err != nil {
 		t.Fatal(err)
 	}
 	srec := trace.NewRecorder()
-	compiled.Run(c, compiled.Options{Workers: 1, Horizon: 96, Probe: srec})
+	mustRun(t, "compiled", c, engine.Config{Workers: 1, Horizon: 96, Probe: srec})
 	if d := trace.Diff(c, srec, vrec); d != "" {
 		t.Fatalf("inverter array diverges: %s", d)
 	}
@@ -203,7 +218,7 @@ func TestInverterArraySanity(t *testing.T) {
 
 func TestZeroHorizon(t *testing.T) {
 	c := gen.RandomUnitCircuit(6, 20)
-	res, err := Run(c, Options{Workers: 1, Horizon: 0, Lanes: 2})
+	res, err := run("vector", c, engine.Config{Workers: 1, Horizon: 0, Lanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +230,11 @@ func TestZeroHorizon(t *testing.T) {
 
 func TestLaneStrideZeroDefaultsToOne(t *testing.T) {
 	c := gen.RandomUnitCircuit(8, 40)
-	a, err := Run(c, Options{Workers: 1, Horizon: 80, Lanes: 4})
+	a, err := run("vector", c, engine.Config{Workers: 1, Horizon: 80, Lanes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, Options{Workers: 1, Horizon: 80, Lanes: 4, LaneStride: 1})
+	b, err := run("vector", c, engine.Config{Workers: 1, Horizon: 80, Lanes: 4, LaneStride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -304,7 +304,8 @@ type Options struct {
 	// with Seed + k*LaneStride; 0 defaults to 1), and ProbeLane selects
 	// which lane feeds Probe and Result.Final (default 0, the lane whose
 	// stimulus — and therefore whose history — is bit-identical to a
-	// scalar run). The scalar algorithms ignore all three.
+	// scalar run). The scalar algorithms have a single lane: they ignore
+	// LaneStride and any Lanes within range, and ProbeLane must be 0.
 	Lanes      int
 	LaneStride int64
 	ProbeLane  int

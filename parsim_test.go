@@ -125,6 +125,53 @@ func TestParseAlgorithmCoversRegistry(t *testing.T) {
 	}
 }
 
+// TestStatsNameTheEngine runs every registered engine and checks that the
+// report says which engine ran and what it was asked: Stats.Algorithm
+// starts with the engine's canonical name (auto reports the engine it
+// selected), and Stats.Horizon and Stats.Workers are the requested ones.
+func TestStatsNameTheEngine(t *testing.T) {
+	c := RandomUnitCircuit(3, 40)
+	for _, name := range Algorithms() {
+		workers := 2
+		if name == "sequential" {
+			workers = 1
+		}
+		res, err := Simulate(c.Clone(), Options{Engine: name, Horizon: 64, Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := name
+		if res.Selected != nil {
+			want, workers = res.Selected.Engine, res.Selected.Workers
+		}
+		if st := res.Stats; !strings.HasPrefix(st.Algorithm, want) || st.Horizon != 64 || st.Workers != workers {
+			t.Errorf("%s: stats report algorithm %q, horizon %d, workers %d; want prefix %q, 64, %d",
+				name, st.Algorithm, st.Horizon, st.Workers, want, workers)
+		}
+	}
+}
+
+// TestLaneFieldsCheckedOnScalarEngines: the lane rule is the same for every
+// engine, so a scalar run refuses a lane count past the limit and a probe
+// lane past its single lane instead of ignoring them.
+func TestLaneFieldsCheckedOnScalarEngines(t *testing.T) {
+	c := buildBlinker(t)
+	for _, opts := range []Options{
+		{Algorithm: Sequential, Horizon: 10, Lanes: 99999},
+		{Algorithm: Sequential, Horizon: 10, ProbeLane: 3},
+		{Algorithm: Sequential, Horizon: 10, Lanes: 99999, ProbeLane: 3},
+		{Algorithm: Async, Horizon: 10, FaultSim: true},
+	} {
+		if _, err := Simulate(c, opts); err == nil {
+			t.Errorf("%s with lanes %d, probe lane %d, fault sim %v accepted",
+				opts.Algorithm, opts.Lanes, opts.ProbeLane, opts.FaultSim)
+		}
+	}
+	if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: 10, Lanes: 64}); err != nil {
+		t.Errorf("a scalar engine must ignore an in-range lane count: %v", err)
+	}
+}
+
 func TestNetlistRoundTripViaFacade(t *testing.T) {
 	c := BenchFeedbackChain(5)
 	var buf bytes.Buffer
