@@ -3,8 +3,11 @@ package parsim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+
+	"parsim/internal/engine"
 )
 
 // allAlgorithms is every registered engine, exercised through the facade.
@@ -144,6 +147,57 @@ func TestSimulateContextAlreadyCancelled(t *testing.T) {
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Fatalf("%s: took %v on a pre-cancelled context", alg, elapsed)
+		}
+	}
+}
+
+// TestNoEngineLeavesGoroutines runs every registry entry to each way a run
+// can end — completed, cancelled through its context, and a contained
+// worker panic — and requires the goroutine count back at its baseline
+// once engine.Run has returned: the engine layer's gang, supervisor and
+// cancellation flag leave nothing running behind a finished run.
+func TestNoEngineLeavesGoroutines(t *testing.T) {
+	c := BenchFeedbackChain(13)
+	outcomes := []struct {
+		name    string
+		horizon Time
+		cancel  time.Duration // > 0: cancel the run context after this long
+		panics  bool          // a chaos probe panics the 40th evaluation
+		check   func(error) bool
+	}{
+		{"completed", 200, 0, false, func(err error) bool { return err == nil }},
+		{"cancelled", cancelHorizon, 20 * time.Millisecond, false,
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"panicked", guardHorizon, 0, true,
+			func(err error) bool { var wf *WorkerFault; return errors.As(err, &wf) }},
+	}
+	for _, name := range engine.Names() {
+		workers := 2
+		if name == Sequential.String() {
+			workers = 1
+		}
+		for _, o := range outcomes {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			if o.cancel > 0 {
+				time.AfterFunc(o.cancel, cancel)
+			}
+			cfg := engine.Config{Workers: workers, Horizon: o.horizon}
+			if o.panics {
+				cfg.Chaos = &ChaosProbe{PanicAtEval: 40}
+			}
+			_, err := engine.Run(ctx, name, c, cfg)
+			cancel()
+			if !o.check(err) {
+				t.Errorf("%s %s: unexpected error %v", name, o.name, err)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Errorf("%s %s: %d goroutines after the run, %d before", name, o.name, n, base)
+			}
 		}
 	}
 }

@@ -50,6 +50,28 @@ func (el *Element) GenNextChange(t Time) (next Time, ok bool) {
 	panic("circuit: GenNextChange on non-generator element " + el.Name)
 }
 
+// GenWaveform materialises the generator's output over [0, horizon) — the
+// asynchronous engines' initialisation, "evaluate all generator and
+// constant nodes for all time". emit sees each change against the all-X
+// reset: the first known value, then every value that differs from the
+// one before. stop is polled before each candidate change time, because a
+// generator can span a huge horizon and a cancelled run must not wait for
+// it.
+func (el *Element) GenWaveform(horizon Time, stop func() bool, emit func(t Time, v logic.Value)) {
+	last := logic.AllX(el.outWidth(0))
+	for t := Time(0); t < horizon && !stop(); {
+		if v := el.GenValueAt(t); !v.Equal(last) {
+			last = v
+			emit(t, v)
+		}
+		next, ok := el.GenNextChange(t)
+		if !ok {
+			return
+		}
+		t = next
+	}
+}
+
 func clockDuty(p *Params) Time {
 	if p.Duty != 0 {
 		return p.Duty

@@ -77,6 +77,7 @@ type fleetOpts struct {
 	coreBudget int           // per-node cores (default 2)
 	maxQueue   int           // per-node admission queue (default 16)
 	evictAfter time.Duration // coordinator failure-detector window (default 3x heartbeat)
+	noDedup    bool          // coordinator dedup off (default on, 64 entries); nodes never dedup
 }
 
 // newFleet builds a coordinator and n durable worker nodes, waits until
@@ -91,12 +92,16 @@ func newFleet(t *testing.T, n int, opts fleetOpts) *fleet {
 	if opts.maxQueue == 0 {
 		opts.maxQueue = 16
 	}
+	cacheEntries := 64
+	if opts.noDedup {
+		cacheEntries = 0
+	}
 	root := t.TempDir()
 	f := &fleet{t: t}
 	f.coord = cluster.NewCoordinator(cluster.Config{
 		HeartbeatEvery: 50 * time.Millisecond,
 		EvictAfter:     opts.evictAfter,
-		CacheEntries:   64,
+		CacheEntries:   cacheEntries,
 		Logf:           t.Logf,
 	})
 	f.coordTS = httptest.NewServer(f.coord.Handler())
@@ -357,6 +362,46 @@ func TestFleetEndToEnd(t *testing.T) {
 	for _, n := range f.nodes {
 		if !strings.Contains(body, fmt.Sprintf("parsimd_fleet_node_core_budget{node=%q}", n.addr)) {
 			t.Errorf("fleet metrics missing gauges for node %s", n.addr)
+		}
+	}
+}
+
+// TestFleetDedupOff pins the zero CacheEntries rule: like a node's
+// -dedup 0, it turns dedup off on the coordinator — no cache hit and no
+// coalescing, so two identical submissions are two simulations.
+func TestFleetDedupOff(t *testing.T) {
+	f := newFleet(t, 1, fleetOpts{noDedup: true})
+	body := jobBody("sequential", 96)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		status, view := f.submit(t, body)
+		if status != http.StatusAccepted || view["deduped"] != nil {
+			t.Fatalf("submission %d: status %d, view %v; want a fresh 202", i, status, view)
+		}
+		ids = append(ids, view["id"].(string))
+	}
+	for _, id := range ids {
+		if view := f.await(t, id, 30*time.Second); view["state"] != "done" || view["deduped"] != nil {
+			t.Fatalf("job %s: %v", id, view)
+		}
+	}
+	resp, err := http.Get(f.nodes[0].ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var node bytes.Buffer
+	node.ReadFrom(resp.Body)
+	if want := `parsimd_jobs_total{state="done"} 2`; !strings.Contains(node.String(), want) {
+		t.Errorf("the node did not simulate both submissions: missing %q\n%s", want, node.String())
+	}
+	fleet := f.metrics(t)
+	for _, want := range []string{
+		`parsimd_fleet_dedup_hits_total{source="cache"} 0`,
+		`parsimd_fleet_dedup_hits_total{source="inflight"} 0`,
+	} {
+		if !strings.Contains(fleet, want) {
+			t.Errorf("fleet metrics missing %q\n%s", want, fleet)
 		}
 	}
 }

@@ -28,8 +28,9 @@ type Config struct {
 	EvictAfter time.Duration
 	// VNodes is each member's virtual node count. Default DefaultVNodes.
 	VNodes int
-	// CacheEntries bounds the dedup result cache. Default 1024; negative
-	// disables dedup entirely.
+	// CacheEntries bounds the dedup result cache and the body memo. 0 (the
+	// default) disables dedup entirely, as on a node: no result cache, no
+	// body memo and no coalescing onto an identical in-flight job.
 	CacheEntries int
 	// MaxBodyBytes caps submission bodies, mirroring the worker default.
 	// Default 8 MiB.
@@ -59,9 +60,6 @@ func (c *Config) withDefaults() {
 	if c.VNodes <= 0 {
 		c.VNodes = DefaultVNodes
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 1024
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
@@ -85,12 +83,10 @@ func (c *Config) withDefaults() {
 	}
 }
 
-// member is one registered worker, guarded by Coordinator.mu.
+// member is one registered worker, guarded by Coordinator.mu. Its state
+// dir outlives it in Coordinator.stateDirs, where requeue looks it up.
 type member struct {
 	addr     string // advertised host:port (or URL)
-	cores    int
-	maxQueue int
-	stateDir string // worker's checkpoint/journal dir ("" = not durable)
 	lastBeat time.Time
 	gauges   NodeGauges
 }
@@ -107,10 +103,12 @@ type NodeGauges struct {
 
 // clusterJob is the coordinator's record of one routed submission.
 type clusterJob struct {
-	id       string
-	key      string
-	body     []byte // original submission body, forwarded verbatim
-	hasWatch bool   // watch jobs carry node-local VCD state; never deduped
+	id   string
+	key  string
+	body []byte // original submission body, forwarded verbatim
+	// dedupable is false for watch jobs, whose VCD state is node-local, and
+	// for every job when dedup is off; only a dedupable result is cached.
+	dedupable bool
 
 	mu        sync.Mutex
 	node      string // owning worker addr ("" = parked, awaiting capacity)

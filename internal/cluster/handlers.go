@@ -40,14 +40,6 @@ func (c *Coordinator) reject(w http.ResponseWriter, status int, format string, a
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// cachedResult is a dedup cache entry: the terminal job view of the run
-// that produced it plus its measured run time, kept so the metrics page
-// can report how much simulation time each hit saved.
-type cachedResult struct {
-	view  map[string]any
-	runMS float64
-}
-
 // handleSubmit is POST /v1/jobs on the coordinator: key the submission,
 // serve dedup hits from the cache or coalesce onto an identical in-flight
 // job, otherwise route to the ring owner with spill-on-full.
@@ -76,12 +68,12 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	if dedupable {
 		if v, ok := c.cache.Get(key); ok {
-			cr := v.(*cachedResult)
-			cj := c.newJob(key, body, !dedupable)
+			cached := v.(map[string]any) // the terminal view of the run that produced it
+			cj := c.newJob(key, body, dedupable)
 			cj.deduped = true
 			cj.pending = false
-			cj.state = viewState(cr.view)
-			cj.lastView = c.rewriteView(cj, cr.view)
+			cj.state = viewState(cached)
+			cj.lastView = c.rewriteView(cj, cached)
 			c.registerJob(cj, false)
 			c.met.onSubmit()
 			c.met.onDedup(true)
@@ -91,7 +83,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	cj := c.newJob(key, body, !dedupable)
+	cj := c.newJob(key, body, dedupable)
 	if prior := c.registerJob(cj, dedupable); prior != nil {
 		// An identical job is already in flight: coalesce instead of
 		// re-simulating; the caller polls the existing record.
@@ -128,11 +120,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, view)
 }
 
-// keyFor returns a submission's job key and whether it may be deduped.
-// Watch jobs carry node-local VCD state, so they are never deduped and
-// never satisfy a later identical submission. A dedupable body is keyed
-// in full once; after that its bytes alone name its key, and only the
-// worker it is routed to parses it.
+// keyFor returns a submission's job key, which routes it, and whether it
+// may be deduped: not with dedup off, and never a watch job, whose VCD
+// state is node-local, so it never satisfies a later identical submission.
+// A dedupable body is keyed in full once; after that its bytes alone name
+// its key, and only the worker it is routed to parses it.
 func (c *Coordinator) keyFor(body []byte) (key string, dedupable bool, err error) {
 	sum := sha256.Sum256(body)
 	digest := string(sum[:])
@@ -143,7 +135,7 @@ func (c *Coordinator) keyFor(body []byte) (key string, dedupable bool, err error
 	if err != nil {
 		return "", false, err
 	}
-	if len(sub.Watch) > 0 {
+	if len(sub.Watch) > 0 || c.cfg.CacheEntries <= 0 {
 		return key, false, nil
 	}
 	c.memo.Put(digest, key)
@@ -151,14 +143,14 @@ func (c *Coordinator) keyFor(body []byte) (key string, dedupable bool, err error
 }
 
 // newJob allocates a cluster job record (not yet registered).
-func (c *Coordinator) newJob(key string, body []byte, hasWatch bool) *clusterJob {
+func (c *Coordinator) newJob(key string, body []byte, dedupable bool) *clusterJob {
 	return &clusterJob{
-		id:       fmt.Sprintf("c-%06d", c.nextID.Add(1)),
-		key:      key,
-		body:     body,
-		hasWatch: hasWatch,
-		state:    "queued",
-		pending:  true,
+		id:        fmt.Sprintf("c-%06d", c.nextID.Add(1)),
+		key:       key,
+		body:      body,
+		dedupable: dedupable,
+		state:     "queued",
+		pending:   true,
 	}
 }
 
@@ -268,14 +260,13 @@ func (c *Coordinator) pollWorker(cj *clusterJob, node, nodeJobID string) (map[st
 	if firstTerminal {
 		cj.recorded = true
 	}
-	runMS, _ := raw["run_ms"].(float64)
-	hasWatch := cj.hasWatch
+	dedupable := cj.dedupable
 	cj.mu.Unlock()
 	if firstTerminal {
 		c.met.onTerminal(st)
 		c.dropInflight(cj)
-		if st == "done" && !hasWatch {
-			c.cache.Put(cj.key, &cachedResult{view: view, runMS: runMS})
+		if st == "done" && dedupable {
+			c.cache.Put(cj.key, view)
 		}
 	}
 	return view, nil
@@ -334,9 +325,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.nodes[req.Addr] = &member{
 		addr:     req.Addr,
-		cores:    req.Cores,
-		maxQueue: req.MaxQueue,
-		stateDir: req.StateDir,
 		lastBeat: time.Now(),
 		gauges:   req.Gauges,
 	}

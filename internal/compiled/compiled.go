@@ -8,11 +8,7 @@ package compiled
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"parsim/internal/barrier"
 	"parsim/internal/checkpoint"
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
@@ -30,19 +26,10 @@ type sim struct {
 	buf   [2][]logic.Value // double-buffered node values
 	state [][]logic.Value
 	parts [][]circuit.ElemID
-	bar   *barrier.Barrier
 
-	wc     []stats.WorkerCounters
-	cancel *engine.CancelFlag
-	chaos  *guard.ChaosProbe // captured once; nil on production runs
-
-	startT circuit.Time // resume step (0 for a fresh run)
-	// stopAt, when > 0, is the step at which every worker exits. Worker 0
-	// publishes it during step stopAt-1; the step barrier makes the write
-	// visible to all workers before any of them reaches step stopAt, so the
-	// whole gang leaves the loop at the same step boundary and nobody is
-	// left waiting on the barrier.
-	stopAt atomic.Int64
+	wc    []stats.WorkerCounters
+	chaos *guard.ChaosProbe // captured once; nil on production runs
+	ls    *engine.Lockstep
 }
 
 // eng registers the compiled-mode simulator with the engine layer.
@@ -57,25 +44,20 @@ func (eng) Name() string { return "compiled" }
 func (eng) Checkpoints() {}
 
 // Run simulates the circuit in compiled mode and reports the node values
-// after the final step. The guard contains worker panics, worker 0
-// publishes the current step as progress, and a trip aborts the step
-// barrier so no survivor spins for a dead peer. When ctx is cancelled all
-// workers stop together at the next time step and the partial Report is
-// returned with ctx.Err().
-func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+// after the final step. engine.Lockstep runs the step protocol: progress,
+// the stop at the next step boundary on cancellation, the snapshot
+// captures and the barrier a guard trip aborts.
+func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	p := cfg.Workers
 	s := &sim{
-		c:      c,
-		cfg:    cfg,
-		p:      p,
-		parts:  partition.Split(c, p, cfg.Strategy),
-		bar:    barrier.New(p),
-		wc:     make([]stats.WorkerCounters, p),
-		cancel: engine.WatchCancel(ctx),
-		chaos:  cfg.Guard.Chaos(),
+		c:     c,
+		cfg:   cfg,
+		p:     p,
+		parts: partition.Split(c, p, cfg.Strategy),
+		wc:    make([]stats.WorkerCounters, p),
+		chaos: cfg.Guard.Chaos(),
 	}
-	defer s.cancel.Release()
-	cfg.Guard.OnTrip(s.bar.Abort)
+	s.ls = engine.NewLockstep(cfg, s.wc, s.fill)
 	for side := range s.buf {
 		s.buf[side] = make([]logic.Value, len(c.Nodes))
 	}
@@ -91,7 +73,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 			c.Elems[i].InitState(s.state[i])
 		}
 	}
-	resumed, err := cfg.Ckpt.Begin(p, s.restore)
+	resumed, err := s.ls.Begin(s.restore)
 	if err != nil {
 		return nil, err
 	}
@@ -112,34 +94,12 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		}
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer cfg.Guard.Recover(w, "compiled step loop")
-			s.worker(w)
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	steps := int64(cfg.Horizon)
-	final := s.buf[int(cfg.Horizon-1)&1]
-	if cfg.Horizon <= 0 {
-		final = s.buf[0]
-	}
-	sa := s.stopAt.Load()
-	if sa > 0 && circuit.Time(sa) < cfg.Horizon-1 {
-		// Cancelled: the last completed step wrote values for time sa.
-		steps = sa + 1
-		final = s.buf[int(sa)&1]
-	}
-	if err := cfg.Ckpt.Drain(sa, s.cancel.Cancelled(), s.wc, s.fill); err != nil {
+	wall := engine.Gang(cfg, "compiled step loop", s.worker)
+	steps, side, err := s.ls.Finish()
+	if err != nil {
 		return nil, err
 	}
-	rep := &engine.Report{Final: final, Run: stats.Run{
+	rep := &engine.Report{Final: s.buf[side], Run: stats.Run{
 		Algorithm: e.Name() + "(" + cfg.Strategy.String() + ")",
 		Circuit:   c.Name,
 		Horizon:   cfg.Horizon,
@@ -150,16 +110,12 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		s.wc[w].ModelCalls = s.wc[w].Evals
 	}
 	rep.Run.Aggregate(wall, s.wc)
-	return rep, s.cancel.Err(ctx)
+	return rep, nil
 }
 
 func init() { engine.Register(eng{}, "compiled-mode") }
 
 func (s *sim) worker(id int) {
-	var sense barrier.Sense
-	var idle time.Duration
-	defer func() { s.wc[id].Idle += idle }()
-
 	part := s.parts[id]
 	var gens []circuit.ElemID
 	for i, g := range s.c.Generators() {
@@ -172,29 +128,17 @@ func (s *sim) worker(id int) {
 
 	// Step t computes node values for t+1: read side t&1, write side
 	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1.
-	for t := s.startT; t < s.cfg.Horizon-1; t++ {
-		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
-			return
-		}
-		if ck := s.cfg.Ckpt; ck.Due(int64(t)) && !ck.Cross(id, int64(t), s.bar, &sense, s.wc, s.fill) {
-			return
-		}
-		if id == 0 {
-			s.cfg.Guard.Progress(int64(t))
-			if s.cancel.Cancelled() {
-				s.stopAt.CompareAndSwap(0, int64(t)+1)
-			}
-		}
+	s.ls.Steps(id, func(t circuit.Time, row *stats.WorkerCounters) {
 		cur := s.buf[t&1]
 		next := s.buf[(t+1)&1]
 
 		for _, g := range gens {
 			el := &s.c.Elems[g]
-			s.write(id, el.Out[0], t+1, el.GenValueAt(t+1), cur, next)
+			s.write(row, el.Out[0], t+1, el.GenValueAt(t+1), cur, next)
 		}
 		for _, eid := range part {
 			el := &s.c.Elems[eid]
-			s.wc[id].Evals++
+			row.Evals++
 			if s.chaos != nil {
 				s.chaos.Eval()
 			}
@@ -214,18 +158,10 @@ func (s *sim) worker(id int) {
 				circuit.Spin(el.Cost * s.cfg.CostSpin)
 			}
 			for p, n := range el.Out {
-				s.write(id, n, t+1, out[p], cur, next)
+				s.write(row, n, t+1, out[p], cur, next)
 			}
 		}
-
-		t0 := time.Now()
-		s.wc[id].BarrierWaits++
-		ok := s.bar.Wait(&sense)
-		idle += time.Since(t0)
-		if !ok {
-			return
-		}
-	}
+	})
 }
 
 // fill writes the engine's own snapshot sections at the top of a step:
@@ -234,7 +170,8 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 	snap.PackScalar(s.buf[int(snap.Step)&1], s.state)
 }
 
-// restore rebuilds the engine's own state from a digest-verified snapshot.
+// restore rebuilds the engine's own state from a digest-verified snapshot
+// (Lockstep commits the worker rows and the start step).
 // Both buffer sides take the snapshot values: every driven node is fully
 // rewritten each step and every undriven node stays constant, so the
 // resumed double-buffer sequence matches the uninterrupted one exactly.
@@ -246,21 +183,19 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 	copy(s.buf[0], vals)
 	copy(s.buf[1], vals)
 	s.state = state
-	copy(s.wc, snap.Workers)
-	s.startT = circuit.Time(snap.Step)
 	return nil
 }
 
 // write stores a node's next value, recording a change when it differs from
 // the current one. Only the node's single driver (or generator owner) calls
 // this for a given node, so the slots race with nobody.
-func (s *sim) write(id int, n circuit.NodeID, t circuit.Time, v logic.Value,
+func (s *sim) write(row *stats.WorkerCounters, n circuit.NodeID, t circuit.Time, v logic.Value,
 	cur, next []logic.Value) {
 	next[n] = v
 	if v.Equal(cur[n]) {
 		return
 	}
-	s.wc[id].NodeUpdates++
+	row.NodeUpdates++
 	if s.cfg.Probe != nil {
 		s.cfg.Probe.OnChange(n, t, v)
 	}

@@ -104,7 +104,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -219,27 +218,25 @@ type sim struct {
 	workers []*worker
 	queues  [][]*spsc.Queue[circuit.ElemID] // [target][source]; no diagonal
 
-	cancel *engine.CancelFlag
-	chaos  *guard.ChaosProbe // captured once; nil on production runs
+	chaos *guard.ChaosProbe // captured once; nil on production runs
 }
 
 // Run simulates the circuit with cfg.Workers lock-free workers. The guard
 // contains worker panics, evaluations heartbeat the watchdog, and a run that
 // goes passive with node valid-times short of the horizon self-reports the
-// stall instead of silently returning stale X values. When ctx is cancelled
-// every worker stops at its next queue poll (or within 64 merged time points
-// inside a long element activation) and the partial Report is returned with
-// ctx.Err().
+// stall instead of silently returning stale X values. When the run is
+// cancelled every worker stops at its next queue poll (or within 64 merged
+// time points inside a long element activation) and the partial Report is
+// returned.
 func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
-	s := newSim(ctx, c, cfg, e)
-	defer s.cancel.Release()
+	s := newSim(c, cfg, e)
 
 	start := time.Now()
 	rounds := int64(0)
 	for {
 		rounds++
 		s.runWorkers()
-		if s.cancel.Cancelled() || !e.deadlockRecovery || !s.recoverDeadlock() {
+		if cfg.Guard.Cancelled() || !e.deadlockRecovery || !s.recoverDeadlock() {
 			break
 		}
 	}
@@ -263,21 +260,15 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		wc[i] = w.wc
 	}
 	rep.Run.Aggregate(wall, wc)
-	if err := s.cancel.Err(ctx); err != nil {
-		return rep, err
-	}
-	// The run terminated on its own: every node's behaviour must have
-	// reached the horizon, or the workers went passive around a stall.
-	if st := s.stallReport(); st != nil {
-		return rep, st
-	}
-	return rep, nil
+	return rep, engine.StallReport(ctx, e.name, c, cfg.Horizon, func(n circuit.NodeID) (int64, bool) {
+		return s.hist[n].validTo.Load(), true
+	})
 }
 
 // newSim builds the run state — histories, cursors and element state out of
 // one slab each, and every node's empty first chunk header — materialises the
 // generators and queues their fan-out.
-func newSim(ctx context.Context, c *circuit.Circuit, cfg engine.Config, e eng) *sim {
+func newSim(c *circuit.Circuit, cfg engine.Config, e eng) *sim {
 	p := cfg.Workers
 	s := &sim{
 		c:       c,
@@ -289,7 +280,6 @@ func newSim(ctx context.Context, c *circuit.Circuit, cfg engine.Config, e eng) *
 		ctl:     make([]elemCtl, len(c.Elems)),
 		workers: make([]*worker, p),
 		queues:  make([][]*spsc.Queue[circuit.ElemID], p),
-		cancel:  engine.WatchCancel(ctx),
 		chaos:   cfg.Guard.Chaos(),
 	}
 	for i := range c.Nodes {
@@ -336,21 +326,9 @@ func newSim(ctx context.Context, c *circuit.Circuit, cfg engine.Config, e eng) *
 		el := &c.Elems[g]
 		n := el.Out[0]
 		h := &s.hist[n]
-		var t circuit.Time
-		for t < cfg.Horizon {
-			if s.cancel.Cancelled() {
-				break // generators can span huge horizons; stop materialising
-			}
-			v := el.GenValueAt(t)
-			if !v.Equal(h.last) {
-				s.workers[0].appendEvent(n, t, v)
-			}
-			next, ok := el.GenNextChange(t)
-			if !ok {
-				break
-			}
-			t = next
-		}
+		el.GenWaveform(cfg.Horizon, cfg.Guard.Cancelled, func(t circuit.Time, v logic.Value) {
+			s.workers[0].appendEvent(n, t, v)
+		})
 		h.count.Store(h.n)
 		h.setValid(int64(cfg.Horizon))
 		s.workers[0].release(h)
@@ -429,53 +407,7 @@ func (s *sim) quiescent() bool {
 // runWorkers runs one round: every worker until no activation is pending
 // anywhere (or the run is cancelled).
 func (s *sim) runWorkers() {
-	var wg sync.WaitGroup
-	for _, w := range s.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			defer s.cfg.Guard.Recover(w.id, "asynchronous eval loop")
-			w.run()
-		}(w)
-	}
-	wg.Wait()
-}
-
-// stallReport scans node valid-times after the workers have gone passive.
-// A run that terminated without cancellation has no pending activations,
-// so any node whose valid-time is short of the horizon is genuinely stuck
-// — the conservative silent stall-at-X the static analyzer predicts for
-// zero-delay cycles — and the historical behaviour of running to the end
-// with stale X values becomes a typed error naming the stuck nodes.
-func (s *sim) stallReport() *guard.StallError {
-	if s.cfg.Horizon <= 0 {
-		return nil
-	}
-	horizon := int64(s.cfg.Horizon)
-	minValid := horizon
-	var stuck []string
-	truncated := 0
-	for i := range s.hist {
-		vt := s.hist[i].validTo.Load()
-		if vt >= horizon {
-			continue
-		}
-		minValid = min(minValid, vt)
-		if len(stuck) < 8 {
-			stuck = append(stuck, s.c.Nodes[i].Name)
-		} else {
-			truncated++
-		}
-	}
-	if len(stuck) == 0 {
-		return nil
-	}
-	return &guard.StallError{
-		Engine:       s.eng.name,
-		LastProgress: minValid,
-		StuckNodes:   stuck,
-		Truncated:    truncated,
-	}
+	engine.Gang(s.cfg, "asynchronous eval loop", func(w int) { s.workers[w].run() })
 }
 
 // readySet is a worker's private set of queued elements, bucketed by rank;
@@ -546,7 +478,7 @@ func (w *worker) run() {
 	s := w.s
 	starved := 0 // polls since this worker last had an element to run
 	for {
-		if s.cancel.Cancelled() {
+		if s.cfg.Guard.Cancelled() {
 			return // every worker polls the flag, so all exit independently
 		}
 		for _, q := range w.inbound {
@@ -809,7 +741,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 			}
 		}
 		if points%64 == 0 {
-			if s.cancel.Cancelled() {
+			if s.cfg.Guard.Cancelled() {
 				break
 			}
 			s.cfg.Guard.Heartbeat(w.id)

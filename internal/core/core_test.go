@@ -359,8 +359,7 @@ func TestFeedbackNeedsManyRecoveryRounds(t *testing.T) {
 	// default mode) never deadlock at all.
 	c := gen.FeedbackChain(9)
 	cm := simulate(t, "chandy-misra", c, engine.Config{Workers: 2, Horizon: 400})
-	inc := newSim(context.Background(), c, engine.Config{Workers: 2, Horizon: 400}, async)
-	defer inc.cancel.Release()
+	inc := newSim(c, engine.Config{Workers: 2, Horizon: 400}, async)
 	inc.runWorkers()
 	if inc.recoverDeadlock() {
 		t.Error("incremental mode left a deadlock to recover from")

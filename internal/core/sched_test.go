@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"parsim/internal/circuit"
@@ -113,7 +112,7 @@ func TestNoLostWakeups(t *testing.T) {
 		for _, m := range modes {
 			for _, p := range []int{1, 2, 4} {
 				m.cfg.Workers, m.cfg.Horizon = p, c.horizon
-				s := newSim(context.Background(), c.c, m.cfg, m.eng)
+				s := newSim(c.c, m.cfg, m.eng)
 				for round := 1; ; round++ {
 					s.runWorkers()
 					checkQuiescent(t, s, "after a round")
@@ -124,7 +123,6 @@ func TestNoLostWakeups(t *testing.T) {
 						t.Fatalf("%s: deadlock recovery does not terminate", c.c.Name)
 					}
 				}
-				s.cancel.Release()
 				if t.Failed() {
 					t.Fatalf("%s: lost wake-up with %+v", c.c.Name, m)
 				}

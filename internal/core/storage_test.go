@@ -36,8 +36,7 @@ func TestConsumedHistoryIsCollected(t *testing.T) {
 	bld.Const("konst", k, logic.V(1, 0))
 	c := bld.MustBuild()
 
-	s := newSim(context.Background(), c, engine.Config{Workers: 1, Horizon: 1000}, async)
-	defer s.cancel.Release()
+	s := newSim(c, engine.Config{Workers: 1, Horizon: 1000}, async)
 	w := s.workers[0]
 	first := weak.Make(s.cursors[inv2][0].chunk)
 	w.process(inv1)

@@ -18,12 +18,9 @@ package dist
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
-	"parsim/internal/guard"
 	"parsim/internal/logic"
 	"parsim/internal/partition"
 	"parsim/internal/stats"
@@ -75,13 +72,11 @@ func init() { engine.Register(eng{}, "dist", "distributed") }
 // guard contains worker panics, evaluations heartbeat the watchdog, and a
 // run that terminates with owned-node valid-times short of the horizon
 // self-reports the stall instead of silently returning stale X values. When
-// ctx is cancelled every worker stops at its next queue poll or blocking
-// wait and the partial Report is returned with ctx.Err(). In-flight
-// messages are abandoned; termination detection is bypassed.
+// the run is cancelled every worker stops at its next queue poll or
+// blocking wait and the partial Report is returned. In-flight messages are
+// abandoned; termination detection is bypassed.
 func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	p := cfg.Workers
-	cancel := engine.WatchCancel(ctx)
-	defer cancel.Release()
 	parts := partition.Split(c, p, cfg.Strategy)
 
 	// elemOwner[i] = worker owning element i; nodeOwner likewise via driver.
@@ -100,7 +95,6 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 	for w := 0; w < p; w++ {
 		workers[w] = newWorker(c, cfg, w, p, parts[w], elemOwner)
 		workers[w].done = done
-		workers[w].cancel = cancel
 		workers[w].ctxDone = ctx.Done()
 	}
 	// Wire channels and subscriber lists.
@@ -127,22 +121,10 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		w := workers[elemOwner[g]]
 		el := &c.Elems[g]
 		n := el.Out[0]
-		r := w.replicaFor(n)
-		var t circuit.Time
-		for t < cfg.Horizon {
-			if cancel.Cancelled() {
-				break // generators can span huge horizons; stop materialising
-			}
-			v := el.GenValueAt(t)
-			if !v.Equal(r.last) {
-				w.append(n, t, v)
-			}
-			next, ok := el.GenNextChange(t)
-			if !ok {
-				break
-			}
-			t = next
-		}
+		w.replicaFor(n)
+		el.GenWaveform(cfg.Horizon, cfg.Guard.Cancelled, func(t circuit.Time, v logic.Value) {
+			w.append(n, t, v)
+		})
 		w.advanceValidTo(n, cfg.Horizon)
 	}
 	// Flush the seeded behaviour as pre-start mail and activations.
@@ -150,18 +132,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		w.preStartFlush()
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			defer cfg.Guard.Recover(w.id, "distributed eval loop")
-			w.run()
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	wall := engine.Gang(cfg, "distributed eval loop", func(w int) { workers[w].run() })
 
 	rep := &engine.Report{Final: make([]logic.Value, len(c.Nodes)), Run: stats.Run{
 		Algorithm: e.Name(),
@@ -182,48 +153,17 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		per[w] = workers[w].wc
 	}
 	rep.Run.Aggregate(wall, per)
-	if err := cancel.Err(ctx); err != nil {
-		return rep, err
-	}
-	// Workers also watch ctx.Done directly, so they can exit before the
-	// flag's watcher goroutine observes the cancellation; consult the
-	// context itself so a cut-short run is never mistaken for a stall.
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
 	// Termination was declared (every worker passive, no mail in flight),
 	// so authoritative valid-times short of the horizon mean the run
-	// stalled rather than completed: self-report with the stuck nodes,
-	// as core does, instead of silently returning stale X values. The
-	// owner replicas are plain fields, safe to read after wg.Wait.
-	if cfg.Horizon > 0 {
-		horizon := int64(cfg.Horizon)
-		minValid := horizon
-		var stuck []string
-		truncated := 0
-		for i := range c.Nodes {
-			owner := workers[elemOwner[c.Nodes[i].Driver]]
-			r, ok := owner.replicas[circuit.NodeID(i)]
-			if !ok || int64(r.validTo) >= horizon {
-				continue
-			}
-			if int64(r.validTo) < minValid {
-				minValid = int64(r.validTo)
-			}
-			if len(stuck) < 8 {
-				stuck = append(stuck, c.Nodes[i].Name)
-			} else {
-				truncated++
-			}
+	// stalled rather than completed. The owner replicas are plain fields,
+	// safe to read once the gang has exited. Workers also watch ctx.Done
+	// directly, so the check consults the context itself: a cut-short run
+	// is never mistaken for a stall.
+	return rep, engine.StallReport(ctx, e.Name(), c, cfg.Horizon, func(n circuit.NodeID) (int64, bool) {
+		r, ok := workers[elemOwner[c.Nodes[n].Driver]].replicas[n]
+		if !ok {
+			return 0, false
 		}
-		if len(stuck) > 0 {
-			return rep, &guard.StallError{
-				Engine:       e.Name(),
-				LastProgress: minValid,
-				StuckNodes:   stuck,
-				Truncated:    truncated,
-			}
-		}
-	}
-	return rep, nil
+		return int64(r.validTo), true
+	})
 }

@@ -51,7 +51,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// A single activation can consume an unbounded number of events, so the
 	// cancellation flag is polled between merged time points too.
 	for {
-		if w.cancel.Cancelled() {
+		if w.cfg.Guard.Cancelled() {
 			break
 		}
 		tmin := circuit.Time(-1)

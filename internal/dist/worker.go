@@ -29,7 +29,6 @@ type worker struct {
 	inbox   chan msg
 	tokenIn chan token
 	done    chan struct{}
-	cancel  *engine.CancelFlag
 	ctxDone <-chan struct{}
 	chaos   *guard.ChaosProbe // captured once; nil on production runs
 
@@ -186,7 +185,7 @@ func (w *worker) send(to int, m msg) {
 	w.msgCount++
 	w.wc.Messages++
 	for {
-		if w.cancel.Cancelled() {
+		if w.cfg.Guard.Cancelled() {
 			return // receiver may have exited; abandon the message
 		}
 		select {
@@ -233,7 +232,7 @@ func (w *worker) drainInbox() {
 
 func (w *worker) run() {
 	for {
-		if w.cancel.Cancelled() {
+		if w.cfg.Guard.Cancelled() {
 			return // all workers poll the flag, so the gang exits together
 		}
 		w.drainInbox()

@@ -9,8 +9,17 @@
 // CLIs, the figure harness and the benchmarks all resolve an algorithm by
 // name through the registry instead of hand-rolling per-algorithm
 // dispatch. Every engine reads the same Config — no engine declares run
-// options of its own — honours context cancellation, and returns a Report
-// with the same per-worker counter surface (stats.WorkerCounters).
+// options of its own — and returns a Report with the same per-worker
+// counter surface (stats.WorkerCounters).
+//
+// The layer also owns the run lifecycle every engine shares, so an engine
+// package keeps only its algorithm — its state, its step or activation
+// body and its own checkpoint sections: RunEngine validates, supervises
+// (guard.Supervisor, whose Cancelled flag the workers poll) and folds a
+// cancelled run's ctx.Err() into the result; Gang starts the workers under
+// panic containment; Lockstep is the stop, capture and restore protocol of
+// the unit-delay step loops; StallReport is the asynchronous engines'
+// completion check.
 package engine
 
 import (
@@ -21,7 +30,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parsim/internal/analyze"
@@ -125,12 +133,12 @@ type Config struct {
 	ResumeFrom string
 	// Ckpt is the resolved form of Checkpoint and ResumeFrom (nil when
 	// neither is set), installed by RunEngine after snapshot verification.
-	// A Checkpointer engine runs its snapshot protocol through it; callers
-	// leave it nil.
+	// A Checkpointer engine runs its snapshot protocol through it — the
+	// gang engines through Lockstep; callers leave it nil.
 	Ckpt *checkpoint.Session
 	// Guard is the per-run supervisor, installed by RunEngine. Engines
-	// read it to publish progress and contain worker panics; callers
-	// leave it nil.
+	// poll its Cancelled flag, publish progress through it and start their
+	// workers under its panic containment (Gang); callers leave it nil.
 	Guard *guard.Supervisor
 	// Chaos injects faults (panics, delays, dropped wakeups) into the
 	// engine it names, for supervision tests. Production runs leave it
@@ -320,10 +328,10 @@ type Selection struct {
 }
 
 // Engine is one simulation algorithm. Run simulates c over [0,
-// cfg.Horizon) and returns statistics plus final node values. When ctx is
-// cancelled mid-run the engine stops within one scheduling quantum (a time
-// step, a GVT round, or a queue poll) and returns the partial Report
-// together with ctx.Err().
+// cfg.Horizon) and returns statistics plus final node values. When the run
+// is cancelled (cfg.Guard.Cancelled) the engine stops within one
+// scheduling quantum (a time step, a GVT round, or a queue poll) and
+// returns its partial Report; RunEngine pairs it with ctx.Err().
 type Engine interface {
 	// Name is the canonical registry name (matches Algorithm.String()).
 	Name() string
@@ -616,6 +624,8 @@ func runGuarded(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (
 // runContained invokes e.Run with the engine's main goroutine under the
 // same containment as its workers: a panic there (the sequential engine
 // runs entirely on this goroutine) becomes a WorkerFault with worker -1.
+// A run that ends while its context is done was cut short, and its
+// partial Report comes back with ctx.Err().
 func runContained(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config, sup *guard.Supervisor) (rep *Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -623,55 +633,9 @@ func runContained(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config,
 			rep, err = nil, sup.Err()
 		}
 	}()
-	return e.Run(ctx, c, cfg)
-}
-
-// ---- cancellation support ----
-
-// CancelFlag is a cheap, atomically readable view of a context's
-// cancellation state, for polling inside simulator hot loops where calling
-// ctx.Err() per iteration (a mutex in the standard library) would contend.
-type CancelFlag struct {
-	set  atomic.Bool
-	stop chan struct{}
-	once sync.Once
-}
-
-// WatchCancel starts watching ctx. The flag flips once ctx is cancelled.
-// Callers must Release the flag when the run finishes so the watcher
-// goroutine exits; Release is idempotent.
-func WatchCancel(ctx context.Context) *CancelFlag {
-	f := &CancelFlag{}
-	done := ctx.Done()
-	if done == nil {
-		return f // never cancellable; no watcher needed
+	rep, err = e.Run(ctx, c, cfg)
+	if err == nil && rep != nil {
+		err = ctx.Err()
 	}
-	f.stop = make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			f.set.Store(true)
-		case <-f.stop:
-		}
-	}()
-	return f
-}
-
-// Cancelled reports whether the watched context has been cancelled.
-func (f *CancelFlag) Cancelled() bool { return f.set.Load() }
-
-// Release stops the watcher goroutine.
-func (f *CancelFlag) Release() {
-	if f.stop != nil {
-		f.once.Do(func() { close(f.stop) })
-	}
-}
-
-// Err returns ctx.Err() if the flag observed a cancellation, else nil.
-// Engines use it to decide whether a finished run was cut short.
-func (f *CancelFlag) Err(ctx context.Context) error {
-	if f.Cancelled() {
-		return ctx.Err()
-	}
-	return nil
+	return rep, err
 }

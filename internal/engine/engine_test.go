@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"parsim/internal/circuit"
+	"parsim/internal/guard"
 	"parsim/internal/logic"
 )
 
@@ -170,33 +172,44 @@ func TestLintGateInRunEngine(t *testing.T) {
 	}
 }
 
-func TestCancelFlag(t *testing.T) {
-	// Background context: no watcher, never cancelled.
-	f := WatchCancel(context.Background())
-	if f.Cancelled() {
-		t.Error("background context reads cancelled")
-	}
-	if f.Err(context.Background()) != nil {
-		t.Error("background Err non-nil")
-	}
-	f.Release()
-	f.Release() // idempotent
+// pollEngine spins on the supervisor's cancellation flag, the way an
+// engine's hot loop does, and returns a complete-looking Report.
+type pollEngine struct{}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	f = WatchCancel(ctx)
-	defer f.Release()
-	if f.Cancelled() {
-		t.Error("flag set before cancellation")
-	}
-	cancel()
-	// The watcher goroutine needs a moment to observe ctx.Done().
-	for i := 0; i < 1000 && !f.Cancelled(); i++ {
+func (pollEngine) Name() string { return "poll-engine" }
+
+func (pollEngine) Run(_ context.Context, _ *circuit.Circuit, cfg Config) (*Report, error) {
+	for deadline := time.Now().Add(10 * time.Second); !cfg.Guard.Cancelled(); {
+		if time.Now().After(deadline) {
+			return nil, errors.New("cancellation flag never set")
+		}
 		time.Sleep(time.Millisecond)
 	}
-	if !f.Cancelled() {
-		t.Fatal("flag never observed cancellation")
+	return &Report{}, nil
+}
+
+func TestCancelFlag(t *testing.T) {
+	// The flag the workers poll lives on the run's supervisor: nil-safe,
+	// set by cancelling the run context, and the engine layer — not the
+	// engine — pairs the partial Report with ctx.Err().
+	var none *guard.Supervisor
+	if none.Cancelled() {
+		t.Error("a nil supervisor reads cancelled")
 	}
-	if f.Err(ctx) != context.Canceled {
-		t.Errorf("Err = %v, want Canceled", f.Err(ctx))
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, cancel)
+	rep, err := RunEngine(ctx, pollEngine{}, testCircuit(t), Config{Horizon: 1})
+	if !errors.Is(err, context.Canceled) || rep == nil {
+		t.Fatalf("cancelled run returned (%v, %v), want a Report and context.Canceled", rep, err)
+	}
+
+	// A run that ends uncancelled leaves the flag clear, also after Stop
+	// releases the run context.
+	sup := guard.New("t", guard.Options{})
+	sup.Attach(context.Background())
+	sup.Stop()
+	time.Sleep(5 * time.Millisecond)
+	if sup.Cancelled() {
+		t.Error("releasing the run context set the cancellation flag")
 	}
 }

@@ -17,10 +17,11 @@
 //     supervisor actually recovers under the race detector.
 //
 // The engine layer (internal/engine) installs one Supervisor per run and
-// threads it to the engines through their Options; engines only ever call
-// the nil-safe publication hooks (Heartbeat, Progress, Recover, Chaos),
-// so direct engine-package callers that pass no Supervisor pay nothing
-// and keep the historical crash-on-panic behaviour.
+// threads it to the engines through engine.Config; engines only ever call
+// the nil-safe hooks (Cancelled, Heartbeat, Progress, Chaos), and the
+// engine layer's worker gang is the one caller of Recover, so a run without
+// a Supervisor pays nothing and keeps the historical crash-on-panic
+// behaviour.
 package guard
 
 import (
@@ -140,7 +141,15 @@ type Supervisor struct {
 	tripMu  sync.Mutex
 	trips   []func()
 
+	// cancelled is set once the run context is done, by the caller or by a
+	// trip. Workers poll it in their hot loops, so it sits on a cache line
+	// of its own, away from the words the publishers write.
+	_         [64]byte
+	cancelled atomic.Bool
+	_         [63]byte
+
 	cancel   context.CancelFunc
+	unwatch  func() bool // deregisters the cancellation callback
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -168,16 +177,18 @@ func New(engineName string, opts Options) *Supervisor {
 }
 
 // Attach derives the run context the engine must execute under: tripping
-// the supervisor (fault or stall) cancels it, which stops every worker
-// through the engines' existing cancellation paths. When a watchdog
-// window is configured the watchdog goroutine starts here. Callers must
-// Stop the supervisor once the run returns.
+// the supervisor (fault or stall) cancels it, and its cancellation, from
+// either side, sets the flag Cancelled reads — a callback on the context,
+// not a watcher goroutine. When a watchdog window is configured the
+// watchdog goroutine starts here. Callers must Stop the supervisor once
+// the run returns.
 func (g *Supervisor) Attach(ctx context.Context) context.Context {
 	if g == nil {
 		return ctx
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	g.cancel = cancel
+	g.unwatch = context.AfterFunc(cctx, func() { g.cancelled.Store(true) })
 	if g.window > 0 {
 		g.wg.Add(1)
 		go g.watchdog()
@@ -193,9 +204,20 @@ func (g *Supervisor) Stop() {
 	}
 	g.stopOnce.Do(func() { close(g.stopCh) })
 	g.wg.Wait()
+	if g.unwatch != nil {
+		g.unwatch() // the run is over; releasing the context must not start the callback
+	}
 	if g.cancel != nil {
 		g.cancel()
 	}
+}
+
+// Cancelled reports whether the run context has been cancelled — by the
+// caller, a deadline or a trip. It is one atomic load, for polling inside
+// simulator hot loops where ctx.Err() (a mutex) would contend; a nil
+// Supervisor is never cancelled.
+func (g *Supervisor) Cancelled() bool {
+	return g != nil && g.cancelled.Load()
 }
 
 // Chaos returns the probe scoped to this run's engine, or nil. Engines
@@ -281,10 +303,11 @@ func (g *Supervisor) trip() {
 	}
 }
 
-// Recover is the worker-goroutine containment wrapper:
+// Recover is the worker-goroutine containment wrapper, deferred by the
+// engine layer's worker gang (engine.Gang) around every worker:
 //
 //	defer wg.Done()
-//	defer s.guard.Recover(w, "eval loop")
+//	defer cfg.Guard.Recover(w, "compiled step loop")
 //
 // On panic it records a WorkerFault (first fault wins) and trips the
 // supervisor so the remaining workers stop cooperatively. With no

@@ -148,7 +148,6 @@ type sim struct {
 
 	bar     *barrier.Barrier
 	avail   stats.Histogram
-	cancel  *engine.CancelFlag
 	chaos   *guard.ChaosProbe // captured once; nil on production runs
 	stopped atomic.Bool       // cancellation agreed; all workers exit after the first crossing
 }
@@ -162,28 +161,14 @@ func (eng) Name() string { return "event-driven" }
 // Run simulates the circuit with cfg.Workers parallel workers. The guard
 // contains worker panics, worker 0 publishes the current step as progress,
 // and a trip aborts the phase barrier so no survivor spins for a dead peer.
-// When ctx is cancelled all workers stop together at the next time step
-// (worker 0 observes the cancellation before a step's first crossing and
-// everyone acts on it after, so no worker is left waiting) and the partial
-// Report is returned with ctx.Err().
-func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+// When the run is cancelled all workers stop together at the next time
+// step (worker 0 observes the cancellation before a step's first crossing
+// and everyone acts on it after, so no worker is left waiting) and the
+// partial Report is returned.
+func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	s := newSim(c, cfg, partition.CostBlocks(c, cfg.Workers))
-	s.cancel = engine.WatchCancel(ctx)
-	defer s.cancel.Release()
 	cfg.Guard.OnTrip(s.bar.Abort)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, w := range s.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			defer cfg.Guard.Recover(w.id, "event-driven phase loop")
-			w.run()
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	wall := engine.Gang(cfg, "event-driven phase loop", func(w int) { s.workers[w].run() })
 
 	rep := &engine.Report{Final: s.val, Run: stats.Run{
 		Algorithm: e.Name() + "(" + s.mode.String() + ")",
@@ -199,7 +184,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		wc[i] = w.wc
 	}
 	rep.Run.Aggregate(wall, wc)
-	return rep, s.cancel.Err(ctx)
+	return rep, nil
 }
 
 func init() { engine.Register(eng{}, "event", "parallel-event-driven") }
@@ -304,7 +289,7 @@ func (w *worker) run() {
 		if t >= 0 && !w.evalPhase(t) {
 			return
 		}
-		if w.id == 0 && s.cancel.Cancelled() {
+		if w.id == 0 && s.cfg.Guard.Cancelled() {
 			s.stopped.Store(true)
 		}
 		w.publishPeek()

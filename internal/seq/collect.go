@@ -1,8 +1,6 @@
 package seq
 
 import (
-	"context"
-
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 )
@@ -13,8 +11,9 @@ import (
 func Collect(c *circuit.Circuit, horizon circuit.Time) ([]StepRecord, *TaskGraph) {
 	s := newSim(c, engine.Config{Horizon: horizon})
 	s.co = newCollector(c)
-	// With no checkpoint session and no cancellable context, run cannot fail.
-	_ = s.run(engine.WatchCancel(context.Background()))
+	// With no checkpoint session and no supervisor to cancel it, run cannot
+	// fail.
+	_ = s.run()
 	return s.co.steps, &s.co.graph
 }
 

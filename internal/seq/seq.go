@@ -37,10 +37,10 @@ func (eng) Name() string { return "sequential" }
 // uninterrupted one.
 func (eng) Checkpoints() {}
 
-// Run simulates the circuit on the calling goroutine. When ctx is cancelled
-// the simulator stops at the next time step and returns the partial Report
-// together with ctx.Err(). Panic containment lives in the engine layer.
-func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+// Run simulates the circuit on the calling goroutine. When the run is
+// cancelled the simulator stops at the next time step and returns the
+// partial Report. Panic containment lives in the engine layer.
+func (eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	if cfg.Workers > 1 {
 		return nil, fmt.Errorf("parsim: the sequential algorithm is single-worker (got %d workers)", cfg.Workers)
 	}
@@ -48,17 +48,11 @@ func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 	if _, err := cfg.Ckpt.Begin(1, s.restore); err != nil {
 		return nil, err
 	}
-	cancel := engine.WatchCancel(ctx)
-	defer cancel.Release()
 	start := time.Now()
-	runErr := s.run(cancel)
+	runErr := s.run()
 	s.wc.ModelCalls = s.wc.Evals
 	s.res.Aggregate(time.Since(start), []stats.WorkerCounters{s.wc})
-	rep := &engine.Report{Run: s.res, Final: s.val}
-	if runErr != nil {
-		return rep, runErr
-	}
-	return rep, cancel.Err(ctx)
+	return &engine.Report{Run: s.res, Final: s.val}, runErr
 }
 
 func init() { engine.Register(eng{}, "seq") }
@@ -133,11 +127,11 @@ func (s *sim) nextGenTime() circuit.Time {
 	return next
 }
 
-func (s *sim) run(cancel *engine.CancelFlag) (err error) {
-	ck := s.cfg.Ckpt
-	defer func() { err = ck.Finish(err, cancel.Cancelled()) }()
+func (s *sim) run() (err error) {
+	ck, g := s.cfg.Ckpt, s.cfg.Guard
+	defer func() { err = ck.Finish(err, g.Cancelled()) }()
 	for {
-		if cancel.Cancelled() {
+		if g.Cancelled() {
 			// The step loop is quiescent here, so a drain can capture the
 			// partial run for later resumption.
 			return s.capture(int64(s.lastT) + 1)

@@ -730,7 +730,7 @@ func (s *Server) runJob(j *job) {
 
 	end := time.Now()
 	serverCancelled := s.baseCtx.Err() != nil && errors.Is(err, context.Canceled)
-	res := resultFromReport(rep)
+	res := parsim.ResultOf(rep)
 	result := encodeResult(j.id, res)
 	state := j.finish(result, err, end, serverCancelled)
 	s.logTerminal(j, state, result, err)
@@ -826,31 +826,6 @@ func (s *Server) takeWaiters(j *job) []*job {
 	ws := s.waiters[j.key]
 	delete(s.waiters, j.key)
 	return ws
-}
-
-// resultFromReport converts an engine report to the facade Result — the
-// same mapping SimulateContext applies, so a job's JSON result matches
-// `parsim -json` byte for byte on the same run.
-func resultFromReport(rep *engine.Report) *parsim.Result {
-	if rep == nil {
-		return nil
-	}
-	tot := rep.Run.Totals()
-	return &parsim.Result{
-		Stats:         rep.Run,
-		Final:         rep.Final,
-		LaneFinal:     rep.LaneFinal,
-		FaultCoverage: rep.FaultCoverage,
-		Messages:      tot.Messages,
-		Rollbacks:     tot.Rollbacks,
-		Cancelled:     tot.Cancelled,
-		PeakLog:       rep.PeakLog,
-		Rounds:        rep.Rounds,
-		Degraded:      rep.Degraded,
-		Resumed:       rep.Resumed,
-		Fault:         rep.Fault,
-		Selected:      rep.Selected,
-	}
 }
 
 // Drain gracefully shuts the service down: refuse new submissions,

@@ -21,8 +21,6 @@ package timewarp
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"parsim/internal/barrier"
 	"parsim/internal/circuit"
@@ -61,7 +59,6 @@ type sim struct {
 	gvt       circuit.Time
 	done      bool
 	roundsRun int64
-	cancel    *engine.CancelFlag
 	chaos     *guard.ChaosProbe // captured once; nil on production runs
 
 	final []logic.Value
@@ -80,11 +77,11 @@ func init() { engine.Register(eng{}, "timewarp", "tw", "optimistic") }
 // Run simulates the circuit with optimistic rollback-based parallelism. The
 // guard contains worker panics, worker 0 publishes the GVT as progress (a
 // pinned GVT — the paper's livelock — therefore stalls out), and a trip
-// aborts the round barrier so no survivor spins for a dead peer. When ctx is
-// cancelled worker 0 observes it in the GVT phase and declares the run
-// done, so all workers commit what is behind the GVT and exit together at
-// the end of the round; the partial Report is returned with ctx.Err().
-func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+// aborts the round barrier so no survivor spins for a dead peer. When the
+// run is cancelled worker 0 observes it in the GVT phase and declares the
+// run done, so all workers commit what is behind the GVT and exit together
+// at the end of the round, and the partial Report is returned.
+func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	if cfg.StepsPerRound <= 0 {
 		cfg.StepsPerRound = defaultStepsPerRound
 	}
@@ -102,10 +99,8 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		final:     make([]logic.Value, len(c.Nodes)),
 		wc:        make([]stats.WorkerCounters, p),
 		peakLog:   make([]int64, p),
-		cancel:    engine.WatchCancel(ctx),
 		chaos:     cfg.Guard.Chaos(),
 	}
-	defer s.cancel.Release()
 	cfg.Guard.OnTrip(s.bar.Abort)
 	s.wks = make([]*twWorker, p)
 	for w := range s.mailbox {
@@ -131,46 +126,21 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 	for _, g := range c.Generators() {
 		el := &c.Elems[g]
 		n := el.Out[0]
-		last := logic.AllX(c.Nodes[n].Width)
-		var t circuit.Time
-		for t < cfg.Horizon {
-			if s.cancel.Cancelled() {
-				break // generators can span huge horizons; stop materialising
+		el.GenWaveform(cfg.Horizon, cfg.Guard.Cancelled, func(t circuit.Time, v logic.Value) {
+			ev := twEvent{node: n, t: t, v: v, id: seedID}
+			seedID--
+			s.final[n] = v
+			s.wc[0].NodeUpdates++
+			if s.cfg.Probe != nil {
+				s.cfg.Probe.OnChange(n, t, v)
 			}
-			v := el.GenValueAt(t)
-			if !v.Equal(last) {
-				last = v
-				ev := twEvent{node: n, t: t, v: v, id: seedID}
-				seedID--
-				s.final[n] = v
-				s.wc[0].NodeUpdates++
-				if s.cfg.Probe != nil {
-					s.cfg.Probe.OnChange(n, t, v)
-				}
-				for _, pr := range c.Nodes[n].Fanout {
-					s.rts[pr.Elem].insertPort(s, 0, ev, int(pr.Port))
-				}
+			for _, pr := range c.Nodes[n].Fanout {
+				s.rts[pr.Elem].insertPort(s, 0, ev, int(pr.Port))
 			}
-			next, ok := el.GenNextChange(t)
-			if !ok {
-				break
-			}
-			t = next
-		}
+		})
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer cfg.Guard.Recover(w, "time-warp round loop")
-			s.worker(w)
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	wall := engine.Gang(cfg, "time-warp round loop", s.worker)
 
 	rep := &engine.Report{Final: s.final, GVTRounds: s.roundsRun, Run: stats.Run{
 		Algorithm: e.Name(),
@@ -183,5 +153,5 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		rep.PeakLog = max(rep.PeakLog, s.peakLog[w])
 	}
 	rep.Run.Aggregate(wall, s.wc)
-	return rep, s.cancel.Err(ctx)
+	return rep, nil
 }

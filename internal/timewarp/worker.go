@@ -170,7 +170,7 @@ func (s *sim) worker(w int) {
 			// Publishing the GVT makes livelock observable: rounds that
 			// spin without advancing it never reset the watchdog.
 			s.cfg.Guard.Progress(int64(s.gvt))
-			if s.cancel.Cancelled() {
+			if s.cfg.Guard.Cancelled() {
 				s.done = true
 			}
 		}

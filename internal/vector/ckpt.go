@@ -2,7 +2,6 @@ package vector
 
 import (
 	"parsim/internal/checkpoint"
-	"parsim/internal/circuit"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
 )
@@ -60,7 +59,7 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 
 // restore rebuilds the core's own state from a digest-verified snapshot,
 // validating every structural property so failures are typed errors, never
-// panics.
+// panics (Lockstep commits the worker rows and the start step).
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
 	ck := s.cfg.Ckpt
 	if len(snap.Planes) != s.prog.total {
@@ -153,8 +152,6 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 			copy(k.laneState[l], laneVals[idx][l])
 		}
 	}
-	copy(s.wc, snap.Workers)
-	s.startT = circuit.Time(snap.Step)
 	if fp := s.fault; fp != nil {
 		for w := 0; w < s.p; w++ {
 			copy(fp.det[w], snap.Fault.Det[w])

@@ -1,7 +1,6 @@
 package vector
 
 import (
-	"context"
 	"math/bits"
 
 	"parsim/internal/analyze"
@@ -45,7 +44,7 @@ func observationNodes(c *circuit.Circuit) []circuit.NodeID {
 // circuit's collapsed list) into passes of Lanes-1 faults and runs each
 // pass with lane 0 as the good machine. Faults beyond Config.FaultMaxPasses
 // passes are reported undetected.
-func (e eng) runFaults(ctx context.Context, c *circuit.Circuit, cfg engine.Config, faults []analyze.Fault) (*engine.Report, error) {
+func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.Fault) (*engine.Report, error) {
 	// Every lane carries the same stimulus, so divergence from lane 0 is a
 	// fault effect and nothing else; the probe observes the good machine.
 	cfg.LaneStride = 0
@@ -100,7 +99,7 @@ func (e eng) runFaults(ctx context.Context, c *circuit.Circuit, cfg engine.Confi
 		} else if resumeAcc != nil {
 			fp.acc = *resumeAcc
 		}
-		res, err := e.runPass(ctx, c, cfg, fp)
+		res, err := e.runPass(c, cfg, fp)
 		if res != nil {
 			fp.record(statuses[lo:hi])
 			ran++
@@ -117,7 +116,7 @@ func (e eng) runFaults(ctx context.Context, c *circuit.Circuit, cfg engine.Confi
 				addRunCounters(&total.Run, packRun(&res.Run))
 			}
 		}
-		if err != nil {
+		if err != nil || cfg.Guard.Cancelled() {
 			runErr = err
 			break
 		}

@@ -103,7 +103,7 @@ func TestWideFaultMultiPassMatchesSinglePass(t *testing.T) {
 	faults := analyze.FaultList(c, false) // full universe: force several passes
 
 	run := func(lanes, workers int) *engine.Report {
-		res, err := vectorEng.runFaults(context.Background(), c, engine.Config{
+		res, err := vectorEng.runFaults(c, engine.Config{
 			Workers: workers, Horizon: 48, Lanes: lanes,
 			FaultSim: true, FaultStatuses: true,
 		}, faults)
@@ -175,7 +175,7 @@ func TestWideFaultMaxPasses(t *testing.T) {
 	c := gen.InverterArray(cfg)
 	faults := analyze.FaultList(c, true) // 16 faults
 
-	res, err := vectorEng.runFaults(context.Background(), c, engine.Config{
+	res, err := vectorEng.runFaults(c, engine.Config{
 		Workers: 1, Horizon: 40, Lanes: 8, // 7 faults per pass
 		FaultSim: true, FaultMaxPasses: 1, FaultStatuses: true,
 	}, faults)

@@ -30,12 +30,8 @@ package vector
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"parsim/internal/analyze"
-	"parsim/internal/barrier"
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/guard"
@@ -76,10 +72,10 @@ func (eng) Checkpoints() {}
 
 // Run simulates the circuit on the plane core; RunEngine has already
 // checked the lane fields (engine.CheckLanes). Lane 0 always keeps the
-// original seeds and is bit-identical to a scalar run. When ctx is
-// cancelled all workers stop together at the next time step and the
-// partial Report is returned with ctx.Err().
-func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+// original seeds and is bit-identical to a scalar run. engine.Lockstep runs
+// each pass's step protocol, so a cancelled run stops every worker at the
+// next step boundary.
+func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	if cfg.Lanes == 0 {
 		cfg.Lanes = e.lanes
 	}
@@ -87,9 +83,9 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		cfg.LaneStride = 1
 	}
 	if cfg.FaultSim {
-		return e.runFaults(ctx, c, cfg, analyze.FaultList(c, true))
+		return e.runFaults(c, cfg, analyze.FaultList(c, true))
 	}
-	return e.runPass(ctx, c, cfg, nil)
+	return e.runPass(c, cfg, nil)
 }
 
 // planeBuf is one buffer side: the flat struct-of-arrays slabs plus the
@@ -123,17 +119,10 @@ type sim struct {
 	laneMask []uint64
 
 	buf [2]planeBuf // double-buffered node planes
-	bar *barrier.Barrier
 
-	wc     []stats.WorkerCounters
-	cancel *engine.CancelFlag
-	chaos  *guard.ChaosProbe
-	// stopAt, when > 0, is the step at which every worker exits. Worker 0
-	// publishes it during step stopAt-1; the step barrier makes the write
-	// visible to all workers before any of them reaches step stopAt.
-	stopAt atomic.Int64
-
-	startT circuit.Time // resume step (0 for a fresh run)
+	wc    []stats.WorkerCounters
+	chaos *guard.ChaosProbe
+	ls    *engine.Lockstep // this pass's step protocol
 
 	// fault is the per-pass fault-simulation state, nil outside fault mode.
 	fault *faultPass
@@ -141,7 +130,7 @@ type sim struct {
 
 // runPass compiles the circuit and runs one pass over it. fp, when
 // non-nil, carries the fault-injection state of one fault-simulation pass.
-func (e eng) runPass(ctx context.Context, c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
+func (e eng) runPass(c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
 	p := cfg.Workers
 	s := &sim{
 		c:        c,
@@ -151,14 +140,11 @@ func (e eng) runPass(ctx context.Context, c *circuit.Circuit, cfg engine.Config,
 		prog:     compileProgram(c, p, cfg.Lanes, cfg.LaneStride),
 		words:    logic.PlaneWords(cfg.Lanes),
 		laneMask: logic.LaneMasks(cfg.Lanes),
-		bar:      barrier.New(p),
 		wc:       make([]stats.WorkerCounters, p),
-		cancel:   engine.WatchCancel(ctx),
 		chaos:    cfg.Guard.Chaos(),
 		fault:    fp,
 	}
-	defer s.cancel.Release()
-	cfg.Guard.OnTrip(s.bar.Abort)
+	s.ls = engine.NewLockstep(cfg, s.wc, s.fill)
 	if fp != nil {
 		fp.bind(s.prog, s.words)
 	}
@@ -169,7 +155,7 @@ func (e eng) runPass(ctx context.Context, c *circuit.Circuit, cfg engine.Config,
 			s.buf[side].planes[i].Fill(logic.X)
 		}
 	}
-	resumed, err := cfg.Ckpt.Begin(p, s.restore)
+	resumed, err := s.ls.Begin(s.restore)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +170,7 @@ func (e eng) runPass(ctx context.Context, c *circuit.Circuit, cfg engine.Config,
 		fp.inject(s.buf[0].planes)
 		fp.inject(s.buf[1].planes)
 	}
-	return s.finish(ctx)
+	return s.finish()
 }
 
 // initGenerators gives the generators their t=0 values before the first
@@ -224,34 +210,14 @@ func (s *sim) initGenerators() {
 
 // finish runs the worker gang over the (freshly initialised or restored)
 // state and assembles the pass result.
-func (s *sim) finish(ctx context.Context) (*engine.Report, error) {
+func (s *sim) finish() (*engine.Report, error) {
 	cfg := s.cfg
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < s.p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer cfg.Guard.Recover(w, s.name+" step loop")
-			s.worker(w)
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	steps := int64(cfg.Horizon)
-	planes := s.buf[int(cfg.Horizon-1)&1].planes
-	if cfg.Horizon <= 0 {
-		planes = s.buf[0].planes
-	}
-	sa := s.stopAt.Load()
-	if sa > 0 && circuit.Time(sa) < cfg.Horizon-1 {
-		steps = sa + 1
-		planes = s.buf[int(sa)&1].planes
-	}
-	if err := cfg.Ckpt.Drain(sa, s.cancel.Cancelled(), s.wc, s.fill); err != nil {
+	wall := engine.Gang(cfg, s.name+" step loop", s.worker)
+	steps, side, err := s.ls.Finish()
+	if err != nil {
 		return nil, err
 	}
+	planes := s.buf[side].planes
 	rep := &engine.Report{LaneFinal: make([][]logic.Value, cfg.Lanes), Run: stats.Run{
 		Algorithm: fmt.Sprintf("%sx%d", s.name, cfg.Lanes),
 		Circuit:   s.c.Name,
@@ -267,7 +233,7 @@ func (s *sim) finish(ctx context.Context) (*engine.Report, error) {
 		s.wc[w].ModelCalls = s.wc[w].Evals
 	}
 	rep.Run.Aggregate(wall, s.wc)
-	return rep, s.cancel.Err(ctx)
+	return rep, nil
 }
 
 func (s *sim) extractLane(planes []logic.WidePlane, lane int) []logic.Value {
@@ -281,17 +247,6 @@ func (s *sim) extractLane(planes []logic.WidePlane, lane int) []logic.Value {
 }
 
 func (s *sim) worker(id int) {
-	var sense barrier.Sense
-	// Per-step accounting stays in a local: adjacent workers' counter rows
-	// share cache lines. The row is published where someone reads it —
-	// before the barrier a checkpoint capture follows, and at exit.
-	acc := s.wc[id]
-	var idle time.Duration
-	defer func() {
-		acc.Idle += idle
-		s.wc[id] = acc
-	}()
-
 	gens := s.prog.gens[id]
 	work := s.prog.work[id]
 	// With one plane word and no probe the per-span scan collapses to
@@ -302,19 +257,7 @@ func (s *sim) worker(id int) {
 	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1. Nothing
 	// inside a step reads this step's writes, so each worker sweeps its own
 	// run of the schedule unordered and one barrier closes the step.
-	for t := s.startT; t < s.cfg.Horizon-1; t++ {
-		if sa := s.stopAt.Load(); sa > 0 && t >= circuit.Time(sa) {
-			return
-		}
-		if ck := s.cfg.Ckpt; ck.Due(int64(t)) && !ck.Cross(id, int64(t), s.bar, &sense, s.wc, s.fill) {
-			return
-		}
-		if id == 0 {
-			s.cfg.Guard.Progress(int64(t))
-			if s.cancel.Cancelled() {
-				s.stopAt.CompareAndSwap(0, int64(t)+1)
-			}
-		}
+	s.ls.Steps(id, func(t circuit.Time, acc *stats.WorkerCounters) {
 		cur, next := &s.buf[t&1], &s.buf[(t+1)&1]
 
 		// Fault detection observes the settled values of step t before
@@ -362,18 +305,7 @@ func (s *sim) worker(id int) {
 		if s.fault != nil {
 			s.fault.injectWorker(id, next.planes)
 		}
-
-		acc.BarrierWaits++
-		if s.cfg.Ckpt.Due(int64(t) + 1) {
-			s.wc[id] = acc
-		}
-		t0 := time.Now()
-		ok := s.bar.Wait(&sense)
-		idle += time.Since(t0)
-		if !ok {
-			return
-		}
-	}
+	})
 }
 
 // noteLevel is noteSpan's one-word, probe-free form: one flat loop over a

@@ -478,25 +478,7 @@ func SimulateContext(ctx context.Context, c *Circuit, opts Options) (*Result, er
 		},
 		ResumeFrom: opts.ResumeFrom,
 	})
-	if rep == nil {
-		return nil, err
-	}
-	tot := rep.Run.Totals()
-	return &Result{
-		Stats:         rep.Run,
-		Final:         rep.Final,
-		LaneFinal:     rep.LaneFinal,
-		FaultCoverage: rep.FaultCoverage,
-		Messages:      tot.Messages,
-		Rollbacks:     tot.Rollbacks,
-		Cancelled:     tot.Cancelled,
-		PeakLog:       rep.PeakLog,
-		Rounds:        rep.Rounds,
-		Degraded:      rep.Degraded,
-		Fault:         rep.Fault,
-		Resumed:       rep.Resumed,
-		Selected:      rep.Selected,
-	}, err
+	return ResultOf(rep), err
 }
 
 // IsUnitDelay reports whether every element has delay 1, the precondition

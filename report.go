@@ -25,6 +25,32 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	return Algorithm(e.Name()), nil
 }
 
+// ResultOf maps an engine report onto the facade Result: the one mapping,
+// shared by SimulateContext and the parsimd daemon, so a job's JSON result
+// matches `parsim -json` byte for byte on the same run. A nil report maps
+// to nil.
+func ResultOf(rep *engine.Report) *Result {
+	if rep == nil {
+		return nil
+	}
+	tot := rep.Run.Totals()
+	return &Result{
+		Stats:         rep.Run,
+		Final:         rep.Final,
+		LaneFinal:     rep.LaneFinal,
+		FaultCoverage: rep.FaultCoverage,
+		Messages:      tot.Messages,
+		Rollbacks:     tot.Rollbacks,
+		Cancelled:     tot.Cancelled,
+		PeakLog:       rep.PeakLog,
+		Rounds:        rep.Rounds,
+		Degraded:      rep.Degraded,
+		Fault:         rep.Fault,
+		Resumed:       rep.Resumed,
+		Selected:      rep.Selected,
+	}
+}
+
 // resultJSON is the stable wire form of a Result: the run-report schema
 // shared by `parsim -json` and the parsimd daemon's job results. Final
 // node values serialise as Verilog-style literals ("4'b10xz"); the fault,

@@ -491,6 +491,63 @@ func pick(n int) int { return rand.Intn(n) }
 	}
 }
 
+// handRolledGang is the worker launch engine.Gang replaced in every
+// engine package.
+const handRolledGang = `package p
+
+import "sync"
+
+type sup struct{}
+
+func (*sup) Recover(w int, where string) {}
+
+func launch(g *sup, p int, body func(int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < p; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer g.Recover(w, "step loop")
+			body(w)
+		}(w)
+	}
+	wg.Wait()
+}
+`
+
+func TestGangHandRolledFlagged(t *testing.T) {
+	for _, file := range []string{"internal/compiled/compiled.go", "cmd/fake/main.go"} {
+		diags := applyAs(t, file, handRolledGang)
+		if len(diags) != 1 || diags[0].Code != "gang" {
+			t.Errorf("%s: hand-rolled gang not flagged: %v", file, codes(diags))
+		}
+	}
+}
+
+func TestGangEngineLayerClean(t *testing.T) {
+	for _, file := range []string{"internal/engine/lifecycle.go", "internal/guard/guard.go"} {
+		for _, d := range applyAs(t, file, handRolledGang) {
+			if d.Code == "gang" {
+				t.Errorf("%s: the engine layer's own gang flagged: %+v", file, d)
+			}
+		}
+	}
+	// A Recover that is called, not deferred, is no worker launch.
+	src := `package p
+
+type sup struct{}
+
+func (*sup) Recover(w int, where string) {}
+
+func f(g *sup) { g.Recover(0, "x") }
+`
+	for _, d := range applyAs(t, "internal/fake/engine.go", src) {
+		if d.Code == "gang" {
+			t.Errorf("undeferred Recover flagged: %+v", d)
+		}
+	}
+}
+
 // TestRepoIsClean runs the analyzers over the real module — the check
 // `make lint` performs — pinning down that the codebase convention
 // (typed atomics, indexed counter writes) holds everywhere.
