@@ -153,6 +153,74 @@ func TestResumeJITWide(t *testing.T) {
 		Options{Algorithm: JIT, Horizon: 300, Workers: 2, Lanes: 96, LaneStride: 3, ProbeLane: 65})
 }
 
+// TestResumeJITGeneratorMidPeriod resumes a 64-lane run between two
+// changes of a per-lane rand generator. Generators evaluate only at their
+// change times, so the resumed run must take up the change schedule at the
+// snapshot step and still match the uninterrupted run bit for bit: with a
+// probe (per-span update path), without one (per-slice count), and as a
+// fault simulation, whose stuck-at lanes on the generator's output must
+// not count as changes on the first resumed step.
+func TestResumeJITGeneratorMidPeriod(t *testing.T) {
+	const period = 40
+	b := NewBuilder("rand-mid-period")
+	clk, rst := b.Bit("clk"), b.Bit("rst")
+	b.Clock("osc", clk, 6, 0, 0)
+	b.Wave("rstgen", rst, []Time{0, 4}, []Value{V(1, 1), V(1, 0)})
+	r, d, q := b.Node("r", 8), b.Node("d", 8), b.Node("q", 8)
+	b.Rand("rgen", r, period, 5)
+	b.Gate(Xor, "mix", 1, d, r, q)
+	b.AddElement(DFFR, "ff", 1, []NodeID{q}, []NodeID{clk, rst, d}, Params{Init: V(8, 0)})
+	c := b.MustBuild()
+	base := Options{Algorithm: JIT, Horizon: 300, Workers: 2, Lanes: 64, LaneStride: 7}
+	testResumeBitIdentical(t, c, base)
+
+	faults := base
+	faults.FaultSim, faults.FaultStatuses = true, true
+	for _, o := range []Options{base, faults} {
+		resA, err := Simulate(c.Clone(), o)
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		ckpt := filepath.Join(t.TempDir(), "mid.ckpt")
+		oB := o
+		oB.Checkpoint, oB.CheckpointEvery = ckpt, 64
+		if _, err := Simulate(c.Clone(), oB); err != nil {
+			t.Fatalf("checkpointed run: %v", err)
+		}
+		snap, err := checkpoint.Load(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Step%period == 0 {
+			t.Fatalf("snapshot at step %d is a generator change, want one between changes", snap.Step)
+		}
+		oC := o
+		oC.ResumeFrom = ckpt
+		resC, err := Simulate(c.Clone(), oC)
+		if err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+		if !resC.Resumed {
+			t.Error("resumed run does not report Resumed")
+		}
+		sameFinals(t, "final", resA.Final, resC.Final)
+		for l := range resA.LaneFinal {
+			sameFinals(t, "lane final", resA.LaneFinal[l], resC.LaneFinal[l])
+		}
+		if o.FaultSim {
+			for i, f := range resA.FaultCoverage.Faults {
+				if resC.FaultCoverage.Faults[i] != f {
+					t.Errorf("fault %d status %+v, want %+v", i, resC.FaultCoverage.Faults[i], f)
+				}
+			}
+		}
+		if ta, tc := resA.Stats.Totals(), resC.Stats.Totals(); ta.NodeUpdates != tc.NodeUpdates || ta.Evals != tc.Evals {
+			t.Errorf("fault sim %v: resumed counters diverge: updates %d/%d evals %d/%d",
+				o.FaultSim, tc.NodeUpdates, ta.NodeUpdates, tc.Evals, ta.Evals)
+		}
+	}
+}
+
 // TestResumeVectorFaultSim checkpoints a multi-pass concurrent fault
 // simulation and resumes it from the last mid-pass snapshot: the stitched
 // coverage table, final values and work counters must match an

@@ -17,11 +17,12 @@ import (
 //     ripple with whole-result unknown poisoning, and/or/xor per-bit logic
 //     ops, shl1/shr1 raw plane shifts (preserving X/Z like Value.ShiftLeft),
 //     pass-b via Z->X normalisation; unknown opcode lanes go all-X.
-//   - rom:  per-entry address-match masks; unknown or out-of-range address
-//     lanes read all-X.
+//   - rom:  a pruned walk over the address bits yields each addressed
+//     entry with its lane mask (addrDecode); unknown or out-of-range
+//     address lanes read all-X.
 //   - ram:  wide-plane memory state, write-enable gated by the same rising
-//     edge masks as the DFF kernel, per-entry match masks on write and read,
-//     unknown-address writes poison the whole memory in those lanes.
+//     edge masks as the register batch, the same address walk on write and
+//     read, unknown-address writes poison the whole memory in those lanes.
 
 // compileMul builds the shift-and-add multiplier. For each set bit i of
 // operand a the partial product b<<i is ripple-added into the accumulator,
@@ -154,33 +155,77 @@ func compileAlu(ins []span, out, w, words int) func(cur, next []logic.WidePlane)
 	}
 }
 
-// matchMask returns the mask of lanes whose address equals entry e: the
-// AND across address bits of that bit's H or L mask. Lanes with any
-// unknown address bit match no entry.
-func matchMask(cur []logic.WidePlane, addr, aw, wd int, e uint64) uint64 {
-	m := ^uint64(0)
-	for i := 0; i < aw; i++ {
-		r := cur[addr+i].Word(wd).Readable()
-		if e>>uint(i)&1 == 1 {
-			m &= r.HMask()
-		} else {
-			m &= r.LMask()
-		}
-	}
-	return m
+// addrDecode enumerates, per plane word, the memory entries some lane
+// addresses: a depth-first walk over the address bits, most significant
+// first, carrying the mask of lanes that match the prefix so far. A prefix
+// no lane selects is dropped, and so is one whose entries all lie at or
+// past limit. A lane with an unknown address bit matches neither branch at
+// that bit and so selects no entry. The cost is proportional to the number
+// of distinct addresses in the word — one path when every lane drives the
+// same address — and stays under 2 x entries word-ANDs when all differ.
+type addrDecode struct {
+	addr, aw int
+	limit    uint64
+	hm, lm   []uint64 // per address bit: the lanes where it is a known H / L
+	stack    []addrPrefix
+	sel      []addrSel
 }
 
-// compileRom enumerates the ROM contents once per word, accumulating each
-// entry's value under its address-match mask. Lanes matching no entry —
-// unknown address bits or an address beyond the contents — read all-X,
-// matching evalRom.
-func compileRom(el *circuit.Element, ins []span, out, w, words int) func(cur, next []logic.WidePlane) {
-	addr, aw := int(ins[0].off), int(ins[0].w)
-	mem := el.Params.Mem
-	limit := uint64(len(mem))
-	if aw < 63 && uint64(1)<<uint(aw) < limit {
-		limit = 1 << uint(aw)
+// addrPrefix is a pending walk node: the entries whose top address bits
+// are e's, the low rem bits still open, selected by the lanes in m.
+type addrPrefix struct {
+	e, m uint64
+	rem  int
+}
+
+// addrSel is one selected entry and the lanes that address it; the masks
+// of one word's selections are disjoint.
+type addrSel struct {
+	e, m uint64
+}
+
+func newAddrDecode(addr, aw int, limit uint64) *addrDecode {
+	return &addrDecode{addr: addr, aw: aw, limit: limit, hm: make([]uint64, aw), lm: make([]uint64, aw)}
+}
+
+// decode returns word wd's selections. The slice is reused by the next
+// call.
+func (d *addrDecode) decode(cur []logic.WidePlane, wd int) []addrSel {
+	for i := 0; i < d.aw; i++ {
+		p := cur[d.addr+i]
+		v, u := p.V[wd], p.U[wd]
+		d.hm[i], d.lm[i] = v&^u, ^(v | u)
 	}
+	d.sel = d.sel[:0]
+	stack := append(d.stack[:0], addrPrefix{m: ^uint64(0), rem: d.aw})
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if f.e >= d.limit {
+			continue // every entry under the prefix is out of range
+		}
+		if f.rem == 0 {
+			d.sel = append(d.sel, addrSel{e: f.e, m: f.m})
+			continue
+		}
+		b := f.rem - 1
+		if m := f.m & d.hm[b]; m != 0 {
+			stack = append(stack, addrPrefix{e: f.e | 1<<uint(b), m: m, rem: b})
+		}
+		if m := f.m & d.lm[b]; m != 0 {
+			stack = append(stack, addrPrefix{e: f.e, m: m, rem: b})
+		}
+	}
+	d.stack = stack
+	return d.sel
+}
+
+// compileRom accumulates, per word, each addressed entry's value under its
+// lane mask. Lanes selecting no entry — unknown address bits or an address
+// beyond the contents — read all-X, matching evalRom.
+func compileRom(el *circuit.Element, ins []span, out, w, words int) func(cur, next []logic.WidePlane) {
+	mem := el.Params.Mem
+	dec := newAddrDecode(int(ins[0].off), int(ins[0].w), uint64(len(mem)))
 	resV := make([]uint64, w)
 	return func(cur, next []logic.WidePlane) {
 		for wd := 0; wd < words; wd++ {
@@ -188,15 +233,11 @@ func compileRom(el *circuit.Element, ins []span, out, w, words int) func(cur, ne
 				resV[i] = 0
 			}
 			var covered uint64
-			for e := uint64(0); e < limit; e++ {
-				m := matchMask(cur, addr, aw, wd, e)
-				if m == 0 {
-					continue
-				}
-				covered |= m
+			for _, s := range dec.decode(cur, wd) {
+				covered |= s.m
 				for i := 0; i < w; i++ {
-					if mem[e]>>uint(i)&1 == 1 {
-						resV[i] |= m
+					if mem[s.e]>>uint(i)&1 == 1 {
+						resV[i] |= s.m
 					}
 				}
 			}
@@ -210,9 +251,9 @@ func compileRom(el *circuit.Element, ins []span, out, w, words int) func(cur, ne
 // compileRam keeps the memory as wide planes — entries x data bits, every
 // lane with its own contents — and evaluates write-then-read exactly as
 // evalRam does: a rising clock edge with write-enable high stores the
-// Z-normalised write data at the matching entry per lane; a write at an
-// unknown address poisons that lane's whole memory; reads blend entries
-// under the same match masks, unknown-address lanes reading all-X.
+// Z-normalised write data at the addressed entry per lane; a write at an
+// unknown address poisons that lane's whole memory; reads blend the
+// addressed entries, unknown-address lanes reading all-X.
 func compileRam(el *circuit.Element, ins []span, out, w, words int) (func(cur, next []logic.WidePlane), []logic.WidePlane) {
 	clk, we := int(ins[0].off), int(ins[1].off)
 	addr, aw := int(ins[2].off), int(ins[2].w)
@@ -235,40 +276,35 @@ func compileRam(el *circuit.Element, ins []span, out, w, words int) (func(cur, n
 
 	state := append([]logic.WidePlane{prevClk}, mem...)
 
+	dec := newAddrDecode(addr, aw, uint64(entries))
 	resV := make([]uint64, w)
 	resU := make([]uint64, w)
-	match := make([]uint64, entries)
-	xw := logic.PlaneBroadcast(logic.X)
 	run := func(cur, next []logic.WidePlane) {
 		for wd := 0; wd < words; wd++ {
 			c := cur[clk].Word(wd)
 			edge := prevClk.Word(wd).LMask() & c.HMask()
 			prevClk.SetWord(wd, c)
-
-			var unkA uint64
-			for i := 0; i < aw; i++ {
-				unkA |= cur[addr+i].U[wd]
-			}
-			for e := range match {
-				match[e] = matchMask(cur, addr, aw, wd, uint64(e))
-			}
+			sel := dec.decode(cur, wd)
 
 			if wl := edge & cur[we].Word(wd).HMask(); wl != 0 {
-				poison := wl & unkA
-				for e := 0; e < entries; e++ {
-					m := wl & match[e]
-					if m == 0 && poison == 0 {
+				for _, s := range sel {
+					m := wl & s.m
+					if m == 0 {
 						continue
 					}
 					for i := 0; i < w; i++ {
-						q := mem[e*w+i].Word(wd)
-						if m != 0 {
-							q = logic.PlaneSelect(m, cur[wdata+i].Word(wd).Readable(), q)
-						}
-						if poison != 0 {
-							q = logic.PlaneSelect(poison, xw, q)
-						}
-						mem[e*w+i].SetWord(wd, q)
+						q := mem[int(s.e)*w+i]
+						q.SetWord(wd, logic.PlaneSelect(m, cur[wdata+i].Word(wd).Readable(), q.Word(wd)))
+					}
+				}
+				var unkA uint64
+				for i := 0; i < aw; i++ {
+					unkA |= cur[addr+i].U[wd]
+				}
+				if poison := wl & unkA; poison != 0 {
+					for _, q := range mem {
+						q.V[wd] &^= poison
+						q.U[wd] |= poison
 					}
 				}
 			}
@@ -277,16 +313,12 @@ func compileRam(el *circuit.Element, ins []span, out, w, words int) (func(cur, n
 				resV[i], resU[i] = 0, 0
 			}
 			var covered uint64
-			for e := 0; e < entries; e++ {
-				m := match[e]
-				if m == 0 {
-					continue
-				}
-				covered |= m
+			for _, s := range sel {
+				covered |= s.m
 				for i := 0; i < w; i++ {
-					q := mem[e*w+i].Word(wd)
-					resV[i] |= q.V & m
-					resU[i] |= q.U & m
+					q := mem[int(s.e)*w+i]
+					resV[i] |= q.V[wd] & s.m
+					resU[i] |= q.U[wd] & s.m
 				}
 			}
 			for i := 0; i < w; i++ {

@@ -134,9 +134,11 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 		}
 	}
 	// All validated; commit. Both buffer sides take the snapshot planes:
-	// every driven node is fully rewritten each step and every undriven
-	// node stays constant, so the resumed double-buffer sequence matches
-	// the uninterrupted one exactly.
+	// every element-driven node is fully rewritten each step, every
+	// undriven node stays constant, and a generator, rewritten only at its
+	// change times, re-evaluates on the first resumed step (its kernel
+	// starts fresh) — so the resumed double-buffer sequence matches the
+	// uninterrupted one exactly.
 	for side := range s.buf {
 		for i := range s.buf[side].planes {
 			copy(s.buf[side].planes[i].V, snap.Planes[i].V)

@@ -50,18 +50,52 @@ func (p *program) kernels() []*kernel {
 }
 
 // levelWork is one worker's compiled slice of one level: the fused gate
-// batches, the kernels for every other kind, and the output spans to scan
+// batches, the kernels for every other kind (a register's entry runs its
+// slice's whole register batch, or nothing), and the output spans to scan
 // for node-update/probe accounting.
 type levelWork struct {
 	batches []gateBatch
 	kerns   []kernel
 	spans   []span
-	// noteOffs mirrors spans as flat (offset, width) pairs for the
-	// one-word, probe-free fast path: the whole level's update scan runs
-	// as one loop over the slabs instead of a call per span.
-	noteOffs []int32
-	elems    int64 // elements in this slice (eval accounting)
-	cost     int64 // summed element Cost (CostSpin accounting)
+	// runs and wide split spans for the probe-free update count: runs are
+	// (offset, count) pairs of adjacent width-1 output planes, each counted
+	// in one branch-free scan; wide are the wider outputs.
+	runs  []int32
+	wide  []span
+	elems int64 // elements in this slice (eval accounting)
+	cost  int64 // summed element Cost (CostSpin accounting)
+}
+
+// eval runs the slice's batches and kernels: cur's planes in, next's out.
+func (lw *levelWork) eval(cur, next *planeBuf) {
+	for i := range lw.batches {
+		lw.batches[i].run(cur.v, cur.u, next.v, next.u)
+	}
+	for i := range lw.kerns {
+		if run := lw.kerns[i].run; run != nil {
+			run(cur.planes, next.planes)
+		}
+	}
+}
+
+// planCount builds runs and wide from spans. A slice's outputs share one
+// (owner, level) key, so they sit together in the layout, but generator
+// outputs of the same key may interleave with them; runs therefore merge
+// only planes that are adjacent.
+func (lw *levelWork) planCount() {
+	sps := append([]span(nil), lw.spans...)
+	sort.Slice(sps, func(i, j int) bool { return sps[i].off < sps[j].off })
+	for _, sp := range sps {
+		if sp.w != 1 {
+			lw.wide = append(lw.wide, sp)
+			continue
+		}
+		if n := len(lw.runs); n > 0 && lw.runs[n-2]+lw.runs[n-1] == sp.off {
+			lw.runs[n-1]++
+			continue
+		}
+		lw.runs = append(lw.runs, sp.off, 1)
+	}
 }
 
 // compileProgram lowers c for p workers at the given lane count; stride is
@@ -145,16 +179,31 @@ func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program
 
 	// Lowering walks the schedule once: a new levelWork opens whenever the
 	// owner or the level changes, and inside one, fused gates batch by
-	// shape in element order.
+	// shape in element order and registers into one batch, each register
+	// keeping a kernel entry at its place (regAt).
 	var pend [numShapes][]int32
+	var regs []*circuit.Element
+	var regAt []int
 	var lw *levelWork
 	flush := func() {
+		if lw == nil {
+			return
+		}
 		for sh := gateShape(0); sh < numShapes; sh++ {
 			if len(pend[sh]) > 0 {
 				lw.batches = append(lw.batches, compileBatch(sh, pend[sh], words))
 				pend[sh] = nil
 			}
 		}
+		if len(regs) > 0 {
+			ks := make([]*kernel, len(regAt))
+			for i, at := range regAt {
+				ks[i] = &lw.kerns[at]
+			}
+			compileRegs(c, regs, ks, prog.layout, words)
+			regs, regAt = regs[:0], regAt[:0]
+		}
+		lw.planCount()
 	}
 	for si, eid := range sched {
 		el := &c.Elems[eid]
@@ -185,15 +234,18 @@ func compileProgram(c *circuit.Circuit, p int, lanes int, stride int64) *program
 				}
 			}
 			lw.spans = append(lw.spans, span{node: out, off: oo, w: ww})
-			lw.noteOffs = append(lw.noteOffs, oo, ww)
+			continue
+		}
+		if isRegister(el.Kind) {
+			regs, regAt = append(regs, el), append(regAt, len(lw.kerns))
+			sp := prog.span(c, el.Out[0])
+			lw.kerns = append(lw.kerns, kernel{outs: []span{sp}})
+			lw.spans = append(lw.spans, sp)
 			continue
 		}
 		k := compileElem(c, el, prog.layout, lanes)
 		lw.kerns = append(lw.kerns, k)
 		lw.spans = append(lw.spans, k.outs...)
-		for _, sp := range k.outs {
-			lw.noteOffs = append(lw.noteOffs, sp.off, sp.w)
-		}
 	}
 	flush()
 

@@ -141,9 +141,6 @@ func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.F
 	if cfg.FaultStatuses {
 		cov.Faults = statuses
 	}
-	// LaneFinal would expose per-fault machine state — large and not the
-	// product of this mode; Final remains the good machine's view.
-	total.LaneFinal = nil
 	total.FaultCoverage = cov
 	total.Run.Algorithm += "+faults"
 	return total, runErr

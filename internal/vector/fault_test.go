@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parsim/internal/analyze"
+	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/logic"
@@ -232,4 +233,32 @@ func TestWideFaultEngineDispatch(t *testing.T) {
 		t.Fatal("compiled engine accepted a fault-sim config")
 	}
 	_ = logic.MaxWideLanes
+}
+
+// TestWideFaultStuckGeneratorNotCounted pins how fault simulation counts a
+// stuck-at fault on a generator output: the stuck lane never changes, so it
+// never counts as a node update. Both polarities stuck on a random
+// generator whose value often repeats across a period boundary, plus an
+// inverter it drives, must count exactly the good machine's updates.
+func TestWideFaultStuckGeneratorNotCounted(t *testing.T) {
+	b := circuit.NewBuilder("stuck-generator")
+	g, y := b.Bit("g"), b.Bit("y")
+	b.Rand("r", g, 3, 5)
+	b.Gate(circuit.KindNot, "inv", 1, y, g)
+	c := b.MustBuild()
+	faults := []analyze.Fault{{Node: g}, {Node: g, StuckHigh: true}}
+
+	const horizon = 200
+	good := mustRun(t, "vector", c, engine.Config{Workers: 1, Horizon: horizon, Lanes: 1})
+	for _, workers := range []int{1, 2} {
+		res, err := vectorEng.runFaults(c, engine.Config{
+			Workers: workers, Horizon: horizon, Lanes: 64, FaultSim: true,
+		}, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Run.NodeUpdates, good.Run.NodeUpdates; got != want {
+			t.Errorf("workers %d: fault run counts %d updates, good machine %d", workers, got, want)
+		}
+	}
 }

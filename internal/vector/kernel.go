@@ -1,6 +1,8 @@
 package vector
 
 import (
+	"math"
+
 	"parsim/internal/circuit"
 	"parsim/internal/logic"
 )
@@ -48,17 +50,19 @@ func zeroWide(dst logic.WidePlane) {
 // kernel is one element compiled to a plane-op routine: run reads input
 // planes from cur and writes every output plane in next, for all lanes at
 // once, looping the proven single-word plane ops over the plane words.
-// Kernels with internal state (DFF, latch, RAM) own it via closure; each
-// element belongs to exactly one worker's run of the schedule, so exactly
-// one worker ever runs its kernel.
+// Kernels with internal state (latch, RAM) own it via closure; each element
+// belongs to exactly one worker's run of the schedule, so exactly one
+// worker ever runs its kernel. A register's entry is state only: its
+// slice's register batch (register.go) evaluates it, and run is that whole
+// batch on the slice's first register and nil on the others.
 type kernel struct {
 	outs []span
 	run  func(cur, next []logic.WidePlane)
-	// state aliases the closure-captured plane rows of stateful kernels —
-	// a flip-flop's previous clock and held output, a latch's output, a
-	// RAM's memory array — so a checkpoint can read and restore them in
-	// place (WidePlane copies share their backing words). laneState aliases
-	// the per-lane scalar state of fallback kernels the same way.
+	// state aliases the plane rows of stateful kernels — a flip-flop's
+	// previous clock and held output, a latch's output, a RAM's memory
+	// array — so a checkpoint can read and restore them in place
+	// (WidePlane copies share their backing words). laneState aliases the
+	// per-lane scalar state of fallback kernels the same way.
 	state     []logic.WidePlane
 	laneState [][]logic.Value
 }
@@ -76,10 +80,10 @@ func tableKind(k circuit.Kind) bool {
 }
 
 // compileElem translates one element the compiler did not fuse into a gate
-// batch (batch.go) into its plane-op kernel. Wide gates, registers, wiring,
-// comparison, adder and — beyond one lane — the table-driven functional
-// kinds all get true bit-parallel kernels; anything else falls back to
-// per-lane scalar evaluation behind the same interface.
+// or register batch (batch.go, register.go) into its plane-op kernel. Wide
+// gates, latches, wiring, comparison, adder and — beyond one lane — the
+// table-driven functional kinds all get true bit-parallel kernels; anything
+// else falls back to per-lane scalar evaluation behind the same interface.
 func compileElem(c *circuit.Circuit, el *circuit.Element, lay layout, lanes int) kernel {
 	words := logic.PlaneWords(lanes)
 	var k kernel
@@ -110,46 +114,6 @@ func compileElem(c *circuit.Circuit, el *circuit.Element, lay layout, lanes int)
 		k.run = compileGate(ins, out, w, words, opXor, false)
 	case circuit.KindXnor:
 		k.run = compileGate(ins, out, w, words, opXor, true)
-
-	case circuit.KindDFF:
-		clk, d := int(ins[0].off), int(ins[1].off)
-		prevClk := wideRow(1, words, logic.X)[0]
-		q := wideRow(w, words, logic.X)
-		k.state = append([]logic.WidePlane{prevClk}, q...)
-		k.run = func(cur, next []logic.WidePlane) {
-			for wd := 0; wd < words; wd++ {
-				c := cur[clk].Word(wd)
-				edge := prevClk.Word(wd).LMask() & c.HMask()
-				prevClk.SetWord(wd, c)
-				for i := 0; i < w; i++ {
-					qi := logic.PlaneSelect(edge, cur[d+i].Word(wd).Readable(), q[i].Word(wd))
-					q[i].SetWord(wd, qi)
-					next[out+i].SetWord(wd, qi)
-				}
-			}
-		}
-
-	case circuit.KindDFFR:
-		clk, rst, d := int(ins[0].off), int(ins[1].off), int(ins[2].off)
-		prevClk := wideRow(1, words, logic.X)[0]
-		q := wideRow(w, words, logic.X)
-		k.state = append([]logic.WidePlane{prevClk}, q...)
-		initRow := make([]logic.Plane, w)
-		logic.BroadcastValue(initRow, el.Params.Init)
-		k.run = func(cur, next []logic.WidePlane) {
-			for wd := 0; wd < words; wd++ {
-				c := cur[clk].Word(wd)
-				edge := prevClk.Word(wd).LMask() & c.HMask()
-				prevClk.SetWord(wd, c)
-				rstH := cur[rst].Word(wd).HMask()
-				for i := 0; i < w; i++ {
-					qi := logic.PlaneSelect(edge, cur[d+i].Word(wd).Readable(), q[i].Word(wd))
-					qi = logic.PlaneSelect(rstH, initRow[i], qi)
-					q[i].SetWord(wd, qi)
-					next[out+i].SetWord(wd, qi)
-				}
-			}
-		}
 
 	case circuit.KindLatch:
 		en, d := int(ins[0].off), int(ins[1].off)
@@ -491,10 +455,21 @@ func compileScalar(el *circuit.Element, ins []span, outs []span, lanes int) (fun
 // Seed is offset by the lane stride, so each lane replays an independent
 // stimulus vector (lane 0 keeps the original seed and is bit-identical to
 // a scalar run).
+//
+// A generator's output is a pure function of time that changes only at
+// GenNextChange times, so the kernel evaluates it only then (due). The
+// step after a change copies the new value into the other buffer side
+// (stale); from then on both sides hold it and the kernel does nothing.
+// The per-lane copies share Period, so one schedule serves every lane. A
+// fresh kernel (due 0) evaluates at its first step, so a run that starts
+// or resumes at any step takes up the schedule there.
 type genKernel struct {
 	el      *circuit.Element
 	out     span
 	perLane []circuit.Element
+
+	due   circuit.Time // the next time whose value must be evaluated
+	stale bool         // only the side written last holds the value
 }
 
 func compileGen(c *circuit.Circuit, el *circuit.Element, lay layout, lanes int, stride int64) genKernel {
@@ -521,3 +496,27 @@ func (g *genKernel) write(t circuit.Time, dst []logic.WidePlane) {
 		logic.PackLaneWide(dst[o:o+w], l, g.perLane[l].GenValueAt(t))
 	}
 }
+
+// step advances the generator from time t (side cur) to t+1 (side next)
+// and reports whether it evaluated, i.e. whether next may differ from cur.
+func (g *genKernel) step(t circuit.Time, cur, next []logic.WidePlane) bool {
+	if t+1 < g.due {
+		if g.stale {
+			o, w := int(g.out.off), int(g.out.w)
+			for b := o; b < o+w; b++ {
+				copyWide(next[b], cur[b])
+			}
+			g.stale = false
+		}
+		return false
+	}
+	g.write(t+1, next)
+	g.due, g.stale = math.MaxInt64, true
+	if c, ok := g.el.GenNextChange(t + 1); ok {
+		g.due = c
+	}
+	return true
+}
+
+// fresh reports, after step, whether that step evaluated the generator.
+func (g *genKernel) fresh() bool { return g.stale }

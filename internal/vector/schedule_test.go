@@ -112,6 +112,40 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 	}
 }
 
+// TestBenchCountsPinned pins the plane core's work counters on the
+// benchmark's circuits at the benchmark's horizons, under both registry
+// names, at 1/64/256 lanes and 1/2 workers: every element is evaluated
+// every step, and a node update is a step on which any live lane of the
+// node changed. The microprocessor drives the same stimulus into every
+// lane, so its updates do not grow with the lane count.
+func TestBenchCountsPinned(t *testing.T) {
+	cpu := gen.DefaultCPU()
+	for _, pc := range []struct {
+		name    string
+		c       *circuit.Circuit
+		horizon circuit.Time
+		evals   int64
+		updates map[int]int64 // by lane count
+	}{
+		{"mult16-gate", gen.GateMultiplier(gen.DefaultMultiplier()), 512,
+			1236109, map[int]int64{1: 29838, 64: 141452, 256: 163719}},
+		{"microprocessor", gen.CPU(cpu), gen.CPUHorizon(cpu, 16),
+			2552515, map[int]int64{1: 9482, 64: 9482, 256: 9482}},
+	} {
+		for _, eng := range []string{"jit", "vector"} {
+			for _, lanes := range []int{1, 64, 256} {
+				for workers := 1; workers <= 2; workers++ {
+					rep := mustRun(t, eng, pc.c, engine.Config{Workers: workers, Horizon: pc.horizon, Lanes: lanes})
+					if rep.Run.Evals != pc.evals || rep.Run.NodeUpdates != pc.updates[lanes] {
+						t.Errorf("%s %s lanes %d workers %d: evals %d updates %d, want %d and %d", pc.name, eng,
+							lanes, workers, rep.Run.Evals, rep.Run.NodeUpdates, pc.evals, pc.updates[lanes])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWorkerStripesContiguous is the layout property the schedule rests on:
 // the planes a worker writes (its elements' and generators' outputs) form
 // one contiguous range of the program layout, disjoint from every other worker's,

@@ -17,14 +17,21 @@
 // owning worker and then by schedule level, so each worker writes one dense
 // stripe and each level a dense run inside it. The 1- and 2-input gates and
 // the 2:1 mux — the bulk of every gate-level netlist — run as fused batch
-// loops with no per-element dispatch at all (batch.go); every other kind
-// runs through a plane-op kernel (kernel.go, bitsliced.go) devirtualized
-// into the level sequence. Lane 0 replays the scalar stimulus bit for bit;
-// the remaining lanes carry seed-shifted variants or, in fault-simulation
-// mode, injected stuck-at faults (fault.go). The unit-delay double buffer
-// makes levels a pure batching and locality device: nothing inside a step
-// reads that step's writes, so no barrier separates them at any worker
-// count.
+// loops with no per-element dispatch at all (batch.go), and so do the
+// flip-flops (register.go); every other kind runs through a plane-op
+// kernel (kernel.go, bitsliced.go) devirtualized into the level sequence,
+// ROM and RAM decoding only the addresses some lane drives. Lane 0 replays
+// the scalar stimulus bit for bit; the remaining lanes carry seed-shifted
+// variants or, in fault-simulation mode, injected stuck-at faults
+// (fault.go). The unit-delay double buffer makes levels a pure batching
+// and locality device: nothing inside a step reads that step's writes, so
+// no barrier separates them at any worker count.
+//
+// Around the kernels a step does little: a generator is evaluated only at
+// its change times, a slice's node updates are counted in one branch-free
+// scan over its runs of adjacent one-bit outputs (per span only when a
+// probe must see each change), and the final lane values are decoded a
+// plane word at a time into one backing array.
 package vector
 
 import (
@@ -209,7 +216,9 @@ func (s *sim) initGenerators() {
 }
 
 // finish runs the worker gang over the (freshly initialised or restored)
-// state and assembles the pass result.
+// state and assembles the pass result. A fault-simulation pass decodes
+// only the probe lane: every other lane is a fault machine, large and not
+// the product of that mode.
 func (s *sim) finish() (*engine.Report, error) {
 	cfg := s.cfg
 	wall := engine.Gang(cfg, s.name+" step loop", s.worker)
@@ -217,18 +226,19 @@ func (s *sim) finish() (*engine.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	planes := s.buf[side].planes
-	rep := &engine.Report{LaneFinal: make([][]logic.Value, cfg.Lanes), Run: stats.Run{
+	rep := &engine.Report{Run: stats.Run{
 		Algorithm: fmt.Sprintf("%sx%d", s.name, cfg.Lanes),
 		Circuit:   s.c.Name,
 		Horizon:   cfg.Horizon,
 		Workers:   s.p,
 		TimeSteps: steps,
 	}}
-	for l := range rep.LaneFinal {
-		rep.LaneFinal[l] = s.extractLane(planes, l)
+	if s.fault != nil {
+		rep.Final = s.laneFinals(s.buf[side].planes, 1)[0] // ProbeLane is 0
+	} else {
+		rep.LaneFinal = s.laneFinals(s.buf[side].planes, cfg.Lanes)
+		rep.Final = rep.LaneFinal[cfg.ProbeLane]
 	}
-	rep.Final = rep.LaneFinal[cfg.ProbeLane]
 	for w := range s.wc {
 		s.wc[w].ModelCalls = s.wc[w].Evals
 	}
@@ -236,12 +246,48 @@ func (s *sim) finish() (*engine.Report, error) {
 	return rep, nil
 }
 
-func (s *sim) extractLane(planes []logic.WidePlane, lane int) []logic.Value {
-	vals := make([]logic.Value, len(s.c.Nodes))
-	for n := range s.c.Nodes {
-		w := s.c.Nodes[n].Width
-		o := int(s.prog.off[n])
-		vals[n] = logic.ExtractLaneWide(planes[o:o+w], lane, w)
+// stateValues maps a lane's (V, U) bit pair, V the low bit, to its 1-bit
+// Value: L, H, X, Z.
+var stateValues = [4]logic.Value{
+	logic.FromState(logic.L), logic.FromState(logic.H),
+	logic.FromState(logic.X), logic.FromState(logic.Z),
+}
+
+// laneFinals decodes lanes [0, n) of every node from planes, all rows in
+// one backing array. Per plane word it walks the nodes in blocks: it
+// gathers a block's (V, U) words once, writes the block into each of the
+// word's 64 rows through stateValues — the value of a one-bit node, one
+// bit pair per node — and then re-decodes the block's wider nodes lane by
+// lane.
+func (s *sim) laneFinals(planes []logic.WidePlane, n int) [][]logic.Value {
+	nodes := len(s.c.Nodes)
+	back := make([]logic.Value, n*nodes)
+	vals := make([][]logic.Value, n)
+	for l := range vals {
+		vals[l] = back[l*nodes : (l+1)*nodes : (l+1)*nodes]
+	}
+	var v, u [256]uint64
+	for wd := 0; wd*64 < n; wd++ {
+		rows := vals[wd*64 : min(n, wd*64+64)]
+		for lo := 0; lo < nodes; lo += len(v) {
+			offs := s.prog.off[lo:min(nodes, lo+len(v))]
+			for k, o := range offs {
+				v[k], u[k] = planes[o].V[wd], planes[o].U[wd]
+			}
+			for b, row := range rows {
+				row = row[lo : lo+len(offs)]
+				for k := range row {
+					row[k] = stateValues[v[k]>>uint(b)&1|(u[k]>>uint(b)&1)<<1]
+				}
+			}
+			for k, o := range offs {
+				if w := s.c.Nodes[lo+k].Width; w != 1 {
+					for b, row := range rows {
+						row[lo+k] = logic.ExtractLaneWide(planes[o:int(o)+w], wd*64+b, w)
+					}
+				}
+			}
+		}
 	}
 	return vals
 }
@@ -249,9 +295,9 @@ func (s *sim) extractLane(planes []logic.WidePlane, lane int) []logic.Value {
 func (s *sim) worker(id int) {
 	gens := s.prog.gens[id]
 	work := s.prog.work[id]
-	// With one plane word and no probe the per-span scan collapses to
-	// noteLevel's single flat loop over the level's (offset, width) pairs.
-	fastNote := s.cfg.Probe == nil && s.words == 1
+	// Without a probe, updates are counted per slice in one scan; with
+	// one, per span, so the probe sees each change of the observed lane.
+	counting := s.cfg.Probe == nil
 
 	// Step t computes node planes for t+1: read side t&1, write side
 	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1. Nothing
@@ -266,10 +312,19 @@ func (s *sim) worker(id int) {
 			s.fault.observe(id, t, cur.planes)
 		}
 
+		stepped := false
 		for i := range gens {
-			g := &gens[i]
-			g.write(t+1, next.planes)
-			if s.noteSpan(g.out, t+1, cur, next) {
+			stepped = gens[i].step(t, cur.planes, next.planes) || stepped
+		}
+		// A stuck lane on a generator output never changes: re-assert the
+		// faults before the generators are counted, so a change counts only
+		// in lanes the fault leaves free. Element outputs are rewritten
+		// below and re-asserted again after them.
+		if stepped && s.fault != nil {
+			s.fault.injectWorker(id, next.planes)
+		}
+		for i := range gens {
+			if g := &gens[i]; g.fresh() && s.noteSpan(g.out, t+1, cur, next) {
 				acc.NodeUpdates++
 			}
 		}
@@ -281,17 +336,12 @@ func (s *sim) worker(id int) {
 					s.chaos.Eval()
 				}
 			}
-			for i := range lw.batches {
-				lw.batches[i].run(cur.v, cur.u, next.v, next.u)
-			}
-			for i := range lw.kerns {
-				lw.kerns[i].run(cur.planes, next.planes)
-			}
+			lw.eval(cur, next)
 			if s.cfg.CostSpin > 0 {
 				circuit.Spin(lw.cost * s.cfg.CostSpin)
 			}
-			if fastNote {
-				acc.NodeUpdates += noteLevel(lw.noteOffs, cur.v, cur.u, next.v, next.u, s.laneMask[0])
+			if counting {
+				acc.NodeUpdates += s.countUpdates(lw, cur, next)
 				continue
 			}
 			for _, sp := range lw.spans {
@@ -308,22 +358,45 @@ func (s *sim) worker(id int) {
 	})
 }
 
-// noteLevel is noteSpan's one-word, probe-free form: one flat loop over a
-// level's (offset, width) pairs with no call or probe branch per span. At
-// one plane word a node's plane index is its slab index, so the pairs feed
-// the slabs directly.
-func noteLevel(offs []int32, cv, cu, nv, nu []uint64, mask uint64) int64 {
-	var updates int64
-	for i := 0; i < len(offs); i += 2 {
-		o, w := int(offs[i]), int(offs[i+1])
-		for b := 0; b < w; b++ {
-			if ((cv[o+b]^nv[o+b])|(cu[o+b]^nu[o+b]))&mask != 0 {
-				updates++
-				break
+// nonzero is 1 when x != 0 and 0 otherwise, without a branch.
+func nonzero(x uint64) int64 { return int64((x | -x) >> 63) }
+
+// countUpdates is the probe-free update count of one slice: the outputs
+// with a live lane that differs across the buffer sides. Width-1 outputs
+// go through lw.runs with no branch per node; wider ones OR all their
+// planes first. Only the last word of a plane can hold dead lanes, so
+// only it is masked.
+func (s *sim) countUpdates(lw *levelWork, cur, next *planeBuf) int64 {
+	cv, cu, nv, nu := cur.v, cur.u, next.v, next.u
+	words := s.words
+	last, lm := words-1, s.laneMask[words-1]
+	var n int64
+	for i := 0; i < len(lw.runs); i += 2 {
+		lo, hi := int(lw.runs[i])*words, int(lw.runs[i]+lw.runs[i+1])*words
+		a := cv[lo:hi]
+		b, c, d := cu[lo:hi][:len(a)], nv[lo:hi][:len(a)], nu[lo:hi][:len(a)]
+		for j := last; j < len(a); j += words {
+			x := ((a[j] ^ c[j]) | (b[j] ^ d[j])) & lm
+			for k := j - last; k < j; k++ {
+				x |= (a[k] ^ c[k]) | (b[k] ^ d[k])
 			}
+			n += nonzero(x)
 		}
 	}
-	return updates
+	for _, sp := range lw.wide {
+		lo, hi := int(sp.off)*words, int(sp.off+sp.w)*words
+		a := cv[lo:hi]
+		b, c, d := cu[lo:hi][:len(a)], nv[lo:hi][:len(a)], nu[lo:hi][:len(a)]
+		var x, xl uint64
+		for j := last; j < len(a); j += words {
+			xl |= (a[j] ^ c[j]) | (b[j] ^ d[j])
+			for k := j - last; k < j; k++ {
+				x |= (a[k] ^ c[k]) | (b[k] ^ d[k])
+			}
+		}
+		n += nonzero(x | xl&lm)
+	}
+	return n
 }
 
 // noteSpan compares one output node's planes across the buffer sides,
