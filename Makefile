@@ -10,11 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
-## race runs the cancellation and concurrency-sensitive tests under the
-## race detector; it is slower than `test` but catches data races the
-## plain run cannot.
+## race runs every package's tests once under the race detector: the
+## differential suites against the sequential oracle, the chaos, service,
+## selection, durability, fleet, plane-core and event-list suites the
+## per-area targets below pick out, and the checked-in fuzz corpora. go
+## test's 10m default is too short for internal/parevent's differential
+## corpus when every package shares a 2-core host; 15m is its budget.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 -timeout 15m ./...
 
 vet:
 	$(GO) vet ./...
@@ -26,6 +29,10 @@ lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./tools/lint ./...
+
+## The per-area targets below are developer shortcuts: each reruns, under
+## the race detector, a slice of what `race` already covers, so `check`
+## does not call them.
 
 ## chaos runs the supervision-layer fault-injection suite under the race
 ## detector: induced worker panics, dropped wakeups and genuine stalls on
@@ -74,11 +81,11 @@ fleet-test:
 ## the names vector and jit) under the race detector: the per-lowering
 ## truth-table proofs (scalar, one-word and wide planes; white-box in
 ## internal/vector, and through the registry from the test-only
-## internal/codegen directory), the gang-schedule tests under both names
-## (workers 1-4 x lanes 1/64/256 against compiled, one barrier per step on
-## every worker row, one contiguous slab stripe per worker), the fault
-## suite, the checked-in differential fuzz corpus replay and the
-## bit-identical resume tests.
+## internal/codegen directory), the gang-schedule tests
+## under both names (workers 1-4 x lanes 1/64/256 against compiled, one
+## barrier per step on every worker row, one contiguous slab stripe per
+## worker), the fault suite, the checked-in differential fuzz corpus replay
+## and the bit-identical resume tests.
 jit-test:
 	$(GO) test -race -timeout 5m -count=1 ./internal/vector ./internal/codegen
 	$(GO) test -race -timeout 5m -count=1 -run 'TestResumeJIT|TestResumeVector|FuzzEngines|TestFuzzCorpusSeedsReplay' .
@@ -95,12 +102,8 @@ jit-test:
 ## proof that a thief's peek carries its stolen updates), its event queue
 ## (the lending canary, zero steady-state allocations, the FuzzQueue corpus
 ## against a sorted-slice model) and the supervision and cancellation cases
-## of the three registry names they back. A last leg rebuilds with the
-## asyncdebug tag, which checks the asynchronous core's in-flight invariants
-## (valid-times only grow; no event is consumed at or past the valid-time
-## its activation loaded; no cursor reads a slot at or past the count it
-## loaded), and runs the internal/core suite and the FuzzEngines corpus
-## replay under it.
+## of the three registry names they back. Its last two legs are the
+## asyncdebug legs `check` also runs.
 async-test:
 	$(GO) test -race -timeout 15m -count=1 ./internal/core ./internal/spsc ./internal/parevent ./internal/eventq
 	$(GO) test -race -timeout 5m -count=1 -run '^(TestGuard|TestSimulateContext)/(asynchronous|chandy-misra|event-driven)$$' .
@@ -113,7 +116,16 @@ async-test:
 bench-smoke:
 	cd bench && $(GO) test -short ./...
 
-check: build vet lint test race chaos serve-test auto-test ckpt-test fleet-test jit-test async-test bench-smoke
+## check is the gate: every package's tests once plain and once under the
+## race detector, the benchmark module's smoke test, then the asyncdebug
+## legs. The asyncdebug tag checks the asynchronous core's in-flight
+## invariants (valid-times only grow; no event is consumed at or past the
+## valid-time its activation loaded; no cursor reads a slot at or past the
+## count it loaded) and reruns the internal/core suite and the FuzzEngines
+## corpus replay under it — the only tests `race` cannot run.
+check: build vet lint test race bench-smoke
+	$(GO) test -race -tags asyncdebug -timeout 15m -count=1 ./internal/core
+	$(GO) test -race -tags asyncdebug -timeout 5m -count=1 -run '^FuzzEngines$$' .
 
 ## figures regenerates the quick machine-readable benchmark snapshot.
 figures:
@@ -151,9 +163,10 @@ bench-ckpt:
 	$(GO) run ./cmd/figures -fig c1 -mode real -json BENCH_ckpt.json
 
 ## wide-test runs the wide-plane and fault-simulation suites under the
-## race detector — the same leg CI's wide-lane job runs. internal/codegen
-## holds tests only (the jit name's truth tables through the registry); the
-## engine is internal/vector.
+## race detector: the multi-word plane kernels, fault-list collapsing, the
+## stuck-at grading passes and the daemon's lane-width admission.
+## internal/codegen holds tests only (the jit name's truth tables through
+## the registry); the engine is internal/vector.
 wide-test:
 	$(GO) test -race -timeout 5m -count=1 -run Wide ./internal/vector ./internal/codegen ./internal/analyze ./internal/logic ./internal/server .
 
@@ -169,15 +182,19 @@ fuzz:
 ## its sorted-slice model (pop order, Dump -> Restore, the lending rule),
 ## then the parsimd job JSON (the submit handler answers 200/202/400/413/429,
 ## never a panic or a 5xx, and refuses as malformed exactly what
-## cluster.DecodeSubmission refuses), then the snapshot decoder (every
-## rejection a typed *CorruptError, every accepted frame round-trips). The
-## decoder leg caps input minimisation at 2s: its mutated ~4 KB snapshots
-## otherwise spend the whole budget minimising (~7k execs instead of ~300k).
+## cluster.DecodeSubmission refuses), then the parsimd job journal (a
+## journal cut at any byte keeps exactly its complete records and takes the
+## next append cleanly; arbitrary bytes never panic), then the snapshot
+## decoder (every rejection a typed *CorruptError, every accepted frame
+## round-trips). The decoder leg caps input minimisation at 2s: its mutated
+## ~4 KB snapshots otherwise spend the whole budget minimising (~7k execs
+## instead of ~300k).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzEngines -fuzztime=30s -run '^$$' .
 	$(GO) test -fuzz=FuzzNetlist -fuzztime=15s -run '^$$' ./internal/netlist
 	$(GO) test -fuzz=FuzzQueue -fuzztime=15s -run '^$$' ./internal/eventq
 	$(GO) test -fuzz=FuzzSubmit -fuzztime=15s -run '^$$' ./internal/server
+	$(GO) test -fuzz=FuzzJournal -fuzztime=15s -run '^$$' ./internal/server
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=15s -fuzzminimizetime=2s -run '^$$' ./internal/checkpoint
 
 clean:

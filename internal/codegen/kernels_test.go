@@ -152,8 +152,8 @@ func TestCodegenKernelsMatchScalarExhaustive(t *testing.T) {
 }
 
 // TestWideCodegenKernelsMatchScalarExhaustive is the multi-word (256-lane)
-// run of the same proof; a separate function so the CI wide-lane job
-// (-run Wide) exercises it in isolation.
+// run of the same proof; a separate function so `make wide-test` (-run
+// Wide) exercises it in isolation.
 func TestWideCodegenKernelsMatchScalarExhaustive(t *testing.T) {
 	proveAllAtWidth(t, 256)
 }

@@ -50,7 +50,7 @@ const http200 = 200
 // journalLines parses every record currently in the journal file.
 func journalLines(t *testing.T, dir string) []journalRecord {
 	t.Helper()
-	recs, err := readJournal(filepath.Join(dir, "journal.jsonl"))
+	recs, _, err := readJournal(filepath.Join(dir, "journal.jsonl"))
 	if err != nil {
 		t.Fatalf("reading journal: %v", err)
 	}
@@ -206,7 +206,8 @@ func TestDrainResume(t *testing.T) {
 
 // TestJournalTornFinalLine checks that a crash artifact — a half-written
 // final record — is tolerated: the journal loads, the torn event simply
-// never happened.
+// never happened, and the records the recovered run appends start on a
+// line of their own, so the restart after that loads the journal too.
 func TestJournalTornFinalLine(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
@@ -228,6 +229,18 @@ func TestJournalTornFinalLine(t *testing.T) {
 	}
 	if after.Result == nil || after.Result.Resumed {
 		t.Fatalf("job without a snapshot should re-run from scratch (result %+v)", after.Result)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ts.Drain(ctx)
+	cancel()
+
+	ts2 := newTestServer(t, durableConfig(dir))
+	var again jobDoc
+	if code := ts2.getJSON(t, "/v1/jobs/j-000001", &again); code != http200 {
+		t.Fatalf("second restart: status %d", code)
+	}
+	if again.State != jobDone || again.Result == nil {
+		t.Fatalf("second restart: job %s (result %v), want done with its result", again.State, again.Result)
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,4 +58,109 @@ func FuzzSubmit(f *testing.F) {
 			t.Fatalf("body %q: DecodeSubmission error %v, but the node answered %d %q", body, err, rec.Code, refusal.Error)
 		}
 	})
+}
+
+// FuzzJournal checks the journal's crash repair. The first input cuts a
+// valid multi-job journal at an arbitrary byte — a crash mid-append leaves
+// such a prefix — and readJournal must keep exactly the records whose
+// lines the prefix holds in full. The second input is arbitrary bytes,
+// which may be refused but must never panic. Whenever a journal loads,
+// reopening it for append and writing one record must read back as the
+// loaded records followed by that one.
+func FuzzJournal(f *testing.F) {
+	valid, full := validJournal(f)
+	f.Add(uint(0), []byte(nil))
+	f.Add(uint(len(valid)/2), valid[:len(valid)/2])
+	f.Add(uint(len(valid)-1), []byte(`{"type":"done","job":"j-0000`+"\n{not json}\n"))
+	f.Fuzz(func(t *testing.T, cut uint, raw []byte) {
+		prefix := valid[:cut%uint(len(valid)+1)]
+		recs, err := reopenAndAppend(t, prefix)
+		if err != nil {
+			t.Fatalf("journal cut at byte %d: %v", len(prefix), err)
+		}
+		if want := full[:bytes.Count(prefix, []byte{'\n'})]; !sameRecords(recs, want) {
+			t.Fatalf("journal cut at byte %d kept %d records, want %d", len(prefix), len(recs), len(want))
+		}
+		reopenAndAppend(t, raw)
+	})
+}
+
+// validJournal writes a three-job journal — one done after a checkpoint,
+// one failed, one cancelled, their records interleaved — and returns its
+// bytes with the records they hold.
+func validJournal(f *testing.F) ([]byte, []journalRecord) {
+	path := filepath.Join(f.TempDir(), "journal.jsonl")
+	jn, err := openJournal(path, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	req := cluster.Submission{Netlist: testNetlist, Engine: "sequential", Horizon: 100}
+	for _, rec := range []journalRecord{
+		{Type: recAccepted, Job: "j-000001", Seq: 1, Req: &req},
+		{Type: recAccepted, Job: "j-000002", Seq: 2, Req: &req},
+		{Type: recStarted, Job: "j-000001"},
+		{Type: recCheckpointed, Job: "j-000001", Step: 50},
+		{Type: recStarted, Job: "j-000002"},
+		{Type: recAccepted, Job: "j-000003", Seq: 3, Req: &req},
+		{Type: recDone, Job: "j-000001", Result: json.RawMessage(`{"final":[]}`)},
+		{Type: recFailed, Job: "j-000002", Error: "deadline exceeded"},
+		{Type: recCancelled, Job: "j-000003", Error: "cancelled"},
+	} {
+		if err := jn.append(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := jn.Close(); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	recs, _, err := readJournal(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data, recs
+}
+
+// reopenAndAppend loads data as a journal the way a restarting daemon
+// does, appends one record and checks the journal then reads back as the
+// loaded records followed by the new one. It returns the loaded records,
+// or the error that refused data.
+func reopenAndAppend(t *testing.T, data []byte) ([]journalRecord, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, intact, err := readJournal(path)
+	if err != nil {
+		return nil, err
+	}
+	jn, err := openJournal(path, intact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.append(journalRecord{Type: recStarted, Job: "j-999999"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, _, err := readJournal(path)
+	if err != nil {
+		t.Fatalf("journal refused after the repair and one append: %v", err)
+	}
+	if n := len(after) - 1; n != len(recs) || !sameRecords(after[:n], recs) ||
+		after[n].Type != recStarted || after[n].Job != "j-999999" {
+		t.Fatalf("after the repair and one append the journal reads back %d records, want the %d loaded and the new one", len(after), len(recs))
+	}
+	return recs, nil
+}
+
+// sameRecords reports whether two record lists are equal, nil and empty
+// alike.
+func sameRecords(a, b []journalRecord) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }

@@ -59,10 +59,18 @@ type journal struct {
 	f  *os.File
 }
 
-func openJournal(path string) (*journal, error) {
+// openJournal opens the journal for appending after its first intact
+// bytes, the length readJournal reported. Cutting a torn tail first keeps
+// the next record from being glued onto it, which would turn a tolerated
+// torn final line into a malformed mid-file record on the restart after.
+func openJournal(path string, intact int64) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if err := f.Truncate(intact); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("journal: cutting torn tail: %w", err)
 	}
 	return &journal{f: f}, nil
 }
@@ -109,40 +117,44 @@ func (jn *journal) Close() error {
 	return nil
 }
 
-// readJournal loads every record from a journal file. A missing file is
-// an empty journal. A torn final line — the expected artifact of a crash
-// mid-append — is tolerated and dropped; a malformed line anywhere else
-// is corruption and an error, because silently skipping records would
+// readJournal loads every record from a journal file and returns them
+// with the journal's intact length: its bytes through the last complete
+// line. A missing file is an empty journal. A torn final line — the
+// expected artifact of a crash mid-append, malformed or missing its
+// newline — is tolerated and dropped; a malformed line anywhere else is
+// corruption and an error, because silently skipping records would
 // resurrect the wrong state.
-func readJournal(path string) ([]journalRecord, error) {
+func readJournal(path string) ([]journalRecord, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, 0, nil
 		}
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
-	lines := bytes.Split(data, []byte{'\n'})
 	var recs []journalRecord
-	for i, line := range lines {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
+	end := 0
+	for lineNo := 1; ; lineNo++ {
+		n := bytes.IndexByte(data[end:], '\n')
+		if n < 0 {
+			// Whatever follows the last newline is a torn append: the
+			// crash came before the sync, so the event never durably
+			// happened. Drop it.
+			return recs, int64(end), nil
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			for _, rest := range lines[i+1:] {
-				if len(bytes.TrimSpace(rest)) != 0 {
-					return nil, fmt.Errorf("journal %s: malformed record on line %d: %w", path, i+1, err)
+		line := bytes.TrimSpace(data[end : end+n])
+		if len(line) != 0 {
+			var rec journalRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				if len(bytes.TrimSpace(data[end+n:])) != 0 {
+					return nil, 0, fmt.Errorf("journal %s: malformed record on line %d: %w", path, lineNo, err)
 				}
+				return recs, int64(end), nil // torn final line
 			}
-			// Torn final line: the crash interrupted the append before the
-			// sync, so the event never durably happened. Drop it.
-			return recs, nil
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
+		end += n + 1
 	}
-	return recs, nil
 }
 
 // openState prepares the state directory, replays the journal into the
@@ -154,11 +166,11 @@ func (s *Server) openState() error {
 		return fmt.Errorf("state dir: %w", err)
 	}
 	path := filepath.Join(s.cfg.StateDir, "journal.jsonl")
-	recs, err := readJournal(path)
+	recs, intact, err := readJournal(path)
 	if err != nil {
 		return err
 	}
-	jn, err := openJournal(path)
+	jn, err := openJournal(path, intact)
 	if err != nil {
 		return err
 	}

@@ -228,8 +228,8 @@ func TestKernelsMatchScalarExhaustive(t *testing.T) {
 
 // TestWideKernelsMatchScalarExhaustive is the multi-word (256-lane) run of
 // the same proof, so the word loops in every kernel and batch are exercised
-// with cross-word lane populations; a separate test function so the CI
-// wide-lane job (-run Wide) exercises it in isolation.
+// with cross-word lane populations; a separate test function so `make
+// wide-test` (-run Wide) exercises it in isolation.
 func TestWideKernelsMatchScalarExhaustive(t *testing.T) {
 	proveAllAtWidth(t, 4*logic.MaxLanes)
 }
