@@ -50,10 +50,11 @@ serve-test:
 	$(GO) test -race -timeout 5m -count=1 ./internal/server ./internal/netlist
 
 ## auto-test runs the engine-selection suite under the race detector: the
-## static profiler's golden fingerprints, the cost-model predictions, and
-## the auto engine's end-to-end selection path.
+## static profiler's golden fingerprints, the cost-model predictions, the
+## auto engine's end-to-end selection path, and cmd/parsim, whose profile
+## subcommand must print the selection auto makes.
 auto-test:
-	$(GO) test -race -timeout 5m -count=1 ./internal/analyze ./internal/machine ./internal/auto
+	$(GO) test -race -timeout 5m -count=1 ./internal/analyze ./internal/machine ./internal/auto ./cmd/parsim
 
 ## ckpt-test runs the crash-durability suite under the race detector: the
 ## snapshot codec (round-trip, corruption, the FuzzCheckpoint corpus, Load

@@ -58,7 +58,7 @@ func BenchmarkFig1EventDriven(b *testing.B) {
 		for _, p := range workerCounts() {
 			b.Run(fmt.Sprintf("%s/P%d", tc.name, p), func(b *testing.B) {
 				benchSim(b, tc.c, Options{
-					Algorithm: EventDriven, Workers: p, Horizon: tc.horizon, CostSpin: 100,
+					Engine: EventDriven, Workers: p, Horizon: tc.horizon, CostSpin: 100,
 				})
 			})
 		}
@@ -74,7 +74,7 @@ func BenchmarkFig2EventsPerTick(b *testing.B) {
 		for _, p := range workerCounts() {
 			b.Run(fmt.Sprintf("ev%d/P%d", active*16, p), func(b *testing.B) {
 				benchSim(b, c, Options{
-					Algorithm: EventDriven, Workers: p, Horizon: 128, CostSpin: 100,
+					Engine: EventDriven, Workers: p, Horizon: 128, CostSpin: 100,
 				})
 			})
 		}
@@ -96,7 +96,7 @@ func BenchmarkFig3Compiled(b *testing.B) {
 		for _, p := range workerCounts() {
 			b.Run(fmt.Sprintf("%s/P%d", tc.name, p), func(b *testing.B) {
 				benchSim(b, tc.c, Options{
-					Algorithm: Compiled, Workers: p, Horizon: 64, CostSpin: 100,
+					Engine: Compiled, Workers: p, Horizon: 64, CostSpin: 100,
 				})
 			})
 		}
@@ -119,7 +119,7 @@ func BenchmarkFig4Async(b *testing.B) {
 		for _, p := range workerCounts() {
 			b.Run(fmt.Sprintf("%s/P%d", tc.name, p), func(b *testing.B) {
 				benchSim(b, tc.c, Options{
-					Algorithm: Async, Workers: p, Horizon: tc.horizon, CostSpin: 100,
+					Engine: Async, Workers: p, Horizon: tc.horizon, CostSpin: 100,
 				})
 			})
 		}
@@ -133,7 +133,7 @@ func BenchmarkFig5Comparison(b *testing.B) {
 		for _, p := range workerCounts() {
 			b.Run(fmt.Sprintf("%v/P%d", alg, p), func(b *testing.B) {
 				benchSim(b, c, Options{
-					Algorithm: alg, Workers: p, Horizon: 128, CostSpin: 100,
+					Engine: alg, Workers: p, Horizon: 128, CostSpin: 100,
 				})
 			})
 		}
@@ -155,7 +155,7 @@ func BenchmarkT1Uniprocessor(b *testing.B) {
 		for _, alg := range []Algorithm{Sequential, Async} {
 			b.Run(fmt.Sprintf("%s/%v", tc.name, alg), func(b *testing.B) {
 				benchSim(b, tc.c, Options{
-					Algorithm: alg, Workers: 1, Horizon: tc.horizon, CostSpin: 100,
+					Engine: alg, Workers: 1, Horizon: tc.horizon, CostSpin: 100,
 				})
 			})
 		}
@@ -171,9 +171,9 @@ func BenchmarkT2Ablation(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"central", Options{Algorithm: EventDriven, CentralQueue: true}},
-		{"no-steal", Options{Algorithm: EventDriven, NoSteal: true}},
-		{"distributed", Options{Algorithm: EventDriven}},
+		{"central", Options{Engine: EventDriven, CentralQueue: true}},
+		{"no-steal", Options{Engine: EventDriven, NoSteal: true}},
+		{"distributed", Options{Engine: EventDriven}},
 	}
 	for _, v := range variants {
 		opts := v.opts
@@ -192,7 +192,7 @@ func BenchmarkExtensionDistributed(b *testing.B) {
 		for _, p := range workerCounts() {
 			b.Run(fmt.Sprintf("%v/P%d", alg, p), func(b *testing.B) {
 				benchSim(b, c, Options{
-					Algorithm: alg, Workers: p, Horizon: 128, CostSpin: 100,
+					Engine: alg, Workers: p, Horizon: 128, CostSpin: 100,
 				})
 			})
 		}
@@ -215,7 +215,7 @@ func BenchmarkBaselineTimeWarp(b *testing.B) {
 		for _, alg := range []Algorithm{Async, TimeWarp} {
 			b.Run(fmt.Sprintf("%s/%v", tc.name, alg), func(b *testing.B) {
 				benchSim(b, tc.c, Options{
-					Algorithm: alg, Workers: runtime.NumCPU(), Horizon: tc.horizon, CostSpin: 100,
+					Engine: alg, Workers: runtime.NumCPU(), Horizon: tc.horizon, CostSpin: 100,
 				})
 			})
 		}
@@ -228,7 +228,7 @@ func BenchmarkT4FeedbackChain(b *testing.B) {
 	for _, p := range workerCounts() {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			benchSim(b, ring, Options{
-				Algorithm: Async, Workers: p, Horizon: 2000, CostSpin: 100,
+				Engine: Async, Workers: p, Horizon: 2000, CostSpin: 100,
 			})
 		})
 	}
@@ -242,7 +242,7 @@ func BenchmarkAblationPartitioners(b *testing.B) {
 	for _, s := range []Strategy{RoundRobin, Blocks, CostLPT} {
 		b.Run(s.String(), func(b *testing.B) {
 			benchSim(b, c, Options{
-				Algorithm: Compiled, Workers: runtime.NumCPU(), Horizon: 64,
+				Engine: Compiled, Workers: runtime.NumCPU(), Horizon: 64,
 				CostSpin: 100, Strategy: s,
 			})
 		})
@@ -261,14 +261,14 @@ func BenchmarkAblationLookahead(b *testing.B) {
 	}{{"lookahead", false}, {"no-lookahead", true}} {
 		b.Run(v.name, func(b *testing.B) {
 			benchSim(b, c, Options{
-				Algorithm: Async, Workers: runtime.NumCPU(), Horizon: horizon,
+				Engine: Async, Workers: runtime.NumCPU(), Horizon: horizon,
 				NoLookahead: v.off,
 			})
 		})
 	}
 	b.Run("gate-lookahead", func(b *testing.B) {
 		benchSim(b, c, Options{
-			Algorithm: Async, Workers: runtime.NumCPU(), Horizon: horizon,
+			Engine: Async, Workers: runtime.NumCPU(), Horizon: horizon,
 			GateLookahead: true,
 		})
 	})
@@ -286,7 +286,7 @@ func BenchmarkGuardOverhead(b *testing.B) {
 	}{{"watchdog-off", 0}, {"watchdog-1s", time.Second}} {
 		b.Run(v.name, func(b *testing.B) {
 			benchSim(b, c, Options{
-				Algorithm: Compiled, Workers: runtime.NumCPU(), Horizon: 128,
+				Engine: Compiled, Workers: runtime.NumCPU(), Horizon: 128,
 				Watchdog: v.watchdog,
 			})
 		})
@@ -300,7 +300,7 @@ func BenchmarkAblationSpinScale(b *testing.B) {
 	for _, spin := range []int64{0, 30, 300} {
 		b.Run(fmt.Sprintf("spin%d", spin), func(b *testing.B) {
 			benchSim(b, c, Options{
-				Algorithm: Async, Workers: runtime.NumCPU(), Horizon: 128, CostSpin: spin,
+				Engine: Async, Workers: runtime.NumCPU(), Horizon: 128, CostSpin: spin,
 			})
 		})
 	}

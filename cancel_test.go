@@ -35,15 +35,15 @@ func TestSimulateContextTimeout(t *testing.T) {
 	c := BenchFeedbackChain(31)
 	for _, alg := range allAlgorithms {
 		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
+		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
 			start := time.Now()
 			res, err := SimulateContext(ctx, c, Options{
-				Algorithm: alg,
-				Workers:   cancelWorkers(alg),
-				Horizon:   cancelHorizon,
+				Engine:  alg,
+				Workers: cancelWorkers(alg),
+				Horizon: cancelHorizon,
 			})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
@@ -79,7 +79,7 @@ func TestSimulateContextExplicitCancel(t *testing.T) {
 	c := BenchFeedbackChain(31)
 	for _, alg := range allAlgorithms {
 		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
+		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
@@ -87,9 +87,9 @@ func TestSimulateContextExplicitCancel(t *testing.T) {
 				cancel()
 			}()
 			res, err := SimulateContext(ctx, c, Options{
-				Algorithm: alg,
-				Workers:   cancelWorkers(alg),
-				Horizon:   cancelHorizon,
+				Engine:  alg,
+				Workers: cancelWorkers(alg),
+				Horizon: cancelHorizon,
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want Canceled", err)
@@ -107,14 +107,14 @@ func TestSimulateContextComplete(t *testing.T) {
 	c := BenchFeedbackChain(15)
 	for _, alg := range allAlgorithms {
 		res, err := SimulateContext(context.Background(), c, Options{
-			Algorithm: alg,
-			Workers:   cancelWorkers(alg),
-			Horizon:   500,
+			Engine:  alg,
+			Workers: cancelWorkers(alg),
+			Horizon: 500,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		ref, err := Simulate(c, Options{Algorithm: alg, Workers: cancelWorkers(alg), Horizon: 500})
+		ref, err := Simulate(c, Options{Engine: alg, Workers: cancelWorkers(alg), Horizon: 500})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -135,9 +135,9 @@ func TestSimulateContextAlreadyCancelled(t *testing.T) {
 	for _, alg := range allAlgorithms {
 		start := time.Now()
 		res, err := SimulateContext(ctx, c, Options{
-			Algorithm: alg,
-			Workers:   cancelWorkers(alg),
-			Horizon:   cancelHorizon,
+			Engine:  alg,
+			Workers: cancelWorkers(alg),
+			Horizon: cancelHorizon,
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want Canceled", alg, err)
@@ -173,7 +173,7 @@ func TestNoEngineLeavesGoroutines(t *testing.T) {
 	}
 	for _, name := range engine.Names() {
 		workers := 2
-		if name == Sequential.String() {
+		if name == Sequential {
 			workers = 1
 		}
 		for _, o := range outcomes {

@@ -107,15 +107,15 @@ func TestResumeRejectsMalformedSnapshots(t *testing.T) {
 		opts   Options
 		cases  []malformedCase
 	}{
-		{"sequential", RandomCircuit(5, 60), Options{Algorithm: Sequential},
+		{"sequential", RandomCircuit(5, 60), Options{Engine: Sequential},
 			slices.Concat(nodeValues, seqOnly, common)},
-		{"compiled", RandomUnitCircuit(3, 60), Options{Algorithm: Compiled, Workers: 2},
+		{"compiled", RandomUnitCircuit(3, 60), Options{Engine: Compiled, Workers: 2},
 			slices.Concat(nodeValues, common)},
-		{"jit", RandomUnitCircuit(7, 80), Options{Algorithm: JIT, Workers: 2},
+		{"jit", RandomUnitCircuit(7, 80), Options{Engine: JIT, Workers: 2},
 			slices.Concat(planeCore, common)},
-		{"vector", RandomUnitCircuit(11, 48), Options{Algorithm: Vector, Workers: 2, Lanes: 96},
+		{"vector", RandomUnitCircuit(11, 48), Options{Engine: Vector, Workers: 2, Lanes: 96},
 			slices.Concat(planeCore, common)},
-		{"vector", RandomUnitCircuit(9, 50), Options{Algorithm: Vector, Workers: 2, Lanes: 8, FaultSim: true},
+		{"vector", RandomUnitCircuit(9, 50), Options{Engine: Vector, Workers: 2, Lanes: 8, FaultSim: true},
 			[]malformedCase{
 				{"fault state dropped", "fault state", func(t *testing.T, s *checkpoint.Snapshot) {
 					s.Fault = nil

@@ -107,27 +107,27 @@ func testResumeBitIdentical(t *testing.T, c *Circuit, base Options) {
 
 func TestResumeSequential(t *testing.T) {
 	testResumeBitIdentical(t, RandomCircuit(5, 60),
-		Options{Algorithm: Sequential, Horizon: 300})
+		Options{Engine: Sequential, Horizon: 300})
 }
 
 func TestResumeSequentialUnitDelay(t *testing.T) {
 	testResumeBitIdentical(t, RandomUnitCircuit(3, 60),
-		Options{Algorithm: Sequential, Horizon: 300})
+		Options{Engine: Sequential, Horizon: 300})
 }
 
 func TestResumeCompiled(t *testing.T) {
 	testResumeBitIdentical(t, RandomUnitCircuit(3, 60),
-		Options{Algorithm: Compiled, Horizon: 300, Workers: 3})
+		Options{Engine: Compiled, Horizon: 300, Workers: 3})
 }
 
 func TestResumeVector(t *testing.T) {
 	testResumeBitIdentical(t, RandomUnitCircuit(7, 80),
-		Options{Algorithm: Vector, Horizon: 300, Workers: 2, Lanes: 8})
+		Options{Engine: Vector, Horizon: 300, Workers: 2, Lanes: 8})
 }
 
 func TestResumeVectorWide(t *testing.T) {
 	testResumeBitIdentical(t, RandomUnitCircuit(11, 48),
-		Options{Algorithm: Vector, Horizon: 300, Workers: 2, Lanes: 96, LaneStride: 3, ProbeLane: 65})
+		Options{Engine: Vector, Horizon: 300, Workers: 2, Lanes: 96, LaneStride: 3, ProbeLane: 65})
 }
 
 // TestResumeJIT: the codegen engine checkpoints at its quiescent per-step
@@ -135,7 +135,7 @@ func TestResumeVectorWide(t *testing.T) {
 // and work counters all indistinguishable from an uninterrupted run.
 func TestResumeJIT(t *testing.T) {
 	testResumeBitIdentical(t, RandomUnitCircuit(7, 80),
-		Options{Algorithm: JIT, Horizon: 300, Workers: 2, Lanes: 8})
+		Options{Engine: JIT, Horizon: 300, Workers: 2, Lanes: 8})
 }
 
 // TestResumeJITScalar pins the scalar (lanes = 1) compile path, where the
@@ -143,14 +143,14 @@ func TestResumeJIT(t *testing.T) {
 // the snapshot's Lanes rows rather than its bit-sliced planes.
 func TestResumeJITScalar(t *testing.T) {
 	testResumeBitIdentical(t, RandomUnitCircuit(3, 60),
-		Options{Algorithm: JIT, Horizon: 300, Workers: 3})
+		Options{Engine: JIT, Horizon: 300, Workers: 3})
 }
 
 // TestResumeJITWide is the multi-word-plane variant with an off-word probe
 // lane, mirroring TestResumeVectorWide.
 func TestResumeJITWide(t *testing.T) {
 	testResumeBitIdentical(t, RandomUnitCircuit(11, 48),
-		Options{Algorithm: JIT, Horizon: 300, Workers: 2, Lanes: 96, LaneStride: 3, ProbeLane: 65})
+		Options{Engine: JIT, Horizon: 300, Workers: 2, Lanes: 96, LaneStride: 3, ProbeLane: 65})
 }
 
 // TestResumeJITGeneratorMidPeriod resumes a 64-lane run between two
@@ -171,7 +171,7 @@ func TestResumeJITGeneratorMidPeriod(t *testing.T) {
 	b.Gate(Xor, "mix", 1, d, r, q)
 	b.AddElement(DFFR, "ff", 1, []NodeID{q}, []NodeID{clk, rst, d}, Params{Init: V(8, 0)})
 	c := b.MustBuild()
-	base := Options{Algorithm: JIT, Horizon: 300, Workers: 2, Lanes: 64, LaneStride: 7}
+	base := Options{Engine: JIT, Horizon: 300, Workers: 2, Lanes: 64, LaneStride: 7}
 	testResumeBitIdentical(t, c, base)
 
 	faults := base
@@ -227,7 +227,7 @@ func TestResumeJITGeneratorMidPeriod(t *testing.T) {
 // uninterrupted run's exactly.
 func TestResumeVectorFaultSim(t *testing.T) {
 	c := RandomUnitCircuit(9, 50)
-	base := Options{Algorithm: Vector, Horizon: 200, Workers: 2, Lanes: 8,
+	base := Options{Engine: Vector, Horizon: 200, Workers: 2, Lanes: 8,
 		FaultSim: true, FaultStatuses: true}
 
 	resA, err := Simulate(c.Clone(), base)
@@ -291,12 +291,12 @@ func TestResumeVectorFaultSim(t *testing.T) {
 // exercise its drain capture at the stop step under both registry names.
 func TestResumeAfterCancel(t *testing.T) {
 	for _, base := range []Options{
-		{Algorithm: Sequential},
-		{Algorithm: Compiled, Workers: 2},
-		{Algorithm: JIT, Workers: 2},
-		{Algorithm: Vector, Workers: 2, Lanes: 8},
+		{Engine: Sequential},
+		{Engine: Compiled, Workers: 2},
+		{Engine: JIT, Workers: 2},
+		{Engine: Vector, Workers: 2, Lanes: 8},
 	} {
-		alg := base.Algorithm
+		alg := base.Engine
 		c := RandomUnitCircuit(3, 60)
 		base.Horizon, base.CostSpin = 2000, 50
 
@@ -349,7 +349,7 @@ func TestResumeAfterCancel(t *testing.T) {
 		if !resC.Resumed {
 			t.Errorf("%v: resumed run does not report Resumed", alg)
 		}
-		sameFinals(t, alg.String()+" cancel-resume", resA.Final, resC.Final)
+		sameFinals(t, alg+" cancel-resume", resA.Final, resC.Final)
 	}
 }
 

@@ -17,7 +17,7 @@ func TestConcurrentSimulateOnClones(t *testing.T) {
 	const horizon = Time(200)
 
 	refRec := NewRecorder()
-	if _, err := Simulate(tmpl.Clone(), Options{Algorithm: Sequential, Horizon: horizon, Probe: refRec}); err != nil {
+	if _, err := Simulate(tmpl.Clone(), Options{Engine: Sequential, Horizon: horizon, Probe: refRec}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -37,16 +37,16 @@ func TestConcurrentSimulateOnClones(t *testing.T) {
 				rec := NewRecorder()
 				clone := tmpl.Clone()
 				if _, err := Simulate(clone, Options{
-					Algorithm: alg,
-					Horizon:   horizon,
-					Workers:   workers,
-					Probe:     rec,
+					Engine:  alg,
+					Horizon: horizon,
+					Workers: workers,
+					Probe:   rec,
 				}); err != nil {
 					errs <- err
 					return
 				}
 				if d := HistoryDiff(clone, refRec, rec); d != "" {
-					diffs <- alg.String() + ": " + d
+					diffs <- alg + ": " + d
 				}
 			}(alg)
 		}
@@ -68,7 +68,7 @@ func TestConcurrentSimulateOnClones(t *testing.T) {
 func TestCloneIndependentOfTemplateMutation(t *testing.T) {
 	tmpl := BenchInverterArray(InverterArrayConfig{Rows: 2, Cols: 4, ActiveRows: 2, TogglePeriod: 1})
 	clone := tmpl.Clone()
-	want, err := Simulate(tmpl.Clone(), Options{Algorithm: Sequential, Horizon: 50})
+	want, err := Simulate(tmpl.Clone(), Options{Engine: Sequential, Horizon: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCloneIndependentOfTemplateMutation(t *testing.T) {
 		tmpl.Elems[i].In = nil
 		tmpl.Elems[i].Out = nil
 	}
-	got, err := Simulate(clone, Options{Algorithm: Sequential, Horizon: 50})
+	got, err := Simulate(clone, Options{Engine: Sequential, Horizon: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,13 @@
 // options, replaying bit-identically to an uninterrupted run. Sequential,
 // compiled, vector and jit runs (including fault simulation) support it.
 //
-// -engine selects the engine by registry name and overrides -alg; its
-// headline value is `-engine auto`, which profiles the circuit statically,
-// ranks every engine through the cost model, and runs the predicted winner
-// (the selection is printed, and lands under "selected" in the JSON
-// report). -workers then acts as a budget the winner may undershoot.
+// -alg and -engine are two spellings of one flag: the engine's registry
+// name or alias (when both are given, the last one wins). Its headline
+// value is `-engine auto`, which profiles the circuit statically, ranks
+// the five engines auto can pick through the cost model, and runs the
+// predicted winner (the selection is printed, and lands under "selected"
+// in the JSON report). -workers then acts as a budget the winner may
+// undershoot.
 //
 // -lint warn|strict runs the static analyzer before simulating and refuses
 // hazardous circuits (zero-delay combinational cycles, undriven inputs).
@@ -55,7 +57,9 @@
 //
 // The profile subcommand prints the static fingerprint engine=auto selects
 // on — levelization, fanout, activity estimate, feedback census, partition
-// cut quality — plus the ranked per-engine predictions for a worker budget:
+// cut quality — plus the selection auto would make for a worker budget,
+// -lanes and -spin: the winner first, then the rest of its ranking, with
+// the confidence auto reports:
 //
 //	parsim profile -bench mult16-gate -workers 8
 //	parsim profile -netlist adder.net -json
@@ -67,15 +71,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"parsim"
 	"parsim/internal/analyze"
+	"parsim/internal/auto"
 	"parsim/internal/cluster"
 	"parsim/internal/engine"
-	"parsim/internal/machine"
 	"parsim/internal/partition"
 )
 
@@ -85,14 +91,14 @@ func main() {
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "profile" {
-		runProfile(os.Args[2:])
+		if err := runProfile(os.Args[2:], os.Stdout); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	var (
 		netlistPath = flag.String("netlist", "", "netlist file to simulate")
 		benchName   = flag.String("bench", "", "built-in benchmark circuit: inverter-array, mult16-gate, mult16-func, microprocessor, feedback-chain")
-		algName     = flag.String("alg", "async", "algorithm: "+strings.Join(engine.Names(), ", ")+" (or an alias: seq, event, async, dist, tw, cm)")
-		engName     = flag.String("engine", "", "engine registry name, overrides -alg; \"auto\" profiles the circuit and runs the cost model's predicted winner")
 		workers     = flag.Int("workers", runtime.NumCPU(), "parallel workers")
 		horizon     = flag.Int64("horizon", 1000, "simulation horizon in ticks")
 		timeout     = flag.Duration("timeout", 0, "cancel the run after this wall-clock duration (0 = none)")
@@ -119,6 +125,11 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit the run report as JSON (the same schema the parsimd daemon serves)")
 		submitAddr  = flag.String("submit", "", "run remotely: submit the job to a parsimd node or fleet coordinator at this address and poll for the result")
 	)
+	name := "async"
+	for _, f := range []string{"alg", "engine"} {
+		flag.StringVar(&name, f, name, "engine: "+strings.Join(engine.Names(), ", ")+
+			" (or an alias: seq, event, async, dist, tw, cm); \"auto\" profiles the circuit and runs the cost model's predicted winner")
+	}
 	flag.Parse()
 	if *submitAddr != "" {
 		if set := unsubmittable(flag.CommandLine); len(set) > 0 {
@@ -139,10 +150,10 @@ func main() {
 		fmt.Print(parsim.NetlistSummary(c))
 	}
 
-	// Resolve the algorithm through the facade, which dispatches through
-	// the same engine registry the figure harness and the daemon use.
-	// Fault simulation rides on lanes; -faults implies the plane core's
-	// 64-lane name unless the user explicitly picked an algorithm.
+	// Resolve the engine through the same registry the facade, the figure
+	// harness and the daemon dispatch through. Fault simulation rides on
+	// lanes; -faults implies the plane core's 64-lane name unless the user
+	// explicitly picked an engine.
 	if *faults {
 		algSet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -151,12 +162,8 @@ func main() {
 			}
 		})
 		if !algSet {
-			*algName = "vector"
+			name = "vector"
 		}
-	}
-	name := *algName
-	if *engName != "" {
-		name = *engName
 	}
 	eng, err := engine.Get(name)
 	if err != nil {
@@ -212,7 +219,7 @@ func main() {
 		FaultMaxPasses:  *faultPasses,
 		FaultStatuses:   *faultStat,
 	}
-	if eng.Name() == parsim.Sequential.String() {
+	if eng.Name() == parsim.Sequential {
 		opts.Workers = 1
 	}
 
@@ -343,10 +350,11 @@ func runAnalyze(argv []string) {
 	}
 }
 
-// runProfile implements the profile subcommand: compute the static circuit
-// fingerprint and the ranked per-engine predictions the auto engine selects
-// from, without running a simulation.
-func runProfile(argv []string) {
+// runProfile implements the profile subcommand: print the static circuit
+// fingerprint and the selection the auto engine would make from it — the
+// winner first, then the rest of its ranking — without running a
+// simulation.
+func runProfile(argv []string, w io.Writer) error {
 	fs := flag.NewFlagSet("parsim profile", flag.ExitOnError)
 	var (
 		netlistPath = fs.String("netlist", "", "netlist file to profile")
@@ -357,36 +365,28 @@ func runProfile(argv []string) {
 		jsonOut     = fs.Bool("json", false, "emit profile and predictions as JSON instead of text")
 	)
 	if err := fs.Parse(argv); err != nil {
-		fatal(err)
+		return err
 	}
 	c, err := loadCircuit(*netlistPath, *benchName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	prof := parsim.Profile(c)
-	preds := machine.Predict(prof, machine.PredictOptions{
-		MaxWorkers: *workers,
-		Lanes:      *lanes,
-		CostSpin:   *spin,
-	})
+	sel, _ := auto.Choose(c, engine.Config{Workers: *workers, Lanes: *lanes, CostSpin: *spin})
+	win := slices.IndexFunc(sel.Ranking, func(ch engine.Choice) bool { return ch.Engine == sel.Engine })
+	preds := append([]engine.Choice{sel.Ranking[win]}, slices.Delete(slices.Clone(sel.Ranking), win, win+1)...)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		err := enc.Encode(struct {
+		return enc.Encode(struct {
 			Profile     *parsim.CircuitProfile `json:"profile"`
-			Predictions []machine.Prediction   `json:"predictions"`
+			Predictions []engine.Choice        `json:"predictions"`
 			Confidence  float64                `json:"confidence"`
-		}{prof, preds, machine.Confidence(preds)})
-		if err != nil {
-			fatal(err)
-		}
-		return
+		}{sel.Profile, preds, sel.Confidence})
 	}
-	if err := prof.WriteText(os.Stdout); err != nil {
-		fatal(err)
+	if err := sel.Profile.WriteText(w); err != nil {
+		return err
 	}
-	fmt.Printf("\nengine predictions (budget %d workers, confidence %.2f):\n",
-		*workers, machine.Confidence(preds))
+	fmt.Fprintf(w, "\nengine predictions (budget %d workers, confidence %.2f):\n", *workers, sel.Confidence)
 	for i, pr := range preds {
 		line := fmt.Sprintf("  %d. %-17s span %10.1f  workers %d", i+1, pr.Engine, pr.Span, pr.Workers)
 		if pr.Strategy != "" {
@@ -395,11 +395,15 @@ func runProfile(argv []string) {
 		if pr.Lanes > 0 {
 			line += fmt.Sprintf("  lanes %d", pr.Lanes)
 		}
-		if !pr.Eligible {
+		switch {
+		case !pr.Eligible:
 			line += "  [ineligible: " + pr.Reason + "]"
+		case pr.Reason != "":
+			line += "  [" + pr.Reason + "]"
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
+	return nil
 }
 
 func loadCircuit(path, bench string) (*parsim.Circuit, error) {

@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("%-44s %10s %10s %8s\n", "workload", "evals", "events", "ev/eval")
 	for _, w := range workloads {
 		res, err := parsim.Simulate(w.c, parsim.Options{
-			Algorithm: parsim.Async, Workers: 2, Horizon: w.horizon,
+			Engine: parsim.Async, Workers: 2, Horizon: w.horizon,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -43,7 +43,7 @@ func main() {
 		for _, alg := range algs {
 			rec := parsim.NewRecorder()
 			res, err := parsim.Simulate(w.c, parsim.Options{
-				Algorithm: alg, Workers: workers, Horizon: w.horizon, Probe: rec,
+				Engine: alg, Workers: workers, Horizon: w.horizon, Probe: rec,
 			})
 			if err != nil {
 				log.Fatal(err)

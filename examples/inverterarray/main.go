@@ -25,7 +25,7 @@ func main() {
 
 	run := func(alg parsim.Algorithm, p int) *parsim.Result {
 		res, err := parsim.Simulate(c, parsim.Options{
-			Algorithm: alg, Workers: p, Horizon: horizon, CostSpin: spin,
+			Engine: alg, Workers: p, Horizon: horizon, CostSpin: spin,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -66,7 +66,7 @@ func main() {
 		cfg.ActiveRows = active
 		arr := parsim.BenchInverterArray(cfg)
 		res, err := parsim.Simulate(arr, parsim.Options{
-			Algorithm: parsim.Sequential, Horizon: horizon,
+			Engine: parsim.Sequential, Horizon: horizon,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -72,7 +72,7 @@ func main() {
 	for _, alg := range []parsim.Algorithm{
 		parsim.Sequential, parsim.EventDriven, parsim.Async,
 	} {
-		opts := parsim.Options{Algorithm: alg, Horizon: horizon, Workers: runtime.NumCPU()}
+		opts := parsim.Options{Engine: alg, Horizon: horizon, Workers: runtime.NumCPU()}
 		if alg == parsim.Sequential {
 			opts.Workers = 1
 		}

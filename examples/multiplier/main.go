@@ -29,10 +29,10 @@ func main() {
 	for _, c := range []*parsim.Circuit{gate, fn} {
 		rec := parsim.NewRecorderFor(c.Node("p").ID)
 		res, err := parsim.Simulate(c, parsim.Options{
-			Algorithm: parsim.Async,
-			Workers:   runtime.NumCPU(),
-			Horizon:   horizon,
-			Probe:     rec,
+			Engine:  parsim.Async,
+			Workers: runtime.NumCPU(),
+			Horizon: horizon,
+			Probe:   rec,
 		})
 		if err != nil {
 			log.Fatal(err)

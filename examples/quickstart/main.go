@@ -48,10 +48,10 @@ func main() {
 	rec := parsim.NewRecorder()
 	const horizon = 400
 	res, err := parsim.Simulate(c, parsim.Options{
-		Algorithm: parsim.Async,
-		Workers:   runtime.NumCPU(),
-		Horizon:   horizon,
-		Probe:     rec,
+		Engine:  parsim.Async,
+		Workers: runtime.NumCPU(),
+		Horizon: horizon,
+		Probe:   rec,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -46,7 +46,7 @@ func FuzzEngines(f *testing.F) {
 
 		ref := NewRecorder()
 		want, err := Simulate(c, Options{
-			Algorithm: Sequential, Horizon: horizon, Workers: 1, Probe: ref,
+			Engine: Sequential, Horizon: horizon, Workers: 1, Probe: ref,
 		})
 		if err != nil {
 			t.Fatalf("sequential oracle: %v", err)
@@ -57,7 +57,7 @@ func FuzzEngines(f *testing.F) {
 				continue
 			}
 			rec := NewRecorder()
-			opts := Options{Algorithm: alg, Horizon: horizon, Workers: workers, Probe: rec}
+			opts := Options{Engine: alg, Horizon: horizon, Workers: workers, Probe: rec}
 			if alg == Vector {
 				// Exercise the multi-word plane paths: the extra lanes run
 				// seed-shifted stimulus, but lane 0 (the probe lane) must
@@ -133,18 +133,18 @@ func TestFuzzCorpusSeedsReplay(t *testing.T) {
 		lanes := fuzzLaneWidths[int(e[11])%len(fuzzLaneWidths)]
 		jitLanes := jitLaneWidths[int(e[12])%len(jitLaneWidths)]
 		ref := NewRecorder()
-		if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: horizon, Workers: 1, Probe: ref}); err != nil {
+		if _, err := Simulate(c, Options{Engine: Sequential, Horizon: horizon, Workers: 1, Probe: ref}); err != nil {
 			t.Fatal(err)
 		}
 		rec := NewRecorder()
-		if _, err := Simulate(c, Options{Algorithm: Vector, Horizon: horizon, Workers: workers, Lanes: lanes, Probe: rec}); err != nil {
+		if _, err := Simulate(c, Options{Engine: Vector, Horizon: horizon, Workers: workers, Lanes: lanes, Probe: rec}); err != nil {
 			t.Fatal(err)
 		}
 		if d := HistoryDiff(c, ref, rec); d != "" {
 			t.Errorf("seed %d lanes %d: %s", seed, lanes, d)
 		}
 		jrec := NewRecorder()
-		if _, err := Simulate(c, Options{Algorithm: JIT, Horizon: horizon, Workers: workers, Lanes: jitLanes, Probe: jrec}); err != nil {
+		if _, err := Simulate(c, Options{Engine: JIT, Horizon: horizon, Workers: workers, Lanes: jitLanes, Probe: jrec}); err != nil {
 			t.Fatal(err)
 		}
 		if d := HistoryDiff(c, ref, jrec); d != "" {

@@ -26,22 +26,22 @@ const guardHorizon = Time(5000)
 func TestGuardChaosPanicContainedAllEngines(t *testing.T) {
 	for _, alg := range allAlgorithms {
 		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
+		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
 			c := BenchFeedbackChain(13)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			_, err := SimulateContext(ctx, c, Options{
-				Algorithm: alg,
-				Workers:   cancelWorkers(alg),
-				Horizon:   guardHorizon,
-				Chaos:     &ChaosProbe{PanicAtEval: 40},
+				Engine:  alg,
+				Workers: cancelWorkers(alg),
+				Horizon: guardHorizon,
+				Chaos:   &ChaosProbe{PanicAtEval: 40},
 			})
 			var wf *WorkerFault
 			if !errors.As(err, &wf) {
 				t.Fatalf("err = %v, want *WorkerFault", err)
 			}
-			if wf.Engine != alg.String() {
+			if wf.Engine != alg {
 				t.Errorf("fault engine = %q, want %q", wf.Engine, alg)
 			}
 			if len(wf.Stack) == 0 {
@@ -65,13 +65,13 @@ func TestGuardChaosPanicContainedAllEngines(t *testing.T) {
 func TestGuardStalledRingAsyncFamily(t *testing.T) {
 	for _, alg := range []Algorithm{Async, ChandyMisra, DistAsync} {
 		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
+		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
 			c := buildZeroDelayRing(t)
 			_, err := SimulateContext(context.Background(), c, Options{
-				Algorithm: alg,
-				Workers:   2,
-				Horizon:   8,
+				Engine:  alg,
+				Workers: 2,
+				Horizon: 8,
 			})
 			if !errors.Is(err, ErrStalled) {
 				t.Fatalf("err = %v, want ErrStalled", err)
@@ -83,7 +83,7 @@ func TestGuardStalledRingAsyncFamily(t *testing.T) {
 			if len(st.StuckNodes) == 0 {
 				t.Error("stall report names no stuck nodes")
 			}
-			if st.Engine != alg.String() {
+			if st.Engine != alg {
 				t.Errorf("stall engine = %q, want %q", st.Engine, alg)
 			}
 		})
@@ -100,10 +100,10 @@ func TestGuardWatchdogAbortsTimeWarpLivelock(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	_, err := SimulateContext(ctx, c, Options{
-		Algorithm: TimeWarp,
-		Workers:   2,
-		Horizon:   8,
-		Watchdog:  300 * time.Millisecond,
+		Engine:   TimeWarp,
+		Workers:  2,
+		Horizon:  8,
+		Watchdog: 300 * time.Millisecond,
 	})
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
@@ -126,9 +126,9 @@ func TestGuardWatchdogAbortsTimeWarpLivelock(t *testing.T) {
 func TestGuardEventDrivenRingPanicContained(t *testing.T) {
 	c := buildZeroDelayRing(t)
 	_, err := SimulateContext(context.Background(), c, Options{
-		Algorithm: EventDriven,
-		Workers:   2,
-		Horizon:   8,
+		Engine:  EventDriven,
+		Workers: 2,
+		Horizon: 8,
 	})
 	var wf *WorkerFault
 	if !errors.As(err, &wf) {
@@ -145,11 +145,11 @@ func TestGuardDroppedWakeupWatchdog(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, err := SimulateContext(ctx, c, Options{
-		Algorithm: Async,
-		Workers:   2,
-		Horizon:   guardHorizon,
-		Watchdog:  300 * time.Millisecond,
-		Chaos:     &ChaosProbe{DropWakeups: 2},
+		Engine:   Async,
+		Workers:  2,
+		Horizon:  guardHorizon,
+		Watchdog: 300 * time.Millisecond,
+		Chaos:    &ChaosProbe{DropWakeups: 2},
 	})
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
@@ -163,10 +163,10 @@ func TestGuardDroppedWakeupWatchdog(t *testing.T) {
 func TestGuardDroppedWakeupSelfReport(t *testing.T) {
 	c := BenchFeedbackChain(13)
 	_, err := SimulateContext(context.Background(), c, Options{
-		Algorithm: DistAsync,
-		Workers:   2,
-		Horizon:   guardHorizon,
-		Chaos:     &ChaosProbe{DropWakeups: 2},
+		Engine:  DistAsync,
+		Workers: 2,
+		Horizon: guardHorizon,
+		Chaos:   &ChaosProbe{DropWakeups: 2},
 	})
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
@@ -183,9 +183,9 @@ func TestGuardDroppedWakeupSelfReport(t *testing.T) {
 // clean sequential run), flagged Degraded, and carry the original fault.
 func TestGuardFallbackDegraded(t *testing.T) {
 	ref, err := Simulate(BenchInverterArray(DefaultInverterArray()), Options{
-		Algorithm: Sequential,
-		Workers:   1,
-		Horizon:   200,
+		Engine:  Sequential,
+		Workers: 1,
+		Horizon: 200,
 	})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
@@ -195,17 +195,17 @@ func TestGuardFallbackDegraded(t *testing.T) {
 			continue
 		}
 		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
+		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
 			c := BenchInverterArray(DefaultInverterArray())
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			res, err := SimulateContext(ctx, c, Options{
-				Algorithm: alg,
-				Workers:   2,
-				Horizon:   200,
-				Fallback:  true,
-				Chaos:     &ChaosProbe{PanicAtEval: 40},
+				Engine:   alg,
+				Workers:  2,
+				Horizon:  200,
+				Fallback: true,
+				Chaos:    &ChaosProbe{PanicAtEval: 40},
 			})
 			if err != nil {
 				t.Fatalf("fallback did not absorb the fault: %v", err)
@@ -236,11 +236,11 @@ func TestGuardFallbackDegraded(t *testing.T) {
 func TestGuardFallbackSkippedForSequential(t *testing.T) {
 	c := BenchFeedbackChain(13)
 	_, err := SimulateContext(context.Background(), c, Options{
-		Algorithm: Sequential,
-		Workers:   1,
-		Horizon:   guardHorizon,
-		Fallback:  true,
-		Chaos:     &ChaosProbe{PanicAtEval: 40},
+		Engine:   Sequential,
+		Workers:  1,
+		Horizon:  guardHorizon,
+		Fallback: true,
+		Chaos:    &ChaosProbe{PanicAtEval: 40},
 	})
 	var wf *WorkerFault
 	if !errors.As(err, &wf) {
@@ -254,10 +254,10 @@ func TestGuardFallbackSkippedForSequential(t *testing.T) {
 func TestGuardChaosScopedProbeSparesOtherEngines(t *testing.T) {
 	c := BenchFeedbackChain(13)
 	res, err := SimulateContext(context.Background(), c, Options{
-		Algorithm: Async,
-		Workers:   2,
-		Horizon:   500,
-		Chaos:     &ChaosProbe{Engine: "time-warp", PanicAtEval: 1},
+		Engine:  Async,
+		Workers: 2,
+		Horizon: 500,
+		Chaos:   &ChaosProbe{Engine: "time-warp", PanicAtEval: 1},
 	})
 	if err != nil {
 		t.Fatalf("scoped probe fired in the wrong engine: %v", err)

@@ -1,23 +1,25 @@
 // Package auto registers the "auto" engine: cost-model-driven engine
 // selection. It never simulates anything itself — Run computes the static
-// circuit profile (analyze.Profile), ranks every registered engine through
-// the extended machine cost model (machine.Predict), and hands the run to
-// the predicted winner at the predicted worker count, partition strategy
-// and lane width. The decision is recorded on Report.Selected so the
-// facade, the CLIs and parsimd can all surface it.
+// circuit profile (analyze.Profile), ranks the five engines it can pick
+// (sequential, event-driven, compiled, asynchronous and the plane core as
+// jit) through the extended machine cost model (machine.Predict), and
+// hands the run to the predicted winner at the predicted worker count,
+// partition strategy and lane width. The decision is recorded on
+// Report.Selected so the facade, the CLIs and parsimd can all surface it.
 //
 // Config.Workers acts as a budget: the winner may run fewer workers than
 // the budget (a feedback-dominated circuit is fastest on one worker), never
-// more. Config.Lanes > 1 forces the levelized plane core under its jit
-// name: it is the only engine that carries lanes and produces LaneFinal
-// (vector names the same core), and a forced winner keeps batched selection
-// deterministic.
+// more (a budget below one counts as one, as in RunEngine). Config.Lanes
+// > 1 forces the levelized plane core under its jit name: it is the only
+// engine that carries lanes and produces LaneFinal (vector names the same
+// core), and a forced winner keeps batched selection deterministic.
 // Fault simulation never reaches this package: RunEngine rejects
 // Config.FaultSim for any engine that is not an engine.LaneEngine.
 package auto
 
 import (
 	"context"
+	"slices"
 
 	"parsim/internal/analyze"
 	"parsim/internal/circuit"
@@ -56,82 +58,33 @@ func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 // profile tooling and tests; Run is the production path.
 func Choose(c *circuit.Circuit, cfg engine.Config) (*engine.Selection, engine.Config) {
 	prof := analyze.Profile(c)
-	preds := machine.Predict(prof, machine.PredictOptions{
+	ranking := machine.Predict(prof, machine.PredictOptions{
 		MaxWorkers: cfg.Workers,
 		Lanes:      cfg.Lanes,
 		CostSpin:   cfg.CostSpin,
 	})
-
 	sel := &engine.Selection{
-		Confidence: machine.Confidence(preds),
-		Ranking:    make([]engine.Choice, 0, len(preds)),
+		Confidence: machine.Confidence(ranking),
+		Ranking:    ranking,
 		Profile:    prof,
 	}
-	var win *engine.Choice
-	for _, pr := range preds {
-		ch := engine.Choice{
-			Engine:   pr.Engine,
-			Workers:  pr.Workers,
-			Strategy: pr.Strategy,
-			Lanes:    pr.Lanes,
-			Span:     pr.Span,
-			Eligible: pr.Eligible,
-			Reason:   pr.Reason,
-		}
-		if _, err := engine.Get(ch.Engine); err != nil {
-			ch.Eligible = false
-			ch.Reason = "engine not registered"
-		}
-		sel.Ranking = append(sel.Ranking, ch)
-	}
+	// Eligible entries rank first, and sequential is always eligible.
+	win := &sel.Ranking[0]
 	if cfg.Lanes > 1 {
 		// Batched job: only the plane core carries lanes.
-		for i := range sel.Ranking {
-			if sel.Ranking[i].Engine == "jit" {
-				win = &sel.Ranking[i]
-				win.Eligible = true
-				win.Reason = "forced: Lanes > 1 needs a lane engine, and the plane core (jit; vector names the same core) is the only one"
-				break
-			}
-		}
+		win = &sel.Ranking[slices.IndexFunc(sel.Ranking, func(ch engine.Choice) bool { return ch.Engine == "jit" })]
+		win.Eligible = true
+		win.Reason = "forced: Lanes > 1 needs a lane engine, and the plane core (jit; vector names the same core) is the only one"
 		sel.Confidence = 1
 	}
-	if win == nil {
-		for i := range sel.Ranking {
-			if sel.Ranking[i].Eligible {
-				win = &sel.Ranking[i]
-				break
-			}
-		}
-	}
-	if win == nil {
-		// Nothing eligible (cannot happen with the stock registry, but a
-		// stripped build deserves a sane answer): fall back to sequential.
-		sel.Ranking = append(sel.Ranking, engine.Choice{
-			Engine: "sequential", Workers: 1, Eligible: true,
-			Reason: "fallback: no eligible prediction",
-		})
-		win = &sel.Ranking[len(sel.Ranking)-1]
-	}
-
-	sel.Engine = win.Engine
-	sel.Workers = win.Workers
-	sel.Strategy = win.Strategy
-	sel.Lanes = win.Lanes
+	sel.Engine, sel.Workers, sel.Strategy, sel.Lanes = win.Engine, win.Workers, win.Strategy, win.Lanes
 
 	icfg := cfg
 	icfg.Workers = win.Workers
-	if icfg.Workers < 1 || icfg.Workers > cfg.Workers {
-		icfg.Workers = cfg.Workers
-	}
-	if win.Engine == "sequential" {
-		icfg.Workers = 1
-	}
 	if win.Strategy != "" {
 		if s, err := partition.ParseStrategy(win.Strategy); err == nil {
 			icfg.Strategy = s
 		}
 	}
-	sel.Workers = icfg.Workers
 	return sel, icfg
 }

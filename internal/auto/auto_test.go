@@ -13,10 +13,8 @@ import (
 	// The candidates the selector must be able to hand a run to.
 	_ "parsim/internal/compiled"
 	_ "parsim/internal/core"
-	_ "parsim/internal/dist"
 	_ "parsim/internal/parevent"
 	_ "parsim/internal/seq"
-	_ "parsim/internal/timewarp"
 	_ "parsim/internal/vector"
 )
 
@@ -36,8 +34,8 @@ func TestRegistry(t *testing.T) {
 
 // TestChooseInverterArray pins the selection on the paper's flagship
 // circuit: the asynchronous engine at the full budget, with the complete
-// eight-entry ranking (the plane core ranks once, as jit) recorded on the
-// selection.
+// five-entry ranking of the engines auto can pick (the plane core ranks
+// once, as jit) recorded on the selection.
 func TestChooseInverterArray(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	sel, icfg := Choose(c, engine.Config{Workers: 4, Horizon: 96, CostSpin: 300})
@@ -47,8 +45,8 @@ func TestChooseInverterArray(t *testing.T) {
 	if icfg.Workers < 1 || icfg.Workers > 4 {
 		t.Errorf("inner config workers %d outside budget", icfg.Workers)
 	}
-	if len(sel.Ranking) != 8 {
-		t.Errorf("ranking has %d entries, want 8", len(sel.Ranking))
+	if len(sel.Ranking) != 5 {
+		t.Errorf("ranking has %d entries, want 5", len(sel.Ranking))
 	}
 	if sel.Profile == nil || sel.Profile.Elements == 0 {
 		t.Error("selection carries no profile")
@@ -171,6 +169,109 @@ func TestChoosePaperCircuits(t *testing.T) {
 				t.Errorf("%s at %d workers: memoized selection differs:\n first %+v\n again %+v",
 					tc.c.Name, workers, first, again)
 			}
+		}
+	}
+}
+
+// TestChoosePinnedWinners pins auto's winner — engine, workers, partition
+// strategy and lanes — on the four paper circuits across worker budgets,
+// CostSpin and lanes, so a cost-model edit that moves any pick shows here.
+func TestChoosePinnedWinners(t *testing.T) {
+	circuits := map[string]*circuit.Circuit{}
+	for _, c := range []*circuit.Circuit{
+		gen.GateMultiplier(gen.DefaultMultiplier()),
+		gen.FuncMultiplier(gen.DefaultMultiplier()),
+		gen.InverterArray(gen.DefaultInverterArray()),
+		gen.CPU(gen.DefaultCPU()),
+	} {
+		circuits[c.Name] = c
+	}
+	rows := []struct {
+		circuit  string
+		budget   int
+		spin     int64
+		lanes    int
+		engine   string
+		workers  int
+		strategy string
+		winLanes int
+	}{
+		{"mult16-gate", 1, 0, 0, "asynchronous", 1, "", 0},
+		{"mult16-gate", 1, 0, 16, "jit", 1, "", 16},
+		{"mult16-gate", 1, 300, 0, "event-driven", 1, "", 0},
+		{"mult16-gate", 1, 300, 16, "jit", 1, "", 16},
+		{"mult16-gate", 2, 0, 0, "asynchronous", 2, "", 0},
+		{"mult16-gate", 2, 0, 16, "jit", 2, "", 16},
+		{"mult16-gate", 2, 300, 0, "event-driven", 2, "", 0},
+		{"mult16-gate", 2, 300, 16, "jit", 2, "", 16},
+		{"mult16-gate", 4, 0, 0, "asynchronous", 4, "", 0},
+		{"mult16-gate", 4, 0, 16, "jit", 4, "", 16},
+		{"mult16-gate", 4, 300, 0, "asynchronous", 4, "", 0},
+		{"mult16-gate", 4, 300, 16, "jit", 4, "", 16},
+		{"mult16-gate", 16, 0, 0, "asynchronous", 16, "", 0},
+		{"mult16-gate", 16, 0, 16, "jit", 16, "", 16},
+		{"mult16-gate", 16, 300, 0, "asynchronous", 16, "", 0},
+		{"mult16-gate", 16, 300, 16, "jit", 16, "", 16},
+		{"mult16-func", 1, 0, 0, "event-driven", 1, "", 0},
+		{"mult16-func", 1, 0, 16, "jit", 1, "", 16},
+		{"mult16-func", 1, 300, 0, "event-driven", 1, "", 0},
+		{"mult16-func", 1, 300, 16, "jit", 1, "", 16},
+		{"mult16-func", 2, 0, 0, "asynchronous", 2, "", 0},
+		{"mult16-func", 2, 0, 16, "jit", 2, "", 16},
+		{"mult16-func", 2, 300, 0, "event-driven", 2, "", 0},
+		{"mult16-func", 2, 300, 16, "jit", 2, "", 16},
+		{"mult16-func", 4, 0, 0, "asynchronous", 4, "", 0},
+		{"mult16-func", 4, 0, 16, "jit", 4, "", 16},
+		{"mult16-func", 4, 300, 0, "asynchronous", 4, "", 0},
+		{"mult16-func", 4, 300, 16, "jit", 4, "", 16},
+		{"mult16-func", 16, 0, 0, "asynchronous", 16, "", 0},
+		{"mult16-func", 16, 0, 16, "jit", 16, "", 16},
+		{"mult16-func", 16, 300, 0, "asynchronous", 16, "", 0},
+		{"mult16-func", 16, 300, 16, "jit", 16, "", 16},
+		{"inverter-array-32x16-a32", 1, 0, 0, "asynchronous", 1, "", 0},
+		{"inverter-array-32x16-a32", 1, 0, 16, "jit", 1, "", 16},
+		{"inverter-array-32x16-a32", 1, 300, 0, "asynchronous", 1, "", 0},
+		{"inverter-array-32x16-a32", 1, 300, 16, "jit", 1, "", 16},
+		{"inverter-array-32x16-a32", 2, 0, 0, "asynchronous", 2, "", 0},
+		{"inverter-array-32x16-a32", 2, 0, 16, "jit", 2, "", 16},
+		{"inverter-array-32x16-a32", 2, 300, 0, "asynchronous", 2, "", 0},
+		{"inverter-array-32x16-a32", 2, 300, 16, "jit", 2, "", 16},
+		{"inverter-array-32x16-a32", 4, 0, 0, "asynchronous", 4, "", 0},
+		{"inverter-array-32x16-a32", 4, 0, 16, "jit", 4, "", 16},
+		{"inverter-array-32x16-a32", 4, 300, 0, "asynchronous", 4, "", 0},
+		{"inverter-array-32x16-a32", 4, 300, 16, "jit", 4, "", 16},
+		{"inverter-array-32x16-a32", 16, 0, 0, "asynchronous", 16, "", 0},
+		{"inverter-array-32x16-a32", 16, 0, 16, "jit", 16, "", 16},
+		{"inverter-array-32x16-a32", 16, 300, 0, "asynchronous", 16, "", 0},
+		{"inverter-array-32x16-a32", 16, 300, 16, "jit", 16, "", 16},
+		{"microprocessor", 1, 0, 0, "event-driven", 1, "", 0},
+		{"microprocessor", 1, 0, 16, "jit", 1, "", 16},
+		{"microprocessor", 1, 300, 0, "event-driven", 1, "", 0},
+		{"microprocessor", 1, 300, 16, "jit", 1, "", 16},
+		{"microprocessor", 2, 0, 0, "event-driven", 2, "", 0},
+		{"microprocessor", 2, 0, 16, "jit", 2, "", 16},
+		{"microprocessor", 2, 300, 0, "event-driven", 2, "", 0},
+		{"microprocessor", 2, 300, 16, "jit", 2, "", 16},
+		{"microprocessor", 4, 0, 0, "event-driven", 4, "", 0},
+		{"microprocessor", 4, 0, 16, "jit", 4, "", 16},
+		{"microprocessor", 4, 300, 0, "event-driven", 4, "", 0},
+		{"microprocessor", 4, 300, 16, "jit", 4, "", 16},
+		{"microprocessor", 16, 0, 0, "event-driven", 16, "", 0},
+		{"microprocessor", 16, 0, 16, "jit", 16, "", 16},
+		{"microprocessor", 16, 300, 0, "event-driven", 16, "", 0},
+		{"microprocessor", 16, 300, 16, "jit", 16, "", 16},
+	}
+	for _, r := range rows {
+		cfg := engine.Config{Workers: r.budget, Horizon: 512, CostSpin: r.spin, Lanes: r.lanes}
+		sel, icfg := Choose(circuits[r.circuit], cfg)
+		if sel.Engine != r.engine || sel.Workers != r.workers || sel.Strategy != r.strategy || sel.Lanes != r.winLanes {
+			t.Errorf("%s budget %d spin %d lanes %d: selected %s x%d strategy %q lanes %d, want %s x%d strategy %q lanes %d",
+				r.circuit, r.budget, r.spin, r.lanes, sel.Engine, sel.Workers, sel.Strategy, sel.Lanes,
+				r.engine, r.workers, r.strategy, r.winLanes)
+		}
+		if icfg.Workers != sel.Workers {
+			t.Errorf("%s budget %d spin %d lanes %d: inner config runs %d workers, selection says %d",
+				r.circuit, r.budget, r.spin, r.lanes, icfg.Workers, sel.Workers)
 		}
 	}
 }

@@ -113,12 +113,11 @@ type Config struct {
 	// plus a per-worker diagnostic dump. 0 disables the watchdog.
 	Watchdog time.Duration
 	// Fallback is the retry policy applied when the original engine
-	// faults or stalls: the run is transparently retried on the named
-	// engine (typically "sequential"), with capped exponential backoff
-	// between attempts. The retried Report carries Degraded=true and a
-	// *FallbackError (attempt count + original error) in Fault. A zero
-	// policy disables fallback.
-	Fallback FallbackPolicy
+	// faults or stalls: the run is transparently retried on the sequential
+	// reference engine, with capped exponential backoff between attempts.
+	// The retried Report carries Degraded=true and a *FallbackError
+	// (attempt count + original error) in Fault. Nil disables fallback.
+	Fallback *FallbackPolicy
 
 	// Checkpoint asks the engine to write periodic snapshots at quiescent
 	// points (see CheckpointSpec). Only the engines that implement
@@ -195,9 +194,6 @@ type Config struct {
 // FallbackPolicy configures the transparent retry applied after a
 // recoverable failure (worker panic or watchdog stall).
 type FallbackPolicy struct {
-	// Engine names the engine the run is retried on; empty disables
-	// fallback entirely.
-	Engine string
 	// MaxRetries is the number of fallback attempts; 0 defaults to 1 (a
 	// single re-run, the historical behaviour).
 	MaxRetries int
@@ -207,9 +203,6 @@ type FallbackPolicy struct {
 	// inter-attempt delays.
 	BaseDelay time.Duration
 }
-
-// Enabled reports whether the policy names a fallback engine.
-func (p FallbackPolicy) Enabled() bool { return p.Engine != "" }
 
 // MaxFallbackDelay caps the exponential backoff between fallback attempts.
 const MaxFallbackDelay = 2 * time.Second
@@ -234,12 +227,10 @@ type CheckpointSpec struct {
 	Path string
 	// EverySteps is the capture interval in time steps; 0 defaults to
 	// DefaultCheckpointEvery. Captures are throttled to at most one
-	// durable write per WriteGap of wall time (the first is immediate).
+	// durable write per checkpoint.DefaultGap of wall time (the first is
+	// immediate), so a kill -9 loses at most one gap plus one capture
+	// interval of work.
 	EverySteps int64
-	// WriteGap is the minimum wall-clock spacing between durable writes;
-	// 0 defaults to checkpoint.DefaultGap. A kill -9 loses at most one
-	// gap plus one capture interval of work.
-	WriteGap time.Duration
 	// OnSave, when set, is called after each snapshot reaches disk (the
 	// server journals checkpoint records through it). It may run
 	// concurrently with the simulation's subsequent steps.
@@ -288,9 +279,9 @@ type Report struct {
 	// FaultCoverage reports stuck-at coverage from a fault-simulation run
 	// (Config.FaultSim); nil otherwise.
 	FaultCoverage *stats.FaultCoverage
-	// Degraded marks a result produced by the Config.Fallback engine
-	// after the requested engine faulted or stalled; Fault holds a
-	// *FallbackError wrapping the original engine's error.
+	// Degraded marks a result produced by the sequential fallback
+	// (Config.Fallback) after the requested engine faulted or stalled;
+	// Fault holds a *FallbackError wrapping the original engine's error.
 	Degraded bool
 	Fault    error
 	// Resumed marks a run continued from a Config.ResumeFrom snapshot
@@ -333,7 +324,7 @@ type Selection struct {
 // scheduling quantum (a time step, a GVT round, or a queue poll) and
 // returns its partial Report; RunEngine pairs it with ctx.Err().
 type Engine interface {
-	// Name is the canonical registry name (matches Algorithm.String()).
+	// Name is the canonical registry name.
 	Name() string
 	Run(ctx context.Context, c *circuit.Circuit, cfg Config) (*Report, error)
 }
@@ -443,7 +434,8 @@ func Run(ctx context.Context, name string, c *circuit.Circuit, cfg Config) (*Rep
 // inside an engine) and invokes e under the supervision layer: worker
 // panics come back as *guard.WorkerFault, flat-lined runs as
 // guard.ErrStalled when a Watchdog window is set, and either outcome is
-// transparently retried on the Config.Fallback engine when one is named.
+// transparently retried on the sequential engine when Config.Fallback is
+// set.
 func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*Report, error) {
 	if c == nil {
 		return nil, fmt.Errorf("parsim: nil circuit")
@@ -463,13 +455,6 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 	if _, err := CheckLanes(e, cfg); err != nil {
 		return nil, err
 	}
-	var fb Engine
-	if cfg.Fallback.Enabled() {
-		var err error
-		if fb, err = Get(cfg.Fallback.Engine); err != nil {
-			return nil, fmt.Errorf("parsim: invalid fallback engine: %w", err)
-		}
-	}
 	if err := resolveCheckpoint(c, e, &cfg); err != nil {
 		return nil, err
 	}
@@ -480,7 +465,8 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 		}
 	}
 	rep, err := runGuarded(ctx, e, c, cfg)
-	if err == nil || fb == nil || fb.Name() == e.Name() || !guard.Recoverable(err) ||
+	fb, _ := Get("sequential") // nil only in a build that links no sequential engine
+	if err == nil || cfg.Fallback == nil || fb == nil || fb.Name() == e.Name() || !guard.Recoverable(err) ||
 		cfg.FaultSim { // a scalar fallback cannot carry a fault-sim run
 		if err == nil && cfg.ResumeFrom != "" {
 			rep.Resumed = true
@@ -493,15 +479,13 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 	// snapshots are bound to the original engine's digest), retrying with
 	// capped exponential backoff, and report the degraded outcome.
 	fbCfg := cfg
-	fbCfg.Fallback = FallbackPolicy{}
+	fbCfg.Fallback = nil
 	fbCfg.Chaos = nil
 	fbCfg.Lint = LintOff // the circuit was already linted above
 	fbCfg.Checkpoint = CheckpointSpec{}
 	fbCfg.ResumeFrom = ""
 	fbCfg.Ckpt = nil
-	if fb.Name() == "sequential" {
-		fbCfg.Workers = 1
-	}
+	fbCfg.Workers = 1
 	attempts := cfg.Fallback.MaxRetries
 	if attempts < 1 {
 		attempts = 1
@@ -588,7 +572,7 @@ func resolveCheckpoint(c *circuit.Circuit, e Engine, cfg *Config) error {
 		FaultMaxPasses: cfg.FaultMaxPasses,
 		FaultStatuses:  cfg.FaultStatuses,
 		CollectAvail:   cfg.CollectAvail,
-	}, checkpoint.Plan{Path: cfg.Checkpoint.Path, Every: every, Gap: cfg.Checkpoint.WriteGap, OnSave: cfg.Checkpoint.OnSave},
+	}, checkpoint.Plan{Path: cfg.Checkpoint.Path, Every: every, OnSave: cfg.Checkpoint.OnSave},
 		cfg.ResumeFrom, cfg.Probe)
 	return err
 }

@@ -5,14 +5,17 @@ import (
 	"sort"
 
 	"parsim/internal/analyze"
+	"parsim/internal/engine"
 )
 
 // This file extends the virtual-machine cost model from replaying traces
 // (EventDriven/Compiled/Async over a sequential run) to predicting runtime
 // from a static analyze.CircuitProfile alone: no simulation, no traces.
 // The predictions drive engine=auto — given a profile and a worker budget,
-// Predict ranks every engine's best configuration by estimated per-tick
-// cost. The absolute units are arbitrary; only the ordering and the
+// Predict ranks the best configuration of every engine auto can pick by
+// estimated per-tick cost. The T5 baselines (chandy-misra, time-warp,
+// distributed-async) are not modelled: they exist to be measured against,
+// never to be picked. The absolute units are arbitrary; only the ordering and the
 // relative gaps matter, and the knobs below are calibrated on the four
 // paper circuits against measured wall-clock (bench/'s auto.regret_ratio
 // now tracks how far the picks are from the best fixed engine).
@@ -32,25 +35,13 @@ type PredictOptions struct {
 	Cost CostModel
 }
 
-// Prediction is one engine's best predicted configuration.
-type Prediction struct {
-	Engine   string `json:"engine"`
-	Workers  int    `json:"workers"`
-	Strategy string `json:"strategy,omitempty"`
-	Lanes    int    `json:"lanes,omitempty"`
-	// Span is the predicted cost of simulating one tick, abstract units.
-	Span     float64 `json:"span"`
-	Eligible bool    `json:"eligible"`
-	Reason   string  `json:"reason,omitempty"`
-}
-
 // Model knobs specific to static prediction, separate from CostModel so the
 // trace-replay models keep their paper calibration. Values are tuned so the
 // ranking reproduces the measured ordering on the paper circuits.
 const (
 	// Per-evaluation dispatch overhead, in cost units, for the dynamically
 	// scheduled engines: heap pops, valid-time checks, activation queues.
-	// The asynchronous family runs leaner than the synchronous event-driven
+	// The asynchronous engine runs leaner than the synchronous event-driven
 	// engine (paper §5: async is 1-3x faster on one processor).
 	edOverhead    = 6.0
 	asyncOverhead = 2.5
@@ -68,17 +59,8 @@ const (
 	// element cost (CostSpin=300 roughly triples a cost-1 gate evaluation
 	// relative to its dispatch).
 	spinDiv = 100.0
-	// chandyMisraPenalty scales the conservative null-message machinery.
-	chandyMisraPenalty = 1.35
-	// timeWarpBase/timeWarpSeq model optimistic overhead: state saving on
-	// every step plus rollback risk that grows with sequential depth.
-	timeWarpBase = 1.7
-	timeWarpSeq  = 1.5
-	// distMsgCost is the per-cut-event message cost of the
-	// distributed-async engine's mailbox transport.
-	distMsgCost = 12.0
 	// contentionBeta scales the fanout-contention penalty of the
-	// asynchronous family: engines that lock per node serialise behind wide
+	// asynchronous engine: it locks per node, so it serialises behind wide
 	// fanouts, so their work dilates with ln(edge-weighted mean fanout).
 	// Calibrated on the measured one-worker walls of the paper circuits
 	// (async/event-driven ratio: inverter array 1.0 at edge fanout 1,
@@ -86,11 +68,13 @@ const (
 	contentionBeta = 0.6
 )
 
-// Predict ranks every engine's best configuration for the profiled circuit
-// under the given budget: eligible engines first, ordered by predicted
-// span. The slice always contains one entry per engine — the plane core
-// once, under its jit name.
-func Predict(p *analyze.CircuitProfile, opts PredictOptions) []Prediction {
+// Predict ranks the best configuration of every engine auto can pick for
+// the profiled circuit under the given budget: eligible engines first,
+// ordered by predicted span (Choice.Span, abstract units per tick). The
+// slice always holds five entries — sequential, event-driven, compiled,
+// asynchronous and the plane core once, under its jit name — and
+// sequential is always eligible.
+func Predict(p *analyze.CircuitProfile, opts PredictOptions) []engine.Choice {
 	if opts.MaxWorkers < 1 {
 		opts.MaxWorkers = 1
 	}
@@ -99,15 +83,12 @@ func Predict(p *analyze.CircuitProfile, opts PredictOptions) []Prediction {
 		opts.Cost = DefaultCostModel()
 	}
 	m := &predictor{p: p, opts: opts}
-	preds := []Prediction{
+	preds := []engine.Choice{
 		m.sequential(),
 		m.eventDriven(),
 		m.compiled(),
 		m.jit(),
-		m.async("asynchronous", 1, 0),
-		m.async("chandy-misra", chandyMisraPenalty, 0),
-		m.async("time-warp", timeWarpBase+timeWarpSeq*p.SeqFraction, 0),
-		m.async("distributed-async", 1.1, distMsgCost),
+		m.async(),
 	}
 	sort.SliceStable(preds, func(i, j int) bool {
 		a, b := preds[i], preds[j]
@@ -124,7 +105,7 @@ func Predict(p *analyze.CircuitProfile, opts PredictOptions) []Prediction {
 
 // Confidence scores a ranking: the relative span gap between the two best
 // eligible predictions, in [0, 1]. One eligible engine scores 1.
-func Confidence(preds []Prediction) float64 {
+func Confidence(preds []engine.Choice) float64 {
 	var spans []float64
 	for _, pr := range preds {
 		if pr.Eligible {
@@ -180,14 +161,14 @@ func (m *predictor) bestStrategy(workers int) analyze.CutQuality {
 	return best
 }
 
-func (m *predictor) sequential() Prediction {
+func (m *predictor) sequential() engine.Choice {
 	// One worker, one heap, no barriers, no contention — but also none of
 	// the parallel engine's distributed queues: every event goes through the
 	// single global heap. Measured one-worker walls on the paper circuits
 	// have event-driven at or slightly below sequential everywhere, so the
 	// reference engine carries a small dispatch surcharge and serves as the
 	// ranking's baseline rather than its winner.
-	return Prediction{
+	return engine.Choice{
 		Engine:   "sequential",
 		Workers:  1,
 		Span:     m.dynWork(edOverhead + 0.5),
@@ -195,12 +176,12 @@ func (m *predictor) sequential() Prediction {
 	}
 }
 
-func (m *predictor) eventDriven() Prediction {
+func (m *predictor) eventDriven() engine.Choice {
 	cm := m.opts.Cost
 	work := m.dynWork(edOverhead)
 	// Barriers close every active tick; idle ticks are skipped cheaply.
 	active := math.Min(1, m.p.EvalsPerTick)
-	best := Prediction{Engine: "event-driven", Eligible: true, Span: math.MaxFloat64}
+	best := engine.Choice{Engine: "event-driven", Eligible: true, Span: math.MaxFloat64}
 	for _, p := range m.workerSweep() {
 		span := cm.dilation(p) * work / float64(p)
 		if p > 1 {
@@ -213,12 +194,12 @@ func (m *predictor) eventDriven() Prediction {
 	return best
 }
 
-func (m *predictor) compiled() Prediction {
+func (m *predictor) compiled() engine.Choice {
 	cm := m.opts.Cost
 	// Every element evaluates every tick, active or not.
 	n := float64(m.p.Elements - m.p.Generators)
 	work := n*compiledOverhead + float64(m.p.TotalCost)*m.spin()
-	best := Prediction{Engine: "compiled", Eligible: true, Span: math.MaxFloat64}
+	best := engine.Choice{Engine: "compiled", Eligible: true, Span: math.MaxFloat64}
 	for _, p := range m.workerSweep() {
 		cq := m.bestStrategy(p)
 		span := cm.dilation(p) * work / float64(p) * cq.Imbalance
@@ -244,11 +225,11 @@ func (m *predictor) compiled() Prediction {
 // cuts the schedule into cost-balanced contiguous runs itself, so no
 // partition strategy (and no imbalance factor) applies. Like every
 // rank-order engine it is gated on unit delays.
-func (m *predictor) jit() Prediction {
+func (m *predictor) jit() engine.Choice {
 	cm := m.opts.Cost
 	n := float64(m.p.Elements - m.p.Generators)
 	work := n*jitOverhead + float64(m.p.TotalCost)*m.spin()
-	best := Prediction{Engine: "jit", Eligible: true, Span: math.MaxFloat64}
+	best := engine.Choice{Engine: "jit", Eligible: true, Span: math.MaxFloat64}
 	for _, p := range m.workerSweep() {
 		span := cm.dilation(p) * work / float64(p)
 		if p > 1 {
@@ -272,28 +253,23 @@ func (m *predictor) jit() Prediction {
 	return best
 }
 
-// async models the conservative asynchronous family: no barriers, work
+// async models the paper's asynchronous algorithm: no barriers, work
 // split across workers, but serialised by the hottest element and by
 // feedback loops (paper §4.1: a loop degenerates to one event at a time).
-// penalty scales the whole engine; msgCost charges cut-edge traffic.
-func (m *predictor) async(name string, penalty, msgCost float64) Prediction {
+func (m *predictor) async() engine.Choice {
 	cm := m.opts.Cost
 	contention := 1 + contentionBeta*math.Log(math.Max(1, m.p.EdgeFanout))
 	work := m.dynWork(asyncOverhead) * contention
 	serial := math.Max(
 		m.p.MaxRateCost*m.spin()+asyncOverhead,
 		m.p.LoopSerialCost*m.spin())
-	best := Prediction{Engine: name, Eligible: true, Span: math.MaxFloat64}
+	best := engine.Choice{Engine: "asynchronous", Eligible: true, Span: math.MaxFloat64}
 	for _, p := range m.workerSweep() {
 		span := cm.dilation(p) * work / float64(p)
 		if p > 1 {
 			span += cm.LockCost * m.p.EvalsPerTick / float64(p)
-			if msgCost > 0 {
-				cq := m.p.CutAt("blocks", p)
-				span += msgCost * m.p.EvalsPerTick * cq.CutFraction / float64(p)
-			}
 		}
-		span = math.Max(span, serial) * penalty
+		span = math.Max(span, serial)
 		if span < best.Span {
 			best.Span, best.Workers = span, p
 		}

@@ -6,19 +6,20 @@ import (
 
 	"parsim/internal/analyze"
 	"parsim/internal/circuit"
+	"parsim/internal/engine"
 	"parsim/internal/gen"
 )
 
+// allEngines is what auto can pick: the T5 baselines are not modelled.
 func allEngines() map[string]bool {
 	return map[string]bool{
 		"sequential": true, "event-driven": true, "compiled": true,
 		"jit": true, "asynchronous": true,
-		"chandy-misra": true, "time-warp": true, "distributed-async": true,
 	}
 }
 
-// TestPredictCoversEveryEngine: one prediction per engine, eligible
-// entries sorted first by ascending span.
+// TestPredictCoversEveryEngine: one prediction per engine auto can pick,
+// eligible entries sorted first by ascending span.
 func TestPredictCoversEveryEngine(t *testing.T) {
 	p := analyze.Profile(gen.InverterArray(gen.DefaultInverterArray()))
 	preds := Predict(p, PredictOptions{MaxWorkers: 4, CostSpin: 300})
@@ -119,14 +120,14 @@ func TestPredictJITGainsFromSecondWorker(t *testing.T) {
 		gen.CPU(gen.DefaultCPU()),
 	} {
 		p := analyze.Profile(c)
-		jit := func(budget int) Prediction {
+		jit := func(budget int) engine.Choice {
 			for _, pr := range Predict(p, PredictOptions{MaxWorkers: budget}) {
 				if pr.Engine == "jit" {
 					return pr
 				}
 			}
 			t.Fatal("no jit prediction")
-			return Prediction{}
+			return engine.Choice{}
 		}
 		one, two := jit(1), jit(2)
 		if two.Workers != 2 || two.Span >= one.Span {

@@ -322,7 +322,7 @@ func TestJournalReplayCarriesEveryField(t *testing.T) {
 		CostSpin:       3,
 		Lint:           engine.LintWarn,
 		Watchdog:       250 * time.Millisecond,
-		Fallback:       engine.FallbackPolicy{Engine: "sequential"},
+		Fallback:       &engine.FallbackPolicy{},
 		ResumeFrom:     snap,
 		Lanes:          4,
 		LaneStride:     5,

@@ -560,7 +560,7 @@ func (s *Server) buildJob(req *cluster.Submission) (*job, int, error) {
 		state:    jobQueued,
 	}
 	if req.Fallback {
-		j.cfg.Fallback = engine.FallbackPolicy{Engine: "sequential"}
+		j.cfg.Fallback = &engine.FallbackPolicy{}
 	}
 	if len(watch) > 0 {
 		j.rec = trace.NewRecorderFor(watch...)

@@ -68,13 +68,13 @@ func TestLintRefusesZeroDelayRingAllEngines(t *testing.T) {
 	})
 	for _, algo := range algos {
 		for _, mode := range []LintMode{LintWarn, LintStrict} {
-			t.Run(algo.String()+"/"+mode.String(), func(t *testing.T) {
+			t.Run(algo+"/"+mode.String(), func(t *testing.T) {
 				c := buildZeroDelayRing(t)
 				_, err := Simulate(c, Options{
-					Algorithm: algo,
-					Horizon:   8,
-					Workers:   1,
-					Lint:      mode,
+					Engine:  algo,
+					Horizon: 8,
+					Workers: 1,
+					Lint:    mode,
 				})
 				if err == nil {
 					t.Fatalf("%s accepted a zero-delay ring under lint %s", algo, mode)
@@ -99,10 +99,10 @@ func TestLintOffZeroDelayRingLivelocks(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	_, err := SimulateContext(ctx, c, Options{
-		Algorithm: TimeWarp,
-		Horizon:   8,
-		Workers:   2,
-		Lint:      LintOff,
+		Engine:  TimeWarp,
+		Horizon: 8,
+		Workers: 2,
+		Lint:    LintOff,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("time-warp with lint off should livelock into the deadline, got err=%v", err)
@@ -119,10 +119,10 @@ func TestLintDistRejectsBeforeRunning(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	res, err := SimulateContext(ctx, c, Options{
-		Algorithm: DistAsync,
-		Horizon:   8,
-		Workers:   4,
-		Lint:      LintStrict,
+		Engine:  DistAsync,
+		Horizon: 8,
+		Workers: 4,
+		Lint:    LintStrict,
 	})
 	if err == nil {
 		t.Fatal("dist accepted a zero-delay ring under strict lint")
@@ -143,9 +143,9 @@ func TestLintDistRejectsBeforeRunning(t *testing.T) {
 func TestLintStrictAllowsCleanCircuit(t *testing.T) {
 	c := buildBlinker(t)
 	res, err := Simulate(c, Options{
-		Algorithm: Sequential,
-		Horizon:   40,
-		Lint:      LintStrict,
+		Engine:  Sequential,
+		Horizon: 40,
+		Lint:    LintStrict,
 	})
 	if err != nil {
 		t.Fatalf("strict lint rejected a clean circuit: %v", err)

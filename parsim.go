@@ -40,9 +40,9 @@
 //	c, err := b.Build()
 //	...
 //	res, err := parsim.Simulate(c, parsim.Options{
-//		Algorithm: parsim.Async,
-//		Workers:   runtime.NumCPU(),
-//		Horizon:   1000,
+//		Engine:  parsim.Async,
+//		Workers: runtime.NumCPU(),
+//		Horizon: 1000,
 //	})
 package parsim
 
@@ -191,12 +191,11 @@ var (
 	HistoryDiff = trace.Diff
 )
 
-// Algorithm selects a simulation algorithm by its engine registry name:
-// the constants below are the canonical names of the registered
-// simulators, and ParseAlgorithm returns the canonical name of any
-// registered engine or alias ("auto" included). The zero value selects
-// Sequential.
-type Algorithm string
+// Algorithm is an engine registry name, as Options.Engine takes it: the
+// constants below are the canonical names of the registered simulators,
+// and ParseAlgorithm returns the canonical name of any registered engine
+// or alias ("auto" included).
+type Algorithm = string
 
 // The registered simulators.
 const (
@@ -254,23 +253,14 @@ const (
 	JIT Algorithm = "jit"
 )
 
-// String returns the registry name; the zero value names Sequential.
-func (a Algorithm) String() string {
-	if a == "" {
-		return string(Sequential)
-	}
-	return string(a)
-}
-
 // Options configures Simulate.
 type Options struct {
-	Algorithm Algorithm
-	// Engine, when non-empty, selects the engine by registry name and
-	// overrides Algorithm. This is how names without an Algorithm constant
-	// are reached — above all "auto", which profiles the circuit
-	// statically, ranks every engine through the cost model, and runs the
-	// predicted winner (Result.Selected records the decision; Workers acts
-	// as a budget the winner may undershoot but never exceed).
+	// Engine selects the engine by registry name or alias: one of the
+	// Algorithm constants, any name ParseAlgorithm accepts, or "" for
+	// Sequential. "auto" profiles the circuit statically, ranks the
+	// engines it can pick through the cost model, and runs the predicted
+	// winner (Result.Selected records the decision; Workers acts as a
+	// budget the winner may undershoot but never exceed).
 	Engine  string
 	Horizon Time  // simulate t in [0, Horizon); required
 	Workers int   // parallel workers; default 1
@@ -436,21 +426,20 @@ func Simulate(c *Circuit, opts Options) (*Result, error) {
 // the partial Result accumulated so far is returned together with
 // ctx.Err().
 //
-// Dispatch goes through the engine registry: the Algorithm's name (its
-// String) is the registry key, so this function, the CLIs, the figure
-// harness and the benchmarks all resolve algorithms through one table.
+// Dispatch goes through the engine registry: Options.Engine is the
+// registry key, so this function, the CLIs, the figure harness and the
+// benchmarks all resolve algorithms through one table.
 func SimulateContext(ctx context.Context, c *Circuit, opts Options) (*Result, error) {
-	var fallback engine.FallbackPolicy
+	var fallback *engine.FallbackPolicy
 	if opts.Fallback {
-		fallback = engine.FallbackPolicy{
-			Engine:     Sequential.String(),
+		fallback = &engine.FallbackPolicy{
 			MaxRetries: opts.FallbackRetries,
 			BaseDelay:  opts.FallbackDelay,
 		}
 	}
 	name := opts.Engine
 	if name == "" {
-		name = opts.Algorithm.String()
+		name = Sequential
 	}
 	rep, err := engine.Run(ctx, name, c, engine.Config{
 		Workers:        opts.Workers,

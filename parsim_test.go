@@ -26,7 +26,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	var ref *Recorder
 	for _, alg := range []Algorithm{Sequential, EventDriven, Compiled, Async, DistAsync, TimeWarp, ChandyMisra, Vector} {
 		rec := NewRecorder()
-		opts := Options{Algorithm: alg, Horizon: 200, Probe: rec, Workers: 2}
+		opts := Options{Engine: alg, Horizon: 200, Probe: rec, Workers: 2}
 		if alg == Sequential {
 			opts.Workers = 1
 		}
@@ -50,10 +50,10 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 func TestSimulateErrors(t *testing.T) {
 	c := buildBlinker(t)
 	cases := []Options{
-		{Algorithm: Sequential, Horizon: 10, Workers: 4}, // seq is single-worker
-		{Algorithm: Async, Horizon: -1},
-		{Algorithm: "warp-9", Horizon: 10}, // not a registered name
-		{Algorithm: Async, Horizon: 10, Workers: -3},
+		{Engine: Sequential, Horizon: 10, Workers: 4}, // seq is single-worker
+		{Engine: Async, Horizon: -1},
+		{Engine: "warp-9", Horizon: 10}, // not a registered name
+		{Engine: Async, Horizon: 10, Workers: -3},
 	}
 	for i, opts := range cases {
 		if _, err := Simulate(c, opts); err == nil {
@@ -67,7 +67,7 @@ func TestSimulateErrors(t *testing.T) {
 
 func TestDefaultWorkerCount(t *testing.T) {
 	c := buildBlinker(t)
-	res, err := Simulate(c, Options{Algorithm: Async, Horizon: 50})
+	res, err := Simulate(c, Options{Engine: Async, Horizon: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,23 +76,22 @@ func TestDefaultWorkerCount(t *testing.T) {
 	}
 }
 
+// TestAlgorithmNames: every Algorithm constant is a canonical registry
+// name, and the zero Options.Engine runs Sequential.
 func TestAlgorithmNames(t *testing.T) {
-	names := map[Algorithm]string{
-		Sequential: "sequential", EventDriven: "event-driven",
-		Compiled: "compiled", Async: "asynchronous",
-		DistAsync: "distributed-async", TimeWarp: "time-warp",
-		ChandyMisra: "chandy-misra", Vector: "vector", JIT: "jit", "": "sequential",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Errorf("Algorithm(%q).String() = %q, want %q", string(a), a.String(), want)
+	for _, a := range []Algorithm{Sequential, EventDriven, Compiled, Async, DistAsync, TimeWarp, ChandyMisra, Vector, JIT} {
+		if got, err := ParseAlgorithm(a); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %q, %v; want the constant itself", a, got, err)
 		}
+	}
+	if res, err := Simulate(buildBlinker(t), Options{Horizon: 10}); err != nil || res.Stats.Algorithm != Sequential {
+		t.Errorf("zero Engine: %v, want a %s run", err, Sequential)
 	}
 	// An unregistered name is the registry's error, at parse and at run.
 	if _, err := ParseAlgorithm("warp-9"); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Errorf("ParseAlgorithm(warp-9): %v, want the registry's unknown-algorithm error", err)
 	}
-	if _, err := Simulate(buildBlinker(t), Options{Algorithm: "warp-9", Horizon: 10}); err == nil ||
+	if _, err := Simulate(buildBlinker(t), Options{Engine: "warp-9", Horizon: 10}); err == nil ||
 		!strings.Contains(err.Error(), "unknown algorithm") {
 		t.Errorf("Simulate(warp-9): %v, want the registry's unknown-algorithm error", err)
 	}
@@ -100,8 +99,7 @@ func TestAlgorithmNames(t *testing.T) {
 
 // TestParseAlgorithmCoversRegistry walks the engine registry: every
 // canonical name and every alias — "auto" and its alias "select" included
-// — must resolve to the Algorithm whose String() is the engine's canonical
-// name.
+// — must resolve to the engine's canonical name.
 func TestParseAlgorithmCoversRegistry(t *testing.T) {
 	aliases := map[string]string{
 		"seq": "sequential", "event": "event-driven", "parallel-event-driven": "event-driven",
@@ -119,7 +117,7 @@ func TestParseAlgorithmCoversRegistry(t *testing.T) {
 		a, err := ParseAlgorithm(name)
 		if err != nil {
 			t.Errorf("ParseAlgorithm(%q): %v", name, err)
-		} else if a.String() != canonical {
+		} else if a != canonical {
 			t.Errorf("ParseAlgorithm(%q) = %v, want %s", name, a, canonical)
 		}
 	}
@@ -157,17 +155,17 @@ func TestStatsNameTheEngine(t *testing.T) {
 func TestLaneFieldsCheckedOnScalarEngines(t *testing.T) {
 	c := buildBlinker(t)
 	for _, opts := range []Options{
-		{Algorithm: Sequential, Horizon: 10, Lanes: 99999},
-		{Algorithm: Sequential, Horizon: 10, ProbeLane: 3},
-		{Algorithm: Sequential, Horizon: 10, Lanes: 99999, ProbeLane: 3},
-		{Algorithm: Async, Horizon: 10, FaultSim: true},
+		{Engine: Sequential, Horizon: 10, Lanes: 99999},
+		{Engine: Sequential, Horizon: 10, ProbeLane: 3},
+		{Engine: Sequential, Horizon: 10, Lanes: 99999, ProbeLane: 3},
+		{Engine: Async, Horizon: 10, FaultSim: true},
 	} {
 		if _, err := Simulate(c, opts); err == nil {
 			t.Errorf("%s with lanes %d, probe lane %d, fault sim %v accepted",
-				opts.Algorithm, opts.Lanes, opts.ProbeLane, opts.FaultSim)
+				opts.Engine, opts.Lanes, opts.ProbeLane, opts.FaultSim)
 		}
 	}
-	if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: 10, Lanes: 64}); err != nil {
+	if _, err := Simulate(c, Options{Engine: Sequential, Horizon: 10, Lanes: 64}); err != nil {
 		t.Errorf("a scalar engine must ignore an in-range lane count: %v", err)
 	}
 }
@@ -193,7 +191,7 @@ func TestNetlistRoundTripViaFacade(t *testing.T) {
 func TestVCDOutput(t *testing.T) {
 	c := buildBlinker(t)
 	rec := NewRecorder()
-	if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: 40, Probe: rec}); err != nil {
+	if _, err := Simulate(c, Options{Engine: Sequential, Horizon: 40, Probe: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -211,12 +209,12 @@ func TestVCDOutput(t *testing.T) {
 func TestEventDrivenAblationsAgree(t *testing.T) {
 	c := BenchInverterArray(InverterArrayConfig{Rows: 4, Cols: 4, ActiveRows: 4, TogglePeriod: 1})
 	ref := NewRecorder()
-	if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: 100, Probe: ref}); err != nil {
+	if _, err := Simulate(c, Options{Engine: Sequential, Horizon: 100, Probe: ref}); err != nil {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{
-		{Algorithm: EventDriven, Horizon: 100, Workers: 3, NoSteal: true},
-		{Algorithm: EventDriven, Horizon: 100, Workers: 3, CentralQueue: true},
+		{Engine: EventDriven, Horizon: 100, Workers: 3, NoSteal: true},
+		{Engine: EventDriven, Horizon: 100, Workers: 3, CentralQueue: true},
 	} {
 		rec := NewRecorder()
 		opts.Probe = rec
@@ -233,12 +231,12 @@ func TestGateLookaheadOption(t *testing.T) {
 	c := BenchCPU(DefaultCPU())
 	h := CPUHorizon(DefaultCPU(), 15)
 	ref := NewRecorder()
-	if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: h, Probe: ref}); err != nil {
+	if _, err := Simulate(c, Options{Engine: Sequential, Horizon: h, Probe: ref}); err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder()
 	res, err := Simulate(c, Options{
-		Algorithm: Async, Workers: 2, Horizon: h, Probe: rec, GateLookahead: true,
+		Engine: Async, Workers: 2, Horizon: h, Probe: rec, GateLookahead: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +252,7 @@ func TestGateLookaheadOption(t *testing.T) {
 func TestCompiledStrategyOption(t *testing.T) {
 	c := BenchInverterArray(InverterArrayConfig{Rows: 4, Cols: 4, ActiveRows: 4, TogglePeriod: 1})
 	for _, s := range []Strategy{RoundRobin, Blocks, CostLPT} {
-		if _, err := Simulate(c, Options{Algorithm: Compiled, Horizon: 50, Workers: 2, Strategy: s}); err != nil {
+		if _, err := Simulate(c, Options{Engine: Compiled, Horizon: 50, Workers: 2, Strategy: s}); err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
 		}
 	}
@@ -294,7 +292,7 @@ func buildZeroDelayChain(t *testing.T) *Circuit {
 func TestAutoZeroDelayMatchesSequential(t *testing.T) {
 	c := buildZeroDelayChain(t)
 	ref, got := NewRecorder(), NewRecorder()
-	if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: 21, Probe: ref}); err != nil {
+	if _, err := Simulate(c, Options{Engine: Sequential, Horizon: 21, Probe: ref}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Simulate(c, Options{Engine: "auto", Horizon: 21, Workers: 2, Probe: got})
@@ -309,7 +307,7 @@ func TestAutoZeroDelayMatchesSequential(t *testing.T) {
 func TestCPUFacade(t *testing.T) {
 	cfg := DefaultCPU()
 	c := BenchCPU(cfg)
-	res, err := Simulate(c, Options{Algorithm: Async, Workers: 2, Horizon: CPUHorizon(cfg, 150)})
+	res, err := Simulate(c, Options{Engine: Async, Workers: 2, Horizon: CPUHorizon(cfg, 150)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,13 +367,13 @@ func TestQuickAllAlgorithmsOnRandomCircuits(t *testing.T) {
 		workers := 2 + int(seed%3)
 
 		ref := NewRecorder()
-		if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: horizon, Probe: ref}); err != nil {
+		if _, err := Simulate(c, Options{Engine: Sequential, Horizon: horizon, Probe: ref}); err != nil {
 			t.Fatal(err)
 		}
 		for _, alg := range algs {
 			rec := NewRecorder()
 			if _, err := Simulate(c, Options{
-				Algorithm: alg, Workers: workers, Horizon: horizon, Probe: rec,
+				Engine: alg, Workers: workers, Horizon: horizon, Probe: rec,
 			}); err != nil {
 				t.Fatalf("seed %d %v: %v", seed, alg, err)
 			}
@@ -392,15 +390,15 @@ func TestQuickAsyncOptionMatrix(t *testing.T) {
 	for seed := int64(200); seed < 206; seed++ {
 		c := RandomCircuit(seed, 70)
 		ref := NewRecorder()
-		if _, err := Simulate(c, Options{Algorithm: Sequential, Horizon: 200, Probe: ref}); err != nil {
+		if _, err := Simulate(c, Options{Engine: Sequential, Horizon: 200, Probe: ref}); err != nil {
 			t.Fatal(err)
 		}
 		for _, opts := range []Options{
-			{Algorithm: Async, Workers: 3},
-			{Algorithm: Async, Workers: 3, NoLookahead: true},
-			{Algorithm: Async, Workers: 3, GateLookahead: true},
-			{Algorithm: Async, Workers: 1, GateLookahead: true, NoLookahead: true},
-			{Algorithm: ChandyMisra, Workers: 2},
+			{Engine: Async, Workers: 3},
+			{Engine: Async, Workers: 3, NoLookahead: true},
+			{Engine: Async, Workers: 3, GateLookahead: true},
+			{Engine: Async, Workers: 1, GateLookahead: true, NoLookahead: true},
+			{Engine: ChandyMisra, Workers: 2},
 		} {
 			opts.Horizon = 200
 			rec := NewRecorder()

@@ -22,7 +22,7 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	if err != nil {
 		return Sequential, err
 	}
-	return Algorithm(e.Name()), nil
+	return e.Name(), nil
 }
 
 // ResultOf maps an engine report onto the facade Result: the one mapping,
