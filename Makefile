@@ -85,11 +85,16 @@ fleet-test:
 ## internal/codegen directory), the gang-schedule tests
 ## under both names (workers 1-4 x lanes 1/64/256 against compiled, one
 ## barrier per step on every worker row, one contiguous slab stripe per
-## worker), the fault suite, the checked-in differential fuzz corpus replay
-## and the bit-identical resume tests.
+## worker), the selective trace's cone and fan-out-table tests and pinned
+## work counts, the fault suite, the checked-in differential fuzz corpus
+## replay, the parity digests (every lane's finals, probe histories and
+## fault statuses against the evaluate-everything step's, on the benchmark
+## circuits, the inverter array, mult16-func and random circuits at 1 and
+## 2 workers) and the bit-identical resume tests, among them the resume of
+## a checked-in snapshot that carries no pending marks.
 jit-test:
 	$(GO) test -race -timeout 5m -count=1 ./internal/vector ./internal/codegen
-	$(GO) test -race -timeout 5m -count=1 -run 'TestResumeJIT|TestResumeVector|FuzzEngines|TestFuzzCorpusSeedsReplay' .
+	$(GO) test -race -timeout 5m -count=1 -run 'TestResumeJIT|TestResumeVector|TestPlaneCoreParity|FuzzEngines|TestFuzzCorpusSeedsReplay' .
 
 ## async-test runs the event-list family under the race detector: the
 ## asynchronous core (owner routing, the rank-ordered ready set, the

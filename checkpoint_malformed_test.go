@@ -100,6 +100,15 @@ func TestResumeRejectsMalformedSnapshots(t *testing.T) {
 		{"barrier waits off", "worker rows", func(t *testing.T, s *checkpoint.Snapshot) {
 			s.Workers[len(s.Workers)-1].BarrierWaits = s.Step + 1
 		}},
+		{"pending marks word added", "pending marks", func(t *testing.T, s *checkpoint.Snapshot) {
+			s.Marks = append(s.Marks, 0)
+		}},
+		{"pending mark past the last block", "pending marks", func(t *testing.T, s *checkpoint.Snapshot) {
+			if len(s.Marks) == 0 {
+				t.Fatal("snapshot has no pending marks")
+			}
+			s.Marks[len(s.Marks)-1] |= 1 << 63
+		}},
 	}
 	engines := []struct {
 		engine string

@@ -367,3 +367,68 @@ func (p cancelAtProbe) OnChange(_ NodeID, t Time, _ Value) {
 		p.cancel()
 	}
 }
+
+// TestResumeJITSnapshotWithoutMarks resumes a snapshot checked in from the
+// plane core as it was before snapshots carried the selective trace's
+// pending marks (RandomUnitCircuit(7, 80), jit, 2 workers, 64 lanes, a
+// probe, captured at step 64). Such a snapshot resumes with every block
+// marked, so its values — finals, every lane's finals, the VCD bytes — and
+// its node updates equal an uninterrupted run's, while its first resumed
+// step evaluates the blocks the uninterrupted run skipped there: Evals can
+// only be larger.
+func TestResumeJITSnapshotWithoutMarks(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "resume", "jit-random-7-80-l64-p2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := os.WriteFile(ckpt, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Marks != nil || snap.Step <= 0 {
+		t.Fatalf("checked-in snapshot has marks %v at step %d; want none, mid-run", snap.Marks, snap.Step)
+	}
+
+	c := RandomUnitCircuit(7, 80)
+	base := Options{Engine: JIT, Horizon: 300, Workers: 2, Lanes: 64}
+	recA := NewRecorder()
+	oA := base
+	oA.Probe = recA
+	resA, err := Simulate(c.Clone(), oA)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	recC := NewRecorder()
+	oC := base
+	oC.Probe = recC
+	oC.ResumeFrom = ckpt
+	resC, err := Simulate(c.Clone(), oC)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if !resC.Resumed {
+		t.Error("resumed run does not report Resumed")
+	}
+	sameFinals(t, "resumed vs reference", resA.Final, resC.Final)
+	if len(resC.LaneFinal) != len(resA.LaneFinal) {
+		t.Fatalf("lane finals: %d lanes, want %d", len(resC.LaneFinal), len(resA.LaneFinal))
+	}
+	for l := range resA.LaneFinal {
+		sameFinals(t, "lane final", resA.LaneFinal[l], resC.LaneFinal[l])
+	}
+	if !bytes.Equal(vcdBytes(t, c, recA, base.Horizon), vcdBytes(t, c, recC, base.Horizon)) {
+		t.Error("resumed VCD differs from the uninterrupted run's")
+	}
+	ta, tc := resA.Stats.Totals(), resC.Stats.Totals()
+	if ta.NodeUpdates != tc.NodeUpdates || resA.Stats.TimeSteps != resC.Stats.TimeSteps {
+		t.Errorf("resumed updates %d over %d steps, want %d over %d",
+			tc.NodeUpdates, resC.Stats.TimeSteps, ta.NodeUpdates, resA.Stats.TimeSteps)
+	}
+	if tc.Evals < ta.Evals {
+		t.Errorf("resumed evals %d, fewer than the uninterrupted run's %d", tc.Evals, ta.Evals)
+	}
+}

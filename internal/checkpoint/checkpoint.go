@@ -31,6 +31,11 @@ import (
 // versions. Version 2 renumbered the plane engines' node planes from
 // node-id order to the compiled program's owner/level-major order: a
 // version-1 vector snapshot has the right plane count in the wrong nodes.
+// Adding a field is not such a change: gob skips a field the decoding
+// struct lacks and leaves one the payload lacks at its zero value, in both
+// directions. So the plane core's Marks, added within version 2, is simply
+// absent from older snapshots (which resume with every block marked), and
+// older readers ignore it.
 const Version = 2
 
 // magic identifies a parsim checkpoint file.
@@ -205,9 +210,12 @@ type Snapshot struct {
 	QueueCur  int64
 	GenNext   []int64
 
-	// Plane core: node planes plus per-kernel state.
+	// Plane core: node planes plus per-kernel state, and the selective
+	// trace's pending marks — bit g set means schedule block g runs at
+	// step Step; nil in a snapshot written before marks were kept.
 	Planes  []PlaneState
 	Kernels []KernelState
+	Marks   []uint64
 
 	// Probe history replay for bit-identical VCD output.
 	HasTrace bool

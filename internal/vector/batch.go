@@ -84,45 +84,53 @@ func fusedShape(el *circuit.Element) (gateShape, bool) {
 }
 
 // gateBatch is one compiled batch: every same-shaped gate bit-column of a
-// (worker, level) slice, run by a single specialized loop. run reads the
-// cur-side slabs and writes the next-side slabs.
+// (worker, level) slice, run by a single specialized loop. The loop takes
+// its offset table as an argument, so a schedule block (compile.go) runs
+// one element-aligned stretch of it; it reads the cur-side slabs and
+// writes the next-side slabs.
 type gateBatch struct {
 	shape gateShape
 	offs  []int32
-	run   func(cv, cu, nv, nu []uint64)
+	loop  batchLoop
 }
+
+// batchLoop runs one shape's word ops over a run of its offset table.
+type batchLoop func(offs []int32, cv, cu, nv, nu []uint64)
+
+// run runs the whole batch.
+func (b *gateBatch) run(cv, cu, nv, nu []uint64) { b.loop(b.offs, cv, cu, nv, nu) }
 
 // compileBatch binds a shape's specialized loop to its offset table.
 func compileBatch(sh gateShape, offs []int32, words int) gateBatch {
 	b := gateBatch{shape: sh, offs: offs}
 	switch sh {
 	case shapeBuf1:
-		b.run = runCopy1(offs, words, false)
+		b.loop = runCopy1(words, false)
 	case shapeNot1:
-		b.run = runCopy1(offs, words, true)
+		b.loop = runCopy1(words, true)
 	case shapeAnd2:
-		b.run = runAnd2(offs, words, false)
+		b.loop = runAnd2(words, false)
 	case shapeNand2:
-		b.run = runAnd2(offs, words, true)
+		b.loop = runAnd2(words, true)
 	case shapeOr2:
-		b.run = runOr2(offs, words, false)
+		b.loop = runOr2(words, false)
 	case shapeNor2:
-		b.run = runOr2(offs, words, true)
+		b.loop = runOr2(words, true)
 	case shapeXor2:
-		b.run = runXor2(offs, words, false)
+		b.loop = runXor2(words, false)
 	case shapeXnor2:
-		b.run = runXor2(offs, words, true)
+		b.loop = runXor2(words, true)
 	case shapeMux2:
-		b.run = runMux2(offs, words)
+		b.loop = runMux2(words)
 	}
 	return b
 }
 
 // runCopy1: V' = V&^U (buf) or ^(V|U) (not), U' = U.
-func runCopy1(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64) {
+func runCopy1(words int, invert bool) batchLoop {
 	if words == 1 {
 		if invert {
-			return func(cv, cu, nv, nu []uint64) {
+			return func(offs []int32, cv, cu, nv, nu []uint64) {
 				for i := 0; i < len(offs); i += 2 {
 					a, o := offs[i], offs[i+1]
 					av, au := cv[a], cu[a]
@@ -131,7 +139,7 @@ func runCopy1(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64
 				}
 			}
 		}
-		return func(cv, cu, nv, nu []uint64) {
+		return func(offs []int32, cv, cu, nv, nu []uint64) {
 			for i := 0; i < len(offs); i += 2 {
 				a, o := offs[i], offs[i+1]
 				av, au := cv[a], cu[a]
@@ -140,7 +148,7 @@ func runCopy1(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64
 			}
 		}
 	}
-	return func(cv, cu, nv, nu []uint64) {
+	return func(offs []int32, cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 2 {
 			a, o := int(offs[i]), int(offs[i+1])
 			for wd := 0; wd < words; wd++ {
@@ -158,9 +166,9 @@ func runCopy1(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64
 
 // runAnd2: one = known-H lanes of both inputs, zero = known-L lanes of
 // either; nand swaps one and zero.
-func runAnd2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64) {
+func runAnd2(words int, invert bool) batchLoop {
 	if words == 1 {
-		return func(cv, cu, nv, nu []uint64) {
+		return func(offs []int32, cv, cu, nv, nu []uint64) {
 			for i := 0; i < len(offs); i += 3 {
 				a, b, o := offs[i], offs[i+1], offs[i+2]
 				av, au := cv[a], cu[a]
@@ -175,7 +183,7 @@ func runAnd2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64)
 			}
 		}
 	}
-	return func(cv, cu, nv, nu []uint64) {
+	return func(offs []int32, cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 3 {
 			a, b, o := int(offs[i]), int(offs[i+1]), int(offs[i+2])
 			for wd := 0; wd < words; wd++ {
@@ -195,9 +203,9 @@ func runAnd2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64)
 
 // runOr2: one = known-H lanes of either input, zero = known-L lanes of
 // both; nor swaps.
-func runOr2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64) {
+func runOr2(words int, invert bool) batchLoop {
 	if words == 1 {
-		return func(cv, cu, nv, nu []uint64) {
+		return func(offs []int32, cv, cu, nv, nu []uint64) {
 			for i := 0; i < len(offs); i += 3 {
 				a, b, o := offs[i], offs[i+1], offs[i+2]
 				av, au := cv[a], cu[a]
@@ -212,7 +220,7 @@ func runOr2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64) 
 			}
 		}
 	}
-	return func(cv, cu, nv, nu []uint64) {
+	return func(offs []int32, cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 3 {
 			a, b, o := int(offs[i]), int(offs[i+1]), int(offs[i+2])
 			for wd := 0; wd < words; wd++ {
@@ -233,9 +241,9 @@ func runOr2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64) 
 // runMux2 is logic.PlaneMux with the Readable() normalisation folded in:
 // a when sel is a known L, b when a known H; an unreadable select keeps the
 // value a and b agree on and poisons the rest.
-func runMux2(offs []int32, words int) func(cv, cu, nv, nu []uint64) {
+func runMux2(words int) batchLoop {
 	if words == 1 {
-		return func(cv, cu, nv, nu []uint64) {
+		return func(offs []int32, cv, cu, nv, nu []uint64) {
 			for i := 0; i < len(offs); i += 4 {
 				s, a, b, o := offs[i], offs[i+1], offs[i+2], offs[i+3]
 				sv, su := cv[s], cu[s]
@@ -249,7 +257,7 @@ func runMux2(offs []int32, words int) func(cv, cu, nv, nu []uint64) {
 			}
 		}
 	}
-	return func(cv, cu, nv, nu []uint64) {
+	return func(offs []int32, cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 4 {
 			s, a, b, o := int(offs[i]), int(offs[i+1]), int(offs[i+2]), int(offs[i+3])
 			for wd := 0; wd < words; wd++ {
@@ -267,9 +275,9 @@ func runMux2(offs []int32, words int) func(cv, cu, nv, nu []uint64) {
 }
 
 // runXor2: both inputs known decide H/L by parity; any unknown poisons.
-func runXor2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64) {
+func runXor2(words int, invert bool) batchLoop {
 	if words == 1 {
-		return func(cv, cu, nv, nu []uint64) {
+		return func(offs []int32, cv, cu, nv, nu []uint64) {
 			for i := 0; i < len(offs); i += 3 {
 				a, b, o := offs[i], offs[i+1], offs[i+2]
 				u := cu[a] | cu[b]
@@ -283,7 +291,7 @@ func runXor2(offs []int32, words int, invert bool) func(cv, cu, nv, nu []uint64)
 			}
 		}
 	}
-	return func(cv, cu, nv, nu []uint64) {
+	return func(offs []int32, cv, cu, nv, nu []uint64) {
 		for i := 0; i < len(offs); i += 3 {
 			a, b, o := int(offs[i]), int(offs[i+1]), int(offs[i+2])
 			for wd := 0; wd < words; wd++ {

@@ -9,11 +9,15 @@ import (
 // The plane core's own snapshot sections; checkpoint.Session runs the
 // protocol around them. A snapshot captures one buffer side's node planes
 // (all lanes), every stateful kernel's private planes and per-lane scalar
-// state (the fused gate batches are stateless by construction) and — in
-// fault-simulation mode — the cross-pass detection state, all at the
-// per-step barrier where the gang is quiescent. Kernel states walk in
-// program.kernels order — the compiled program is deterministic, so the
-// restore side walks the same sequence.
+// state (the fused gate batches are stateless by construction), the
+// selective trace's pending marks and — in fault-simulation mode — the
+// cross-pass detection state, all at the per-step barrier where the gang
+// is quiescent. Kernel states walk in program.kernels order — the compiled
+// program is deterministic, so the restore side walks the same sequence.
+//
+// The marks are saved as they stand, not recomputed from the two buffer
+// sides: after a restore both sides hold the same planes, so a capture at
+// the first resumed step would find no change and lose them.
 
 func packPlane(p logic.WidePlane) checkpoint.PlaneState {
 	return checkpoint.PlaneState{
@@ -39,6 +43,12 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 			ks.Lanes = append(ks.Lanes, checkpoint.PackValues(lane))
 		}
 		snap.Kernels = append(snap.Kernels, ks)
+	}
+	snap.Marks = make([]uint64, s.prog.markWords)
+	for _, q := range s.marks[snap.Step&1] {
+		for i, m := range q {
+			snap.Marks[i] |= m
+		}
 	}
 	if fp := s.fault; fp != nil {
 		fs := &checkpoint.FaultState{
@@ -116,6 +126,9 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 			return ck.Corrupt("worker rows", "worker %d crossed %d barriers in %d steps, want one per step", w, bw, snap.Step)
 		}
 	}
+	if err := s.checkMarks(snap.Marks); err != nil {
+		return err
+	}
 	if (snap.Fault != nil) != (s.fault != nil) {
 		return ck.Corrupt("fault state", "fault-simulation state presence mismatch")
 	}
@@ -134,11 +147,14 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 		}
 	}
 	// All validated; commit. Both buffer sides take the snapshot planes:
-	// every element-driven node is fully rewritten each step, every
-	// undriven node stays constant, and a generator, rewritten only at its
-	// change times, re-evaluates on the first resumed step (its kernel
-	// starts fresh) — so the resumed double-buffer sequence matches the
-	// uninterrupted one exactly.
+	// an element-driven node is rewritten whenever its block runs, copied
+	// over when it changed the step before (after a restore it did not:
+	// both sides agree), every undriven node stays constant, and a
+	// generator, rewritten only at its change times, re-evaluates on the
+	// first resumed step (its kernel starts fresh) — so the resumed
+	// double-buffer sequence matches the uninterrupted one exactly. The
+	// pending marks go to one producer's bitmap for the resumed step; a
+	// snapshot without them runs every block at that step.
 	for side := range s.buf {
 		for i := range s.buf[side].planes {
 			copy(s.buf[side].planes[i].V, snap.Planes[i].V)
@@ -154,10 +170,35 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 			copy(k.laneState[l], laneVals[idx][l])
 		}
 	}
+	if snap.Marks != nil {
+		copy(s.marks[snap.Step&1][0], snap.Marks)
+		s.full = false
+	}
 	if fp := s.fault; fp != nil {
 		for w := 0; w < s.p; w++ {
 			copy(fp.det[w], snap.Fault.Det[w])
 			copy(fp.first[w], snap.Fault.First[w])
+		}
+	}
+	return nil
+}
+
+// checkMarks validates a snapshot's pending marks: none at all (a snapshot
+// written before marks were kept), or one bit per global block number with
+// no bit set past a worker's last block.
+func (s *sim) checkMarks(marks []uint64) error {
+	if marks == nil {
+		return nil
+	}
+	ck, p := s.cfg.Ckpt, s.prog
+	if len(marks) != p.markWords {
+		return ck.Corrupt("pending marks", "snapshot has %d mark words for %d", len(marks), p.markWords)
+	}
+	for w, bs := range p.blocks {
+		for i := len(bs); i < int(p.base[w+1]-p.base[w]); i++ {
+			if g := int(p.base[w]) + i; marks[g>>6]>>uint(g&63)&1 != 0 {
+				return ck.Corrupt("pending marks", "block %d is marked but worker %d has %d blocks", g, w, len(bs))
+			}
 		}
 	}
 	return nil

@@ -211,6 +211,10 @@ type faultPass struct {
 	obs      [][]span     // observation spans per worker
 	det      [][]uint64   // per-worker detected lane masks [worker][word]
 	first    [][]int64    // per-worker first-detection step per fault, -1 = none
+	// always marks the blocks holding an element-driven injection site,
+	// which run every step: their drivers' raw outputs are counted before
+	// the faults are re-asserted, on every step, as in an every-element run.
+	always []uint64
 
 	// Snapshot context, set by runFaultSim before the pass starts: the
 	// pass index, how many passes completed before it, the full status
@@ -229,13 +233,14 @@ func newFaultPass(c *circuit.Circuit, faults []analyze.Fault, observe []circuit.
 
 // bind resolves the pass state against the compiled program: injection
 // sites in its plane numbering, injection ownership from its owner table
-// (so a worker re-asserts faults only inside its own slab stripe) and
-// per-worker detection buffers.
+// (so a worker re-asserts faults only inside its own slab stripe), the
+// blocks that run every step and per-worker detection buffers.
 func (fp *faultPass) bind(prog *program, words int) {
 	fp.words = words
 	p := len(prog.work)
 	fp.all = fp.all[:0]
 	fp.byWorker = make([][]faultInj, p)
+	fp.always = make([]uint64, prog.markWords)
 	for i, f := range fp.faults {
 		lane := i + 1
 		inj := faultInj{
@@ -248,6 +253,9 @@ func (fp *faultPass) bind(prog *program, words int) {
 		w := 0
 		if d := fp.c.Nodes[f.Node].Driver; d != circuit.NoElem {
 			w = int(prog.owner[d])
+			if g := prog.elemBlock[d]; g >= 0 {
+				fp.always[g>>6] |= 1 << uint(g&63)
+			}
 		}
 		fp.byWorker[w] = append(fp.byWorker[w], inj)
 	}

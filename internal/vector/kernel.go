@@ -466,6 +466,8 @@ func compileScalar(el *circuit.Element, ins []span, outs []span, lanes int) (fun
 type genKernel struct {
 	el      *circuit.Element
 	out     span
+	fanLo   int32 // its consumers in the fan-out table
+	fanHi   int32
 	perLane []circuit.Element
 
 	due   circuit.Time // the next time whose value must be evaluated

@@ -16,8 +16,10 @@ import (
 // previous clock plane, then the q row. program.kernels() — the walk the
 // checkpoint codec saves and restores kernel state in — therefore sees the
 // same entries in the same order as when each register was its own
-// closure, and the snapshot layout is unchanged. The batch runs from the
-// entry of the slice's first register; the other entries have no run.
+// closure, and the snapshot layout is unchanged. The whole batch runs from
+// the entry of the slice's first register, and the other entries have no
+// run; the step runs the batch a schedule block of registers at a time
+// (exec over a run of regs).
 
 // regEntry is one register in plane coordinates.
 type regEntry struct {
@@ -35,20 +37,22 @@ type regBatch struct {
 	// whose reset mask is always empty, and for the clock planes).
 	sv, su []uint64
 	iv, iu []uint64
+	// exec is run or run1 for the batch's plane word count.
+	exec func(regs []regEntry, cur, next []logic.WidePlane)
 }
 
 func isRegister(k circuit.Kind) bool {
 	return k == circuit.KindDFF || k == circuit.KindDFFR
 }
 
-// compileRegs lowers the registers els of one slice. ks are their kernel
+// compileRegs lowers the registers ids of one slice. ks are their kernel
 // entries, in the same order; compileRegs points each entry's state at the
-// batch slab and hangs the batch's run on the first one.
-func compileRegs(c *circuit.Circuit, els []*circuit.Element, ks []*kernel, lay layout, words int) {
+// batch slab and hangs the whole batch's run on the first one.
+func compileRegs(c *circuit.Circuit, ids []circuit.ElemID, ks []*kernel, lay layout, words int) *regBatch {
 	rb := &regBatch{words: words}
 	planes := 0
-	for _, el := range els {
-		planes += 1 + c.Nodes[el.Out[0]].Width
+	for _, id := range ids {
+		planes += 1 + c.Nodes[c.Elems[id].Out[0]].Width
 	}
 	rb.sv = make([]uint64, planes*words)
 	rb.su = make([]uint64, planes*words)
@@ -60,7 +64,8 @@ func compileRegs(c *circuit.Circuit, els []*circuit.Element, ks []*kernel, lay l
 		rb.su[i] = ^uint64(0)
 	}
 	st := 0
-	for j, el := range els {
+	for j, id := range ids {
+		el := &c.Elems[id]
 		w := c.Nodes[el.Out[0]].Width
 		r := regEntry{
 			clk: lay.off[el.In[0]],
@@ -85,23 +90,25 @@ func compileRegs(c *circuit.Circuit, els []*circuit.Element, ks []*kernel, lay l
 		}
 		st += 1 + w
 	}
-	ks[0].run = rb.run
+	rb.exec = rb.run
 	if words == 1 {
-		ks[0].run = rb.run1
+		rb.exec = rb.run1
 	}
+	ks[0].run = func(cur, next []logic.WidePlane) { rb.exec(rb.regs, cur, next) }
+	return rb
 }
 
-// run is the DFF kernel algebra over the whole batch: a rising edge (the
+// run is the DFF kernel algebra over a run of the batch: a rising edge (the
 // previous clock a known L, the current one a known H) captures the
 // Z-normalised data; a dffr's known-H reset then forces its reset value.
 // q is both the held state and the output written to next. The per-word
 // edge and reset masks are taken first, so each data bit then loads its
 // planes once for all words; a register with neither in any lane — most
 // of them on most steps — only copies q out.
-func (rb *regBatch) run(cur, next []logic.WidePlane) {
+func (rb *regBatch) run(regs []regEntry, cur, next []logic.WidePlane) {
 	words, sv, su := rb.words, rb.sv, rb.su
 	var edge, rstH [logic.MaxWideLanes / logic.MaxLanes]uint64
-	for _, r := range rb.regs {
+	for _, r := range regs {
 		clk := cur[r.clk]
 		st := int(r.st) * words
 		pv, pu := sv[st:st+words], su[st:st+words]
@@ -145,9 +152,9 @@ func (rb *regBatch) run(cur, next []logic.WidePlane) {
 
 // run1 is run at one plane word, where the slab index of a plane is the
 // plane itself and every mask is a single word.
-func (rb *regBatch) run1(cur, next []logic.WidePlane) {
+func (rb *regBatch) run1(regs []regEntry, cur, next []logic.WidePlane) {
 	sv, su := rb.sv, rb.su
-	for _, r := range rb.regs {
+	for _, r := range regs {
 		clk := cur[r.clk]
 		cv, cu := clk.V[0], clk.U[0]
 		st := int(r.st)

@@ -65,9 +65,10 @@ func sameValues(a, b []logic.Value) bool {
 
 // TestGangScheduleMatchesCompiled pins the one-barrier-per-step schedule
 // under both registry names: at every worker count and lane width the core
-// produces the scalar compiled engine's final values in lane 0 and the same
-// evaluation count, the one-worker run's every lane and update count, and
-// each worker row crosses exactly one barrier per step.
+// produces the scalar compiled engine's final values in lane 0 with at most
+// its evaluation count (the selective trace skips idle blocks; compiled
+// evaluates every element every step), the one-worker run's every lane and
+// update count, and each worker row crosses exactly one barrier per step.
 func TestGangScheduleMatchesCompiled(t *testing.T) {
 	for name, sc := range scheduleCircuits() {
 		scalar := mustRun(t, "compiled", sc.build(), engine.Config{Workers: 1, Horizon: sc.horizon})
@@ -88,8 +89,8 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 					if !sameValues(res.Final, scalar.Final) {
 						t.Errorf("%s: lane 0 final values differ from compiled", tag)
 					}
-					if res.Run.Evals != scalar.Run.Evals {
-						t.Errorf("%s: evals %d, compiled %d", tag, res.Run.Evals, scalar.Run.Evals)
+					if res.Run.Evals > scalar.Run.Evals {
+						t.Errorf("%s: evals %d, more than compiled's %d", tag, res.Run.Evals, scalar.Run.Evals)
 					}
 					if res.Run.NodeUpdates != ref.Run.NodeUpdates {
 						t.Errorf("%s: node updates %d, want %d", tag, res.Run.NodeUpdates, ref.Run.NodeUpdates)
@@ -114,31 +115,49 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 
 // TestBenchCountsPinned pins the plane core's work counters on the
 // benchmark's circuits at the benchmark's horizons, under both registry
-// names, at 1/64/256 lanes and 1/2 workers: every element is evaluated
-// every step, and a node update is a step on which any live lane of the
+// names, at 1/64/256 lanes and 1/2 workers. Evals follows the selective
+// trace's block rule: every element at step 0, then at each step the
+// elements of every schedule block holding an element whose input changed
+// at the step before, in any lane including the dead lanes of a partial
+// plane word. So it moves with the lane count (the microprocessor's
+// 64- and 256-lane runs agree: all their lanes are live) and with the
+// worker count, whose stripe boundaries cut some level slices into more,
+// smaller blocks. A node update is a step on which any live lane of the
 // node changed. The microprocessor drives the same stimulus into every
 // lane, so its updates do not grow with the lane count.
 func TestBenchCountsPinned(t *testing.T) {
 	cpu := gen.DefaultCPU()
+	type key struct{ lanes, workers int }
 	for _, pc := range []struct {
 		name    string
 		c       *circuit.Circuit
 		horizon circuit.Time
-		evals   int64
+		evals   map[key]int64
 		updates map[int]int64 // by lane count
 	}{
 		{"mult16-gate", gen.GateMultiplier(gen.DefaultMultiplier()), 512,
-			1236109, map[int]int64{1: 29838, 64: 141452, 256: 163719}},
+			map[key]int64{
+				{1, 1}: 124917, {1, 2}: 124861,
+				{64, 1}: 224308, {64, 2}: 224220,
+				{256, 1}: 229331, {256, 2}: 229243,
+			},
+			map[int]int64{1: 29838, 64: 141452, 256: 163719}},
 		{"microprocessor", gen.CPU(cpu), gen.CPUHorizon(cpu, 16),
-			2552515, map[int]int64{1: 9482, 64: 9482, 256: 9482}},
+			map[key]int64{
+				{1, 1}: 73769, {1, 2}: 73751,
+				{64, 1}: 69752, {64, 2}: 69734,
+				{256, 1}: 69752, {256, 2}: 69734,
+			},
+			map[int]int64{1: 9482, 64: 9482, 256: 9482}},
 	} {
 		for _, eng := range []string{"jit", "vector"} {
 			for _, lanes := range []int{1, 64, 256} {
 				for workers := 1; workers <= 2; workers++ {
 					rep := mustRun(t, eng, pc.c, engine.Config{Workers: workers, Horizon: pc.horizon, Lanes: lanes})
-					if rep.Run.Evals != pc.evals || rep.Run.NodeUpdates != pc.updates[lanes] {
+					want := pc.evals[key{lanes, workers}]
+					if rep.Run.Evals != want || rep.Run.NodeUpdates != pc.updates[lanes] {
 						t.Errorf("%s %s lanes %d workers %d: evals %d updates %d, want %d and %d", pc.name, eng,
-							lanes, workers, rep.Run.Evals, rep.Run.NodeUpdates, pc.evals, pc.updates[lanes])
+							lanes, workers, rep.Run.Evals, rep.Run.NodeUpdates, want, pc.updates[lanes])
 					}
 				}
 			}

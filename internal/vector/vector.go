@@ -1,9 +1,9 @@
 // Package vector is the levelized plane core: the paper's unit-delay
-// compiled-mode algorithm (every element every step, double buffer, one
-// barrier per step) over N independent stimulus lanes, 64 lanes per machine
-// word and as many words per plane as the run requests. The registry names
-// "vector" and "jit" both run it; they differ only in the lane count a run
-// gets when it asks for none (64 and 1).
+// compiled-mode algorithm (double buffer, one barrier per step) over N
+// independent stimulus lanes, 64 lanes per machine word and as many words
+// per plane as the run requests, with a selective trace inside each step.
+// The registry names "vector" and "jit" both run it; they differ only in
+// the lane count a run gets when it asks for none (64 and 1).
 //
 // The circuit's levelized schedule is lowered once, at run start, into a
 // per-level program of branch-free word-op batches over a struct-of-arrays
@@ -27,16 +27,52 @@
 // and locality device: nothing inside a step reads that step's writes, so
 // no barrier separates them at any worker count.
 //
+// # Selective trace
+//
+// The schedule is cut into blocks of at most blockSize elements of one
+// lowering (compile.go), and a fan-out table maps every output to the
+// blocks that read it. Step t runs only the blocks marked during step t-1,
+// and every block at a pass's first step. A block that runs scans its own
+// outputs once: a live lane that differs across the buffer sides counts a
+// node update, and an output whose planes differ in any lane, dead lanes
+// included, marks its consumer blocks for step t+1 — so the slabs stay
+// bit-identical to an every-element run's. An unmarked block is skipped if
+// its outputs did not change at t-1, and otherwise copies them from cur to
+// next, so each side always holds the latest values of its parity; a copy
+// is not an evaluation. Evals counts the elements of the blocks run.
+//
+// Skipping is exact because every kernel is idempotent under unchanged
+// inputs: evaluating it again at step t, with the inputs of step t-1,
+// yields step t-1's outputs and leaves its state as step t-1 left it. The
+// gates, muxes, wiring and arithmetic are pure functions. A dff or dffr
+// (and a RAM's write port) sees an edge only where its previous-clock
+// plane is L and the clock H; after one evaluation that plane equals the
+// unchanged clock, so no edge follows, and a held-H reset forces the same
+// value again. A latch with its enable H copies the unchanged data again
+// and otherwise holds. A RAM writes before it reads, so a repeated write
+// of the same data to the same address reads back the same word. Kernel
+// state is therefore the same at every step as an every-element run's.
+//
+// Marks cross workers without atomics: each worker writes only its own
+// bitmap per step parity (clearing it first), the end-of-step barrier
+// orders those writes before any reader, and the reader ORs every
+// producer's bitmap. In a fault pass the blocks that hold an injection
+// site run every step, so their updates count exactly as before, and the
+// scan, taken before the faults are re-asserted, can only over-mark:
+// re-asserting a stuck lane never differs from cur, where that lane was
+// already stuck. A snapshot carries the marks pending at its barrier
+// (ckpt.go); both sides restore to the snapshot's planes, so no copy is
+// owed, and a snapshot without marks resumes with every block marked.
+//
 // Around the kernels a step does little: a generator is evaluated only at
-// its change times, a slice's node updates are counted in one branch-free
-// scan over its runs of adjacent one-bit outputs (per span only when a
-// probe must see each change), and the final lane values are decoded a
-// plane word at a time into one backing array.
+// its change times, and the final lane values are decoded a plane word at
+// a time into one backing array.
 package vector
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"parsim/internal/analyze"
 	"parsim/internal/circuit"
@@ -131,6 +167,12 @@ type sim struct {
 	chaos *guard.ChaosProbe
 	ls    *engine.Lockstep // this pass's step protocol
 
+	// marks[t&1][q] is the bitmap, over global block numbers, of the
+	// blocks producer q marked during step t-1 for step t. full makes the
+	// pass's first step run every block instead.
+	marks [2][][]uint64
+	full  bool
+
 	// fault is the per-pass fault-simulation state, nil outside fault mode.
 	fault *faultPass
 }
@@ -138,13 +180,18 @@ type sim struct {
 // runPass compiles the circuit and runs one pass over it. fp, when
 // non-nil, carries the fault-injection state of one fault-simulation pass.
 func (e eng) runPass(c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
+	return e.runProgram(compileProgram(c, cfg.Workers, cfg.Lanes, cfg.LaneStride), c, cfg, fp)
+}
+
+// runProgram runs one pass of prog, c compiled for cfg.
+func (e eng) runProgram(prog *program, c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
 	p := cfg.Workers
 	s := &sim{
 		c:        c,
 		cfg:      cfg,
 		name:     e.name,
 		p:        p,
-		prog:     compileProgram(c, p, cfg.Lanes, cfg.LaneStride),
+		prog:     prog,
 		words:    logic.PlaneWords(cfg.Lanes),
 		laneMask: logic.LaneMasks(cfg.Lanes),
 		wc:       make([]stats.WorkerCounters, p),
@@ -155,6 +202,18 @@ func (e eng) runPass(c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*eng
 	if fp != nil {
 		fp.bind(s.prog, s.words)
 	}
+	// Producer bitmaps sit a cache line apart: each is written by its own
+	// worker every step.
+	stride := (s.prog.markWords+7)&^7 + 8
+	back := make([]uint64, 2*p*stride)
+	for par := range s.marks {
+		s.marks[par] = make([][]uint64, p)
+		for q := range s.marks[par] {
+			lo := (par*p + q) * stride
+			s.marks[par][q] = back[lo : lo+s.prog.markWords : lo+s.prog.markWords]
+		}
+	}
+	s.full = true
 
 	for side := range s.buf {
 		s.buf[side] = newPlaneBuf(s.prog.total, s.words)
@@ -294,10 +353,13 @@ func (s *sim) laneFinals(planes []logic.WidePlane, n int) [][]logic.Value {
 
 func (s *sim) worker(id int) {
 	gens := s.prog.gens[id]
-	work := s.prog.work[id]
-	// Without a probe, updates are counted per slice in one scan; with
-	// one, per span, so the probe sees each change of the observed lane.
-	counting := s.cfg.Probe == nil
+	blocks := s.prog.blocks[id]
+	w0 := int(s.prog.base[id]) >> 6 // the worker's first mark word
+	nw := (len(blocks) + 63) >> 6
+	// chg are the blocks whose outputs changed in the step before; a
+	// cache line of padding keeps it off the other workers' lines.
+	chg := make([]uint64, nw+8)[:nw]
+	full := s.full
 
 	// Step t computes node planes for t+1: read side t&1, write side
 	// (t+1)&1. The final step is Horizon-2 -> values at Horizon-1. Nothing
@@ -305,6 +367,8 @@ func (s *sim) worker(id int) {
 	// run of the schedule unordered and one barrier closes the step.
 	s.ls.Steps(id, func(t circuit.Time, acc *stats.WorkerCounters) {
 		cur, next := &s.buf[t&1], &s.buf[(t+1)&1]
+		pending, mine := s.marks[t&1], s.marks[(t+1)&1][id]
+		clear(mine)
 
 		// Fault detection observes the settled values of step t before
 		// this step's kernels overwrite the other buffer side.
@@ -324,32 +388,64 @@ func (s *sim) worker(id int) {
 			s.fault.injectWorker(id, next.planes)
 		}
 		for i := range gens {
-			if g := &gens[i]; g.fresh() && s.noteSpan(g.out, t+1, cur, next) {
+			g := &gens[i]
+			if !g.fresh() {
+				continue
+			}
+			x, xl := s.diff(g.out, cur, next)
+			if x|xl == 0 {
+				continue
+			}
+			s.mark(g.fanLo, g.fanHi, 1, mine)
+			if s.cfg.Probe == nil {
+				acc.NodeUpdates += nonzero(x | xl&s.laneMask[s.words-1])
+			} else if s.noteSpan(g.out, t+1, cur, next) {
 				acc.NodeUpdates++
 			}
 		}
-		for sl := range work {
-			lw := &work[sl]
-			acc.Evals += lw.elems
-			if s.chaos != nil {
-				for e := int64(0); e < lw.elems; e++ {
-					s.chaos.Eval()
+		// A word of blocks at a time: run the marked ones (every one at
+		// the first step, a fault pass's injection sites always) and copy
+		// across the unmarked ones whose outputs changed at the step
+		// before; the rest already hold their values on the next side.
+		for i := range chg {
+			var run uint64
+			if full {
+				run = ^uint64(0)
+				if n := len(blocks) - i<<6; n < 64 {
+					run = 1<<uint(n) - 1
+				}
+			} else {
+				for _, q := range pending {
+					run |= q[w0+i]
 				}
 			}
-			lw.eval(cur, next)
-			if s.cfg.CostSpin > 0 {
-				circuit.Spin(lw.cost * s.cfg.CostSpin)
+			if s.fault != nil {
+				run |= s.fault.always[w0+i]
 			}
-			if counting {
-				acc.NodeUpdates += s.countUpdates(lw, cur, next)
-				continue
+			for cp := chg[i] &^ run; cp != 0; cp &= cp - 1 {
+				s.copyBlock(&blocks[i<<6|bits.TrailingZeros64(cp)], cur, next)
 			}
-			for _, sp := range lw.spans {
-				if s.noteSpan(sp, t+1, cur, next) {
-					acc.NodeUpdates++
+			var changed uint64
+			for r := run; r != 0; r &= r - 1 {
+				k := bits.TrailingZeros64(r)
+				b := &blocks[i<<6|k]
+				acc.Evals += int64(b.elems)
+				if s.chaos != nil {
+					for e := int32(0); e < b.elems; e++ {
+						s.chaos.Eval()
+					}
 				}
+				b.run(cur, next)
+				if s.cfg.CostSpin > 0 {
+					circuit.Spin(b.cost * s.cfg.CostSpin)
+				}
+				n, ch := s.scan(b, t+1, cur, next, mine)
+				acc.NodeUpdates += n
+				changed |= ch << uint(k)
 			}
+			chg[i] = changed
 		}
+		full = false
 		// Re-assert injected faults on the freshly written side: a stuck
 		// node stays stuck no matter what its driver computed.
 		if s.fault != nil {
@@ -361,50 +457,116 @@ func (s *sim) worker(id int) {
 // nonzero is 1 when x != 0 and 0 otherwise, without a branch.
 func nonzero(x uint64) int64 { return int64((x | -x) >> 63) }
 
-// countUpdates is the probe-free update count of one slice: the outputs
-// with a live lane that differs across the buffer sides. Width-1 outputs
-// go through lw.runs with no branch per node; wider ones OR all their
-// planes first. Only the last word of a plane can hold dead lanes, so
-// only it is masked.
-func (s *sim) countUpdates(lw *levelWork, cur, next *planeBuf) int64 {
-	cv, cu, nv, nu := cur.v, cur.u, next.v, next.u
+// diff compares one output's planes across the buffer sides: x ORs the
+// differences in every plane word but the last, xl in the last, the only
+// word that can hold dead lanes.
+func (s *sim) diff(sp span, cur, next *planeBuf) (x, xl uint64) {
 	words := s.words
-	last, lm := words-1, s.laneMask[words-1]
-	var n int64
-	for i := 0; i < len(lw.runs); i += 2 {
-		lo, hi := int(lw.runs[i])*words, int(lw.runs[i]+lw.runs[i+1])*words
+	last := words - 1
+	lo, hi := int(sp.off)*words, int(sp.off+sp.w)*words
+	a := cur.v[lo:hi]
+	b, c, d := cur.u[lo:hi][:len(a)], next.v[lo:hi][:len(a)], next.u[lo:hi][:len(a)]
+	for j := last; j < len(a); j += words {
+		xl |= (a[j] ^ c[j]) | (b[j] ^ d[j])
+		for k := j - last; k < j; k++ {
+			x |= (a[k] ^ c[k]) | (b[k] ^ d[k])
+		}
+	}
+	return x, xl
+}
+
+// mark sets, in marks, the consumer blocks in the fan-out table run
+// [lo, hi) that read an output in changed (bit i: the producer's output
+// i), without a branch per consumer.
+func (s *sim) mark(lo, hi int32, changed uint64, marks []uint64) {
+	p := s.prog
+	mask := p.fanMask[lo:hi]
+	for k, g := range p.fanBlock[lo:hi] {
+		marks[g>>6] |= uint64(nonzero(changed&mask[k])) << uint(g&63)
+	}
+}
+
+// scan is the one pass over a block's outputs after it ran. A
+// branch-free loop counts the outputs with a live lane changed and notes
+// in a bit per output (a block has at most 64) which changed in any lane;
+// the consumer blocks of those outputs are then marked and, when a probe
+// must see each change, the changed outputs are counted through noteSpan
+// instead. ch is 1 if any output changed.
+func (s *sim) scan(b *block, t circuit.Time, cur, next *planeBuf, marks []uint64) (n int64, ch uint64) {
+	words := s.words
+	last := words - 1
+	lm := s.laneMask[last]
+	cv, cu, nv, nu := cur.v, cur.u, next.v, next.u
+	var changed uint64
+	i := uint(0) // the output the scan is at
+	runs := s.prog.runs[b.runLo:b.runHi]
+	for len(runs) >= 2 {
+		off, cnt := runs[0], runs[1]
+		runs = runs[2:]
+		if cnt < 0 { // one wide output
+			x, xl := s.diff(span{off: off, w: -cnt}, cur, next)
+			n += nonzero(x | xl&lm)
+			changed |= uint64(nonzero(x|xl)) << i
+			i++
+			continue
+		}
+		lo, hi := int(off)*words, int(off+cnt)*words
 		a := cv[lo:hi]
 		b, c, d := cu[lo:hi][:len(a)], nv[lo:hi][:len(a)], nu[lo:hi][:len(a)]
+		if words == 1 {
+			for j := range a {
+				x := (a[j] ^ c[j]) | (b[j] ^ d[j])
+				n += nonzero(x & lm)
+				changed |= uint64(nonzero(x)) << (i + uint(j))
+			}
+			i += uint(len(a))
+			continue
+		}
 		for j := last; j < len(a); j += words {
-			x := ((a[j] ^ c[j]) | (b[j] ^ d[j])) & lm
+			xl := (a[j] ^ c[j]) | (b[j] ^ d[j])
+			var x uint64
 			for k := j - last; k < j; k++ {
 				x |= (a[k] ^ c[k]) | (b[k] ^ d[k])
 			}
-			n += nonzero(x)
+			n += nonzero(x | xl&lm)
+			changed |= uint64(nonzero(x|xl)) << i
+			i++
 		}
 	}
-	for _, sp := range lw.wide {
-		lo, hi := int(sp.off)*words, int(sp.off+sp.w)*words
-		a := cv[lo:hi]
-		b, c, d := cu[lo:hi][:len(a)], nv[lo:hi][:len(a)], nu[lo:hi][:len(a)]
-		var x, xl uint64
-		for j := last; j < len(a); j += words {
-			xl |= (a[j] ^ c[j]) | (b[j] ^ d[j])
-			for k := j - last; k < j; k++ {
-				x |= (a[k] ^ c[k]) | (b[k] ^ d[k])
+	if changed == 0 {
+		return n, 0
+	}
+	s.mark(b.fanLo, b.fanHi, changed, marks)
+	if s.cfg.Probe != nil {
+		n = 0
+		outs := s.prog.outs[b.outLo:b.outHi]
+		for m := changed; m != 0; m &= m - 1 {
+			if s.noteSpan(outs[bits.TrailingZeros64(m)], t, cur, next) {
+				n++
 			}
 		}
-		n += nonzero(x | xl&lm)
 	}
-	return n
+	return n, 1
+}
+
+// copyBlock carries an unmarked block's changed outputs over to the side
+// being written: its inputs did not change, so its next values are its
+// current ones.
+func (s *sim) copyBlock(b *block, cur, next *planeBuf) {
+	words := s.words
+	runs := s.prog.runs[b.runLo:b.runHi]
+	for r := 0; r+1 < len(runs); r += 2 {
+		lo, hi := int(runs[r])*words, int(runs[r]+max(runs[r+1], -runs[r+1]))*words
+		copy(next.v[lo:hi], cur.v[lo:hi])
+		copy(next.u[lo:hi], cur.u[lo:hi])
+	}
 }
 
 // noteSpan compares one output node's planes across the buffer sides,
 // reporting a node update when any live lane changed and firing the probe
 // when the observed lane did. Only the node's single driver calls this for
-// a given span. It scans the flat slabs directly — this runs once per
-// element per step, so the plane-struct indirection would cost as much as
-// a small kernel.
+// a given span, and only when a probe is attached and the span changed in
+// some lane. It scans the flat slabs directly.
 func (s *sim) noteSpan(sp span, t circuit.Time, cur, next *planeBuf) bool {
 	o, w := int(sp.off), int(sp.w)
 	words := s.words
