@@ -98,7 +98,9 @@ jit-test:
 
 ## async-test runs the event-list family under the race detector: the
 ## asynchronous core (owner routing, the rank-ordered ready set, the
-## wake-up threshold invariant at every quiescence, the 200-seed x 1-4
+## owner-private queued flag with its dropped duplicates and settle
+## re-check, the wake-up threshold invariant and no element left queued at
+## every quiescence, the 200-seed x 1-4
 ## workers x four-mode differential corpus against the sequential oracle,
 ## the pinned one-worker activation counts), the SPSC queue, the
 ## event-driven engine (its own 100-seed x 1-4 workers x three-mode corpus
@@ -127,7 +129,8 @@ bench-smoke:
 ## legs. The asyncdebug tag checks the asynchronous core's in-flight
 ## invariants (valid-times only grow; no event is consumed at or past the
 ## valid-time its activation loaded; no cursor reads a slot at or past the
-## count it loaded) and reruns the internal/core suite and the FuzzEngines
+## count it loaded; only an element's owner touches its queued flag or
+## evaluates it) and reruns the internal/core suite and the FuzzEngines
 ## corpus replay under it — the only tests `race` cannot run.
 check: build vet lint test race bench-smoke
 	$(GO) test -race -tags asyncdebug -timeout 15m -count=1 ./internal/core

@@ -50,17 +50,14 @@ func partitionReport(c *circuit.Circuit, opts Options) *PartitionReport {
 		Imbalance: partition.Imbalance(c, parts),
 		Parts:     make([]PartInfo, len(parts)),
 	}
-	partOf := make([]int, len(c.Elems))
-	for i := range partOf {
-		partOf[i] = -1 // generators
-	}
 	for p, ids := range parts {
 		for _, id := range ids {
-			partOf[id] = p
 			pr.Parts[p].Elems++
 			pr.Parts[p].Cost += c.Elems[id].Cost
 		}
 	}
+	partOf := partIndex(c, parts)
+	pr.CutEdges, pr.TotalEdges = cutEdges(c, partOf)
 	var hot []HotNode
 	seen := make(map[int]bool)
 	for i := range c.Nodes {
@@ -68,17 +65,9 @@ func partitionReport(c *circuit.Circuit, opts Options) *PartitionReport {
 		if nd.Driver == circuit.NoElem {
 			continue
 		}
-		dp := partOf[nd.Driver]
 		clear(seen)
 		for _, ref := range nd.Fanout {
-			cp := partOf[ref.Elem]
-			seen[cp] = true
-			if dp >= 0 {
-				pr.TotalEdges++
-				if cp != dp {
-					pr.CutEdges++
-				}
-			}
+			seen[partOf[ref.Elem]] = true
 		}
 		if len(seen) >= 2 && len(nd.Fanout) >= 2 {
 			hot = append(hot, HotNode{Node: nd.Name, Fanout: len(nd.Fanout), Partitions: len(seen)})
@@ -98,4 +87,39 @@ func partitionReport(c *circuit.Circuit, opts Options) *PartitionReport {
 	}
 	pr.HotNodes = hot
 	return pr
+}
+
+// partIndex maps every element to the index of its partition, and a
+// generator, which no partition holds, to -1.
+func partIndex(c *circuit.Circuit, parts [][]circuit.ElemID) []int {
+	partOf := make([]int, len(c.Elems))
+	for i := range partOf {
+		partOf[i] = -1
+	}
+	for p, ids := range parts {
+		for _, id := range ids {
+			partOf[id] = p
+		}
+	}
+	return partOf
+}
+
+// cutEdges counts the driver->consumer edges (total) and those whose
+// endpoints lie in different partitions (cut). Generator-driven edges are
+// left out: generators are scheduled outside the partitions.
+func cutEdges(c *circuit.Circuit, partOf []int) (cut, total int) {
+	for i := range c.Nodes {
+		nd := &c.Nodes[i]
+		if nd.Driver == circuit.NoElem || partOf[nd.Driver] < 0 {
+			continue
+		}
+		dp := partOf[nd.Driver]
+		for _, ref := range nd.Fanout {
+			total++
+			if partOf[ref.Elem] != dp {
+				cut++
+			}
+		}
+	}
+	return cut, total
 }

@@ -501,32 +501,7 @@ func (p *CircuitProfile) cuts(c *circuit.Circuit) {
 	for _, s := range []partition.Strategy{partition.RoundRobin, partition.Blocks, partition.CostLPT} {
 		for _, workers := range cutWorkerSweep {
 			parts := partition.Split(c, workers, s)
-			partOf := make([]int, len(c.Elems))
-			for i := range partOf {
-				partOf[i] = -1
-			}
-			for pi, ids := range parts {
-				for _, id := range ids {
-					partOf[id] = pi
-				}
-			}
-			cut, total := 0, 0
-			for i := range c.Nodes {
-				nd := &c.Nodes[i]
-				if nd.Driver == circuit.NoElem {
-					continue
-				}
-				dp := partOf[nd.Driver]
-				if dp < 0 {
-					continue // generator-driven: scheduled outside partitions
-				}
-				for _, ref := range nd.Fanout {
-					total++
-					if partOf[ref.Elem] != dp {
-						cut++
-					}
-				}
-			}
+			cut, total := cutEdges(c, partIndex(c, parts))
 			cq := CutQuality{
 				Strategy:  s.String(),
 				Workers:   workers,

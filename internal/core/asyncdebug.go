@@ -2,7 +2,11 @@
 
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"parsim/internal/circuit"
+)
 
 // The asyncdebug build checks the engine's in-flight invariants where they
 // could break and panics naming the broken one; the default build
@@ -25,5 +29,13 @@ func (h *history) setValid(v int64) {
 func checkBelow(what string, v, bound int64) {
 	if v >= bound {
 		panic(fmt.Sprintf("core: %s %d at or past the loaded bound %d", what, v, bound))
+	}
+}
+
+// checkOwner panics unless worker w owns element e: only an element's owner
+// reads or writes its queued flag, and only the owner evaluates it.
+func (w *worker) checkOwner(what string, e circuit.ElemID) {
+	if owner := w.s.ctl[e].owner; int(owner) != w.id {
+		panic(fmt.Sprintf("core: worker %d %s element %d owned by worker %d", w.id, what, e, owner))
 	}
 }

@@ -3,8 +3,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"parsim/internal/circuit"
+	"parsim/internal/engine"
+	"parsim/internal/gen"
 )
 
 func mustPanic(t *testing.T, want string, f func()) {
@@ -24,4 +29,11 @@ func TestInvariantChecksFire(t *testing.T) {
 	mustPanic(t, "valid-time moved back from 10 to 9", func() { h.setValid(9) })
 	checkBelow("consumed event time", 4, 5)
 	mustPanic(t, "consumed event time 5 at or past the loaded bound 5", func() { checkBelow("consumed event time", 5, 5) })
+	s := newSim(gen.FeedbackChain(5), engine.Config{Workers: 2, Horizon: 10}, async)
+	var e circuit.ElemID
+	for s.c.Elems[e].IsGenerator() {
+		e++
+	}
+	owner := s.ctl[e].owner
+	mustPanic(t, fmt.Sprintf("worker %d queued element %d owned by worker %d", 1-owner, e, owner), func() { s.workers[1-owner].queue(e) })
 }

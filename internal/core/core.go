@@ -47,56 +47,63 @@
 //
 // Owner routing. Every non-generator element has one fixed owner: the
 // elements, in id order, are cut into one contiguous, cost-balanced block
-// per worker. Generators lay out rows, columns and functional units with
-// consecutive ids, so a block is a connected piece of the circuit and most
-// fan-out stays on the worker that produced it; cutting the (level, id)
-// order instead, as the levelized plane core does, gives each worker a
-// band of levels and makes the workers a pipeline. An element is only ever
-// evaluated by its owner, so its cursors, state and output histories stay
-// in one cache. Activating an element the worker owns never leaves the
-// worker; activating a foreign one pushes its id on queues[owner][self],
-// the paper's n-by-n single-reader, single-writer FIFO matrix, which is the
-// only cross-worker channel. Activation is deduplicated by a lock-free
-// per-element state machine (idle/queued/running/dirty).
+// per worker, a connected piece of the circuit (generators give rows,
+// columns and functional units consecutive ids), so most fan-out stays on
+// the worker that produced it; cutting the (level, id) order instead would
+// make the workers a pipeline of level bands. Only the owner evaluates an
+// element or touches its queued flag, as plain memory. Activating an owned
+// element queues it unless it is queued already; activating a foreign one
+// pushes its id on queues[owner][self], the paper's n-by-n single-reader,
+// single-writer FIFO matrix and the only cross-worker channel, and the
+// owner drops a popped id whose element is queued already.
 //
 // Rank-ordered ready set. A worker drains its inbound queues into a private
 // ready set bucketed by combinational depth (analyze.LevelSchedule; elements
 // in or behind a feedback cycle go last) and always runs the shallowest
 // ready element. On a feed-forward cone every input has therefore reached
 // the horizon before its consumer runs, and the consumer runs once and
-// drains all its events. An element marked dirty while running goes back
-// into the ready set at its rank instead of re-running on the spot.
+// drains all its events. The queued flag is cleared when an element is
+// popped, so one activated while it runs goes back into the ready set at
+// its rank.
 //
-// Threshold wake-ups. Before an element settles to idle it publishes need:
-// the smallest minimum-input-valid-time at which another activation could
-// do anything. That is minValid+1, one past the minimum it just read — or,
+// Threshold wake-ups. After each activation the owner stores need: the
+// smallest minimum-input-valid-time at which another activation could do
+// anything. That is minValid+1, one past the minimum it just read — or,
 // for a clocked element whose lookahead stopped at a pending trigger event
 // at T > minValid, T+1, because until that event can be consumed the events
 // on the other inputs cannot reach the outputs. A producer that advances
-// node n from old to new stores validTo first and then wakes an idle
-// fan-out element only if old < need <= new. Inputs on trigger ports (their
-// valid-time alone can extend the lookahead), fan-outs that are not idle,
-// events published without a valid-time advance (the Chandy-Misra
-// discipline), and GateLookahead runs (where a controlling input acts like
-// a trigger) take the unconditional path.
+// node n from old to new stores validTo and then loads need, and activates
+// a fan-out element only if old < need <= new. Inputs on trigger ports
+// (their valid-time alone can extend the lookahead), events published
+// without a valid-time advance (the Chandy-Misra discipline), and
+// GateLookahead runs (where a controlling input acts like a trigger) take
+// the unconditional path. A producer may test a need that the element's
+// queued or running activation is about to replace, so after its need
+// store the owner re-reads the inputs' valid-times and queues the element
+// again if all have reached need: the settle re-check.
 //
-// Why a skipped wake-up is never lost. An idle element computed need from
-// the validTo values its last activation read, at least one of which was
-// below need, and has nothing to do until every input has passed need.
-// Take the last input to pass: its producer stored new >= need over an old
-// < need and then loaded the element's state. Go's atomics are sequentially
-// consistent, the element stores need before its running->idle CAS and
-// loads validTo after its queued->running CAS. If the producer saw running
-// it marked the element dirty; if it saw queued or dirty, the activation to
-// come reads new. If it saw idle, that idle cannot precede the activation
-// that computed need — that activation would have read new — so it follows
-// it, the producer reads this need (or one from a later activation, which
-// has read new) and the test old < need <= new succeeds. At quiescence
-// every idle element therefore has min(validTo over inputs) < need, which
-// the tests check after every round.
+// Why a skipped wake-up is never lost. Let A be an element's last
+// activation and suppose every input reaches A's need. A read some input
+// below need; take the store old < need <= new that brings an input to need
+// last in the single order of Go's sequentially consistent atomics. If it
+// precedes the re-check's first load, the re-check sees every input at
+// need and queues the element again. If not, it follows A's need store, so
+// its producer then loads A's need, which passes old < need <= new (or a
+// later need, from a later activation), or the port is a trigger port: the
+// push either queues the element or, dropped as a duplicate, finds an
+// activation still to run. Either way A was not the last. Events need no
+// re-check: one published with a valid-time advance lies at or past the
+// old valid-time, at least the minimum A read, so by the definition of need
+// it gives the element nothing to do before every input has passed need;
+// one published without an advance is pushed unconditionally. At
+// quiescence every element therefore has min(validTo over inputs) < need,
+// no event below that minimum and a clear queued flag, which the tests
+// check after every round.
 //
-// Termination. Each worker counts the activations it makes and the
-// elements it settles in words of its own; a starving worker sums them
+// Termination. A worker counts the ids it pushes (created) and, whenever
+// its ready set runs dry, publishes the count of ids it popped (settled), a
+// dropped duplicate included; its local activations, made while it holds a
+// pop not yet published, need no count. A starving worker sums the words
 // (see quiescent) instead of every activation bumping one shared counter.
 package core
 
@@ -143,19 +150,13 @@ func init() {
 
 func (e eng) Name() string { return e.name }
 
-// Element activation states.
+// History storage sizes (see the package comment), and the activations
+// between a worker's watchdog heartbeats; it also beats when it runs dry.
 const (
-	stIdle int32 = iota
-	stQueued
-	stRunning
-	stDirty
-)
-
-// History storage sizes; see the package comment.
-const (
-	chunkSz = 64
-	blockSz = 1024
-	noEvent = math.MaxInt64 // a cursor's next-event time when none is published
+	chunkSz   = 64
+	blockSz   = 1024
+	noEvent   = math.MaxInt64 // a cursor's next-event time when none is published
+	beatEvery = 64
 )
 
 // event is one node value change.
@@ -173,9 +174,8 @@ type hchunk struct {
 }
 
 // history is one node's behaviour over time. The writer side (n, tail, last,
-// final) is only ever touched while holding the driving element in the
-// running state, which serialises writers across activations; readers go
-// through the atomics.
+// final) is only ever touched by the driving element's owner (or before the
+// workers start); readers go through the atomics.
 type history struct {
 	count   atomic.Int64 // published events
 	validTo atomic.Int64 // behaviour known for all t < validTo
@@ -192,16 +192,15 @@ type cursor struct {
 	val   logic.Value // input value at the current position
 }
 
-// elemCtl is what activating an element touches: its place in the
-// idle/queued/running/dirty machine, the wake-up threshold it published,
-// and where it runs. owner, rank and trig are fixed before the workers
-// start.
+// elemCtl is what activating an element touches: the wake-up threshold its
+// owner published, where it runs and whether it is queued. owner, rank and
+// trig are fixed before the workers start.
 type elemCtl struct {
-	state atomic.Int32
-	owner int32        // the one worker that evaluates this element
-	need  atomic.Int64 // see the package comment; written by the owner only
-	rank  int32        // ready-set bucket: combinational depth, cycles last
-	trig  uint8        // bit p set: input port p wakes unconditionally
+	need   atomic.Int64 // see the package comment; written by the owner only
+	owner  int32        // the one worker that evaluates this element
+	rank   int32        // ready-set bucket: combinational depth, cycles last
+	trig   uint8        // bit p set: input port p wakes unconditionally
+	queued bool         // in the owner's ready set; the owner's alone, plain memory
 }
 
 type sim struct {
@@ -222,12 +221,10 @@ type sim struct {
 }
 
 // Run simulates the circuit with cfg.Workers lock-free workers. The guard
-// contains worker panics, evaluations heartbeat the watchdog, and a run that
+// contains worker panics, activations heartbeat the watchdog, and a run that
 // goes passive with node valid-times short of the horizon self-reports the
-// stall instead of silently returning stale X values. When the run is
-// cancelled every worker stops at its next queue poll (or within 64 merged
-// time points inside a long element activation) and the partial Report is
-// returned.
+// stall. A cancelled run stops at every worker's next queue poll (or within
+// 64 merged time points of an activation) and returns the partial Report.
 func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	s := newSim(c, cfg, e)
 
@@ -372,27 +369,23 @@ func (s *sim) place() {
 	}
 }
 
-// enqueue activates an idle element while no worker is running (before the
-// first round and between deadlock-recovery rounds), reporting whether it
-// was idle.
-func (s *sim) enqueue(e circuit.ElemID) bool {
-	ctl := &s.ctl[e]
-	if !ctl.state.CompareAndSwap(stIdle, stQueued) {
-		return false
+// enqueue queues an element on its owner while no worker runs (before the
+// first round and between deadlock-recovery rounds), counted as pushed and
+// popped at once, so that no worker finds the round quiescent before it.
+func (s *sim) enqueue(e circuit.ElemID) {
+	w := s.workers[s.ctl[e].owner]
+	if w.queue(e) {
+		w.created.Add(1)
+		w.popped++
 	}
-	w := s.workers[ctl.owner]
-	w.created.Add(1)
-	w.ready.push(ctl.rank, e)
-	return true
 }
 
-// quiescent reports whether no element is queued or running anywhere. The
-// workers count the activations they make and the elements they settle in
-// words of their own, so that the hot path shares no counter; settled is
-// summed before created, both only grow, and an element is settled after it
-// is created, so at any instant between the two scans pending <= created -
-// settled as read here: equal sums mean nothing was pending at that instant,
-// and with nothing running nothing can be activated again.
+// quiescent reports whether no activation is pending anywhere. An id is
+// created before it is pushed, and a worker, which gains work only by a pop,
+// publishes its pops as settled only while it holds none: created - settled
+// is the ids in flight plus the unpublished pops, zero only when nothing is
+// pending. settled is summed first and both only grow, so equal sums mean
+// nothing was pending at an instant between the scans, nor can be after.
 func (s *sim) quiescent() bool {
 	var created, settled int64
 	for _, w := range s.workers {
@@ -460,9 +453,10 @@ type worker struct {
 	nextBuf  []int64
 	appBuf   []bool
 	wc       stats.WorkerCounters
+	popped   int64        // ids popped from inbound queues and given by enqueue
 	_        [64]byte     // the words below are read by starving workers
-	created  atomic.Int64 // activations this worker made (idle -> queued)
-	settled  atomic.Int64 // elements this worker settled (running -> idle)
+	created  atomic.Int64 // ids this worker pushed on queues, and those enqueue gave it
+	settled  atomic.Int64 // popped, published while the ready set is empty
 	_        [64]byte     // keep the next worker's allocation off this line
 }
 
@@ -481,24 +475,26 @@ func (w *worker) run() {
 		if s.cfg.Guard.Cancelled() {
 			return // every worker polls the flag, so all exit independently
 		}
-		for _, q := range w.inbound {
-			for e, ok := q.Pop(); ok; e, ok = q.Pop() {
-				w.ready.push(s.ctl[e].rank, e)
-			}
-		}
+		w.drain()
 		if e, ok := w.ready.pop(); ok {
 			w.process(e)
 			starved = 0
 			continue
 		}
-		// Out of local work while others still run: this is the only spin
-		// in the algorithm, and it is starvation, not synchronisation. It is
-		// also the only place the clock is read. The spin watches the
-		// inbound queues, which change only when there is work for this
-		// worker; the termination scan reads words the busy workers are
-		// writing, so it runs on the first poll and every 16th after it.
-		if starved%16 == 0 && s.quiescent() {
-			return
+		// Out of local work while others still run: the only spin in the
+		// algorithm, starvation, not synchronisation, and the only clock
+		// read. The first poll beats for the activations since the last
+		// beat. The spin watches the inbound queues; the termination scan
+		// reads words the busy workers write, so it runs, after publishing
+		// this worker's pops, on the first poll and every 16th after it.
+		if starved == 0 {
+			s.cfg.Guard.Heartbeat(w.id)
+		}
+		if starved%16 == 0 {
+			w.settled.Store(w.popped)
+			if s.quiescent() {
+				return
+			}
 		}
 		starved++
 		t0 := time.Now()
@@ -508,58 +504,46 @@ func (w *worker) run() {
 	}
 }
 
-// activate stimulates an element: schedule it if idle, mark it dirty if it
-// is currently being evaluated so it runs again, and do nothing if it is
-// already waiting. This is the paper's "activate the elements only once".
-func (w *worker) activate(e circuit.ElemID) {
-	s := w.s
-	ctl := &s.ctl[e]
-	for {
-		switch ctl.state.Load() {
-		case stIdle:
-			if ctl.state.CompareAndSwap(stIdle, stQueued) {
-				w.created.Add(1)
-				if s.chaos != nil && s.chaos.DropWakeup() {
-					// Injected lost wakeup: the element stays claimed but is
-					// never delivered, so the run never becomes quiescent and
-					// hangs — the failure the watchdog exists to catch.
-					return
-				}
-				if int(ctl.owner) == w.id {
-					w.ready.push(ctl.rank, e)
-				} else {
-					s.queues[ctl.owner][w.id].Push(e)
-				}
-				return
-			}
-		case stQueued, stDirty:
-			return
-		case stRunning:
-			if ctl.state.CompareAndSwap(stRunning, stDirty) {
-				return
-			}
+// drain moves the inbound ids into the ready set. A duplicate, an id whose
+// element is queued already, is dropped, settled by the pop counted here.
+func (w *worker) drain() {
+	for _, q := range w.inbound {
+		for e, ok := q.Pop(); ok; e, ok = q.Pop() {
+			w.popped++
+			w.queue(e)
 		}
 	}
 }
 
-// process evaluates a queued element this worker owns and settles it back
-// to idle — or, if a concurrent activation marked it dirty meanwhile, back
-// into the ready set at its rank.
-func (w *worker) process(e circuit.ElemID) {
-	ctl := &w.s.ctl[e]
-	if !ctl.state.CompareAndSwap(stQueued, stRunning) {
-		panic("core: popped element not in queued state")
-	}
-	w.evalElement(e)
-	if ctl.state.CompareAndSwap(stRunning, stIdle) {
-		w.settled.Add(1)
+// activate stimulates an element, the paper's "activate the elements only
+// once": the owner queues it, and a foreign producer counts and pushes it.
+func (w *worker) activate(e circuit.ElemID) {
+	s := w.s
+	if s.chaos != nil && s.chaos.DropWakeup() {
+		// Injected lost wake-up: pushed but never delivered, so the run never
+		// quiesces and hangs, the failure the watchdog exists to catch.
+		w.created.Add(1)
 		return
 	}
-	// Dirty: new input behaviour arrived while running.
-	if !ctl.state.CompareAndSwap(stDirty, stQueued) {
-		panic("core: unexpected element state after evaluation")
+	if owner := s.ctl[e].owner; int(owner) != w.id {
+		w.created.Add(1)
+		s.queues[owner][w.id].Push(e)
+		return
 	}
+	w.queue(e)
+}
+
+// queue puts an element this worker owns into its ready set unless it is
+// queued already, reporting whether it was not.
+func (w *worker) queue(e circuit.ElemID) bool {
+	w.checkOwner("queued", e)
+	ctl := &w.s.ctl[e]
+	if ctl.queued {
+		return false
+	}
+	ctl.queued = true
 	w.ready.push(ctl.rank, e)
+	return true
 }
 
 // appendEvent appends, unpublished, one value change on node n at time t;
@@ -640,16 +624,22 @@ func changeBound(next, vt int64) int64 {
 	return vt
 }
 
-// evalElement implements the paper's "get the output behaviour of an
-// element" procedure: consume every input event below min-valid in merged
-// time order, evaluating once per distinct time, then advance the outputs'
-// valid times, publish the wake-up threshold and stimulate fan-outs that
-// gained behaviour they can use.
-func (w *worker) evalElement(e circuit.ElemID) {
+// process evaluates an element popped from this worker's ready set, the
+// paper's "get the output behaviour of an element" procedure: consume every
+// input event below min-valid in merged time order, evaluating once per
+// distinct time, then advance the outputs' valid times, publish the wake-up
+// threshold and stimulate fan-outs that gained behaviour they can use. The
+// queued flag is cleared first, so an activation that arrives meanwhile
+// puts the element back into the ready set.
+func (w *worker) process(e circuit.ElemID) {
+	w.checkOwner("evaluated", e)
 	s := w.s
+	s.ctl[e].queued = false
 	el := &s.c.Elems[e]
 	w.wc.Evals++
-	s.cfg.Guard.Heartbeat(w.id)
+	if w.wc.Evals%beatEvery == 0 {
+		s.cfg.Guard.Heartbeat(w.id)
+	}
 	if s.chaos != nil {
 		s.chaos.Eval()
 	}
@@ -666,11 +656,9 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	out, appended := w.outBuf[:len(el.Out)], w.appBuf[:len(el.Out)]
 	clear(appended)
 
-	// Step 1-2: min-valid across inputs; load published counts once so the
-	// view is consistent (events published after this point wait for the
-	// next activation). next holds each port's next event time, so finding
-	// a merged time point scans it and only the ports at that time touch
-	// their chunks.
+	// Step 1-2: min-valid across inputs, and the published counts loaded
+	// once, for a consistent view. next holds each port's next event time,
+	// so finding a merged time point touches only the chunks at that time.
 	minValid := horizon
 	for port, n := range el.In {
 		h := &s.hist[n]
@@ -681,11 +669,10 @@ func (w *worker) evalElement(e circuit.ElemID) {
 		in[port] = cs[port].val
 	}
 
-	// Controlling-value lookahead for gates (optional), before any events
-	// are consumed: if inputs holding the controlling value pin the output,
-	// it cannot change before the last of them can — events on the other
-	// inputs below that bound are consumed without invoking the model,
-	// exactly as the paper's AND-gate example describes.
+	// Controlling-value lookahead for gates (optional): if inputs holding the
+	// controlling value pin the output, it cannot change before the last of
+	// them can, so events on the other inputs below that bound are consumed
+	// without invoking the model, as in the paper's AND-gate example.
 	effValid := minValid
 	if s.cfg.GateLookahead {
 		if ctrl, ok := circuit.ControllingValue(el.Kind); ok {
@@ -710,8 +697,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 		}
 	}
 
-	// Step 4: consume events before min-valid in merged time order. A
-	// single activation can consume an unbounded number of events, so every
+	// Step 4: consume events before min-valid in merged time order; every
 	// 64th merged time point polls the cancellation flag and heartbeats.
 	for points := 1; ; points++ {
 		tmin := minValid
@@ -753,13 +739,8 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// so the output's validity extends to that point even while the data
 	// inputs lag. Every event below minValid was consumed above, so a
 	// pending trigger event — or, when none is queued, the trigger node's
-	// valid-time — bounds the first possible output change.
-	//
-	// need is the wake-up threshold (see the package comment): nothing more
-	// can be consumed, and no output valid-time extended, until the minimum
-	// input valid-time passes minValid — or, when the lookahead stopped at a
-	// pending trigger event, passes that event, since the events on the
-	// other inputs before it cannot reach the outputs and wait with it.
+	// valid-time — bounds the first possible output change, and a pending
+	// event also sets need (see the package comment).
 	need := minValid + 1
 	if trig := circuit.TriggerPorts(el.Kind); trig != nil && !s.cfg.NoLookahead {
 		bound, pending := horizon, false // pending: bound is an event, not a valid-time
@@ -775,12 +756,18 @@ func (w *worker) evalElement(e circuit.ElemID) {
 			}
 		}
 	}
-	s.ctl[e].need.Store(need) // before the caller's running->idle CAS
+	s.ctl[e].need.Store(need)
+	recheck := need <= horizon // the settle re-check; see the package comment
+	for i := 0; recheck && i < len(el.In); i++ {
+		recheck = s.hist[el.In[i]].validTo.Load() >= need
+	}
+	if recheck {
+		w.queue(e)
+	}
 
 	// Step 5: publish each output's new events, advance its valid time and
-	// stimulate fan-out wherever new behaviour (events or valid-time progress)
-	// appeared. Under the Chandy-Misra discipline the valid-times stay frozen:
-	// consumers block on them until the global deadlock-recovery pass.
+	// stimulate fan-out wherever new behaviour appeared. Under Chandy-Misra
+	// the valid-times stay frozen until the global deadlock-recovery pass.
 	for p, n := range el.Out {
 		h := &s.hist[n]
 		if appended[p] {
@@ -793,7 +780,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 		}
 		switch {
 		case newValid > old:
-			h.setValid(newValid) // before any fan-out's state is read
+			h.setValid(newValid) // before any fan-out's need is read
 			w.wake(n, old, newValid)
 			if newValid == horizon {
 				w.release(h)
@@ -808,8 +795,8 @@ func (w *worker) evalElement(e circuit.ElemID) {
 
 // wake stimulates the fan-out of node n after its valid-time advanced from
 // old to newValid: every element for which that is new usable behaviour.
-// An idle element fed through a non-trigger port is skipped unless the
-// advance crossed the threshold it published.
+// An element fed through a non-trigger port is skipped unless the advance
+// crossed the threshold it published.
 func (w *worker) wake(n circuit.NodeID, old, newValid int64) {
 	s := w.s
 	// Under GateLookahead a controlling input acts like a trigger on any
@@ -817,7 +804,7 @@ func (w *worker) wake(n circuit.NodeID, old, newValid int64) {
 	threshold := !s.cfg.GateLookahead
 	for _, pr := range s.c.Nodes[n].Fanout {
 		ctl := &s.ctl[pr.Elem]
-		if threshold && ctl.trig>>uint(pr.Port)&1 == 0 && ctl.state.Load() == stIdle {
+		if threshold && ctl.trig>>uint(pr.Port)&1 == 0 {
 			if need := ctl.need.Load(); need <= old || need > newValid {
 				continue
 			}
@@ -874,25 +861,20 @@ func (s *sim) recoverDeadlock() bool {
 		if el.IsGenerator() {
 			continue
 		}
-		minValid := horizon
-		for _, n := range el.In {
-			minValid = min(minValid, s.hist[n].validTo.Load())
-		}
-		runnable := false
+		minValid, first := horizon, horizon
 		for port, n := range el.In {
-			if fp := firstPending(el.ID, port, n); fp < minValid {
-				runnable = true
-				break
-			}
+			minValid = min(minValid, s.hist[n].validTo.Load())
+			first = min(first, firstPending(el.ID, port, n))
 		}
-		if !runnable {
-			// Pure valid-time propagation through this element was already
-			// handled by the fixpoint above: that was its activation at
-			// minValid, so the threshold moves as if it had run.
-			s.ctl[i].need.Store(minValid + 1)
-		} else if s.enqueue(el.ID) {
+		if first < minValid {
+			s.enqueue(el.ID)
 			queued = true
+			continue
 		}
+		// Pure valid-time propagation through this element was already
+		// handled by the fixpoint above: that was its activation at minValid,
+		// so the threshold moves as if it had run.
+		s.ctl[i].need.Store(minValid + 1)
 	}
 	return queued
 }

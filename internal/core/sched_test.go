@@ -6,6 +6,7 @@ import (
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
+	"parsim/internal/logic"
 )
 
 type simCase struct {
@@ -56,21 +57,32 @@ func TestOneWorkerCountsPinned(t *testing.T) {
 }
 
 // checkQuiescent asserts that no wake-up was lost: with every worker
-// stopped and nothing pending, each element is idle, has no consumable
-// event (one below its minimum input valid-time), and the minimum input
-// valid-time has not reached the threshold it published.
+// stopped and nothing pending, no ready set or queue holds an id, no
+// element is left queued, none has a consumable event (one below its
+// minimum input valid-time), and no minimum input valid-time has reached
+// the threshold its element published.
 func checkQuiescent(t *testing.T, s *sim, when string) {
 	t.Helper()
 	if !s.quiescent() {
 		t.Fatalf("%s %s: activations pending after the workers returned", s.c.Name, when)
+	}
+	for _, w := range s.workers {
+		if w.ready.n != 0 {
+			t.Fatalf("%s %s: worker %d has %d elements ready at quiescence", s.c.Name, when, w.id, w.ready.n)
+		}
+		for _, q := range w.inbound {
+			if e, ok := q.Pop(); ok {
+				t.Fatalf("%s %s: id %d still on a queue to worker %d at quiescence", s.c.Name, when, e, w.id)
+			}
+		}
 	}
 	for i := range s.c.Elems {
 		el := &s.c.Elems[i]
 		if el.IsGenerator() {
 			continue
 		}
-		if st := s.ctl[i].state.Load(); st != stIdle {
-			t.Fatalf("%s %s: element %s in state %d at quiescence", s.c.Name, when, el.Name, st)
+		if s.ctl[i].queued {
+			t.Fatalf("%s %s: element %s left queued at quiescence", s.c.Name, when, el.Name)
 		}
 		minValid := int64(s.cfg.Horizon)
 		for _, n := range el.In {
@@ -152,5 +164,119 @@ func TestRecoveryRoundsSumIdleTime(t *testing.T) {
 	}
 	if polls == 0 {
 		t.Skip("no worker starved in any round; nothing to check")
+	}
+}
+
+// runByHand runs every worker's ready set to empty, single-threaded, until
+// no worker has anything left, then publishes each worker's pops as
+// settled, as its starvation path would.
+func runByHand(s *sim) {
+	for busy := true; busy; {
+		busy = false
+		for _, w := range s.workers {
+			w.drain()
+			for e, ok := w.ready.pop(); ok; e, ok = w.ready.pop() {
+				w.process(e)
+				busy = true
+			}
+		}
+	}
+	for _, w := range s.workers {
+		w.settled.Store(w.popped)
+	}
+}
+
+func TestDuplicatePushDropped(t *testing.T) {
+	// A foreign producer pushes an element its owner has queued already.
+	// The owner must drop the popped id rather than queue the element
+	// twice, the drop must settle the push at once, and the element must
+	// still run exactly once.
+	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 2, Cols: 4, ActiveRows: 2, TogglePeriod: 2})
+	s := newSim(c, engine.Config{Workers: 2, Horizon: 50}, async)
+	owner := s.workers[1]
+	e := circuit.ElemID(-1)
+	for _, q := range owner.ready.buckets {
+		if len(q) > 0 {
+			e = q[0]
+			break
+		}
+	}
+	if e < 0 || !s.ctl[e].queued {
+		t.Fatal("worker 1 has no element queued before the round")
+	}
+	ready, popped := owner.ready.n, owner.popped
+	s.workers[0].activate(e)
+	owner.drain()
+	if owner.popped != popped+1 {
+		t.Fatalf("owner counted %d pops for one pushed id", owner.popped-popped)
+	}
+	if owner.ready.n != ready {
+		t.Fatalf("duplicate queued: %d elements ready, want %d", owner.ready.n, ready)
+	}
+	runByHand(s)
+	if !s.quiescent() {
+		t.Fatal("the dropped duplicate left the run unquiescent")
+	}
+	checkQuiescent(t, s, "after a dropped duplicate")
+	if evals := s.workers[0].wc.Evals + owner.wc.Evals; evals != int64(len(c.Elems)-len(c.Generators())) {
+		t.Errorf("%d activations, want one per element", evals)
+	}
+}
+
+// onChange is a trace.Probe that calls f for every value change.
+type onChange func(n circuit.NodeID, t circuit.Time, v logic.Value)
+
+func (f onChange) OnChange(n circuit.NodeID, t circuit.Time, v logic.Value) { f(n, t, v) }
+
+func TestSettleRecheckRequeues(t *testing.T) {
+	// y = a AND b, with b published only up to 50 when the gate runs. While
+	// the gate evaluates (after it loaded its inputs, before it stores
+	// need), b's producer advances b to the horizon and tests the gate's
+	// need: still the initial 1, so the advance crosses nothing and the
+	// producer pushes nothing. Only the owner's re-check after its need
+	// store (51) can see that the inputs have reached it.
+	bld := circuit.NewBuilder("recheck")
+	a, b, y := bld.Bit("a"), bld.Bit("b"), bld.Bit("y")
+	bld.Clock("clk", a, 2, 0, 1)
+	bld.Wave("wave", b, []circuit.Time{0, 70}, []logic.Value{logic.V(1, 1), logic.V(1, 0)})
+	gate := bld.Gate(circuit.KindAnd, "and", 1, y, a, b)
+	c := bld.MustBuild()
+
+	armed, fired, pushed := false, false, false
+	var s *sim
+	probe := onChange(func(n circuit.NodeID, _ circuit.Time, _ logic.Value) {
+		if !armed || n != y || fired {
+			return
+		}
+		fired = true
+		s.hist[b].setValid(100)
+		s.workers[0].wake(b, 50, 100)
+		pushed = s.ctl[gate].queued
+	})
+	s = newSim(c, engine.Config{Workers: 1, Horizon: 100, Probe: probe}, async)
+	w := s.workers[0]
+	s.hist[b].validTo.Store(50) // published events at 0 and 70, behaviour known below 50
+	armed = true
+	if e, ok := w.ready.pop(); !ok || e != gate {
+		t.Fatalf("popped %d, %v; want the gate queued", e, ok)
+	}
+	w.process(gate)
+	if !fired {
+		t.Fatal("the gate changed no output; the interleaving was not forced")
+	}
+	if pushed {
+		t.Fatal("the producer activated the gate: its need test did not see the stale threshold")
+	}
+	if need := s.ctl[gate].need.Load(); need != 51 {
+		t.Fatalf("need %d after the first activation, want 51", need)
+	}
+	if !s.ctl[gate].queued || w.ready.n != 1 {
+		t.Fatal("inputs valid to 100 past need 51, and the gate was not queued again")
+	}
+	armed = false
+	s.runWorkers()
+	checkQuiescent(t, s, "after the re-queued activation")
+	if w.wc.Evals != 2 {
+		t.Errorf("%d activations, want 2", w.wc.Evals)
 	}
 }

@@ -120,26 +120,36 @@ func (j *job) setRunning(t time.Time) {
 	j.mu.Unlock()
 }
 
-// finish records the run outcome and returns the terminal state it chose:
-// done on success, cancelled when the server shut the run down, failed
-// otherwise (deadline, stall, fault, bad config). A partial result — the
-// engines return one on cancellation — is kept either way.
-func (j *job) finish(res json.RawMessage, err error, t time.Time, serverCancelled bool) jobState {
+// terminalState is the state a run outcome ends a job in: done on success,
+// cancelled when the server shut the run down, failed otherwise (deadline,
+// stall, fault, bad config).
+func terminalState(err error, serverCancelled bool) jobState {
+	switch {
+	case err == nil:
+		return jobDone
+	case serverCancelled:
+		return jobCancelled
+	default:
+		return jobFailed
+	}
+}
+
+// finish publishes the run outcome in the terminal state terminalState
+// chose for it; a client that polls the job sees that state from here on.
+// A partial result — the engines return one on cancellation — is kept
+// either way.
+func (j *job) finish(res json.RawMessage, err error, t time.Time, state jobState) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = t
 	j.result = res
-	switch {
-	case err == nil:
-		j.state = jobDone
-	case serverCancelled:
-		j.state = jobCancelled
+	j.state = state
+	switch state {
+	case jobCancelled:
 		j.errMsg = "cancelled by server shutdown: " + err.Error()
-	default:
-		j.state = jobFailed
+	case jobFailed:
 		j.errMsg = err.Error()
 	}
-	return j.state
 }
 
 // discard marks a never-run job cancelled (queue drained at shutdown).

@@ -392,9 +392,9 @@ func (s *Server) dedupSubmit(j *job) bool {
 		result := v.(json.RawMessage)
 		now := time.Now()
 		j.setRunning(now)
-		j.finish(result, nil, now, false)
 		s.logJournal(journalRecord{Type: recDone, Job: j.id, Result: result})
 		s.met.onFinish(j.engine, jobDone, false, 0, stats.WorkerCounters{})
+		j.finish(result, nil, now, jobDone)
 		return true
 	}
 	s.dedupMu.Lock()
@@ -691,8 +691,9 @@ func (s *Server) dispatch() {
 
 // runJob executes one admitted job: bound the run with the job's deadline
 // under the server's base context, dispatch through the engine registry on
-// the job's own parsed circuit, and fold the outcome into the job record
-// and metrics.
+// the job's own parsed circuit, and fold the outcome into the journal, the
+// metrics, the result cache and, last, the job record: a client that sees
+// the job done finds its result cached and counted.
 func (s *Server) runJob(j *job) {
 	defer s.running.Done()
 	defer s.budget.release(j.cfg.Workers)
@@ -732,7 +733,7 @@ func (s *Server) runJob(j *job) {
 	serverCancelled := s.baseCtx.Err() != nil && errors.Is(err, context.Canceled)
 	res := parsim.ResultOf(rep)
 	result := encodeResult(j.id, res)
-	state := j.finish(result, err, end, serverCancelled)
+	state := terminalState(err, serverCancelled)
 	s.logTerminal(j, state, result, err)
 	var tot stats.WorkerCounters
 	degraded := false
@@ -744,12 +745,26 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	s.met.onFinish(j.engine, state, degraded, end.Sub(start), tot)
+	// Cache the result, release the in-flight slot, and only then publish
+	// the state: no identical submission sees neither, and none made after
+	// the job reads done coalesces onto it. shared is the result as a
+	// submission that never simulated sees it.
+	shared := result
 	if j.key != "" && s.dedup != nil {
-		shared := result
 		if res != nil && res.Resumed {
 			shared = encodeResult(j.id, stripResumed(res))
 		}
-		s.settleDedup(j, shared, err, end, serverCancelled, state)
+		if state == jobDone && shared != nil {
+			s.dedup.Put(j.key, shared)
+		}
+	}
+	waiters := s.takeWaiters(j)
+	j.finish(result, err, end, state)
+	for _, wj := range waiters {
+		wj.setRunning(end)
+		s.logTerminal(wj, state, shared, err)
+		s.met.onFinish(wj.engine, state, false, 0, stats.WorkerCounters{})
+		wj.finish(shared, err, end, state)
 	}
 }
 
@@ -779,24 +794,6 @@ func (s *Server) logTerminal(j *job, state jobState, result json.RawMessage, run
 		// a drain interrupts the work, it doesn't lose it.
 	default:
 		s.logJournal(journalRecord{Type: recFailed, Job: j.id, Error: runErr.Error()})
-	}
-}
-
-// settleDedup closes out a keyed run: a successful result enters the LRU
-// so the next identical submission skips simulation, and every waiter
-// coalesced onto this run is finished with the same outcome. shared is
-// the result as a submission that never simulated sees it.
-func (s *Server) settleDedup(j *job, shared json.RawMessage, runErr error, end time.Time, serverCancelled bool, state jobState) {
-	// Publish the result before releasing the in-flight slot, so there is
-	// no window where an identical submission sees neither.
-	if state == jobDone && shared != nil {
-		s.dedup.Put(j.key, shared)
-	}
-	for _, wj := range s.takeWaiters(j) {
-		wj.setRunning(end)
-		wst := wj.finish(shared, runErr, end, serverCancelled)
-		s.logTerminal(wj, wst, shared, runErr)
-		s.met.onFinish(wj.engine, wst, false, 0, stats.WorkerCounters{})
 	}
 }
 
