@@ -131,10 +131,14 @@ bench-smoke:
 ## valid-time its activation loaded; no cursor reads a slot at or past the
 ## count it loaded; only an element's owner touches its queued flag or
 ## evaluates it) and reruns the internal/core suite and the FuzzEngines
-## corpus replay under it — the only tests `race` cannot run.
+## corpus replay under it — the only tests `race` cannot run. The last leg
+## runs TestResumeAfterCancel 20 times: a run that reached its horizon after
+## its context was cancelled once came back as cancelled, in about 1 run
+## in 8, so one pass cannot show that race is gone.
 check: build vet lint test race bench-smoke
 	$(GO) test -race -tags asyncdebug -timeout 15m -count=1 ./internal/core
 	$(GO) test -race -tags asyncdebug -timeout 5m -count=1 -run '^FuzzEngines$$' .
+	$(GO) test -count=20 -run 'TestResumeAfterCancel$$' .
 
 ## figures regenerates the quick machine-readable benchmark snapshot.
 figures:

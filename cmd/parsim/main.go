@@ -58,8 +58,8 @@
 // The profile subcommand prints the static fingerprint engine=auto selects
 // on — levelization, fanout, activity estimate, feedback census, partition
 // cut quality — plus the selection auto would make for a worker budget,
-// -lanes and -spin: the winner first, then the rest of its ranking, with
-// the confidence auto reports:
+// -lanes, -spin and -horizon: the winner first, then the rest of its
+// ranking, with the confidence auto reports:
 //
 //	parsim profile -bench mult16-gate -workers 8
 //	parsim profile -netlist adder.net -json
@@ -362,6 +362,7 @@ func runProfile(argv []string, w io.Writer) error {
 		workers     = fs.Int("workers", runtime.NumCPU(), "worker budget for the engine predictions")
 		lanes       = fs.Int("lanes", 0, "stimulus lanes the job would use (forces the plane core, jit, when > 1)")
 		spin        = fs.Int64("spin", 0, "synthetic work multiplier per evaluation, as -spin on a run")
+		horizon     = fs.Int64("horizon", 1000, "simulation horizon in ticks the job would run, as -horizon on a run")
 		jsonOut     = fs.Bool("json", false, "emit profile and predictions as JSON instead of text")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -371,7 +372,7 @@ func runProfile(argv []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sel, _ := auto.Choose(c, engine.Config{Workers: *workers, Lanes: *lanes, CostSpin: *spin})
+	sel, _ := auto.Choose(c, engine.Config{Workers: *workers, Lanes: *lanes, CostSpin: *spin, Horizon: parsim.Time(*horizon)})
 	win := slices.IndexFunc(sel.Ranking, func(ch engine.Choice) bool { return ch.Engine == sel.Engine })
 	preds := append([]engine.Choice{sel.Ranking[win]}, slices.Delete(slices.Clone(sel.Ranking), win, win+1)...)
 	if *jsonOut {
@@ -386,7 +387,7 @@ func runProfile(argv []string, w io.Writer) error {
 	if err := sel.Profile.WriteText(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nengine predictions (budget %d workers, confidence %.2f):\n", *workers, sel.Confidence)
+	fmt.Fprintf(w, "\nengine predictions (budget %d workers, horizon %d, confidence %.2f):\n", *workers, *horizon, sel.Confidence)
 	for i, pr := range preds {
 		line := fmt.Sprintf("  %d. %-17s span %10.1f  workers %d", i+1, pr.Engine, pr.Span, pr.Workers)
 		if pr.Strategy != "" {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"parsim"
 	"parsim/internal/auto"
 	"parsim/internal/engine"
 )
@@ -18,27 +19,30 @@ import (
 // makes for the same flags — the winner first, then the rest of its
 // ranking, at its confidence — in text and in JSON. A batched job (-lanes
 // 16) on the non-unit-delay functional multiplier is the case where a
-// ranking derived apart from auto named a different winner.
+// ranking derived apart from auto named a different winner; a one-tick
+// inverter-array job is one where -horizon moves the winner (the plane
+// core's lowering no longer pays off).
 func TestProfileMatchesAuto(t *testing.T) {
 	lineRE := regexp.MustCompile(`^  \d+\. (\S+)\s+span\s+\S+\s+workers (\d+)`)
 	confRE := regexp.MustCompile(`confidence ([\d.]+)\):`)
 	for _, tc := range []struct {
 		bench          string
 		workers, lanes int
-		spin           int64
+		spin, horizon  int64
 	}{
-		{"mult16-func", 2, 16, 0},
-		{"mult16-func", 2, 0, 0},
-		{"mult16-gate", 1, 0, 300},
-		{"inverter-array", 4, 0, 0},
-		{"microprocessor", 2, 16, 0},
+		{"mult16-func", 2, 16, 0, 1000},
+		{"mult16-func", 2, 0, 0, 1000},
+		{"mult16-gate", 1, 0, 300, 1000},
+		{"inverter-array", 4, 0, 0, 1000},
+		{"inverter-array", 1, 0, 0, 1},
+		{"microprocessor", 2, 16, 0, 1000},
 	} {
-		name := fmt.Sprintf("%s/w%d/l%d/s%d", tc.bench, tc.workers, tc.lanes, tc.spin)
+		name := fmt.Sprintf("%s/w%d/l%d/s%d/h%d", tc.bench, tc.workers, tc.lanes, tc.spin, tc.horizon)
 		c, err := loadCircuit("", tc.bench)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, _ := auto.Choose(c, engine.Config{Workers: tc.workers, Lanes: tc.lanes, CostSpin: tc.spin})
+		sel, _ := auto.Choose(c, engine.Config{Workers: tc.workers, Lanes: tc.lanes, CostSpin: tc.spin, Horizon: parsim.Time(tc.horizon)})
 		want := []engine.Choice{}
 		for _, ch := range sel.Ranking {
 			if ch.Engine == sel.Engine {
@@ -49,6 +53,9 @@ func TestProfileMatchesAuto(t *testing.T) {
 		}
 		args := []string{"-bench", tc.bench, "-workers", strconv.Itoa(tc.workers),
 			"-lanes", strconv.Itoa(tc.lanes), "-spin", strconv.FormatInt(tc.spin, 10)}
+		if tc.horizon != 1000 {
+			args = append(args, "-horizon", strconv.FormatInt(tc.horizon, 10)) // 1000 is the default
+		}
 
 		var js bytes.Buffer
 		if err := runProfile(append(args, "-json"), &js); err != nil {

@@ -79,12 +79,16 @@ type CircuitProfile struct {
 	// evaluations per tick; EvalCostPerTick weights each by element cost;
 	// MaxRateCost is the hottest single element (rate x cost), the
 	// asynchronous algorithm's serial floor; ActiveFraction is
-	// EvalsPerTick / (Elements - Generators).
-	EvalsPerTick    float64   `json:"evals_per_tick"`
-	EvalCostPerTick float64   `json:"eval_cost_per_tick"`
-	ActiveFraction  float64   `json:"active_fraction"`
-	MaxRateCost     float64   `json:"max_rate_cost"`
-	LevelActivity   []float64 `json:"level_activity,omitempty"`
+	// EvalsPerTick / (Elements - Generators). BlockEvalsPerTick is the
+	// plane core's expected element evaluations per tick: it runs a
+	// schedule block of up to blockRun elements of one level whenever any
+	// of them is active, and then evaluates all of them.
+	EvalsPerTick      float64   `json:"evals_per_tick"`
+	EvalCostPerTick   float64   `json:"eval_cost_per_tick"`
+	ActiveFraction    float64   `json:"active_fraction"`
+	MaxRateCost       float64   `json:"max_rate_cost"`
+	BlockEvalsPerTick float64   `json:"block_evals_per_tick"`
+	LevelActivity     []float64 `json:"level_activity,omitempty"`
 
 	// Feedback census over combinational SCCs (delayed loops — zero-delay
 	// loops are the analyzer's business, not the profiler's).
@@ -342,7 +346,10 @@ func (p *CircuitProfile) fanout(c *circuit.Circuit) {
 //   - generators emit at their configured period;
 //   - trigger-sampled elements (dff, dffr, ram) emit at half their trigger
 //     rate — a register changes on some edges, not all;
-//   - gates attenuate (half the input events flip the output);
+//   - and, or, nand and nor attenuate (half the input events flip the
+//     output);
+//   - buf, not, xor and xnor pass activity through: every input change
+//     flips their output;
 //   - other functional elements pass activity through.
 //
 // Elements inside combinational cycles have no level; they get a flat 0.5,
@@ -398,7 +405,7 @@ func (p *CircuitProfile) activity(c *circuit.Circuit, levels []int) {
 			in += rateOf(nid)
 		}
 		evalRate[id] = math.Min(1, in)
-		if el.Kind >= circuit.KindBuf && el.Kind <= circuit.KindXnor {
+		if el.Kind >= circuit.KindAnd && el.Kind <= circuit.KindNor {
 			outRate[id] = math.Min(1, 0.5*in)
 		} else {
 			outRate[id] = math.Min(1, in)
@@ -410,10 +417,12 @@ func (p *CircuitProfile) activity(c *circuit.Circuit, levels []int) {
 	}
 	// Cycle-fed elements: no topological order exists; assume the loop is
 	// live half the time.
+	var cyclic []int
 	for id, l := range levels {
 		if l < 0 {
 			outRate[id] = 0.5
 			evalRate[id] = 0.5
+			cyclic = append(cyclic, id)
 		}
 	}
 
@@ -435,6 +444,21 @@ func (p *CircuitProfile) activity(c *circuit.Circuit, levels []int) {
 			p.LevelActivity[l] += r
 		}
 	}
+	// The plane core's blocks: each level's evaluated elements (the
+	// cycle-fed ones as one more level) in runs of blockRun. A run is
+	// evaluated whole with the chance that any element in it is active,
+	// taking the elements' activities as independent.
+	for _, ids := range append(byLevel, cyclic) {
+		ids = slices.DeleteFunc(slices.Clone(ids), func(id int) bool { return circuit.IsGenerator(c.Elems[id].Kind) })
+		for i := 0; i < len(ids); i += blockRun {
+			run := ids[i:min(i+blockRun, len(ids))]
+			idle := 1.0
+			for _, id := range run {
+				idle *= 1 - evalRate[id]
+			}
+			p.BlockEvalsPerTick += (1 - idle) * float64(len(run))
+		}
+	}
 	for i := range p.LevelActivity {
 		p.LevelActivity[i] = round3(p.LevelActivity[i])
 	}
@@ -444,7 +468,12 @@ func (p *CircuitProfile) activity(c *circuit.Circuit, levels []int) {
 	p.EvalsPerTick = round3(p.EvalsPerTick)
 	p.EvalCostPerTick = round3(p.EvalCostPerTick)
 	p.MaxRateCost = round3(p.MaxRateCost)
+	p.BlockEvalsPerTick = round3(p.BlockEvalsPerTick)
 }
+
+// blockRun is the plane core's schedule block size (internal/vector's
+// blockSize), the unit BlockEvalsPerTick counts activity in.
+const blockRun = 16
 
 // genRate estimates a generator's output events per tick.
 func genRate(el *circuit.Element) float64 {

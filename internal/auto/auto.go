@@ -7,6 +7,13 @@
 // partition strategy and lane width. The decision is recorded on
 // Report.Selected so the facade, the CLIs and parsimd can all surface it.
 //
+// The model prices what the whole call costs: event-driven and the
+// asynchronous engine by the profile's activity, the plane core by its
+// block activity plus its lowering, which Config.Horizon amortises — so a
+// long job on an active unit-delay circuit goes to jit and a short one
+// does not. At one worker, event-driven takes the sparse circuits: it
+// costs less per event than the asynchronous engine.
+//
 // Config.Workers acts as a budget: the winner may run fewer workers than
 // the budget (a feedback-dominated circuit is fastest on one worker), never
 // more (a budget below one counts as one, as in RunEngine). Config.Lanes
@@ -61,6 +68,7 @@ func Choose(c *circuit.Circuit, cfg engine.Config) (*engine.Selection, engine.Co
 	ranking := machine.Predict(prof, machine.PredictOptions{
 		MaxWorkers: cfg.Workers,
 		Lanes:      cfg.Lanes,
+		Horizon:    cfg.Horizon,
 		CostSpin:   cfg.CostSpin,
 	})
 	sel := &engine.Selection{

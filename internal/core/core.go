@@ -233,7 +233,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 	for {
 		rounds++
 		s.runWorkers()
-		if cfg.Guard.Cancelled() || !e.deadlockRecovery || !s.recoverDeadlock() {
+		if cfg.Guard.CutShort() || !e.deadlockRecovery || !s.recoverDeadlock() {
 			break
 		}
 	}

@@ -153,6 +153,12 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		per[w] = workers[w].wc
 	}
 	rep.Run.Aggregate(wall, per)
+	for _, w := range workers {
+		if w.cut {
+			// Stopped on the context, which no Cancelled poll may have seen.
+			return rep, ctx.Err()
+		}
+	}
 	// Termination was declared (every worker passive, no mail in flight),
 	// so authoritative valid-times short of the horizon mean the run
 	// stalled rather than completed. The owner replicas are plain fields,

@@ -30,6 +30,7 @@ type worker struct {
 	tokenIn chan token
 	done    chan struct{}
 	ctxDone <-chan struct{}
+	cut     bool              // left on ctxDone, not on declared termination
 	chaos   *guard.ChaosProbe // captured once; nil on production runs
 
 	subscribers map[circuit.NodeID][]int
@@ -278,6 +279,7 @@ func (w *worker) run() {
 			return
 		case <-w.ctxDone:
 			w.wc.Idle += time.Since(t0)
+			w.cut = true
 			return
 		}
 	}

@@ -608,8 +608,9 @@ func runGuarded(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (
 // runContained invokes e.Run with the engine's main goroutine under the
 // same containment as its workers: a panic there (the sequential engine
 // runs entirely on this goroutine) becomes a WorkerFault with worker -1.
-// A run that ends while its context is done was cut short, and its
-// partial Report comes back with ctx.Err().
+// A run the engine stopped on its cancellation (sup.CutShort) returns its
+// partial Report with ctx.Err(); one that reached its horizon first keeps
+// a nil error even if its context was cancelled meanwhile.
 func runContained(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config, sup *guard.Supervisor) (rep *Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -618,7 +619,7 @@ func runContained(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config,
 		}
 	}()
 	rep, err = e.Run(ctx, c, cfg)
-	if err == nil && rep != nil {
+	if err == nil && rep != nil && sup.CutShort() {
 		err = ctx.Err()
 	}
 	return rep, err

@@ -142,7 +142,7 @@ func (l *Lockstep) Finish() (steps int64, side int, err error) {
 		// Stopped: the last completed step wrote the values for time sa.
 		steps, side = sa+1, int(sa)&1
 	}
-	return steps, side, l.ckpt.Drain(sa, l.guard.Cancelled(), l.rows, l.fill)
+	return steps, side, l.ckpt.Drain(sa, l.guard.CutShort(), l.rows, l.fill)
 }
 
 // StallReport is the completion check of the asynchronous engines, which

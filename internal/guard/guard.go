@@ -143,10 +143,12 @@ type Supervisor struct {
 
 	// cancelled is set once the run context is done, by the caller or by a
 	// trip. Workers poll it in their hot loops, so it sits on a cache line
-	// of its own, away from the words the publishers write.
+	// of its own, away from the words the publishers write. cutShort is
+	// set, once, the first time a poll sees it (CutShort).
 	_         [64]byte
 	cancelled atomic.Bool
-	_         [63]byte
+	cutShort  atomic.Bool
+	_         [62]byte
 
 	cancel   context.CancelFunc
 	unwatch  func() bool // deregisters the cancellation callback
@@ -215,9 +217,24 @@ func (g *Supervisor) Stop() {
 // Cancelled reports whether the run context has been cancelled — by the
 // caller, a deadline or a trip. It is one atomic load, for polling inside
 // simulator hot loops where ctx.Err() (a mutex) would contend; a nil
-// Supervisor is never cancelled.
+// Supervisor is never cancelled. Engines poll it to decide to stop, so its
+// first true answer marks the run as cut short (CutShort).
 func (g *Supervisor) Cancelled() bool {
-	return g != nil && g.cancelled.Load()
+	if g == nil || !g.cancelled.Load() {
+		return false
+	}
+	if !g.cutShort.Load() {
+		g.cutShort.Store(true)
+	}
+	return true
+}
+
+// CutShort reports whether a Cancelled poll has returned true: the engine
+// saw its cancellation and stopped short of its horizon. The flag trails
+// the context — it is set by a callback — so a run that reached its
+// horizon after its context was cancelled is not cut short.
+func (g *Supervisor) CutShort() bool {
+	return g != nil && g.cutShort.Load()
 }
 
 // Chaos returns the probe scoped to this run's engine, or nil. Engines

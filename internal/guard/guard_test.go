@@ -245,3 +245,35 @@ func TestRecoverableClassification(t *testing.T) {
 		t.Fatal("cancellation / validation errors must not be recoverable")
 	}
 }
+
+// TestCutShortFollowsThePoll: a cancelled context alone does not cut a run
+// short; the first Cancelled poll that sees it does, and the mark stays.
+func TestCutShortFollowsThePoll(t *testing.T) {
+	t.Parallel()
+	g := New("sequential", Options{Workers: 1})
+	parent, cancel := context.WithCancel(context.Background())
+	ctx := g.Attach(parent)
+	defer g.Stop()
+	if g.Cancelled() || g.CutShort() {
+		t.Fatal("a live run reads cancelled or cut short")
+	}
+	cancel()
+	<-ctx.Done()
+	if g.CutShort() {
+		t.Fatal("cut short before any poll saw the cancellation")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !g.Cancelled() {
+		if time.Now().After(deadline) {
+			t.Fatal("Cancelled never saw the cancelled context")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !g.CutShort() {
+		t.Fatal("a poll saw the cancellation, but the run is not cut short")
+	}
+	var nilSup *Supervisor
+	if nilSup.CutShort() {
+		t.Fatal("a nil supervisor is cut short")
+	}
+}

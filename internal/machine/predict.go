@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"parsim/internal/analyze"
+	"parsim/internal/circuit"
 	"parsim/internal/engine"
 )
 
@@ -15,10 +16,12 @@ import (
 // Predict ranks the best configuration of every engine auto can pick by
 // estimated per-tick cost. The T5 baselines (chandy-misra, time-warp,
 // distributed-async) are not modelled: they exist to be measured against,
-// never to be picked. The absolute units are arbitrary; only the ordering and the
-// relative gaps matter, and the knobs below are calibrated on the four
-// paper circuits against measured wall-clock (bench/'s auto.regret_ratio
-// now tracks how far the picks are from the best fixed engine).
+// never to be picked. A span prices the whole facade call per tick, the
+// plane core's lowering included, in units of about 14 ns on the 2-core
+// reference host; only the ordering and the relative gaps matter. The knobs
+// below are calibrated on one-worker facade walls of the paper circuits
+// (bench/'s auto.regret_ratio tracks how far the picks are from the best
+// fixed engine).
 
 // PredictOptions parameterises a prediction.
 type PredictOptions struct {
@@ -28,6 +31,9 @@ type PredictOptions struct {
 	// Lanes > 1 marks a batched job (only the plane core, predicted under
 	// its jit name, applies).
 	Lanes int
+	// Horizon is the job's length in ticks, over which the plane core's
+	// one-off lowering is spread (below one counts as one).
+	Horizon circuit.Time
 	// CostSpin mirrors Config.CostSpin: synthetic per-evaluation work that
 	// shifts the balance from dispatch overhead to evaluation cost.
 	CostSpin int64
@@ -41,30 +47,37 @@ type PredictOptions struct {
 const (
 	// Per-evaluation dispatch overhead, in cost units, for the dynamically
 	// scheduled engines: heap pops, valid-time checks, activation queues.
-	// The asynchronous engine runs leaner than the synchronous event-driven
-	// engine (paper §5: async is 1-3x faster on one processor).
+	// Measured one-worker walls put the asynchronous engine's cost per
+	// event above event-driven's: 1.14x on the inverter array, where
+	// nothing contends.
 	edOverhead    = 6.0
-	asyncOverhead = 2.5
+	asyncOverhead = 7.0
 	// Compiled-mode per-element dispatch: a jump through a precompiled
-	// schedule, far below any queue.
-	compiledOverhead = 1.0
-	// jitOverhead is the statically compiled (codegen) engine's residual
-	// per-element cost: fused gate batches run with no per-element call at
+	// schedule over logic.Value slots, about 66 ns per element-step on the
+	// inverter array against event-driven's ~100 ns per evaluation.
+	compiledOverhead = 4.0
+	// jitOverhead is the plane core's residual per-element cost inside a
+	// block it runs: fused gate batches run with no per-element call at
 	// all, so what remains is amortised loop bookkeeping and the occasional
-	// devirtualized kernel. Calibrated against jit's measured multiple over
-	// the compiled engine on the paper circuits (bench/'s codegen.ns_per_eval_p1
-	// over compiled.ns_per_eval_p1).
+	// devirtualized kernel (about 18 ns per element evaluation on the
+	// inverter array).
 	jitOverhead = 0.35
+	// lowerCost is the plane core's lowering per element, paid once per
+	// run before the first step and outside Stats.Wall: 0.7-1.0 us per
+	// element on mult16-gate and the inverter array, about half of a
+	// mult16-gate jit call.
+	lowerCost = 60.0
 	// spinDiv converts Config.CostSpin into extra cost units per unit of
 	// element cost (CostSpin=300 roughly triples a cost-1 gate evaluation
 	// relative to its dispatch).
 	spinDiv = 100.0
-	// contentionBeta scales the fanout-contention penalty of the
-	// asynchronous engine: it locks per node, so it serialises behind wide
-	// fanouts, so their work dilates with ln(edge-weighted mean fanout).
-	// Calibrated on the measured one-worker walls of the paper circuits
-	// (async/event-driven ratio: inverter array 1.0 at edge fanout 1,
-	// gate-level multiplier 1.35 at 3.7, microprocessor 2.05 at 38.8).
+	// contentionBeta scales the asynchronous engine's fanout penalty: a
+	// change on a wide node reaches every consumer's input history and
+	// threshold, so the work dilates with ln(edge-weighted mean fanout).
+	// Beyond asyncOverhead, the one-worker async/event-driven wall ratio
+	// reads 1.04 on the gate-level multiplier (edge fanout 3.7) and 5.6 on
+	// the microprocessor (51.9), whose excess is wasted activations more
+	// than fanout; 0.6 sits between the two fits (0.03 and 1.2).
 	contentionBeta = 0.6
 )
 
@@ -83,13 +96,7 @@ func Predict(p *analyze.CircuitProfile, opts PredictOptions) []engine.Choice {
 		opts.Cost = DefaultCostModel()
 	}
 	m := &predictor{p: p, opts: opts}
-	preds := []engine.Choice{
-		m.sequential(),
-		m.eventDriven(),
-		m.compiled(),
-		m.jit(),
-		m.async(),
-	}
+	preds := []engine.Choice{m.sequential(), m.eventDriven(), m.compiled(), m.jit(), m.async()}
 	sort.SliceStable(preds, func(i, j int) bool {
 		a, b := preds[i], preds[j]
 		if a.Eligible != b.Eligible {
@@ -162,117 +169,95 @@ func (m *predictor) bestStrategy(workers int) analyze.CutQuality {
 }
 
 func (m *predictor) sequential() engine.Choice {
-	// One worker, one heap, no barriers, no contention — but also none of
-	// the parallel engine's distributed queues: every event goes through the
-	// single global heap. Measured one-worker walls on the paper circuits
-	// have event-driven at or slightly below sequential everywhere, so the
-	// reference engine carries a small dispatch surcharge and serves as the
-	// ranking's baseline rather than its winner.
-	return engine.Choice{
-		Engine:   "sequential",
-		Workers:  1,
-		Span:     m.dynWork(edOverhead + 0.5),
-		Eligible: true,
+	// One worker and one global heap. Measured one-worker walls have
+	// event-driven at or slightly below sequential everywhere, so the
+	// reference engine carries a small dispatch surcharge.
+	return engine.Choice{Engine: "sequential", Workers: 1, Span: m.dynWork(edOverhead + 0.5), Eligible: true}
+}
+
+// sweep ranks name at its best worker count: the lowest span(p) over the
+// sweep, with the partition strategy span names for it.
+func (m *predictor) sweep(name string, span func(p int) (float64, string)) engine.Choice {
+	best := engine.Choice{Engine: name, Eligible: true, Span: math.MaxFloat64}
+	for _, p := range m.workerSweep() {
+		if s, strategy := span(p); s < best.Span {
+			best.Span, best.Workers, best.Strategy = s, p, strategy
+		}
 	}
+	return best
+}
+
+// barrier is one barrier crossing at p workers (none at one).
+func (m *predictor) barrier(p int) float64 {
+	if p == 1 {
+		return 0
+	}
+	return m.opts.Cost.BarrierBase + m.opts.Cost.BarrierPerP*float64(p)
+}
+
+// rankOrder gates a rank-order engine on unit delays.
+func (m *predictor) rankOrder(ch engine.Choice) engine.Choice {
+	if !m.p.UnitDelay {
+		ch.Eligible = false
+		ch.Reason = "non-unit delays: compiled-mode rank-order results diverge from event timing"
+	}
+	return ch
 }
 
 func (m *predictor) eventDriven() engine.Choice {
-	cm := m.opts.Cost
 	work := m.dynWork(edOverhead)
 	// Barriers close every active tick; idle ticks are skipped cheaply.
 	active := math.Min(1, m.p.EvalsPerTick)
-	best := engine.Choice{Engine: "event-driven", Eligible: true, Span: math.MaxFloat64}
-	for _, p := range m.workerSweep() {
-		span := cm.dilation(p) * work / float64(p)
-		if p > 1 {
-			span += 2 * (cm.BarrierBase + cm.BarrierPerP*float64(p)) * active
-		}
-		if span < best.Span {
-			best.Span, best.Workers = span, p
-		}
-	}
-	return best
+	return m.sweep("event-driven", func(p int) (float64, string) {
+		return m.opts.Cost.dilation(p)*work/float64(p) + 2*m.barrier(p)*active, ""
+	})
 }
 
 func (m *predictor) compiled() engine.Choice {
-	cm := m.opts.Cost
 	// Every element evaluates every tick, active or not.
 	n := float64(m.p.Elements - m.p.Generators)
 	work := n*compiledOverhead + float64(m.p.TotalCost)*m.spin()
-	best := engine.Choice{Engine: "compiled", Eligible: true, Span: math.MaxFloat64}
-	for _, p := range m.workerSweep() {
+	return m.rankOrder(m.sweep("compiled", func(p int) (float64, string) {
 		cq := m.bestStrategy(p)
-		span := cm.dilation(p) * work / float64(p) * cq.Imbalance
-		if p > 1 {
-			span += cm.BarrierBase + cm.BarrierPerP*float64(p)
-		}
-		if span < best.Span {
-			best.Span, best.Workers, best.Strategy = span, p, cq.Strategy
-		}
-	}
-	if !m.p.UnitDelay {
-		best.Eligible = false
-		best.Reason = "non-unit delays: compiled-mode rank-order results diverge from event timing"
-	}
-	return best
+		return m.opts.Cost.dilation(p)*work/float64(p)*cq.Imbalance + m.barrier(p), cq.Strategy
+	}))
 }
 
 // jit models the levelized plane core (registered as both jit and vector;
-// one core, so one prediction): the compiled curve with the per-element
-// dispatch term compiled away and one barrier per tick when parallel. A
-// batched job amortises the whole pass over every lane — no scalar engine
-// can compete, and none of them produces LaneFinal at all. Its compiler
-// cuts the schedule into cost-balanced contiguous runs itself, so no
-// partition strategy (and no imbalance factor) applies. Like every
-// rank-order engine it is gated on unit delays.
+// one core, so one prediction). Its selective trace runs only the blocks a
+// change reaches, each whole, so its work follows the profile's block
+// activity; it crosses one barrier per tick when parallel; and its
+// lowering, paid once on one goroutine, is spread over the horizon. Its
+// compiler balances the split itself, so no partition strategy applies. A
+// batched job amortises the whole job over every lane, and no other engine
+// produces LaneFinal at all.
 func (m *predictor) jit() engine.Choice {
-	cm := m.opts.Cost
-	n := float64(m.p.Elements - m.p.Generators)
-	work := n*jitOverhead + float64(m.p.TotalCost)*m.spin()
-	best := engine.Choice{Engine: "jit", Eligible: true, Span: math.MaxFloat64}
-	for _, p := range m.workerSweep() {
-		span := cm.dilation(p) * work / float64(p)
-		if p > 1 {
-			span += cm.BarrierBase + cm.BarrierPerP*float64(p)
-		}
-		if span < best.Span {
-			best.Span, best.Workers = span, p
-		}
+	meanCost := 0.0
+	if n := m.p.Elements - m.p.Generators; n > 0 {
+		meanCost = float64(m.p.TotalCost) / float64(n)
 	}
-	best.Lanes = m.opts.Lanes
-	if best.Lanes < 1 {
-		best.Lanes = 1
-	}
-	if m.opts.Lanes > 1 {
-		best.Span /= float64(m.opts.Lanes)
-	}
-	if !m.p.UnitDelay {
-		best.Eligible = false
-		best.Reason = "non-unit delays: compiled-mode rank-order results diverge from event timing"
-	}
-	return best
+	work := m.p.BlockEvalsPerTick * (jitOverhead + meanCost*m.spin())
+	lower := float64(m.p.Elements) * lowerCost / float64(max(1, m.opts.Horizon))
+	best := m.sweep("jit", func(p int) (float64, string) {
+		return m.opts.Cost.dilation(p)*work/float64(p) + m.barrier(p) + lower, ""
+	})
+	best.Lanes = max(1, m.opts.Lanes)
+	best.Span /= float64(best.Lanes)
+	return m.rankOrder(best)
 }
 
 // async models the paper's asynchronous algorithm: no barriers, work
 // split across workers, but serialised by the hottest element and by
 // feedback loops (paper §4.1: a loop degenerates to one event at a time).
 func (m *predictor) async() engine.Choice {
-	cm := m.opts.Cost
 	contention := 1 + contentionBeta*math.Log(math.Max(1, m.p.EdgeFanout))
 	work := m.dynWork(asyncOverhead) * contention
-	serial := math.Max(
-		m.p.MaxRateCost*m.spin()+asyncOverhead,
-		m.p.LoopSerialCost*m.spin())
-	best := engine.Choice{Engine: "asynchronous", Eligible: true, Span: math.MaxFloat64}
-	for _, p := range m.workerSweep() {
-		span := cm.dilation(p) * work / float64(p)
+	serial := math.Max(m.p.MaxRateCost*m.spin()+asyncOverhead, m.p.LoopSerialCost*m.spin())
+	return m.sweep("asynchronous", func(p int) (float64, string) {
+		span := m.opts.Cost.dilation(p) * work / float64(p)
 		if p > 1 {
-			span += cm.LockCost * m.p.EvalsPerTick / float64(p)
+			span += m.opts.Cost.LockCost * m.p.EvalsPerTick / float64(p)
 		}
-		span = math.Max(span, serial)
-		if span < best.Span {
-			best.Span, best.Workers = span, p
-		}
-	}
-	return best
+		return math.Max(span, serial), ""
+	})
 }

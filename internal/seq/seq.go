@@ -129,7 +129,7 @@ func (s *sim) nextGenTime() circuit.Time {
 
 func (s *sim) run() (err error) {
 	ck, g := s.cfg.Ckpt, s.cfg.Guard
-	defer func() { err = ck.Finish(err, g.Cancelled()) }()
+	defer func() { err = ck.Finish(err, g.CutShort()) }()
 	for {
 		if g.Cancelled() {
 			// The step loop is quiescent here, so a drain can capture the
