@@ -78,21 +78,20 @@ func runSubmit(addr string, c *parsim.Circuit, req *cluster.Submission, jsonOut 
 		fatal(fmt.Errorf("submit rejected with status %d: %s", resp.StatusCode, strings.TrimSpace(string(rb))))
 	}
 
-	var view map[string]any
-	if err := json.Unmarshal(rb, &view); err != nil {
+	view, err := decodeView(rb)
+	if err != nil {
 		fatal(fmt.Errorf("malformed submit response: %w", err))
 	}
-	id, _ := view["id"].(string)
-	if id == "" {
+	if view.ID == "" {
 		fatal(fmt.Errorf("submit response carries no job id: %s", strings.TrimSpace(string(rb))))
 	}
 	if !jsonOut {
-		fmt.Printf("submitted %s to %s\n", id, addr)
+		fmt.Printf("submitted %s to %s\n", view.ID, addr)
 	}
 
-	for !terminalState(view) {
+	for !slices.Contains([]string{"done", "failed", "cancelled"}, view.State) {
 		time.Sleep(150 * time.Millisecond)
-		view, err = fetchView(client, base, id)
+		view, err = fetchView(client, base, view.ID)
 		if err != nil {
 			fatal(err)
 		}
@@ -100,15 +99,28 @@ func runSubmit(addr string, c *parsim.Circuit, req *cluster.Submission, jsonOut 
 	printView(view, jsonOut)
 }
 
-func terminalState(view map[string]any) bool {
-	switch view["state"] {
-	case "done", "failed", "cancelled":
-		return true
-	}
-	return false
+// jobView is what -submit reads of a node's or coordinator's job view;
+// raw is the response body as the daemon sent it, for -json.
+type jobView struct {
+	ID      string          `json:"id"`
+	State   string          `json:"state"`
+	Error   string          `json:"error"`
+	Node    string          `json:"node"`
+	Deduped bool            `json:"deduped"`
+	RunMS   int64           `json:"run_ms"`
+	Result  json.RawMessage `json:"result"`
+	raw     []byte
 }
 
-func fetchView(client *http.Client, base, id string) (map[string]any, error) {
+func decodeView(body []byte) (*jobView, error) {
+	v := &jobView{raw: body}
+	if err := json.Unmarshal(body, v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+func fetchView(client *http.Client, base, id string) (*jobView, error) {
 	resp, err := client.Get(base + "/v1/jobs/" + id)
 	if err != nil {
 		return nil, fmt.Errorf("polling job %s: %w", id, err)
@@ -121,8 +133,8 @@ func fetchView(client *http.Client, base, id string) (map[string]any, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("polling job %s: status %d: %s", id, resp.StatusCode, strings.TrimSpace(string(rb)))
 	}
-	var view map[string]any
-	if err := json.Unmarshal(rb, &view); err != nil {
+	view, err := decodeView(rb)
+	if err != nil {
 		return nil, fmt.Errorf("polling job %s: %w", id, err)
 	}
 	return view, nil
@@ -131,39 +143,33 @@ func fetchView(client *http.Client, base, id string) (map[string]any, error) {
 // printView renders a terminal job view: the raw JSON with -json (the
 // daemon's wire schema, indented), otherwise the same text summary a
 // local run prints, decoded from the embedded result.
-func printView(view map[string]any, jsonOut bool) {
+func printView(view *jobView, jsonOut bool) {
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(view); err != nil {
+		if err := enc.Encode(json.RawMessage(view.raw)); err != nil {
 			fatal(err)
 		}
-		if view["state"] != "done" {
+		if view.State != "done" {
 			os.Exit(1)
 		}
 		return
 	}
-	state, _ := view["state"].(string)
-	if state != "done" {
-		msg, _ := view["error"].(string)
-		fatal(fmt.Errorf("job %v %s: %s", view["id"], state, msg))
+	if view.State != "done" {
+		fatal(fmt.Errorf("job %s %s: %s", view.ID, view.State, view.Error))
 	}
-	if node, ok := view["node"].(string); ok {
-		fmt.Printf("ran on node %s", node)
-		if dedup, _ := view["deduped"].(bool); dedup {
+	if view.Node != "" {
+		fmt.Printf("ran on node %s", view.Node)
+		if view.Deduped {
 			fmt.Printf(" (served from the dedup cache)")
 		}
 		fmt.Println()
 	}
-	if runMS, ok := view["run_ms"].(float64); ok {
-		fmt.Printf("run time %s\n", time.Duration(runMS)*time.Millisecond)
-	}
-	rawRes, err := json.Marshal(view["result"])
-	if err != nil {
-		fatal(err)
+	if view.RunMS > 0 {
+		fmt.Printf("run time %s\n", time.Duration(view.RunMS)*time.Millisecond)
 	}
 	res := new(parsim.Result)
-	if err := json.Unmarshal(rawRes, res); err != nil {
+	if err := json.Unmarshal(view.Result, res); err != nil {
 		fatal(fmt.Errorf("decoding result: %w", err))
 	}
 	fmt.Println(res.Stats.String())

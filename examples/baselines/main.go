@@ -54,14 +54,15 @@ func main() {
 				log.Fatalf("%v produced different results: %s", alg, d)
 			}
 			extra := ""
+			tot := res.Stats.Totals()
 			switch alg {
 			case parsim.TimeWarp:
 				extra = fmt.Sprintf("  rollbacks=%d anti-msgs=%d peak-saved=%d",
-					res.Rollbacks, res.Cancelled, res.PeakLog)
+					tot.Rollbacks, tot.Cancelled, res.PeakLog)
 			case parsim.ChandyMisra:
 				extra = fmt.Sprintf("  deadlocks-broken=%d", res.Rounds-1)
 			case parsim.DistAsync:
-				extra = fmt.Sprintf("  messages=%d", res.Messages)
+				extra = fmt.Sprintf("  messages=%d", tot.Messages)
 			}
 			fmt.Printf("  %-18v %8d events %10d evals  %8v%s\n",
 				alg, res.Stats.NodeUpdates, res.Stats.Evals,

@@ -22,7 +22,7 @@ func measuredPerTick(t *testing.T, name string, c *circuit.Circuit, horizon circ
 	if err != nil {
 		t.Fatalf("%s on %s: %v", name, c.Name, err)
 	}
-	return float64(rep.Run.Evals) / float64(horizon)
+	return float64(rep.Stats.Evals) / float64(horizon)
 }
 
 // TestActivityEstimateMatchesSequential: every inverter of the array flips

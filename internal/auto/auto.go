@@ -33,6 +33,13 @@ import (
 	"parsim/internal/engine"
 	"parsim/internal/machine"
 	"parsim/internal/partition"
+
+	// The engines the selector hands runs to, registered with it.
+	_ "parsim/internal/compiled"
+	_ "parsim/internal/core"
+	_ "parsim/internal/parevent"
+	_ "parsim/internal/seq"
+	_ "parsim/internal/vector"
 )
 
 type eng struct{}

@@ -9,13 +9,6 @@ import (
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
-
-	// The candidates the selector must be able to hand a run to.
-	_ "parsim/internal/compiled"
-	_ "parsim/internal/core"
-	_ "parsim/internal/parevent"
-	_ "parsim/internal/seq"
-	_ "parsim/internal/vector"
 )
 
 // TestRegistry: the engine registers under its canonical name and the
@@ -108,7 +101,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if rep.Selected.Engine == "auto" || rep.Selected.Engine == "" {
 		t.Fatalf("selection did not resolve to a concrete engine: %q", rep.Selected.Engine)
 	}
-	if rep.Run.Evals == 0 && rep.Run.Totals().Evals == 0 {
+	if rep.Stats.Evals == 0 && rep.Stats.Totals().Evals == 0 {
 		t.Error("selected engine did not run")
 	}
 	ref, err := engine.Run(context.Background(), "sequential", c.Clone(), engine.Config{Horizon: horizon})

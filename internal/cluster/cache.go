@@ -7,8 +7,9 @@ import (
 
 // ResultCache is a bounded LRU keyed by content-addressed job key. The
 // coordinator stores finished job records in it; the standalone daemon
-// stores *parsim.Result. Values are opaque to the cache — holding them as
-// any keeps internal/server → internal/cluster a one-way import.
+// stores each finished run's encoded report (json.RawMessage). Values are
+// opaque to the cache — holding them as any keeps internal/server →
+// internal/cluster a one-way import.
 //
 // A zero-capacity cache is valid and never stores anything, which is how
 // dedup stays opt-in: callers that never enable it share one code path

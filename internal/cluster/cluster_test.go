@@ -24,9 +24,7 @@ import (
 
 	"parsim/internal/cluster"
 	"parsim/internal/netlist"
-	"parsim/internal/server"
-
-	_ "parsim" // registers the engines
+	"parsim/internal/server" // also registers the engines
 )
 
 const fleetNetlist = `circuit ring

@@ -10,7 +10,10 @@ import (
 	"parsim/internal/gen"
 	"parsim/internal/netlist"
 
-	_ "parsim" // registers the engines so key canonicalization resolves aliases
+	// Register the engines the keys name, so canonicalization resolves
+	// their aliases.
+	_ "parsim/internal/parevent"
+	_ "parsim/internal/seq"
 )
 
 // Two textual spellings of the same circuit: node and element lines are

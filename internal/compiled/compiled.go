@@ -99,7 +99,7 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 	if err != nil {
 		return nil, err
 	}
-	rep := &engine.Report{Final: s.buf[side], Run: stats.Run{
+	rep := &engine.Report{Final: s.buf[side], Stats: stats.Run{
 		Algorithm: e.Name() + "(" + cfg.Strategy.String() + ")",
 		Circuit:   c.Name,
 		Horizon:   cfg.Horizon,
@@ -109,7 +109,7 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 	for w := 0; w < p; w++ {
 		s.wc[w].ModelCalls = s.wc[w].Evals
 	}
-	rep.Run.Aggregate(wall, s.wc)
+	rep.Stats.Aggregate(wall, s.wc)
 	return rep, nil
 }
 

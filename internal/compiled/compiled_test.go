@@ -40,8 +40,8 @@ func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engi
 	if d := trace.Diff(c, ref, got); d != "" {
 		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, cfg.Workers, d)
 	}
-	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
-		t.Errorf("node updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
+	if res.Stats.NodeUpdates != seqRes.Stats.NodeUpdates {
+		t.Errorf("node updates %d != sequential %d", res.Stats.NodeUpdates, seqRes.Stats.NodeUpdates)
 	}
 	for i := range res.Final {
 		if !res.Final[i].Equal(seqRes.Final[i]) {
@@ -86,13 +86,13 @@ func TestEvalsCountEveryElementEveryStep(t *testing.T) {
 	const horizon = 100
 	res := simulate(t, "compiled", c, engine.Config{Workers: 2, Horizon: horizon})
 	wantEvals := int64(horizon-1) * int64(c.NumGates())
-	if res.Run.Evals != wantEvals {
-		t.Errorf("evals = %d, want %d (compiled mode evaluates everything)", res.Run.Evals, wantEvals)
+	if res.Stats.Evals != wantEvals {
+		t.Errorf("evals = %d, want %d (compiled mode evaluates everything)", res.Stats.Evals, wantEvals)
 	}
 	// Activity is low, so updates must be far below evals: the wasted work
 	// the paper warns about.
-	if res.Run.NodeUpdates*4 > res.Run.Evals {
-		t.Errorf("updates %d not small vs evals %d", res.Run.NodeUpdates, res.Run.Evals)
+	if res.Stats.NodeUpdates*4 > res.Stats.Evals {
+		t.Errorf("updates %d not small vs evals %d", res.Stats.NodeUpdates, res.Stats.Evals)
 	}
 }
 

@@ -243,7 +243,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 	for i := range final {
 		final[i] = s.hist[i].final
 	}
-	rep := &engine.Report{Final: final, Run: stats.Run{
+	rep := &engine.Report{Final: final, Stats: stats.Run{
 		Algorithm: e.name,
 		Circuit:   c.Name,
 		Horizon:   cfg.Horizon,
@@ -256,7 +256,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 	for i, w := range s.workers {
 		wc[i] = w.wc
 	}
-	rep.Run.Aggregate(wall, wc)
+	rep.Stats.Aggregate(wall, wc)
 	return rep, engine.StallReport(ctx, e.name, c, cfg.Horizon, func(n circuit.NodeID) (int64, bool) {
 		return s.hist[n].validTo.Load(), true
 	})

@@ -41,8 +41,8 @@ func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engi
 	if d := trace.Diff(c, ref, got); d != "" {
 		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, cfg.Workers, d)
 	}
-	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
-		t.Errorf("node updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
+	if res.Stats.NodeUpdates != seqRes.Stats.NodeUpdates {
+		t.Errorf("node updates %d != sequential %d", res.Stats.NodeUpdates, seqRes.Stats.NodeUpdates)
 	}
 	for i := range res.Final {
 		if !res.Final[i].Equal(seqRes.Final[i]) {
@@ -81,7 +81,7 @@ func TestMatchesSequentialOnCPU(t *testing.T) {
 	cfg := gen.DefaultCPU()
 	c := gen.CPU(cfg)
 	res := crossCheck(t, c, gen.CPUHorizon(cfg, 40), engine.Config{Workers: 4})
-	if res.Run.Evals == 0 {
+	if res.Stats.Evals == 0 {
 		t.Error("no evaluations")
 	}
 }
@@ -159,7 +159,7 @@ func TestBatchedEventConsumption(t *testing.T) {
 	// comfortably exceed 1 on the inverter array.
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 4, Cols: 8, ActiveRows: 4, TogglePeriod: 1})
 	res := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: 1000})
-	perEval := float64(res.Run.EventsUsed) / float64(res.Run.Evals)
+	perEval := float64(res.Stats.EventsUsed) / float64(res.Stats.Evals)
 	if perEval < 5 {
 		t.Errorf("events per evaluation = %.2f; batching is not happening", perEval)
 	}
@@ -171,7 +171,7 @@ func TestFeedbackSerialisesEvaluation(t *testing.T) {
 	// section 4.1.
 	c := gen.FeedbackChain(15)
 	res := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: 2000})
-	perEval := float64(res.Run.EventsUsed) / float64(res.Run.Evals)
+	perEval := float64(res.Stats.EventsUsed) / float64(res.Stats.Evals)
 	if perEval > 2 {
 		t.Errorf("events per evaluation = %.2f; expected near-serial progress", perEval)
 	}
@@ -191,7 +191,7 @@ func TestDeterministicHistories(t *testing.T) {
 func TestUtilizationBounded(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	res := simulate(t, "asynchronous", c, engine.Config{Workers: 2, Horizon: 400})
-	u := res.Run.Utilization()
+	u := res.Stats.Utilization()
 	if u <= 0 || u > 1.0001 {
 		t.Errorf("utilisation %f out of (0,1]", u)
 	}
@@ -210,8 +210,8 @@ func TestBadWorkerCountError(t *testing.T) {
 func TestZeroHorizon(t *testing.T) {
 	c := gen.FeedbackChain(3)
 	res := simulate(t, "asynchronous", c, engine.Config{Workers: 2, Horizon: 0})
-	if res.Run.NodeUpdates != 0 {
-		t.Errorf("updates at zero horizon: %d", res.Run.NodeUpdates)
+	if res.Stats.NodeUpdates != 0 {
+		t.Errorf("updates at zero horizon: %d", res.Stats.NodeUpdates)
 	}
 }
 
@@ -225,9 +225,9 @@ func TestClockedLookaheadBoundsEvals(t *testing.T) {
 	horizon := gen.CPUHorizon(cfg, 30)
 	asyncRes := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: horizon})
 	seqRes := simulate(t, "sequential", c, engine.Config{Horizon: horizon})
-	if asyncRes.Run.Evals > 15*seqRes.Run.Evals {
+	if asyncRes.Stats.Evals > 15*seqRes.Stats.Evals {
 		t.Errorf("async evals %d vs event-driven %d: lookahead not effective",
-			asyncRes.Run.Evals, seqRes.Run.Evals)
+			asyncRes.Stats.Evals, seqRes.Stats.Evals)
 	}
 }
 
@@ -245,9 +245,9 @@ func TestLookaheadAblation(t *testing.T) {
 	if d := trace.Diff(c, ref, got); d != "" {
 		t.Fatalf("lookahead changed results: %s", d)
 	}
-	if without.Run.Evals < 3*with.Run.Evals {
+	if without.Stats.Evals < 3*with.Stats.Evals {
 		t.Errorf("lookahead saves little here: %d vs %d evals",
-			without.Run.Evals, with.Run.Evals)
+			without.Stats.Evals, with.Stats.Evals)
 	}
 }
 
@@ -314,12 +314,12 @@ func TestGateLookaheadSkipsWork(t *testing.T) {
 
 	with := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: 2000, GateLookahead: true})
 	without := simulate(t, "asynchronous", c, engine.Config{Workers: 1, Horizon: 2000})
-	if with.Run.NodeUpdates != without.Run.NodeUpdates {
-		t.Fatalf("update counts differ: %d vs %d", with.Run.NodeUpdates, without.Run.NodeUpdates)
+	if with.Stats.NodeUpdates != without.Stats.NodeUpdates {
+		t.Fatalf("update counts differ: %d vs %d", with.Stats.NodeUpdates, without.Stats.NodeUpdates)
 	}
-	if with.Run.ModelCalls*2 > without.Run.ModelCalls {
+	if with.Stats.ModelCalls*2 > without.Stats.ModelCalls {
 		t.Errorf("gate lookahead barely helped: %d vs %d model calls",
-			with.Run.ModelCalls, without.Run.ModelCalls)
+			with.Stats.ModelCalls, without.Stats.ModelCalls)
 	}
 }
 
@@ -349,7 +349,7 @@ func TestChandyMisraDeadlockRecoveryExact(t *testing.T) {
 		if res.Rounds < 2 {
 			t.Errorf("%s: expected deadlock-recovery rounds, got %d", tc.c.Name, res.Rounds)
 		}
-		t.Logf("%s: %d deadlock-recovery rounds, %d evals", tc.c.Name, res.Rounds, res.Run.Evals)
+		t.Logf("%s: %d deadlock-recovery rounds, %d evals", tc.c.Name, res.Rounds, res.Stats.Evals)
 	}
 }
 

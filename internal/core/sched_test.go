@@ -39,7 +39,7 @@ func TestOneWorkerCountsPinned(t *testing.T) {
 	}
 	for i, bc := range benchCircuits() {
 		elems := int64(len(bc.c.Elems) - len(bc.c.Generators()))
-		r := simulate(t, "asynchronous", bc.c, engine.Config{Workers: 1, Horizon: bc.horizon}).Run
+		r := simulate(t, "asynchronous", bc.c, engine.Config{Workers: 1, Horizon: bc.horizon}).Stats
 		if w := want[i]; r.ModelCalls != w.model || r.EventsUsed != w.events || r.NodeUpdates != w.nodeUpdate {
 			t.Errorf("%s: model calls/events/updates %d/%d/%d, want %d/%d/%d",
 				bc.c.Name, r.ModelCalls, r.EventsUsed, r.NodeUpdates, w.model, w.events, w.nodeUpdate)
@@ -50,7 +50,7 @@ func TestOneWorkerCountsPinned(t *testing.T) {
 		case max > 0 && (r.Evals < elems || r.Evals > max):
 			t.Errorf("%s: %d activations, want %d..%d", bc.c.Name, r.Evals, elems, max)
 		}
-		if again := simulate(t, "asynchronous", bc.c, engine.Config{Workers: 1, Horizon: bc.horizon}).Run; again.Evals != r.Evals {
+		if again := simulate(t, "asynchronous", bc.c, engine.Config{Workers: 1, Horizon: bc.horizon}).Stats; again.Evals != r.Evals {
 			t.Errorf("%s: activations differ between two one-worker runs: %d, %d", bc.c.Name, r.Evals, again.Evals)
 		}
 	}
@@ -153,10 +153,10 @@ func TestRecoveryRoundsSumIdleTime(t *testing.T) {
 		t.Fatalf("only %d rounds", res.Rounds)
 	}
 	var polls int64
-	for w, row := range res.Run.PerWorker {
+	for w, row := range res.Stats.PerWorker {
 		polls += row.IdlePolls
-		if row.Idle < 0 || row.Idle > res.Run.Wall || row.Idle+row.Busy != res.Run.Wall {
-			t.Errorf("worker %d: idle %v + busy %v, wall %v", w, row.Idle, row.Busy, res.Run.Wall)
+		if row.Idle < 0 || row.Idle > res.Stats.Wall || row.Idle+row.Busy != res.Stats.Wall {
+			t.Errorf("worker %d: idle %v + busy %v, wall %v", w, row.Idle, row.Busy, res.Stats.Wall)
 		}
 		if row.IdlePolls > 0 && row.Idle <= 0 {
 			t.Errorf("worker %d: %d idle polls but idle time %v", w, row.IdlePolls, row.Idle)

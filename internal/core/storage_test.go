@@ -72,7 +72,7 @@ func runAlloc(c *circuit.Circuit, horizon circuit.Time) (bytes uint64, events in
 		if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < bytes {
 			bytes = b
 		}
-		events = r.Run.NodeUpdates
+		events = r.Stats.NodeUpdates
 	}
 	return bytes, events
 }

@@ -134,7 +134,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 
 	wall := engine.Gang(cfg, "distributed eval loop", func(w int) { workers[w].run() })
 
-	rep := &engine.Report{Final: make([]logic.Value, len(c.Nodes)), Run: stats.Run{
+	rep := &engine.Report{Final: make([]logic.Value, len(c.Nodes)), Stats: stats.Run{
 		Algorithm: e.Name(),
 		Circuit:   c.Name,
 		Horizon:   cfg.Horizon,
@@ -152,7 +152,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 	for w := 0; w < p; w++ {
 		per[w] = workers[w].wc
 	}
-	rep.Run.Aggregate(wall, per)
+	rep.Stats.Aggregate(wall, per)
 	for _, w := range workers {
 		if w.cut {
 			// Stopped on the context, which no Cancelled poll may have seen.

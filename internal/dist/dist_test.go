@@ -37,8 +37,8 @@ func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engi
 	if d := trace.Diff(c, ref, got); d != "" {
 		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, cfg.Workers, d)
 	}
-	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
-		t.Errorf("node updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
+	if res.Stats.NodeUpdates != seqRes.Stats.NodeUpdates {
+		t.Errorf("node updates %d != sequential %d", res.Stats.NodeUpdates, seqRes.Stats.NodeUpdates)
 	}
 	for i := range res.Final {
 		if !res.Final[i].Equal(seqRes.Final[i]) {
@@ -95,11 +95,11 @@ func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 func TestMessagesOnlyWithMultipleWorkers(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 4, Cols: 4, ActiveRows: 4, TogglePeriod: 1})
 	solo := simulate(t, "distributed-async", c, engine.Config{Workers: 1, Horizon: 100})
-	if m := solo.Run.Totals().Messages; m != 0 {
+	if m := solo.Stats.Totals().Messages; m != 0 {
 		t.Errorf("single worker sent %d messages", m)
 	}
 	multi := simulate(t, "distributed-async", c, engine.Config{Workers: 4, Horizon: 100})
-	if multi.Run.Totals().Messages == 0 {
+	if multi.Stats.Totals().Messages == 0 {
 		t.Error("four workers exchanged no messages")
 	}
 }
@@ -108,8 +108,8 @@ func TestReclamationBoundsMemory(t *testing.T) {
 	// A long run over a small circuit: replicas must stay compact.
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 2, Cols: 4, ActiveRows: 2, TogglePeriod: 1})
 	res := simulate(t, "distributed-async", c, engine.Config{Workers: 2, Horizon: 100000})
-	if res.Run.NodeUpdates < 100000 {
-		t.Fatalf("not enough activity: %d", res.Run.NodeUpdates)
+	if res.Stats.NodeUpdates < 100000 {
+		t.Fatalf("not enough activity: %d", res.Stats.NodeUpdates)
 	}
 	// Indirect check: the run completing in reasonable time with ~1M events
 	// across 8 nodes exercises the compaction path (reclaimThreshold=256).
@@ -147,7 +147,7 @@ func TestBadWorkerCountError(t *testing.T) {
 
 func TestZeroHorizon(t *testing.T) {
 	res := simulate(t, "distributed-async", gen.FeedbackChain(3), engine.Config{Workers: 2, Horizon: 0})
-	if res.Run.NodeUpdates != 0 {
-		t.Errorf("updates at zero horizon: %d", res.Run.NodeUpdates)
+	if res.Stats.NodeUpdates != 0 {
+		t.Errorf("updates at zero horizon: %d", res.Stats.NodeUpdates)
 	}
 }

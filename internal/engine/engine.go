@@ -38,7 +38,6 @@ import (
 	"parsim/internal/guard"
 	"parsim/internal/logic"
 	"parsim/internal/partition"
-	"parsim/internal/stats"
 	"parsim/internal/trace"
 )
 
@@ -257,65 +256,6 @@ func SupportsCheckpoint(name string) bool {
 	e, _ := Get(name)
 	_, ok := e.(Checkpointer)
 	return ok
-}
-
-// Report is the uniform outcome of a run. Per-algorithm counters live in
-// Run.PerWorker (zero where not applicable); only genuinely global,
-// non-summable metrics get their own field.
-type Report struct {
-	Run   stats.Run
-	Final []logic.Value // node values at the horizon, indexed by NodeID
-	// PeakLog is the peak saved-state footprint (time-warp only).
-	PeakLog int64
-	// Rounds counts Chandy-Misra deadlock recoveries (chandy-misra only;
-	// 1 means the run never deadlocked).
-	Rounds int64
-	// GVTRounds counts time-warp synchronisation rounds.
-	GVTRounds int64
-	// LaneFinal holds every stimulus lane's final node values from a
-	// lane-engine run, indexed [lane][NodeID]; LaneFinal[ProbeLane]
-	// equals Final. Nil for the scalar engines.
-	LaneFinal [][]logic.Value
-	// FaultCoverage reports stuck-at coverage from a fault-simulation run
-	// (Config.FaultSim); nil otherwise.
-	FaultCoverage *stats.FaultCoverage
-	// Degraded marks a result produced by the sequential fallback
-	// (Config.Fallback) after the requested engine faulted or stalled;
-	// Fault holds a *FallbackError wrapping the original engine's error.
-	Degraded bool
-	Fault    error
-	// Resumed marks a run continued from a Config.ResumeFrom snapshot
-	// rather than started at t=0.
-	Resumed bool
-	// Selected records the decision of an engine=auto run: which engine the
-	// static profile + cost model picked, at what configuration, with the
-	// full ranking and the profile that justified it. Nil for direct runs.
-	Selected *Selection
-}
-
-// Choice is one ranked entry from the auto-selection cost model.
-type Choice struct {
-	Engine   string  `json:"engine"`
-	Workers  int     `json:"workers"`
-	Strategy string  `json:"strategy,omitempty"`
-	Lanes    int     `json:"lanes,omitempty"`
-	Span     float64 `json:"span"`
-	Eligible bool    `json:"eligible"`
-	Reason   string  `json:"reason,omitempty"`
-}
-
-// Selection is the outcome of cost-model-driven engine selection
-// (engine=auto): the winning configuration, a confidence score from the
-// span gap to the runner-up, the full per-engine ranking, and the static
-// profile the prediction was computed from.
-type Selection struct {
-	Engine     string                  `json:"engine"`
-	Workers    int                     `json:"workers"`
-	Strategy   string                  `json:"strategy,omitempty"`
-	Lanes      int                     `json:"lanes,omitempty"`
-	Confidence float64                 `json:"confidence"`
-	Ranking    []Choice                `json:"ranking,omitempty"`
-	Profile    *analyze.CircuitProfile `json:"profile,omitempty"`
 }
 
 // Engine is one simulation algorithm. Run simulates c over [0,
@@ -600,7 +540,7 @@ func runGuarded(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (
 	}
 	var st *guard.StallError
 	if errors.As(err, &st) && st.Dump == "" && rep != nil {
-		st.Dump = rep.Run.DebugDump()
+		st.Dump = rep.Stats.DebugDump()
 	}
 	return rep, err
 }

@@ -46,7 +46,7 @@ func TestInverterArrayEventRate(t *testing.T) {
 		const warm, horizon = 64, 256
 		resAll := simulate(t, "sequential", c, engine.Config{Horizon: horizon})
 		resWarm := simulate(t, "sequential", c, engine.Config{Horizon: warm})
-		perTick := float64(resAll.Run.NodeUpdates-resWarm.Run.NodeUpdates) / float64(horizon-warm)
+		perTick := float64(resAll.Stats.NodeUpdates-resWarm.Stats.NodeUpdates) / float64(horizon-warm)
 		// Each active row contributes cols updates per tick plus its input.
 		want := tc.want + float64(tc.active)
 		if perTick < want*0.9 || perTick > want*1.1 {
@@ -215,7 +215,7 @@ func TestRandomCircuitsBuild(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		c := RandomCircuit(seed, 60)
 		res := simulate(t, "sequential", c, engine.Config{Horizon: 200})
-		if res.Run.Evals == 0 {
+		if res.Stats.Evals == 0 {
 			t.Errorf("seed %d: no activity", seed)
 		}
 	}

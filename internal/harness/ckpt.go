@@ -84,7 +84,7 @@ func c1(cfg Config) *Figure {
 		if d := cpuTime() - cpu0; d > 0 {
 			return float64(d)
 		}
-		return float64(rep.Run.Wall)
+		return float64(rep.Stats.Wall)
 	}
 
 	ratio := Series{Name: "wall-ratio"}

@@ -304,12 +304,12 @@ func t3(cfg Config) *Figure {
 		if err != nil {
 			panic("harness: sequential: " + err.Error())
 		}
-		frac := res.Run.Avail.FractionBelow(5)
+		frac := res.Stats.Avail.FractionBelow(5)
 		f.Series = append(f.Series, Series{Name: r.name, X: []float64{float64(i)}, Y: []float64{frac}})
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: %d steps, mean %.1f events/step, median %d, max %d, %.0f%% of steps below 5",
-			r.name, res.Run.Avail.N(), res.Run.Avail.Mean(),
-			res.Run.Avail.Quantile(0.5), res.Run.Avail.Max(), 100*frac))
+			r.name, res.Stats.Avail.N(), res.Stats.Avail.Mean(),
+			res.Stats.Avail.Quantile(0.5), res.Stats.Avail.Max(), 100*frac))
 	}
 	f.Notes = append(f.Notes, "paper: <5 events available ~50% of the time on a 5000-gate circuit")
 	return f
@@ -408,9 +408,9 @@ func t5(cfg Config) *Figure {
 		opt := runAlg("time-warp", c, r.horizon)
 		msg := runAlg("distributed-async", c, r.horizon)
 		cm := runAlg("chandy-misra", c, r.horizon)
-		optTot := opt.Run.Totals()
-		nMsgs := msg.Run.Totals().Messages
-		ev := float64(cons.Run.NodeUpdates)
+		optTot := opt.Stats.Totals()
+		nMsgs := msg.Stats.Totals().Messages
+		ev := float64(cons.Stats.NodeUpdates)
 		if ev == 0 {
 			ev = 1
 		}
@@ -423,7 +423,7 @@ func t5(cfg Config) *Figure {
 		cmRounds.Y = append(cmRounds.Y, float64(cm.Rounds))
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s (P=%d, %d events): time-warp %d rollbacks, %d steps undone, %d anti-messages, peak saved state %d; chandy-misra broke %d deadlocks; the incremental algorithm saves nothing, never rolls back and never deadlocks; distributed sent %d messages",
-			r.name, workers, cons.Run.NodeUpdates, optTot.Rollbacks, optTot.RolledBack,
+			r.name, workers, cons.Stats.NodeUpdates, optTot.Rollbacks, optTot.RolledBack,
 			optTot.Cancelled, opt.PeakLog, cm.Rounds, nMsgs))
 	}
 	f.Series = append(f.Series, rollbacks, saved, cmRounds)

@@ -274,7 +274,7 @@ func (cfg *Config) realEngine(alg string, c *circuit.Circuit, horizon circuit.Ti
 			if err != nil {
 				panic("harness: " + alg + ": " + err.Error())
 			}
-			return float64(rep.Run.Wall), rep.Run.Utilization()
+			return float64(rep.Stats.Wall), rep.Stats.Utilization()
 		})
 	}
 }

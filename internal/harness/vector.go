@@ -49,7 +49,7 @@ func v1(cfg Config) *Figure {
 			if err != nil {
 				panic("harness: " + alg + ": " + err.Error())
 			}
-			return float64(rep.Run.Wall), rep.Run.Utilization()
+			return float64(rep.Stats.Wall), rep.Stats.Utilization()
 		})
 		return span
 	}

@@ -37,8 +37,6 @@ type PredictOptions struct {
 	// CostSpin mirrors Config.CostSpin: synthetic per-evaluation work that
 	// shifts the balance from dispatch overhead to evaluation cost.
 	CostSpin int64
-	// Cost supplies the shared machine parameters (barriers, contention).
-	Cost CostModel
 }
 
 // Model knobs specific to static prediction, separate from CostModel so the
@@ -83,7 +81,8 @@ const (
 
 // Predict ranks the best configuration of every engine auto can pick for
 // the profiled circuit under the given budget: eligible engines first,
-// ordered by predicted span (Choice.Span, abstract units per tick). The
+// ordered by predicted span (Choice.Span, abstract units per tick, priced
+// with DefaultCostModel's barrier and contention parameters). The
 // slice always holds five entries — sequential, event-driven, compiled,
 // asynchronous and the plane core once, under its jit name — and
 // sequential is always eligible.
@@ -91,11 +90,7 @@ func Predict(p *analyze.CircuitProfile, opts PredictOptions) []engine.Choice {
 	if opts.MaxWorkers < 1 {
 		opts.MaxWorkers = 1
 	}
-	zero := CostModel{}
-	if opts.Cost == zero {
-		opts.Cost = DefaultCostModel()
-	}
-	m := &predictor{p: p, opts: opts}
+	m := &predictor{p: p, opts: opts, cost: DefaultCostModel()}
 	preds := []engine.Choice{m.sequential(), m.eventDriven(), m.compiled(), m.jit(), m.async()}
 	sort.SliceStable(preds, func(i, j int) bool {
 		a, b := preds[i], preds[j]
@@ -132,6 +127,7 @@ func Confidence(preds []engine.Choice) float64 {
 type predictor struct {
 	p    *analyze.CircuitProfile
 	opts PredictOptions
+	cost CostModel // the shared machine parameters (barriers, contention)
 }
 
 // workerSweep returns 1, 2, 4, ... capped at the budget, budget included.
@@ -192,7 +188,7 @@ func (m *predictor) barrier(p int) float64 {
 	if p == 1 {
 		return 0
 	}
-	return m.opts.Cost.BarrierBase + m.opts.Cost.BarrierPerP*float64(p)
+	return m.cost.BarrierBase + m.cost.BarrierPerP*float64(p)
 }
 
 // rankOrder gates a rank-order engine on unit delays.
@@ -209,7 +205,7 @@ func (m *predictor) eventDriven() engine.Choice {
 	// Barriers close every active tick; idle ticks are skipped cheaply.
 	active := math.Min(1, m.p.EvalsPerTick)
 	return m.sweep("event-driven", func(p int) (float64, string) {
-		return m.opts.Cost.dilation(p)*work/float64(p) + 2*m.barrier(p)*active, ""
+		return m.cost.dilation(p)*work/float64(p) + 2*m.barrier(p)*active, ""
 	})
 }
 
@@ -219,7 +215,7 @@ func (m *predictor) compiled() engine.Choice {
 	work := n*compiledOverhead + float64(m.p.TotalCost)*m.spin()
 	return m.rankOrder(m.sweep("compiled", func(p int) (float64, string) {
 		cq := m.bestStrategy(p)
-		return m.opts.Cost.dilation(p)*work/float64(p)*cq.Imbalance + m.barrier(p), cq.Strategy
+		return m.cost.dilation(p)*work/float64(p)*cq.Imbalance + m.barrier(p), cq.Strategy
 	}))
 }
 
@@ -239,7 +235,7 @@ func (m *predictor) jit() engine.Choice {
 	work := m.p.BlockEvalsPerTick * (jitOverhead + meanCost*m.spin())
 	lower := float64(m.p.Elements) * lowerCost / float64(max(1, m.opts.Horizon))
 	best := m.sweep("jit", func(p int) (float64, string) {
-		return m.opts.Cost.dilation(p)*work/float64(p) + m.barrier(p) + lower, ""
+		return m.cost.dilation(p)*work/float64(p) + m.barrier(p) + lower, ""
 	})
 	best.Lanes = max(1, m.opts.Lanes)
 	best.Span /= float64(best.Lanes)
@@ -254,9 +250,9 @@ func (m *predictor) async() engine.Choice {
 	work := m.dynWork(asyncOverhead) * contention
 	serial := math.Max(m.p.MaxRateCost*m.spin()+asyncOverhead, m.p.LoopSerialCost*m.spin())
 	return m.sweep("asynchronous", func(p int) (float64, string) {
-		span := m.opts.Cost.dilation(p) * work / float64(p)
+		span := m.cost.dilation(p) * work / float64(p)
 		if p > 1 {
-			span += m.opts.Cost.LockCost * m.p.EvalsPerTick / float64(p)
+			span += m.cost.LockCost * m.p.EvalsPerTick / float64(p)
 		}
 		return math.Max(span, serial), ""
 	})

@@ -170,7 +170,7 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 	cfg.Guard.OnTrip(s.bar.Abort)
 	wall := engine.Gang(cfg, "event-driven phase loop", func(w int) { s.workers[w].run() })
 
-	rep := &engine.Report{Final: s.val, Run: stats.Run{
+	rep := &engine.Report{Final: s.val, Stats: stats.Run{
 		Algorithm: e.Name() + "(" + s.mode.String() + ")",
 		Circuit:   c.Name,
 		Horizon:   cfg.Horizon,
@@ -183,7 +183,7 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 		w.wc.ModelCalls = w.wc.Evals
 		wc[i] = w.wc
 	}
-	rep.Run.Aggregate(wall, wc)
+	rep.Stats.Aggregate(wall, wc)
 	return rep, nil
 }
 

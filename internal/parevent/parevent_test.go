@@ -56,7 +56,7 @@ func (o *oracle) check(t *testing.T, what string, hist *trace.Recorder, final []
 			t.Errorf("%s %s: final value of node %s differs", o.c.Name, what, o.c.Nodes[i].Name)
 		}
 	}
-	want := &o.res.Run
+	want := &o.res.Stats
 	if run.Evals != want.Evals || run.NodeUpdates != want.NodeUpdates || run.TimeSteps != want.TimeSteps {
 		t.Errorf("%s %s: evals/updates/steps %d/%d/%d, sequential %d/%d/%d", o.c.Name, what,
 			run.Evals, run.NodeUpdates, run.TimeSteps, want.Evals, want.NodeUpdates, want.TimeSteps)
@@ -70,7 +70,7 @@ func (o *oracle) run(t *testing.T, cfg engine.Config) *engine.Report {
 	cfg.Horizon = o.horizon
 	cfg.Probe = got
 	res := simulate(t, o.c, cfg)
-	o.check(t, fmt.Sprintf("(P=%d, %v)", cfg.Workers, modeOf(cfg)), got, res.Final, &res.Run)
+	o.check(t, fmt.Sprintf("(P=%d, %v)", cfg.Workers, modeOf(cfg)), got, res.Final, &res.Stats)
 	return res
 }
 
@@ -111,7 +111,7 @@ func TestMatchesSequentialOnCPU(t *testing.T) {
 	cfg := gen.DefaultCPU()
 	c := gen.CPU(cfg)
 	res := crossCheck(t, c, gen.CPUHorizon(cfg, 40), engine.Config{Workers: 4})
-	if res.Run.TimeSteps == 0 {
+	if res.Stats.TimeSteps == 0 {
 		t.Error("no time steps")
 	}
 }
@@ -167,7 +167,7 @@ func paperCircuits() []paperCircuit {
 // and time steps, whatever the worker count.
 func TestPaperCircuitCounts(t *testing.T) {
 	for _, pc := range paperCircuits() {
-		if got := pc.o.res.Run; got.Evals != pc.evals || got.NodeUpdates != pc.updates {
+		if got := pc.o.res.Stats; got.Evals != pc.evals || got.NodeUpdates != pc.updates {
 			t.Fatalf("%s: sequential evals/updates %d/%d, pinned %d/%d",
 				pc.o.c.Name, got.Evals, got.NodeUpdates, pc.evals, pc.updates)
 		}
@@ -187,8 +187,8 @@ func TestTwoCrossingsPerStep(t *testing.T) {
 	for _, m := range []Mode{Distributed, NoSteal} {
 		for p := 1; p <= 4; p++ {
 			res := o.run(t, modeConfig(p, m))
-			for w, row := range res.Run.PerWorker {
-				if want := 2*res.Run.TimeSteps + 1; row.BarrierWaits != want {
+			for w, row := range res.Stats.PerWorker {
+				if want := 2*res.Stats.TimeSteps + 1; row.BarrierWaits != want {
 					t.Errorf("%v P=%d worker %d: %d barrier waits, want %d", m, p, w, row.BarrierWaits, want)
 				}
 				if p == 1 && row.Idle != 0 {
@@ -302,11 +302,11 @@ func TestModeNames(t *testing.T) {
 func TestAvailabilityCollection(t *testing.T) {
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 4, Cols: 4, ActiveRows: 4, TogglePeriod: 1})
 	res := simulate(t, c, engine.Config{Workers: 2, Horizon: 100, CollectAvail: true})
-	if res.Run.Avail.N() == 0 {
+	if res.Stats.Avail.N() == 0 {
 		t.Fatal("no availability samples")
 	}
 	// Steady state: 16 inverters + 4 inputs active each tick.
-	if mean := res.Run.Avail.Mean(); mean < 8 || mean > 24 {
+	if mean := res.Stats.Avail.Mean(); mean < 8 || mean > 24 {
 		t.Errorf("mean availability %.1f out of range", mean)
 	}
 }
@@ -314,7 +314,7 @@ func TestAvailabilityCollection(t *testing.T) {
 func TestUtilizationBounded(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	res := simulate(t, c, engine.Config{Workers: 2, Horizon: 400})
-	u := res.Run.Utilization()
+	u := res.Stats.Utilization()
 	if u <= 0 || u > 1.0001 {
 		t.Errorf("utilisation %f out of (0,1]", u)
 	}

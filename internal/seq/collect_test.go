@@ -30,7 +30,7 @@ func chainCollect(t *testing.T) (*circuit.Circuit, *collected) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &collected{Run: simulate(t, c, engine.Config{Horizon: 50}).Run}
+	res := &collected{Run: simulate(t, c, engine.Config{Horizon: 50}).Stats}
 	res.Steps, res.Graph = Collect(c, 50)
 	return c, res
 }

@@ -52,7 +52,7 @@ func (eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engin
 	runErr := s.run()
 	s.wc.ModelCalls = s.wc.Evals
 	s.res.Aggregate(time.Since(start), []stats.WorkerCounters{s.wc})
-	return &engine.Report{Run: s.res, Final: s.val}, runErr
+	return &engine.Report{Stats: s.res, Final: s.val}, runErr
 }
 
 func init() { engine.Register(eng{}, "seq") }

@@ -201,9 +201,9 @@ func TestDeterminism(t *testing.T) {
 	c := inverterChain(8, 6)
 	r1 := simulate(t, c, engine.Config{Horizon: 200})
 	r2 := simulate(t, c, engine.Config{Horizon: 200})
-	if r1.Run.NodeUpdates != r2.Run.NodeUpdates || r1.Run.Evals != r2.Run.Evals ||
-		r1.Run.TimeSteps != r2.Run.TimeSteps {
-		t.Errorf("non-deterministic stats: %+v vs %+v", r1.Run, r2.Run)
+	if r1.Stats.NodeUpdates != r2.Stats.NodeUpdates || r1.Stats.Evals != r2.Stats.Evals ||
+		r1.Stats.TimeSteps != r2.Stats.TimeSteps {
+		t.Errorf("non-deterministic stats: %+v vs %+v", r1.Stats, r2.Stats)
 	}
 	for i := range r1.Final {
 		if !r1.Final[i].Equal(r2.Final[i]) {
@@ -228,11 +228,11 @@ func TestHorizonCutoff(t *testing.T) {
 func TestAvailabilityHistogram(t *testing.T) {
 	c := inverterChain(4, 8)
 	res := simulate(t, c, engine.Config{Horizon: 100, CollectAvail: true})
-	if res.Run.Avail.N() != res.Run.TimeSteps {
-		t.Errorf("avail samples %d != steps %d", res.Run.Avail.N(), res.Run.TimeSteps)
+	if res.Stats.Avail.N() != res.Stats.TimeSteps {
+		t.Errorf("avail samples %d != steps %d", res.Stats.Avail.N(), res.Stats.TimeSteps)
 	}
 	// A single chain never has more than a few elements active at once.
-	if max := res.Run.Avail.Max(); max > 4 {
+	if max := res.Stats.Avail.Max(); max > 4 {
 		t.Errorf("max avail %d on a 4-element chain", max)
 	}
 }
@@ -240,7 +240,7 @@ func TestAvailabilityHistogram(t *testing.T) {
 func TestStatsPlausible(t *testing.T) {
 	c := inverterChain(4, 8)
 	res := simulate(t, c, engine.Config{Horizon: 100})
-	r := &res.Run
+	r := &res.Stats
 	if r.NodeUpdates == 0 || r.Evals == 0 || r.TimeSteps == 0 {
 		t.Fatalf("empty stats: %+v", r)
 	}
@@ -263,8 +263,8 @@ func TestNoActivityCircuit(t *testing.T) {
 	b.Gate(circuit.KindNot, "inv", 1, y, cn)
 	c := b.MustBuild()
 	res := simulate(t, c, engine.Config{Horizon: 1 << 40})
-	if res.Run.TimeSteps > 3 {
-		t.Errorf("quiet circuit took %d steps", res.Run.TimeSteps)
+	if res.Stats.TimeSteps > 3 {
+		t.Errorf("quiet circuit took %d steps", res.Stats.TimeSteps)
 	}
 	if res.Final[y].MustUint() != 0 {
 		t.Errorf("final y = %v", res.Final[y])

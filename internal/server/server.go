@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parsim"
 	"parsim/internal/checkpoint"
 	"parsim/internal/circuit"
 	"parsim/internal/cluster"
@@ -48,6 +47,12 @@ import (
 	"parsim/internal/netlist"
 	"parsim/internal/stats"
 	"parsim/internal/trace"
+
+	// The daemon serves every registered engine; auto brings the five
+	// it picks.
+	_ "parsim/internal/auto"
+	_ "parsim/internal/dist"
+	_ "parsim/internal/timewarp"
 )
 
 // Config sizes the service. The zero value of any field selects the
@@ -731,14 +736,13 @@ func (s *Server) runJob(j *job) {
 
 	end := time.Now()
 	serverCancelled := s.baseCtx.Err() != nil && errors.Is(err, context.Canceled)
-	res := parsim.ResultOf(rep)
-	result := encodeResult(j.id, res)
+	result := encodeResult(j.id, rep)
 	state := terminalState(err, serverCancelled)
 	s.logTerminal(j, state, result, err)
 	var tot stats.WorkerCounters
 	degraded := false
 	if rep != nil {
-		tot = rep.Run.Totals()
+		tot = rep.Stats.Totals()
 		degraded = rep.Degraded
 		if rep.Selected != nil {
 			s.met.onAutoSelect(rep.Selected.Engine)
@@ -751,8 +755,8 @@ func (s *Server) runJob(j *job) {
 	// submission that never simulated sees it.
 	shared := result
 	if j.key != "" && s.dedup != nil {
-		if res != nil && res.Resumed {
-			shared = encodeResult(j.id, stripResumed(res))
+		if rep != nil && rep.Resumed {
+			shared = encodeResult(j.id, stripResumed(rep))
 		}
 		if state == jobDone && shared != nil {
 			s.dedup.Put(j.key, shared)
@@ -770,11 +774,11 @@ func (s *Server) runJob(j *job) {
 
 // encodeResult renders a finished run's report once; the job record, the
 // journal, the dedup cache and every poll then serve these bytes.
-func encodeResult(id string, res *parsim.Result) json.RawMessage {
-	if res == nil {
+func encodeResult(id string, rep *engine.Report) json.RawMessage {
+	if rep == nil {
 		return nil
 	}
-	b, err := json.Marshal(res)
+	b, err := json.Marshal(rep)
 	if err != nil {
 		log.Printf("parsimd: job %s: encoding result: %v", id, err)
 		return nil
@@ -797,12 +801,12 @@ func (s *Server) logTerminal(j *job, state jobState, result json.RawMessage, run
 	}
 }
 
-// stripResumed returns res as the result of a dedup hit: Resumed is
+// stripResumed returns rep as the result of a dedup hit: Resumed is
 // provenance of the producing run (it came back from a snapshot), not of
 // a submission that never simulated at all, so a served copy clears it.
 // Shallow copy — the shared Final/Stats payloads are read-only by then.
-func stripResumed(res *parsim.Result) *parsim.Result {
-	cp := *res
+func stripResumed(rep *engine.Report) *engine.Report {
+	cp := *rep
 	cp.Resumed = false
 	return &cp
 }

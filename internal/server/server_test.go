@@ -19,8 +19,6 @@ import (
 	"parsim/internal/engine"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
-
-	"parsim" // also registers the engines via the facade's blank imports
 )
 
 // blockEngine is a controllable engine for scheduler tests: every run
@@ -44,10 +42,10 @@ func (b *blockEngine) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Co
 		started <- struct{}{}
 	}
 	rep := &engine.Report{
-		Run:   stats.Run{Algorithm: b.Name(), Circuit: c.Name, Workers: cfg.Workers, Horizon: cfg.Horizon},
+		Stats: stats.Run{Algorithm: b.Name(), Circuit: c.Name, Workers: cfg.Workers, Horizon: cfg.Horizon},
 		Final: make([]logic.Value, len(c.Nodes)),
 	}
-	rep.Run.Aggregate(0, make([]stats.WorkerCounters, cfg.Workers))
+	rep.Stats.Aggregate(0, make([]stats.WorkerCounters, cfg.Workers))
 	select {
 	case <-gate:
 		return rep, nil
@@ -103,7 +101,7 @@ type jobDoc struct {
 	QueuedMS int64          `json:"queued_ms"`
 	RunMS    int64          `json:"run_ms"`
 	Error    string         `json:"error"`
-	Result   *parsim.Result `json:"result"`
+	Result   *engine.Report `json:"result"`
 }
 
 func newTestServer(t *testing.T, cfg Config) *testServer {

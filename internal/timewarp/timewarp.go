@@ -142,7 +142,7 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 
 	wall := engine.Gang(cfg, "time-warp round loop", s.worker)
 
-	rep := &engine.Report{Final: s.final, GVTRounds: s.roundsRun, Run: stats.Run{
+	rep := &engine.Report{Final: s.final, GVTRounds: s.roundsRun, Stats: stats.Run{
 		Algorithm: e.Name(),
 		Circuit:   c.Name,
 		Horizon:   cfg.Horizon,
@@ -152,6 +152,6 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 		s.wc[w].ModelCalls = s.wc[w].Evals
 		rep.PeakLog = max(rep.PeakLog, s.peakLog[w])
 	}
-	rep.Run.Aggregate(wall, s.wc)
+	rep.Stats.Aggregate(wall, s.wc)
 	return rep, nil
 }

@@ -38,8 +38,8 @@ func crossCheck(t *testing.T, c *circuit.Circuit, horizon circuit.Time, cfg engi
 	if d := trace.Diff(c, ref, got); d != "" {
 		t.Fatalf("%s (P=%d): history mismatch: %s", c.Name, cfg.Workers, d)
 	}
-	if res.Run.NodeUpdates != seqRes.Run.NodeUpdates {
-		t.Errorf("committed updates %d != sequential %d", res.Run.NodeUpdates, seqRes.Run.NodeUpdates)
+	if res.Stats.NodeUpdates != seqRes.Stats.NodeUpdates {
+		t.Errorf("committed updates %d != sequential %d", res.Stats.NodeUpdates, seqRes.Stats.NodeUpdates)
 	}
 	for i := range res.Final {
 		if !res.Final[i].Equal(seqRes.Final[i]) {
@@ -102,7 +102,7 @@ func TestSmallWindowForcesRollbacks(t *testing.T) {
 	cfg.InPeriod = 64
 	c := gen.GateMultiplier(cfg)
 	res := crossCheck(t, c, 512, engine.Config{Workers: 4, StepsPerRound: 64})
-	tot := res.Run.Totals()
+	tot := res.Stats.Totals()
 	t.Logf("rollbacks=%d cancelled=%d rolledBack=%d peakLog=%d rounds=%d",
 		tot.Rollbacks, tot.Cancelled, tot.RolledBack, res.PeakLog, res.GVTRounds)
 	if tot.Rollbacks == 0 {
@@ -138,7 +138,7 @@ func TestBadWorkerCountError(t *testing.T) {
 
 func TestZeroHorizon(t *testing.T) {
 	res := simulate(t, "time-warp", gen.FeedbackChain(3), engine.Config{Workers: 2, Horizon: 0})
-	if res.Run.NodeUpdates != 0 {
-		t.Errorf("updates at zero horizon: %d", res.Run.NodeUpdates)
+	if res.Stats.NodeUpdates != 0 {
+		t.Errorf("updates at zero horizon: %d", res.Stats.NodeUpdates)
 	}
 }

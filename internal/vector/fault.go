@@ -95,7 +95,7 @@ func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.F
 		fp := newFaultPass(c, faults[lo:hi], observe)
 		fp.pass, fp.ran, fp.statuses = p, ran, statuses
 		if total != nil {
-			fp.acc = packRun(&total.Run)
+			fp.acc = packRun(&total.Stats)
 		} else if resumeAcc != nil {
 			fp.acc = *resumeAcc
 		}
@@ -108,12 +108,12 @@ func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.F
 				if resumeAcc != nil {
 					// Fold the completed passes' counters back in so the
 					// stitched totals match an uninterrupted run's.
-					addRunCounters(&total.Run, *resumeAcc)
+					addRunCounters(&total.Stats, *resumeAcc)
 					resumeAcc = nil
 				}
 			} else {
 				total.Final = res.Final
-				addRunCounters(&total.Run, packRun(&res.Run))
+				addRunCounters(&total.Stats, packRun(&res.Stats))
 			}
 		}
 		if err != nil || cfg.Guard.Cancelled() {
@@ -142,7 +142,7 @@ func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.F
 		cov.Faults = statuses
 	}
 	total.FaultCoverage = cov
-	total.Run.Algorithm += "+faults"
+	total.Stats.Algorithm += "+faults"
 	return total, runErr
 }
 

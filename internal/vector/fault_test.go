@@ -257,7 +257,7 @@ func TestWideFaultStuckGeneratorNotCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := res.Run.NodeUpdates, good.Run.NodeUpdates; got != want {
+		if got, want := res.Stats.NodeUpdates, good.Stats.NodeUpdates; got != want {
 			t.Errorf("workers %d: fault run counts %d updates, good machine %d", workers, got, want)
 		}
 	}

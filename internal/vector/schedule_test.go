@@ -74,8 +74,8 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 		scalar := mustRun(t, "compiled", sc.build(), engine.Config{Workers: 1, Horizon: sc.horizon})
 		for _, lanes := range []int{1, 64, 256} {
 			ref := mustRun(t, "vector", sc.build(), engine.Config{Workers: 1, Horizon: sc.horizon, Lanes: lanes})
-			if lanes == 1 && ref.Run.NodeUpdates != scalar.Run.NodeUpdates {
-				t.Fatalf("%s: reference engines disagree on updates: %d vs %d", name, ref.Run.NodeUpdates, scalar.Run.NodeUpdates)
+			if lanes == 1 && ref.Stats.NodeUpdates != scalar.Stats.NodeUpdates {
+				t.Fatalf("%s: reference engines disagree on updates: %d vs %d", name, ref.Stats.NodeUpdates, scalar.Stats.NodeUpdates)
 			}
 			for _, eng := range []string{"vector", "jit"} {
 				for workers := 1; workers <= 4; workers++ {
@@ -89,11 +89,11 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 					if !sameValues(res.Final, scalar.Final) {
 						t.Errorf("%s: lane 0 final values differ from compiled", tag)
 					}
-					if res.Run.Evals > scalar.Run.Evals {
-						t.Errorf("%s: evals %d, more than compiled's %d", tag, res.Run.Evals, scalar.Run.Evals)
+					if res.Stats.Evals > scalar.Stats.Evals {
+						t.Errorf("%s: evals %d, more than compiled's %d", tag, res.Stats.Evals, scalar.Stats.Evals)
 					}
-					if res.Run.NodeUpdates != ref.Run.NodeUpdates {
-						t.Errorf("%s: node updates %d, want %d", tag, res.Run.NodeUpdates, ref.Run.NodeUpdates)
+					if res.Stats.NodeUpdates != ref.Stats.NodeUpdates {
+						t.Errorf("%s: node updates %d, want %d", tag, res.Stats.NodeUpdates, ref.Stats.NodeUpdates)
 					}
 					for l := range ref.LaneFinal {
 						if !sameValues(res.LaneFinal[l], ref.LaneFinal[l]) {
@@ -101,10 +101,10 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 							break
 						}
 					}
-					for w, row := range res.Run.PerWorker {
-						if row.BarrierWaits != res.Run.TimeSteps-1 {
+					for w, row := range res.Stats.PerWorker {
+						if row.BarrierWaits != res.Stats.TimeSteps-1 {
 							t.Errorf("%s: worker %d crossed %d barriers in %d steps, want one per step",
-								tag, w, row.BarrierWaits, res.Run.TimeSteps)
+								tag, w, row.BarrierWaits, res.Stats.TimeSteps)
 						}
 					}
 				}
@@ -155,9 +155,9 @@ func TestBenchCountsPinned(t *testing.T) {
 				for workers := 1; workers <= 2; workers++ {
 					rep := mustRun(t, eng, pc.c, engine.Config{Workers: workers, Horizon: pc.horizon, Lanes: lanes})
 					want := pc.evals[key{lanes, workers}]
-					if rep.Run.Evals != want || rep.Run.NodeUpdates != pc.updates[lanes] {
+					if rep.Stats.Evals != want || rep.Stats.NodeUpdates != pc.updates[lanes] {
 						t.Errorf("%s %s lanes %d workers %d: evals %d updates %d, want %d and %d", pc.name, eng,
-							lanes, workers, rep.Run.Evals, rep.Run.NodeUpdates, want, pc.updates[lanes])
+							lanes, workers, rep.Stats.Evals, rep.Stats.NodeUpdates, want, pc.updates[lanes])
 					}
 				}
 			}

@@ -52,12 +52,12 @@ func TestSelectiveTraceRunsOnlyTheCone(t *testing.T) {
 			if !sameValues(res.Final, ref.Final) {
 				t.Fatalf("lanes %d workers %d: final values differ from compiled", lanes, workers)
 			}
-			if res.Run.Evals != want {
+			if res.Stats.Evals != want {
 				t.Errorf("lanes %d workers %d: evals %d, want %d (2x%d sweep + 2x%d settle + %d cone)",
-					lanes, workers, res.Run.Evals, want, depth, depth-1, depth)
+					lanes, workers, res.Stats.Evals, want, depth, depth-1, depth)
 			}
 			idle := mustRun(t, "jit", twoChains(depth, 0), cfg)
-			if got := res.Run.Evals - idle.Run.Evals; got != depth {
+			if got := res.Stats.Evals - idle.Stats.Evals; got != depth {
 				t.Errorf("lanes %d workers %d: the toggle ran %d elements, want its %d-deep cone", lanes, workers, got, depth)
 			}
 		}

@@ -285,7 +285,7 @@ func (s *sim) finish() (*engine.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &engine.Report{Run: stats.Run{
+	rep := &engine.Report{Stats: stats.Run{
 		Algorithm: fmt.Sprintf("%sx%d", s.name, cfg.Lanes),
 		Circuit:   s.c.Name,
 		Horizon:   cfg.Horizon,
@@ -301,7 +301,7 @@ func (s *sim) finish() (*engine.Report, error) {
 	for w := range s.wc {
 		s.wc[w].ModelCalls = s.wc[w].Evals
 	}
-	rep.Run.Aggregate(wall, s.wc)
+	rep.Stats.Aggregate(wall, s.wc)
 	return rep, nil
 }
 

@@ -174,7 +174,7 @@ func TestCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res == nil || res.Run.TimeSteps >= 1<<20 {
+	if res == nil || res.Stats.TimeSteps >= 1<<20 {
 		t.Fatalf("expected a partial result, got %+v", res)
 	}
 }
@@ -193,8 +193,8 @@ func TestRegistryDispatch(t *testing.T) {
 		if len(rep.LaneFinal) != 4 {
 			t.Fatalf("%s: LaneFinal rows = %d", name, len(rep.LaneFinal))
 		}
-		if rep.Run.Algorithm == "" || rep.Run.NodeUpdates == 0 {
-			t.Fatalf("%s: empty stats: %+v", name, rep.Run)
+		if rep.Stats.Algorithm == "" || rep.Stats.NodeUpdates == 0 {
+			t.Fatalf("%s: empty stats: %+v", name, rep.Stats)
 		}
 	}
 }

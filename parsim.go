@@ -30,6 +30,13 @@
 // with a Builder, load them from netlist files, or generate the paper's
 // benchmark circuits from the Bench* helpers.
 //
+// Every algorithm returns the same Result, the engine layer's one run
+// report: run statistics with per-worker counters (Stats.Totals sums the
+// messages, rollbacks and cancellations), the final node values, and the
+// few figures only one algorithm produces (PeakLog, Rounds, GVTRounds).
+// Its JSON encoding is the report `parsim -json` prints and the parsimd
+// daemon serves as a job result.
+//
 // # Quick start
 //
 //	b := parsim.NewBuilder("blinker")
@@ -61,15 +68,10 @@ import (
 
 	// Each simulator package self-registers its engine(s) with
 	// internal/engine from init; these imports populate the registry that
-	// Simulate dispatches through.
+	// Simulate dispatches through (auto brings the five engines it picks).
 	_ "parsim/internal/auto"
-	_ "parsim/internal/compiled"
-	_ "parsim/internal/core"
 	_ "parsim/internal/dist"
-	_ "parsim/internal/parevent"
-	_ "parsim/internal/seq"
 	_ "parsim/internal/timewarp"
-	_ "parsim/internal/vector"
 )
 
 // Core value and netlist types, re-exported from the implementation
@@ -218,8 +220,8 @@ const (
 	// TimeWarp is the rollback-based optimistic baseline the paper argues
 	// against (Arnold's simulator, built on Jefferson's Virtual Time):
 	// elements execute speculatively; stragglers force state restoration
-	// and anti-message cancellation. Result.Rollbacks and Result.PeakLog
-	// quantify the paper's two criticisms.
+	// and anti-message cancellation. The rollbacks in Result.Stats.Totals
+	// and Result.PeakLog quantify the paper's two criticisms.
 	TimeWarp Algorithm = "time-warp"
 	// ChandyMisra is the conservative baseline the paper refines: node
 	// valid-times stay frozen while the simulation runs, so it repeatedly
@@ -252,6 +254,22 @@ const (
 	// Vector.
 	JIT Algorithm = "jit"
 )
+
+// Algorithms returns the canonical names of every registered engine,
+// sorted — the same table ParseAlgorithm, the CLIs and the parsimd daemon
+// resolve names against.
+func Algorithms() []string { return engine.Names() }
+
+// ParseAlgorithm resolves an engine name or alias (case-insensitive,
+// e.g. "async", "tw", "event-driven") to the Algorithm carrying its
+// canonical name, through the same registry every other dispatch path uses.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	e, err := engine.Get(name)
+	if err != nil {
+		return Sequential, err
+	}
+	return e.Name(), nil
+}
 
 // Options configures Simulate.
 type Options struct {
@@ -351,41 +369,12 @@ type Options struct {
 	Chaos *ChaosProbe
 }
 
-// Result is the outcome of a simulation.
-type Result struct {
-	Stats RunStats
-	// Final holds each node's value at the horizon, indexed by NodeID.
-	// For a Vector or JIT run this is lane ProbeLane's view.
-	Final []Value
-	// LaneFinal holds every lane's final node values (Vector and JIT
-	// only): LaneFinal[k][n] is node n at the horizon as lane k saw it.
-	LaneFinal [][]Value
-	// FaultCoverage reports concurrent fault-simulation results
-	// (Vector or JIT with Options.FaultSim only).
-	FaultCoverage *FaultCoverage
-	// Messages counts inter-worker messages (DistAsync only).
-	Messages int64
-	// Rollbacks, Cancelled and PeakLog quantify optimistic execution
-	// (TimeWarp only): rollback episodes, anti-message annihilations, and
-	// the peak saved-state footprint.
-	Rollbacks int64
-	Cancelled int64
-	PeakLog   int64
-	// Rounds counts Chandy-Misra deadlock recoveries (ChandyMisra only).
-	Rounds int64
-	// Degraded marks a result produced by the sequential fallback after
-	// the requested algorithm faulted or stalled (Options.Fallback);
-	// Fault holds the original algorithm's error.
-	Degraded bool
-	Fault    error
-	// Resumed marks a run continued from an Options.ResumeFrom snapshot
-	// rather than simulated from t=0.
-	Resumed bool
-	// Selected records an engine=auto run's decision: the winning engine
-	// and configuration, the per-engine ranking, and the static circuit
-	// profile that justified it. Nil for directly selected algorithms.
-	Selected *Selection
-}
+// Result is the outcome of a simulation: the engine layer's one run
+// report, which every engine returns and the parsimd daemon serves. Its
+// MarshalJSON/UnmarshalJSON are the run-report schema `parsim -json`
+// prints. Per-worker counters (messages, rollbacks, cancellations) sum
+// with Stats.Totals.
+type Result = engine.Report
 
 // Auto-selection surface, re-exported from the implementation packages.
 type (
@@ -467,7 +456,7 @@ func SimulateContext(ctx context.Context, c *Circuit, opts Options) (*Result, er
 		},
 		ResumeFrom: opts.ResumeFrom,
 	})
-	return ResultOf(rep), err
+	return rep, err
 }
 
 // IsUnitDelay reports whether every element has delay 1, the precondition

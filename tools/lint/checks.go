@@ -24,7 +24,7 @@ type Analyzer struct {
 }
 
 // analyzers is the registry applied by main to every non-test file.
-var analyzers = []*Analyzer{legacyAtomic, mixedAccess, counterCopy, respWrite, ctxpoll, globalrand, closecheck, gang}
+var analyzers = []*Analyzer{legacyAtomic, mixedAccess, counterCopy, respWrite, ctxpoll, globalrand, closecheck, gang, facadeImport}
 
 // counterFields are the per-worker counters of stats.WorkerCounters. The
 // counter-copy check uses them to recognise lost-update mutations of a

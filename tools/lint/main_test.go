@@ -548,6 +548,36 @@ func f(g *sup) { g.Recover(0, "x") }
 	}
 }
 
+func TestFacadeImportFlagged(t *testing.T) {
+	for _, src := range []string{
+		"package server\n\nimport \"parsim\"\n\nvar _ parsim.Result\n",
+		"package server\n\nimport (\n\t\"fmt\"\n\n\t_ \"parsim\"\n)\n\nvar _ = fmt.Sprint\n",
+		"package server\n\nimport p \"parsim\"\n\nvar _ p.Result\n",
+	} {
+		diags := applyAs(t, "internal/server/server.go", src)
+		if len(diags) != 1 || diags[0].Code != "facadeimport" {
+			t.Errorf("facade import from internal/ not flagged: %v\n%s", codes(diags), src)
+		}
+	}
+}
+
+func TestFacadeImportElsewhereClean(t *testing.T) {
+	cases := []struct{ file, src string }{
+		// The commands and examples are the facade's callers.
+		{"cmd/parsim/main.go", "package main\n\nimport \"parsim\"\n\nvar _ parsim.Result\n"},
+		{"examples/quickstart/main.go", "package main\n\nimport \"parsim\"\n\nvar _ parsim.Result\n"},
+		// An internal package imports the layer the facade re-exports.
+		{"internal/server/server.go", "package server\n\nimport \"parsim/internal/engine\"\n\nvar _ engine.Report\n"},
+	}
+	for _, tc := range cases {
+		for _, d := range applyAs(t, tc.file, tc.src) {
+			if d.Code == "facadeimport" {
+				t.Errorf("%s: flagged: %+v", tc.file, d)
+			}
+		}
+	}
+}
+
 // TestRepoIsClean runs the analyzers over the real module — the check
 // `make lint` performs — pinning down that the codebase convention
 // (typed atomics, indexed counter writes) holds everywhere.
