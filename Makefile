@@ -176,12 +176,14 @@ bench-ckpt:
 	$(GO) run ./cmd/figures -fig c1 -mode real -json BENCH_ckpt.json
 
 ## wide-test runs the wide-plane and fault-simulation suites under the
-## race detector: the multi-word plane kernels, fault-list collapsing, the
-## stuck-at grading passes and the daemon's lane-width admission.
-## internal/codegen holds tests only (the jit name's truth tables through
-## the registry); the engine is internal/vector.
+## race detector: the multi-word plane kernels, the packed lane values
+## (logic.LaneValues) and the lane_final codec's round trip over them,
+## fault-list collapsing, the stuck-at grading passes and the daemon's
+## lane-width admission. internal/codegen holds tests only (the jit
+## name's truth tables through the registry); the engine is
+## internal/vector.
 wide-test:
-	$(GO) test -race -timeout 5m -count=1 -run Wide ./internal/vector ./internal/codegen ./internal/analyze ./internal/logic ./internal/server .
+	$(GO) test -race -timeout 5m -count=1 -run Wide ./internal/vector ./internal/codegen ./internal/analyze ./internal/logic ./internal/engine ./internal/server .
 
 ## fuzz explores new inputs for the cross-engine differential harness.
 ## The checked-in corpus under testdata/fuzz/FuzzEngines already replays

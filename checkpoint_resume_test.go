@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,6 +33,21 @@ func sameFinals(t *testing.T, label string, want, got []Value) {
 		if !want[i].Equal(got[i]) {
 			t.Fatalf("%s: node %d final %v, want %v", label, i, got[i], want[i])
 		}
+	}
+}
+
+// sameLaneFinals fails unless got holds want's lanes, naming the first
+// lane that differs.
+func sameLaneFinals(t *testing.T, want, got *LaneValues) {
+	t.Helper()
+	if want.Lanes() != got.Lanes() {
+		t.Fatalf("lane finals: %d lanes, want %d", got.Lanes(), want.Lanes())
+	}
+	for l := 0; l < want.Lanes(); l++ {
+		sameFinals(t, fmt.Sprintf("lane %d final", l), want.Lane(l), got.Lane(l))
+	}
+	if !want.Equal(got) {
+		t.Fatal("lane finals differ")
 	}
 }
 
@@ -84,12 +100,7 @@ func testResumeBitIdentical(t *testing.T, c *Circuit, base Options) {
 		t.Error("resumed run does not report Resumed")
 	}
 	sameFinals(t, "resumed vs reference", resA.Final, resC.Final)
-	if len(resA.LaneFinal) != len(resC.LaneFinal) {
-		t.Fatalf("lane finals: %d lanes, want %d", len(resC.LaneFinal), len(resA.LaneFinal))
-	}
-	for l := range resA.LaneFinal {
-		sameFinals(t, "lane final", resA.LaneFinal[l], resC.LaneFinal[l])
-	}
+	sameLaneFinals(t, resA.LaneFinal, resC.LaneFinal)
 	if !bytes.Equal(vcdA, vcdBytes(t, c, recC, base.Horizon)) {
 		t.Error("resumed VCD differs from the uninterrupted run's")
 	}
@@ -204,9 +215,7 @@ func TestResumeJITGeneratorMidPeriod(t *testing.T) {
 			t.Error("resumed run does not report Resumed")
 		}
 		sameFinals(t, "final", resA.Final, resC.Final)
-		for l := range resA.LaneFinal {
-			sameFinals(t, "lane final", resA.LaneFinal[l], resC.LaneFinal[l])
-		}
+		sameLaneFinals(t, resA.LaneFinal, resC.LaneFinal)
 		if o.FaultSim {
 			for i, f := range resA.FaultCoverage.Faults {
 				if resC.FaultCoverage.Faults[i] != f {
@@ -414,12 +423,7 @@ func TestResumeJITSnapshotWithoutMarks(t *testing.T) {
 		t.Error("resumed run does not report Resumed")
 	}
 	sameFinals(t, "resumed vs reference", resA.Final, resC.Final)
-	if len(resC.LaneFinal) != len(resA.LaneFinal) {
-		t.Fatalf("lane finals: %d lanes, want %d", len(resC.LaneFinal), len(resA.LaneFinal))
-	}
-	for l := range resA.LaneFinal {
-		sameFinals(t, "lane final", resA.LaneFinal[l], resC.LaneFinal[l])
-	}
+	sameLaneFinals(t, resA.LaneFinal, resC.LaneFinal)
 	if !bytes.Equal(vcdBytes(t, c, recA, base.Horizon), vcdBytes(t, c, recC, base.Horizon)) {
 		t.Error("resumed VCD differs from the uninterrupted run's")
 	}

@@ -18,8 +18,9 @@
 // the budget (a feedback-dominated circuit is fastest on one worker), never
 // more (a budget below one counts as one, as in RunEngine). Config.Lanes
 // > 1 forces the levelized plane core under its jit name: it is the only
-// engine that carries lanes and produces LaneFinal (vector names the same
-// core), and a forced winner keeps batched selection deterministic.
+// engine that carries lanes and produces LaneFinal, its packed per-lane
+// finals (vector names the same core), and a forced winner keeps batched
+// selection deterministic.
 // Fault simulation never reaches this package: RunEngine rejects
 // Config.FaultSim for any engine that is not an engine.LaneEngine.
 package auto

@@ -133,8 +133,8 @@ func TestRunScalarJobOnVector(t *testing.T) {
 	if rep.Selected.Engine != "jit" {
 		t.Fatalf("batched job selected %q", rep.Selected.Engine)
 	}
-	if len(rep.LaneFinal) != 16 {
-		t.Errorf("batched job produced %d lanes, want 16", len(rep.LaneFinal))
+	if got := rep.LaneFinal.Lanes(); got != 16 {
+		t.Errorf("batched job produced %d lanes, want 16", got)
 	}
 }
 

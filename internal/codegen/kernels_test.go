@@ -257,11 +257,11 @@ func proveThroughEngine(t *testing.T, kind circuit.Kind, sh codegenShape, lanes 
 				}
 			}
 		}
-		for l := range rep.LaneFinal {
+		for l := 0; l < rep.LaneFinal.Lanes(); l++ {
 			for n := range c.Nodes {
-				if rep.LaneFinal[l][n] != rep.Final[n] {
+				if got := rep.LaneFinal.At(l, n); got != rep.Final[n] {
 					t.Fatalf("lanes %d: lane %d ends node %q at %v, probe lane %d at %v",
-						lanes, l, c.Nodes[n].Name, rep.LaneFinal[l][n], lane, rep.Final[n])
+						lanes, l, c.Nodes[n].Name, got, lane, rep.Final[n])
 				}
 			}
 		}

@@ -270,8 +270,10 @@ type Engine interface {
 }
 
 // LaneEngine is an Engine that advances Config.Lanes stimulus lanes at once
-// and reports LaneFinal. Lanes are also what fault simulation injects into,
-// so Config.FaultSim is valid exactly where this interface is implemented.
+// and reports every lane's final values in Report.LaneFinal, its final
+// planes packed as it holds them. Lanes are also what fault simulation
+// injects into, so Config.FaultSim is valid exactly where this interface
+// is implemented.
 type LaneEngine interface {
 	Engine
 	// DefaultLanes is the lane count a run gets when Config.Lanes is 0.

@@ -30,9 +30,11 @@ type Report struct {
 	// of the encoded report.
 	GVTRounds int64
 	// LaneFinal holds every stimulus lane's final node values from a
-	// lane-engine run, indexed [lane][NodeID]; LaneFinal[ProbeLane]
-	// equals Final. Nil for the scalar engines.
-	LaneFinal [][]logic.Value
+	// lane-engine run, packed as the plane core holds them: two bits per
+	// node bit per lane. At(lane, node) reads one value, Lane(k) decodes
+	// lane k into a row indexed by NodeID, and Lane(ProbeLane) equals
+	// Final. Nil for the scalar engines and for a fault-simulation run.
+	LaneFinal *logic.LaneValues
 	// FaultCoverage reports stuck-at coverage from a fault-simulation run
 	// (Config.FaultSim); nil otherwise.
 	FaultCoverage *stats.FaultCoverage
@@ -117,10 +119,10 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	if len(r.Final) > 0 {
 		out.Final = encodeValues(r.Final)
 	}
-	if len(r.LaneFinal) > 0 {
-		out.LaneFinal = make([][]string, len(r.LaneFinal))
-		for l, vals := range r.LaneFinal {
-			out.LaneFinal[l] = encodeValues(vals)
+	if lanes := r.LaneFinal.Lanes(); lanes > 0 {
+		out.LaneFinal = make([][]string, lanes)
+		for l := range out.LaneFinal {
+			out.LaneFinal[l] = encodeLane(r.LaneFinal, l)
 		}
 	}
 	return json.Marshal(out)
@@ -153,11 +155,14 @@ func (r *Report) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("parsim: final: %w", err)
 	}
 	if len(in.LaneFinal) > 0 {
-		r.LaneFinal = make([][]logic.Value, len(in.LaneFinal))
+		rows := make([][]logic.Value, len(in.LaneFinal))
 		for l, strs := range in.LaneFinal {
-			if r.LaneFinal[l], err = decodeValues(strs); err != nil {
+			if rows[l], err = decodeValues(strs); err != nil {
 				return fmt.Errorf("parsim: lane %d final: %w", l, err)
 			}
+		}
+		if r.LaneFinal, err = logic.PackLanes(rows); err != nil {
+			return fmt.Errorf("parsim: lane final: %w", err)
 		}
 	}
 	return nil
@@ -172,6 +177,18 @@ func encodeValues(vals []logic.Value) []string {
 			continue
 		}
 		strs[i] = v.String()
+	}
+	return strs
+}
+
+// encodeLane is encodeValues over lane l of the packed values, read
+// straight from the planes.
+func encodeLane(lv *logic.LaneValues, l int) []string {
+	strs := make([]string, lv.Nodes())
+	for n := range strs {
+		if v := lv.At(l, n); v.Width() != 0 {
+			strs[n] = v.String()
+		}
 	}
 	return strs
 }

@@ -226,7 +226,8 @@ func (m *predictor) compiled() engine.Choice {
 // lowering, paid once on one goroutine, is spread over the horizon. Its
 // compiler balances the split itself, so no partition strategy applies. A
 // batched job amortises the whole job over every lane, and no other engine
-// produces LaneFinal at all.
+// produces LaneFinal, the packed per-lane finals, at all. Packing them
+// copies the final planes once, so no per-lane result cost is modelled.
 func (m *predictor) jit() engine.Choice {
 	meanCost := 0.0
 	if n := m.p.Elements - m.p.Generators; n > 0 {

@@ -677,7 +677,14 @@ func (s *Server) dispatch() {
 		}
 		// Reserve cores while the job is still the counted head of the
 		// queue, so a core-starved head keeps admission control honest.
+		// Drain marks the server draining before it closes the budget, so
+		// a running job can free its cores in between: a head admitted
+		// then hands them back and is discarded with the rest.
 		admitted := !s.draining.Load() && s.budget.acquire(j.cfg.Workers)
+		if admitted && s.draining.Load() {
+			s.budget.release(j.cfg.Workers)
+			admitted = false
+		}
 		s.queue.removeHead()
 		if !admitted {
 			now := time.Now()

@@ -446,6 +446,38 @@ func TestForcedDrainCancelsRunning(t *testing.T) {
 	}
 }
 
+// TestDrainDiscardsHeadAdmittedLate replays the window inside Drain
+// between marking the server draining and closing the core budget: the
+// dispatcher waits in acquire for the queued head, the running job frees
+// its core in that window, and the head must still end cancelled rather
+// than run.
+func TestDrainDiscardsHeadAdmittedLate(t *testing.T) {
+	started := make(chan struct{}, 2)
+	gate := testBlock.reset(started)
+	ts := newTestServer(t, Config{CoreBudget: 1, MaxQueue: 4})
+
+	var running, queued jobDoc
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &running)
+	<-started
+	ts.submit(t, cluster.Submission{Netlist: testNetlist, Engine: "test-block", Horizon: 8}, &queued)
+	waitFor(t, 5*time.Second, func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*coreBudget).acquire"))
+	})
+
+	ts.draining.Store(true) // Drain's first step; the budget stays open
+	close(gate)             // the running job ends and releases its core
+	if v := ts.await(t, running.ID, 5*time.Second); v.State != jobDone {
+		t.Errorf("running job: %s, want done", v.State)
+	}
+	if v := ts.await(t, queued.ID, 5*time.Second); v.State != jobCancelled {
+		t.Errorf("queued head: %s, want cancelled", v.State)
+	}
+	// Drain's second step, so the cleanup drain finds the dispatcher gone.
+	ts.queue.close()
+	ts.budget.close()
+}
+
 // TestVCDEndpoint submits with watch nodes and downloads the waveform.
 func TestVCDEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{CoreBudget: 2, MaxQueue: 4})
@@ -564,18 +596,18 @@ func TestBatchedVectorJob(t *testing.T) {
 	if v.Result == nil {
 		t.Fatal("done job has no result")
 	}
-	if got := len(v.Result.LaneFinal); got != 4 {
+	if got := v.Result.LaneFinal.Lanes(); got != 4 {
 		t.Fatalf("lane_final rows = %d, want 4", got)
 	}
-	for lane, row := range v.Result.LaneFinal {
-		if len(row) != 4 { // clk, a, b, q
+	for lane := 0; lane < 4; lane++ {
+		if row := v.Result.LaneFinal.Lane(lane); len(row) != 4 { // clk, a, b, q
 			t.Fatalf("lane %d: %d nodes, want 4", lane, len(row))
 		}
 	}
 	// The ring has no rand/gray generators, so every lane sees the same
 	// stimulus and the probe lane must agree with its own row (and, here,
 	// with lane 0).
-	for n, want := range v.Result.LaneFinal[2] {
+	for n, want := range v.Result.LaneFinal.Lane(2) {
 		if v.Result.Final[n] != want {
 			t.Fatalf("node %d: final %v, probe-lane row has %v", n, v.Result.Final[n], want)
 		}
@@ -588,8 +620,8 @@ func TestBatchedVectorJob(t *testing.T) {
 	if pv.State != jobDone {
 		t.Fatalf("compiled state %s (error %q)", pv.State, pv.Error)
 	}
-	if len(pv.Result.LaneFinal) != 0 {
-		t.Fatalf("compiled run reported %d lane rows", len(pv.Result.LaneFinal))
+	if got := pv.Result.LaneFinal.Lanes(); got != 0 {
+		t.Fatalf("compiled run reported %d lane rows", got)
 	}
 }
 
@@ -698,8 +730,8 @@ func TestWideFaultJob(t *testing.T) {
 			t.Fatalf("unexpected status row %+v", st)
 		}
 	}
-	if len(v.Result.LaneFinal) != 0 {
-		t.Fatalf("fault job reported %d lane rows, want none", len(v.Result.LaneFinal))
+	if got := v.Result.LaneFinal.Lanes(); got != 0 {
+		t.Fatalf("fault job reported %d lane rows, want none", got)
 	}
 }
 

@@ -95,11 +95,8 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 					if res.Stats.NodeUpdates != ref.Stats.NodeUpdates {
 						t.Errorf("%s: node updates %d, want %d", tag, res.Stats.NodeUpdates, ref.Stats.NodeUpdates)
 					}
-					for l := range ref.LaneFinal {
-						if !sameValues(res.LaneFinal[l], ref.LaneFinal[l]) {
-							t.Errorf("%s: lane %d final values differ from the one-worker run", tag, l)
-							break
-						}
+					if !res.LaneFinal.Equal(ref.LaneFinal) {
+						t.Errorf("%s: lane final values differ from the one-worker run", tag)
 					}
 					for w, row := range res.Stats.PerWorker {
 						if row.BarrierWaits != res.Stats.TimeSteps-1 {

@@ -65,8 +65,8 @@
 // owed, and a snapshot without marks resumes with every block marked.
 //
 // Around the kernels a step does little: a generator is evaluated only at
-// its change times, and the final lane values are decoded a plane word at
-// a time into one backing array.
+// its change times. The run hands back its final planes packed, as they
+// are (logic.LaneValues), and decodes only the probe lane.
 package vector
 
 import (
@@ -275,9 +275,10 @@ func (s *sim) initGenerators() {
 }
 
 // finish runs the worker gang over the (freshly initialised or restored)
-// state and assembles the pass result. A fault-simulation pass decodes
-// only the probe lane: every other lane is a fault machine, large and not
-// the product of that mode.
+// state and assembles the pass result: the final planes as they are, one
+// copy per node, and lane ProbeLane decoded into Final. A fault-simulation
+// pass keeps only that lane: every other lane is a fault machine, large
+// and not the product of that mode.
 func (s *sim) finish() (*engine.Report, error) {
 	cfg := s.cfg
 	wall := engine.Gang(cfg, s.name+" step loop", s.worker)
@@ -292,11 +293,14 @@ func (s *sim) finish() (*engine.Report, error) {
 		Workers:   s.p,
 		TimeSteps: steps,
 	}}
-	if s.fault != nil {
-		rep.Final = s.laneFinals(s.buf[side].planes, 1)[0] // ProbeLane is 0
-	} else {
-		rep.LaneFinal = s.laneFinals(s.buf[side].planes, cfg.Lanes)
-		rep.Final = rep.LaneFinal[cfg.ProbeLane]
+	buf := &s.buf[side]
+	if s.fault == nil {
+		rep.LaneFinal = s.packFinals(buf)
+	}
+	rep.Final = make([]logic.Value, len(s.c.Nodes))
+	for n := range rep.Final {
+		o, w := int(s.prog.off[n]), s.c.Nodes[n].Width
+		rep.Final[n] = logic.ExtractLaneWide(buf.planes[o:o+w], cfg.ProbeLane, w)
 	}
 	for w := range s.wc {
 		s.wc[w].ModelCalls = s.wc[w].Evals
@@ -305,50 +309,17 @@ func (s *sim) finish() (*engine.Report, error) {
 	return rep, nil
 }
 
-// stateValues maps a lane's (V, U) bit pair, V the low bit, to its 1-bit
-// Value: L, H, X, Z.
-var stateValues = [4]logic.Value{
-	logic.FromState(logic.L), logic.FromState(logic.H),
-	logic.FromState(logic.X), logic.FromState(logic.Z),
-}
-
-// laneFinals decodes lanes [0, n) of every node from planes, all rows in
-// one backing array. Per plane word it walks the nodes in blocks: it
-// gathers a block's (V, U) words once, writes the block into each of the
-// word's 64 rows through stateValues — the value of a one-bit node, one
-// bit pair per node — and then re-decodes the block's wider nodes lane by
-// lane.
-func (s *sim) laneFinals(planes []logic.WidePlane, n int) [][]logic.Value {
-	nodes := len(s.c.Nodes)
-	back := make([]logic.Value, n*nodes)
-	vals := make([][]logic.Value, n)
-	for l := range vals {
-		vals[l] = back[l*nodes : (l+1)*nodes : (l+1)*nodes]
+// packFinals copies every node's planes out of buf, in node order, into
+// the packed lane values a report carries.
+func (s *sim) packFinals(buf *planeBuf) *logic.LaneValues {
+	lv := logic.NewLaneValues(s.cfg.Lanes, len(s.c.Nodes), func(n int) int { return s.c.Nodes[n].Width })
+	for n := range s.c.Nodes {
+		v, u := lv.Planes(n)
+		o := int(s.prog.off[n]) * s.words
+		copy(v, buf.v[o:])
+		copy(u, buf.u[o:])
 	}
-	var v, u [256]uint64
-	for wd := 0; wd*64 < n; wd++ {
-		rows := vals[wd*64 : min(n, wd*64+64)]
-		for lo := 0; lo < nodes; lo += len(v) {
-			offs := s.prog.off[lo:min(nodes, lo+len(v))]
-			for k, o := range offs {
-				v[k], u[k] = planes[o].V[wd], planes[o].U[wd]
-			}
-			for b, row := range rows {
-				row = row[lo : lo+len(offs)]
-				for k := range row {
-					row[k] = stateValues[v[k]>>uint(b)&1|(u[k]>>uint(b)&1)<<1]
-				}
-			}
-			for k, o := range offs {
-				if w := s.c.Nodes[lo+k].Width; w != 1 {
-					for b, row := range rows {
-						row[lo+k] = logic.ExtractLaneWide(planes[o:int(o)+w], wd*64+b, w)
-					}
-				}
-			}
-		}
-	}
-	return vals
+	return lv
 }
 
 func (s *sim) worker(id int) {

@@ -56,23 +56,23 @@ func TestLanesMatchScalarCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LaneFinal) != lanes {
-		t.Fatalf("LaneFinal rows = %d, want %d", len(res.LaneFinal), lanes)
+	if got := res.LaneFinal.Lanes(); got != lanes {
+		t.Fatalf("LaneFinal rows = %d, want %d", got, lanes)
 	}
 	for lane := 0; lane < lanes; lane++ {
 		sc := mustRun(t, "compiled", shiftSeeds(c, stride*int64(lane)), engine.Config{
 			Workers: 1, Horizon: horizon,
 		})
 		for n := range c.Nodes {
-			if got, want := res.LaneFinal[lane][n], sc.Final[n]; got != want {
+			if got, want := res.LaneFinal.At(lane, n), sc.Final[n]; got != want {
 				t.Errorf("lane %d node %q: %v, want %v", lane, c.Nodes[n].Name, got, want)
 			}
 		}
 	}
 	// Final is the probe lane's view (default lane 0).
 	for n := range c.Nodes {
-		if res.Final[n] != res.LaneFinal[0][n] {
-			t.Fatalf("Final differs from LaneFinal[0] at node %d", n)
+		if res.Final[n] != res.LaneFinal.At(0, n) {
+			t.Fatalf("Final differs from lane 0 of LaneFinal at node %d", n)
 		}
 	}
 }
@@ -159,8 +159,8 @@ func TestSingleLane(t *testing.T) {
 			t.Fatalf("node %d: %v != %v", n, res.Final[n], sc.Final[n])
 		}
 	}
-	if len(res.LaneFinal) != 1 {
-		t.Fatalf("LaneFinal rows = %d", len(res.LaneFinal))
+	if got := res.LaneFinal.Lanes(); got != 1 {
+		t.Fatalf("LaneFinal rows = %d", got)
 	}
 }
 
@@ -190,8 +190,8 @@ func TestRegistryDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(rep.LaneFinal) != 4 {
-			t.Fatalf("%s: LaneFinal rows = %d", name, len(rep.LaneFinal))
+		if got := rep.LaneFinal.Lanes(); got != 4 {
+			t.Fatalf("%s: LaneFinal rows = %d", name, got)
 		}
 		if rep.Stats.Algorithm == "" || rep.Stats.NodeUpdates == 0 {
 			t.Fatalf("%s: empty stats: %+v", name, rep.Stats)
@@ -238,12 +238,8 @@ func TestLaneStrideZeroDefaultsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lane := range a.LaneFinal {
-		for n := range c.Nodes {
-			if a.LaneFinal[lane][n] != b.LaneFinal[lane][n] {
-				t.Fatalf("lane %d node %d differ under default stride", lane, n)
-			}
-		}
+	if a.LaneFinal.Lanes() != 4 || !a.LaneFinal.Equal(b.LaneFinal) {
+		t.Fatal("lane finals differ under default stride")
 	}
 	_ = logic.MaxLanes
 }

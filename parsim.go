@@ -81,6 +81,9 @@ type (
 	Value = logic.Value
 	// State is a single wire state: L, H, X or Z.
 	State = logic.State
+	// LaneValues is a batched run's per-lane final node values
+	// (Result.LaneFinal), packed two bits per node bit per lane.
+	LaneValues = logic.LaneValues
 	// Time is a simulation timestamp in ticks.
 	Time = circuit.Time
 	// Circuit is a validated, immutable netlist.

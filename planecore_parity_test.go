@@ -186,9 +186,9 @@ func parityDigest(res *Result, rec *Recorder) string {
 	for _, v := range res.Final {
 		hashValue(h, v)
 	}
-	for l, row := range res.LaneFinal {
+	for l := 0; l < res.LaneFinal.Lanes(); l++ {
 		fmt.Fprintf(h, "lane %d\n", l)
-		for _, v := range row {
+		for _, v := range res.LaneFinal.Lane(l) {
 			hashValue(h, v)
 		}
 	}
