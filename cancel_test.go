@@ -186,7 +186,8 @@ func TestNoEngineLeavesGoroutines(t *testing.T) {
 			if o.panics {
 				cfg.Chaos = &ChaosProbe{PanicAtEval: 40}
 			}
-			_, err := engine.Run(ctx, name, c, cfg)
+			cfg.Engine = name
+			_, err := engine.Run(ctx, c, cfg)
 			cancel()
 			if !o.check(err) {
 				t.Errorf("%s %s: unexpected error %v", name, o.name, err)

@@ -152,8 +152,7 @@ func TestResumeRejectsMalformedSnapshots(t *testing.T) {
 			src := filepath.Join(dir, "src.ckpt")
 			o := base
 			o.Probe = NewRecorder()
-			o.Checkpoint = src
-			o.CheckpointEvery = 64
+			o.Checkpoint = CheckpointSpec{Path: src, EverySteps: 64}
 			if _, err := Simulate(e.c.Clone(), o); err != nil {
 				t.Fatalf("checkpointed run: %v", err)
 			}

@@ -71,8 +71,7 @@ func testResumeBitIdentical(t *testing.T, c *Circuit, base Options) {
 	recB := NewRecorder()
 	oB := base
 	oB.Probe = recB
-	oB.Checkpoint = ckpt
-	oB.CheckpointEvery = 64
+	oB.Checkpoint = CheckpointSpec{Path: ckpt, EverySteps: 64}
 	resB, err := Simulate(c.Clone(), oB)
 	if err != nil {
 		t.Fatalf("checkpointed run: %v", err)
@@ -194,7 +193,7 @@ func TestResumeJITGeneratorMidPeriod(t *testing.T) {
 		}
 		ckpt := filepath.Join(t.TempDir(), "mid.ckpt")
 		oB := o
-		oB.Checkpoint, oB.CheckpointEvery = ckpt, 64
+		oB.Checkpoint = CheckpointSpec{Path: ckpt, EverySteps: 64}
 		if _, err := Simulate(c.Clone(), oB); err != nil {
 			t.Fatalf("checkpointed run: %v", err)
 		}
@@ -249,8 +248,7 @@ func TestResumeVectorFaultSim(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "fault.ckpt")
 	oB := base
-	oB.Checkpoint = ckpt
-	oB.CheckpointEvery = 64
+	oB.Checkpoint = CheckpointSpec{Path: ckpt, EverySteps: 64}
 	if _, err := Simulate(c.Clone(), oB); err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
@@ -319,8 +317,7 @@ func TestResumeAfterCancel(t *testing.T) {
 
 		ckpt := filepath.Join(t.TempDir(), "cancel.ckpt")
 		oB := base
-		oB.Checkpoint = ckpt
-		oB.CheckpointEvery = 100
+		oB.Checkpoint = CheckpointSpec{Path: ckpt, EverySteps: 100}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		// The timeout is the backstop; the probe cancels at a fixed
 		// simulated time, so the run stops mid-flight on a fast host too.

@@ -116,9 +116,7 @@ func main() {
 		summary     = flag.Bool("summary", false, "print circuit statistics before simulating")
 		lintFlag    = flag.String("lint", "off", "pre-flight static analysis: off, warn (refuse errors), strict (refuse warnings too)")
 		watchdog    = flag.Duration("watchdog", 0, "abort the run when progress stalls for this long (0 = off)")
-		fallback    = flag.Bool("fallback", false, "retry on the sequential engine if the run panics or stalls")
-		fbRetries   = flag.Int("fallback-retries", 0, "fallback: attempts on the fallback engine before giving up (0 = 1)")
-		fbDelay     = flag.Duration("fallback-delay", 0, "fallback: base delay of the capped exponential backoff between attempts")
+		fallback    = flag.Bool("fallback", false, "re-run once on the sequential engine if the run panics or stalls")
 		ckptPath    = flag.String("checkpoint", "", "write a crash-durable snapshot to this file at a periodic quiescent point")
 		ckptEvery   = flag.Int64("checkpoint-every", 0, "snapshot interval in time steps (0 = 256)")
 		resumeFrom  = flag.String("resume", "", "resume from a snapshot file written by -checkpoint; the run must use the same netlist and options")
@@ -170,6 +168,25 @@ func main() {
 		fatal(err)
 	}
 
+	opts := parsim.Options{
+		Engine:         eng.Name(),
+		Workers:        *workers,
+		Horizon:        parsim.Time(*horizon),
+		CostSpin:       *spin,
+		NoSteal:        *noSteal,
+		CentralQueue:   *central,
+		Lint:           lint,
+		Watchdog:       *watchdog,
+		Fallback:       *fallback,
+		Checkpoint:     parsim.CheckpointSpec{Path: *ckptPath, EverySteps: *ckptEvery},
+		ResumeFrom:     *resumeFrom,
+		Lanes:          *lanes,
+		LaneStride:     *laneStride,
+		ProbeLane:      *probeLane,
+		FaultSim:       *faults,
+		FaultMaxPasses: *faultPasses,
+		FaultStatuses:  *faultStat,
+	}
 	if *submitAddr != "" {
 		var watchNames []string
 		if *watch != "" {
@@ -178,46 +195,23 @@ func main() {
 			}
 		}
 		runSubmit(*submitAddr, c, &cluster.Submission{
-			Engine:         eng.Name(),
-			Workers:        *workers,
-			Horizon:        *horizon,
+			Engine:         opts.Engine,
+			Workers:        opts.Workers,
+			Horizon:        int64(opts.Horizon),
 			DeadlineMS:     timeout.Milliseconds(),
-			WatchdogMS:     watchdog.Milliseconds(),
-			Lint:           *lintFlag,
-			Fallback:       *fallback,
-			CostSpin:       *spin,
+			WatchdogMS:     opts.Watchdog.Milliseconds(),
+			Lint:           opts.Lint.String(),
+			Fallback:       opts.Fallback,
+			CostSpin:       opts.CostSpin,
 			Watch:          watchNames,
-			Lanes:          *lanes,
-			LaneStride:     *laneStride,
-			ProbeLane:      *probeLane,
-			FaultSim:       *faults,
-			FaultMaxPasses: *faultPasses,
-			FaultStatuses:  *faultStat,
+			Lanes:          opts.Lanes,
+			LaneStride:     opts.LaneStride,
+			ProbeLane:      opts.ProbeLane,
+			FaultSim:       opts.FaultSim,
+			FaultMaxPasses: opts.FaultMaxPasses,
+			FaultStatuses:  opts.FaultStatuses,
 		}, *jsonOut)
 		return
-	}
-
-	opts := parsim.Options{
-		Engine:          eng.Name(),
-		Workers:         *workers,
-		Horizon:         parsim.Time(*horizon),
-		CostSpin:        *spin,
-		NoSteal:         *noSteal,
-		CentralQueue:    *central,
-		Lint:            lint,
-		Watchdog:        *watchdog,
-		Fallback:        *fallback,
-		FallbackRetries: *fbRetries,
-		FallbackDelay:   *fbDelay,
-		Checkpoint:      *ckptPath,
-		CheckpointEvery: *ckptEvery,
-		ResumeFrom:      *resumeFrom,
-		Lanes:           *lanes,
-		LaneStride:      *laneStride,
-		ProbeLane:       *probeLane,
-		FaultSim:        *faults,
-		FaultMaxPasses:  *faultPasses,
-		FaultStatuses:   *faultStat,
 	}
 	if eng.Name() == parsim.Sequential {
 		opts.Workers = 1

@@ -17,8 +17,7 @@ import (
 )
 
 // localOnly lists the run flags the submission body has no field for.
-var localOnly = []string{"no-steal", "central", "fallback-retries", "fallback-delay",
-	"checkpoint", "checkpoint-every", "resume", "vcd"}
+var localOnly = []string{"no-steal", "central", "checkpoint", "checkpoint-every", "resume", "vcd"}
 
 // unsubmittable returns the local-only flags set on fs, so -submit can
 // refuse them instead of dropping them silently.

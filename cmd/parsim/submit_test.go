@@ -19,10 +19,10 @@ func TestUnsubmittableFlags(t *testing.T) {
 		for _, name := range []string{"no-steal", "central", "fallback", "faults", "json"} {
 			fs.Bool(name, false, "")
 		}
-		for _, name := range []string{"fallback-retries", "checkpoint-every", "workers", "lanes"} {
+		for _, name := range []string{"checkpoint-every", "workers", "lanes"} {
 			fs.Int(name, 0, "")
 		}
-		for _, name := range []string{"fallback-delay", "timeout", "watchdog"} {
+		for _, name := range []string{"timeout", "watchdog"} {
 			fs.Duration(name, 0, "")
 		}
 		return fs
@@ -34,10 +34,9 @@ func TestUnsubmittableFlags(t *testing.T) {
 		{[]string{"-submit", "h:1", "-workers", "2", "-watch", "q", "-lint", "warn", "-fallback",
 			"-faults", "-lanes", "8", "-timeout", "1s", "-watchdog", "1s", "-json"}, nil},
 		{[]string{"-submit", "h:1", "-vcd", "out.vcd"}, []string{"-vcd"}},
-		{[]string{"-no-steal=false", "-central", "-fallback-retries", "0", "-fallback-delay", "1ms",
+		{[]string{"-no-steal=false", "-central",
 			"-checkpoint", "a.ckpt", "-checkpoint-every", "8", "-resume", "b.ckpt", "-vcd", "c.vcd"},
-			[]string{"-central", "-checkpoint", "-checkpoint-every", "-fallback-delay", "-fallback-retries",
-				"-no-steal", "-resume", "-vcd"}},
+			[]string{"-central", "-checkpoint", "-checkpoint-every", "-no-steal", "-resume", "-vcd"}},
 	}
 	for _, tc := range cases {
 		fs := newSet()

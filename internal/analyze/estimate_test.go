@@ -18,7 +18,7 @@ import (
 // evaluations per tick. Both engines used here count deterministically.
 func measuredPerTick(t *testing.T, name string, c *circuit.Circuit, horizon circuit.Time) float64 {
 	t.Helper()
-	rep, err := engine.Run(context.Background(), name, c.Clone(), engine.Config{Workers: 1, Horizon: horizon})
+	rep, err := engine.Run(context.Background(), c.Clone(), engine.Config{Engine: name, Workers: 1, Horizon: horizon})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", name, c.Name, err)
 	}

@@ -52,12 +52,12 @@ func init() { engine.Register(eng{}, "select") }
 
 // Run profiles the circuit, picks the winner and delegates. The outer
 // RunEngine call has already validated the config, linted the circuit and
-// attached the supervisor (cfg.Guard), which the inner engine inherits —
+// attached the supervisor (cfg.Guard()), which the inner engine inherits —
 // its stall signal is aggregate, so a winner running fewer workers than
 // the budget still keeps the watchdog fed.
 func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	sel, icfg := Choose(c, cfg)
-	inner, err := engine.Get(sel.Engine)
+	inner, err := engine.Get(icfg.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,8 @@ func (eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 }
 
 // Choose computes the selection for c under cfg and returns it together
-// with the config the winning engine should run with. Exported for the
+// with the config the winning engine should run with: Engine names the
+// winner, so engine.Run runs the returned config as is. Exported for the
 // profile tooling and tests; Run is the production path.
 func Choose(c *circuit.Circuit, cfg engine.Config) (*engine.Selection, engine.Config) {
 	prof := analyze.Profile(c)
@@ -96,7 +97,7 @@ func Choose(c *circuit.Circuit, cfg engine.Config) (*engine.Selection, engine.Co
 	sel.Engine, sel.Workers, sel.Strategy, sel.Lanes = win.Engine, win.Workers, win.Strategy, win.Lanes
 
 	icfg := cfg
-	icfg.Workers = win.Workers
+	icfg.Engine, icfg.Workers = win.Engine, win.Workers
 	if win.Strategy != "" {
 		if s, err := partition.ParseStrategy(win.Strategy); err == nil {
 			icfg.Strategy = s

@@ -89,8 +89,8 @@ func TestChooseSequentialFallsToOneWorker(t *testing.T) {
 func TestRunEndToEnd(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
 	horizon := circuit.Time(96)
-	rep, err := engine.Run(context.Background(), "auto", c, engine.Config{
-		Workers: 2, Horizon: horizon,
+	rep, err := engine.Run(context.Background(), c, engine.Config{
+		Engine: "auto", Workers: 2, Horizon: horizon,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if rep.Stats.Evals == 0 && rep.Stats.Totals().Evals == 0 {
 		t.Error("selected engine did not run")
 	}
-	ref, err := engine.Run(context.Background(), "sequential", c.Clone(), engine.Config{Horizon: horizon})
+	ref, err := engine.Run(context.Background(), c.Clone(), engine.Config{Engine: "sequential", Horizon: horizon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestRunEndToEnd(t *testing.T) {
 // core runs at jit's default of one lane with no fix-up.)
 func TestRunScalarJobOnVector(t *testing.T) {
 	c := gen.InverterArray(gen.DefaultInverterArray())
-	rep, err := engine.Run(context.Background(), "auto", c, engine.Config{
-		Workers: 1, Horizon: 96, Lanes: 16,
+	rep, err := engine.Run(context.Background(), c, engine.Config{
+		Engine: "auto", Workers: 1, Horizon: 96, Lanes: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,5 +268,50 @@ func TestChoosePinnedWinners(t *testing.T) {
 			t.Errorf("%s budget %d spin %d lanes %d: inner config runs %d workers, selection says %d",
 				r.circuit, r.budget, r.spin, r.lanes, icfg.Workers, sel.Workers)
 		}
+	}
+}
+
+// TestChosenConfigRunsAsIs: the config Choose returns names its winner, so
+// engine.Run runs it unchanged and reproduces the engine=auto run on each
+// of the paper's four circuits — same final values, evaluations and node
+// updates.
+func TestChosenConfigRunsAsIs(t *testing.T) {
+	mult := gen.DefaultMultiplier()
+	cpu := gen.DefaultCPU()
+	cases := []struct {
+		name    string
+		build   func() *circuit.Circuit
+		horizon circuit.Time
+	}{
+		{"inverter-array", func() *circuit.Circuit { return gen.InverterArray(gen.DefaultInverterArray()) }, 96},
+		{"mult16-gate", func() *circuit.Circuit { return gen.GateMultiplier(mult) }, 256},
+		{"mult16-func", func() *circuit.Circuit { return gen.FuncMultiplier(mult) }, 256},
+		{"microprocessor", func() *circuit.Circuit { return gen.CPU(cpu) }, gen.CPUHorizon(cpu, 40)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := engine.Config{Workers: 2, Horizon: tc.horizon}
+			c := tc.build()
+			_, icfg := Choose(c, cfg)
+			got, err := engine.Run(context.Background(), c, icfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Engine = "auto"
+			want, err := engine.Run(context.Background(), tc.build(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats.Algorithm != want.Stats.Algorithm {
+				t.Errorf("chosen config ran %s, engine=auto ran %s", got.Stats.Algorithm, want.Stats.Algorithm)
+			}
+			if !reflect.DeepEqual(got.Final, want.Final) {
+				t.Error("final values differ from the engine=auto run")
+			}
+			if got.Stats.Evals != want.Stats.Evals || got.Stats.NodeUpdates != want.Stats.NodeUpdates {
+				t.Errorf("evals/node updates %d/%d, engine=auto %d/%d",
+					got.Stats.Evals, got.Stats.NodeUpdates, want.Stats.Evals, want.Stats.NodeUpdates)
+			}
+		})
 	}
 }

@@ -207,7 +207,7 @@ type Submission struct {
 	WatchdogMS int64 `json:"watchdog_ms,omitempty"`
 	// Lint selects pre-flight analysis: "off", "warn" or "strict".
 	Lint string `json:"lint,omitempty"`
-	// Fallback retries a faulted run on the sequential engine.
+	// Fallback re-runs a faulted run once on the sequential engine.
 	Fallback bool `json:"fallback,omitempty"`
 	// CostSpin is the synthetic per-evaluation work multiplier; a node
 	// refuses one above 10,000.

@@ -235,8 +235,8 @@ func proveThroughEngine(t *testing.T, kind circuit.Kind, sh codegenShape, lanes 
 	}
 	for _, lane := range probeLanes {
 		rec := trace.NewRecorderFor(outs...)
-		rep, err := engine.Run(context.Background(), "jit", c, engine.Config{
-			Workers: 1, Horizon: circuit.Time(steps + 1), Lanes: lanes, ProbeLane: lane, Probe: rec,
+		rep, err := engine.Run(context.Background(), c, engine.Config{
+			Engine: "jit", Workers: 1, Horizon: circuit.Time(steps + 1), Lanes: lanes, ProbeLane: lane, Probe: rec,
 		})
 		if err != nil {
 			t.Fatal(err)

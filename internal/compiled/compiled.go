@@ -55,7 +55,7 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 		p:     p,
 		parts: partition.Split(c, p, cfg.Strategy),
 		wc:    make([]stats.WorkerCounters, p),
-		chaos: cfg.Guard.Chaos(),
+		chaos: cfg.Guard().Chaos(),
 	}
 	s.ls = engine.NewLockstep(cfg, s.wc, s.fill)
 	for side := range s.buf {
@@ -176,7 +176,7 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 // rewritten each step and every undriven node stays constant, so the
 // resumed double-buffer sequence matches the uninterrupted one exactly.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	vals, state, err := s.cfg.Ckpt.UnpackScalar(snap)
+	vals, state, err := s.cfg.Ckpt().UnpackScalar(snap)
 	if err != nil {
 		return err
 	}

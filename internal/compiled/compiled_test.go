@@ -15,7 +15,8 @@ import (
 // simulate runs c on the named engine through the registry.
 func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
 	t.Helper()
-	rep, err := engine.Run(context.Background(), name, c, cfg)
+	cfg.Engine = name
+	rep, err := engine.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestUnitDelayDetector(t *testing.T) {
 }
 
 func TestBadWorkerCountError(t *testing.T) {
-	res, err := engine.Run(context.Background(), "compiled", gen.FeedbackChain(3), engine.Config{Workers: -1, Horizon: 10})
+	res, err := engine.Run(context.Background(), gen.FeedbackChain(3), engine.Config{Engine: "compiled", Workers: -1, Horizon: 10})
 	if err == nil {
 		t.Fatal("Workers=-1 did not return an error")
 	}

@@ -233,7 +233,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 	for {
 		rounds++
 		s.runWorkers()
-		if cfg.Guard.CutShort() || !e.deadlockRecovery || !s.recoverDeadlock() {
+		if cfg.Guard().CutShort() || !e.deadlockRecovery || !s.recoverDeadlock() {
 			break
 		}
 	}
@@ -277,7 +277,7 @@ func newSim(c *circuit.Circuit, cfg engine.Config, e eng) *sim {
 		ctl:     make([]elemCtl, len(c.Elems)),
 		workers: make([]*worker, p),
 		queues:  make([][]*spsc.Queue[circuit.ElemID], p),
-		chaos:   cfg.Guard.Chaos(),
+		chaos:   cfg.Guard().Chaos(),
 	}
 	for i := range c.Nodes {
 		x := logic.AllX(c.Nodes[i].Width)
@@ -323,7 +323,7 @@ func newSim(c *circuit.Circuit, cfg engine.Config, e eng) *sim {
 		el := &c.Elems[g]
 		n := el.Out[0]
 		h := &s.hist[n]
-		el.GenWaveform(cfg.Horizon, cfg.Guard.Cancelled, func(t circuit.Time, v logic.Value) {
+		el.GenWaveform(cfg.Horizon, cfg.Guard().Cancelled, func(t circuit.Time, v logic.Value) {
 			s.workers[0].appendEvent(n, t, v)
 		})
 		h.count.Store(h.n)
@@ -472,7 +472,7 @@ func (w *worker) run() {
 	s := w.s
 	starved := 0 // polls since this worker last had an element to run
 	for {
-		if s.cfg.Guard.Cancelled() {
+		if s.cfg.Guard().Cancelled() {
 			return // every worker polls the flag, so all exit independently
 		}
 		w.drain()
@@ -488,7 +488,7 @@ func (w *worker) run() {
 		// reads words the busy workers write, so it runs, after publishing
 		// this worker's pops, on the first poll and every 16th after it.
 		if starved == 0 {
-			s.cfg.Guard.Heartbeat(w.id)
+			s.cfg.Guard().Heartbeat(w.id)
 		}
 		if starved%16 == 0 {
 			w.settled.Store(w.popped)
@@ -638,7 +638,7 @@ func (w *worker) process(e circuit.ElemID) {
 	el := &s.c.Elems[e]
 	w.wc.Evals++
 	if w.wc.Evals%beatEvery == 0 {
-		s.cfg.Guard.Heartbeat(w.id)
+		s.cfg.Guard().Heartbeat(w.id)
 	}
 	if s.chaos != nil {
 		s.chaos.Eval()
@@ -727,10 +727,10 @@ func (w *worker) process(e circuit.ElemID) {
 			}
 		}
 		if points%64 == 0 {
-			if s.cfg.Guard.Cancelled() {
+			if s.cfg.Guard().Cancelled() {
 				break
 			}
-			s.cfg.Guard.Heartbeat(w.id)
+			s.cfg.Guard().Heartbeat(w.id)
 		}
 	}
 

@@ -17,7 +17,8 @@ import (
 // simulate runs c on the named engine through the registry.
 func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
 	t.Helper()
-	rep, err := engine.Run(context.Background(), name, c, cfg)
+	cfg.Engine = name
+	rep, err := engine.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,8 @@ func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 				got := trace.NewRecorder()
 				cfg := m.cfg
 				cfg.Workers, cfg.Horizon, cfg.Probe = p, 250, got
-				res, err := engine.Run(context.Background(), m.engine, c, cfg)
+				cfg.Engine = m.engine
+				res, err := engine.Run(context.Background(), c, cfg)
 				var stall *guard.StallError
 				if errors.As(err, &stall) {
 					stalled[seed] = true
@@ -198,7 +200,7 @@ func TestUtilizationBounded(t *testing.T) {
 }
 
 func TestBadWorkerCountError(t *testing.T) {
-	res, err := engine.Run(context.Background(), "asynchronous", gen.FeedbackChain(3), engine.Config{Workers: -1, Horizon: 10})
+	res, err := engine.Run(context.Background(), gen.FeedbackChain(3), engine.Config{Engine: "asynchronous", Workers: -1, Horizon: 10})
 	if err == nil {
 		t.Fatal("Workers=-1 did not return an error")
 	}

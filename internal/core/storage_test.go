@@ -67,7 +67,7 @@ func runAlloc(c *circuit.Circuit, horizon circuit.Time) (bytes uint64, events in
 	var before, after runtime.MemStats
 	for i := 0; i < 3; i++ {
 		runtime.ReadMemStats(&before)
-		r, _ := engine.Run(context.Background(), "asynchronous", c, engine.Config{Workers: 1, Horizon: horizon})
+		r, _ := engine.Run(context.Background(), c, engine.Config{Engine: "asynchronous", Workers: 1, Horizon: horizon})
 		runtime.ReadMemStats(&after)
 		if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < bytes {
 			bytes = b

@@ -122,7 +122,7 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 		el := &c.Elems[g]
 		n := el.Out[0]
 		w.replicaFor(n)
-		el.GenWaveform(cfg.Horizon, cfg.Guard.Cancelled, func(t circuit.Time, v logic.Value) {
+		el.GenWaveform(cfg.Horizon, cfg.Guard().Cancelled, func(t circuit.Time, v logic.Value) {
 			w.append(n, t, v)
 		})
 		w.advanceValidTo(n, cfg.Horizon)

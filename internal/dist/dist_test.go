@@ -15,7 +15,8 @@ import (
 // simulate runs c on the named engine through the registry.
 func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
 	t.Helper()
-	rep, err := engine.Run(context.Background(), name, c, cfg)
+	cfg.Engine = name
+	rep, err := engine.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPartitionStrategies(t *testing.T) {
 }
 
 func TestBadWorkerCountError(t *testing.T) {
-	res, err := engine.Run(context.Background(), "distributed-async", gen.FeedbackChain(3), engine.Config{Workers: -1, Horizon: 10})
+	res, err := engine.Run(context.Background(), gen.FeedbackChain(3), engine.Config{Engine: "distributed-async", Workers: -1, Horizon: 10})
 	if err == nil {
 		t.Fatal("Workers=-1 did not return an error")
 	}

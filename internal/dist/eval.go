@@ -21,7 +21,7 @@ func peek(r *replica, cu *cursor) (event, bool) {
 func (w *worker) evalElement(e circuit.ElemID) {
 	el := &w.c.Elems[e]
 	w.wc.Evals++
-	w.cfg.Guard.Heartbeat(w.id)
+	w.cfg.Guard().Heartbeat(w.id)
 	if w.chaos != nil {
 		w.chaos.Eval()
 	}
@@ -51,7 +51,7 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	// A single activation can consume an unbounded number of events, so the
 	// cancellation flag is polled between merged time points too.
 	for {
-		if w.cfg.Guard.Cancelled() {
+		if w.cfg.Guard().Cancelled() {
 			break
 		}
 		tmin := circuit.Time(-1)

@@ -78,7 +78,7 @@ func newWorker(c *circuit.Circuit, cfg engine.Config, id, p int,
 		state:       make(map[circuit.ElemID][]logic.Value),
 		inQueue:     make([]bool, len(c.Elems)),
 		staged:      make(map[circuit.NodeID][]event),
-		chaos:       cfg.Guard.Chaos(),
+		chaos:       cfg.Guard().Chaos(),
 	}
 	for _, e := range elems {
 		el := &c.Elems[e]
@@ -186,7 +186,7 @@ func (w *worker) send(to int, m msg) {
 	w.msgCount++
 	w.wc.Messages++
 	for {
-		if w.cfg.Guard.Cancelled() {
+		if w.cfg.Guard().Cancelled() {
 			return // receiver may have exited; abandon the message
 		}
 		select {
@@ -233,7 +233,7 @@ func (w *worker) drainInbox() {
 
 func (w *worker) run() {
 	for {
-		if w.cfg.Guard.Cancelled() {
+		if w.cfg.Guard().Cancelled() {
 			return // all workers poll the flag, so the gang exits together
 		}
 		w.drainInbox()

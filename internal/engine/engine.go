@@ -9,8 +9,9 @@
 // CLIs, the figure harness and the benchmarks all resolve an algorithm by
 // name through the registry instead of hand-rolling per-algorithm
 // dispatch. Every engine reads the same Config — no engine declares run
-// options of its own — and returns a Report with the same per-worker
-// counter surface (stats.WorkerCounters).
+// options of its own, and the facade hands it out as parsim.Options — and
+// returns a Report with the same per-worker counter surface
+// (stats.WorkerCounters).
 //
 // The layer also owns the run lifecycle every engine shares, so an engine
 // package keeps only its algorithm — its state, its step or activation
@@ -26,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -84,10 +84,21 @@ func ParseLintMode(s string) (LintMode, error) {
 	return LintOff, fmt.Errorf("parsim: unknown lint mode %q (have off, warn, strict)", s)
 }
 
-// Config is the shared configuration accepted by every engine. Fields that
-// do not apply to an algorithm are ignored by it (e.g. Strategy outside
-// the statically partitioned engines, NoSteal outside event-driven).
+// Config is the one run configuration: every engine reads it, RunEngine
+// validates it once for all of them, and the facade takes it as
+// parsim.Options. Fields that do not apply to an algorithm are ignored by
+// it (e.g. Strategy outside the statically partitioned engines, NoSteal
+// outside event-driven). The zero value of every field is a valid default
+// except Horizon, which a caller sets.
 type Config struct {
+	// Engine selects the engine by registry name or alias
+	// (case-insensitive; Names lists the canonical ones), "" meaning
+	// sequential. "auto" profiles the circuit statically, ranks the
+	// engines it can pick through the cost model, and runs the predicted
+	// winner (Report.Selected records the decision; Workers acts as a
+	// budget the winner may undershoot but never exceed). Run resolves
+	// it; RunEngine, which is handed the engine, does not read it.
+	Engine  string
 	Workers int          // parallel workers; 0 defaults to 1
 	Horizon circuit.Time // simulate t in [0, Horizon); must be >= 0
 	Probe   trace.Probe  // optional observer; must be concurrency-safe for parallel engines
@@ -96,55 +107,53 @@ type Config struct {
 	// cost spread for benchmarking.
 	CostSpin int64
 	// Strategy selects the static partitioner (compiled, dist, timewarp;
-	// the plane core behind vector and jit cuts its own schedule and
-	// ignores it).
+	// the plane core behind vector and jit cuts its own cost-balanced
+	// schedule and ignores it).
 	Strategy partition.Strategy
 	// CollectAvail records the elements-available-per-step histogram
 	// (sequential and event-driven engines; experiment T3); it costs one
 	// histogram update per step.
 	CollectAvail bool
 	// Lint selects the pre-flight static-analysis level applied in the
-	// shared validation path before any engine runs (see LintMode).
+	// shared validation path before any engine runs: LintOff (default),
+	// LintWarn (refuse circuits with Error diagnostics such as zero-delay
+	// combinational cycles), or LintStrict (additionally refuse Warning
+	// diagnostics). See LintMode.
 	Lint LintMode
 
 	// Watchdog enables the runtime stall watchdog: a run whose progress
 	// metric stays flat for this long is aborted with guard.ErrStalled
-	// plus a per-worker diagnostic dump. 0 disables the watchdog.
+	// plus a per-worker diagnostic dump instead of hanging. 0 disables the
+	// watchdog.
 	Watchdog time.Duration
-	// Fallback is the retry policy applied when the original engine
-	// faults or stalls: the run is transparently retried on the sequential
-	// reference engine, with capped exponential backoff between attempts.
-	// The retried Report carries Degraded=true and a *FallbackError
-	// (attempt count + original error) in Fault. Nil disables fallback.
-	Fallback *FallbackPolicy
+	// Fallback re-runs the run once on the sequential reference engine
+	// when the original engine panics or stalls. The re-run's Report
+	// carries Degraded=true and a *FallbackError wrapping the original
+	// error in Fault.
+	Fallback bool
 
 	// Checkpoint asks the engine to write periodic snapshots at quiescent
 	// points (see CheckpointSpec). Only the engines that implement
-	// Checkpointer (sequential, compiled, vector, jit) support it;
-	// RunEngine rejects the request for every other engine with
-	// checkpoint.ErrUnsupported.
+	// Checkpointer (sequential, compiled, vector — including FaultSim —
+	// and jit) support it; RunEngine rejects the request for every other
+	// engine with checkpoint.ErrUnsupported.
 	Checkpoint CheckpointSpec
 	// ResumeFrom names a snapshot file to continue from instead of
 	// starting at t=0. The snapshot must have been written by the same
 	// engine under the same netlist and options (content digest); any
-	// mismatch or corruption is a typed error, never a silent restart.
+	// mismatch or corruption is a typed error, never a silent restart. The
+	// resumed run's final states, lane finals and probe history are
+	// bit-identical to an uninterrupted run's; Report.Resumed reports that
+	// the path was taken.
 	ResumeFrom string
-	// Ckpt is the resolved form of Checkpoint and ResumeFrom (nil when
-	// neither is set), installed by RunEngine after snapshot verification.
-	// A Checkpointer engine runs its snapshot protocol through it — the
-	// gang engines through Lockstep; callers leave it nil.
-	Ckpt *checkpoint.Session
-	// Guard is the per-run supervisor, installed by RunEngine. Engines
-	// poll its Cancelled flag, publish progress through it and start their
-	// workers under its panic containment (Gang); callers leave it nil.
-	Guard *guard.Supervisor
 	// Chaos injects faults (panics, delays, dropped wakeups) into the
 	// engine it names, for supervision tests. Production runs leave it
 	// nil; the fallback run never sees it.
 	Chaos *guard.ChaosProbe
 
 	// Batched-simulation fields, honoured by the lane engines (vector and
-	// jit — see LaneEngine) and ignored by the scalar engines.
+	// jit — see LaneEngine). The scalar engines have a single lane: they
+	// ignore LaneStride and any Lanes within range, and ProbeLane must be 0.
 	//
 	// Lanes is the number of independent stimulus vectors simulated at
 	// once (1..logic.MaxWideLanes; 0 takes the engine's DefaultLanes — 64,
@@ -156,30 +165,33 @@ type Config struct {
 	// the scalar stimulus. 0 defaults to 1.
 	LaneStride int64
 	// ProbeLane selects which lane feeds Probe and Report.Final in a
-	// batched run (default 0, the scalar-identical lane).
+	// batched run (default 0, the lane whose stimulus — and therefore
+	// whose history — is bit-identical to a scalar run).
 	ProbeLane int
 
 	// FaultSim switches the run to concurrent stuck-at fault simulation:
 	// lane 0 simulates the good machine, lanes 1..Lanes-1 each carry one
-	// fault from the analyzer's collapsed stuck-at list, and the Report
-	// carries FaultCoverage. It rides on lanes, so exactly the lane engines
-	// support it; RunEngine rejects the flag for every other engine.
+	// fault from the analyzer's collapsed stuck-at list, a fault is
+	// detected when its lane's value at a sink node diverges from lane 0
+	// with both known, and the Report carries FaultCoverage. It rides on
+	// lanes, so exactly the lane engines support it, with Lanes >= 2;
+	// RunEngine rejects it everywhere else.
 	FaultSim bool
 	// FaultMaxPasses caps fault-list chunking (each pass simulates Lanes-1
 	// faults; 0 runs every pass the list needs). Faults beyond the cap are
 	// reported undetected.
 	FaultMaxPasses int
-	// FaultStatuses includes the per-fault status rows in FaultCoverage;
-	// they can dominate the report size for large circuits.
+	// FaultStatuses includes the per-fault site/step rows in
+	// FaultCoverage; they can dominate the report size for large circuits.
 	FaultStatuses bool
 
 	// Ablation flags, honoured by the engine they name.
 	NoSteal      bool // event-driven: disable end-of-phase work stealing
-	CentralQueue bool // event-driven: the paper's contended single-queue design
+	CentralQueue bool // event-driven: the paper's initial contended single-queue design
 	// NoLookahead disables the asynchronous engines' clocked-element
 	// lookahead: without it, valid-times creep around register feedback
 	// loops an element delay at a time and evaluation counts explode on
-	// circuits like the microprocessor.
+	// circuits like the microprocessor (results are identical).
 	NoLookahead bool
 	// GateLookahead enables the asynchronous engine's controlling-value
 	// optimisation: while any input of an AND/NAND (OR/NOR) gate holds 0
@@ -187,35 +199,34 @@ type Config struct {
 	// without evaluation, and the output's valid-time extends to the point
 	// where the last controlling input could change.
 	GateLookahead bool
-	StepsPerRound int // time-warp: optimistic element steps per worker per GVT round (0 = 2048)
+
+	// What RunEngine installs for the run; callers cannot set them.
+	guard *guard.Supervisor
+	ckpt  *checkpoint.Session
 }
 
-// FallbackPolicy configures the transparent retry applied after a
-// recoverable failure (worker panic or watchdog stall).
-type FallbackPolicy struct {
-	// MaxRetries is the number of fallback attempts; 0 defaults to 1 (a
-	// single re-run, the historical behaviour).
-	MaxRetries int
-	// BaseDelay is the sleep before the second fallback attempt; each
-	// further attempt doubles it (with jitter), capped at
-	// MaxFallbackDelay. The first attempt is always immediate. 0 disables
-	// inter-attempt delays.
-	BaseDelay time.Duration
-}
+// Guard is the run's supervisor, installed by RunEngine. Engines poll its
+// Cancelled flag, publish progress through it and start their workers
+// under its panic containment (Gang). Nil outside a RunEngine call, which
+// every Supervisor method tolerates.
+func (c *Config) Guard() *guard.Supervisor { return c.guard }
 
-// MaxFallbackDelay caps the exponential backoff between fallback attempts.
-const MaxFallbackDelay = 2 * time.Second
+// Ckpt is the resolved form of Checkpoint and ResumeFrom, installed by
+// RunEngine after snapshot verification (nil when neither is set, which
+// every Session method tolerates). A Checkpointer engine runs its snapshot
+// protocol through it — the gang engines through Lockstep.
+func (c *Config) Ckpt() *checkpoint.Session { return c.ckpt }
 
 // FallbackError is stored in Report.Fault when a run completed on the
-// fallback engine: it records how many fallback attempts were needed and
-// wraps the original engine's error, so errors.Is/As see through it.
+// fallback engine: it wraps the original engine's error, so errors.Is/As
+// see through it. Its text keeps the attempt count of the report schema,
+// which is always one.
 type FallbackError struct {
-	Attempts int   // fallback attempts made (the one that succeeded included)
-	Err      error // the original engine's recoverable error
+	Err error // the original engine's recoverable error
 }
 
 func (e *FallbackError) Error() string {
-	return fmt.Sprintf("recovered by fallback after %d attempt(s): %v", e.Attempts, e.Err)
+	return fmt.Sprintf("recovered by fallback after 1 attempt(s): %v", e.Err)
 }
 
 func (e *FallbackError) Unwrap() error { return e.Err }
@@ -241,7 +252,7 @@ type CheckpointSpec struct {
 const DefaultCheckpointEvery = 256
 
 // Checkpointer is an Engine with quiescent-point snapshot support — it
-// runs Config.Ckpt. The synchronous family implements it, where the
+// runs Config.Ckpt(). The synchronous family implements it, where the
 // per-step barrier (or the single goroutine) makes global state
 // well-defined. The async engines would need GVT-coordinated cuts; they
 // report checkpoint.ErrUnsupported instead of pretending.
@@ -260,7 +271,7 @@ func SupportsCheckpoint(name string) bool {
 
 // Engine is one simulation algorithm. Run simulates c over [0,
 // cfg.Horizon) and returns statistics plus final node values. When the run
-// is cancelled (cfg.Guard.Cancelled) the engine stops within one
+// is cancelled (cfg.Guard().Cancelled) the engine stops within one
 // scheduling quantum (a time step, a GVT round, or a queue poll) and
 // returns its partial Report; RunEngine pairs it with ctx.Err().
 type Engine interface {
@@ -360,10 +371,15 @@ func Names() []string {
 	return out
 }
 
-// Run resolves name through the registry, validates cfg once for every
-// engine, and runs. This is the single dispatch point for the facade,
-// the CLIs, the harness and the benchmarks.
-func Run(ctx context.Context, name string, c *circuit.Circuit, cfg Config) (*Report, error) {
+// Run resolves cfg.Engine through the registry ("" is sequential),
+// validates cfg once for every engine, and runs. This is the single
+// dispatch point for the facade, the CLIs, the daemon, the harness and the
+// benchmarks.
+func Run(ctx context.Context, c *circuit.Circuit, cfg Config) (*Report, error) {
+	name := cfg.Engine
+	if name == "" {
+		name = "sequential"
+	}
 	e, err := Get(name)
 	if err != nil {
 		return nil, err
@@ -376,7 +392,7 @@ func Run(ctx context.Context, name string, c *circuit.Circuit, cfg Config) (*Rep
 // inside an engine) and invokes e under the supervision layer: worker
 // panics come back as *guard.WorkerFault, flat-lined runs as
 // guard.ErrStalled when a Watchdog window is set, and either outcome is
-// transparently retried on the sequential engine when Config.Fallback is
+// transparently re-run on the sequential engine when Config.Fallback is
 // set.
 func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*Report, error) {
 	if c == nil {
@@ -408,78 +424,34 @@ func RunEngine(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (*
 	}
 	rep, err := runGuarded(ctx, e, c, cfg)
 	fb, _ := Get("sequential") // nil only in a build that links no sequential engine
-	if err == nil || cfg.Fallback == nil || fb == nil || fb.Name() == e.Name() || !guard.Recoverable(err) ||
+	if err == nil || !cfg.Fallback || fb == nil || fb.Name() == e.Name() || !guard.Recoverable(err) ||
 		cfg.FaultSim { // a scalar fallback cannot carry a fault-sim run
 		if err == nil && cfg.ResumeFrom != "" {
 			rep.Resumed = true
 		}
 		return rep, err
 	}
-	// Fallback policy: the requested engine faulted or stalled; re-run on
+	// Fallback: the requested engine faulted or stalled; re-run once on
 	// the reference engine with supervision (minus chaos — an injected
 	// fault must not follow the run — and minus checkpointing, whose
-	// snapshots are bound to the original engine's digest), retrying with
-	// capped exponential backoff, and report the degraded outcome.
+	// snapshots are bound to the original engine's digest), and report the
+	// degraded outcome. If the re-run fails too, the original failure is
+	// the one that explains the run.
 	fbCfg := cfg
-	fbCfg.Fallback = nil
+	fbCfg.Fallback = false
 	fbCfg.Chaos = nil
 	fbCfg.Lint = LintOff // the circuit was already linted above
 	fbCfg.Checkpoint = CheckpointSpec{}
 	fbCfg.ResumeFrom = ""
-	fbCfg.Ckpt = nil
+	fbCfg.ckpt = nil
 	fbCfg.Workers = 1
-	attempts := cfg.Fallback.MaxRetries
-	if attempts < 1 {
-		attempts = 1
+	fbRep, fbErr := runGuarded(ctx, fb, c, fbCfg)
+	if fbErr != nil {
+		return rep, err
 	}
-	// Jitter keeps a fleet of simultaneously faulted runs from retrying in
-	// lockstep. The source is local: the repo lint forbids the global
-	// math/rand state inside internal/.
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			if serr := sleepBackoff(ctx, rng, cfg.Fallback.BaseDelay, attempt-2); serr != nil {
-				return rep, err
-			}
-		}
-		fbRep, fbErr := runGuarded(ctx, fb, c, fbCfg)
-		if fbErr == nil {
-			fbRep.Degraded = true
-			fbRep.Fault = &FallbackError{Attempts: attempt, Err: err}
-			return fbRep, nil
-		}
-		if ctx.Err() != nil || !guard.Recoverable(fbErr) {
-			break
-		}
-	}
-	// Every fallback attempt failed too; the original failure is the one
-	// that explains the run, so report it.
-	return rep, err
-}
-
-// sleepBackoff sleeps BaseDelay * 2^exp with up to 50% added jitter, capped
-// at MaxFallbackDelay, returning early with the context error if the caller
-// cancels. A zero base delay returns immediately.
-func sleepBackoff(ctx context.Context, rng *rand.Rand, base time.Duration, exp int) error {
-	if base <= 0 {
-		return ctx.Err()
-	}
-	d := base << uint(exp)
-	if d <= 0 || d > MaxFallbackDelay { // <= 0 catches shift overflow
-		d = MaxFallbackDelay
-	}
-	d += time.Duration(rng.Int63n(int64(d)/2 + 1))
-	if d > MaxFallbackDelay {
-		d = MaxFallbackDelay
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	fbRep.Degraded = true
+	fbRep.Fault = &FallbackError{Err: err}
+	return fbRep, nil
 }
 
 // resolveCheckpoint turns the user-facing Checkpoint/ResumeFrom fields into
@@ -487,6 +459,7 @@ func sleepBackoff(ctx context.Context, rng *rand.Rand, base time.Duration, exp i
 // applies the default interval and binds the run's identity, against which
 // checkpoint.Open verifies the resume snapshot.
 func resolveCheckpoint(c *circuit.Circuit, e Engine, cfg *Config) error {
+	cfg.ckpt = nil // a Config copied out of a running engine carries its session
 	if cfg.Checkpoint.Path == "" && cfg.ResumeFrom == "" {
 		return nil
 	}
@@ -501,8 +474,17 @@ func resolveCheckpoint(c *circuit.Circuit, e Engine, cfg *Config) error {
 		every = DefaultCheckpointEvery
 	}
 	var err error
-	cfg.Ckpt, err = checkpoint.Open(c, checkpoint.Identity{
-		Engine:         e.Name(),
+	cfg.ckpt, err = checkpoint.Open(c, identity(e.Name(), cfg),
+		checkpoint.Plan{Path: cfg.Checkpoint.Path, Every: every, OnSave: cfg.Checkpoint.OnSave},
+		cfg.ResumeFrom, cfg.Probe)
+	return err
+}
+
+// identity is what a snapshot of a run of engine under cfg is bound to:
+// every Config field that can change a Checkpointer's results.
+func identity(engine string, cfg *Config) checkpoint.Identity {
+	return checkpoint.Identity{
+		Engine:         engine,
 		Horizon:        int64(cfg.Horizon),
 		Workers:        cfg.Workers,
 		Strategy:       cfg.Strategy.String(),
@@ -514,9 +496,7 @@ func resolveCheckpoint(c *circuit.Circuit, e Engine, cfg *Config) error {
 		FaultMaxPasses: cfg.FaultMaxPasses,
 		FaultStatuses:  cfg.FaultStatuses,
 		CollectAvail:   cfg.CollectAvail,
-	}, checkpoint.Plan{Path: cfg.Checkpoint.Path, Every: every, OnSave: cfg.Checkpoint.OnSave},
-		cfg.ResumeFrom, cfg.Probe)
-	return err
+	}
 }
 
 // runGuarded executes one engine run under a fresh supervisor: it derives
@@ -530,7 +510,7 @@ func runGuarded(ctx context.Context, e Engine, c *circuit.Circuit, cfg Config) (
 		Window:  cfg.Watchdog,
 		Chaos:   cfg.Chaos,
 	})
-	cfg.Guard = sup
+	cfg.guard = sup
 	runCtx := sup.Attach(ctx)
 	rep, err := runContained(runCtx, e, c, cfg, sup)
 	sup.Stop()

@@ -83,24 +83,24 @@ func TestRunValidation(t *testing.T) {
 	Register(&fake{name: "val-engine", got: &got}, "val")
 	c := testCircuit(t)
 
-	if _, err := Run(context.Background(), "val", nil, Config{Horizon: 1}); err == nil ||
+	if _, err := Run(context.Background(), nil, Config{Engine: "val", Horizon: 1}); err == nil ||
 		!strings.Contains(err.Error(), "nil circuit") {
 		t.Errorf("nil circuit: %v", err)
 	}
-	if _, err := Run(context.Background(), "val", c, Config{Horizon: -5}); err == nil ||
+	if _, err := Run(context.Background(), c, Config{Engine: "val", Horizon: -5}); err == nil ||
 		!strings.Contains(err.Error(), "negative horizon -5") {
 		t.Errorf("negative horizon: %v", err)
 	}
-	if _, err := Run(context.Background(), "val", c, Config{Horizon: 1, Workers: -3}); err == nil ||
+	if _, err := Run(context.Background(), c, Config{Engine: "val", Horizon: 1, Workers: -3}); err == nil ||
 		!strings.Contains(err.Error(), "invalid worker count -3") {
 		t.Errorf("negative workers: %v", err)
 	}
-	if _, err := Run(context.Background(), "nope", c, Config{Horizon: 1}); err == nil {
+	if _, err := Run(context.Background(), c, Config{Engine: "nope", Horizon: 1}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 
 	// Workers 0 defaults to 1, and a nil ctx is tolerated.
-	if _, err := Run(nil, "val", c, Config{Horizon: 1}); err != nil { //nolint:staticcheck
+	if _, err := Run(nil, c, Config{Engine: "val", Horizon: 1}); err != nil { //nolint:staticcheck
 		t.Fatal(err)
 	}
 	if got.Workers != 1 {
@@ -146,7 +146,7 @@ func TestLintGateInRunEngine(t *testing.T) {
 	c := testCircuit(t)
 
 	// A clean circuit passes even under strict.
-	if _, err := Run(context.Background(), "lint-engine", c, Config{Horizon: 1, Lint: LintStrict}); err != nil {
+	if _, err := Run(context.Background(), c, Config{Engine: "lint-engine", Horizon: 1, Lint: LintStrict}); err != nil {
 		t.Fatalf("strict lint rejected clean circuit: %v", err)
 	}
 
@@ -161,13 +161,13 @@ func TestLintGateInRunEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []LintMode{LintWarn, LintStrict} {
-		if _, err := Run(context.Background(), "lint-engine", ring, Config{Horizon: 1, Lint: mode}); err == nil {
+		if _, err := Run(context.Background(), ring, Config{Engine: "lint-engine", Horizon: 1, Lint: mode}); err == nil {
 			t.Errorf("lint %v accepted a zero-delay ring", mode)
 		} else if !strings.Contains(err.Error(), "zero-delay-cycle") {
 			t.Errorf("lint %v error does not name the diagnostic: %v", mode, err)
 		}
 	}
-	if _, err := Run(context.Background(), "lint-engine", ring, Config{Horizon: 1, Lint: LintOff}); err != nil {
+	if _, err := Run(context.Background(), ring, Config{Engine: "lint-engine", Horizon: 1, Lint: LintOff}); err != nil {
 		t.Errorf("lint off still rejected the circuit: %v", err)
 	}
 }
@@ -179,7 +179,7 @@ type pollEngine struct{}
 func (pollEngine) Name() string { return "poll-engine" }
 
 func (pollEngine) Run(_ context.Context, _ *circuit.Circuit, cfg Config) (*Report, error) {
-	for deadline := time.Now().Add(10 * time.Second); !cfg.Guard.Cancelled(); {
+	for deadline := time.Now().Add(10 * time.Second); !cfg.Guard().Cancelled(); {
 		if time.Now().After(deadline) {
 			return nil, errors.New("cancellation flag never set")
 		}

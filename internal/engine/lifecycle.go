@@ -24,7 +24,7 @@ func Gang(cfg Config, where string, body func(w int)) time.Duration {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer cfg.Guard.Recover(w, where)
+			defer cfg.Guard().Recover(w, where)
 			body(w)
 		}()
 	}
@@ -63,17 +63,17 @@ type Lockstep struct {
 
 // NewLockstep builds the protocol for one pass of cfg.Workers workers that
 // count into rows (one per worker) and write their snapshot sections with
-// fill. A trip of cfg.Guard aborts the step barrier.
+// fill. A trip of cfg.Guard() aborts the step barrier.
 func NewLockstep(cfg Config, rows []stats.WorkerCounters, fill func(*checkpoint.Snapshot)) *Lockstep {
 	l := &Lockstep{
 		horizon: cfg.Horizon,
-		guard:   cfg.Guard,
-		ckpt:    cfg.Ckpt,
+		guard:   cfg.Guard(),
+		ckpt:    cfg.Ckpt(),
 		bar:     barrier.New(cfg.Workers),
 		rows:    rows,
 		fill:    fill,
 	}
-	cfg.Guard.OnTrip(l.bar.Abort)
+	cfg.Guard().OnTrip(l.bar.Abort)
 	return l
 }
 

@@ -13,7 +13,8 @@ import (
 // simulate runs c on the named engine through the registry.
 func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
 	t.Helper()
-	rep, err := engine.Run(context.Background(), name, c, cfg)
+	cfg.Engine = name
+	rep, err := engine.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

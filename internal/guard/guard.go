@@ -324,7 +324,7 @@ func (g *Supervisor) trip() {
 // engine layer's worker gang (engine.Gang) around every worker:
 //
 //	defer wg.Done()
-//	defer cfg.Guard.Recover(w, "compiled step loop")
+//	defer cfg.Guard().Recover(w, "compiled step loop")
 //
 // On panic it records a WorkerFault (first fault wins) and trips the
 // supervisor so the remaining workers stop cooperatively. With no

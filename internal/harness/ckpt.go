@@ -77,7 +77,8 @@ func c1(cfg Config) *Figure {
 		// garbage from billing the next run's measurement.
 		runtime.GC()
 		cpu0 := cpuTime()
-		rep, err := engine.Run(context.Background(), "compiled", c, ec)
+		ec.Engine = "compiled"
+		rep, err := engine.Run(context.Background(), c, ec)
 		if err != nil {
 			panic("harness: compiled: " + err.Error())
 		}

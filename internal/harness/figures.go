@@ -300,7 +300,7 @@ func t3(cfg Config) *Figure {
 		{"inverter-array", arr.build(), arr.horizon},
 	}
 	for i, r := range rows {
-		res, err := engine.Run(context.Background(), "sequential", r.c, engine.Config{Horizon: r.horizon, CollectAvail: true})
+		res, err := engine.Run(context.Background(), r.c, engine.Config{Engine: "sequential", Horizon: r.horizon, CollectAvail: true})
 		if err != nil {
 			panic("harness: sequential: " + err.Error())
 		}
@@ -395,8 +395,8 @@ func t5(cfg Config) *Figure {
 	saved.Name = "tw-peak-saved-state"
 	cmRounds.Name = "cm-deadlocks"
 	runAlg := func(alg string, c *circuit.Circuit, horizon circuit.Time) *engine.Report {
-		rep, err := engine.Run(context.Background(), alg, c,
-			engine.Config{Workers: workers, Horizon: horizon})
+		rep, err := engine.Run(context.Background(), c,
+			engine.Config{Engine: alg, Workers: workers, Horizon: horizon})
 		if err != nil {
 			panic("harness: " + alg + ": " + err.Error())
 		}

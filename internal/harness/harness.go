@@ -270,7 +270,8 @@ func (cfg *Config) realEngine(alg string, c *circuit.Circuit, horizon circuit.Ti
 			if tweak != nil {
 				tweak(&ec)
 			}
-			rep, err := engine.Run(context.Background(), alg, c, ec)
+			ec.Engine = alg
+			rep, err := engine.Run(context.Background(), c, ec)
 			if err != nil {
 				panic("harness: " + alg + ": " + err.Error())
 			}

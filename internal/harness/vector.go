@@ -43,8 +43,8 @@ func v1(cfg Config) *Figure {
 	// measurement is raw kernel throughput, not synthetic evaluation work.
 	wall := func(alg string, lanes int) float64 {
 		span, _ := realBest(func() (float64, float64) {
-			rep, err := engine.Run(context.Background(), alg, c, engine.Config{
-				Workers: 1, Horizon: horizon, Lanes: lanes,
+			rep, err := engine.Run(context.Background(), c, engine.Config{
+				Engine: alg, Workers: 1, Horizon: horizon, Lanes: lanes,
 			})
 			if err != nil {
 				panic("harness: " + alg + ": " + err.Error())
@@ -138,8 +138,8 @@ func f1(cfg Config) *Figure {
 	for i, r := range rows {
 		c := r.build()
 		start := time.Now()
-		rep, err := engine.Run(context.Background(), "vector", c, engine.Config{
-			Workers: 1, Horizon: r.horizon, Lanes: r.lanes, FaultSim: true,
+		rep, err := engine.Run(context.Background(), c, engine.Config{
+			Engine: "vector", Workers: 1, Horizon: r.horizon, Lanes: r.lanes, FaultSim: true,
 		})
 		if err != nil {
 			panic("harness: fault sim: " + err.Error())

@@ -34,11 +34,11 @@ func roundTrip(t *testing.T, c *circuit.Circuit, horizon circuit.Time) {
 			len(c2.Nodes), len(c.Nodes), len(c2.Elems), len(c.Elems))
 	}
 	r1 := trace.NewRecorder()
-	if _, err := engine.Run(context.Background(), "sequential", c, engine.Config{Horizon: horizon, Probe: r1}); err != nil {
+	if _, err := engine.Run(context.Background(), c, engine.Config{Engine: "sequential", Horizon: horizon, Probe: r1}); err != nil {
 		t.Fatal(err)
 	}
 	r2 := trace.NewRecorder()
-	if _, err := engine.Run(context.Background(), "sequential", c2, engine.Config{Horizon: horizon, Probe: r2}); err != nil {
+	if _, err := engine.Run(context.Background(), c2, engine.Config{Engine: "sequential", Horizon: horizon, Probe: r2}); err != nil {
 		t.Fatal(err)
 	}
 	if d := trace.Diff(c, r1, r2); d != "" {

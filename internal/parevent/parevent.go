@@ -167,7 +167,7 @@ func (eng) Name() string { return "event-driven" }
 // partial Report is returned.
 func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
 	s := newSim(c, cfg, partition.CostBlocks(c, cfg.Workers))
-	cfg.Guard.OnTrip(s.bar.Abort)
+	cfg.Guard().OnTrip(s.bar.Abort)
 	wall := engine.Gang(cfg, "event-driven phase loop", func(w int) { s.workers[w].run() })
 
 	rep := &engine.Report{Final: s.val, Stats: stats.Run{
@@ -204,7 +204,7 @@ func newSim(c *circuit.Circuit, cfg engine.Config, owner []int32) *sim {
 		workers:   make([]*worker, p),
 		lanes:     make([]lane, p),
 		bar:       barrier.New(p),
-		chaos:     cfg.Guard.Chaos(),
+		chaos:     cfg.Guard().Chaos(),
 	}
 	for i := range c.Nodes {
 		s.val[i] = logic.AllX(c.Nodes[i].Width)
@@ -289,7 +289,7 @@ func (w *worker) run() {
 		if t >= 0 && !w.evalPhase(t) {
 			return
 		}
-		if w.id == 0 && s.cfg.Guard.Cancelled() {
+		if w.id == 0 && s.cfg.Guard().Cancelled() {
 			s.stopped.Store(true)
 		}
 		w.publishPeek()
@@ -313,7 +313,7 @@ func (w *worker) run() {
 		}
 		w.steps++
 		if w.id == 0 {
-			s.cfg.Guard.Progress(int64(t))
+			s.cfg.Guard().Progress(int64(t))
 		}
 		if !w.updatePhase(t) || !w.wait() {
 			return

@@ -18,7 +18,8 @@ import (
 // simulate runs c on the event-driven engine through the registry.
 func simulate(t testing.TB, c *circuit.Circuit, cfg engine.Config) *engine.Report {
 	t.Helper()
-	rep, err := engine.Run(context.Background(), "event-driven", c, cfg)
+	cfg.Engine = "event-driven"
+	rep, err := engine.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ type oracle struct {
 
 func newOracle(c *circuit.Circuit, horizon circuit.Time) *oracle {
 	o := &oracle{c: c, horizon: horizon, hist: trace.NewRecorder()}
-	o.res, _ = engine.Run(context.Background(), "sequential", c, engine.Config{Horizon: horizon, Probe: o.hist})
+	o.res, _ = engine.Run(context.Background(), c, engine.Config{Engine: "sequential", Horizon: horizon, Probe: o.hist})
 	return o
 }
 
@@ -322,7 +323,7 @@ func TestUtilizationBounded(t *testing.T) {
 
 func TestBadWorkerCountError(t *testing.T) {
 	c := gen.FeedbackChain(3)
-	res, err := engine.Run(context.Background(), "event-driven", c, engine.Config{Workers: -1, Horizon: 10})
+	res, err := engine.Run(context.Background(), c, engine.Config{Engine: "event-driven", Workers: -1, Horizon: 10})
 	if err == nil {
 		t.Fatal("Workers=-1 did not return an error")
 	}

@@ -45,7 +45,7 @@ func (eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engin
 		return nil, fmt.Errorf("parsim: the sequential algorithm is single-worker (got %d workers)", cfg.Workers)
 	}
 	s := newSim(c, cfg)
-	if _, err := cfg.Ckpt.Begin(1, s.restore); err != nil {
+	if _, err := cfg.Ckpt().Begin(1, s.restore); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -112,7 +112,7 @@ func newSim(c *circuit.Circuit, cfg engine.Config) *sim {
 	s.genNext = make([]circuit.Time, len(s.genIDs))
 	s.inList = make([]bool, len(c.Elems))
 	s.lastT = -1
-	s.chaos = cfg.Guard.Chaos()
+	s.chaos = cfg.Guard().Chaos()
 	return s
 }
 
@@ -128,7 +128,7 @@ func (s *sim) nextGenTime() circuit.Time {
 }
 
 func (s *sim) run() (err error) {
-	ck, g := s.cfg.Ckpt, s.cfg.Guard
+	ck, g := s.cfg.Ckpt(), s.cfg.Guard()
 	defer func() { err = ck.Finish(err, g.CutShort()) }()
 	for {
 		if g.Cancelled() {
@@ -144,7 +144,7 @@ func (s *sim) run() (err error) {
 		if t < 0 || t >= s.cfg.Horizon {
 			return nil
 		}
-		s.cfg.Guard.Progress(int64(t))
+		s.cfg.Guard().Progress(int64(t))
 		s.step(t)
 		s.lastT = t
 		if ck.DueSliding(int64(t) + 1) {
@@ -196,7 +196,7 @@ func (s *sim) step(t circuit.Time) {
 
 // capture hands the checkpoint session all activity strictly before step.
 func (s *sim) capture(step int64) error {
-	return s.cfg.Ckpt.Capture(step, []stats.WorkerCounters{s.wc}, s.fill)
+	return s.cfg.Ckpt().Capture(step, []stats.WorkerCounters{s.wc}, s.fill)
 }
 
 // fill writes the simulator's own snapshot sections: node and projected
@@ -223,7 +223,7 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 // event order — so a hand-crafted snapshot that passed the checksum cannot
 // corrupt the run; failures are typed errors, never panics.
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	ck := s.cfg.Ckpt
+	ck := s.cfg.Ckpt()
 	vals, state, err := ck.UnpackScalar(snap)
 	if err != nil {
 		return err

@@ -14,7 +14,8 @@ import (
 // simulate runs c on the sequential engine through the registry.
 func simulate(t *testing.T, c *circuit.Circuit, cfg engine.Config) *engine.Report {
 	t.Helper()
-	rep, err := engine.Run(context.Background(), "sequential", c, cfg)
+	cfg.Engine = "sequential"
+	rep, err := engine.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,17 +312,18 @@ func TestJournalReplayCarriesEveryField(t *testing.T) {
 	if !ok {
 		t.Fatal("journalled job was not recovered")
 	}
-	if j.engine != "vector" || j.deadline != time.Minute || len(j.watch) != 1 || j.rec == nil {
-		t.Fatalf("recovered job: engine %q, deadline %v, watch %v", j.engine, j.deadline, j.watch)
+	if j.deadline != time.Minute || len(j.watch) != 1 || j.rec == nil {
+		t.Fatalf("recovered job: deadline %v, watch %v", j.deadline, j.watch)
 	}
 	want := engine.Config{
+		Engine:         "vector",
 		Workers:        2,
 		Horizon:        64,
 		Probe:          j.rec,
 		CostSpin:       3,
 		Lint:           engine.LintWarn,
 		Watchdog:       250 * time.Millisecond,
-		Fallback:       &engine.FallbackPolicy{},
+		Fallback:       true,
 		ResumeFrom:     snap,
 		Lanes:          4,
 		LaneStride:     5,

@@ -36,13 +36,13 @@ type job struct {
 	// recording still needs the node names.
 	circ     *circuit.Circuit
 	circName string
-	engine   string // canonical engine name
 	// cfg is the run configuration admission resolved from the
-	// submission: Workers is also the core count reserved from the
-	// budget. ResumeFrom names the snapshot the job continues from (empty
-	// = from scratch), set at admission when a fleet requeue passes a dead
-	// sibling's snapshot via resume_from, or during startup recovery from
-	// this node's own journal. runJob adds only the checkpoint spec.
+	// submission: Engine is the canonical engine name, and Workers is
+	// also the core count reserved from the budget. ResumeFrom names the
+	// snapshot the job continues from (empty = from scratch), set at
+	// admission when a fleet requeue passes a dead sibling's snapshot via
+	// resume_from, or during startup recovery from this node's own
+	// journal. runJob adds only the checkpoint spec.
 	cfg      engine.Config
 	deadline time.Duration    // per-job wall-clock budget (0 = none)
 	watch    []circuit.NodeID // nodes recorded for the /vcd endpoint
@@ -84,7 +84,7 @@ func (j *job) view(now time.Time) jobView {
 	v := jobView{
 		ID:      j.id,
 		State:   j.state,
-		Engine:  j.engine,
+		Engine:  j.cfg.Engine,
 		Circuit: j.circName,
 		Workers: j.cfg.Workers,
 		Horizon: int64(j.cfg.Horizon),

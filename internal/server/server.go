@@ -303,8 +303,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		sub.digest = string(sum[:])
 		if v, ok := s.memo.Get(sub.digest); ok {
 			e := v.(*memoEntry)
-			j = &job{key: e.key, circName: e.circName, engine: e.engine,
-				cfg: engine.Config{Workers: e.cores, Horizon: e.horizon}, state: jobQueued}
+			j = &job{key: e.key, circName: e.circName,
+				cfg: engine.Config{Engine: e.engine, Workers: e.cores, Horizon: e.horizon}, state: jobQueued}
 		}
 	}
 	if j == nil {
@@ -381,7 +381,7 @@ func (s *Server) admit(w http.ResponseWriter, sub *submission) *job {
 	}
 	if j.key != "" {
 		s.memo.Put(sub.digest, &memoEntry{key: j.key, circName: j.circName,
-			engine: j.engine, cores: j.cfg.Workers, horizon: j.cfg.Horizon})
+			engine: j.cfg.Engine, cores: j.cfg.Workers, horizon: j.cfg.Horizon})
 	}
 	return j
 }
@@ -398,7 +398,7 @@ func (s *Server) dedupSubmit(j *job) bool {
 		now := time.Now()
 		j.setRunning(now)
 		s.logJournal(journalRecord{Type: recDone, Job: j.id, Result: result})
-		s.met.onFinish(j.engine, jobDone, false, 0, stats.WorkerCounters{})
+		s.met.onFinish(j.cfg.Engine, jobDone, false, 0, stats.WorkerCounters{})
 		j.finish(result, nil, now, jobDone)
 		return true
 	}
@@ -545,13 +545,14 @@ func (s *Server) buildJob(req *cluster.Submission) (*job, int, error) {
 	j := &job{
 		circ:     circ,
 		circName: circ.Name,
-		engine:   eng.Name(),
 		cfg: engine.Config{
+			Engine:         eng.Name(),
 			Workers:        workers,
 			Horizon:        circuit.Time(req.Horizon),
 			CostSpin:       req.CostSpin,
 			Lint:           lint,
 			Watchdog:       time.Duration(req.WatchdogMS) * time.Millisecond,
+			Fallback:       req.Fallback,
 			Lanes:          req.Lanes,
 			LaneStride:     req.LaneStride,
 			ProbeLane:      req.ProbeLane,
@@ -563,9 +564,6 @@ func (s *Server) buildJob(req *cluster.Submission) (*job, int, error) {
 		deadline: deadline,
 		watch:    watch,
 		state:    jobQueued,
-	}
-	if req.Fallback {
-		j.cfg.Fallback = &engine.FallbackPolicy{}
 	}
 	if len(watch) > 0 {
 		j.rec = trace.NewRecorderFor(watch...)
@@ -727,7 +725,7 @@ func (s *Server) runJob(j *job) {
 	// and once more at the stop boundary if the run is cancelled — so a
 	// crashed or drained daemon resumes them instead of replaying from
 	// t=0. The journal records each snapshot as it reaches disk.
-	if s.jnl != nil && engine.SupportsCheckpoint(j.engine) {
+	if s.jnl != nil && engine.SupportsCheckpoint(j.cfg.Engine) {
 		cfg.Checkpoint = engine.CheckpointSpec{
 			Path:       s.ckptPath(j.id),
 			EverySteps: s.cfg.CheckpointEvery,
@@ -736,7 +734,7 @@ func (s *Server) runJob(j *job) {
 			},
 		}
 	}
-	rep, err := engine.Run(ctx, j.engine, j.circ, cfg)
+	rep, err := engine.Run(ctx, j.circ, cfg)
 	if j.rec == nil {
 		j.circ = nil // only the VCD endpoint reads it after the run
 	}
@@ -755,7 +753,7 @@ func (s *Server) runJob(j *job) {
 			s.met.onAutoSelect(rep.Selected.Engine)
 		}
 	}
-	s.met.onFinish(j.engine, state, degraded, end.Sub(start), tot)
+	s.met.onFinish(j.cfg.Engine, state, degraded, end.Sub(start), tot)
 	// Cache the result, release the in-flight slot, and only then publish
 	// the state: no identical submission sees neither, and none made after
 	// the job reads done coalesces onto it. shared is the result as a
@@ -774,7 +772,7 @@ func (s *Server) runJob(j *job) {
 	for _, wj := range waiters {
 		wj.setRunning(end)
 		s.logTerminal(wj, state, shared, err)
-		s.met.onFinish(wj.engine, state, false, 0, stats.WorkerCounters{})
+		s.met.onFinish(wj.cfg.Engine, state, false, 0, stats.WorkerCounters{})
 		wj.finish(shared, err, end, state)
 	}
 }

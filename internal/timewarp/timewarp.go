@@ -32,8 +32,12 @@ import (
 )
 
 // defaultStepsPerRound caps optimistic progress between GVT rounds, in
-// element steps per worker, when Config.StepsPerRound is 0.
+// element steps per worker.
 const defaultStepsPerRound = 2048
+
+// stepsPerRound is the GVT window a run takes. Test hook: the optimism
+// tests narrow it to force rollbacks.
+var stepsPerRound = defaultStepsPerRound
 
 // twEvent is a (possibly anti-) message carrying one node change.
 type twEvent struct {
@@ -82,9 +86,6 @@ func init() { engine.Register(eng{}, "timewarp", "tw", "optimistic") }
 // run done, so all workers commit what is behind the GVT and exit together
 // at the end of the round, and the partial Report is returned.
 func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
-	if cfg.StepsPerRound <= 0 {
-		cfg.StepsPerRound = defaultStepsPerRound
-	}
 	p := cfg.Workers
 	parts := partition.Split(c, p, cfg.Strategy)
 	s := &sim{
@@ -99,9 +100,9 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 		final:     make([]logic.Value, len(c.Nodes)),
 		wc:        make([]stats.WorkerCounters, p),
 		peakLog:   make([]int64, p),
-		chaos:     cfg.Guard.Chaos(),
+		chaos:     cfg.Guard().Chaos(),
 	}
-	cfg.Guard.OnTrip(s.bar.Abort)
+	cfg.Guard().OnTrip(s.bar.Abort)
 	s.wks = make([]*twWorker, p)
 	for w := range s.mailbox {
 		s.mailbox[w] = make([][]twEvent, p)
@@ -126,7 +127,7 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 	for _, g := range c.Generators() {
 		el := &c.Elems[g]
 		n := el.Out[0]
-		el.GenWaveform(cfg.Horizon, cfg.Guard.Cancelled, func(t circuit.Time, v logic.Value) {
+		el.GenWaveform(cfg.Horizon, cfg.Guard().Cancelled, func(t circuit.Time, v logic.Value) {
 			ev := twEvent{node: n, t: t, v: v, id: seedID}
 			seedID--
 			s.final[n] = v

@@ -16,7 +16,8 @@ func init() { twDebug = true }
 // simulate runs c on the named engine through the registry.
 func simulate(t *testing.T, name string, c *circuit.Circuit, cfg engine.Config) *engine.Report {
 	t.Helper()
-	rep, err := engine.Run(context.Background(), name, c, cfg)
+	cfg.Engine = name
+	rep, err := engine.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +94,12 @@ func TestMatchesSequentialOnRandomCircuits(t *testing.T) {
 	}
 }
 
+// setWindow sets the GVT window of the runs that follow, until t ends.
+func setWindow(t *testing.T, steps int) {
+	t.Cleanup(func() { stepsPerRound = defaultStepsPerRound })
+	stepsPerRound = steps
+}
+
 func TestSmallWindowForcesRollbacks(t *testing.T) {
 	// A small optimism window with several workers on a deep circuit makes
 	// cross-partition stragglers likely; the simulator must both roll back
@@ -101,7 +108,8 @@ func TestSmallWindowForcesRollbacks(t *testing.T) {
 	cfg.N = 8
 	cfg.InPeriod = 64
 	c := gen.GateMultiplier(cfg)
-	res := crossCheck(t, c, 512, engine.Config{Workers: 4, StepsPerRound: 64})
+	setWindow(t, 64)
+	res := crossCheck(t, c, 512, engine.Config{Workers: 4})
 	tot := res.Stats.Totals()
 	t.Logf("rollbacks=%d cancelled=%d rolledBack=%d peakLog=%d rounds=%d",
 		tot.Rollbacks, tot.Cancelled, tot.RolledBack, res.PeakLog, res.GVTRounds)
@@ -114,8 +122,10 @@ func TestStateStorageGrowsWithOptimism(t *testing.T) {
 	// The paper's criticism: optimistic execution must keep state to roll
 	// back to. More optimism per round -> more saved state.
 	c := gen.InverterArray(gen.InverterArrayConfig{Rows: 16, Cols: 16, ActiveRows: 16, TogglePeriod: 1})
-	small := simulate(t, "time-warp", c, engine.Config{Workers: 2, Horizon: 160, StepsPerRound: 64})
-	big := simulate(t, "time-warp", c, engine.Config{Workers: 2, Horizon: 160, StepsPerRound: 4096})
+	setWindow(t, 64)
+	small := simulate(t, "time-warp", c, engine.Config{Workers: 2, Horizon: 160})
+	setWindow(t, 4096)
+	big := simulate(t, "time-warp", c, engine.Config{Workers: 2, Horizon: 160})
 	if big.PeakLog <= small.PeakLog {
 		t.Errorf("peak saved state did not grow with optimism: %d vs %d",
 			big.PeakLog, small.PeakLog)
@@ -127,7 +137,7 @@ func TestStateStorageGrowsWithOptimism(t *testing.T) {
 }
 
 func TestBadWorkerCountError(t *testing.T) {
-	res, err := engine.Run(context.Background(), "time-warp", gen.FeedbackChain(3), engine.Config{Workers: -1, Horizon: 10})
+	res, err := engine.Run(context.Background(), gen.FeedbackChain(3), engine.Config{Engine: "time-warp", Workers: -1, Horizon: 10})
 	if err == nil {
 		t.Fatal("Workers=-1 did not return an error")
 	}

@@ -132,7 +132,7 @@ func (s *sim) worker(w int) {
 		}
 		wk.staged = wk.staged[:0]
 		steps := 0
-		for steps < s.cfg.StepsPerRound && wk.h.Len() > 0 {
+		for steps < stepsPerRound && wk.h.Len() > 0 {
 			top := heap.Pop(&wk.h).(heapEntry)
 			rt := s.rts[top.e]
 			if t := rt.nextTime(); t < 0 || t != top.t {
@@ -169,8 +169,8 @@ func (s *sim) worker(w int) {
 			s.roundsRun++
 			// Publishing the GVT makes livelock observable: rounds that
 			// spin without advancing it never reset the watchdog.
-			s.cfg.Guard.Progress(int64(s.gvt))
-			if s.cfg.Guard.Cancelled() {
+			s.cfg.Guard().Progress(int64(s.gvt))
+			if s.cfg.Guard().Cancelled() {
 				s.done = true
 			}
 		}

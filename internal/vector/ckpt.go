@@ -71,7 +71,7 @@ func (s *sim) fill(snap *checkpoint.Snapshot) {
 // validating every structural property so failures are typed errors, never
 // panics (Lockstep commits the worker rows and the start step).
 func (s *sim) restore(snap *checkpoint.Snapshot) error {
-	ck := s.cfg.Ckpt
+	ck := s.cfg.Ckpt()
 	if len(snap.Planes) != s.prog.total {
 		return ck.Corrupt("node planes", "snapshot has %d node planes for a %d-plane circuit", len(snap.Planes), s.prog.total)
 	}
@@ -190,7 +190,7 @@ func (s *sim) checkMarks(marks []uint64) error {
 	if marks == nil {
 		return nil
 	}
-	ck, p := s.cfg.Ckpt, s.prog
+	ck, p := s.cfg.Ckpt(), s.prog
 	if len(marks) != p.markWords {
 		return ck.Corrupt("pending marks", "snapshot has %d mark words for %d", len(marks), p.markWords)
 	}

@@ -67,7 +67,7 @@ func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.F
 	// pass's plane and detection state is restored inside runPass.
 	startPass, ran := 0, 0
 	var resumeAcc *checkpoint.RunCounters
-	if ck := cfg.Ckpt; ck.Resume() != nil {
+	if ck := cfg.Ckpt(); ck.Resume() != nil {
 		fs := ck.Resume().Fault
 		if fs == nil {
 			return nil, ck.Corrupt("fault state", "snapshot carries no fault-simulation state")
@@ -116,7 +116,7 @@ func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.F
 				addRunCounters(&total.Stats, packRun(&res.Stats))
 			}
 		}
-		if err != nil || cfg.Guard.Cancelled() {
+		if err != nil || cfg.Guard().Cancelled() {
 			runErr = err
 			break
 		}

@@ -213,8 +213,8 @@ func TestWideFaultEngineDispatch(t *testing.T) {
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 4, 4, 4
 	c := gen.InverterArray(cfg)
 
-	rep, err := engine.Run(context.Background(), "vector", c, engine.Config{
-		Workers: 1, Horizon: 40, Lanes: 64,
+	rep, err := engine.Run(context.Background(), c, engine.Config{
+		Engine: "vector", Workers: 1, Horizon: 40, Lanes: 64,
 		FaultSim: true, FaultStatuses: true,
 	})
 	if err != nil {
@@ -227,8 +227,8 @@ func TestWideFaultEngineDispatch(t *testing.T) {
 		t.Fatal("FaultStatuses did not propagate status rows")
 	}
 
-	if _, err := engine.Run(context.Background(), "compiled", c, engine.Config{
-		Workers: 1, Horizon: 40, FaultSim: true,
+	if _, err := engine.Run(context.Background(), c, engine.Config{
+		Engine: "compiled", Workers: 1, Horizon: 40, FaultSim: true,
 	}); err == nil {
 		t.Fatal("compiled engine accepted a fault-sim config")
 	}

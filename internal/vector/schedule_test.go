@@ -79,8 +79,8 @@ func TestGangScheduleMatchesCompiled(t *testing.T) {
 			}
 			for _, eng := range []string{"vector", "jit"} {
 				for workers := 1; workers <= 4; workers++ {
-					res, err := engine.Run(context.Background(), eng, sc.build(), engine.Config{
-						Workers: workers, Horizon: sc.horizon, Lanes: lanes,
+					res, err := engine.Run(context.Background(), sc.build(), engine.Config{
+						Engine: eng, Workers: workers, Horizon: sc.horizon, Lanes: lanes,
 					})
 					if err != nil {
 						t.Fatal(err)

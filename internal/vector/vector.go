@@ -195,7 +195,7 @@ func (e eng) runProgram(prog *program, c *circuit.Circuit, cfg engine.Config, fp
 		words:    logic.PlaneWords(cfg.Lanes),
 		laneMask: logic.LaneMasks(cfg.Lanes),
 		wc:       make([]stats.WorkerCounters, p),
-		chaos:    cfg.Guard.Chaos(),
+		chaos:    cfg.Guard().Chaos(),
 		fault:    fp,
 	}
 	s.ls = engine.NewLockstep(cfg, s.wc, s.fill)

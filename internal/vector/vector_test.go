@@ -16,7 +16,8 @@ import (
 
 // run simulates c on the named engine through the registry.
 func run(name string, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
-	return engine.Run(context.Background(), name, c, cfg)
+	cfg.Engine = name
+	return engine.Run(context.Background(), c, cfg)
 }
 
 // mustRun is run for a configuration that has to succeed.
@@ -170,7 +171,7 @@ func TestCancellation(t *testing.T) {
 	c := gen.RandomUnitCircuit(2, 60)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := engine.Run(ctx, "vector", c, engine.Config{Workers: 2, Horizon: 1 << 20})
+	res, err := engine.Run(ctx, c, engine.Config{Engine: "vector", Workers: 2, Horizon: 1 << 20})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -184,8 +185,8 @@ func TestCancellation(t *testing.T) {
 func TestRegistryDispatch(t *testing.T) {
 	c := gen.RandomUnitCircuit(4, 40)
 	for _, name := range []string{"vector", "batched", "bit-parallel"} {
-		rep, err := engine.Run(context.Background(), name, c, engine.Config{
-			Workers: 1, Horizon: 50, Lanes: 4,
+		rep, err := engine.Run(context.Background(), c, engine.Config{
+			Engine: name, Workers: 1, Horizon: 50, Lanes: 4,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -55,7 +55,6 @@ package parsim
 
 import (
 	"context"
-	"time"
 
 	"parsim/internal/analyze"
 	"parsim/internal/circuit"
@@ -274,103 +273,17 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	return e.Name(), nil
 }
 
-// Options configures Simulate.
-type Options struct {
-	// Engine selects the engine by registry name or alias: one of the
-	// Algorithm constants, any name ParseAlgorithm accepts, or "" for
-	// Sequential. "auto" profiles the circuit statically, ranks the
-	// engines it can pick through the cost model, and runs the predicted
-	// winner (Result.Selected records the decision; Workers acts as a
-	// budget the winner may undershoot but never exceed).
-	Engine  string
-	Horizon Time  // simulate t in [0, Horizon); required
-	Workers int   // parallel workers; default 1
-	Probe   Probe // optional concurrency-safe observer
-	// CostSpin > 0 burns CostSpin x the element's Cost of synthetic work
-	// per evaluation, restoring the paper's gate-vs-functional evaluation
-	// cost spread for benchmarking.
-	CostSpin int64
-	// Strategy selects the static partitioner of the Compiled, DistAsync
-	// and TimeWarp algorithms. Vector and JIT ignore it: the plane core's
-	// compiler cuts its own cost-balanced schedule.
-	Strategy Strategy
-	// NoSteal disables event-driven end-of-phase work stealing;
-	// CentralQueue reverts to the paper's initial contended single-queue
-	// design. Both are ablations of the EventDriven algorithm.
-	NoSteal      bool
-	CentralQueue bool
-	// NoLookahead disables the Async algorithm's clocked-element
-	// lookahead (ablation; results are identical, evaluation counts grow
-	// on feedback-heavy circuits).
-	NoLookahead bool
-	// GateLookahead enables the Async algorithm's controlling-value
-	// optimisation: events behind a pinned AND/NAND/OR/NOR input are
-	// consumed without evaluating the gate model.
-	GateLookahead bool
-	// Lanes is the number of independent stimulus vectors a Vector or JIT
-	// run simulates at once (1..MaxLanes; 0 defaults to 64 for Vector and
-	// 1 for JIT — larger counts widen every node plane to ceil(Lanes/64)
-	// words).
-	// LaneStride offsets rand/gray generator seeds per lane (lane k runs
-	// with Seed + k*LaneStride; 0 defaults to 1), and ProbeLane selects
-	// which lane feeds Probe and Result.Final (default 0, the lane whose
-	// stimulus — and therefore whose history — is bit-identical to a
-	// scalar run). The scalar algorithms have a single lane: they ignore
-	// LaneStride and any Lanes within range, and ProbeLane must be 0.
-	Lanes      int
-	LaneStride int64
-	ProbeLane  int
-	// FaultSim switches a Vector or JIT run to concurrent stuck-at fault
-	// simulation: lane 0 simulates the good machine, every other lane
-	// carries the same stimulus plus one injected fault from the circuit's
-	// collapsed single stuck-at list, and a fault is detected when its
-	// lane's value at a sink node diverges from lane 0 with both known.
-	// Fault lists larger than Lanes-1 chunk into multiple passes;
-	// FaultMaxPasses caps the chunk loop (0 = run the whole list) and
-	// FaultStatuses includes the per-fault site/step rows in the coverage
-	// report. Only the lane algorithms (Vector, JIT) accept FaultSim, and
-	// it needs Lanes >= 2.
-	FaultSim       bool
-	FaultMaxPasses int
-	FaultStatuses  bool
-	// Lint selects the pre-flight static analysis applied before any
-	// algorithm runs: LintOff (default), LintWarn (refuse circuits with
-	// Error diagnostics such as zero-delay combinational cycles), or
-	// LintStrict (additionally refuse Warning diagnostics). See Analyze
-	// for the full diagnostic catalogue.
-	Lint LintMode
-	// Watchdog enables the runtime stall watchdog: a run whose progress
-	// stays flat for this long is aborted with ErrStalled and a
-	// per-worker diagnostic dump instead of hanging. 0 disables it.
-	Watchdog time.Duration
-	// Fallback transparently retries a run on the Sequential reference
-	// engine when the selected algorithm panics or stalls. The retried
-	// Result carries Degraded=true and the original error (wrapped in a
-	// fallback error recording the attempt count) in Fault.
-	Fallback bool
-	// FallbackRetries is the number of fallback attempts (0 defaults to
-	// 1); FallbackDelay is the base of the capped exponential backoff
-	// applied between attempts (0 retries immediately).
-	FallbackRetries int
-	FallbackDelay   time.Duration
-	// Checkpoint names a snapshot file the run rewrites atomically every
-	// CheckpointEvery time steps (0 defaults to 256), at the quiescent
-	// per-step barrier. Only the synchronous algorithms (Sequential,
-	// Compiled, Vector — including FaultSim — and JIT) support
-	// checkpointing.
-	Checkpoint      string
-	CheckpointEvery int64
-	// ResumeFrom names a snapshot to continue from instead of starting at
-	// t=0. The snapshot must match this run's netlist, algorithm and
-	// options (verified by content digest); the resumed run's final
-	// states, lane finals and probe history are bit-identical to an
-	// uninterrupted run's. Result.Resumed reports that the path was taken.
-	ResumeFrom string
-	// Chaos injects faults (induced panics, delays, dropped wakeups)
-	// into the run, for testing the supervision layer. Leave nil in
-	// production.
-	Chaos *ChaosProbe
-}
+// Options configures Simulate. It is the engine layer's one run
+// configuration, which every engine reads: Engine names the algorithm
+// ("" is Sequential), Horizon is required, and every other field's zero
+// value is its default. The parsimd daemon maps its wire submission onto
+// the same struct.
+type Options = engine.Config
+
+// CheckpointSpec asks a run for periodic crash-durable snapshots
+// (Options.Checkpoint): Path is rewritten atomically every EverySteps time
+// steps (0 defaults to 256) at the quiescent per-step barrier.
+type CheckpointSpec = engine.CheckpointSpec
 
 // Result is the outcome of a simulation: the engine layer's one run
 // report, which every engine returns and the parsimd daemon serves. Its
@@ -422,44 +335,7 @@ func Simulate(c *Circuit, opts Options) (*Result, error) {
 // registry key, so this function, the CLIs, the figure harness and the
 // benchmarks all resolve algorithms through one table.
 func SimulateContext(ctx context.Context, c *Circuit, opts Options) (*Result, error) {
-	var fallback *engine.FallbackPolicy
-	if opts.Fallback {
-		fallback = &engine.FallbackPolicy{
-			MaxRetries: opts.FallbackRetries,
-			BaseDelay:  opts.FallbackDelay,
-		}
-	}
-	name := opts.Engine
-	if name == "" {
-		name = Sequential
-	}
-	rep, err := engine.Run(ctx, name, c, engine.Config{
-		Workers:        opts.Workers,
-		Horizon:        opts.Horizon,
-		Probe:          opts.Probe,
-		CostSpin:       opts.CostSpin,
-		Strategy:       opts.Strategy,
-		NoSteal:        opts.NoSteal,
-		CentralQueue:   opts.CentralQueue,
-		NoLookahead:    opts.NoLookahead,
-		GateLookahead:  opts.GateLookahead,
-		Lint:           opts.Lint,
-		Watchdog:       opts.Watchdog,
-		Fallback:       fallback,
-		Chaos:          opts.Chaos,
-		Lanes:          opts.Lanes,
-		LaneStride:     opts.LaneStride,
-		ProbeLane:      opts.ProbeLane,
-		FaultSim:       opts.FaultSim,
-		FaultMaxPasses: opts.FaultMaxPasses,
-		FaultStatuses:  opts.FaultStatuses,
-		Checkpoint: engine.CheckpointSpec{
-			Path:       opts.Checkpoint,
-			EverySteps: opts.CheckpointEvery,
-		},
-		ResumeFrom: opts.ResumeFrom,
-	})
-	return rep, err
+	return engine.Run(ctx, c, opts)
 }
 
 // IsUnitDelay reports whether every element has delay 1, the precondition
@@ -485,9 +361,9 @@ type (
 // ErrStalled is the sentinel matched by errors.Is for every stall abort.
 var ErrStalled = guard.ErrStalled
 
-// IsRecoverable reports whether err is a fault the Fallback policy
-// retries: a stall or a contained worker panic, but not a user
-// cancellation or a configuration error.
+// IsRecoverable reports whether err is a fault Options.Fallback re-runs:
+// a stall or a contained worker panic, but not a user cancellation or a
+// configuration error.
 func IsRecoverable(err error) bool { return guard.Recoverable(err) }
 
 // Static-analysis surface, re-exported from internal/analyze.
