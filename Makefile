@@ -111,11 +111,14 @@ jit-test:
 ## (the lending canary, zero steady-state allocations, the FuzzQueue corpus
 ## against a sorted-slice model) and the supervision and cancellation cases
 ## of the three registry names they back. Its last two legs are the
-## asyncdebug legs `check` also runs.
+## asyncdebug legs `check` also runs; here the internal/core one runs three
+## times, since its runs that share recycled event blocks (a reused block
+## is poisoned, and reading a slot no writer filled this run panics) race
+## differently each pass. `check` runs it once for its time budget.
 async-test:
 	$(GO) test -race -timeout 15m -count=1 ./internal/core ./internal/spsc ./internal/parevent ./internal/eventq
 	$(GO) test -race -timeout 5m -count=1 -run '^(TestGuard|TestSimulateContext)/(asynchronous|chandy-misra|event-driven)$$' .
-	$(GO) test -race -tags asyncdebug -timeout 15m -count=1 ./internal/core
+	$(GO) test -race -tags asyncdebug -timeout 45m -count=3 ./internal/core
 	$(GO) test -race -tags asyncdebug -timeout 5m -count=1 -run '^FuzzEngines$$' .
 
 ## bench-smoke compiles and smoke-tests the repository benchmark. bench/

@@ -4,6 +4,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"parsim/internal/circuit"
 )
@@ -37,5 +38,25 @@ func checkBelow(what string, v, bound int64) {
 func (w *worker) checkOwner(what string, e circuit.ElemID) {
 	if owner := w.s.ctl[e].owner; int(owner) != w.id {
 		panic(fmt.Sprintf("core: worker %d %s element %d owned by worker %d", w.id, what, e, owner))
+	}
+}
+
+// poisonTime marks a slot no event was written to since its block was
+// handed out.
+const poisonTime = circuit.Time(math.MinInt64)
+
+// poison fills a block about to be carved with poisonTime, so that
+// checkWritten catches a read of a slot this run never wrote: a stale event
+// of the run that used a recycled block before, or a fresh block's zeros.
+func poison(b *block) {
+	for i := range b {
+		b[i].t = poisonTime
+	}
+}
+
+// checkWritten panics if a consumed slot holds poisonTime.
+func checkWritten(t circuit.Time) {
+	if t == poisonTime {
+		panic("core: a cursor read an event slot no writer filled this run")
 	}
 }

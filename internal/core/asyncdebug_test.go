@@ -29,6 +29,11 @@ func TestInvariantChecksFire(t *testing.T) {
 	mustPanic(t, "valid-time moved back from 10 to 9", func() { h.setValid(9) })
 	checkBelow("consumed event time", 4, 5)
 	mustPanic(t, "consumed event time 5 at or past the loaded bound 5", func() { checkBelow("consumed event time", 5, 5) })
+	b := new(block)
+	poison(b)
+	b[1].t = 7
+	checkWritten(b[1].t)
+	mustPanic(t, "a cursor read an event slot no writer filled this run", func() { checkWritten(b[0].t) })
 	s := newSim(gen.FeedbackChain(5), engine.Config{Workers: 2, Horizon: 10}, async)
 	var e circuit.ElemID
 	for s.c.Elems[e].IsGenerator() {
