@@ -91,9 +91,15 @@ fleet-test:
 ## fault statuses against the evaluate-everything step's, on the benchmark
 ## circuits, the inverter array, mult16-func and random circuits at 1 and
 ## 2 workers) and the bit-identical resume tests, among them the resume of
-## a checked-in snapshot that carries no pending marks.
+## a checked-in snapshot that carries no pending marks. Runs reuse lowered
+## machines from a process-wide cache, and which run gets which machine
+## depends on the order and interleaving of the tests before it, so
+## internal/vector runs three times (machine reuse exact after cold, warm,
+## cancelled, resumed and fault runs; one lowering per key; concurrent
+## runs of one key).
 jit-test:
-	$(GO) test -race -timeout 5m -count=1 ./internal/vector ./internal/codegen
+	$(GO) test -race -timeout 5m -count=3 ./internal/vector
+	$(GO) test -race -timeout 5m -count=1 ./internal/codegen
 	$(GO) test -race -timeout 5m -count=1 -run 'TestResumeJIT|TestResumeVector|TestPlaneCoreParity|FuzzEngines|TestFuzzCorpusSeedsReplay' .
 
 ## async-test runs the event-list family under the race detector: the

@@ -13,9 +13,9 @@ import (
 // program — a per-(worker, level) sequence of fused gate batches and
 // devirtualized element kernels over a struct-of-arrays plane numbering,
 // cut into fixed schedule blocks with a fan-out table between them.
-// Compilation happens once per run; the step loop then runs the blocks a
-// change can reach, each a straight-line batch loop, with one barrier per
-// step. The compiler owns the parallel split: the (level, element)-ordered
+// Compilation happens once per circuit and run shape (a machine cache
+// miss, machine.go); the step loop then runs the blocks a change can
+// reach, each a straight-line batch loop, with one barrier per step. The compiler owns the parallel split: the (level, element)-ordered
 // schedule is cut into one cost-balanced contiguous run per worker.
 
 // blockSize is the most elements one schedule block holds: the unit the

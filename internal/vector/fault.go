@@ -50,6 +50,7 @@ func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.F
 	cfg.LaneStride = 0
 	cfg.ProbeLane = 0
 	observe := observationNodes(c)
+	key := machineKey(c, cfg.Workers, cfg.Lanes, cfg.LaneStride)
 
 	perPass := cfg.Lanes - 1
 	passes := (len(faults) + perPass - 1) / perPass
@@ -99,7 +100,7 @@ func (e eng) runFaults(c *circuit.Circuit, cfg engine.Config, faults []analyze.F
 		} else if resumeAcc != nil {
 			fp.acc = *resumeAcc
 		}
-		res, err := e.runPass(c, cfg, fp)
+		res, err := e.runPass(key, c, cfg, fp)
 		if res != nil {
 			fp.record(statuses[lo:hi])
 			ran++

@@ -95,7 +95,7 @@ func TestSelectiveTraceNeedsEveryFanoutEdge(t *testing.T) {
 	if !dropped {
 		t.Fatal("the fan-out table has no edge from inverter 20's block to inverter 21's")
 	}
-	res, err := jitEng.runProgram(prog, c, cfg, nil)
+	res, err := jitEng.runProgram(newMachine(prog, cfg.Workers, 1), c, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

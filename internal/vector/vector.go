@@ -5,12 +5,14 @@
 // The registry names "vector" and "jit" both run it; they differ only in
 // the lane count a run gets when it asks for none (64 and 1).
 //
-// The circuit's levelized schedule is lowered once, at run start, into a
-// per-level program of branch-free word-op batches over a struct-of-arrays
-// state layout, and the step loop then executes that program with one
-// sense-reversing barrier per unit-delay step across the workers —
-// Manticore's static bulk-synchronous schedule on a general-purpose
-// machine, with its super-step grown to the whole step.
+// The circuit's levelized schedule is lowered once per circuit and run
+// shape into a per-level program of branch-free word-op batches over a
+// struct-of-arrays state layout, and the step loop then executes that
+// program with one sense-reversing barrier per unit-delay step across the
+// workers — Manticore's static bulk-synchronous schedule on a
+// general-purpose machine, with its super-step grown to the whole step.
+// The lowered program and its slabs outlive the run as a machine
+// (machine.go) that the next run of the same key checks out.
 //
 // Node state lives in two flat []uint64 slabs per buffer side (value and
 // unknown planes), indexed by a compile-time node numbering ordered by
@@ -67,10 +69,41 @@
 // Around the kernels a step does little: a generator is evaluated only at
 // its change times. The run hands back its final planes packed, as they
 // are (logic.LaneValues), and decodes only the probe lane.
+//
+// # Reusing a lowered program
+//
+// A machine is handed from run to run, so everything a run writes must be
+// either rewritten before the next run reads it or restored at checkout.
+// runProgram fills both buffer sides with X and clears every mark bitmap;
+// checkout copies back every kernel state row and per-lane state saved
+// right after lowering and makes every generator fresh (due 0, not stale).
+// Those are the only places a run's writes can outlive it. Every closure
+// the compiler builds captures only:
+//
+//   - plane offsets, widths, word counts, opcodes and offset tables fixed
+//     at lowering (the gate batches, wiring, comparison, arithmetic and
+//     reduction kernels, ROM contents, dffr reset values);
+//   - kernel state reachable from program.kernels() — a latch's q row, a
+//     RAM's previous clock and memory rows, the register batch slab (each
+//     of its planes is a state row of one register's entry), the per-lane
+//     state of a scalar fallback — which checkout restores;
+//   - scratch written before it is read within one evaluation: the mul
+//     accumulator, the alu candidates and select masks, the ROM and RAM
+//     result rows, the address decoder's masks and stacks (truncated on
+//     entry), the fallback's unpacked inputs and outputs;
+//   - generator elements, read-only, whose due and stale checkout resets.
+//
+// Bit-identical resume already needs all mutable kernel state in the rows
+// the snapshot codec walks, so the restore at checkout is exactly as
+// correct as a resume from t=0. Kernels and generators point into the
+// circuit they were lowered from; circuits are immutable after Build and
+// the machine key covers everything lowering reads, so a machine runs any
+// circuit with its key exactly as it runs its own.
 package vector
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/bits"
 
@@ -128,7 +161,7 @@ func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*eng
 	if cfg.FaultSim {
 		return e.runFaults(c, cfg, analyze.FaultList(c, true))
 	}
-	return e.runPass(c, cfg, nil)
+	return e.runPass(machineKey(c, cfg.Workers, cfg.Lanes, cfg.LaneStride), c, cfg, nil)
 }
 
 // planeBuf is one buffer side: the flat struct-of-arrays slabs plus the
@@ -177,23 +210,35 @@ type sim struct {
 	fault *faultPass
 }
 
-// runPass compiles the circuit and runs one pass over it. fp, when
-// non-nil, carries the fault-injection state of one fault-simulation pass.
-func (e eng) runPass(c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
-	return e.runProgram(compileProgram(c, cfg.Workers, cfg.Lanes, cfg.LaneStride), c, cfg, fp)
+// runPass runs one pass of c on the machine under key (machineKey of c
+// and cfg), checked out of the cache or lowered on a miss, and hands the
+// machine back once the report holds copies of everything it reads. fp,
+// when non-nil, carries the fault-injection state of one fault-simulation
+// pass.
+func (e eng) runPass(key [sha256.Size]byte, c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
+	m := machines.checkout(key)
+	if m == nil {
+		m = lower(key, c, cfg.Workers, cfg.Lanes, cfg.LaneStride)
+	}
+	rep, err := e.runProgram(m, c, cfg, fp)
+	machines.checkin(m)
+	return rep, err
 }
 
-// runProgram runs one pass of prog, c compiled for cfg.
-func (e eng) runProgram(prog *program, c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
+// runProgram runs one pass of m, c lowered for cfg, from t=0 kernel state.
+func (e eng) runProgram(m *machine, c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
 	p := cfg.Workers
 	s := &sim{
 		c:        c,
 		cfg:      cfg,
 		name:     e.name,
 		p:        p,
-		prog:     prog,
+		prog:     m.prog,
 		words:    logic.PlaneWords(cfg.Lanes),
 		laneMask: logic.LaneMasks(cfg.Lanes),
+		buf:      m.buf,
+		marks:    m.marks,
+		full:     true,
 		wc:       make([]stats.WorkerCounters, p),
 		chaos:    cfg.Guard().Chaos(),
 		fault:    fp,
@@ -202,21 +247,8 @@ func (e eng) runProgram(prog *program, c *circuit.Circuit, cfg engine.Config, fp
 	if fp != nil {
 		fp.bind(s.prog, s.words)
 	}
-	// Producer bitmaps sit a cache line apart: each is written by its own
-	// worker every step.
-	stride := (s.prog.markWords+7)&^7 + 8
-	back := make([]uint64, 2*p*stride)
-	for par := range s.marks {
-		s.marks[par] = make([][]uint64, p)
-		for q := range s.marks[par] {
-			lo := (par*p + q) * stride
-			s.marks[par][q] = back[lo : lo+s.prog.markWords : lo+s.prog.markWords]
-		}
-	}
-	s.full = true
-
+	clear(m.markBack)
 	for side := range s.buf {
-		s.buf[side] = newPlaneBuf(s.prog.total, s.words)
 		for i := range s.buf[side].planes {
 			s.buf[side].planes[i].Fill(logic.X)
 		}
