@@ -67,6 +67,8 @@ func parityCases() []parityCase {
 		{"random-7-80", func() *Circuit { return RandomUnitCircuit(7, 80) }, 300},
 		{"random-11-48", func() *Circuit { return RandomUnitCircuit(11, 48) }, 300},
 	} {
+		add(oc.name+"/compiled/l0", oc.c, Options{Engine: Compiled, Horizon: oc.h})
+		add(oc.name+"/compiled/l0/probe", oc.c, Options{Engine: Compiled, Horizon: oc.h, Probe: NewRecorder()})
 		add(oc.name+"/jit/l1", oc.c, Options{Engine: JIT, Horizon: oc.h})
 		add(oc.name+"/vector/l256", oc.c, Options{Engine: Vector, Lanes: 256, Horizon: oc.h})
 		add(oc.name+"/jit/l1/probe", oc.c, Options{Engine: JIT, Horizon: oc.h, Probe: NewRecorder()})
@@ -115,6 +117,10 @@ var parityDigests = map[string]string{
 	"mult16-gate/faults/p2":                "c03c10c9fbea7f10",
 	"microprocessor/faults/p1":             "54353ad6f52593dc",
 	"microprocessor/faults/p2":             "54353ad6f52593dc",
+	"inverter-array/compiled/l0/p1":        "e6f8a75337e15159",
+	"inverter-array/compiled/l0/p2":        "e6f8a75337e15159",
+	"inverter-array/compiled/l0/probe/p1":  "7d2b7c6dfdfcf89f",
+	"inverter-array/compiled/l0/probe/p2":  "7d2b7c6dfdfcf89f",
 	"inverter-array/jit/l1/p1":             "d0564f3574cca30e",
 	"inverter-array/jit/l1/p2":             "d0564f3574cca30e",
 	"inverter-array/vector/l256/p1":        "f0cdd181d5d2e75f",
@@ -125,6 +131,10 @@ var parityDigests = map[string]string{
 	"inverter-array/vector/l96/probe65/p2": "532fa9a79ef50f8b",
 	"inverter-array/faults/p1":             "1014d45a42cc8c91",
 	"inverter-array/faults/p2":             "1014d45a42cc8c91",
+	"mult16-func/compiled/l0/p1":           "0070f621710c7a8e",
+	"mult16-func/compiled/l0/p2":           "0070f621710c7a8e",
+	"mult16-func/compiled/l0/probe/p1":     "ab8a103c2fa93169",
+	"mult16-func/compiled/l0/probe/p2":     "ab8a103c2fa93169",
 	"mult16-func/jit/l1/p1":                "79f3247b2239e88e",
 	"mult16-func/jit/l1/p2":                "79f3247b2239e88e",
 	"mult16-func/vector/l256/p1":           "95e12f07415534f3",
@@ -135,6 +145,10 @@ var parityDigests = map[string]string{
 	"mult16-func/vector/l96/probe65/p2":    "cae220fa92a5df66",
 	"mult16-func/faults/p1":                "22496daea4cec28b",
 	"mult16-func/faults/p2":                "22496daea4cec28b",
+	"random-3-60/compiled/l0/p1":           "e979ff58ee8013b1",
+	"random-3-60/compiled/l0/p2":           "e979ff58ee8013b1",
+	"random-3-60/compiled/l0/probe/p1":     "b8c7825bf515c18d",
+	"random-3-60/compiled/l0/probe/p2":     "b8c7825bf515c18d",
 	"random-3-60/jit/l1/p1":                "49650c1a475d46b9",
 	"random-3-60/jit/l1/p2":                "49650c1a475d46b9",
 	"random-3-60/vector/l256/p1":           "4498759145e9f34b",
@@ -145,6 +159,10 @@ var parityDigests = map[string]string{
 	"random-3-60/vector/l96/probe65/p2":    "da5b4caba3b6d49f",
 	"random-3-60/faults/p1":                "82ce4dc36043fead",
 	"random-3-60/faults/p2":                "82ce4dc36043fead",
+	"random-7-80/compiled/l0/p1":           "e55739b63805d610",
+	"random-7-80/compiled/l0/p2":           "e55739b63805d610",
+	"random-7-80/compiled/l0/probe/p1":     "6a9428fd5889ccaa",
+	"random-7-80/compiled/l0/probe/p2":     "6a9428fd5889ccaa",
 	"random-7-80/jit/l1/p1":                "e2a0819a962b034f",
 	"random-7-80/jit/l1/p2":                "e2a0819a962b034f",
 	"random-7-80/vector/l256/p1":           "79e8cae572e518cd",
@@ -155,6 +173,10 @@ var parityDigests = map[string]string{
 	"random-7-80/vector/l96/probe65/p2":    "00870f94251a7031",
 	"random-7-80/faults/p1":                "68bd8db8b269f371",
 	"random-7-80/faults/p2":                "68bd8db8b269f371",
+	"random-11-48/compiled/l0/p1":          "21f1c3ae928b8217",
+	"random-11-48/compiled/l0/p2":          "21f1c3ae928b8217",
+	"random-11-48/compiled/l0/probe/p1":    "102e632c5ef0868c",
+	"random-11-48/compiled/l0/probe/p2":    "102e632c5ef0868c",
 	"random-11-48/jit/l1/p1":               "9365c63004c6100f",
 	"random-11-48/jit/l1/p2":               "9365c63004c6100f",
 	"random-11-48/vector/l256/p1":          "6213e25526c3785e",
@@ -212,7 +234,10 @@ func parityDigest(res *Result, rec *Recorder) string {
 // TestPlaneCoreParity pins every observable result of the plane core, on
 // the configurations parityCases lists, to the digests recorded before the
 // step became selective: node updates, each lane's finals, probe histories
-// and fault coverage and statuses.
+// and fault coverage and statuses. The compiled rows were recorded from the
+// scalar compiled-mode engine the core replaced, and a compiled run keeps
+// Algorithm 2's count: every element but the generators, at every step
+// after the first.
 func TestPlaneCoreParity(t *testing.T) {
 	for _, pc := range parityCases() {
 		o := pc.o
@@ -221,12 +246,19 @@ func TestPlaneCoreParity(t *testing.T) {
 			rec = NewRecorder()
 			o.Probe = rec
 		}
-		res, err := Simulate(pc.c(), o)
+		c := pc.c()
+		res, err := Simulate(c, o)
 		if err != nil {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
 		if got, want := parityDigest(res, rec), parityDigests[pc.name]; got != want {
 			t.Errorf("%s: digest %s, want %s", pc.name, got, want)
+		}
+		if o.Engine == Compiled {
+			want := int64(len(c.Elems)-len(c.Generators())) * (res.Stats.TimeSteps - 1)
+			if res.Stats.Evals != want {
+				t.Errorf("%s: evals %d, want %d (every element every step)", pc.name, res.Stats.Evals, want)
+			}
 		}
 	}
 }
