@@ -97,6 +97,15 @@ func TestResumeRejectsMalformedSnapshots(t *testing.T) {
 			}
 			s.Kernels = s.Kernels[:len(s.Kernels)-1]
 		}},
+		{"kernel state shape off", "kernel state", func(t *testing.T, s *checkpoint.Snapshot) {
+			for i := range s.Kernels {
+				if ps := s.Kernels[i].Planes; len(ps) > 0 {
+					s.Kernels[i].Planes = append(ps, ps[0])
+					return
+				}
+			}
+			t.Fatal("snapshot has no kernel state plane")
+		}},
 		{"barrier waits off", "worker rows", func(t *testing.T, s *checkpoint.Snapshot) {
 			s.Workers[len(s.Workers)-1].BarrierWaits = s.Step + 1
 		}},
@@ -119,7 +128,7 @@ func TestResumeRejectsMalformedSnapshots(t *testing.T) {
 		{"sequential", RandomCircuit(5, 60), Options{Engine: Sequential},
 			slices.Concat(nodeValues, seqOnly, common)},
 		{"compiled", RandomUnitCircuit(3, 60), Options{Engine: Compiled, Workers: 2},
-			slices.Concat(nodeValues, common)},
+			slices.Concat(planeCore, common)},
 		{"jit", RandomUnitCircuit(7, 80), Options{Engine: JIT, Workers: 2},
 			slices.Concat(planeCore, common)},
 		{"vector", RandomUnitCircuit(11, 48), Options{Engine: Vector, Workers: 2, Lanes: 96},

@@ -433,3 +433,52 @@ func TestResumeJITSnapshotWithoutMarks(t *testing.T) {
 		t.Errorf("resumed evals %d, fewer than the uninterrupted run's %d", tc.Evals, ta.Evals)
 	}
 }
+
+// TestResumeRefusesScalarCompiledSnapshot resumes a snapshot the scalar
+// compiled-mode engine wrote, before compiled mode ran on the plane core
+// (testdata/resume, random-3-60 at two workers, horizon 300). Its digest
+// still matches the run's, but it holds node values and element state, not
+// node planes: the resume must be refused with a typed error naming the
+// engine, before any step runs or any probe change is replayed.
+func TestResumeRefusesScalarCompiledSnapshot(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "resume", "compiled-random-3-60-p2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := os.WriteFile(ckpt, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Engine != string(Compiled) || len(snap.Values) == 0 || len(snap.Planes) != 0 || snap.Step <= 0 {
+		t.Fatalf("checked-in snapshot: engine %q, %d values, %d planes, step %d; want a mid-run scalar compiled snapshot",
+			snap.Engine, len(snap.Values), len(snap.Planes), snap.Step)
+	}
+	rec := NewRecorder()
+	res, err := Simulate(RandomUnitCircuit(3, 60), Options{
+		Engine: Compiled, Workers: 2, Horizon: 300, Probe: rec, ResumeFrom: ckpt,
+	})
+	var ce *checkpoint.CorruptError
+	var me *checkpoint.MismatchError
+	switch {
+	case errors.As(err, &ce):
+		if ce.Engine != string(Compiled) {
+			t.Errorf("refusal names engine %q, want compiled: %v", ce.Engine, err)
+		}
+	case errors.As(err, &me):
+		if me.Engine != string(Compiled) {
+			t.Errorf("refusal names engine %q, want compiled: %v", me.Engine, err)
+		}
+	default:
+		t.Fatalf("resume returned %v (%T), want a *CorruptError or *MismatchError", err, err)
+	}
+	if res != nil {
+		t.Errorf("a refused resume returned a result (%d steps)", res.Stats.TimeSteps)
+	}
+	if n := len(rec.Nodes()); n != 0 {
+		t.Errorf("a refused resume replayed probe changes on %d nodes", n)
+	}
+}

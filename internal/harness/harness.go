@@ -26,7 +26,6 @@ import (
 
 	// Populate the engine registry (the harness cannot import the parsim
 	// facade, which itself imports this package).
-	_ "parsim/internal/compiled"
 	_ "parsim/internal/core"
 	_ "parsim/internal/dist"
 	_ "parsim/internal/parevent"

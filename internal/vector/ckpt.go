@@ -172,7 +172,7 @@ func (s *sim) restore(snap *checkpoint.Snapshot) error {
 	}
 	if snap.Marks != nil {
 		copy(s.marks[snap.Step&1][0], snap.Marks)
-		s.full = false
+		s.full = s.every
 	}
 	if fp := s.fault; fp != nil {
 		for w := 0; w < s.p; w++ {

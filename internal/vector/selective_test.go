@@ -48,9 +48,9 @@ func TestSelectiveTraceRunsOnlyTheCone(t *testing.T) {
 			cfg := engine.Config{Workers: workers, Horizon: horizon, Lanes: lanes}
 			c := twoChains(depth, toggleAt)
 			res := mustRun(t, "jit", c, cfg)
-			ref := mustRun(t, "compiled", c, engine.Config{Workers: 1, Horizon: horizon})
+			ref := mustRun(t, "sequential", c, engine.Config{Workers: 1, Horizon: horizon})
 			if !sameValues(res.Final, ref.Final) {
-				t.Fatalf("lanes %d workers %d: final values differ from compiled", lanes, workers)
+				t.Fatalf("lanes %d workers %d: final values differ from the sequential reference", lanes, workers)
 			}
 			if res.Stats.Evals != want {
 				t.Errorf("lanes %d workers %d: evals %d, want %d (2x%d sweep + 2x%d settle + %d cone)",
@@ -67,12 +67,12 @@ func TestSelectiveTraceRunsOnlyTheCone(t *testing.T) {
 // TestSelectiveTraceNeedsEveryFanoutEdge is the cone test's control: with
 // one edge of the fan-out table dropped — inverter 20's block no longer
 // marks inverter 21's — the toggle stops at inverter 21, and the final
-// values no longer match the compiled engine's.
+// values no longer match the sequential reference's.
 func TestSelectiveTraceNeedsEveryFanoutEdge(t *testing.T) {
 	const depth, toggleAt, horizon = 40, 60, 160
 	c := twoChains(depth, toggleAt)
 	cfg := engine.Config{Workers: 1, Horizon: horizon, Lanes: 1, LaneStride: 1}
-	ref := mustRun(t, "compiled", c, engine.Config{Workers: 1, Horizon: horizon})
+	ref := mustRun(t, "sequential", c, engine.Config{Workers: 1, Horizon: horizon})
 
 	prog := compileProgram(c, cfg.Workers, cfg.Lanes, cfg.LaneStride)
 	elem := func(name string) circuit.ElemID {
@@ -100,6 +100,6 @@ func TestSelectiveTraceNeedsEveryFanoutEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sameValues(res.Final, ref.Final) {
-		t.Fatal("final values match compiled with a fan-out edge dropped: the cone test cannot see a missing edge")
+		t.Fatal("final values match the sequential reference with a fan-out edge dropped: the cone test cannot see a missing edge")
 	}
 }

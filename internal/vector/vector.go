@@ -115,23 +115,28 @@ import (
 	"parsim/internal/stats"
 )
 
-// eng is the core's registry adapter. The two registered values differ only
+// eng is the core's registry adapter. The registered values differ only
 // in name and in the lane count a run gets when Config.Lanes is 0: "vector"
 // is first a batched engine (one full plane word), "jit" first a scalar
-// replacement for the compiled engine that widens on request.
+// engine that widens on request. "compiled", with no default lanes, is the
+// paper's Algorithm 2 on the core: a scalar engine (one lane inside, no lane
+// fields, no LaneFinal, no fault simulation) whose selective trace is off,
+// so every block runs at every step and Evals counts every element.
 type eng struct {
 	name  string
 	lanes int
 }
 
 var (
-	vectorEng = eng{name: "vector", lanes: logic.MaxLanes}
-	jitEng    = eng{name: "jit", lanes: 1}
+	vectorEng   = eng{name: "vector", lanes: logic.MaxLanes}
+	jitEng      = eng{name: "jit", lanes: 1}
+	compiledEng = eng{name: "compiled"}
 )
 
 func init() {
 	engine.Register(vectorEng, "batched", "bit-parallel")
 	engine.Register(jitEng, "codegen")
+	engine.Register(compiledEng, "compiled-mode")
 }
 
 func (e eng) Name() string { return e.name }
@@ -152,6 +157,9 @@ func (eng) Checkpoints() {}
 // each pass's step protocol, so a cancelled run stops every worker at the
 // next step boundary.
 func (e eng) Run(_ context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
+	if e.lanes == 0 { // compiled ignores the lane fields, as every scalar engine does
+		cfg.Lanes, cfg.LaneStride, cfg.ProbeLane = 1, 1, 0
+	}
 	if cfg.Lanes == 0 {
 		cfg.Lanes = e.lanes
 	}
@@ -189,6 +197,9 @@ type sim struct {
 	cfg  engine.Config
 	name string // the registry name the run reports itself under
 	p    int
+	// every is compiled mode: the selective trace is off, so every block
+	// runs at every step, and the report has a scalar engine's surface.
+	every bool
 
 	prog     *program
 	words    int
@@ -202,7 +213,8 @@ type sim struct {
 
 	// marks[t&1][q] is the bitmap, over global block numbers, of the
 	// blocks producer q marked during step t-1 for step t. full makes the
-	// pass's first step run every block instead.
+	// pass's first step (every step, when every is set) run every block
+	// instead.
 	marks [2][][]uint64
 	full  bool
 
@@ -233,6 +245,7 @@ func (e eng) runProgram(m *machine, c *circuit.Circuit, cfg engine.Config, fp *f
 		cfg:      cfg,
 		name:     e.name,
 		p:        p,
+		every:    e.lanes == 0,
 		prog:     m.prog,
 		words:    logic.PlaneWords(cfg.Lanes),
 		laneMask: logic.LaneMasks(cfg.Lanes),
@@ -318,15 +331,19 @@ func (s *sim) finish() (*engine.Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	algorithm := s.name
+	if !s.every {
+		algorithm = fmt.Sprintf("%sx%d", s.name, cfg.Lanes)
+	}
 	rep := &engine.Report{Stats: stats.Run{
-		Algorithm: fmt.Sprintf("%sx%d", s.name, cfg.Lanes),
+		Algorithm: algorithm,
 		Circuit:   s.c.Name,
 		Horizon:   cfg.Horizon,
 		Workers:   s.p,
 		TimeSteps: steps,
 	}}
 	buf := &s.buf[side]
-	if s.fault == nil {
+	if s.fault == nil && !s.every {
 		rep.LaneFinal = s.packFinals(buf)
 	}
 	rep.Final = make([]logic.Value, len(s.c.Nodes))
@@ -448,7 +465,7 @@ func (s *sim) worker(id int) {
 			}
 			chg[i] = changed
 		}
-		full = false
+		full = s.every
 		// Re-assert injected faults on the freshly written side: a stuck
 		// node stays stuck no matter what its driver computed.
 		if s.fault != nil {

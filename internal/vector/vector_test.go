@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"parsim/internal/circuit"
-	_ "parsim/internal/compiled"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
 	"parsim/internal/logic"
+	_ "parsim/internal/seq"
 	"parsim/internal/trace"
 )
 
@@ -44,8 +44,9 @@ func shiftSeeds(c *circuit.Circuit, delta int64) *circuit.Circuit {
 }
 
 // TestLanesMatchScalarCompiled runs a batched simulation and checks every
-// lane's final values against a scalar compiled run fed that lane's
-// seed-shifted stimulus.
+// lane's final values against a scalar run of the sequential reference fed
+// that lane's seed-shifted stimulus: compiled mode's results on a
+// unit-delay circuit, from an engine that shares no code with the core.
 func TestLanesMatchScalarCompiled(t *testing.T) {
 	c := gen.RandomUnitCircuit(11, 80)
 	const lanes, stride, horizon = 8, 3, 150
@@ -61,7 +62,7 @@ func TestLanesMatchScalarCompiled(t *testing.T) {
 		t.Fatalf("LaneFinal rows = %d, want %d", got, lanes)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		sc := mustRun(t, "compiled", shiftSeeds(c, stride*int64(lane)), engine.Config{
+		sc := mustRun(t, "sequential", shiftSeeds(c, stride*int64(lane)), engine.Config{
 			Workers: 1, Horizon: horizon,
 		})
 		for n := range c.Nodes {
@@ -79,8 +80,8 @@ func TestLanesMatchScalarCompiled(t *testing.T) {
 }
 
 // TestGoldenVCDByteMatch is the golden waveform check: the batched run's
-// probe, pointed at lane k, must reproduce the scalar compiled engine's
-// VCD byte for byte when the scalar engine is fed lane k's stimulus.
+// probe, pointed at lane k, must reproduce the sequential reference's VCD
+// byte for byte when the reference is fed lane k's stimulus.
 func TestGoldenVCDByteMatch(t *testing.T) {
 	c := gen.RandomUnitCircuit(23, 60)
 	const lanes, stride, horizon = 4, 5, 120
@@ -96,7 +97,7 @@ func TestGoldenVCDByteMatch(t *testing.T) {
 
 		srec := trace.NewRecorder()
 		sc := shiftSeeds(c, stride*int64(lane))
-		mustRun(t, "compiled", sc, engine.Config{Workers: 1, Horizon: horizon, Probe: srec})
+		mustRun(t, "sequential", sc, engine.Config{Workers: 1, Horizon: horizon, Probe: srec})
 
 		var vvcd, svcd bytes.Buffer
 		if err := trace.WriteVCD(&vvcd, c, vrec, horizon); err != nil {
@@ -107,7 +108,7 @@ func TestGoldenVCDByteMatch(t *testing.T) {
 		}
 		if !bytes.Equal(vvcd.Bytes(), svcd.Bytes()) {
 			if d := trace.Diff(c, srec, vrec); d != "" {
-				t.Fatalf("lane %d waveform diverges from scalar compiled: %s", lane, d)
+				t.Fatalf("lane %d waveform diverges from the sequential reference: %s", lane, d)
 			}
 			t.Fatalf("lane %d VCD bytes differ", lane)
 		}
@@ -126,9 +127,9 @@ func TestLaneZeroMatchesScalarHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	srec := trace.NewRecorder()
-	mustRun(t, "compiled", c, engine.Config{Workers: 1, Horizon: horizon, Probe: srec})
+	mustRun(t, "sequential", c, engine.Config{Workers: 1, Horizon: horizon, Probe: srec})
 	if d := trace.Diff(c, srec, vrec); d != "" {
-		t.Fatalf("lane 0 history diverges from scalar compiled: %s", d)
+		t.Fatalf("lane 0 history diverges from the sequential reference: %s", d)
 	}
 }
 
@@ -154,7 +155,7 @@ func TestSingleLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := mustRun(t, "compiled", c, engine.Config{Workers: 1, Horizon: 100})
+	sc := mustRun(t, "sequential", c, engine.Config{Workers: 1, Horizon: 100})
 	for n := range c.Nodes {
 		if res.Final[n] != sc.Final[n] {
 			t.Fatalf("node %d: %v != %v", n, res.Final[n], sc.Final[n])
@@ -201,7 +202,7 @@ func TestRegistryDispatch(t *testing.T) {
 }
 
 // TestInverterArraySanity runs the benchmark circuit the BENCH_vector
-// figure uses, as a correctness gate: lane 0 vs scalar compiled.
+// figure uses, as a correctness gate: lane 0 vs the sequential reference.
 func TestInverterArraySanity(t *testing.T) {
 	cfg := gen.DefaultInverterArray()
 	cfg.Rows, cfg.Cols, cfg.ActiveRows = 8, 8, 8
@@ -211,7 +212,7 @@ func TestInverterArraySanity(t *testing.T) {
 		t.Fatal(err)
 	}
 	srec := trace.NewRecorder()
-	mustRun(t, "compiled", c, engine.Config{Workers: 1, Horizon: 96, Probe: srec})
+	mustRun(t, "sequential", c, engine.Config{Workers: 1, Horizon: 96, Probe: srec})
 	if d := trace.Diff(c, srec, vrec); d != "" {
 		t.Fatalf("inverter array diverges: %s", d)
 	}

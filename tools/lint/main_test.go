@@ -516,7 +516,7 @@ func launch(g *sup, p int, body func(int)) {
 `
 
 func TestGangHandRolledFlagged(t *testing.T) {
-	for _, file := range []string{"internal/compiled/compiled.go", "cmd/fake/main.go"} {
+	for _, file := range []string{"internal/vector/vector.go", "cmd/fake/main.go"} {
 		diags := applyAs(t, file, handRolledGang)
 		if len(diags) != 1 || diags[0].Code != "gang" {
 			t.Errorf("%s: hand-rolled gang not flagged: %v", file, codes(diags))
