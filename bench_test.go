@@ -236,21 +236,6 @@ func BenchmarkT4FeedbackChain(b *testing.B) {
 	}
 }
 
-// Ablation: compiled-mode partitioning strategies on the cost-skewed
-// functional multiplier (DESIGN.md: load balancing is the compiled mode's
-// weak point at the functional level).
-func BenchmarkAblationPartitioners(b *testing.B) {
-	c := BenchFuncMultiplier(DefaultMultiplier())
-	for _, s := range []Strategy{RoundRobin, Blocks, CostLPT} {
-		b.Run(s.String(), func(b *testing.B) {
-			benchSim(b, c, Options{
-				Engine: Compiled, Workers: runtime.NumCPU(), Horizon: 64,
-				CostSpin: 100, Strategy: s,
-			})
-		})
-	}
-}
-
 // Ablation: clocked-element lookahead on the feedback-heavy CPU (DESIGN.md
 // extension; disabling it restores the raw valid-time creep).
 func BenchmarkAblationLookahead(b *testing.B) {

@@ -106,9 +106,9 @@ type Config struct {
 	// per evaluation, restoring the paper's gate-vs-functional evaluation
 	// cost spread for benchmarking.
 	CostSpin int64
-	// Strategy selects the static partitioner (compiled, dist, timewarp;
-	// the plane core behind vector and jit cuts its own cost-balanced
-	// schedule and ignores it).
+	// Strategy selects the static partitioner of dist and timewarp; the
+	// plane core behind compiled, vector and jit cuts its own
+	// cost-balanced schedule and ignores it.
 	Strategy partition.Strategy
 	// CollectAvail records the elements-available-per-step histogram
 	// (sequential and event-driven engines; experiment T3); it costs one

@@ -9,7 +9,8 @@
 //     round-robin scheduling, end-of-phase work stealing, and a barrier at
 //     every time step;
 //   - Compiled: the parallel unit-delay compiled-mode algorithm — every
-//     element evaluated every step from a static partition;
+//     element evaluated every step from a static partition, one barrier
+//     per step;
 //   - Async: the paper's primary contribution, a totally asynchronous
 //     algorithm with no locks and no barriers: per-node event histories
 //     with incrementally advancing valid-times (so the Chandy-Misra
@@ -18,11 +19,12 @@
 //     of consumed events;
 //
 // plus the Sequential reference simulator every parallel run is
-// cross-checked against. Vector and JIT name one more engine between them:
-// the levelized plane core, the Compiled algorithm run through a static
+// cross-checked against. Compiled, Vector and JIT are one engine: the
+// levelized plane core, the Compiled algorithm run through a static
 // compiler over N bit-parallel stimulus lanes (Vector defaults to 64
 // lanes, JIT to 1), which also carries concurrent stuck-at fault
-// simulation.
+// simulation. Compiled runs it as a scalar engine, one lane and every
+// element every step; Vector and JIT skip the blocks no change reached.
 //
 // Circuits mix representation levels: two-input gates, RTL registers and
 // muxes, and functional blocks (wide adders, multipliers, ALUs, memories)
@@ -112,7 +114,8 @@ type (
 	FaultCoverage = stats.FaultCoverage
 	// FaultStatus is one fault's detection row inside a FaultCoverage.
 	FaultStatus = stats.FaultStatus
-	// Strategy selects a compiled-mode partitioner.
+	// Strategy selects the static partitioner of the distributed and Time
+	// Warp engines.
 	Strategy = partition.Strategy
 )
 
@@ -168,7 +171,7 @@ const (
 	Gray   = circuit.KindGray
 )
 
-// Partition strategies for compiled mode.
+// Partition strategies for the distributed and Time Warp engines.
 const (
 	RoundRobin = partition.RoundRobin
 	Blocks     = partition.Blocks
@@ -207,7 +210,10 @@ const (
 	Sequential Algorithm = "sequential"
 	// EventDriven is the synchronous parallel event-driven algorithm.
 	EventDriven Algorithm = "event-driven"
-	// Compiled is the parallel unit-delay compiled-mode algorithm. It
+	// Compiled is the parallel unit-delay compiled-mode algorithm: every
+	// element evaluated at every step, one barrier per step. It runs on the
+	// plane core (see JIT) at one lane with the selective trace off, and
+	// as a scalar engine takes no lane fields and no fault simulation. It
 	// ignores element delays (everything behaves unit-delay), so its
 	// histories match the others only on unit-delay circuits.
 	Compiled Algorithm = "compiled"
@@ -249,11 +255,11 @@ const (
 	// plane-op kernels for everything else. The compiler also owns the
 	// parallel split: each worker runs one cost-balanced contiguous run of
 	// the schedule over its own dense slab stripe, and the gang crosses one
-	// barrier per step (Options.Strategy is not consulted, under either
-	// name). Semantically it is the Compiled algorithm (unit-delay, every
-	// element every step) run through a compiler instead of an
-	// interpreter; Options.Lanes and Options.FaultSim apply exactly as for
-	// Vector.
+	// barrier per step (Options.Strategy is not consulted, under any of
+	// its names). Semantically it is the Compiled algorithm (unit-delay)
+	// with a selective trace that skips the blocks no change reached;
+	// Compiled is the same core with the trace off. Options.Lanes and
+	// Options.FaultSim apply exactly as for Vector.
 	JIT Algorithm = "jit"
 )
 
