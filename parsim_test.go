@@ -249,11 +249,29 @@ func TestGateLookaheadOption(t *testing.T) {
 	}
 }
 
+// TestCompiledStrategyOption: compiled accepts every partition strategy
+// and ignores it, since the plane core cuts its own schedule, so every
+// strategy gives the same counters and finals.
 func TestCompiledStrategyOption(t *testing.T) {
 	c := BenchInverterArray(InverterArrayConfig{Rows: 4, Cols: 4, ActiveRows: 4, TogglePeriod: 1})
+	var ref *Result
 	for _, s := range []Strategy{RoundRobin, Blocks, CostLPT} {
-		if _, err := Simulate(c, Options{Engine: Compiled, Horizon: 50, Workers: 2, Strategy: s}); err != nil {
+		res, err := Simulate(c, Options{Engine: Compiled, Horizon: 50, Workers: 2, Strategy: s})
+		if err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if res.Stats.Evals != ref.Stats.Evals || res.Stats.NodeUpdates != ref.Stats.NodeUpdates {
+			t.Errorf("strategy %v: evals %d updates %d, want %d and %d", s,
+				res.Stats.Evals, res.Stats.NodeUpdates, ref.Stats.Evals, ref.Stats.NodeUpdates)
+		}
+		for n := range res.Final {
+			if !res.Final[n].Equal(ref.Final[n]) {
+				t.Fatalf("strategy %v: node %d final %v, want %v", s, n, res.Final[n], ref.Final[n])
+			}
 		}
 	}
 }
