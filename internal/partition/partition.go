@@ -1,8 +1,11 @@
-// Package partition statically assigns circuit elements to processors for
-// the compiled-mode simulator. The paper notes that compiled-mode
-// load-balancing is easy when elements are similar (gate level) and hard
-// when evaluation costs differ wildly (functional level); the strategies
-// here let the benchmarks quantify that.
+// Package partition statically assigns circuit elements to processors:
+// the owner blocks of the event-driven and asynchronous engines
+// (CostBlocks), and the strategies the distributed and Time Warp engines
+// and the compiled-mode model (machine.Compiled) split by. The paper
+// notes that compiled-mode load-balancing is easy when elements are
+// similar (gate level) and hard when evaluation costs differ wildly
+// (functional level); the strategies here let the model-mode benchmarks
+// quantify that.
 package partition
 
 import (
