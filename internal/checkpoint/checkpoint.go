@@ -201,8 +201,8 @@ type Snapshot struct {
 
 	Workers []stats.WorkerCounters // cumulative per-worker counters
 
-	// Values and ElemState are the scalar section sequential and compiled
-	// share; the rest of this block is sequential's own.
+	// Sequential's sections: Values and ElemState are the scalar section
+	// (node values and element state), the rest its event queue.
 	Values    []RawValue
 	Projected []RawValue
 	ElemState [][]RawValue

@@ -206,7 +206,7 @@ func (s *Session) Finish(err error, stopped bool) error {
 	return cmp.Or(err, s.err, cerr)
 }
 
-// PackScalar fills the scalar section sequential and compiled share: node
+// PackScalar fills the scalar section of a sequential snapshot: node
 // values and per-element state.
 func (snap *Snapshot) PackScalar(vals []logic.Value, state [][]logic.Value) {
 	snap.Values = PackValues(vals)
