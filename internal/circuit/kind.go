@@ -182,6 +182,20 @@ func TriggerPorts(k Kind) []int {
 	return nil
 }
 
+// TriggerActs reports whether an event to v on one of TriggerPorts(k) can
+// change the element's outputs. A flip-flop's clock acts only at a rising
+// edge and a dffr's reset only while high, so an event to L on either
+// changes nothing: a falling clock edge bounds no lookahead. Every other
+// value, X and Z included, is taken to act, and so is every event on
+// another kind's trigger ports.
+func TriggerActs(k Kind, v logic.Value) bool {
+	switch k {
+	case KindDFF, KindDFFR:
+		return v.State() != logic.L
+	}
+	return true
+}
+
 var (
 	dffTrig  = [...]int{0}    // clk
 	dffrTrig = [...]int{0, 1} // clk, rst

@@ -83,6 +83,52 @@ func TestTriggerPorts(t *testing.T) {
 	}
 }
 
+func TestTriggerActs(t *testing.T) {
+	// An event TriggerActs passes over must leave a flip-flop's output
+	// where it was, from every reachable state: a held clock equals the
+	// previous clock the state remembers, and while reset is held high the
+	// stored value is already Init. Every other kind's events all act.
+	vals := []logic.Value{logic.V(1, 0), logic.V(1, 1), logic.AllX(1), logic.AllZ(1)}
+	init := logic.V(1, 1)
+	for _, k := range []Kind{KindDFF, KindDFFR} {
+		el := &Element{Kind: k, Params: Params{Init: init}}
+		n := len(TriggerPorts(k)) + 1 // the trigger ports, then d
+		for _, port := range TriggerPorts(k) {
+			for _, v := range vals {
+				if TriggerActs(k, v) != (v.State() != logic.L) {
+					t.Errorf("%s: TriggerActs(%v) = %v", KindName(k), v, TriggerActs(k, v))
+				}
+				if TriggerActs(k, v) {
+					continue
+				}
+				for combo := range 1 << (2 * (n + 2)) { // every held input, the old clock and q
+					in := make([]logic.Value, n)
+					for i := range in {
+						in[i] = vals[combo>>(2*i)&3]
+					}
+					prevClk, q := vals[combo>>(2*n)&3], vals[combo>>(2*n+2)&3]
+					if port != 0 {
+						prevClk = in[0] // the clock is held
+					}
+					if k == KindDFFR && port != 1 && in[1].State() == logic.H {
+						q = init // reset held high
+					}
+					in[port] = v
+					state, out := []logic.Value{prevClk, q}, make([]logic.Value, 1)
+					el.Eval(in, state, out)
+					if !out[0].Equal(q) {
+						t.Fatalf("%s: an event to %v on port %d moved the output %v -> %v (inputs %v, old clock %v)",
+							KindName(k), v, port, q, out[0], in, prevClk)
+					}
+				}
+			}
+		}
+	}
+	if !TriggerActs(KindRam, logic.V(1, 0)) {
+		t.Error("a RAM's trigger events are all taken to act")
+	}
+}
+
 func TestControllingValue(t *testing.T) {
 	cases := map[Kind]logic.State{
 		KindAnd: logic.L, KindNand: logic.L,

@@ -45,12 +45,13 @@ func (w *worker) checkOwner(what string, e circuit.ElemID) {
 // handed out.
 const poisonTime = circuit.Time(math.MinInt64)
 
-// poison fills a block about to be carved with poisonTime, so that
+// poison fills event slots a run is about to write — a block about to be
+// carved, or a run state's first chunks — with poisonTime, so that
 // checkWritten catches a read of a slot this run never wrote: a stale event
-// of the run that used a recycled block before, or a fresh block's zeros.
-func poison(b *block) {
-	for i := range b {
-		b[i].t = poisonTime
+// of a run that used the slots before, or a fresh block's zeros.
+func poison(evs []event) {
+	for i := range evs {
+		evs[i].t = poisonTime
 	}
 }
 

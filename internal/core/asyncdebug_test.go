@@ -30,7 +30,7 @@ func TestInvariantChecksFire(t *testing.T) {
 	checkBelow("consumed event time", 4, 5)
 	mustPanic(t, "consumed event time 5 at or past the loaded bound 5", func() { checkBelow("consumed event time", 5, 5) })
 	b := new(block)
-	poison(b)
+	poison(b[:])
 	b[1].t = 7
 	checkWritten(b[1].t)
 	mustPanic(t, "a cursor read an event slot no writer filled this run", func() { checkWritten(b[0].t) })

@@ -20,24 +20,42 @@
 //
 // # History storage
 //
-// A history is a forward-linked list of chunks with headers of their own;
-// slots are carved from the writing worker's pointer-free block of blockSz
-// events, each chunk as long as the history before it, 4 to chunkSz slots.
-// An event is 24 bytes: its time and its value's two bit planes in the
-// encoding of logic.Value.Planes, the width being the node's; appendEvent
-// encodes once and a cursor decodes once per consumed event. Only the
-// writer's tail and the cursors point at headers, so a chunk every cursor
-// has passed is unreachable, and a block, holding nothing but its own bytes,
-// is freed once no live chunk points into it: the paper's asynchronous
-// garbage collection of consumed events is the Go collector's, during the
-// run too, because a worker holds the blocks it carved only through weak
-// pointers. When the run is over (every worker has exited, and the report
-// has read the histories) the blocks still alive go to a package-level
-// sync.Pool, whose blocks the next run carves before it makes new ones; the
-// collector empties the pool, so only a process that runs this engine again
-// soon after reuses them. A reused block is not cleared: a cursor reads a
-// slot only below a published count, so only slots written this run. A
-// node's first header starts empty, for the cursors to start from.
+// A history is a forward-linked list of chunks with headers of their own.
+// A node's first chunk, firstSz slots, lives in the run state (below); the
+// slots of every later chunk are carved from the writing worker's
+// pointer-free block of blockSz events, each chunk as long as the history
+// before it, up to chunkSz slots. An event is 24 bytes: its time and its
+// value's two bit planes in the encoding of logic.Value.Planes, the width
+// being the node's; appendEvent encodes once and a cursor decodes once per
+// consumed event. Only the writer's tail, the cursors and the first chunk
+// point at later headers, and the first chunk only until its last reader
+// leaves it: it counts the cursors still in it, and the one that leaves
+// last unlinks it from the rest (one nobody reads never links), the paper's
+// "the storage for the events on node 1 can be freed" once every fan-out
+// element has consumed them. So a chunk every cursor has passed is
+// unreachable, and a block, holding nothing but its own bytes, is freed
+// once no live chunk points into it: the paper's asynchronous garbage
+// collection of consumed events is the Go collector's, during the run too,
+// because a worker holds the blocks it carved only through weak pointers.
+//
+// Run states. Everything a run writes — the history, first-chunk, cursor,
+// element-state and control slabs, the placement (owners, ranks, trigger
+// masks), the workers with their ready sets and queues — depends on the
+// circuit only through its wiring, node widths and element costs, and on
+// the configuration only through the worker count and NoLookahead. It is
+// built once per such key (stateKey) and kept between runs in idle.Runs,
+// the cache that also holds the plane core's machines: a run checks a state
+// out exclusively, or builds one on a miss, and a run that completed hands
+// it back once the report has copied its finals, with the blocks its
+// workers carved that are still alive on their free lists, to be carved by
+// the next run before it makes new ones. A cancelled, stalled or panicked
+// run may leave ids queued, so its state is dropped. Going idle resets the
+// histories to X at their first chunks, the cursors to the first chunks,
+// need to 1 and the queued flags; a run's start initialises the element
+// state, zeroes the counters and writes the generator waveforms again, all
+// from the run's own circuit, which also gives every delay and parameter
+// the run reads. A reused slot is not cleared: a cursor reads a slot only
+// below a published count, so only slots written this run.
 //
 // Publishing. A writer stores count once per output per activation, before
 // the validTo store that makes the new events consumable or, when the
@@ -81,9 +99,19 @@
 // anything. That is minValid+1, one past the minimum it just read — or,
 // for a clocked element whose lookahead stopped at a pending trigger event
 // at T > minValid, T+1, because until that event can be consumed the events
-// on the other inputs cannot reach the outputs. A producer that advances
-// node n from old to new stores validTo and then loads need, and activates
-// a fan-out element only if old < need <= new. Inputs on trigger ports
+// on the other inputs cannot reach the outputs. Only a trigger event that
+// can change the outputs stops the lookahead (circuit.TriggerActs): a
+// flip-flop's falling clock edge, or its reset going low, is passed over,
+// so a register's output valid-time crosses a whole clock period in one
+// wave instead of stopping at each of its two edges. A producer that
+// advances node n from old to new stores validTo and then loads need, and
+// activates a fan-out element only if old < need <= new and every input of
+// the element has reached need: the advance that brings the last input to
+// need wakes the element, not each one. An element whose need is 1 (it
+// has never run, or ran at valid-time 0) is woken by the crossing alone:
+// its first activation advances its outputs to its delay even at minimum
+// valid-time 0, and a combinational loop whose nodes all start at 0 gets
+// moving only through such first activations. Inputs on trigger ports
 // (their valid-time alone can extend the lookahead), events published
 // without a valid-time advance (the Chandy-Misra discipline), and
 // GateLookahead runs (where a controlling input acts like a trigger) take
@@ -98,13 +126,18 @@
 // last in the single order of Go's sequentially consistent atomics. If it
 // precedes the re-check's first load, the re-check sees every input at
 // need and queues the element again. If not, it follows A's need store, so
-// its producer then loads A's need, which passes old < need <= new (or a
-// later need, from a later activation), or the port is a trigger port: the
-// push either queues the element or, dropped as a duplicate, finds an
-// activation still to run. Either way A was not the last. Events need no
-// re-check: one published with a valid-time advance lies at or past the
-// old valid-time, at least the minimum A read, so by the definition of need
-// it gives the element nothing to do before every input has passed need;
+// its producer then loads A's need (or a later need, from a later
+// activation), which passes old < need <= new, and then loads every input's
+// valid-time: each input reached need by this store or by an earlier one,
+// so all pass — or need is 1, or the port is a trigger port, and the test
+// is skipped. The push either queues the element or, dropped as a
+// duplicate, finds an activation still to run. Either way A was not the
+// last. Events need no re-check: one published with a valid-time advance
+// lies at or past the old valid-time, at least the minimum A read, so by
+// the definition of need it gives the element nothing to do before every
+// input has passed need — a lookahead that passed over a falling edge at t
+// < T loses nothing, because consuming it cannot change the outputs, so
+// nothing can happen before T is consumed at minimum valid-time T+1 — and
 // one published without an advance is pushed unconditionally. At
 // quiescence every element therefore has min(validTo over inputs) < need,
 // no event below that minimum and a clear queued flag, which the tests
@@ -119,17 +152,20 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 	"weak"
 
 	"parsim/internal/analyze"
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/guard"
+	"parsim/internal/idle"
 	"parsim/internal/logic"
 	"parsim/internal/partition"
 	"parsim/internal/spsc"
@@ -165,6 +201,7 @@ func (e eng) Name() string { return e.name }
 // History storage sizes (see the package comment), and the activations
 // between a worker's watchdog heartbeats; it also beats when it runs dry.
 const (
+	firstSz   = 4
 	chunkSz   = 64
 	blockSz   = 1024
 	noEvent   = math.MaxInt64 // a cursor's next-event time when none is published
@@ -198,18 +235,15 @@ type event struct {
 // block is the unit of event storage: a worker carves chunks from one.
 type block [blockSz]event
 
-// freeBlocks holds the blocks finished runs handed back (see recycle) for
-// the next run's workers to carve, uncleared (see the package comment),
-// before they make new ones. The collector empties it, so a block a run
-// handed back outlives the run by at most two collections.
-var freeBlocks sync.Pool
-
 // hchunk is one chunk of a node's history, written before the count store
 // that publishes its first event and read only below a count loaded after it.
 type hchunk struct {
 	base  int64 // history index of slots[0]
 	slots []event
 	next  *hchunk
+	// readers counts, in a node's first chunk, the cursors that have not
+	// left it yet; the last to leave unlinks next (see cursor.peek).
+	readers atomic.Int32
 }
 
 // history is one node's behaviour over time. The writer side (n, tail, last,
@@ -242,12 +276,15 @@ type elemCtl struct {
 	queued bool         // in the owner's ready set; the owner's alone, plain memory
 }
 
+// sim is one run state: everything a run writes, built once per key and
+// kept between runs in idle.Runs (see the package comment).
 type sim struct {
-	c   *circuit.Circuit
+	c   *circuit.Circuit // the run's; nil while idle
 	cfg engine.Config
 	eng eng
 
 	hist    []history
+	heads   []hchunk   // every node's first chunk, firstSz slots of one slab
 	cursors [][]cursor // [elem][port]
 	state   [][]logic.Value
 	ctl     []elemCtl
@@ -257,6 +294,8 @@ type sim struct {
 	queues  [][]*spsc.Queue[circuit.ElemID] // [target][source]; no diagonal
 
 	chaos *guard.ChaosProbe // captured once; nil on production runs
+
+	bytes int // what the state pins while idle, its free blocks aside
 }
 
 // Run simulates the circuit with cfg.Workers lock-free workers. The guard
@@ -265,7 +304,12 @@ type sim struct {
 // stall. A cancelled run stops at every worker's next queue poll (or within
 // 64 merged time points of an activation) and returns the partial Report.
 func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*engine.Report, error) {
-	s := newSim(c, cfg, e)
+	key := stateKey(c, cfg)
+	s, ok := idle.Checkout[*sim](idle.Runs, key)
+	if !ok {
+		s = build(c, cfg)
+	}
+	s.start(c, cfg, e)
 
 	start := time.Now()
 	rounds := int64(0)
@@ -299,55 +343,81 @@ func (e eng) Run(ctx context.Context, c *circuit.Circuit, cfg engine.Config) (*e
 	err := engine.StallReport(ctx, e.name, c, cfg.Horizon, func(n circuit.NodeID) (int64, bool) {
 		return s.hist[n].validTo.Load(), true
 	})
-	// Every worker has exited and nothing reads a history any more.
-	for _, w := range s.workers {
-		w.recycle()
+	// Every worker has exited and nothing reads a history any more. Only a
+	// run that completed hands its state back: it ended quiescent, with no
+	// id in a ready set or queue. A cancelled, stalled or panicked run (a
+	// panic trips the guard, which cancels ctx) may not have, and is
+	// dropped.
+	if err == nil && ctx.Err() == nil {
+		s.park()
+		idle.Runs.Checkin(key, s, s.pinned())
 	}
 	return rep, err
 }
 
-// newSim builds the run state — histories, cursors and element state out of
-// one slab each, and every node's empty first chunk header — materialises the
-// generators and queues their fan-out.
-func newSim(c *circuit.Circuit, cfg engine.Config, e eng) *sim {
+// builds counts the run states built (cache misses). Test hook: one build
+// per key is pinned against it.
+var builds atomic.Int64
+
+// stateKey digests everything build reads from c and cfg: the wiring
+// (StructureDigest), every node's width, every element's cost (the
+// owners), the worker count and NoLookahead (the trigger masks). Two runs
+// with one key can share a run state; what else a run reads of its
+// circuit (delays, parameters, waveforms) start and process read from the
+// run's own.
+func stateKey(c *circuit.Circuit, cfg engine.Config) idle.Key {
+	structure := c.StructureDigest()
+	b := append(make([]byte, 0, len(structure)+16+len(c.Nodes)+2*len(c.Elems)), structure[:]...)
+	b = binary.AppendVarint(b, int64(cfg.Workers))
+	lookahead := byte(1)
+	if cfg.NoLookahead {
+		lookahead = 0
+	}
+	// The structure digest fixes the node and element counts, so the
+	// varints that follow read back one way only.
+	b = append(b, lookahead)
+	for i := range c.Nodes {
+		b = binary.AppendVarint(b, int64(c.Nodes[i].Width))
+	}
+	for i := range c.Elems {
+		b = binary.AppendVarint(b, c.Elems[i].Cost)
+	}
+	return sha256.Sum256(b)
+}
+
+// build allocates a run state for every circuit with c's key under cfg —
+// histories, first chunks, cursors, element state and control out of one
+// slab each, the placement, and the workers with their ready sets and
+// queues — at t=0 but for what start reads from the run's own circuit.
+func build(c *circuit.Circuit, cfg engine.Config) *sim {
+	builds.Add(1)
 	p := cfg.Workers
 	s := &sim{
-		c:       c,
-		cfg:     cfg,
-		eng:     e,
 		hist:    make([]history, len(c.Nodes)),
+		heads:   make([]hchunk, len(c.Nodes)),
 		cursors: make([][]cursor, len(c.Elems)),
 		state:   make([][]logic.Value, len(c.Elems)),
 		ctl:     make([]elemCtl, len(c.Elems)),
 		workers: make([]*worker, p),
 		queues:  make([][]*spsc.Queue[circuit.ElemID], p),
-		chaos:   cfg.Guard().Chaos(),
 	}
-	for i := range c.Nodes {
-		x := encode(logic.AllX(c.Nodes[i].Width))
-		s.hist[i] = history{tail: new(hchunk), last: x, final: x}
+	first := make([]event, firstSz*len(c.Nodes))
+	for i := range s.heads {
+		s.heads[i].slots = first[firstSz*i : firstSz*(i+1) : firstSz*(i+1)]
 	}
 	var nIn, nState int
 	for i := range c.Elems {
 		nIn += len(c.Elems[i].In)
 		nState += c.Elems[i].NumStateVals()
 	}
-	cursors := make([]cursor, nIn)
-	state := make([]logic.Value, nState)
+	cursors, state := make([]cursor, nIn), make([]logic.Value, nState)
 	for i := range c.Elems {
 		el := &c.Elems[i]
-		if n := el.NumStateVals(); n > 0 {
-			s.state[i], state = state[:n:n], state[n:]
-			el.InitState(s.state[i])
-		}
-		cs := cursors[:len(el.In):len(el.In)]
-		cursors = cursors[len(el.In):]
-		for port, n := range el.In {
-			cs[port] = cursor{chunk: s.hist[n].tail, val: logic.AllX(c.Nodes[n].Width)}
-		}
-		s.cursors[i] = cs
+		n := el.NumStateVals()
+		s.state[i], state = state[:n:n], state[n:]
+		s.cursors[i], cursors = cursors[:len(el.In):len(el.In)], cursors[len(el.In):]
 	}
-	s.place()
+	s.place(c, cfg)
 	for w := range s.workers {
 		s.workers[w] = newWorker(s, w)
 		s.queues[w] = make([]*spsc.Queue[circuit.ElemID], p)
@@ -359,10 +429,53 @@ func newSim(c *circuit.Circuit, cfg engine.Config, e eng) *sim {
 			}
 		}
 	}
+	s.reset(c)
+	s.bytes = idle.Size(s)
+	return s
+}
 
-	// Initialisation per the paper: "evaluate all generator and constant
-	// nodes for all time", then stimulate their fan-outs. This runs before
-	// any worker starts, so the owners' ready sets can be filled directly.
+// reset restores what t=0 takes from c's key alone: X histories at their
+// first chunks, cursors at the first chunks, need 1 and nothing queued.
+func (s *sim) reset(c *circuit.Circuit) {
+	for i := range s.hist {
+		x := encode(logic.AllX(c.Nodes[i].Width))
+		s.heads[i].next = nil
+		s.heads[i].readers.Store(int32(len(c.Nodes[i].Fanout)))
+		poison(s.heads[i].slots)
+		h := &s.hist[i]
+		h.count.Store(0)
+		h.validTo.Store(0)
+		h.n, h.tail, h.last, h.final = 0, &s.heads[i], x, x
+	}
+	for i := range c.Elems {
+		for port, n := range c.Elems[i].In {
+			s.cursors[i][port] = cursor{chunk: &s.heads[n], val: logic.AllX(c.Nodes[n].Width)}
+		}
+		// A never-evaluated element has seen no input behaviour at all, so
+		// the first advance of any input (from valid-time 0) must wake it.
+		s.ctl[i].need.Store(1)
+		s.ctl[i].queued = false
+	}
+}
+
+// start readies a reset state for a run of c under cfg: element state
+// initialised and counters zeroed, and per the paper, "evaluate all
+// generator and constant nodes for all time", then stimulate their
+// fan-outs. This runs before any worker starts, so the owners' ready sets
+// can be filled directly.
+func (s *sim) start(c *circuit.Circuit, cfg engine.Config, e eng) {
+	s.c, s.cfg, s.eng, s.chaos = c, cfg, e, cfg.Guard().Chaos()
+	for i := range c.Elems {
+		if st := s.state[i]; len(st) > 0 {
+			clear(st)
+			c.Elems[i].InitState(st)
+		}
+	}
+	for _, w := range s.workers {
+		w.wc, w.popped = stats.WorkerCounters{}, 0
+		w.created.Store(0)
+		w.settled.Store(0)
+	}
 	for _, g := range c.Generators() {
 		el := &c.Elems[g]
 		n := el.Out[0]
@@ -377,15 +490,34 @@ func newSim(c *circuit.Circuit, cfg engine.Config, e eng) *sim {
 			s.enqueue(pr.Elem)
 		}
 	}
-	return s
+}
+
+// park readies the state of a completed run to go idle: every worker's
+// blocks still alive go to its free list, and the state is reset and lets
+// go of the run's circuit and configuration.
+func (s *sim) park() {
+	for _, w := range s.workers {
+		w.recycle()
+	}
+	s.reset(s.c)
+	s.c, s.cfg, s.chaos = nil, engine.Config{}, nil
+}
+
+// pinned is the bytes an idle state pins: what build counted, and its free
+// blocks.
+func (s *sim) pinned() int {
+	bytes := s.bytes
+	for _, w := range s.workers {
+		bytes += len(w.free) * int(unsafe.Sizeof(block{}))
+	}
+	return bytes
 }
 
 // place fixes every element's owner (partition.CostBlocks, shared with the
-// event-driven engine), ready-set rank, trigger mask and wake-up threshold.
-func (s *sim) place() {
-	c := s.c
+// event-driven engine), ready-set rank and trigger mask.
+func (s *sim) place(c *circuit.Circuit, cfg engine.Config) {
 	levels := analyze.LevelSchedule(c)
-	owners := partition.CostBlocks(c, s.cfg.Workers)
+	owners := partition.CostBlocks(c, cfg.Workers)
 	cycles := int32(0) // the bucket after the deepest level
 	for i := range c.Elems {
 		cycles = max(cycles, int32(levels[i])+1)
@@ -398,14 +530,11 @@ func (s *sim) place() {
 		if ctl.rank < 0 {
 			ctl.rank = cycles
 		}
-		// A never-evaluated element has seen no input behaviour at all, so
-		// the first advance of any input (from valid-time 0) must wake it.
-		ctl.need.Store(1)
 		if el.IsGenerator() {
 			continue
 		}
 		ctl.owner = owners[i]
-		if !s.cfg.NoLookahead {
+		if !cfg.NoLookahead {
 			for _, port := range circuit.TriggerPorts(el.Kind) {
 				ctl.trig |= 1 << port
 			}
@@ -491,6 +620,7 @@ type worker struct {
 	block    []event                       // the free rest of this worker's current event block
 	carved   *hchunk                       // the chunk whose slots were carved from block last
 	blocks   []weak.Pointer[block]         // every block this worker carved this run
+	free     []*block                      // blocks past runs left, to carve before new ones
 	inBuf    []logic.Value
 	outBuf   []logic.Value
 	countBuf []int64
@@ -605,11 +735,12 @@ func (w *worker) appendEvent(n circuit.NodeID, t circuit.Time, v logic.Value) {
 	c := h.tail
 	off := h.n - c.base
 	if off == int64(len(c.slots)) {
-		size := int(min(max(h.n, 4), chunkSz))
-		if off > 0 {
-			nc := &hchunk{base: h.n}
-			c.next, h.tail, c, off = nc, nc, nc, 0
+		size := int(min(h.n, chunkSz))
+		nc := &hchunk{base: h.n}
+		if c.base > 0 || c.readers.Load() > 0 { // a first chunk nobody reads links to nothing
+			c.next = nc
 		}
+		h.tail, c, off = nc, nc, 0
 		if len(w.block) < size {
 			w.newBlock()
 		}
@@ -628,24 +759,27 @@ func (w *worker) appendEvent(n circuit.NodeID, t circuit.Time, v logic.Value) {
 // cursor has passed the chunks carved from it the collector frees it during
 // the run.
 func (w *worker) newBlock() {
-	b, _ := freeBlocks.Get().(*block)
-	if b == nil {
+	var b *block
+	if n := len(w.free); n > 0 {
+		b, w.free[n-1], w.free = w.free[n-1], nil, w.free[:n-1]
+	} else {
 		b = new(block)
 	}
-	poison(b)
+	poison(b[:])
 	w.blocks = append(w.blocks, weak.Make(b))
 	w.block = b[:]
 }
 
-// recycle hands the blocks this worker carved that are still alive to the
+// recycle moves the blocks this worker carved that are still alive to its
 // free list, once the run is over.
 func (w *worker) recycle() {
 	for _, r := range w.blocks {
 		if b := r.Value(); b != nil {
-			freeBlocks.Put(b)
+			w.free = append(w.free, b)
 		}
 	}
-	w.blocks, w.block, w.carved = nil, nil, nil
+	clear(w.blocks)
+	w.blocks, w.block, w.carved = w.blocks[:0], nil, nil
 }
 
 // release hands the unused end of a complete history's tail chunk, if it
@@ -664,7 +798,14 @@ func (cu *cursor) peek(count int64) (event, bool) {
 		return event{}, false
 	}
 	for cu.pos >= cu.chunk.base+int64(len(cu.chunk.slots)) {
-		cu.chunk = cu.chunk.next
+		c := cu.chunk
+		cu.chunk = c.next
+		// A node's first chunk lives in the run state, so once no cursor
+		// needs its link the link goes: the chunks after it are then held
+		// by the cursors and the writer alone.
+		if c.base == 0 && c.readers.Add(-1) == 0 {
+			c.next = nil
+		}
 	}
 	return cu.chunk.slots[cu.pos-cu.chunk.base], true
 }
@@ -673,6 +814,22 @@ func (cu *cursor) peek(count int64) (event, bool) {
 func (cu *cursor) nextTime(count int64) int64 {
 	if ev, ok := cu.peek(count); ok {
 		return int64(ev.t)
+	}
+	return noEvent
+}
+
+// nextActing is the time of the first unconsumed event below count that
+// can change the outputs of a k element through a trigger port
+// (circuit.TriggerActs), or noEvent; it consumes nothing.
+func (cu *cursor) nextActing(count int64, k circuit.Kind) int64 {
+	c := cu.chunk
+	for pos := cu.pos; pos < count; pos++ {
+		for pos >= c.base+int64(len(c.slots)) {
+			c = c.next
+		}
+		if ev := &c.slots[pos-c.base]; circuit.TriggerActs(k, ev.value(cu.val.Width())) {
+			return int64(ev.t)
+		}
 	}
 	return noEvent
 }
@@ -808,18 +965,25 @@ func (w *worker) process(e circuit.ElemID) {
 	}
 
 	// Lookahead for clocked elements: the output cannot change until the
-	// next event on a trigger input (e.g. the next clock event for a DFF),
-	// so the output's validity extends to that point even while the data
-	// inputs lag. Every event below minValid was consumed above, so a
-	// pending trigger event — or, when none is queued, the trigger node's
-	// valid-time — bounds the first possible output change, and a pending
-	// event also sets need (see the package comment).
+	// next trigger event that can change it (a DFF's next clock event that
+	// is not a falling edge), so the output's validity extends to that
+	// point even while the data inputs lag. Every event below minValid was
+	// consumed above, so a pending acting trigger event — or, when none is
+	// published, the trigger node's valid-time — bounds the first possible
+	// output change, and a pending event also sets need (see the package
+	// comment).
 	need := minValid + 1
 	if trig := circuit.TriggerPorts(el.Kind); trig != nil && !s.cfg.NoLookahead {
 		bound, pending := horizon, false // pending: bound is an event, not a valid-time
 		for _, port := range trig {
-			if tb := changeBound(next[port], vts[port]); tb < bound {
-				bound, pending = tb, next[port] != noEvent
+			tb, ev := vts[port], false
+			if next[port] != noEvent {
+				if t := cs[port].nextActing(counts[port], el.Kind); t != noEvent {
+					tb, ev = t, true
+				}
+			}
+			if tb < bound {
+				bound, pending = tb, ev
 			}
 		}
 		if bound > effValid {
@@ -830,11 +994,7 @@ func (w *worker) process(e circuit.ElemID) {
 		}
 	}
 	s.ctl[e].need.Store(need)
-	recheck := need <= horizon // the settle re-check; see the package comment
-	for i := 0; recheck && i < len(el.In); i++ {
-		recheck = s.hist[el.In[i]].validTo.Load() >= need
-	}
-	if recheck {
+	if need <= horizon && s.reached(el, need) { // the settle re-check; see the package comment
 		w.queue(e)
 	}
 
@@ -869,7 +1029,9 @@ func (w *worker) process(e circuit.ElemID) {
 // wake stimulates the fan-out of node n after its valid-time advanced from
 // old to newValid: every element for which that is new usable behaviour.
 // An element fed through a non-trigger port is skipped unless the advance
-// crossed the threshold it published.
+// crossed the threshold it published and every other input has reached it
+// too; one that has never run past valid-time 0 (need <= 1) is woken by
+// the crossing alone.
 func (w *worker) wake(n circuit.NodeID, old, newValid int64) {
 	s := w.s
 	// Under GateLookahead a controlling input acts like a trigger on any
@@ -878,12 +1040,23 @@ func (w *worker) wake(n circuit.NodeID, old, newValid int64) {
 	for _, pr := range s.c.Nodes[n].Fanout {
 		ctl := &s.ctl[pr.Elem]
 		if threshold && ctl.trig>>uint(pr.Port)&1 == 0 {
-			if need := ctl.need.Load(); need <= old || need > newValid {
+			need := ctl.need.Load()
+			if need <= old || need > newValid || need > 1 && !s.reached(&s.c.Elems[pr.Elem], need) {
 				continue
 			}
 		}
 		w.activate(pr.Elem)
 	}
+}
+
+// reached reports whether every input of el is valid to need.
+func (s *sim) reached(el *circuit.Element, need int64) bool {
+	for _, n := range el.In {
+		if s.hist[n].validTo.Load() < need {
+			return false
+		}
+	}
+	return true
 }
 
 // recoverDeadlock is the Chandy-Misra "update the clock-values and restart"

@@ -9,5 +9,5 @@ import "parsim/internal/circuit"
 func (h *history) setValid(v int64)                        { h.validTo.Store(v) }
 func checkBelow(what string, v, bound int64)               {}
 func (w *worker) checkOwner(what string, e circuit.ElemID) {}
-func poison(b *block)                                      {}
+func poison(evs []event)                                   {}
 func checkWritten(t circuit.Time)                          {}

@@ -14,6 +14,18 @@ func peek(r *replica, cu *cursor) (event, bool) {
 	return r.events[idx], true
 }
 
+// nextActing returns the time of the first unconsumed event in r that can
+// change the outputs of a k element through a trigger port
+// (circuit.TriggerActs).
+func nextActing(r *replica, cu *cursor, k circuit.Kind) (circuit.Time, bool) {
+	for _, ev := range r.events[cu.pos-r.base:] {
+		if circuit.TriggerActs(k, ev.v) {
+			return ev.t, true
+		}
+	}
+	return 0, false
+}
+
 // evalElement is the distributed counterpart of core's evaluation: consume
 // every input event below min-valid in merged time order, append output
 // changes to the owned replicas, then ship fresh behaviour to remote
@@ -99,17 +111,15 @@ func (w *worker) evalElement(e circuit.ElemID) {
 	}
 
 	// Clocked-element lookahead, as in core: the output cannot change
-	// before the next trigger-input event.
+	// before the next trigger-input event that can change it.
 	effValid := minValid
 	if trig := circuit.TriggerPorts(el.Kind); trig != nil {
 		bound := int64(w.cfg.Horizon)
 		for _, port := range trig {
-			n := el.In[port]
-			var tb int64
-			if ev, ok := peek(w.replicas[n], &cs[port]); ok {
-				tb = int64(ev.t)
-			} else {
-				tb = int64(w.replicas[n].validTo)
+			r := w.replicas[el.In[port]]
+			tb := int64(r.validTo)
+			if t, ok := nextActing(r, &cs[port], el.Kind); ok {
+				tb = int64(t)
 			}
 			if tb < bound {
 				bound = tb

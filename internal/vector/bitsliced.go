@@ -263,7 +263,8 @@ func compileRam(el *circuit.Element, ins []span, out, w, words int) (func(cur, n
 	// state: previous clock plane + entries x w memory planes, each lane
 	// initialised from Params.Mem then all-X — Element.InitState per lane.
 	prevClk := wideRow(1, words, logic.X)[0]
-	mem := newPlaneBuf(entries*w, words).planes
+	state := append([]logic.WidePlane{prevClk}, newPlaneBuf(entries*w, words).planes...)
+	mem := state[1:] // the closure shares state's plane headers, not a copy of its own
 	for e := 0; e < entries; e++ {
 		var init logic.Value
 		if e < len(el.Params.Mem) {
@@ -273,8 +274,6 @@ func compileRam(el *circuit.Element, ins []span, out, w, words int) (func(cur, n
 		}
 		logic.BroadcastValueWide(mem[e*w:(e+1)*w], init)
 	}
-
-	state := append([]logic.WidePlane{prevClk}, mem...)
 
 	dec := newAddrDecode(addr, aw, uint64(entries))
 	resV := make([]uint64, w)

@@ -4,24 +4,24 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
+	"reflect"
 	"slices"
-	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"parsim/internal/circuit"
+	"parsim/internal/idle"
 	"parsim/internal/logic"
 )
 
 // A machine is a lowered program together with everything a run of it
 // writes: the two buffer sides, the producer mark bitmaps and the kernel
 // state the program's kernels own. Lowering is the largest cost of a run
-// outside its step loop, so machines outlive runs: a process-wide cache
-// keeps idle ones under a digest of everything lowering reads, a run checks
-// one out exclusively (or lowers one on a miss), and hands it back once the
-// report holds copies of the final planes. The paper's compiled mode is
-// "compile once, then step"; the cache makes that once per circuit, not
-// once per run.
+// outside its step loop, so machines outlive runs: the process-wide
+// idle.Runs cache keeps idle ones under a digest of everything lowering
+// reads, a run checks one out exclusively (or lowers one on a miss), and
+// hands it back once the report holds copies of the final planes. The
+// paper's compiled mode is "compile once, then step"; the cache makes that
+// once per circuit, not once per run.
 //
 // Checking a machine out restores its t=0 state: every kernel state row
 // and per-lane state copied back from the values lowering left (init), and
@@ -29,7 +29,6 @@ import (
 // clears the marks. The package comment proves that nothing else a run
 // writes survives into the next.
 type machine struct {
-	key   [sha256.Size]byte
 	prog  *program
 	kerns []*kernel // prog.kernels(), the walk the state is restored in
 	buf   [2]planeBuf
@@ -42,8 +41,8 @@ type machine struct {
 	// per-lane scalar state (nil where it has none).
 	init      []uint64
 	initLanes [][][]logic.Value
-	// bytes is what the machine pins in slabs: both buffer sides, the mark
-	// bitmaps and the kernel state with its saved copy.
+	// bytes is what the machine pins while idle (idle.Size): the program
+	// and everything above, not the circuit its kernels point into.
 	bytes int
 }
 
@@ -53,10 +52,10 @@ var lowerings atomic.Int64
 
 // lower compiles c for p workers at the given lane count and stride into a
 // fresh machine.
-func lower(key [sha256.Size]byte, c *circuit.Circuit, p, lanes int, stride int64) *machine {
+func lower(c *circuit.Circuit, p, lanes int, stride int64) *machine {
 	lowerings.Add(1)
 	m := newMachine(compileProgram(c, p, lanes, stride), p, logic.PlaneWords(lanes))
-	m.key = key
+	m.bytes = idle.Size(m, reflect.TypeFor[circuit.Circuit](), reflect.TypeFor[circuit.Element]())
 	return m
 }
 
@@ -88,8 +87,6 @@ func newMachine(prog *program, p, words int) *machine {
 			m.initLanes[i] = append(m.initLanes[i], slices.Clone(lane))
 		}
 	}
-	m.bytes = 8*(4*len(m.buf[0].v)+len(m.markBack)+2*len(m.init)) +
-		2*len(m.buf[0].planes)*int(unsafe.Sizeof(logic.WidePlane{}))
 	return m
 }
 
@@ -113,66 +110,13 @@ func (m *machine) reset() {
 	}
 }
 
-// machineBudget bounds the bytes the idle machines pin. A machine larger
-// than the whole budget is never kept, so a very large circuit costs its
-// lowering on every run rather than memory between runs.
-const machineBudget = 64 << 20
-
-// machineCache holds the idle machines, oldest first, at most one per
-// key. Machines are held strongly: the benchmark harness and a busy daemon
-// collect garbage between runs, which would empty a sync.Pool every time.
-type machineCache struct {
-	mu    sync.Mutex
-	idle  []*machine
-	bytes int
-}
-
-var machines machineCache
-
-// checkout hands out the idle machine under key, reset to t=0, or nil.
-func (mc *machineCache) checkout(key [sha256.Size]byte) *machine {
-	mc.mu.Lock()
-	i := slices.IndexFunc(mc.idle, func(m *machine) bool { return m.key == key })
-	if i < 0 {
-		mc.mu.Unlock()
-		return nil
-	}
-	m := mc.idle[i]
-	mc.idle = slices.Delete(mc.idle, i, i+1)
-	mc.bytes -= m.bytes
-	mc.mu.Unlock()
-	m.reset()
-	return m
-}
-
-// checkin takes a machine back once its run is over, unless it alone
-// exceeds the budget or an idle machine already holds its key, and then
-// evicts the oldest machines until the idle ones fit the budget.
-func (mc *machineCache) checkin(m *machine) {
-	if m.bytes > machineBudget {
-		return
-	}
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if slices.ContainsFunc(mc.idle, func(o *machine) bool { return o.key == m.key }) {
-		return
-	}
-	mc.idle = append(mc.idle, m)
-	mc.bytes += m.bytes
-	for mc.bytes > machineBudget {
-		mc.bytes -= mc.idle[0].bytes
-		mc.idle[0] = nil
-		mc.idle = mc.idle[1:]
-	}
-}
-
 // machineKey digests everything lowering reads from c — its wiring
 // (StructureDigest), every element's delay, cost and parameters, every
 // node's width — with the worker count, lane count and lane stride it is
 // lowered for. Two circuits with one key lower to the same program, so a
 // machine lowered from one runs the other exactly. Names, IDs and the
 // fan-out lists and drivers Build derives from the wiring are not read.
-func machineKey(c *circuit.Circuit, p, lanes int, stride int64) [sha256.Size]byte {
+func machineKey(c *circuit.Circuit, p, lanes int, stride int64) idle.Key {
 	structure := c.StructureDigest()
 	h := sha256.New()
 	w := bufio.NewWriter(h)
@@ -218,7 +162,7 @@ func machineKey(c *circuit.Circuit, p, lanes int, stride int64) [sha256.Size]byt
 		put(int64(c.Nodes[i].Width))
 	}
 	w.Flush()
-	var k [sha256.Size]byte
+	var k idle.Key
 	h.Sum(k[:0])
 	return k
 }

@@ -16,6 +16,7 @@ import (
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/gen"
+	"parsim/internal/idle"
 	"parsim/internal/logic"
 	"parsim/internal/netlist"
 	"parsim/internal/trace"
@@ -63,11 +64,7 @@ var (
 
 // flushMachines empties the machine cache, so the next run of any key
 // lowers.
-func flushMachines() {
-	machines.mu.Lock()
-	machines.idle, machines.bytes = nil, 0
-	machines.mu.Unlock()
-}
+func flushMachines() { idle.Runs.Flush() }
 
 // outcome is what a run hands back that a reused machine could perturb.
 type outcome struct {
@@ -509,13 +506,11 @@ func TestMachineReuseConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	machines.mu.Lock()
-	defer machines.mu.Unlock()
-	seen := map[[32]byte]bool{}
-	for _, m := range machines.idle {
-		if seen[m.key] {
+	for _, cfg := range cfgs {
+		key := machineKey(c, cfg.Workers, cfg.Lanes, cfg.LaneStride)
+		idle.Checkout[*machine](idle.Runs, key)
+		if _, ok := idle.Checkout[*machine](idle.Runs, key); ok {
 			t.Error("two idle machines hold one key")
 		}
-		seen[m.key] = true
 	}
 }

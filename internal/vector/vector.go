@@ -103,7 +103,6 @@ package vector
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"math/bits"
 
@@ -111,6 +110,7 @@ import (
 	"parsim/internal/circuit"
 	"parsim/internal/engine"
 	"parsim/internal/guard"
+	"parsim/internal/idle"
 	"parsim/internal/logic"
 	"parsim/internal/stats"
 )
@@ -227,13 +227,15 @@ type sim struct {
 // machine back once the report holds copies of everything it reads. fp,
 // when non-nil, carries the fault-injection state of one fault-simulation
 // pass.
-func (e eng) runPass(key [sha256.Size]byte, c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
-	m := machines.checkout(key)
-	if m == nil {
-		m = lower(key, c, cfg.Workers, cfg.Lanes, cfg.LaneStride)
+func (e eng) runPass(key idle.Key, c *circuit.Circuit, cfg engine.Config, fp *faultPass) (*engine.Report, error) {
+	m, ok := idle.Checkout[*machine](idle.Runs, key)
+	if ok {
+		m.reset()
+	} else {
+		m = lower(c, cfg.Workers, cfg.Lanes, cfg.LaneStride)
 	}
 	rep, err := e.runProgram(m, c, cfg, fp)
-	machines.checkin(m)
+	idle.Runs.Checkin(key, m, m.bytes)
 	return rep, err
 }
 
